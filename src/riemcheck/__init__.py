@@ -9,4 +9,4 @@ ledger for stated values that fail independent recomputation.
 
 __version__ = "0.1.0"
 
-from .expr import backend_name, have_compiled_kernel  # noqa: F401
+from .expr import backend_name  # noqa: F401

@@ -28,12 +28,12 @@ from .nodes import (
     variables,
 )
 from .parser import ParseError, parse
-from .tape import BACKEND, Tape, backend_name, have_compiled_kernel
+from .tape import Tape, backend_name
 
 __all__ = [
     "Add", "Binary", "Const", "Cos", "Div", "DomainError", "Exp", "Expr",
     "ExprError", "Log", "Mul", "Neg", "ParseError", "Pow", "Sin", "Sqrt",
-    "Sub", "Tape", "Unary", "Var", "as_expr", "backend_name", "BACKEND",
-    "differentiate", "evaluate", "have_compiled_kernel", "parse", "simplify",
+    "Sub", "Tape", "Unary", "Var", "as_expr", "backend_name",
+    "differentiate", "evaluate", "parse", "simplify",
     "substitute", "to_str", "variables",
 ]

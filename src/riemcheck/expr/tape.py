@@ -1,21 +1,28 @@
 """Flat register programs for fast pointwise evaluation of expression sets.
 
 A `Tape` compiles a list of expression trees over a fixed variable ordering
-into a linear instruction stream with common subexpressions shared.  The
-instruction stream is executed either by the compiled Cython kernel
-(`riemcheck._tapeval`) or by the pure backend in `riemcheck._pytape`; the
-backend is chosen once at import time (set RIEMCHECK_PURE=1 to force the
-pure one).
+into a linear instruction stream with common subexpressions shared, then
+turns that stream into one straight-line Python function `run(x, c)`: one
+assignment per instruction, reading variables from `x` and constants from `c`,
+returning the output registers.  The source depends only on the program's
+shape (the constants are an argument), so it is compiled once per distinct
+shape and bound twice:
+
+- to `math` functions for `evaluate_at`, with `x` and `c` lists of floats;
+- to numpy ufuncs for `evaluate`, with `x` the columns of the (npoints,
+  nvars) input and `c` the constants broadcast over the points.
 
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
-Out-of-domain inputs produce non-finite outputs instead of exceptions; the
+Out-of-domain inputs produce non-finite outputs instead of exceptions: a
+single point whose `math` evaluation faults is evaluated again through the
+numpy path, so single-point and batch results agree on domain faults.  The
 tree evaluator in `nodes.evaluate` is the path that reports the offending
 subtree.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
@@ -40,28 +47,38 @@ _UNARY_OPS = {"neg": OP_NEG, "exp": OP_EXP, "log": OP_LOG,
               "sin": OP_SIN, "cos": OP_COS, "sqrt": OP_SQRT}
 _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
 
-_compiled = None
-if os.environ.get("RIEMCHECK_PURE", "") not in ("1", "true", "yes"):
-    try:
-        from riemcheck import _tapeval as _compiled
-    except ImportError:
-        _compiled = None
+# Right-hand side of each instruction, indexed by opcode; `a` and `b` are the
+# operand fields (register, variable or constant index, as the op dictates).
+_RHS = ("x[{a}]", "c[{a}]", "-r{a}", "exp(r{a})", "log(r{a})", "sin(r{a})",
+        "cos(r{a})", "sqrt(r{a})", "r{a} + r{b}", "r{a} - r{b}",
+        "r{a} * r{b}", "r{a} / r{b}", "pow(r{a}, c[{b}])")
 
-from riemcheck import _pytape as _pure
+_FUNCS = ("exp", "log", "sin", "cos", "sqrt")
+_MATH = {name: getattr(math, name) for name in _FUNCS} | {"pow": math.pow}
+_NUMPY = {name: getattr(np, name) for name in _FUNCS} | {"pow": np.power}
 
-BACKEND = "compiled" if _compiled is not None else "pure"
+# (ops, a, b, out_regs) -> (single-point function, batch function).  Shapes
+# repeat across the tapes of one run, and compiling is the expensive step.
+_SHAPES: dict[tuple, tuple] = {}
 
 
 def backend_name() -> str:
-    return BACKEND
+    return "pure"
 
 
-def have_compiled_kernel() -> bool:
-    try:
-        from riemcheck import _tapeval  # noqa: F401
-        return True
-    except ImportError:
-        return False
+def _compile(shape):
+    ops, a, b, out_regs = shape
+    lines = ["def run(x, c):"]
+    lines += [f"    r{i} = " + _RHS[op].format(a=ia, b=ib)
+              for i, (op, ia, ib) in enumerate(zip(ops, a, b))]
+    lines.append("    return (" + "".join(f"r{r}, " for r in out_regs) + ")")
+    code = compile("\n".join(lines), "<tape>", "exec")
+    fns = []
+    for names in (_MATH, _NUMPY):
+        scope = dict(names)
+        exec(code, scope)
+        fns.append(scope["run"])
+    return tuple(fns)
 
 
 class Tape:
@@ -74,7 +91,7 @@ class Tape:
         if len(var_index) != self.nvars:
             raise nodes.ExprError("duplicate variable names in tape ordering")
 
-        ops, dst, a, b = [], [], [], []
+        ops, a, b = [], [], []
         consts = []
         const_ix = {}
         reg_of = {}
@@ -114,19 +131,20 @@ class Tape:
             else:
                 raise nodes.ExprError(f"unknown node {e!r}")
             r = len(ops) - 1
-            dst.append(r)
             reg_of[k] = r
             return r
 
-        self.out_regs = np.asarray([emit(nodes.as_expr(e)) for e in exprs],
-                                   dtype=np.intc)
-        self.nout = len(self.out_regs)
-        self.code = np.asarray(ops, dtype=np.intc)
-        self.dst = np.asarray(dst, dtype=np.intc)
-        self.a = np.asarray(a, dtype=np.intc)
-        self.b = np.asarray(b, dtype=np.intc)
+        out_regs = tuple(emit(nodes.as_expr(e)) for e in exprs)
+        self.nout = len(out_regs)
+        self.code = tuple(ops)
         self.consts = np.asarray(consts, dtype=np.float64)
+        self._const_list = self.consts.tolist()
         self.nregs = len(ops)
+        shape = (self.code, tuple(a), tuple(b), out_regs)
+        fns = _SHAPES.get(shape)
+        if fns is None:
+            fns = _SHAPES[shape] = _compile(shape)
+        self._run_one, self._run_batch = fns
 
     def __len__(self):
         return self.nout
@@ -136,23 +154,20 @@ class Tape:
         X = np.ascontiguousarray(points, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.nvars:
             raise ValueError(f"expected points of shape (P, {self.nvars})")
-        out = np.empty((X.shape[0], self.nout), dtype=np.float64)
-        if _compiled is not None:
-            _compiled.eval_batch(self.code, self.a, self.b, self.consts,
-                                 self.nregs, X, self.out_regs, out)
-        else:
-            _pure.eval_batch(self.code, self.a, self.b, self.consts,
-                             self.nregs, X, self.out_regs, out)
+        P = X.shape[0]
+        c = np.broadcast_to(self.consts[:, None], (len(self.consts), P))
+        with np.errstate(all="ignore"):
+            cols = self._run_batch(X.T, c)
+        out = np.empty((P, self.nout), dtype=np.float64)
+        for j, col in enumerate(cols):
+            out[:, j] = col
         return out
 
     def evaluate_at(self, x) -> np.ndarray:
         """Single point (nvars,) -> (nout,); avoids batch overhead in loops."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        out = np.empty(self.nout, dtype=np.float64)
-        if _compiled is not None:
-            _compiled.eval_one(self.code, self.a, self.b, self.consts,
-                               self.nregs, x, self.out_regs, out)
-        else:
-            _pure.eval_one(self.code, self.a, self.b, self.consts,
-                           self.nregs, x, self.out_regs, out)
-        return out
+        x = np.asarray(x, dtype=np.float64)
+        try:
+            return np.array(self._run_one(x.tolist(), self._const_list),
+                            dtype=np.float64)
+        except (ArithmeticError, ValueError):
+            return self.evaluate(x[None])[0]

@@ -1,5 +1,5 @@
-"""Tape compilation: agreement between tree evaluation, the pure backend and
-(when built) the compiled kernel."""
+"""Tape compilation: agreement between tree evaluation, the single-point
+path and the batch path."""
 
 import math
 import random
@@ -7,24 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from riemcheck import _pytape
-from riemcheck.expr import Tape, evaluate, have_compiled_kernel, parse
+from riemcheck.expr import Tape, evaluate, parse
 from riemcheck.expr.nodes import DomainError
 
 from test_expr import _random_tree, _VARS
-
-try:
-    from riemcheck import _tapeval
-except ImportError:
-    _tapeval = None
-
-
-def _run_backend(backend, tape, X):
-    out = np.empty((X.shape[0], tape.nout))
-    backend.eval_batch(tape.code, tape.a, tape.b, tape.consts, tape.nregs,
-                       np.ascontiguousarray(X, dtype=np.float64),
-                       tape.out_regs, out)
-    return out
 
 
 def test_tape_matches_tree_evaluation():
@@ -35,17 +21,18 @@ def test_tape_matches_tree_evaluation():
     X = np.array([[rng.uniform(0.2, 1.2) for _ in _VARS] for _ in range(40)])
     tape = Tape(exprs, _VARS)
     vals = tape.evaluate(X)
+    ones = np.array([tape.evaluate_at(x) for x in X])
     for j, e in enumerate(exprs):
         for i in range(X.shape[0]):
             env = dict(zip(_VARS, X[i]))
             try:
                 ref = evaluate(e, env)
             except DomainError:
-                assert not math.isfinite(vals[i, j]) or True
                 continue
             if not math.isfinite(ref):
                 continue
             assert vals[i, j] == pytest.approx(ref, rel=1e-14, abs=1e-14)
+            assert ones[i, j] == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
 
 def test_common_subexpressions_are_shared():
@@ -67,18 +54,14 @@ def test_single_point_path_matches_batch():
     assert np.allclose(a[mask], b[mask], rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.skipif(not have_compiled_kernel(), reason="compiled kernel not built")
-def test_compiled_and_pure_backends_agree():
-    rng = random.Random(555)
-    exprs = [_random_tree(rng, rng.randint(1, 6)) for _ in range(80)]
-    tape = Tape(exprs, _VARS)
-    X = np.array([[rng.uniform(0.2, 1.2) for _ in _VARS] for _ in range(64)])
-    fast = _run_backend(_tapeval, tape, X)
-    slow = _run_backend(_pytape, tape, X)
-    both = np.isfinite(fast) & np.isfinite(slow)
-    # backends may use different libm paths; agreement is to float accuracy
-    assert np.allclose(fast[both], slow[both], rtol=5e-13, atol=5e-13)
-    assert np.array_equal(np.isfinite(fast), np.isfinite(slow))
+def test_tapes_sharing_a_shape_keep_their_own_values():
+    t1 = Tape([parse("2*x + 3"), parse("x^4")], ("x", "y"))
+    t2 = Tape([parse("5*p + 7"), parse("p^3")], ("p", "q"))
+    assert t1._run_one is t2._run_one  # one compiled function for the shape
+    assert list(t1.evaluate_at([1.5, 9.0])) == [6.0, 5.0625]
+    assert list(t2.evaluate_at([2.0, 9.0])) == [17.0, 8.0]
+    assert t1.evaluate(np.array([[1.5, 9.0]])).tolist() == [[6.0, 5.0625]]
+    assert t2.evaluate(np.array([[2.0, 9.0]])).tolist() == [[17.0, 8.0]]
 
 
 def test_out_of_domain_becomes_nonfinite_not_exception():
@@ -87,6 +70,16 @@ def test_out_of_domain_becomes_nonfinite_not_exception():
     assert not np.isfinite(vals[0, 0])
     assert not np.isfinite(vals[1, 1])
     assert np.isfinite(vals[2]).all()
+    # a point that faults on the single-point path gives the batch row
+    cases = [(src, x) for src in ("log(x)", "1/x", "sqrt(x)", "x^0.5")
+             for x in (-1.0, 0.0)] + [("exp(x)", 1000.0)]
+    for src, x in cases:
+        tape = Tape([parse(src), parse("x + 1")], ("x",))
+        row = tape.evaluate(np.array([[x]]))[0]
+        one = tape.evaluate_at(np.array([x]))
+        assert np.array_equal(one, row, equal_nan=True), (src, x, one, row)
+    assert Tape([parse("exp(x)")], ("x",)).evaluate_at([1000.0])[0] == math.inf
+    assert Tape([parse("log(x)")], ("x",)).evaluate_at([0.0])[0] == -math.inf
 
 
 def test_tape_rejects_unknown_variable():
