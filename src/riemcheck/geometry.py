@@ -324,6 +324,8 @@ class MetricField:
         pts = np.atleast_2d(points)
         G = self.values(pts)
         for i, g in enumerate(G):
+            if not np.all(np.isfinite(g)):
+                raise GeometryError(f"metric not finite at sample point {pts[i]}")
             if np.max(np.abs(g - g.T)) > tol * max(1.0, float(np.max(np.abs(g)))):
                 raise GeometryError(f"metric asymmetric at sample point {pts[i]}")
             try:
@@ -624,7 +626,13 @@ def lie_derivative_metric(g: MetricField, X) -> TensorField:
     return TensorField(g.chart, (0, 2), out)
 
 
-# -- numeric frame utilities ---------------------------------------------------
+# -- numeric utilities ---------------------------------------------------------
+
+def is_worse(value, worst) -> bool:
+    """Whether `value` replaces `worst` in a running maximum of residuals:
+    the first non-finite value wins and is kept, otherwise the larger wins."""
+    return math.isfinite(worst) and (value > worst or not math.isfinite(value))
+
 
 def orthonormalize(gval: np.ndarray, vectors, tol=1e-10):
     """Gram-Schmidt with inner product gval; `vectors` is (k, n).  Raises on

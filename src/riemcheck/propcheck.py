@@ -6,6 +6,32 @@ tensors of induced metrics, Hessian/gradient terms, O'Neill-derivative
 traces, shape-operator terms and normal-bundle curvature, none of which
 touch the ambient Ricci.  Agreement is therefore evidence, not tautology.
 
+The identities are data: one `TABLE` row each, run by `verify_identity`.
+A row gives
+
+- a pair family.  ``uu``, ``ux`` and ``xx`` pair the vertical (u) and
+  horizontal (X) frames of `MapGeometry.split_at` at x, with Ric_M on the
+  left; ``FF``, ``Fe`` and ``ee`` pair the declared range (F) and normal (e)
+  frames at y = F(x), with Ric_N on the left.  ``uu``, ``xx``, ``FF`` and
+  ``ee`` visit only the pairs a <= b;
+- the symbolic ingredients, built in the listed order before the point loop,
+  so the first missing piece (no dilation, no structure, frames that are not
+  coordinate-aligned) is the exception the caller sees;
+- the signed terms ``(report key, +1 or -1, term function)``.  A term
+  function takes the per-point namespace and the two frame indices of the
+  pair and returns the term's value; a subtracted term is reported with its
+  positive value.  The right side is the first term, then every further term
+  added or subtracted left to right;
+- the hypothesis gates and whether a term follows an interpreted definition.
+
+Both namespaces are filled lazily: the per-call one (`_CALL`: symbolic
+tensors, restricted geometries, target calculus, derivative tapes) and the
+per-point one (`_POINT`: the split, metric values, tensor values, J U, the
+B/C split, target frame values).  Each row of a result is one pair at one
+point with residual |lhs - rhs|; the worst row is the first non-finite
+residual, else the first largest.  The two theorem-level checks keep their
+own row formulas on the same namespaces and pair iterator.
+
 Restricted Ricci tensors exist only for coordinate-aligned involutive
 distributions: the induced metric is the coordinate submatrix with the
 transverse coordinates frozen as parameters.  Anything else raises
@@ -18,6 +44,8 @@ interpretation documented on `TargetCalculus.nabla_tilde_S` and carry
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +60,7 @@ from .geometry import (
     divergence,
     gradient,
     hessian,
+    is_worse,
     lie_bracket,
     lie_derivative_metric,
 )
@@ -45,11 +74,10 @@ from .soliton import (
 )
 from .structure import (
     AlmostComplexStructure,
-    anti_invariant_residual_source,
-    anti_invariant_residual_target,
+    anti_invariant_residual,
+    bc_split,
+    complement_frame_at,
     kahler_residual,
-    mu_frame_at,
-    nu_frame_at,
 )
 
 
@@ -251,6 +279,8 @@ class PropositionCase:
         return self._get("hessf", lambda: hessian(self.mg.gM, self.f))
 
     def grad_f(self):
+        if self.f is None:
+            raise UnsupportedDistribution("case has no source dilation f")
         return self._get("gradf", lambda: gradient(self.mg.gM, self.f))
 
     def div_grad_f(self):
@@ -264,20 +294,12 @@ class PropositionCase:
     def hess_g(self):
         return self._get("hessg", lambda: hessian(self.mg.gN, self.gfun))
 
-    def ker_rg(self, points) -> RestrictedGeometry:
-        return self._get("ker_rg", lambda: RestrictedGeometry(
-            self.mg.gM, coordinate_alignment(
-                [self.mg.split_at(x).vertical for x in np.atleast_2d(points)])))
-
-    def range_rg(self, points) -> RestrictedGeometry:
-        return self._get("range_rg", lambda: RestrictedGeometry(
-            self.mg.gN, coordinate_alignment(
-                [self.mg.split_at(x).range for x in np.atleast_2d(points)])))
-
-    def perp_rg(self, points) -> RestrictedGeometry:
-        return self._get("perp_rg", lambda: RestrictedGeometry(
-            self.mg.gN, coordinate_alignment(
-                [self.mg.split_at(x).normal for x in np.atleast_2d(points)])))
+    def restricted(self, part, points) -> RestrictedGeometry:
+        """Restricted geometry of one part of the split: 'vertical' (the
+        kernel, on M), 'range' or 'normal' (on N)."""
+        g = self.mg.gM if part == "vertical" else self.mg.gN
+        return self._get(part, lambda: RestrictedGeometry(g, coordinate_alignment(
+            [getattr(self.mg.split_at(x), part) for x in np.atleast_2d(points)])))
 
     def tc(self) -> TargetCalculus:
         return self._get("tc", lambda: TargetCalculus(self.mg, self.Jp))
@@ -295,22 +317,20 @@ class PropositionCase:
 
     def _gate(self, name, pts, tol):
         mg = self.mg
-        if name.endswith("_source") and name != "clairaut_source" and self.J is None:
-            return (False, "no source structure declared")
-        if name.endswith("_target") and name != "clairaut_target" and self.Jp is None:
-            return (False, "no target structure declared")
-        if name == "kahler_source":
-            res, _ = kahler_residual(mg.gM, self.J, pts)
-            return (res <= tol, res)
-        if name == "kahler_target":
-            res, _ = kahler_residual(mg.gN, self.Jp, mg.F.values(pts))
-            return (res <= tol, res)
-        if name == "anti_invariant_source":
-            res, _, degen = anti_invariant_residual_source(mg, self.J, pts)
-            return (res <= tol and not degen, res)
-        if name == "anti_invariant_target":
-            res, _, degen = anti_invariant_residual_target(mg, self.Jp, pts)
-            return (res <= tol and not degen, res)
+        kind, _, side = name.rpartition("_")
+        if kind in ("kahler", "anti_invariant", "lagrangian"):
+            J = self.J if side == "source" else self.Jp
+            if J is None:
+                return (False, f"no {side} structure declared")
+            if kind == "kahler":
+                g, at = (mg.gM, pts) if side == "source" else (mg.gN, mg.F.values(pts))
+                res, _ = kahler_residual(g, J, at)
+                return (res <= tol, res)
+            if kind == "anti_invariant":
+                res, _, degen = anti_invariant_residual(mg, J, pts, side)
+                return (res <= tol and not degen, res)
+            dims = [complement_frame_at(mg, J, x, side).shape[0] for x in pts[:5]]
+            return (all(d == 0 for d in dims), max(dims))
         if name == "clairaut_source":
             if self.f is None:
                 return (False, "no source dilation declared")
@@ -321,12 +341,6 @@ class PropositionCase:
                 return (False, "no target dilation declared")
             res, umb, _ = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
             return (max(res, umb) <= tol, max(res, umb))
-        if name == "lagrangian_source":
-            dims = [mu_frame_at(mg, self.J, x).shape[0] for x in pts[:5]]
-            return (all(d == 0 for d in dims), max(dims))
-        if name == "lagrangian_target":
-            dims = [nu_frame_at(mg, self.Jp, x).shape[0] for x in pts[:5]]
-            return (all(d == 0 for d in dims), max(dims))
         if name == "totally_geodesic_map":
             S = mg.second_fundamental_form()
             worst = 0.0
@@ -392,611 +406,372 @@ class PropositionCase:
         return (worst <= tol, worst)
 
 
-# -- shared helpers ----------------------------------------------------------------------
+# -- namespaces -------------------------------------------------------------------------
 
-def _bc_split(J, X, sp, GM):
-    """JX = BX + CX with BX the vertical projection; CX is the remainder."""
-    JX = J @ X
-    if len(sp.vertical):
-        B = np.einsum("ai,ij,j,ak->k", sp.vertical, GM, JX, sp.vertical)
-    else:
-        B = np.zeros_like(JX)
-    return JX, B, JX - B
+class _Lazy:
+    """Attribute namespace: a missing attribute is built once by
+    `builders[name](self)` and kept."""
+
+    def __init__(self, builders, **given):
+        self._builders = builders
+        self.__dict__.update(given)
+
+    def __getattr__(self, name):
+        try:
+            build = self._builders[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = build(self)
+        setattr(self, name, value)
+        return value
 
 
-def _divA_vertical_trace(NAv, u_rows, GM, X, Y):
-    """sum_j g((nabla_{u_j} A)(X, Y), u_j)."""
-    if len(u_rows) == 0:
-        return 0.0
-    return float(np.einsum("klij,al,i,j,km,am->", NAv, u_rows, X, Y, GM, u_rows))
+def _source_J(c):
+    if c.case.J is None:
+        raise UnsupportedDistribution("no source almost complex structure declared")
+    return c.case.J
 
 
-def _identity_result(ident, rows, gates, interpreted=False):
+def _lie_W(c):
+    """L_W g_N for W = F_*(grad f), pushed through the declared section."""
+    W = pushforward_field(c.mg.F, c.case.grad_f(), validate_points=c.pts[:5])
+    W.name = "F*(grad f)"
+    return lie_derivative_metric(c.mg.gN, W)
+
+
+def _f_tape(c):
+    """div grad f, then the partial derivatives of f."""
+    chart = c.mg.gM.chart
+    return Tape([c.case.div_grad_f()] + [differentiate(c.case.f, x) for x in chart.coords],
+                chart.allvars)
+
+
+# per call: symbolic ingredients shared by every point
+_CALL = {
+    "ric_M": lambda c: c.case.ric_M(),
+    "ric_N": lambda c: c.case.ric_N(),
+    "hess_f": lambda c: c.case.hess_f(),
+    "grad_f": lambda c: c.case.grad_f(),
+    "grad_g": lambda c: c.case.grad_g(),
+    "hess_g": lambda c: c.case.hess_g(),
+    "ker_rg": lambda c: c.case.restricted("vertical", c.pts),
+    "range_rg": lambda c: c.case.restricted("range", c.pts),
+    "perp_rg": lambda c: c.case.restricted("normal", c.pts),
+    "A": lambda c: c.mg.oneill_A(),
+    "NA": lambda c: c.mg.nabla_oneill("A"),
+    "SFF": lambda c: c.mg.second_fundamental_form(),
+    "f_tape": _f_tape,
+    "g_tape": lambda c: Tape([differentiate(c.case.gfun, y) for y in c.mg.gN.chart.coords],
+                             c.mg.gN.chart.allvars),
+    "J": _source_J,
+    "tc": lambda c: c.case.tc(),
+    "JF": lambda c: [c.tc.J(f) for f in c.mg.frames.range],
+    "PE": lambda c: [c.tc.proj_range(c.tc.J(e)) for e in c.mg.frames.normal],
+    "QE": lambda c: [c.tc.proj_perp(c.tc.J(e)) for e in c.mg.frames.normal],
+    "mr": lambda c: c.mg.gM.chart.dim - c.case.dims(c.pts[0])["r0"],
+    "LW": _lie_W,
+}
+
+# per point: values at x, and at y = F(x) on the target
+_POINT = {
+    "sp": lambda p: p.c.mg.split_at(p.x),
+    "V": lambda p: p.sp.vertical,
+    "H": lambda p: p.sp.horizontal,
+    "r0": lambda p: len(p.sp.vertical),
+    "y": lambda p: p.c.mg.F.value_at(p.x),
+    "GM": lambda p: p.c.mg.gM.value_at(p.x),
+    "GN": lambda p: p.c.mg.gN.value_at(p.y),
+    "Jac": lambda p: p.c.mg.F.jac_at(p.x),
+    "ricM": lambda p: p.c.ric_M.value_at(p.x),
+    "ricN": lambda p: p.c.ric_N.value_at(p.y),
+    "Hf": lambda p: p.c.hess_f.value_at(p.x),
+    "gf": lambda p: p.c.grad_f.value_at(p.x),
+    "norm2_f": lambda p: float(p.gf @ p.GM @ p.gf),
+    "f_aux": lambda p: p.c.f_tape.evaluate_at(p.x),
+    "div_grad_f": lambda p: float(p.f_aux[0]),
+    "df": lambda p: p.f_aux[1:],
+    "gg": lambda p: p.c.grad_g.value_at(p.y),
+    "norm2_g": lambda p: float(p.gg @ p.GN @ p.gg),
+    "Hg": lambda p: p.c.hess_g.value_at(p.y),
+    "hess_trace_g": lambda p: sum(float(e @ p.Hg @ e) for e in p.Ev),
+    "dg": lambda p: p.c.g_tape.evaluate_at(p.y),
+    "Av": lambda p: p.c.A.value_at(p.x),
+    "NAv": lambda p: p.c.NA.value_at(p.x),
+    "Sv": lambda p: p.c.SFF.value_at(p.x),
+    "tau": lambda p: np.einsum("aij,ki,kj->a", p.Sv, p.H, p.H),
+    "ric_range": lambda p: p.c.range_rg.ricci_values(p.y[None, :])[0],
+    "ric_ker": lambda p: p.c.ker_rg.ricci_values(p.x[None, :])[0],
+    "ric_perp": lambda p: p.c.perp_rg.ricci_values(p.y[None, :])[0],
+    "Jx": lambda p: p.c.J.value_at(p.x),
+    "JU": lambda p: [p.Jx @ u for u in p.V],
+    "BC": lambda p: [bc_split(p.Jx, X, p.V, p.GM) for X in p.H],
+    "B": lambda p: [b for b, _ in p.BC],
+    "C": lambda p: [c for _, c in p.BC],
+    "Fv": lambda p: [f.value_at(p.y) for f in p.c.mg.frames.range],
+    "Ev": lambda p: [e.value_at(p.y) for e in p.c.mg.frames.normal],
+    "JFv": lambda p: [f.value_at(p.y) for f in p.c.JF],
+    "PEv": lambda p: [f.value_at(p.y) for f in p.c.PE],
+    "QEv": lambda p: [f.value_at(p.y) for f in p.c.QE],
+    "LWv": lambda p: p.c.LW.values(p.y[None, :])[0],
+}
+
+# family: (first frame, second frame, labels, pairs a <= b only, ambient Ricci)
+_FAMILIES = {
+    "uu": ("V", "V", "uu", True, "ricM"),
+    "ux": ("V", "H", "uX", False, "ricM"),
+    "xx": ("H", "H", "XX", True, "ricM"),
+    "FF": ("Fv", "Fv", "FF", True, "ricN"),
+    "Fe": ("Fv", "Ev", "Fe", False, "ricN"),
+    "ee": ("Ev", "Ev", "ee", True, "ricN"),
+}
+
+
+def _call(case, points, ingredients):
+    c = _Lazy(_CALL, case=case, mg=case.mg, pts=np.atleast_2d(points))
+    for name in ingredients:
+        getattr(c, name)
+    return c
+
+
+def _points(c):
+    for i, x in enumerate(c.pts):
+        yield _Lazy(_POINT, c=c, i=i, x=x)
+
+
+def _pairs(p, family):
+    """(a, b, pair labels) over the frame index pairs of a family at a point."""
+    first, second, (la, lb), upper, _ = _FAMILIES[family]
+    nb = len(getattr(p, second))
+    for a in range(len(getattr(p, first))):
+        for b in range(a if upper else 0, nb):
+            yield a, b, (f"{la}{a + 1}", f"{lb}{b + 1}")
+
+
+def _row(p, pair, lhs, rhs, terms):
+    return {"point": p.i, "pair": pair, "lhs": lhs, "rhs": rhs,
+            "residual": abs(lhs - rhs), "terms": terms}
+
+
+def _result(ident, rows, gates, interpreted=False):
     if not rows:
         return {"id": ident, "gates": tuple(gates), "n_pairs": 0,
                 "max_residual": 0.0, "worst": None, "rows": [],
                 "vacuous": True, "interpreted": interpreted}
-    worst = max(rows, key=lambda r: r["residual"])
+    worst = rows[0]
+    for r in rows[1:]:
+        if is_worse(r["residual"], worst["residual"]):
+            worst = r
     return {"id": ident, "gates": tuple(gates), "n_pairs": len(rows),
             "max_residual": worst["residual"], "worst": worst, "rows": rows,
             "vacuous": False, "interpreted": interpreted}
 
 
-# -- source-side identities (Kaehler source, Clairaut with r~ = e^f) ---------------------
+# -- term helpers -------------------------------------------------------------------------
 
-def identity_ric_uv(case: PropositionCase, points):
-    """Ric(U,V) = Ric^range(F_*JU, F_*JV) + r Hess f(JU, JV) - divA(JU, JV)
-    over vertical frame pairs."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    rg = case.range_rg(pts)
-    ricM, Hf, NA = case.ric_M(), case.hess_f(), mg.nabla_oneill("A")
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        r0 = len(sp.vertical)
-        GM = mg.gM.value_at(x)
-        ricv, Hv, NAv = ricM.value_at(x), Hf.value_at(x), NA.value_at(x)
-        ric_rng = rg.ricci_values(x[None, :])[0]
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        for a in range(r0):
-            for b in range(a, r0):
-                U, V = sp.vertical[a], sp.vertical[b]
-                JU, JV = Jx @ U, Jx @ V
-                lhs = float(U @ ricv @ V)
-                t_rng = float(rg.restrict_vector(Jac @ JU) @ ric_rng
-                              @ rg.restrict_vector(Jac @ JV))
-                t_hess = r0 * float(JU @ Hv @ JV)
-                t_div = _divA_vertical_trace(NAv, sp.vertical, GM, JU, JV)
-                rhs = t_rng + t_hess - t_div
-                rows.append({"point": pi, "pair": (f"u{a+1}", f"u{b+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_range": t_rng, "r_hess_f": t_hess,
-                                       "div_A": t_div}})
-    return _identity_result("ric_uv", rows,
-                            ("kahler_source", "anti_invariant_source", "clairaut_source"))
+def _ric_block(rg, ric, P, Q):
+    """Restricted Ricci of two vectors lying in the block of `rg`."""
+    return float(rg.restrict_vector(P) @ ric @ rg.restrict_vector(Q))
 
 
-def identity_ric_ux(case: PropositionCase, points):
-    """Mixed vertical/horizontal Ricci identity."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    rg = case.range_rg(pts)
-    ricM, Hf, NA = case.ric_M(), case.hess_f(), mg.nabla_oneill("A")
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        r0 = len(sp.vertical)
-        GM = mg.gM.value_at(x)
-        ricv, Hv, NAv = ricM.value_at(x), Hf.value_at(x), NA.value_at(x)
-        ric_rng = rg.ricci_values(x[None, :])[0]
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        H = sp.horizontal
-        for a in range(r0):
-            U = sp.vertical[a]
-            JU = Jx @ U
-            for i in range(len(H)):
-                X = H[i]
-                _, BX, CX = _bc_split(Jx, X, sp, GM)
-                lhs = float(U @ ricv @ X)
-                t1 = -(r0 + 1) * float(BX @ Hv @ JU)
-                t2 = _divA_vertical_trace(NAv, sp.vertical, GM, JU, CX)
-                t3 = -r0 * float(JU @ Hv @ CX)
-                t4 = float(rg.restrict_vector(Jac @ JU) @ ric_rng
-                           @ rg.restrict_vector(Jac @ CX))
-                t5 = float(np.einsum("klij,cl,ci,j,km,m->", NAv, H, H, JU, GM, BX))
-                rhs = t1 + t2 + t3 + t4 + t5
-                rows.append({"point": pi, "pair": (f"u{a+1}", f"X{i+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"hess_BX_JU": t1, "div_A_JU_CX": t2,
-                                       "r_hess_JU_CX": t3, "ric_range": t4,
-                                       "nablaA_frame_trace": t5}})
-    return _identity_result("ric_ux", rows,
-                            ("kahler_source", "anti_invariant_source", "clairaut_source"))
+def _ric_range(p, P, Q):
+    """Ric^range(F_*P, F_*Q) for source vectors P, Q."""
+    return _ric_block(p.c.range_rg, p.ric_range, p.Jac @ P, p.Jac @ Q)
 
 
-def identity_ric_xy(case: PropositionCase, points):
-    """Horizontal/horizontal Ricci identity (fourteen right-side terms)."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    rg_rng = case.range_rg(pts)
-    rg_ker = case.ker_rg(pts)
-    ricM, Hf = case.ric_M(), case.hess_f()
-    gradf = case.grad_f()
-    aux_tape = Tape([case.div_grad_f()]
-                    + [differentiate(case.f, c) for c in mg.gM.chart.coords],
-                    mg.gM.chart.allvars)
-    A, NA = mg.oneill_A(), mg.nabla_oneill("A")
-    SFF = mg.second_fundamental_form()
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        r0 = len(sp.vertical)
-        GM = mg.gM.value_at(x)
-        GN = mg.gN.value_at(sp.y)
-        ricv, Hv = ricM.value_at(x), Hf.value_at(x)
-        Av, NAv, Sv = A.value_at(x), NA.value_at(x), SFF.value_at(x)
-        gf = gradf.value_at(x)
-        aux = aux_tape.evaluate_at(x)
-        divv, dfv = float(aux[0]), aux[1:]
-        norm2 = float(gf @ GM @ gf)
-        ric_rng = rg_rng.ricci_values(x[None, :])[0]
-        ric_ker = rg_ker.ricci_values(x[None, :])[0]
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        H, V = sp.horizontal, sp.vertical
-        tau = np.einsum("aij,ki,kj->a", Sv, H, H)
-        for i in range(len(H)):
-            for j in range(i, len(H)):
-                X, Y = H[i], H[j]
-                _, BX, CX = _bc_split(Jx, X, sp, GM)
-                _, BY, CY = _bc_split(Jx, Y, sp, GM)
-                lhs = float(X @ ricv @ Y)
-                t1 = float(rg_ker.restrict_vector(BX) @ ric_ker
-                           @ rg_ker.restrict_vector(BY))
-                t2 = -(r0 * norm2 + divv) * float(BX @ GM @ BY)
-                AX = np.einsum("kij,li,j->lk", Av, H, BX)
-                AY = np.einsum("kij,li,j->lk", Av, H, BY)
-                t3 = float(np.einsum("lk,km,lm->", AX, GM, AY))
-                t4 = -r0 * float(CX @ Hv @ CY)
-                t5 = -r0 * float(CX @ dfv) * float(CY @ dfv)
-                if len(V):
-                    ACXu = np.einsum("kij,i,aj->ak", Av, CX, V)
-                    ACYu = np.einsum("kij,i,aj->ak", Av, CY, V)
-                    t6 = float(np.einsum("ak,km,am->", ACXu, GM, ACYu))
-                else:
-                    t6 = 0.0
-                t7 = _divA_vertical_trace(NAv, V, GM, CX, CY)
-                t8 = float(rg_rng.restrict_vector(Jac @ CX) @ ric_rng
-                           @ rg_rng.restrict_vector(Jac @ CY))
-                s1 = np.einsum("aij,li,j->la", Sv, H, CY)
-                s2 = np.einsum("aij,i,lj->la", Sv, CX, H)
-                t9 = -float(np.einsum("la,ab,lb->", s1, GN, s2))
-                sCC = np.einsum("aij,i,j->a", Sv, CX, CY)
-                t10 = float(sCC @ GN @ tau)
-                t11 = -(r0 + 1) * float(BX @ Hv @ CY)
-                t12 = -float(np.einsum("klij,al,i,aj,km,m->", NAv, H, CY, H, GM, BX))
-                t13 = -(r0 + 1) * float(BY @ Hv @ CX)
-                t14 = -float(np.einsum("klij,al,i,aj,km,m->", NAv, H, CX, H, GM, BY))
-                rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10 + t11 + t12 + t13 + t14
-                rows.append({"point": pi, "pair": (f"X{i+1}", f"X{j+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_ker": t1, "warp_trace": t2, "A_A": t3,
-                                       "r_hess_CC": t4, "r_CXf_CYf": t5, "A_mu": t6,
-                                       "div_A_CC": t7, "ric_range": t8, "sff_sff": t9,
-                                       "sff_tension": t10, "hess_BX_CY": t11,
-                                       "nablaA_CY": t12, "hess_BY_CX": t13,
-                                       "nablaA_CX": t14}})
-    return _identity_result("ric_xy", rows,
-                            ("kahler_source", "anti_invariant_source", "clairaut_source"))
+def _div_A(p, X, Y):
+    """sum_j g((nabla_{u_j} A)(X, Y), u_j)."""
+    if len(p.V) == 0:
+        return 0.0
+    return float(np.einsum("klij,al,i,j,km,am->", p.NAv, p.V, X, Y, p.GM, p.V))
 
 
-def identity_lric_uv(case, points):
-    """Lagrangian reduction: Ric(U,V) = Ric^range(F_*JU, F_*JV)."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    rg = case.range_rg(pts)
-    ricM = case.ric_M()
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        ricv = ricM.value_at(x)
-        ric_rng = rg.ricci_values(x[None, :])[0]
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        for a in range(len(sp.vertical)):
-            for b in range(a, len(sp.vertical)):
-                U, V = sp.vertical[a], sp.vertical[b]
-                lhs = float(U @ ricv @ V)
-                rhs = float(rg.restrict_vector(Jac @ (Jx @ U)) @ ric_rng
-                            @ rg.restrict_vector(Jac @ (Jx @ V)))
-                rows.append({"point": pi, "pair": (f"u{a+1}", f"u{b+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_range": rhs}})
-    return _identity_result("lric_uv", rows,
-                            ("lagrangian_source", "anti_invariant_source",
-                             "clairaut_source", "kahler_source"))
+def _hess_B(p, B, W):
+    return -(p.r0 + 1) * float(B @ p.Hf @ W)
 
 
-def identity_lric_ux(case, points):
-    """Lagrangian reduction: Ric(U, X) = 0."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    ricM = case.ric_M()
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        ricv = ricM.value_at(x)
-        for a in range(len(sp.vertical)):
-            for i in range(len(sp.horizontal)):
-                lhs = float(sp.vertical[a] @ ricv @ sp.horizontal[i])
-                rows.append({"point": pi, "pair": (f"u{a+1}", f"X{i+1}"),
-                             "lhs": lhs, "rhs": 0.0, "residual": abs(lhs),
-                             "terms": {}})
-    return _identity_result("lric_ux", rows,
-                            ("lagrangian_source", "anti_invariant_source",
-                             "clairaut_source", "kahler_source"))
+def _hess_C(p, P, Q):
+    return -p.r0 * float(P @ p.Hf @ Q)
 
 
-def identity_lric_xy(case, points):
-    """Lagrangian reduction: Ric(X, Y) = Ric^ker(BX, BY)."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    rg_ker = case.ker_rg(pts)
-    ricM = case.ric_M()
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        GM = mg.gM.value_at(x)
-        ricv = ricM.value_at(x)
-        ric_ker = rg_ker.ricci_values(x[None, :])[0]
-        Jx = case.J.value_at(x)
-        H = sp.horizontal
-        for i in range(len(H)):
-            for j in range(i, len(H)):
-                _, BX, _ = _bc_split(Jx, H[i], sp, GM)
-                _, BY, _ = _bc_split(Jx, H[j], sp, GM)
-                lhs = float(H[i] @ ricv @ H[j])
-                rhs = float(rg_ker.restrict_vector(BX) @ ric_ker
-                            @ rg_ker.restrict_vector(BY))
-                rows.append({"point": pi, "pair": (f"X{i+1}", f"X{j+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_ker": rhs}})
-    return _identity_result("lric_xy", rows,
-                            ("lagrangian_source", "anti_invariant_source",
-                             "clairaut_source", "kahler_source"))
+def _nabla_A_H(p, C, B):
+    """-sum_a g((nabla_{X_a} A)(C, X_a), B)."""
+    return -float(np.einsum("klij,al,i,aj,km,m->", p.NAv, p.H, C, p.H, p.GM, B))
 
 
-def identity_cor_ric_xy(case, points):
-    """Totally geodesic corollary: Ric(X,Y) = Ric^ker(BX,BY)
-    - (r |grad f|^2 + div grad f) g(BX,BY) - r Hess f(CX,CY)
-    + Ric^range(F_*CX, F_*CY) - r CX(f) CY(f)."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    rg_rng = case.range_rg(pts)
-    rg_ker = case.ker_rg(pts)
-    ricM, Hf = case.ric_M(), case.hess_f()
-    gradf = case.grad_f()
-    aux_tape = Tape([case.div_grad_f()]
-                    + [differentiate(case.f, c) for c in mg.gM.chart.coords],
-                    mg.gM.chart.allvars)
-    rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        r0 = len(sp.vertical)
-        GM = mg.gM.value_at(x)
-        ricv, Hv = ricM.value_at(x), Hf.value_at(x)
-        gf = gradf.value_at(x)
-        aux = aux_tape.evaluate_at(x)
-        divv, dfv = float(aux[0]), aux[1:]
-        norm2 = float(gf @ GM @ gf)
-        ric_rng = rg_rng.ricci_values(x[None, :])[0]
-        ric_ker = rg_ker.ricci_values(x[None, :])[0]
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        H = sp.horizontal
-        for i in range(len(H)):
-            for j in range(i, len(H)):
-                _, BX, CX = _bc_split(Jx, H[i], sp, GM)
-                _, BY, CY = _bc_split(Jx, H[j], sp, GM)
-                lhs = float(H[i] @ ricv @ H[j])
-                t1 = float(rg_ker.restrict_vector(BX) @ ric_ker
-                           @ rg_ker.restrict_vector(BY))
-                t2 = -(r0 * norm2 + divv) * float(BX @ GM @ BY)
-                t3 = -r0 * float(CX @ Hv @ CY)
-                t4 = float(rg_rng.restrict_vector(Jac @ CX) @ ric_rng
-                           @ rg_rng.restrict_vector(Jac @ CY))
-                t5 = -r0 * float(CX @ dfv) * float(CY @ dfv)
-                rhs = t1 + t2 + t3 + t4 + t5
-                rows.append({"point": pi, "pair": (f"X{i+1}", f"X{j+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_ker": t1, "warp_trace": t2,
-                                       "r_hess_CC": t3, "ric_range": t4,
-                                       "r_CXf_CYf": t5}})
-    return _identity_result("cor_ric_xy", rows,
-                            ("totally_geodesic_map", "tg_horizontal",
-                             "anti_invariant_source", "clairaut_source",
-                             "kahler_source"))
+def _grad_nperp(p, W, D):
+    """(m - r) g_N(grad g, nperp_W D)."""
+    return p.c.mr * float(p.gg @ p.GN @ p.c.tc.nperp(W, D).value_at(p.y))
 
 
-# -- target-side identities (Kaehler target, Clairaut with s~ = e^g) ---------------------
-
-def _target_frames(case):
-    tc = case.tc()
-    mg = case.mg
-    Fj = list(mg.frames.range)
-    Ek = list(mg.frames.normal)
-    return tc, Fj, Ek
-
-
-def identity_ric_fxfy(case: PropositionCase, points):
-    """Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y)
-    + (m - r) g_N(grad g, nperp_{J'F_*X} J'F_*Y) over range pairs."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    tc, Fj, Ek = _target_frames(case)
-    rg_perp = case.perp_rg(pts)
-    ricN = case.ric_N()
-    gradg = case.grad_g()
-    d = case.dims(pts[0])
-    mr = d["m"] - d["r0"]
-    rows = []
-    JF = [tc.J(f) for f in Fj]
-    nperp_fields = {(a, b): tc.nperp(JF[a], JF[b])
-                    for a in range(len(Fj)) for b in range(len(Fj))}
-    for pi, x in enumerate(pts):
-        # all target quantities are evaluated at y = F(x)
-        y = mg.F.value_at(x)
-        GN = mg.gN.value_at(y)
-        ricv = ricN.value_at(y)
-        ric_perp = rg_perp.ricci_values(y[None, :])[0]
-        gg = gradg.value_at(y)
-        for a in range(len(Fj)):
-            Fa = Fj[a].value_at(y)
-            JFa = JF[a].value_at(y)
-            for b in range(a, len(Fj)):
-                Fb = Fj[b].value_at(y)
-                JFb = JF[b].value_at(y)
-                lhs = float(Fa @ ricv @ Fb)
-                t1 = float(rg_perp.restrict_vector(JFa) @ ric_perp
-                           @ rg_perp.restrict_vector(JFb))
-                np_ab = nperp_fields[(a, b)].value_at(y)
-                t2 = mr * float(gg @ GN @ np_ab)
-                rhs = t1 + t2
-                rows.append({"point": pi, "pair": (f"F{a+1}", f"F{b+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_perp": t1, "grad_nperp": t2}})
-    return _identity_result("ric_fxfy", rows,
-                            ("kahler_target", "anti_invariant_target",
-                             "clairaut_target", "tg_normal"))
+def _nts_trace(p, D, X, reverse=False):
+    """sum_j g((nabla~_X S)_D F_j, F_j), or with `reverse`
+    -sum_j g((nabla~_{F_j} S)_D X, F_j)."""
+    acc = 0.0
+    for Fj, fv in zip(p.c.mg.frames.range, p.Fv):
+        if reverse:
+            acc -= float(p.c.tc.nabla_tilde_S(Fj, D, X).value_at(p.y) @ p.GN @ fv)
+        else:
+            acc += float(p.c.tc.nabla_tilde_S(X, D, Fj).value_at(p.y) @ p.GN @ fv)
+    return acc
 
 
-def identity_ric_fxe(case: PropositionCase, points):
-    """Mixed range/normal Ricci identity with shape-derivative terms."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    tc, Fj, Ek = _target_frames(case)
-    rg_perp = case.perp_rg(pts)
-    ricN = case.ric_N()
-    gradg = case.grad_g()
-    d = case.dims(pts[0])
-    mr = d["m"] - d["r0"]
-    JF = [tc.J(f) for f in Fj]
-    PE = [tc.proj_range(tc.J(e)) for e in Ek]
-    QE = [tc.proj_perp(tc.J(e)) for e in Ek]
-    rows = []
-    for pi, x in enumerate(pts):
-        y = mg.F.value_at(x)
-        GN = mg.gN.value_at(y)
-        ricv = ricN.value_at(y)
-        ric_perp = rg_perp.ricci_values(y[None, :])[0]
-        gg = gradg.value_at(y)
-        for a in range(len(Fj)):
-            Fa = Fj[a].value_at(y)
-            JFa_v = JF[a].value_at(y)
-            for k in range(len(Ek)):
-                E = Ek[k].value_at(y)
-                lhs = float(Fa @ ricv @ E)
-                t1 = float(rg_perp.restrict_vector(JFa_v) @ ric_perp
-                           @ rg_perp.restrict_vector(QE[k].value_at(y)))
-                t2 = 0.0
-                t3 = 0.0
-                for j in range(len(Fj)):
-                    fjv = Fj[j].value_at(y)
-                    t2 += float(tc.nabla_tilde_S(PE[k], JF[a], Fj[j]).value_at(y)
-                                @ GN @ fjv)
-                    t3 -= float(tc.nabla_tilde_S(Fj[j], JF[a], PE[k]).value_at(y)
-                                @ GN @ fjv)
-                t4 = mr * float(gg @ GN @ tc.nperp(QE[k], JF[a]).value_at(y))
-                t5 = 0.0
-                for kk in range(len(Ek)):
-                    ekv = Ek[kk].value_at(y)
-                    t5 -= float(tc.r_perp(PE[k], Ek[kk], JF[a]).value_at(y)
-                                @ GN @ ekv)
-                rhs = t1 + t2 + t3 + t4 + t5
-                rows.append({"point": pi, "pair": (f"F{a+1}", f"e{k+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_perp_Q": t1, "ntS_PE": t2,
-                                       "ntS_Fj": t3, "grad_nperp": t4,
-                                       "r_perp": t5}})
-    return _identity_result("ric_fxe", rows,
-                            ("kahler_target", "anti_invariant_target",
-                             "clairaut_target", "tg_normal"), interpreted=True)
+def _rperp_trace(p, W, D):
+    """-sum_k g(R^perp(W, e_k) D, e_k)."""
+    acc = 0.0
+    for Ek, ev in zip(p.c.mg.frames.normal, p.Ev):
+        acc -= float(p.c.tc.r_perp(W, Ek, D).value_at(p.y) @ p.GN @ ev)
+    return acc
 
 
-def identity_ric_de(case: PropositionCase, points):
-    """Normal/normal Ricci identity with shape-derivative and normal-
-    curvature terms."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    tc, Fj, Ek = _target_frames(case)
-    rg_rng = case.range_rg(pts)
-    rg_perp = case.perp_rg(pts)
-    ricN = case.ric_N()
-    gradg = case.grad_g()
-    hessg = case.hess_g()
-    dg_tape = Tape([differentiate(case.gfun, c) for c in mg.gN.chart.coords],
-                   mg.gN.chart.allvars)
-    d = case.dims(pts[0])
-    mr = d["m"] - d["r0"]
-    PD = [tc.proj_range(tc.J(e)) for e in Ek]
-    QD = [tc.proj_perp(tc.J(e)) for e in Ek]
-    rows = []
-    for pi, x in enumerate(pts):
-        y = mg.F.value_at(x)
-        GN = mg.gN.value_at(y)
-        ricv = ricN.value_at(y)
-        ric_rng = rg_rng.ricci_values(y[None, :])[0]
-        ric_perp = rg_perp.ricci_values(y[None, :])[0]
-        gg = gradg.value_at(y)
-        Hg = hessg.value_at(y)
-        dgv = dg_tape.evaluate_at(y)
-        norm2 = float(gg @ GN @ gg)
-        Ekv = [e.value_at(y) for e in Ek]
-        hess_trace = sum(float(e @ Hg @ e) for e in Ekv)
-        n1 = len(Ek)
-        for k in range(len(Ek)):
-            for l in range(k, len(Ek)):
-                D, E = Ekv[k], Ekv[l]
-                PDv, QDv = PD[k].value_at(y), QD[k].value_at(y)
-                PEv, QEv = PD[l].value_at(y), QD[l].value_at(y)
-                lhs = float(D @ ricv @ E)
-                t1 = float(rg_rng.restrict_vector(PDv) @ ric_rng
-                           @ rg_rng.restrict_vector(PEv))
-                t2 = -float(PDv @ GN @ PEv) * (n1 * norm2 + hess_trace)
-                t3 = t4 = t6 = t7 = 0.0
-                for j in range(len(Fj)):
-                    fjv = Fj[j].value_at(y)
-                    t3 += float(tc.nabla_tilde_S(PD[k], QD[l], Fj[j]).value_at(y)
-                                @ GN @ fjv)
-                    t4 -= float(tc.nabla_tilde_S(Fj[j], QD[l], PD[k]).value_at(y)
-                                @ GN @ fjv)
-                    t6 += float(tc.nabla_tilde_S(PD[l], QD[k], Fj[j]).value_at(y)
-                                @ GN @ fjv)
-                    t7 -= float(tc.nabla_tilde_S(Fj[j], QD[k], PD[l]).value_at(y)
-                                @ GN @ fjv)
-                t5 = t8 = 0.0
-                for kk in range(len(Ek)):
-                    ekv = Ekv[kk]
-                    t5 -= float(tc.r_perp(PD[k], Ek[kk], QD[l]).value_at(y)
-                                @ GN @ ekv)
-                    t8 -= float(tc.r_perp(PD[l], Ek[kk], QD[k]).value_at(y)
-                                @ GN @ ekv)
-                t9 = float(rg_perp.restrict_vector(QDv) @ ric_perp
-                           @ rg_perp.restrict_vector(QEv))
-                t10 = -mr * (float(QDv @ dgv) * float(QEv @ dgv)
-                             + float(QDv @ Hg @ QEv))
-                rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9 + t10
-                rows.append({"point": pi, "pair": (f"e{k+1}", f"e{l+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_range_PP": t1, "warp_PP": t2,
-                                       "ntS_PD_QE": t3, "ntS_Fj_QE": t4,
-                                       "rperp_PD_QE": t5, "ntS_PE_QD": t6,
-                                       "ntS_Fj_QD": t7, "rperp_PE_QD": t8,
-                                       "ric_perp_QQ": t9, "warp_QQ": t10}})
-    return _identity_result("ric_de", rows,
-                            ("kahler_target", "anti_invariant_target",
-                             "clairaut_target", "tg_normal"), interpreted=True)
+# -- the identities -----------------------------------------------------------------------
+
+class Identity(NamedTuple):
+    family: str
+    ingredients: tuple
+    terms: tuple
+    gates: tuple
+    interpreted: bool = False
 
 
-def identity_lric_fxfy(case, points):
-    """Lagrangian reduction: Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y)."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    tc, Fj, Ek = _target_frames(case)
-    rg_perp = case.perp_rg(pts)
-    ricN = case.ric_N()
-    JF = [tc.J(f) for f in Fj]
-    rows = []
-    for pi, x in enumerate(pts):
-        y = mg.F.value_at(x)
-        ricv = ricN.value_at(y)
-        ric_perp = rg_perp.ricci_values(y[None, :])[0]
-        for a in range(len(Fj)):
-            for b in range(a, len(Fj)):
-                lhs = float(Fj[a].value_at(y) @ ricv @ Fj[b].value_at(y))
-                rhs = float(rg_perp.restrict_vector(JF[a].value_at(y)) @ ric_perp
-                            @ rg_perp.restrict_vector(JF[b].value_at(y)))
-                rows.append({"point": pi, "pair": (f"F{a+1}", f"F{b+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_perp": rhs}})
-    return _identity_result("lric_fxfy", rows,
-                            ("lagrangian_target", "anti_invariant_target",
-                             "clairaut_target", "kahler_target"))
+# terms shared by several identities
+_UV_RANGE = ("ric_range", +1, lambda p, a, b: _ric_range(p, p.JU[a], p.JU[b]))
+_XY_KER = ("ric_ker", +1,
+           lambda p, i, j: _ric_block(p.c.ker_rg, p.ric_ker, p.B[i], p.B[j]))
+_XY_WARP = ("warp_trace", +1, lambda p, i, j: -(p.r0 * p.norm2_f + p.div_grad_f)
+            * float(p.B[i] @ p.GM @ p.B[j]))
+_XY_HESS = ("r_hess_CC", +1, lambda p, i, j: _hess_C(p, p.C[i], p.C[j]))
+_XY_DF = ("r_CXf_CYf", +1,
+          lambda p, i, j: -p.r0 * float(p.C[i] @ p.df) * float(p.C[j] @ p.df))
+_XY_RANGE = ("ric_range", +1, lambda p, i, j: _ric_range(p, p.C[i], p.C[j]))
+_FF_PERP = ("ric_perp", +1,
+            lambda p, a, b: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv[a], p.JFv[b]))
+_FE_NTS = ("ntS_PE", +1, lambda p, a, k: _nts_trace(p, p.c.JF[a], p.c.PE[k]))
+_FE_NTS_F = ("ntS_Fj", +1, lambda p, a, k: _nts_trace(p, p.c.JF[a], p.c.PE[k], True))
+_FE_RPERP = ("r_perp", +1, lambda p, a, k: _rperp_trace(p, p.c.PE[k], p.c.JF[a]))
+_EE_RANGE = ("ric_range_PP", +1,
+             lambda p, k, l: _ric_block(p.c.range_rg, p.ric_range, p.PEv[k], p.PEv[l]))
 
+_SOURCE = ("kahler_source", "anti_invariant_source", "clairaut_source")
+_LSOURCE = ("lagrangian_source", "anti_invariant_source", "clairaut_source",
+            "kahler_source")
+_TARGET = ("kahler_target", "anti_invariant_target", "clairaut_target", "tg_normal")
+_LTARGET = ("lagrangian_target", "anti_invariant_target", "clairaut_target",
+            "kahler_target")
 
-def identity_lric_fxe(case, points):
-    """Lagrangian reduction of the mixed identity: only the interpreted
-    shape-derivative and normal-curvature terms survive."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    tc, Fj, Ek = _target_frames(case)
-    ricN = case.ric_N()
-    JF = [tc.J(f) for f in Fj]
-    PE = [tc.proj_range(tc.J(e)) for e in Ek]
-    rows = []
-    for pi, x in enumerate(pts):
-        y = mg.F.value_at(x)
-        GN = mg.gN.value_at(y)
-        ricv = ricN.value_at(y)
-        for a in range(len(Fj)):
-            Fa = Fj[a].value_at(y)
-            for k in range(len(Ek)):
-                E = Ek[k].value_at(y)
-                lhs = float(Fa @ ricv @ E)
-                t2 = t3 = 0.0
-                for j in range(len(Fj)):
-                    fjv = Fj[j].value_at(y)
-                    t2 += float(tc.nabla_tilde_S(PE[k], JF[a], Fj[j]).value_at(y)
-                                @ GN @ fjv)
-                    t3 -= float(tc.nabla_tilde_S(Fj[j], JF[a], PE[k]).value_at(y)
-                                @ GN @ fjv)
-                t5 = 0.0
-                for kk in range(len(Ek)):
-                    t5 -= float(tc.r_perp(PE[k], Ek[kk], JF[a]).value_at(y)
-                                @ GN @ Ek[kk].value_at(y))
-                rhs = t2 + t3 + t5
-                rows.append({"point": pi, "pair": (f"F{a+1}", f"e{k+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ntS_PE": t2, "ntS_Fj": t3, "r_perp": t5}})
-    return _identity_result("lric_fxe", rows,
-                            ("lagrangian_target", "anti_invariant_target",
-                             "clairaut_target", "kahler_target"), interpreted=True)
-
-
-def identity_lric_de(case, points):
-    """Lagrangian reduction: Ric(D, E) = Ric^range(PD, PE)."""
-    mg = case.mg
-    pts = np.atleast_2d(points)
-    tc, Fj, Ek = _target_frames(case)
-    rg_rng = case.range_rg(pts)
-    ricN = case.ric_N()
-    PD = [tc.proj_range(tc.J(e)) for e in Ek]
-    rows = []
-    for pi, x in enumerate(pts):
-        y = mg.F.value_at(x)
-        ricv = ricN.value_at(y)
-        ric_rng = rg_rng.ricci_values(y[None, :])[0]
-        for k in range(len(Ek)):
-            for l in range(k, len(Ek)):
-                lhs = float(Ek[k].value_at(y) @ ricv @ Ek[l].value_at(y))
-                rhs = float(rg_rng.restrict_vector(PD[k].value_at(y)) @ ric_rng
-                            @ rg_rng.restrict_vector(PD[l].value_at(y)))
-                rows.append({"point": pi, "pair": (f"e{k+1}", f"e{l+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"ric_range_PP": rhs}})
-    return _identity_result("lric_de", rows,
-                            ("lagrangian_target", "anti_invariant_target",
-                             "clairaut_target", "kahler_target"))
-
-
-IDENTITIES = {
-    "ric_uv": identity_ric_uv,
-    "ric_ux": identity_ric_ux,
-    "ric_xy": identity_ric_xy,
-    "lric_uv": identity_lric_uv,
-    "lric_ux": identity_lric_ux,
-    "lric_xy": identity_lric_xy,
-    "cor_ric_xy": identity_cor_ric_xy,
-    "ric_fxfy": identity_ric_fxfy,
-    "ric_fxe": identity_ric_fxe,
-    "ric_de": identity_ric_de,
-    "lric_fxfy": identity_lric_fxfy,
-    "lric_fxe": identity_lric_fxe,
-    "lric_de": identity_lric_de,
+TABLE = {
+    # Ric(U,V) = Ric^range(F_*JU, F_*JV) + r Hess f(JU, JV) - divA(JU, JV)
+    "ric_uv": Identity("uu", ("range_rg", "ric_M", "hess_f", "NA", "J"), (
+        _UV_RANGE,
+        ("r_hess_f", +1, lambda p, a, b: p.r0 * float(p.JU[a] @ p.Hf @ p.JU[b])),
+        ("div_A", -1, lambda p, a, b: _div_A(p, p.JU[a], p.JU[b])),
+    ), _SOURCE),
+    "ric_ux": Identity("ux", ("range_rg", "ric_M", "hess_f", "NA", "J"), (
+        ("hess_BX_JU", +1, lambda p, a, i: _hess_B(p, p.B[i], p.JU[a])),
+        ("div_A_JU_CX", +1, lambda p, a, i: _div_A(p, p.JU[a], p.C[i])),
+        ("r_hess_JU_CX", +1, lambda p, a, i: _hess_C(p, p.JU[a], p.C[i])),
+        ("ric_range", +1, lambda p, a, i: _ric_range(p, p.JU[a], p.C[i])),
+        ("nablaA_frame_trace", +1, lambda p, a, i: float(np.einsum(
+            "klij,cl,ci,j,km,m->", p.NAv, p.H, p.H, p.JU[a], p.GM, p.B[i]))),
+    ), _SOURCE),
+    "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f", "f_tape",
+                              "A", "NA", "SFF", "J"), (
+        _XY_KER,
+        _XY_WARP,
+        ("A_A", +1, lambda p, i, j: float(np.einsum(
+            "lk,km,lm->", np.einsum("kij,li,j->lk", p.Av, p.H, p.B[i]), p.GM,
+            np.einsum("kij,li,j->lk", p.Av, p.H, p.B[j])))),
+        _XY_HESS,
+        _XY_DF,
+        ("A_mu", +1, lambda p, i, j: float(np.einsum(
+            "ak,km,am->", np.einsum("kij,i,aj->ak", p.Av, p.C[i], p.V), p.GM,
+            np.einsum("kij,i,aj->ak", p.Av, p.C[j], p.V))) if len(p.V) else 0.0),
+        ("div_A_CC", +1, lambda p, i, j: _div_A(p, p.C[i], p.C[j])),
+        _XY_RANGE,
+        ("sff_sff", +1, lambda p, i, j: -float(np.einsum(
+            "la,ab,lb->", np.einsum("aij,li,j->la", p.Sv, p.H, p.C[j]), p.GN,
+            np.einsum("aij,i,lj->la", p.Sv, p.C[i], p.H)))),
+        ("sff_tension", +1, lambda p, i, j: float(
+            np.einsum("aij,i,j->a", p.Sv, p.C[i], p.C[j]) @ p.GN @ p.tau)),
+        ("hess_BX_CY", +1, lambda p, i, j: _hess_B(p, p.B[i], p.C[j])),
+        ("nablaA_CY", +1, lambda p, i, j: _nabla_A_H(p, p.C[j], p.B[i])),
+        ("hess_BY_CX", +1, lambda p, i, j: _hess_B(p, p.B[j], p.C[i])),
+        ("nablaA_CX", +1, lambda p, i, j: _nabla_A_H(p, p.C[i], p.B[j])),
+    ), _SOURCE),
+    # Lagrangian reductions: Ric(U,V) = Ric^range(F_*JU, F_*JV), Ric(U,X) = 0,
+    # Ric(X,Y) = Ric^ker(BX, BY)
+    "lric_uv": Identity("uu", ("range_rg", "ric_M", "J"), (_UV_RANGE,), _LSOURCE),
+    "lric_ux": Identity("ux", ("ric_M",), (), _LSOURCE),
+    "lric_xy": Identity("xx", ("ker_rg", "ric_M", "J"), (_XY_KER,), _LSOURCE),
+    # totally geodesic corollary: Ric(X,Y) = Ric^ker(BX,BY)
+    # - (r |grad f|^2 + div grad f) g(BX,BY) - r Hess f(CX,CY)
+    # + Ric^range(F_*CX, F_*CY) - r CX(f) CY(f)
+    "cor_ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f",
+                                  "f_tape", "J"),
+                           (_XY_KER, _XY_WARP, _XY_HESS, _XY_RANGE, _XY_DF),
+                           ("totally_geodesic_map", "tg_horizontal", "anti_invariant_source",
+                            "clairaut_source", "kahler_source")),
+    # Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y) + (m - r) g_N(grad g, nperp J'F_*X J'F_*Y)
+    "ric_fxfy": Identity("FF", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF"), (
+        _FF_PERP,
+        ("grad_nperp", +1, lambda p, a, b: _grad_nperp(p, p.c.JF[a], p.c.JF[b])),
+    ), _TARGET),
+    "ric_fxe": Identity("Fe", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF", "PE", "QE"), (
+        ("ric_perp_Q", +1,
+         lambda p, a, k: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv[a], p.QEv[k])),
+        _FE_NTS,
+        _FE_NTS_F,
+        ("grad_nperp", +1, lambda p, a, k: _grad_nperp(p, p.c.QE[k], p.c.JF[a])),
+        _FE_RPERP,
+    ), _TARGET, True),
+    "ric_de": Identity("ee", ("tc", "range_rg", "perp_rg", "ric_N", "grad_g", "hess_g",
+                              "g_tape", "mr", "PE", "QE"), (
+        _EE_RANGE,
+        ("warp_PP", +1, lambda p, k, l: -float(p.PEv[k] @ p.GN @ p.PEv[l])
+         * (len(p.Ev) * p.norm2_g + p.hess_trace_g)),
+        ("ntS_PD_QE", +1, lambda p, k, l: _nts_trace(p, p.c.QE[l], p.c.PE[k])),
+        ("ntS_Fj_QE", +1, lambda p, k, l: _nts_trace(p, p.c.QE[l], p.c.PE[k], True)),
+        ("rperp_PD_QE", +1, lambda p, k, l: _rperp_trace(p, p.c.PE[k], p.c.QE[l])),
+        ("ntS_PE_QD", +1, lambda p, k, l: _nts_trace(p, p.c.QE[k], p.c.PE[l])),
+        ("ntS_Fj_QD", +1, lambda p, k, l: _nts_trace(p, p.c.QE[k], p.c.PE[l], True)),
+        ("rperp_PE_QD", +1, lambda p, k, l: _rperp_trace(p, p.c.PE[l], p.c.QE[k])),
+        ("ric_perp_QQ", +1,
+         lambda p, k, l: _ric_block(p.c.perp_rg, p.ric_perp, p.QEv[k], p.QEv[l])),
+        ("warp_QQ", +1, lambda p, k, l: -p.c.mr * (float(p.QEv[k] @ p.dg)
+                                                   * float(p.QEv[l] @ p.dg)
+                                                   + float(p.QEv[k] @ p.Hg @ p.QEv[l]))),
+    ), _TARGET, True),
+    # Lagrangian reductions: Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y); only the
+    # interpreted terms of the mixed identity survive; Ric(D, E) = Ric^range(PD, PE)
+    "lric_fxfy": Identity("FF", ("tc", "perp_rg", "ric_N", "JF"), (_FF_PERP,), _LTARGET),
+    "lric_fxe": Identity("Fe", ("tc", "ric_N", "JF", "PE"),
+                         (_FE_NTS, _FE_NTS_F, _FE_RPERP), _LTARGET, True),
+    "lric_de": Identity("ee", ("tc", "range_rg", "ric_N", "PE"), (_EE_RANGE,), _LTARGET),
 }
+
+IDENTITIES = TABLE
 
 
 def verify_identity(case: PropositionCase, ident: str, points):
-    """Dispatch an identity check; returns the per-pair rows with a term
-    breakdown, the max residual, and the gate names to evaluate."""
+    """Run one TABLE identity at the points; returns the per-pair rows with a
+    term breakdown, the worst row and its residual, and the gate names to
+    evaluate."""
     try:
-        fn = IDENTITIES[ident]
+        row = TABLE[ident]
     except KeyError:
         raise GeometryError(f"unknown identity {ident!r}") from None
-    return fn(case, points)
+    c = _call(case, points, row.ingredients)
+    first, second, _, _, ric = _FAMILIES[row.family]
+    rows = []
+    for p in _points(c):
+        for a, b, pair in _pairs(p, row.family):
+            lhs = float(getattr(p, first)[a] @ getattr(p, ric) @ getattr(p, second)[b])
+            vals = [fn(p, a, b) for _, _, fn in row.terms]
+            rhs = vals[0] if vals else 0.0
+            for (_, sign, _), v in zip(row.terms[1:], vals[1:]):
+                rhs = rhs + v if sign > 0 else rhs - v
+            rows.append(_row(p, pair, lhs, rhs,
+                             {key: v for (key, _, _), v in zip(row.terms, vals)}))
+    return _result(ident, rows, row.gates, row.interpreted)
 
 
 # -- theorem-level checks -----------------------------------------------------------------
@@ -1005,81 +780,46 @@ def verify_alpha_soliton_on_range(case: PropositionCase, points):
     """Residual of  1/2 (L_W g_N) + (1/r) Ric^range + (lam/r) g_N  on the
     F_*(J ker) frame with W = F_*(grad f), plus the cross-pipeline
     bookkeeping that ties it to the source soliton residual."""
-    mg = case.mg
     pts = np.atleast_2d(points)
-    d = case.dims(pts[0])
-    r0 = d["r0"]
+    r0 = case.dims(pts[0])["r0"]
     if r0 == 0:
         return {"id": "alpha_soliton_range", "vacuous": True, "n_pairs": 0,
                 "max_residual": 0.0, "rows": [], "worst": None,
                 "gates": ("kernel_nontrivial",), "alpha": None, "beta": None}
-    rg = case.range_rg(pts)
-    W = pushforward_field(mg.F, case.grad_f(), validate_points=pts[:5])
-    W.name = "F*(grad f)"
-    LW = lie_derivative_metric(mg.gN, W)
-    ricM = case.ric_M()
-    Hf = case.hess_f()
-    NA = mg.nabla_oneill("A")
-    if case.eta is not None:
-        Leta = lie_derivative_metric(mg.gM, case.eta)
-    else:
-        Leta = None
+    c = _call(case, pts, ("range_rg", "LW", "ric_M", "hess_f", "NA", "J"))
+    Leta = lie_derivative_metric(c.mg.gM, case.eta) if case.eta is not None else None
     lam = float(case.lam)
     alpha, beta = 1.0 / r0, lam / r0
     rows = []
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        y = sp.y
-        GM = mg.gM.value_at(x)
-        GN = mg.gN.value_at(y)
-        LWv = LW.values(y[None, :])[0]
-        ric_rng = rg.ricci_values(y[None, :])[0]
-        ricv = ricM.value_at(x)
-        Hv = Hf.value_at(x)
-        NAv = NA.value_at(x)
-        Letav = Leta.value_at(x) if Leta is not None else None
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        for a in range(r0):
-            for b in range(a, r0):
-                U, V = sp.vertical[a], sp.vertical[b]
-                JU, JV = Jx @ U, Jx @ V
-                FJU, FJV = Jac @ JU, Jac @ JV
-                lie_term = 0.5 * float(FJU @ LWv @ FJV)
-                ric_term = alpha * float(rg.restrict_vector(FJU) @ ric_rng
-                                         @ rg.restrict_vector(FJV))
-                met_term = beta * float(FJU @ GN @ FJV)
-                range_residual = lie_term + ric_term + met_term
-                # cross-pipeline bookkeeping
-                S = ((0.5 * float(U @ Letav @ V) if Letav is not None else 0.0)
-                     + case.alpha * float(U @ ricv @ V) + lam * float(U @ GM @ V))
-                t_div = _divA_vertical_trace(NAv, sp.vertical, GM, JU, JV)
-                ident_gap = (float(U @ ricv @ V)
-                             - (float(rg.restrict_vector(FJU) @ ric_rng
-                                      @ rg.restrict_vector(FJV))
-                                + r0 * float(JU @ Hv @ JV) - t_div))
-                push_gap = (r0 * float(JU @ Hv @ JV)
-                            - 0.5 * r0 * float(FJU @ LWv @ FJV))
-                metric_gap = lam * (float(U @ GM @ V) - float(FJU @ GN @ FJV))
-                lie_eta = 0.5 * float(U @ Letav @ V) if Letav is not None else 0.0
-                bookkeeping = abs(S - r0 * range_residual
-                                  - (lie_eta + ident_gap + push_gap - t_div
-                                     + metric_gap))
-                rows.append({"point": pi, "pair": (f"u{a+1}", f"u{b+1}"),
-                             "lhs": range_residual, "rhs": 0.0,
-                             "residual": abs(range_residual),
-                             "terms": {"half_lie_W": lie_term,
-                                       "alpha_ric_range": ric_term,
-                                       "beta_metric": met_term,
-                                       "source_residual": S,
-                                       "identity_gap": ident_gap,
-                                       "pushforward_gap": push_gap,
-                                       "div_A": t_div,
-                                       "bookkeeping_gap": bookkeeping}})
-    out = _identity_result("alpha_soliton_range", rows,
-                           ("source_soliton", "tg_horizontal", "kernel_nontrivial",
-                            "kahler_source", "anti_invariant_source",
-                            "clairaut_source"))
+    for p in _points(c):
+        Letav = Leta.value_at(p.x) if Leta is not None else None
+        for a, b, pair in _pairs(p, "uu"):
+            U, V = p.V[a], p.V[b]
+            JU, JV = p.JU[a], p.JU[b]
+            FJU, FJV = p.Jac @ JU, p.Jac @ JV
+            ric_rng = _ric_block(c.range_rg, p.ric_range, FJU, FJV)
+            lie_term = 0.5 * float(FJU @ p.LWv @ FJV)
+            ric_term = alpha * ric_rng
+            met_term = beta * float(FJU @ p.GN @ FJV)
+            range_residual = lie_term + ric_term + met_term
+            # cross-pipeline bookkeeping
+            lie_eta = 0.5 * float(U @ Letav @ V) if Letav is not None else 0.0
+            ric_uv = float(U @ p.ricM @ V)
+            S = lie_eta + case.alpha * ric_uv + lam * float(U @ p.GM @ V)
+            t_div = _div_A(p, JU, JV)
+            r_hess = r0 * float(JU @ p.Hf @ JV)
+            ident_gap = ric_uv - (ric_rng + r_hess - t_div)
+            push_gap = r_hess - 0.5 * r0 * float(FJU @ p.LWv @ FJV)
+            metric_gap = lam * (float(U @ p.GM @ V) - float(FJU @ p.GN @ FJV))
+            bookkeeping = abs(S - r0 * range_residual
+                              - (lie_eta + ident_gap + push_gap - t_div + metric_gap))
+            rows.append(_row(p, pair, range_residual, 0.0,
+                             {"half_lie_W": lie_term, "alpha_ric_range": ric_term,
+                              "beta_metric": met_term, "source_residual": S,
+                              "identity_gap": ident_gap, "pushforward_gap": push_gap,
+                              "div_A": t_div, "bookkeeping_gap": bookkeeping}))
+    out = _result("alpha_soliton_range", rows,
+                  ("source_soliton", "tg_horizontal", "kernel_nontrivial") + _SOURCE)
     out["alpha"], out["beta"] = alpha, beta
     return out
 
@@ -1088,42 +828,22 @@ def verify_ric_lie_relation(case: PropositionCase, points, vacuous_tol=1e-12):
     """Ric^range(F_*JU, F_*CX) = (r/2)(L_{F_*(grad f)} g_N)(F_*JU, F_*CX)
     over (vertical, horizontal) pairs; vacuous when every CX vanishes
     (Lagrangian case)."""
-    mg = case.mg
     pts = np.atleast_2d(points)
-    d = case.dims(pts[0])
-    r0 = d["r0"]
-    rg = case.range_rg(pts)
-    W = pushforward_field(mg.F, case.grad_f(), validate_points=pts[:5])
-    W.name = "F*(grad f)"
-    LW = lie_derivative_metric(mg.gN, W)
+    r0 = case.dims(pts[0])["r0"]
+    c = _call(case, pts, ("range_rg", "LW", "J"))
     rows = []
     saw_mu = False
-    for pi, x in enumerate(pts):
-        sp = mg.split_at(x)
-        GM = mg.gM.value_at(x)
-        y = sp.y
-        LWv = LW.values(y[None, :])[0]
-        ric_rng = rg.ricci_values(y[None, :])[0]
-        Jac = mg.F.jac_at(x)
-        Jx = case.J.value_at(x)
-        for a in range(r0):
-            JU = Jx @ sp.vertical[a]
-            FJU = Jac @ JU
-            for i in range(len(sp.horizontal)):
-                _, _, CX = _bc_split(Jx, sp.horizontal[i], sp, GM)
-                if float(np.max(np.abs(CX))) <= vacuous_tol:
-                    continue
-                saw_mu = True
-                FCX = Jac @ CX
-                lhs = float(rg.restrict_vector(FJU) @ ric_rng
-                            @ rg.restrict_vector(FCX))
-                rhs = 0.5 * r0 * float(FJU @ LWv @ FCX)
-                rows.append({"point": pi, "pair": (f"u{a+1}", f"X{i+1}"),
-                             "lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                             "terms": {"half_r_lie_W": rhs}})
-    out = _identity_result("ric_lie", rows,
-                           ("horizontal_potential", "tg_horizontal",
-                            "kahler_source", "anti_invariant_source",
-                            "clairaut_source"))
+    for p in _points(c):
+        for a, i, pair in _pairs(p, "ux"):
+            CX = p.C[i]
+            if float(np.max(np.abs(CX))) <= vacuous_tol:
+                continue
+            saw_mu = True
+            FJU, FCX = p.Jac @ p.JU[a], p.Jac @ CX
+            lhs = _ric_block(c.range_rg, p.ric_range, FJU, FCX)
+            rhs = 0.5 * r0 * float(FJU @ p.LWv @ FCX)
+            rows.append(_row(p, pair, lhs, rhs, {"half_r_lie_W": rhs}))
+    out = _result("ric_lie", rows,
+                  ("horizontal_potential", "tg_horizontal") + _SOURCE)
     out["vacuous"] = not saw_mu
     return out

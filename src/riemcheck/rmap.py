@@ -309,11 +309,11 @@ class MapGeometry:
             vert = np.array([f.value_at(x) for f in fr.vertical]) if fr.vertical \
                 else np.zeros((0, self.gM.chart.dim))
             horiz = np.array([f.value_at(x) for f in fr.horizontal]) if fr.horizontal \
-                else self._horizontal_complement(GM, vert)
+                else _complement(GM, vert)
         else:
             ns = _nullspace(J, tol)
             vert = orthonormalize(GM, ns) if len(ns) else np.zeros((0, self.gM.chart.dim))
-            horiz = self._horizontal_complement(GM, vert)
+            horiz = _complement(GM, vert)
 
         if fr.range:
             rng = np.array([f.value_at(y) for f in fr.range])
@@ -325,10 +325,6 @@ class MapGeometry:
         else:
             nrm = _complement(GN, rng)
         return SplitPoint(x, y, vert, horiz, rng, nrm)
-
-    @staticmethod
-    def _horizontal_complement(G, vert):
-        return _complement(G, vert)
 
     def rank_report(self, points, tol=1e-9):
         pts = np.atleast_2d(points)
@@ -539,17 +535,12 @@ def isometry_residual(mg: MapGeometry, points) -> tuple[float, int]:
     return worst, wp
 
 
-def sff_values(mg: MapGeometry, points) -> np.ndarray:
-    """(P, a, i, j) second-fundamental-form component values."""
-    return mg.second_fundamental_form().values(points)
-
-
 def umbilical_fit(mg: MapGeometry, points):
     """Least-squares mean-curvature fit: H'(p) minimizing
     sum_{a,b} |(nabla F_*)(X_a, X_b) - g_M(X_a, X_b) H'|^2 over the
     horizontal frame.  Returns (residual, H' per point, worst index)."""
     pts = np.atleast_2d(points)
-    S = sff_values(mg, pts)
+    S = mg.second_fundamental_form().values(pts)
     worst, wp = 0.0, 0
     Hs = []
     for idx, x in enumerate(pts):
@@ -572,11 +563,6 @@ def umbilical_fit(mg: MapGeometry, points):
         if m > worst:
             worst, wp = m, idx
     return worst, np.array(Hs), wp
-
-
-def oneill_values(mg: MapGeometry, which, points) -> np.ndarray:
-    T = mg.oneill_T() if which == "T" else mg.oneill_A()
-    return T.values(points)
 
 
 def fiber_mean_curvature_at(mg: MapGeometry, x) -> np.ndarray:

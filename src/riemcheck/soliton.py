@@ -17,6 +17,7 @@ from .geometry import (
     VectorField,
     gradient,
     hessian,
+    is_worse,
     lie_derivative_metric,
 )
 from .rmap import MapGeometry, MapError
@@ -91,7 +92,7 @@ def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None
         vals = np.abs(np.einsum("ai,ij,bj->ab", fr, E[p], fr))
         m = float(np.max(vals)) if vals.size else 0.0
         permax.append(m)
-        if m > worst:
+        if is_worse(m, worst):
             worst, wp = m, p
     return worst, wp, np.array(permax)
 
@@ -138,18 +139,15 @@ def fit_einstein(ric_vals, g_vals, frame_rows):
     return lam, residual
 
 
-def check_conformal(g: MetricField, X: VectorField, restriction=None, points=None,
-                    mu_prime=None):
+def check_conformal(g: MetricField, X: VectorField, restriction=None, points=None):
     """Fit a pointwise conformal factor phi(p) minimizing |(L_X g) - phi g|
-    on the restricted span.  Returns (phi samples, residual, mu_residual)
-    where mu_residual is |1/2 L_X g + mu' g| when mu_prime is given."""
+    on the restricted span.  Returns (phi samples, residual)."""
     LX = lie_derivative_metric(g, X)
     pts, frames = _pair_frames(g, points, restriction)
     Lv = LX.values(pts)
     Gv = g.values(pts)
     phis = []
     residual = 0.0
-    mu_residual = 0.0
     for p, fr in enumerate(frames):
         lv = np.einsum("ai,ij,bj->ab", fr, Lv[p], fr)
         gv = np.einsum("ai,ij,bj->ab", fr, Gv[p], fr)
@@ -157,10 +155,7 @@ def check_conformal(g: MetricField, X: VectorField, restriction=None, points=Non
         phi = float(np.sum(lv * gv)) / denom if denom > 1e-20 else 0.0
         phis.append(phi)
         residual = max(residual, float(np.max(np.abs(lv - phi * gv))))
-        if mu_prime is not None:
-            mu_residual = max(mu_residual,
-                              float(np.max(np.abs(0.5 * lv + mu_prime * gv))))
-    return np.array(phis), residual, mu_residual
+    return np.array(phis), residual
 
 
 class ClairautConfig:
@@ -200,7 +195,7 @@ def check_clairaut_source(cc: ClairautConfig, points):
         diff = Tv + gv[:, :, None] * gf[None, None, :]
         norms = np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", diff, GM, diff)))
         m = float(np.max(norms))
-        if m > worst:
+        if is_worse(m, worst):
             worst, wp = m, idx
         # umbilicity: H = trace(T)/r0, residual of T - g H
         H = np.einsum("abk,ab->k", Tv, np.eye(len(V))) / len(V)
@@ -243,8 +238,10 @@ def check_clairaut_target(cc: ClairautConfig, points):
             Skv = Sk.value_at(sp.y)
             for V in sp.range:
                 w = Skv @ V + Dg * V
-                m = max(m, float(np.sqrt(abs(w @ GN @ w))))
-        if m > worst:
+                v = float(np.sqrt(abs(w @ GN @ w)))
+                if is_worse(v, m):
+                    m = v
+        if is_worse(m, worst):
             worst, wp = m, idx
         # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
         H = sp.horizontal

@@ -19,6 +19,7 @@ from .geometry import (
     _add,
     _mul,
     covariant_derivative_tensor,
+    is_worse,
     sym_zeros,
 )
 
@@ -149,92 +150,71 @@ def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
     return covariant_derivative_tensor(g, J.tensor())
 
 
-def anti_invariant_residual_source(mg, J: AlmostComplexStructure, points):
-    """max |g_M(J u_a, u_b)| over vertical pairs; 'degenerate' when the
-    kernel is zero-dimensional."""
+def _side(mg, sp, side):
+    """(metric, point, J-image space, its complement) of one side of the
+    split: the kernel on M at x ('source') or the range on N at F(x)
+    ('target')."""
+    if side == "source":
+        return mg.gM, sp.x, sp.vertical, sp.horizontal
+    return mg.gN, sp.y, sp.range, sp.normal
+
+
+def anti_invariant_residual(mg, J: AlmostComplexStructure, points, side):
+    """max |g(J a, b)| over pairs of kernel ('source') or range ('target')
+    frame vectors, with the worst point index; 'degenerate' when that space
+    is zero-dimensional at every point."""
     pts = np.atleast_2d(points)
     worst, wp = 0.0, 0
     degenerate = True
     for idx, x in enumerate(pts):
-        sp = mg.split_at(x)
-        if len(sp.vertical) == 0:
+        g, at, rows, _ = _side(mg, mg.split_at(x), side)
+        if len(rows) == 0:
             continue
         degenerate = False
-        G = mg.gM.value_at(x)
-        Jv = J.value_at(x)
-        JV = (Jv @ sp.vertical.T).T
-        res = np.abs(np.einsum("ai,ij,bj->ab", JV, G, sp.vertical))
-        m = float(np.max(res))
-        if m > worst:
-            worst, wp = m, idx
-    return worst, wp, degenerate
-
-
-def anti_invariant_residual_target(mg, Jp: AlmostComplexStructure, points):
-    """max |g_N(J' F_*X_a, F_*X_b)| over range pairs; degenerate when the
-    range is zero-dimensional."""
-    pts = np.atleast_2d(points)
-    worst, wp = 0.0, 0
-    degenerate = True
-    for idx, x in enumerate(pts):
-        sp = mg.split_at(x)
-        if len(sp.range) == 0:
-            continue
-        degenerate = False
-        G = mg.gN.value_at(sp.y)
-        Jv = Jp.value_at(sp.y)
-        JR = (Jv @ sp.range.T).T
-        res = np.abs(np.einsum("ai,ij,bj->ab", JR, G, sp.range))
-        m = float(np.max(res))
-        if m > worst:
+        JR = (J.value_at(at) @ rows.T).T
+        m = float(np.max(np.abs(np.einsum("ai,ij,bj->ab", JR, g.value_at(at), rows))))
+        if is_worse(m, worst):
             worst, wp = m, idx
     return worst, wp, degenerate
 
 
 # -- sub-split frames and decompositions -------------------------------------------
 
-def mu_frame_at(mg, J: AlmostComplexStructure, x, tol=1e-9):
-    """Orthonormal basis of mu = orthogonal complement of J(ker F_*) inside
-    (ker F_*)^perp at x (declared mu frame is used verbatim when present)."""
+def complement_frame_at(mg, J: AlmostComplexStructure, x, side, tol=1e-9):
+    """Orthonormal basis of mu ('source': the complement of J(ker F_*) inside
+    (ker F_*)^perp at x) or of nu ('target': the complement of J'(range F_*)
+    inside (range F_*)^perp at F(x)); a declared mu/nu frame is used
+    verbatim."""
     sp = mg.split_at(x)
-    if mg.frames.mu is not None:
-        return np.array([f.value_at(x) for f in mg.frames.mu])
-    G = mg.gM.value_at(x)
-    Jv = J.value_at(x)
-    jker = (Jv @ sp.vertical.T).T if len(sp.vertical) else np.zeros((0, len(x)))
+    g, at, inner, outer = _side(mg, sp, side)
+    declared = mg.frames.mu if side == "source" else mg.frames.nu
+    if declared is not None:
+        return np.array([f.value_at(at) for f in declared])
+    G = g.value_at(at)
+    Jv = J.value_at(at)
+    jin = (Jv @ inner.T).T if len(inner) else np.zeros((0, len(at)))
     out = []
-    for h in sp.horizontal:
-        w = h.copy()
-        for u in jker:
-            w = w - (u @ G @ w) / (u @ G @ u) * u
-        for u in out:
-            w = w - (u @ G @ w) * u
-        n2 = float(w @ G @ w)
-        if n2 > tol:
-            out.append(w / np.sqrt(n2))
-    return np.array(out) if out else np.zeros((0, len(x)))
-
-
-def nu_frame_at(mg, Jp: AlmostComplexStructure, x, tol=1e-9):
-    """Orthonormal basis of nu = complement of J'(range F_*) inside
-    (range F_*)^perp at F(x)."""
-    sp = mg.split_at(x)
-    if mg.frames.nu is not None:
-        return np.array([f.value_at(sp.y) for f in mg.frames.nu])
-    G = mg.gN.value_at(sp.y)
-    Jv = Jp.value_at(sp.y)
-    jrange = (Jv @ sp.range.T).T if len(sp.range) else np.zeros((0, len(sp.y)))
-    out = []
-    for e in sp.normal:
+    for e in outer:
         w = e.copy()
-        for u in jrange:
+        for u in jin:
             w = w - (u @ G @ w) / (u @ G @ u) * u
         for u in out:
             w = w - (u @ G @ w) * u
         n2 = float(w @ G @ w)
         if n2 > tol:
             out.append(w / np.sqrt(n2))
-    return np.array(out) if out else np.zeros((0, len(sp.y)))
+    return np.array(out) if out else np.zeros((0, len(at)))
+
+
+def bc_split(Jx, X, vertical, G):
+    """JX = BX + CX with BX the G-orthogonal projection of JX onto the
+    orthonormal vertical rows; CX is the remainder."""
+    JX = Jx @ X
+    if len(vertical):
+        B = np.einsum("ai,ij,j,ak->k", vertical, G, JX, vertical)
+    else:
+        B = np.zeros_like(JX)
+    return B, JX - B
 
 
 class BCDecomposition:
@@ -252,17 +232,14 @@ class PQDecomposition:
 
 
 def decompose_BC(mg, J: AlmostComplexStructure, X, x, tol=1e-8) -> BCDecomposition:
-    """JX = BX + CX with BX vertical and CX in mu, for horizontal X at x.
-    Raises StructureError when JX leaves ker + mu beyond `tol` (anti-
-    invariance violation)."""
+    """JX = BX + CX with BX vertical and CX = JX - BX, for horizontal X at x.
+    Raises StructureError when CX leaves mu beyond `tol` (anti-invariance
+    violation)."""
     x = np.asarray(x, dtype=float)
     sp = mg.split_at(x)
     G = mg.gM.value_at(x)
-    JX = J.value_at(x) @ np.asarray(X, dtype=float)
-    BX = _project(JX, sp.vertical, G)
-    mu = mu_frame_at(mg, J, x)
-    CX = _project(JX, mu, G)
-    rem = JX - BX - CX
+    BX, CX = bc_split(J.value_at(x), np.asarray(X, dtype=float), sp.vertical, G)
+    rem = CX - _project(CX, complement_frame_at(mg, J, x, "source"), G)
     rnorm = float(np.sqrt(abs(rem @ G @ rem)))
     if rnorm > tol:
         raise StructureError(
@@ -281,7 +258,7 @@ def decompose_PQ(mg, Jp: AlmostComplexStructure, D, x, tol=1e-8) -> PQDecomposit
         raise StructureError("decompose_PQ: D is not normal at this point")
     JD = Jp.value_at(sp.y) @ D
     PD = _project(JD, sp.range, G)
-    nu = nu_frame_at(mg, Jp, x)
+    nu = complement_frame_at(mg, Jp, x, "target")
     QD = _project(JD, nu, G)
     rem = JD - PD - QD
     rnorm = float(np.sqrt(abs(rem @ G @ rem)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import backend_name
-from .geometry import ChartDomainError, GeometryError, geodesic_integrate
+from .geometry import ChartDomainError, GeometryError, geodesic_integrate, is_worse
 from .propcheck import (
     IDENTITIES,
     PropositionCase,
@@ -45,8 +45,7 @@ from .soliton import (
 )
 from .specfile import SpecConfig, SpecError
 from .structure import (
-    anti_invariant_residual_source,
-    anti_invariant_residual_target,
+    anti_invariant_residual,
     hermitian_residual,
     kahler_residual,
     square_residual,
@@ -172,22 +171,22 @@ def check_anti_invariant(ctx):
     worst, wp, terms, notes = 0.0, 0, {}, []
     ran = False
     if ctx.J is not None and ctx.mg is not None:
-        res, w, degen = anti_invariant_residual_source(ctx.mg, ctx.J, ctx.points)
+        res, w, degen = anti_invariant_residual(ctx.mg, ctx.J, ctx.points, "source")
         if degen:
             notes.append("source side degenerate (empty kernel)")
         else:
             ran = True
             terms["source"] = res
-            if res > worst:
+            if is_worse(res, worst):
                 worst, wp = res, w
     if ctx.Jp is not None and ctx.mg is not None:
-        res, w, degen = anti_invariant_residual_target(ctx.mg, ctx.Jp, ctx.points)
+        res, w, degen = anti_invariant_residual(ctx.mg, ctx.Jp, ctx.points, "target")
         if degen:
             notes.append("target side degenerate (empty range)")
         else:
             ran = True
             terms["target"] = res
-            if res > worst:
+            if is_worse(res, worst):
                 worst, wp = res, w
     if not ran:
         return CheckResult("anti_invariant", VACUOUS, None, ctx.tol,
@@ -386,25 +385,15 @@ def check_einstein_full(ctx):
                        terms={"lambda": lam})
 
 
-def _restricted_einstein(ctx, which):
-    case = ctx.case()
-    if which == "ker":
-        rg = case.ker_rg(ctx.points)
-        frames_at = lambda sp: sp.vertical
-        pts_of = lambda x, sp: x
-    elif which == "range":
-        rg = case.range_rg(ctx.points)
-        frames_at = lambda sp: sp.range
-        pts_of = lambda x, sp: sp.y
-    else:
-        rg = case.perp_rg(ctx.points)
-        frames_at = lambda sp: sp.normal
-        pts_of = lambda x, sp: sp.y
+def _restricted_einstein(ctx, part):
+    """Einstein fit of the restricted Ricci of a 'vertical', 'range' or
+    'normal' part of the split."""
+    rg = ctx.case().restricted(part, ctx.points)
     rics, gvs, frames = [], [], []
     for x in ctx.points:
         sp = ctx.mg.split_at(x)
-        p = pts_of(x, sp)
-        rows = frames_at(sp)
+        p = x if part == "vertical" else sp.y
+        rows = getattr(sp, part)
         sub = np.array([rg.restrict_vector(v) for v in rows])
         rics.append(rg.ricci_values(p[None, :])[0])
         gvs.append(rg.metric.values(rg.reorder(p[None, :]))[0])
@@ -414,7 +403,7 @@ def _restricted_einstein(ctx, which):
 
 
 def check_einstein_ker(ctx):
-    lam, res = _restricted_einstein(ctx, "ker")
+    lam, res = _restricted_einstein(ctx, "vertical")
     return CheckResult("einstein_ker", _verdict(res, ctx.tol), res, ctx.tol,
                        terms={"lambda": lam})
 
@@ -426,7 +415,7 @@ def check_einstein_range(ctx):
 
 
 def check_einstein_perp(ctx):
-    lam, res = _restricted_einstein(ctx, "perp")
+    lam, res = _restricted_einstein(ctx, "normal")
     return CheckResult("einstein_perp", _verdict(res, ctx.tol), res, ctx.tol,
                        terms={"lambda": lam})
 
@@ -440,7 +429,7 @@ def check_conformal_id(ctx):
     else:
         from .geometry import gradient
         X = gradient(ctx.g, ctx.cfg.function(ctx.chart.name, conf["name"]))
-    phis, res, _ = check_conformal(ctx.g, X, ctx.restriction(), ctx.points)
+    phis, res = check_conformal(ctx.g, X, ctx.restriction(), ctx.points)
     return CheckResult("conformal", _verdict(res, ctx.tol), res, ctx.tol,
                        terms={"phi_first": [float(v) for v in phis[:6]]})
 
@@ -508,13 +497,13 @@ def check_scalar_relations(ctx):
             inputs["Dg"] = float(case.theta.value_at(y0) @ dg.evaluate_at(y0))
         try:
             if which in ("range_soliton", "range_lagrangian"):
-                rg = case.range_rg(ctx.points)
+                rg = case.restricted("range", ctx.points)
                 svals = rg.scalar_values(ctx.F.values(ctx.points))
             elif which == "ker_einstein":
-                rg = case.ker_rg(ctx.points)
+                rg = case.restricted("vertical", ctx.points)
                 svals = rg.scalar_values(ctx.points)
             else:
-                rg = case.perp_rg(ctx.points)
+                rg = case.restricted("normal", ctx.points)
                 svals = rg.scalar_values(ctx.F.values(ctx.points))
         except (UnsupportedDistribution, GeometryError) as exc:
             sub.append((which, PARTIAL, {"note": f"restricted scalar unavailable: {exc}"}))

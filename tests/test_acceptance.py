@@ -21,8 +21,7 @@ from riemcheck.propcheck import PropositionCase, verify_identity
 from riemcheck.rmap import isometry_residual
 from riemcheck.soliton import ClairautConfig, SolitonConfig, check_clairaut_source, \
     check_clairaut_target, solve_lambda
-from riemcheck.structure import anti_invariant_residual_source, \
-    anti_invariant_residual_target
+from riemcheck.structure import anti_invariant_residual
 from riemcheck.suites import CHECKS, _Ctx, run_suite
 
 from fd_oracle import fd_ricci
@@ -157,14 +156,14 @@ def test_criterion_4_riemannian_map_and_anti_invariance():
     pts = mg31.gM.chart.sample_points(100, seed=7)
     res, _ = isometry_residual(mg31, pts)
     assert res <= 1e-10
-    res, _, degen = anti_invariant_residual_source(mg31, J31, pts)
+    res, _, degen = anti_invariant_residual(mg31, J31, pts, "source")
     assert res <= 1e-10 and not degen
 
     mg41, J41, _ = example41()
     pts = mg41.gM.chart.sample_points(100, seed=7)
     res, _ = isometry_residual(mg41, pts)
     assert res <= 1e-10
-    res, _, degen = anti_invariant_residual_target(mg41, J41, pts)
+    res, _, degen = anti_invariant_residual(mg41, J41, pts, "target")
     assert res <= 1e-10 and not degen
     _line(4, "isometry and anti-invariance residuals <= 1e-10 at 100 points")
 

@@ -69,6 +69,18 @@ def metric_fn(g):
     return lambda x: g.value_at(x)
 
 
+def test_check_spd_rejects_a_nonfinite_metric():
+    # 1 + log(x1 - 0.5)^2 is NaN for x1 < 0.5, which Cholesky does not catch
+    chart = Chart("Rlog", ["x1", "x2"])
+    e = chart.parse
+    g = MetricField(chart, np.array([[e("1"), e("0")], [e("0"), e("1 + log(x1 - 0.5)^2")]],
+                                    dtype=object))
+    pts = chart.sample_points(20, seed=7)
+    g.check_spd(pts[pts[:, 0] > 0.5])
+    with pytest.raises(GeometryError, match="not finite"):
+        g.check_spd(pts)
+
+
 # -- christoffel ----------------------------------------------------------------
 
 def test_flat_christoffel_vanishes():

@@ -7,6 +7,7 @@ import pytest
 
 from riemcheck.expr import Const
 from riemcheck.geometry import Chart, MetricField
+from riemcheck.specfile import load_spec
 from riemcheck.propcheck import (
     PropositionCase,
     RestrictedGeometry,
@@ -286,3 +287,46 @@ def test_unknown_identity_rejected(flatlag):
     case = PropositionCase(mg, J=J, f=f)
     with pytest.raises(Exception):
         verify_identity(case, "nope", mg.gM.chart.sample_points(2, seed=15))
+
+
+# M = R x (e^{x1+1}-warped line) x R^2 onto the hyperbolic plane
+# dy1^2 + e^{2 y1} dy2^2 by y = (x1 + 1, x2): the range is all of N, so
+# Ric^range = Ric_N = -g_N, and it must be taken at F(x), not at x.
+IMAGE_POINT_SPEC = """
+version 1
+manifold M
+  coords x1 x2 x3 x4
+  metric diag 1, exp(2*(x1 + 1)), 1, 1
+end
+manifold N
+  coords y1 y2
+  metric diag 1, exp(2*y1)
+end
+map F
+  source M
+  target N
+  components x1 + 1, x2
+end
+structure J
+  manifold M
+  row 0, 0, 1, 0
+  row 0, 0, 0, 1
+  row -1, 0, 0, 0
+  row 0, -1, 0, 0
+end
+"""
+
+
+def test_range_ricci_is_evaluated_at_the_image_point():
+    cfg = load_spec(IMAGE_POINT_SPEC, name="image-point")
+    mg, J = cfg.map_geometry(), cfg.structure_on("M")
+    pts = mg.gM.chart.sample_points(4, seed=7)
+    res = verify_identity(PropositionCase(mg, J=J), "lric_uv", pts)
+    assert res["n_pairs"] == 12
+    for row in res["rows"]:
+        x = pts[row["point"]]
+        sp = mg.split_at(x)
+        a, b = (int(label[1:]) - 1 for label in row["pair"])
+        FJU, FJV = (mg.F.jac_at(x) @ J.value_at(x) @ sp.vertical[k] for k in (a, b))
+        expect = -float(FJU @ mg.gN.value_at(mg.F.value_at(x)) @ FJV)
+        assert row["terms"]["ric_range"] == pytest.approx(expect, rel=1e-9, abs=1e-12)

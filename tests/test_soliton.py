@@ -1,5 +1,7 @@
 """Soliton, Einstein, conformal and Clairaut checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ def ex31():
 @pytest.fixture(scope="module")
 def ex41():
     return example41()
+
+
+def test_soliton_residual_keeps_a_nonfinite_point():
+    """f = |x|^2/2 + 1e-30 sqrt(x1 - 0.5) on flat R^2 solves the soliton
+    equation with lambda = -1 wherever x1 > 0.5; elsewhere Hess f is NaN,
+    and the first such point must be the worst one."""
+    g = diag_metric(Chart("R2nan", ["x1", "x2"]), ["1", "1"])
+    f = g.chart.parse("0.5*(x1^2 + x2^2) + 1e-30*sqrt(x1 - 0.5)")
+    pts = g.chart.sample_points(40, seed=7)
+    bad = np.flatnonzero(pts[:, 0] < 0.5)
+    assert pts[0, 0] > 0.5 and len(bad)
+    res, wp, _ = soliton_residual(SolitonConfig(g, f=f, alpha=1.0, lam=-1.0), points=pts)
+    assert math.isnan(res)
+    assert wp == bad[0]
 
 
 def test_flat_steady_soliton():
@@ -147,16 +163,16 @@ def test_conformal_killing_and_euler_fields():
     g = euclidean(2)
     pts = g.chart.sample_points(15, seed=10)
     rot = VectorField(g.chart, [parse("-x2"), parse("x1")])
-    phis, res, _ = check_conformal(g, rot, points=pts)
+    phis, res = check_conformal(g, rot, points=pts)
     assert res <= 1e-12 and np.max(np.abs(phis)) <= 1e-12
 
     euler = VectorField(g.chart, [parse("x1"), parse("x2")])
-    phis, res, _ = check_conformal(g, euler, points=pts)
+    phis, res = check_conformal(g, euler, points=pts)
     assert res <= 1e-12
     assert np.allclose(phis, 2.0, atol=1e-12)
 
     bad = VectorField(g.chart, [parse("x2^2"), Const(0.0)])
-    phis, res, _ = check_conformal(g, bad, points=pts)
+    phis, res = check_conformal(g, bad, points=pts)
     assert res >= 0.1
 
 
@@ -165,8 +181,8 @@ def test_conformal_negation_negates_phi():
     pts = g.chart.sample_points(10, seed=11)
     X = VectorField(g.chart, [parse("x1 + 0.3*x2"), parse("x2")])
     Xn = VectorField(g.chart, [parse("-(x1 + 0.3*x2)"), parse("-x2")])
-    p1, _, _ = check_conformal(g, X, points=pts)
-    p2, _, _ = check_conformal(g, Xn, points=pts)
+    p1, _ = check_conformal(g, X, points=pts)
+    p2, _ = check_conformal(g, Xn, points=pts)
     assert np.max(np.abs(p1 + p2)) <= 1e-12
 
 

@@ -12,14 +12,12 @@ from riemcheck.geometry import Chart, MetricField, VectorField
 from riemcheck.structure import (
     AlmostComplexStructure,
     StructureError,
-    anti_invariant_residual_source,
-    anti_invariant_residual_target,
+    anti_invariant_residual,
+    complement_frame_at,
     decompose_BC,
     decompose_PQ,
     hermitian_residual,
     kahler_residual,
-    mu_frame_at,
-    nu_frame_at,
     square_residual,
 )
 
@@ -114,12 +112,12 @@ def test_example41_Jprime_is_hermitian_not_kahler(ex41):
 def test_anti_invariance_examples(ex31, ex41):
     mg31, J, _ = ex31
     pts = mg31.gM.chart.sample_points(30, seed=7)
-    res, _, degenerate = anti_invariant_residual_source(mg31, J, pts)
+    res, _, degenerate = anti_invariant_residual(mg31, J, pts, "source")
     assert res <= 1e-10 and not degenerate
 
     mg41, Jp, _ = ex41
     pts = mg41.gM.chart.sample_points(30, seed=8)
-    res, _, degenerate = anti_invariant_residual_target(mg41, Jp, pts)
+    res, _, degenerate = anti_invariant_residual(mg41, Jp, pts, "target")
     assert res <= 1e-10 and not degenerate
 
 
@@ -131,7 +129,7 @@ def test_identity_map_anti_invariance_is_degenerate():
     mg = MapGeometry(F, g, g)
     _, J = flat_J2()
     Jm = AlmostComplexStructure(M, J.mat)
-    _, _, degenerate = anti_invariant_residual_source(mg, Jm, M.sample_points(5, seed=9))
+    _, _, degenerate = anti_invariant_residual(mg, Jm, M.sample_points(5, seed=9), "source")
     assert degenerate
 
 
@@ -175,7 +173,7 @@ def test_decompose_BC_lagrangian_has_no_C():
                    [1, 0, 0, 0], [0, 1, 0, 0]], dtype=object)
     J = AlmostComplexStructure(M, Jm)
     x = np.array([0.3, 0.4, 0.5, 0.6])
-    mu = mu_frame_at(mg, J, x)
+    mu = complement_frame_at(mg, J, x, "source")
     assert mu.shape[0] == 0  # Lagrangian: mu = 0
     d = decompose_BC(mg, J, np.array([0.0, 0.0, 1.0, 0.0]), x)
     assert np.max(np.abs(d.CX)) <= 1e-12
@@ -200,7 +198,7 @@ def test_decompose_PQ_example41(ex41):
     assert np.allclose(d.QD, e4p, atol=1e-10)
     assert abs(d.PD @ G @ d.QD) <= 1e-10
 
-    nu = nu_frame_at(mg, Jp, x)
+    nu = complement_frame_at(mg, Jp, x, "target")
     assert nu.shape[0] == 2  # nu = span{e3' rotated pair} has dimension 2
 
     with pytest.raises(StructureError):

@@ -2,11 +2,14 @@
 clean (exit 0), with the audit/ledger behavior the two six-dimensional
 configurations are known to produce."""
 
+import math
+
 import numpy as np
 import pytest
 
 from riemcheck.catalog import load, names
-from riemcheck.report import FAIL, NOT_APPLICABLE, PASS
+from riemcheck.report import FAIL, NOT_APPLICABLE, PARTIAL, PASS
+from riemcheck.specfile import load_spec
 from riemcheck.suites import run_suite
 
 
@@ -102,3 +105,81 @@ def test_order_independent_report_merge():
     da = {c.id: c.to_dict() for c in a.checks}
     db = {c.id: c.to_dict() for c in b.checks}
     assert da == db
+
+
+NO_J = "no source almost complex structure declared"
+NO_F = "case has no source dilation f"
+
+
+@pytest.mark.parametrize("entry, ident, note", [
+    *[("revolution-surface", ident, NO_J)
+      for ident in ("ric_uv", "ric_ux", "ric_xy", "lric_uv", "lric_xy", "cor_ric_xy",
+                    "alpha_soliton_range", "ric_lie")],
+    ("paper-4.1", "lric_uv", NO_J),
+    ("paper-4.1", "lric_xy", NO_J),
+    ("paper-4.1", "alpha_soliton_range", NO_F),
+    ("paper-4.1", "ric_lie", NO_F),
+])
+def test_missing_structure_or_dilation_is_partial(entry, ident, note):
+    """An identity whose source structure J or dilation f is not declared is
+    unavailable (PARTIAL), not a crash of the whole run."""
+    report = run_suite(load(entry), suite=["metric", ident], points=4)
+    result = {c.id: c for c in report.checks}[ident]
+    assert result.verdict == PARTIAL
+    assert result.notes == [f"unavailable: {note}"]
+    assert not report.errors
+
+
+# flat-lagrangian with g_N(d_y2, d_y2) = 1 + 1e-30 sqrt(y1 - 0.5): Ric^range,
+# and so the ric_uv residual, is NaN wherever y1 = x3 < 0.5, which first
+# happens at sample point 1 (seed 7); every gate holds
+NAN_RANGE_SPEC = """
+version 1
+manifold M
+  coords x1 x2 x3 x4
+  metric diag 1, 1, 1, 1
+end
+manifold N
+  coords y1 y2 y3 y4
+  metric diag 1, 1 + 1e-30*sqrt(y1 - 0.5), 1, 1
+end
+map L
+  source M
+  target N
+  components x3, x4, 0, 0
+end
+frames L
+  vertical U1 = 1, 0, 0, 0
+  vertical U2 = 0, 1, 0, 0
+  horizontal X1 = 0, 0, 1, 0
+  horizontal X2 = 0, 0, 0, 1
+  range R1 = 1, 0, 0, 0
+  range R2 = 0, 1, 0, 0
+  normal E1 = 0, 0, 1, 0
+  normal E2 = 0, 0, 0, 1
+end
+structure J
+  manifold M
+  row 0, 0, -1, 0
+  row 0, 0, 0, -1
+  row 1, 0, 0, 0
+  row 0, 1, 0, 0
+end
+function f on M = 0
+check
+  seed 7
+  points 12
+  suite ric_uv
+  clairaut source f
+end
+"""
+
+
+def test_nonfinite_identity_residual_fails_and_names_its_row():
+    report = run_suite(load_spec(NAN_RANGE_SPEC, name="nan-range"))
+    result = report.checks[0]
+    assert all(ok for ok, _ in result.terms["gates"].values())
+    assert result.verdict == FAIL
+    assert math.isnan(result.max_residual)
+    assert result.worst_point["index"] == 1
+    assert result.terms["worst_pair"] == ["u1", "u1"]
