@@ -7,7 +7,8 @@
     riemcheck geodesic SPECFILE --from V,V --dir V,V --t T [--dt DT]
                              [--monitor clairaut|none] [--manifold NAME]
 
-Exit codes: 0 clean, 1 any FAIL verdict in the suite, 2 configuration error.
+Exit codes: 0 clean, 1 any FAIL verdict in the suite, 2 spec or file error
+(a numeric failure inside a check is that check's FAIL).
 RIEMCHECK_SEED overrides the default seed.
 """
 

@@ -628,10 +628,32 @@ def lie_derivative_metric(g: MetricField, X) -> TensorField:
 
 # -- numeric utilities ---------------------------------------------------------
 
-def is_worse(value, worst) -> bool:
-    """Whether `value` replaces `worst` in a running maximum of residuals:
-    the first non-finite value wins and is kept, otherwise the larger wins."""
-    return math.isfinite(worst) and (value > worst or not math.isfinite(value))
+def worst(values):
+    """The one reduction of residuals over sample points (or pairs, sides,
+    terms): returns (value, index, n_nonfinite).
+
+    The first non-finite value (NaN or +-inf) wins, otherwise the first
+    maximum, as np.argmax picks it.  Masked entries of a numpy masked array
+    are points the residual skips (an empty kernel, say): they are neither
+    non-finite nor ever the worst.  With no unmasked entry the result is
+    (0.0, None, 0)."""
+    data = np.asarray(values, dtype=float).ravel()
+    mask = getattr(values, "mask", False)  # np.ma.nomask when nothing is masked
+    kept = np.flatnonzero(~np.ravel(mask)) if np.ndim(mask) else np.arange(data.size)
+    if not len(kept):
+        return 0.0, None, 0
+    data = data[kept]
+    bad = ~np.isfinite(data)
+    n_bad = int(np.count_nonzero(bad))
+    i = int(np.argmax(bad)) if n_bad else int(np.argmax(data))
+    return float(data[i]), int(kept[i]), n_bad
+
+
+def orthonormal_frames(G) -> np.ndarray:
+    """inv(cholesky(G[p])) for a (P, n, n) stack of metric values: the rows
+    of frame p are a G[p]-orthonormal basis.  Raises LinAlgError where some
+    G[p] is not positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(np.asarray(G, dtype=float)))
 
 
 def orthonormalize(gval: np.ndarray, vectors, tol=1e-10):
@@ -659,16 +681,19 @@ def orthonormalize_fields(g: MetricField, fields, p) -> np.ndarray:
 # -- geodesics ------------------------------------------------------------------
 
 class Trajectory:
-    """Geodesic integration record: times, positions, velocities, and the
-    maximum drift of g(xdot, xdot) relative to its initial value."""
+    """Geodesic integration record: times, positions, velocities, the
+    maximum drift of g(xdot, xdot) relative to its initial value, the step
+    halvings, and the number of steps accepted at the last halving with a
+    step drift still above the energy tolerance (`unconverged`)."""
 
-    def __init__(self, chart, times, xs, vs, energy_drift, halvings):
+    def __init__(self, chart, times, xs, vs, energy_drift, halvings, unconverged):
         self.chart = chart
         self.times = times
         self.xs = xs
         self.vs = vs
         self.energy_drift = energy_drift
         self.halvings = halvings
+        self.unconverged = unconverged
 
     def __len__(self):
         return len(self.times)
@@ -678,9 +703,11 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
                        record_every=1, energy_tol=1e-8) -> Trajectory:
     """Classical fixed-step RK4 on the geodesic equation with per-step halving
     whenever the step's metric-norm drift exceeds `energy_tol` (relative).
+    A step is split at most 12 times; a step whose last split still drifts
+    too far is accepted and counted in `Trajectory.unconverged`.
 
     Raises ChartDomainError if the trajectory leaves the chart domain and
-    GeometryError on non-finite state.
+    GeometryError when every split of a step gives a non-finite state.
     """
     if dt <= 0.0:
         raise GeometryError("geodesic_integrate: dt must be positive")
@@ -723,8 +750,8 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
     times = [0.0]
     xs = [state[:n].copy()]
     vs = [state[n:].copy()]
-    drift = 0.0
-    halvings = 0
+    drifts = []
+    halvings = unconverged = 0
     t = 0.0
     for step, dt_step in enumerate(steps):
         sub = 1
@@ -732,35 +759,31 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
         prev = state
         for attempt in range(13):
             cand = prev
-            ok = True
             for _ in range(sub):
                 cand = rk4(cand, h)
                 if not np.all(np.isfinite(cand)):
-                    ok = False
                     break
-            if not ok:
-                sub *= 2
-                h *= 0.5
-                halvings += 1
-                continue
-            de = abs(energy(cand) - energy(prev)) / escale
-            if de <= energy_tol or attempt == 12:
-                state = cand
-                break
+            else:
+                de = abs(energy(cand) - energy(prev)) / escale
+                if de <= energy_tol or attempt == 12:
+                    unconverged += not de <= energy_tol
+                    state = cand
+                    break
             sub *= 2
             h *= 0.5
             halvings += 1
-        if not np.all(np.isfinite(state)):
-            raise GeometryError(f"geodesic state became non-finite at t={t}")
+        else:
+            raise GeometryError(
+                f"geodesic step from t={t} is non-finite at every step size")
         t += dt_step
         try:
             chart.check_domain(chart.array_to_point(state[:n]))
         except ChartDomainError as exc:
             raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
-        drift = max(drift, abs(energy(state) - e0) / escale)
+        drifts.append(abs(energy(state) - e0) / escale)
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             xs.append(state[:n].copy())
             vs.append(state[n:].copy())
     return Trajectory(chart, np.array(times), np.array(xs), np.array(vs),
-                      drift, halvings)
+                      worst(drifts)[0], halvings, unconverged)

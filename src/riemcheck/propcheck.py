@@ -60,9 +60,9 @@ from .geometry import (
     divergence,
     gradient,
     hessian,
-    is_worse,
     lie_bracket,
     lie_derivative_metric,
+    worst,
 )
 from .rmap import MapGeometry, pushforward_field
 from .soliton import (
@@ -324,54 +324,50 @@ class PropositionCase:
                 return (False, f"no {side} structure declared")
             if kind == "kahler":
                 g, at = (mg.gM, pts) if side == "source" else (mg.gN, mg.F.values(pts))
-                res, _ = kahler_residual(g, J, at)
-                return (res <= tol, res)
+                return _gate_value(kahler_residual(g, J, at), tol)
             if kind == "anti_invariant":
-                res, _, degen = anti_invariant_residual(mg, J, pts, side)
+                per_point, degen = anti_invariant_residual(mg, J, pts, side)
+                res = worst(per_point)[0]
                 return (res <= tol and not degen, res)
             dims = [complement_frame_at(mg, J, x, side).shape[0] for x in pts[:5]]
             return (all(d == 0 for d in dims), max(dims))
         if name == "clairaut_source":
             if self.f is None:
                 return (False, "no source dilation declared")
-            res, _, _ = check_clairaut_source(ClairautConfig(mg, "source", self.f), pts)
-            return (res <= tol, res)
+            res, _ = check_clairaut_source(ClairautConfig(mg, "source", self.f), pts)
+            return _gate_value(res, tol)
         if name == "clairaut_target":
             if self.gfun is None:
                 return (False, "no target dilation declared")
-            res, umb, _ = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
-            return (max(res, umb) <= tol, max(res, umb))
+            sides = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
+            return _gate_value(np.ma.concatenate(sides), tol)
         if name == "totally_geodesic_map":
             S = mg.second_fundamental_form()
-            worst = 0.0
+            per_point = []
             for x in pts:
                 sp = mg.split_at(x)
                 E = np.vstack([sp.vertical, sp.horizontal])
                 GN = mg.gN.value_at(sp.y)
                 vals = np.einsum("aij,ki,lj->kla", S.value_at(x), E, E)
-                worst = max(worst, float(np.sqrt(np.max(np.abs(
-                    np.einsum("kla,ab,klb->kl", vals, GN, vals))))))
-            return (worst <= tol, worst)
+                per_point.append(np.sqrt(np.max(np.abs(
+                    np.einsum("kla,ab,klb->kl", vals, GN, vals)))))
+            return _gate_value(per_point, tol)
         if name == "tg_horizontal":
             A = mg.oneill_A()
-            worst = 0.0
+            per_point = []
             for x in pts:
                 sp = mg.split_at(x)
                 H = sp.horizontal
                 GM = mg.gM.value_at(x)
                 vals = np.einsum("kij,ai,bj->abk", A.value_at(x), H, H)
-                worst = max(worst, float(np.sqrt(np.max(np.abs(
-                    np.einsum("abk,kl,abl->ab", vals, GM, vals))))))
-            return (worst <= tol, worst)
+                per_point.append(np.sqrt(np.max(np.abs(
+                    np.einsum("abk,kl,abl->ab", vals, GM, vals)))))
+            return _gate_value(per_point, tol)
         if name == "tg_normal":
             tc = self.tc()
             ypts = mg.F.values(pts)
-            worst = 0.0
-            for ek in mg.frames.normal:
-                for el in mg.frames.normal:
-                    fld = tc.proj_range(tc.cov(ek, el))
-                    worst = max(worst, float(np.max(np.abs(fld.values(ypts)))))
-            return (worst <= tol, worst)
+            return _gate_value([np.abs(tc.proj_range(tc.cov(ek, el)).values(ypts))
+                                for ek in mg.frames.normal for el in mg.frames.normal], tol)
         if name == "vertical_potential":
             return self._potential_gate(pts, vertical=True, tol=tol)
         if name == "horizontal_potential":
@@ -383,8 +379,7 @@ class PropositionCase:
                 cfg = SolitonConfig(mg.gM, f=self.f, alpha=self.alpha, lam=self.lam)
             else:
                 return (False, "no potential declared")
-            res, _, _ = soliton_residual(cfg, points=pts)
-            return (res <= tol, res)
+            return _gate_value(soliton_residual(cfg, points=pts), tol)
         if name == "kernel_nontrivial":
             d = self.dims(pts[0])
             return (d["r0"] > 0, d["r0"])
@@ -393,17 +388,22 @@ class PropositionCase:
     def _potential_gate(self, pts, vertical, tol):
         if self.eta is None:
             return (False, "no potential field declared")
-        worst = 0.0
-        for x in pts:
+        per_point, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
+        for idx, x in enumerate(pts):
             sp = self.mg.split_at(x)
-            GM = self.mg.gM.value_at(x)
-            v = self.eta.value_at(x)
             frame = sp.horizontal if vertical else sp.vertical
             if len(frame) == 0:
+                skipped[idx] = True
                 continue
-            worst = max(worst, float(np.max(np.abs(
-                np.einsum("ai,ij,j->a", frame, GM, v)))))
-        return (worst <= tol, worst)
+            per_point[idx] = np.max(np.abs(np.einsum(
+                "ai,ij,j->a", frame, self.mg.gM.value_at(x), self.eta.value_at(x))))
+        return _gate_value(np.ma.masked_array(per_point, skipped), tol)
+
+
+def _gate_value(residuals, tol):
+    """(holds, value) of a gate measured by residuals over sample points."""
+    res = worst(residuals)[0]
+    return (res <= tol, res)
 
 
 # -- namespaces -------------------------------------------------------------------------
@@ -557,12 +557,9 @@ def _result(ident, rows, gates, interpreted=False):
         return {"id": ident, "gates": tuple(gates), "n_pairs": 0,
                 "max_residual": 0.0, "worst": None, "rows": [],
                 "vacuous": True, "interpreted": interpreted}
-    worst = rows[0]
-    for r in rows[1:]:
-        if is_worse(r["residual"], worst["residual"]):
-            worst = r
+    top = rows[worst([r["residual"] for r in rows])[1]]
     return {"id": ident, "gates": tuple(gates), "n_pairs": len(rows),
-            "max_residual": worst["residual"], "worst": worst, "rows": rows,
+            "max_residual": top["residual"], "worst": top, "rows": rows,
             "vacuous": False, "interpreted": interpreted}
 
 

@@ -35,6 +35,7 @@ from .geometry import (
     covariant_derivative_tensor,
     orthonormalize,
     sym_zeros,
+    worst,
 )
 
 
@@ -247,49 +248,44 @@ class MapGeometry:
     # -- declared-frame validation -------------------------------------------
     def validate_frames(self, points, tol=1e-9):
         """Orthonormality of each declared frame, kernel membership of the
-        vertical frame, horizontality, and range/normal consistency."""
+        vertical frame, horizontality, and range/normal consistency.  A
+        residual fails unless it is <= tol, so a NaN frame fails too."""
         pts = np.atleast_2d(points)
         fr = self.frames
-        problems = []
+        found = []  # (what is wrong, residual)
         if fr.vertical:
-            res = Frame(self.gM.chart, fr.vertical).gram_residual(self.gM, pts)
-            if res > tol:
-                problems.append(f"vertical frame not orthonormal (residual {res:.3e})")
+            found.append(("vertical frame not orthonormal", Frame(
+                self.gM.chart, fr.vertical).gram_residual(self.gM, pts)))
             Jv = self.F.jac_values(pts)
             V = np.stack([f.values(pts) for f in fr.vertical], axis=1)
             push = np.einsum("pai,pki->pka", Jv, V)
-            worst = float(np.max(np.abs(push))) if push.size else 0.0
-            if worst > tol:
-                problems.append(f"vertical frame not in ker F_* (residual {worst:.3e})")
+            found.append(("vertical frame not in ker F_*", worst(np.abs(push))[0]))
         if fr.horizontal:
-            res = Frame(self.gM.chart, fr.horizontal).gram_residual(self.gM, pts)
-            if res > tol:
-                problems.append(f"horizontal frame not orthonormal (residual {res:.3e})")
+            found.append(("horizontal frame not orthonormal", Frame(
+                self.gM.chart, fr.horizontal).gram_residual(self.gM, pts)))
             if fr.vertical:
                 G = self.gM.values(pts)
                 V = np.stack([f.values(pts) for f in fr.vertical], axis=1)
                 H = np.stack([f.values(pts) for f in fr.horizontal], axis=1)
                 cross = np.einsum("pai,pij,pbj->pab", V, G, H)
-                worst = float(np.max(np.abs(cross))) if cross.size else 0.0
-                if worst > tol:
-                    problems.append(f"vertical/horizontal frames not orthogonal ({worst:.3e})")
+                found.append(("vertical/horizontal frames not orthogonal",
+                              worst(np.abs(cross))[0]))
         ypts = self.F.values(pts)
         if fr.range:
-            res = Frame(self.gN.chart, fr.range).gram_residual(self.gN, ypts)
-            if res > tol:
-                problems.append(f"range frame not orthonormal along F (residual {res:.3e})")
+            found.append(("range frame not orthonormal along F", Frame(
+                self.gN.chart, fr.range).gram_residual(self.gN, ypts)))
         if fr.normal:
-            res = Frame(self.gN.chart, fr.normal).gram_residual(self.gN, ypts)
-            if res > tol:
-                problems.append(f"normal frame not orthonormal along F (residual {res:.3e})")
+            found.append(("normal frame not orthonormal along F", Frame(
+                self.gN.chart, fr.normal).gram_residual(self.gN, ypts)))
             if fr.range:
                 G = self.gN.values(ypts)
                 R = np.stack([f.values(ypts) for f in fr.range], axis=1)
                 Nf = np.stack([f.values(ypts) for f in fr.normal], axis=1)
                 cross = np.einsum("pai,pij,pbj->pab", R, G, Nf)
-                worst = float(np.max(np.abs(cross))) if cross.size else 0.0
-                if worst > tol:
-                    problems.append(f"range/normal frames not orthogonal ({worst:.3e})")
+                found.append(("range/normal frames not orthogonal",
+                              worst(np.abs(cross))[0]))
+        problems = [f"{what} (residual {res:.3e})" for what, res in found
+                    if not res <= tol]
         if problems:
             raise MapError("declared frame validation failed: " + "; ".join(problems))
 
@@ -513,14 +509,16 @@ def _complement(G, rows):
 
 # -- pointwise operations used by the check suites ------------------------------
 
-def isometry_residual(mg: MapGeometry, points) -> tuple[float, int]:
-    """max over points and horizontal pairs of
-    |g_N(F_*X_a, F_*X_b) - g_M(X_a, X_b)|, with the worst point index."""
+def isometry_residual(mg: MapGeometry, points) -> np.ma.MaskedArray:
+    """Per point, the max over horizontal pairs of
+    |g_N(F_*X_a, F_*X_b) - g_M(X_a, X_b)|; masked where the horizontal space
+    is empty."""
     pts = np.atleast_2d(points)
-    worst, wp = 0.0, 0
+    out, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     for idx, x in enumerate(pts):
         sp = mg.split_at(x)
         if len(sp.horizontal) == 0:
+            skipped[idx] = True
             continue
         J = mg.F.jac_at(x)
         GM = mg.gM.value_at(x)
@@ -529,40 +527,34 @@ def isometry_residual(mg: MapGeometry, points) -> tuple[float, int]:
         push = (J @ H.T).T
         res = np.abs(np.einsum("ai,ij,bj->ab", push, GN, push)
                      - np.einsum("ai,ij,bj->ab", H, GM, H))
-        m = float(np.max(res))
-        if m > worst:
-            worst, wp = m, idx
-    return worst, wp
+        out[idx] = np.max(res)
+    return np.ma.masked_array(out, skipped)
 
 
 def umbilical_fit(mg: MapGeometry, points):
     """Least-squares mean-curvature fit: H'(p) minimizing
     sum_{a,b} |(nabla F_*)(X_a, X_b) - g_M(X_a, X_b) H'|^2 over the
-    horizontal frame.  Returns (residual, H' per point, worst index)."""
+    horizontal frame.  Returns (per-point residual, masked where the
+    horizontal space is empty; H' per point, zero there)."""
     pts = np.atleast_2d(points)
     S = mg.second_fundamental_form().values(pts)
-    worst, wp = 0.0, 0
-    Hs = []
+    res, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
+    Hs = np.zeros((len(pts), mg.gN.chart.dim))
     for idx, x in enumerate(pts):
         sp = mg.split_at(x)
         H = sp.horizontal
-        h = len(H)
-        if h == 0:
-            Hs.append(np.zeros(mg.gN.chart.dim))
+        if len(H) == 0:
+            skipped[idx] = True
             continue
         GM = mg.gM.value_at(x)
         GN = mg.gN.value_at(sp.y)
         vals = np.einsum("aij,ki,lj->kla", S[idx], H, H)  # (k,l,target)
         gm = np.einsum("ki,ij,lj->kl", H, GM, H)
         denom = float(np.sum(gm * gm))
-        Hp = np.einsum("kl,kla->a", gm, vals) / denom
-        Hs.append(Hp)
-        diff = vals - gm[:, :, None] * Hp[None, None, :]
-        norms = np.sqrt(np.abs(np.einsum("kla,ab,klb->kl", diff, GN, diff)))
-        m = float(np.max(norms))
-        if m > worst:
-            worst, wp = m, idx
-    return worst, np.array(Hs), wp
+        Hs[idx] = np.einsum("kl,kla->a", gm, vals) / denom
+        diff = vals - gm[:, :, None] * Hs[idx][None, None, :]
+        res[idx] = np.max(np.sqrt(np.abs(np.einsum("kla,ab,klb->kl", diff, GN, diff))))
+    return np.ma.masked_array(res, skipped), Hs
 
 
 def fiber_mean_curvature_at(mg: MapGeometry, x) -> np.ndarray:

@@ -17,8 +17,8 @@ from .geometry import (
     VectorField,
     gradient,
     hessian,
-    is_worse,
     lie_derivative_metric,
+    orthonormal_frames,
 )
 from .rmap import MapGeometry, MapError
 
@@ -66,35 +66,22 @@ def _pair_frames(g: MetricField, points, restriction):
     """Orthonormal frame rows per point: the restriction frame evaluated, or
     a Cholesky frame of the full tangent space."""
     pts = np.atleast_2d(points)
-    out = []
     if restriction:
-        for x in pts:
-            out.append(np.array([f.value_at(x) for f in restriction]))
-    else:
-        for x in pts:
-            Li = np.linalg.inv(np.linalg.cholesky(g.value_at(x)))
-            out.append(Li)
-    return pts, out
+        return pts, [np.array([f.value_at(x) for f in restriction]) for x in pts]
+    return pts, orthonormal_frames([g.value_at(x) for x in pts])
 
 
 def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None):
-    """Max |1/2 (L_xi g)(X,Y) + alpha Ric(X,Y) + lam g(X,Y)| over points and
-    frame pairs.  Returns (residual, worst_point_index, per-point max)."""
+    """Per point, max |1/2 (L_xi g)(X,Y) + alpha Ric(X,Y) + lam g(X,Y)| over
+    frame pairs."""
     lam = cfg.lam if lam is None else lam
     if lam == "solve":
         raise SolitonError("soliton_residual needs a concrete lambda (use solve_lambda)")
     pts, frames = _pair_frames(cfg.g, points, restriction)
     L, R, G = cfg.term_values(pts)
     E = L + R + float(lam) * G
-    worst, wp = -1.0, 0
-    permax = []
-    for p, fr in enumerate(frames):
-        vals = np.abs(np.einsum("ai,ij,bj->ab", fr, E[p], fr))
-        m = float(np.max(vals)) if vals.size else 0.0
-        permax.append(m)
-        if is_worse(m, worst):
-            worst, wp = m, p
-    return worst, wp, np.array(permax)
+    return np.array([np.max(np.abs(np.einsum("ai,ij,bj->ab", fr, E[p], fr)), initial=0.0)
+                     for p, fr in enumerate(frames)])
 
 
 def solve_lambda(cfg: SolitonConfig, restriction=None, points=None):
@@ -141,21 +128,20 @@ def fit_einstein(ric_vals, g_vals, frame_rows):
 
 def check_conformal(g: MetricField, X: VectorField, restriction=None, points=None):
     """Fit a pointwise conformal factor phi(p) minimizing |(L_X g) - phi g|
-    on the restricted span.  Returns (phi samples, residual)."""
+    on the restricted span.  Returns (phi samples, per-point residual)."""
     LX = lie_derivative_metric(g, X)
     pts, frames = _pair_frames(g, points, restriction)
     Lv = LX.values(pts)
     Gv = g.values(pts)
-    phis = []
-    residual = 0.0
+    phis, residual = [], []
     for p, fr in enumerate(frames):
         lv = np.einsum("ai,ij,bj->ab", fr, Lv[p], fr)
         gv = np.einsum("ai,ij,bj->ab", fr, Gv[p], fr)
         denom = float(np.sum(gv * gv))
         phi = float(np.sum(lv * gv)) / denom if denom > 1e-20 else 0.0
         phis.append(phi)
-        residual = max(residual, float(np.max(np.abs(lv - phi * gv))))
-    return np.array(phis), residual
+        residual.append(np.max(np.abs(lv - phi * gv)))
+    return np.array(phis), np.array(residual)
 
 
 class ClairautConfig:
@@ -171,46 +157,41 @@ class ClairautConfig:
 
 
 def check_clairaut_source(cc: ClairautConfig, points):
-    """Residual of T(U, V) + g_M(U, V) grad f over vertical frame pairs, plus
-    a separate fiber-umbilicity residual (fit of T(U,V) = g(U,V) H)."""
+    """Per-point residuals, masked where the kernel is empty: of
+    T(U, V) + g_M(U, V) grad f over vertical frame pairs, and of the fiber
+    umbilicity fit T(U,V) = g(U,V) H."""
     if cc.side != "source":
         raise SolitonError("check_clairaut_source needs a source-side config")
     mg = cc.mg
     gradf = gradient(mg.gM, cc.dilation)
     T = mg.oneill_T()
     pts = np.atleast_2d(points)
-    worst, wp = -1.0, 0
-    umb_worst = 0.0
-    saw_kernel = False
+    res, umb, skipped = np.zeros(len(pts)), np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     for idx, x in enumerate(pts):
         sp = mg.split_at(x)
         V = sp.vertical
         if len(V) == 0:
+            skipped[idx] = True
             continue
-        saw_kernel = True
         GM = mg.gM.value_at(x)
         Tv = np.einsum("kij,ai,bj->abk", T.value_at(x), V, V)
         gv = np.einsum("ai,ij,bj->ab", V, GM, V)
         gf = gradf.value_at(x)
         diff = Tv + gv[:, :, None] * gf[None, None, :]
-        norms = np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", diff, GM, diff)))
-        m = float(np.max(norms))
-        if is_worse(m, worst):
-            worst, wp = m, idx
+        res[idx] = np.max(np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", diff, GM, diff))))
         # umbilicity: H = trace(T)/r0, residual of T - g H
         H = np.einsum("abk,ab->k", Tv, np.eye(len(V))) / len(V)
         udiff = Tv - gv[:, :, None] * H[None, None, :]
-        unorm = np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", udiff, GM, udiff)))
-        umb_worst = max(umb_worst, float(np.max(unorm)))
-    if not saw_kernel:
+        umb[idx] = np.max(np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", udiff, GM, udiff))))
+    if skipped.all():
         raise MapError("check_clairaut_source: empty kernel at all sample points")
-    return worst, wp, umb_worst
+    return np.ma.masked_array(res, skipped), np.ma.masked_array(umb, skipped)
 
 
 def check_clairaut_target(cc: ClairautConfig, points):
-    """Residuals of  S_D F_*X + D(g) F_*X  over normal-frame D and range
-    F_*X, and of  (nabla F_*)(X, Y) - g_M(X, Y) (-grad^N g)  over horizontal
-    pairs.  Returns (shape_residual, umbilical_residual, worst_index)."""
+    """Per-point residuals of  S_D F_*X + D(g) F_*X  over normal-frame D and
+    range F_*X, and of  (nabla F_*)(X, Y) - g_M(X, Y) (-grad^N g)  over
+    horizontal pairs (masked where the horizontal space is empty)."""
     if cc.side != "target":
         raise SolitonError("check_clairaut_target needs a target-side config")
     mg = cc.mg
@@ -225,26 +206,23 @@ def check_clairaut_target(cc: ClairautConfig, points):
         raise MapError("check_clairaut_target: trivial (empty) normal bundle")
     from .expr.tape import Tape
     dg_tape = Tape(dg, gN.chart.allvars)
-    worst, wp = -1.0, 0
-    umb_worst = 0.0
+    res, umb, skipped = np.zeros(len(pts)), np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     for idx, x in enumerate(pts):
         sp = mg.split_at(x)
         GN = gN.value_at(sp.y)
         dgv = dg_tape.evaluate_at(sp.y)
-        m = 0.0
+        norms = []
         for k, (Sk, _) in enumerate(shapes):
             D = mg.frames.normal[k].value_at(sp.y)
             Dg = float(D @ dgv)  # D(g): directional derivative
             Skv = Sk.value_at(sp.y)
             for V in sp.range:
                 w = Skv @ V + Dg * V
-                v = float(np.sqrt(abs(w @ GN @ w)))
-                if is_worse(v, m):
-                    m = v
-        if is_worse(m, worst):
-            worst, wp = m, idx
+                norms.append(np.sqrt(abs(w @ GN @ w)))
+        res[idx] = np.max(norms, initial=0.0)
         # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
         H = sp.horizontal
+        skipped[idx] = len(H) == 0
         if len(H):
             GM = mg.gM.value_at(x)
             Sv = SFF.value_at(x)
@@ -252,9 +230,8 @@ def check_clairaut_target(cc: ClairautConfig, points):
             gm = np.einsum("ki,ij,lj->kl", H, GM, H)
             target = -gradg.value_at(sp.y)
             diff = vals - gm[:, :, None] * target[None, None, :]
-            norms = np.sqrt(np.abs(np.einsum("kla,ab,klb->kl", diff, GN, diff)))
-            umb_worst = max(umb_worst, float(np.max(norms)))
-    return worst, umb_worst, wp
+            umb[idx] = np.max(np.sqrt(np.abs(np.einsum("kla,ab,klb->kl", diff, GN, diff))))
+    return res, np.ma.masked_array(umb, skipped)
 
 
 SCALAR_RELATIONS = {

@@ -19,7 +19,7 @@ from .geometry import (
     _add,
     _mul,
     covariant_derivative_tensor,
-    is_worse,
+    orthonormal_frames,
     sym_zeros,
 )
 
@@ -95,15 +95,16 @@ class AlmostComplexStructure:
 
 # -- pointwise checks -----------------------------------------------------------
 
-def square_residual(J: AlmostComplexStructure, points) -> float:
-    """max |J^2 + I| over the sample points."""
+def square_residual(J: AlmostComplexStructure, points) -> np.ndarray:
+    """Per point, max |J^2 + I|."""
     Jv = J.values(points)
     n = J.chart.dim
-    return float(np.max(np.abs(np.einsum("pij,pjk->pik", Jv, Jv) + np.eye(n))))
+    return np.max(np.abs(np.einsum("pij,pjk->pik", Jv, Jv) + np.eye(n)), axis=(1, 2))
 
 
-def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> float:
-    """max over points and orthonormal-frame pairs of |g(JX, JY) - g(X, Y)|.
+def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
+    """Per point, the max over orthonormal-frame pairs of
+    |g(JX, JY) - g(X, Y)|.
 
     Implemented as the coordinate-tensor residual |J^T g J - g| measured in
     an orthonormal frame (i.e. scaled by g^{-1}), which bounds the frame-pair
@@ -113,36 +114,26 @@ def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> flo
     Jv = J.values(pts)
     G = g.values(pts)
     JgJ = np.einsum("pia,pij,pjb->pab", Jv, G, Jv)
-    worst = 0.0
-    for p in range(len(pts)):
-        # scale-free comparison: conjugate by the inverse Cholesky factor
-        L = np.linalg.cholesky(G[p])
-        Li = np.linalg.inv(L)
-        diff = Li @ (JgJ[p] - G[p]) @ Li.T
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    Li = orthonormal_frames(G)
+    return np.max(np.abs(Li @ (JgJ - G) @ Li.transpose(0, 2, 1)), axis=(1, 2))
 
 
-def kahler_residual(g: MetricField, J: AlmostComplexStructure, points):
-    """max over points and orthonormal-frame pairs of |(nabla_X J) Y|_g; also
-    returns the worst point index."""
+def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
+    """Per point, the max over orthonormal-frame pairs of |(nabla_X J) Y|_g."""
     nj = nabla_J(g, J)
     pts = np.atleast_2d(points)
     NJ = nj.values(pts)  # (p, k, l, j):  (nabla_{d_l} J)^k_j
     G = g.values(pts)
-    worst, wp = 0.0, 0
-    for p in range(len(pts)):
-        # rows of inv(cholesky(G)) form a g-orthonormal frame
-        Li = np.linalg.inv(np.linalg.cholesky(G[p]))
-        vecs = [Li[a, :] for a in range(Li.shape[0])]
+    out = np.empty(len(pts))
+    for p, vecs in enumerate(orthonormal_frames(G)):
+        norms = []
         for X in vecs:
             M = np.einsum("klj,l->kj", NJ[p], X)
             for Y in vecs:
                 W = M @ Y
-                nrm = float(np.sqrt(abs(W @ G[p] @ W)))
-                if nrm > worst:
-                    worst, wp = nrm, p
-    return worst, wp
+                norms.append(np.sqrt(abs(W @ G[p] @ W)))
+        out[p] = np.max(norms)
+    return out
 
 
 def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
@@ -160,22 +151,19 @@ def _side(mg, sp, side):
 
 
 def anti_invariant_residual(mg, J: AlmostComplexStructure, points, side):
-    """max |g(J a, b)| over pairs of kernel ('source') or range ('target')
-    frame vectors, with the worst point index; 'degenerate' when that space
-    is zero-dimensional at every point."""
+    """Per point, max |g(J a, b)| over pairs of kernel ('source') or range
+    ('target') frame vectors, masked where that space is zero-dimensional;
+    and whether it is zero-dimensional at every point ('degenerate')."""
     pts = np.atleast_2d(points)
-    worst, wp = 0.0, 0
-    degenerate = True
+    out, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     for idx, x in enumerate(pts):
         g, at, rows, _ = _side(mg, mg.split_at(x), side)
         if len(rows) == 0:
+            skipped[idx] = True
             continue
-        degenerate = False
         JR = (J.value_at(at) @ rows.T).T
-        m = float(np.max(np.abs(np.einsum("ai,ij,bj->ab", JR, g.value_at(at), rows))))
-        if is_worse(m, worst):
-            worst, wp = m, idx
-    return worst, wp, degenerate
+        out[idx] = np.max(np.abs(np.einsum("ai,ij,bj->ab", JR, g.value_at(at), rows)))
+    return np.ma.masked_array(out, skipped), bool(skipped.all())
 
 
 # -- sub-split frames and decompositions -------------------------------------------

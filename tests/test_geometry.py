@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from riemcheck.expr import Const, parse
 from riemcheck.geometry import (
@@ -24,6 +25,7 @@ from riemcheck.geometry import (
     orthonormalize,
     orthonormalize_fields,
     scalar_curvature,
+    worst,
 )
 
 from fd_oracle import fd_ricci
@@ -423,3 +425,68 @@ def test_geodesic_domain_exit_detected():
     g = MetricField(chart, mat)
     with pytest.raises(ChartDomainError):
         geodesic_integrate(g, {"x": 0.5, "y": 0.0}, np.array([-1.0, 0.0]), 2.0, 1e-2)
+
+
+def test_geodesic_step_that_is_nonfinite_at_every_size_raises():
+    """g_yy = 1 + sqrt(x - 0.5) is NaN for x < 0.5; the straight line
+    x = 0.62 - t crosses x = 0.5 in the step from t = 0.1, so every split
+    of that step gives NaN and the integrator must stop there."""
+    chart = Chart("S", ["x", "y"])
+    g = MetricField(chart, np.array([[Const(1.0), Const(0.0)],
+                                     [Const(0.0), parse("1 + sqrt(x - 0.5)")]],
+                                    dtype=object))
+    with pytest.raises(GeometryError, match=r"t=0\.1 "):
+        geodesic_integrate(g, {"x": 0.62, "y": 0.0}, np.array([-1.0, 0.0]), 0.3, 0.1)
+
+
+def test_geodesic_counts_steps_that_never_reach_the_energy_tolerance():
+    g = sphere2()
+    v0 = np.array([0.3, 1.0])
+    traj = geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, v0, t_end=0.02, dt=0.01,
+                              energy_tol=0.0)
+    assert traj.unconverged == 2
+    assert traj.halvings == 24
+    assert geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, v0, t_end=0.02,
+                              dt=0.01).unconverged == 0
+
+
+# -- the residual reduction -----------------------------------------------------
+
+def _loop_worst(values, skipped):
+    """Reference for geometry.worst: a running maximum in which the first
+    non-finite value wins and is kept."""
+    best = None
+    for i, v in enumerate(values):
+        if skipped[i]:
+            continue
+        if best is None or (math.isfinite(values[best])
+                            and (not math.isfinite(v) or v > values[best])):
+            best = i
+    if best is None:
+        return 0.0, None, 0
+    n_bad = sum(1 for v, s in zip(values, skipped) if not s and not math.isfinite(v))
+    return values[best], best, n_bad
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+       st.lists(st.tuples(st.integers(0, 40), st.sampled_from([math.nan, math.inf, -math.inf])),
+                max_size=6),
+       st.lists(st.booleans(), max_size=50))
+def test_worst_matches_the_first_nonfinite_else_first_maximum_loop(values, inserts, skip):
+    values = list(values)
+    for at, bad in inserts:
+        values.insert(min(at, len(values)), bad)
+    skipped = [i < len(skip) and skip[i] for i in range(len(values))]
+    arr = np.ma.masked_array(np.array(values, dtype=float), mask=skipped)
+    value, index, n_bad = worst(arr)
+    want, want_index, want_bad = _loop_worst(values, skipped)
+    assert (index, n_bad) == (want_index, want_bad)
+    assert value == want or (math.isnan(value) and math.isnan(want))
+    if not any(skipped):
+        assert worst(values)[1:] == (want_index, want_bad)
+
+
+def test_worst_of_nothing_or_only_skipped_points():
+    assert worst([]) == (0.0, None, 0)
+    assert worst(np.ma.masked_all(5)) == (0.0, None, 0)
+    assert worst(np.ma.masked_array([math.nan, 2.0], mask=[True, False])) == (2.0, 1, 0)

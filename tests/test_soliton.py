@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riemcheck.expr import Const, parse
-from riemcheck.geometry import Chart, MetricField, VectorField
+from riemcheck.geometry import Chart, MetricField, VectorField, worst
 from riemcheck.soliton import (
     ClairautConfig,
     SolitonConfig,
@@ -43,7 +43,7 @@ def test_soliton_residual_keeps_a_nonfinite_point():
     pts = g.chart.sample_points(40, seed=7)
     bad = np.flatnonzero(pts[:, 0] < 0.5)
     assert pts[0, 0] > 0.5 and len(bad)
-    res, wp, _ = soliton_residual(SolitonConfig(g, f=f, alpha=1.0, lam=-1.0), points=pts)
+    res, wp, _ = worst(soliton_residual(SolitonConfig(g, f=f, alpha=1.0, lam=-1.0), points=pts))
     assert math.isnan(res)
     assert wp == bad[0]
 
@@ -52,7 +52,7 @@ def test_flat_steady_soliton():
     g = euclidean(3)
     zero = VectorField(g.chart, [Const(0.0)] * 3)
     cfg = SolitonConfig(g, xi=zero, alpha=1.0, lam=0.0)
-    res, _, _ = soliton_residual(cfg, points=g.chart.sample_points(20, seed=1))
+    res = worst(soliton_residual(cfg, points=g.chart.sample_points(20, seed=1)))[0]
     assert res <= 1e-14
     lam, spread, _ = solve_lambda(cfg, points=g.chart.sample_points(20, seed=2))
     assert abs(lam) <= 1e-12 and spread <= 1e-12
@@ -67,7 +67,7 @@ def test_gaussian_soliton(c):
     lam, spread, _ = solve_lambda(cfg, points=pts)
     assert lam == pytest.approx(-c, abs=1e-10)
     assert spread <= 1e-9
-    res, _, _ = soliton_residual(cfg, points=pts, lam=-c)
+    res = worst(soliton_residual(cfg, points=pts, lam=-c))[0]
     assert res <= 1e-10
     # gradient form: xi = grad(c |x|^2 / 2)
     cfg2 = SolitonConfig(g, f=g.chart.parse(f"{c}*(x1^2 + x2^2 + x3^2)/2"), alpha=1.0)
@@ -164,15 +164,18 @@ def test_conformal_killing_and_euler_fields():
     pts = g.chart.sample_points(15, seed=10)
     rot = VectorField(g.chart, [parse("-x2"), parse("x1")])
     phis, res = check_conformal(g, rot, points=pts)
+    res = worst(res)[0]
     assert res <= 1e-12 and np.max(np.abs(phis)) <= 1e-12
 
     euler = VectorField(g.chart, [parse("x1"), parse("x2")])
     phis, res = check_conformal(g, euler, points=pts)
+    res = worst(res)[0]
     assert res <= 1e-12
     assert np.allclose(phis, 2.0, atol=1e-12)
 
     bad = VectorField(g.chart, [parse("x2^2"), Const(0.0)])
     phis, res = check_conformal(g, bad, points=pts)
+    res = worst(res)[0]
     assert res >= 0.1
 
 
@@ -192,12 +195,12 @@ def test_clairaut_source_example31(ex31):
     mg, J, f = ex31
     cc = ClairautConfig(mg, "source", f)
     pts = mg.gM.chart.sample_points(50, seed=12)
-    res, _, umb = check_clairaut_source(cc, pts)
+    res, umb = (worst(r)[0] for r in check_clairaut_source(cc, pts))
     assert res <= 1e-10
     assert umb <= 1e-10
     # wrong dilation fails decisively
     cc_bad = ClairautConfig(mg, "source", mg.gM.chart.parse("x5"))
-    res_bad, _, _ = check_clairaut_source(cc_bad, pts)
+    res_bad = worst(check_clairaut_source(cc_bad, pts)[0])[0]
     assert res_bad >= 0.9
 
 
@@ -205,7 +208,8 @@ def test_clairaut_source_totally_geodesic_with_constant_f():
     from test_rmap import flat_projection
     mg = flat_projection()
     cc = ClairautConfig(mg, "source", Const(0.25))
-    res, _, umb = check_clairaut_source(cc, mg.gM.chart.sample_points(10, seed=13))
+    res, umb = (worst(r)[0] for r in check_clairaut_source(
+        cc, mg.gM.chart.sample_points(10, seed=13)))
     assert res <= 1e-14 and umb <= 1e-14
 
 
@@ -213,12 +217,12 @@ def test_clairaut_target_example41(ex41):
     mg, Jp, gfun = ex41
     cc = ClairautConfig(mg, "target", gfun)
     pts = mg.gM.chart.sample_points(50, seed=14)
-    res, umb, _ = check_clairaut_target(cc, pts)
+    res, umb = (worst(r)[0] for r in check_clairaut_target(cc, pts))
     assert res <= 1e-8
     assert umb <= 1e-8
     # wrong dilation g = y2 fails
     cc_bad = ClairautConfig(mg, "target", mg.gN.chart.parse("y2"))
-    res_bad, umb_bad, _ = check_clairaut_target(cc_bad, pts)
+    res_bad, umb_bad = (worst(r)[0] for r in check_clairaut_target(cc_bad, pts))
     assert max(res_bad, umb_bad) > 0.5
 
 

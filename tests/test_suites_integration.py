@@ -183,3 +183,110 @@ def test_nonfinite_identity_residual_fails_and_names_its_row():
     assert math.isnan(result.max_residual)
     assert result.worst_point["index"] == 1
     assert result.terms["worst_pair"] == ["u1", "u1"]
+
+
+# The metric is NaN wherever x1 < 0.5: at 16 of the 40 points drawn at seed 7.
+NAN_METRIC_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  metric diag 1, 1 + 1e-30*sqrt(x1 - 0.5)
+end
+structure J
+  manifold M
+  row 0, -1
+  row 1, 0
+end
+check
+  seed 7
+  points 40
+  suite kahler hermitian einstein
+end
+"""
+
+# The declared vertical frame is NaN wherever x1 < 0.5.
+NAN_FRAME_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+manifold N
+  coords y1
+  metric diag 1
+end
+map F
+  source M
+  target N
+  components x1
+end
+frames F
+  vertical V1 = 0, 1 + 1e-30*sqrt(x1 - 0.5)
+  horizontal H1 = 1, 0
+  range R1 = 1
+end
+function f on M = 0
+check
+  seed 7
+  points 40
+  suite metric fiber_curvature oneill clairaut_source
+  clairaut source f
+end
+"""
+
+
+def test_nonfinite_metric_fails_kahler_and_hermitian_with_a_count():
+    cfg = load_spec(NAN_METRIC_SPEC, name="nan-metric")
+    pts = cfg.charts["M"].sample_points(40, seed=7)
+    first = int(np.flatnonzero(pts[:, 0] < 0.5)[0])
+    assert np.count_nonzero(pts[:, 0] < 0.5) == 16
+    report = run_suite(cfg)
+    by_id = {c.id: c for c in report.checks}
+    assert [c.verdict for c in report.checks] == [FAIL, FAIL, FAIL]
+    kahler, hermitian = by_id["kahler"], by_id["hermitian"]
+    assert math.isnan(kahler.max_residual) and math.isnan(hermitian.max_residual)
+    assert kahler.worst_point["index"] == first
+    assert kahler.notes == [f"source: non-finite residual at 16 of 40 points, "
+                            f"first at index {first}"]
+    assert hermitian.notes == [f"source_metric: non-finite residual at 16 of 40 "
+                               f"points, first at index {first}"]
+
+
+def test_nonfinite_declared_frame_fails_every_check_that_uses_it():
+    report = run_suite(load_spec(NAN_FRAME_SPEC, name="nan-frame"))
+    by_id = {c.id: c for c in report.checks}
+    assert {k: c.verdict for k, c in by_id.items()} == {
+        "metric": FAIL, "fiber_curvature": FAIL, "oneill": FAIL, "clairaut_source": FAIL}
+    assert "vertical frame not orthonormal (residual nan)" in by_id["metric"].notes[0]
+    assert math.isnan(by_id["fiber_curvature"].max_residual)
+    assert math.isnan(by_id["oneill"].terms["T_vertical_sym"])
+    assert math.isnan(by_id["clairaut_source"].terms["umbilic_fibers"])
+    assert by_id["fiber_curvature"].notes[0].startswith("non-finite residual at 16 of 40 points")
+
+
+def test_numeric_failure_in_a_check_is_that_checks_fail():
+    """Cholesky of a metric that is not positive definite raises LinAlgError
+    inside einstein, kahler and hermitian: each check FAILs with the error,
+    the run goes on, and the CLI exits 1, not 2."""
+    spec = NAN_METRIC_SPEC.replace("1 + 1e-30*sqrt(x1 - 0.5)", "x1 - 0.5").replace(
+        "suite kahler hermitian einstein", "suite einstein kahler hermitian")
+    report = run_suite(load_spec(spec, name="indefinite"))
+    assert [c.verdict for c in report.checks] == [FAIL, FAIL, FAIL]
+    for c in report.checks:
+        assert c.notes[0].startswith("error: ")
+    assert [e.split(":")[0] for e in report.errors] == ["einstein", "kahler", "hermitian"]
+    assert report.exit_code() == 1
+
+
+def test_geodesic_fails_when_a_step_never_converges(monkeypatch):
+    from riemcheck import suites
+    from riemcheck.geometry import geodesic_integrate
+
+    monkeypatch.setattr(suites, "geodesic_integrate",
+                        lambda *a, **kw: geodesic_integrate(*a, energy_tol=0.0, **kw))
+    cfg = load("sphere-2")
+    cfg.check["geodesic"].update({"dir": [0.3, 1.0], "t": 0.002})
+    result = run_suite(cfg, suite=["geodesic"]).checks[0]
+    assert result.verdict == FAIL
+    assert result.notes[0].endswith(" steps still drift above the energy tolerance "
+                                    "after 12 halvings")
