@@ -145,7 +145,7 @@ class RestrictedGeometry:
         v = np.asarray(v, dtype=float)
         out_block = [i for i in range(len(v)) if i not in self.indices]
         leak = float(np.max(np.abs(v[out_block]))) if out_block else 0.0
-        if leak > tol * max(1.0, float(np.max(np.abs(v)))):
+        if not leak <= tol * max(1.0, float(np.max(np.abs(v)))):
             raise UnsupportedDistribution(
                 f"vector leaves the restricted block (leak {leak:.3e})")
         return v[list(self.indices)]
@@ -499,6 +499,20 @@ _POINT = {
     "NAv": lambda p: p.c.NA.value_at(p.x),
     "Sv": lambda p: p.c.SFF.value_at(p.x),
     "tau": lambda p: np.einsum("aij,ki,kj->a", p.Sv, p.H, p.H),
+    # contractions that do not depend on the frame pair, as bilinear forms:
+    # X @ divA @ Y = sum_a g((nabla_{u_a} A)(X, Y), u_a),
+    # C @ NAH @ B = sum_a g((nabla_{X_a} A)(C, X_a), B),
+    # U @ NAT @ B = sum_a g((nabla_{X_a} A)(X_a, U), B)
+    "PH": lambda p: p.H.T @ p.H,
+    "divA": lambda p: np.tensordot(p.GM @ (p.V.T @ p.V), p.NAv, axes=([0, 1], [0, 1])),
+    "NAH": lambda p: np.einsum("klij,lj->ik", p.NAv, p.PH) @ p.GM,
+    "NAT": lambda p: np.einsum("klij,li->jk", p.NAv, p.PH) @ p.GM,
+    "AA": lambda p: _gram_form(np.einsum("kij,li->lkj", p.Av, p.H), p.GM),
+    "AMU": lambda p: _gram_form(np.einsum("kij,aj->aki", p.Av, p.V), p.GM),
+    "SS": lambda p: np.tensordot(np.einsum("aij,li->laj", p.Sv, p.H),
+                                 p.GN @ np.einsum("aij,lj->lai", p.Sv, p.H),
+                                 axes=([0, 1], [0, 1])),
+    "ST": lambda p: np.tensordot(p.GN @ p.tau, p.Sv, axes=1),
     "ric_range": lambda p: p.c.range_rg.ricci_values(p.y[None, :])[0],
     "ric_ker": lambda p: p.c.ker_rg.ricci_values(p.x[None, :])[0],
     "ric_perp": lambda p: p.c.perp_rg.ricci_values(p.y[None, :])[0],
@@ -575,11 +589,16 @@ def _ric_range(p, P, Q):
     return _ric_block(p.c.range_rg, p.ric_range, p.Jac @ P, p.Jac @ Q)
 
 
+def _gram_form(T, G):
+    """Q[j, n] = sum_{a,k,m} T[a, k, j] G_km T[a, m, n]."""
+    return np.tensordot(T, G @ T, axes=([0, 1], [0, 1]))
+
+
 def _div_A(p, X, Y):
     """sum_j g((nabla_{u_j} A)(X, Y), u_j)."""
     if len(p.V) == 0:
         return 0.0
-    return float(np.einsum("klij,al,i,j,km,am->", p.NAv, p.V, X, Y, p.GM, p.V))
+    return float(X @ p.divA @ Y)
 
 
 def _hess_B(p, B, W):
@@ -592,7 +611,7 @@ def _hess_C(p, P, Q):
 
 def _nabla_A_H(p, C, B):
     """-sum_a g((nabla_{X_a} A)(C, X_a), B)."""
-    return -float(np.einsum("klij,al,i,aj,km,m->", p.NAv, p.H, C, p.H, p.GM, B))
+    return -float(C @ p.NAH @ B)
 
 
 def _grad_nperp(p, W, D):
@@ -667,28 +686,20 @@ TABLE = {
         ("div_A_JU_CX", +1, lambda p, a, i: _div_A(p, p.JU[a], p.C[i])),
         ("r_hess_JU_CX", +1, lambda p, a, i: _hess_C(p, p.JU[a], p.C[i])),
         ("ric_range", +1, lambda p, a, i: _ric_range(p, p.JU[a], p.C[i])),
-        ("nablaA_frame_trace", +1, lambda p, a, i: float(np.einsum(
-            "klij,cl,ci,j,km,m->", p.NAv, p.H, p.H, p.JU[a], p.GM, p.B[i]))),
+        ("nablaA_frame_trace", +1, lambda p, a, i: float(p.JU[a] @ p.NAT @ p.B[i])),
     ), _SOURCE),
     "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f", "f_tape",
                               "A", "NA", "SFF", "J"), (
         _XY_KER,
         _XY_WARP,
-        ("A_A", +1, lambda p, i, j: float(np.einsum(
-            "lk,km,lm->", np.einsum("kij,li,j->lk", p.Av, p.H, p.B[i]), p.GM,
-            np.einsum("kij,li,j->lk", p.Av, p.H, p.B[j])))),
+        ("A_A", +1, lambda p, i, j: float(p.B[i] @ p.AA @ p.B[j])),
         _XY_HESS,
         _XY_DF,
-        ("A_mu", +1, lambda p, i, j: float(np.einsum(
-            "ak,km,am->", np.einsum("kij,i,aj->ak", p.Av, p.C[i], p.V), p.GM,
-            np.einsum("kij,i,aj->ak", p.Av, p.C[j], p.V))) if len(p.V) else 0.0),
+        ("A_mu", +1, lambda p, i, j: float(p.C[i] @ p.AMU @ p.C[j]) if len(p.V) else 0.0),
         ("div_A_CC", +1, lambda p, i, j: _div_A(p, p.C[i], p.C[j])),
         _XY_RANGE,
-        ("sff_sff", +1, lambda p, i, j: -float(np.einsum(
-            "la,ab,lb->", np.einsum("aij,li,j->la", p.Sv, p.H, p.C[j]), p.GN,
-            np.einsum("aij,i,lj->la", p.Sv, p.C[i], p.H)))),
-        ("sff_tension", +1, lambda p, i, j: float(
-            np.einsum("aij,i,j->a", p.Sv, p.C[i], p.C[j]) @ p.GN @ p.tau)),
+        ("sff_sff", +1, lambda p, i, j: -float(p.C[j] @ p.SS @ p.C[i])),
+        ("sff_tension", +1, lambda p, i, j: float(p.C[i] @ p.ST @ p.C[j])),
         ("hess_BX_CY", +1, lambda p, i, j: _hess_B(p, p.B[i], p.C[j])),
         ("nablaA_CY", +1, lambda p, i, j: _nabla_A_H(p, p.C[j], p.B[i])),
         ("hess_BY_CX", +1, lambda p, i, j: _hess_B(p, p.B[j], p.C[i])),

@@ -149,7 +149,7 @@ def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None,
         direct = along.values(pts)
         through = pushed.values(F.values(pts))
         gap = float(np.max(np.abs(direct - through))) if len(pts) else 0.0
-        if gap > tol * max(1.0, float(np.max(np.abs(direct)))):
+        if not gap <= tol * max(1.0, float(np.max(np.abs(direct)))):
             raise MapError(
                 f"field {X.name or ''} is not basic: pushforward varies along "
                 f"fibers (gap {gap:.3e})")

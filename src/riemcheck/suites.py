@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import backend_name
-from .geometry import GeometryError, geodesic_integrate, orthonormal_frames, worst
+from .geometry import (
+    ChartDomainError,
+    GeometryError,
+    geodesic_integrate,
+    orthonormal_frames,
+    worst,
+)
 from .propcheck import (
     IDENTITIES,
     PropositionCase,
@@ -68,7 +74,10 @@ class _Ctx:
         else:
             raise SpecError("check block needs a map or a single manifold")
         self.g = cfg.metrics[self.chart.name]
-        self.points = self.chart.sample_points(npoints, seed=seed, box=box)
+        try:
+            self.points = self.chart.sample_points(npoints, seed=seed, box=box)
+        except ChartDomainError as exc:
+            raise SpecError(f"chart {self.chart.name}, box {list(box)}: {exc}") from exc
         self.mg = cfg.map_geometry()
         self.J = cfg.structure_on(self.chart.name)
         self.Jp = (cfg.structure_on(self.F.target.name)

@@ -136,6 +136,23 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_infeasible_chart_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "empty.spec"
+    spec.write_text("""
+manifold Mfar
+  coords x1 x2
+  metric diag 1, 1
+  constraint positive x1 - 5
+end
+check
+  suite metric
+end
+""")
+    assert main(["check", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "chart Mfar" in err
+
+
 def test_cli_geodesic_verb(tmp_path, capsys):
     from riemcheck.catalog import CATALOG
     spec = tmp_path / "rev.spec"

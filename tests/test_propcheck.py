@@ -1,14 +1,21 @@
 """Identity-verification tests: restricted Ricci, the Lagrangian reductions
 on the flat model (exact), audits of the worked examples (frozen discrepancy
-values from independent hand computation), and theorem-level checks."""
+values from independent hand computation), theorem-level checks, and the
+per-point contractions behind the O'Neill-derivative terms."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from riemcheck import propcheck
 
 from riemcheck.expr import Const
 from riemcheck.geometry import Chart, MetricField
 from riemcheck.specfile import load_spec
 from riemcheck.propcheck import (
+    TABLE,
     PropositionCase,
     RestrictedGeometry,
     UnsupportedDistribution,
@@ -99,6 +106,11 @@ def test_restrict_vector_rejects_leakage():
     assert np.allclose(rg.restrict_vector(np.array([1.0, 2.0, 0.0])), [1.0, 2.0])
     with pytest.raises(UnsupportedDistribution):
         rg.restrict_vector(np.array([1.0, 2.0, 0.5]))
+    # a NaN outside the block is a leak too, not a pass
+    plane = Chart("R2b", ["x1", "x2"])
+    line = RestrictedGeometry(diag_metric(plane, ["1", "1"]), (0,))
+    with pytest.raises(UnsupportedDistribution):
+        line.restrict_vector(np.array([1.0, np.nan]))
 
 
 def test_coordinate_alignment_detection():
@@ -330,3 +342,98 @@ def test_range_ricci_is_evaluated_at_the_image_point():
         FJU, FJV = (mg.F.jac_at(x) @ J.value_at(x) @ sp.vertical[k] for k in (a, b))
         expect = -float(FJU @ mg.gN.value_at(mg.F.value_at(x)) @ FJV)
         assert row["terms"]["ric_range"] == pytest.approx(expect, rel=1e-9, abs=1e-12)
+
+
+# -- per-point contractions ----------------------------------------------------------
+
+# The per-pair contractions the per-point forms replace, written out in full:
+# (identity, term key, frame of the first index, frame of the second index)
+# -> (einsum subscripts, operands of one pair, sign).
+_PER_PAIR = {
+    ("ric_uv", "div_A", "JU", "JU"): (
+        "klij,al,i,j,km,am->", lambda q, a, b: (q.NAv, q.V, q.JU[a], q.JU[b], q.GM, q.V), 1),
+    ("ric_ux", "div_A_JU_CX", "JU", "C"): (
+        "klij,al,i,j,km,am->", lambda q, a, i: (q.NAv, q.V, q.JU[a], q.C[i], q.GM, q.V), 1),
+    ("ric_ux", "nablaA_frame_trace", "JU", "C"): (
+        "klij,cl,ci,j,km,m->", lambda q, a, i: (q.NAv, q.H, q.H, q.JU[a], q.GM, q.B[i]), 1),
+    ("ric_xy", "A_A", "C", "C"): (
+        "kij,li,j,km,mpq,lp,q->",
+        lambda q, i, j: (q.Av, q.H, q.B[i], q.GM, q.Av, q.H, q.B[j]), 1),
+    ("ric_xy", "A_mu", "C", "C"): (
+        "kij,i,aj,km,mpq,p,aq->",
+        lambda q, i, j: (q.Av, q.C[i], q.V, q.GM, q.Av, q.C[j], q.V), 1),
+    ("ric_xy", "div_A_CC", "C", "C"): (
+        "klij,al,i,j,km,am->", lambda q, i, j: (q.NAv, q.V, q.C[i], q.C[j], q.GM, q.V), 1),
+    ("ric_xy", "sff_sff", "C", "C"): (
+        "aij,li,j,ab,bpq,p,lq->",
+        lambda q, i, j: (q.Sv, q.H, q.C[j], q.GN, q.Sv, q.C[i], q.H), -1),
+    ("ric_xy", "sff_tension", "C", "C"): (
+        "aij,i,j,ab,bpq,kp,kq->",
+        lambda q, i, j: (q.Sv, q.C[i], q.C[j], q.GN, q.Sv, q.H, q.H), 1),
+    ("ric_xy", "nablaA_CY", "C", "C"): (
+        "klij,al,i,aj,km,m->", lambda q, i, j: (q.NAv, q.H, q.C[j], q.H, q.GM, q.B[i]), -1),
+    ("ric_xy", "nablaA_CX", "C", "C"): (
+        "klij,al,i,aj,km,m->", lambda q, i, j: (q.NAv, q.H, q.C[i], q.H, q.GM, q.B[j]), -1),
+}
+
+
+def _spd(rng, n):
+    L = rng.normal(size=(n, n))
+    return L @ L.T + n * np.eye(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_per_point_forms_match_the_per_pair_contractions(m, n, seed, data):
+    r0 = data.draw(st.integers(0, m), label="r0")
+    h = data.draw(st.integers(0, m), label="h")
+    rng = np.random.default_rng(seed)
+    q = SimpleNamespace(
+        NAv=rng.normal(size=(m, m, m, m)), Av=rng.normal(size=(m, m, m)),
+        Sv=rng.normal(size=(n, m, m)), GM=_spd(rng, m), GN=_spd(rng, n),
+        V=rng.normal(size=(r0, m)), H=rng.normal(size=(h, m)),
+        JU=rng.normal(size=(r0, m)), B=rng.normal(size=(h, m)), C=rng.normal(size=(h, m)))
+    p = propcheck._Lazy(propcheck._POINT, r0=r0, **vars(q))
+    q_abs = SimpleNamespace(**{k: np.abs(v) for k, v in vars(q).items()})
+    for (ident, key, first, second), (subs, operands, sign) in _PER_PAIR.items():
+        fn = next(fn for k, _, fn in TABLE[ident].terms if k == key)
+        for a in range(len(getattr(q, first))):
+            for b in range(len(getattr(q, second))):
+                want = sign * np.einsum(subs, *operands(q, a, b), optimize=True)
+                scale = np.einsum(subs, *operands(q_abs, a, b), optimize=True)
+                assert abs(fn(p, a, b) - want) <= 1e-12 * scale, (ident, key, a, b)
+
+
+@pytest.mark.parametrize("ident", ["ric_uv", "ric_ux", "ric_xy"])
+def test_identity_contractions_run_once_per_point(ident, ex31, monkeypatch):
+    """No contraction of five or more operands, and none inside the pair
+    loop: every einsum of a point runs before its first pair is reported."""
+    mg, J, f = ex31
+    case = PropositionCase(mg, J=J, f=f)
+    pts = mg.gM.chart.sample_points(4, seed=5)
+    verify_identity(case, ident, pts)  # the symbolic ingredients, built once
+    real_einsum, real_row = np.einsum, propcheck._row
+    operand_counts, row_marks = [], []
+
+    def einsum(subscripts, *operands, **kwargs):
+        operand_counts.append(len(operands))
+        return real_einsum(subscripts, *operands, **kwargs)
+
+    def row(p, *args):
+        row_marks.append((p.i, len(operand_counts)))
+        return real_row(p, *args)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(propcheck, "_row", row)
+    calls = {}
+    for npts in (2, 4):
+        operand_counts.clear()
+        row_marks.clear()
+        verify_identity(case, ident, pts[:npts])
+        calls[npts] = len(operand_counts)
+        assert all(k < 5 for k in operand_counts)
+        for i in range(npts):
+            marks = [n for point, n in row_marks if point == i]
+            assert len(marks) > 1 and marks[0] == marks[-1]
+    assert calls[4] == 2 * calls[2]

@@ -110,6 +110,18 @@ def test_pushforward_field_detects_non_basic(ex31):
                        [0, 0, 0, 1, 0, 0])
 
 
+def test_pushforward_field_rejects_non_finite_gap():
+    # X is NaN wherever x1 < 0.5, so its basic-ness cannot be established
+    M = Chart("Mnan", ["x1", "x2"])
+    N = Chart("Nnan", ["y1"])
+    F = SmoothMap(M, N, [parse("x1")], name="Fnan", section=[parse("y1"), Const(0.5)])
+    X = vf(M, ["1 + 1e-30*sqrt(x1 - 0.5)", "0"], "Xnan")
+    pts = M.sample_points(20, seed=7)
+    assert np.any(pts[:, 0] < 0.5)
+    with pytest.raises(MapError, match="not basic"):
+        pushforward_field(F, X, validate_points=pts)
+
+
 # -- splittings ------------------------------------------------------------------
 
 def test_splittings_example31_kernel(ex31):
