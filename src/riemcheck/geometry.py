@@ -36,7 +36,7 @@ from .expr import (
     simplify,
     to_str,
 )
-from .expr.nodes import Add, Div, Mul, Neg, Sub, is_const
+from .expr.nodes import Add, Div, Mul, Neg, Sub, Var, is_const
 from .expr.tape import Tape
 
 CURVATURE_CONVENTION = ("R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z "
@@ -699,6 +699,26 @@ class Trajectory:
         return len(self.times)
 
 
+def geodesic_tape(g: MetricField) -> Tape:
+    """The geodesic equation's right-hand side (v, -Gamma^k_ij v^i v^j) as one
+    tape over the coordinates followed by the velocities `_v0`, `_v1`, ...
+    (the parser only accepts names that start with a letter, so these never
+    collide with a coordinate).  Zero Christoffel symbols are skipped; each
+    sum runs over (i, j) in C order, as np.einsum("kij,i,j->k") does."""
+    n = g.chart.dim
+    gam = g.christoffel().comps
+    v = [Var(f"_v{i}") for i in range(n)]
+    acc = []
+    for k in range(n):
+        a = Const(0.0)
+        for i in range(n):
+            for j in range(n):
+                if not is_const(gam[k, i, j], 0.0):
+                    a = _add(a, _mul(_mul(gam[k, i, j], v[i]), v[j]))
+        acc.append(Neg(a))
+    return Tape(v + acc, g.chart.coords + tuple(f"_v{i}" for i in range(n)))
+
+
 def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
                        record_every=1, energy_tol=1e-8) -> Trajectory:
     """Classical fixed-step RK4 on the geodesic equation with per-step halving
@@ -718,20 +738,14 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
     if v.shape != (n,) or not np.any(v):
         raise GeometryError("geodesic_integrate: v0 must be a nonzero tangent vector")
 
-    gam_tape = g.christoffel().tape()
+    rhs = geodesic_tape(g).evaluate_at
     g_tape = g.tape()
 
-    def acc(state):
-        xs, vs = state[:n], state[n:]
-        gam = gam_tape.evaluate_at(xs).reshape(n, n, n)
-        a = -np.einsum("kij,i,j->k", gam, vs, vs)
-        return np.concatenate([vs, a])
-
     def rk4(state, h):
-        k1 = acc(state)
-        k2 = acc(state + 0.5 * h * k1)
-        k3 = acc(state + 0.5 * h * k2)
-        k4 = acc(state + h * k3)
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
         return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def energy(state):
@@ -753,6 +767,7 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
     drifts = []
     halvings = unconverged = 0
     t = 0.0
+    e_state = e0  # energy of the last accepted state
     for step, dt_step in enumerate(steps):
         sub = 1
         h = dt_step
@@ -764,10 +779,11 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
                 if not np.all(np.isfinite(cand)):
                     break
             else:
-                de = abs(energy(cand) - energy(prev)) / escale
+                e_cand = energy(cand)
+                de = abs(e_cand - e_state) / escale
                 if de <= energy_tol or attempt == 12:
                     unconverged += not de <= energy_tol
-                    state = cand
+                    state, e_state = cand, e_cand
                     break
             sub *= 2
             h *= 0.5
@@ -780,7 +796,7 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
             chart.check_domain(chart.array_to_point(state[:n]))
         except ChartDomainError as exc:
             raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
-        drifts.append(abs(energy(state) - e0) / escale)
+        drifts.append(abs(e_state - e0) / escale)
         if (step + 1) % record_every == 0 or step == nsteps - 1:
             times.append(t)
             xs.append(state[:n].copy())

@@ -292,8 +292,9 @@ class MapGeometry:
     # -- per-point splittings ---------------------------------------------------
     def split_at(self, x, tol=1e-9) -> SplitPoint:
         """Numeric adapted frames at x: declared frames are evaluated
-        verbatim when present, otherwise computed from the Jacobian by
-        SVD/Gram-Schmidt."""
+        verbatim when present; the vertical frame otherwise follows
+        `vertical_frames`, and the other frames are computed from it and the
+        Jacobian by Gram-Schmidt."""
         x = np.asarray(x, dtype=float)
         y = self.F.value_at(x)
         GM = self.gM.value_at(x)
@@ -301,15 +302,10 @@ class MapGeometry:
         J = self.F.jac_at(x)
         fr = self.frames
 
-        if fr.vertical or fr.horizontal:
-            vert = np.array([f.value_at(x) for f in fr.vertical]) if fr.vertical \
-                else np.zeros((0, self.gM.chart.dim))
-            horiz = np.array([f.value_at(x) for f in fr.horizontal]) if fr.horizontal \
-                else _complement(GM, vert)
-        else:
-            ns = _nullspace(J, tol)
-            vert = orthonormalize(GM, ns) if len(ns) else np.zeros((0, self.gM.chart.dim))
-            horiz = _complement(GM, vert)
+        declared = np.array([[f.value_at(x) for f in fr.vertical]]) if fr.vertical else None
+        vert = vertical_frames(x[None], GM[None], J[None], declared, tol)[0]
+        horiz = np.array([f.value_at(x) for f in fr.horizontal]) if fr.horizontal \
+            else _complement(GM, vert)
 
         if fr.range:
             rng = np.array([f.value_at(y) for f in fr.range])
@@ -480,12 +476,26 @@ class MapGeometry:
         return self._cache["shape"]
 
 
-def _nullspace(J, tol=1e-9):
-    if J.size == 0:
-        return np.zeros((0, J.shape[1]))
-    u, s, vt = np.linalg.svd(J)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-    return vt[rank:]
+def vertical_frames(points, GM, J, declared=None, tol=1e-9) -> np.ndarray:
+    """The vertical frame at each of P points, as a (P, r, n) array, from the
+    evaluated g_M (P, n, n), Jacobian (P, m, n) and declared vertical fields
+    (P, r, n), or None when none are declared.  Declared fields are used
+    verbatim; otherwise the frame is the SVD null space of the Jacobian,
+    orthonormalised in g_M.  Raises MapError naming the first point whose
+    kernel dimension differs from that at the first point."""
+    if declared is not None:
+        return declared
+    _, s, vt = np.linalg.svd(J)
+    ranks = np.sum(s > tol * np.maximum(1.0, s[:, :1]), axis=1)
+    changed = np.flatnonzero(ranks != ranks[0])
+    if len(changed):
+        i = changed[0]
+        raise MapError(f"Jacobian kernel dimension changes from {J.shape[2] - ranks[0]} "
+                       f"to {J.shape[2] - ranks[i]} at point {points[i].tolist()}")
+    ns = vt[:, ranks[0]:]
+    if not ns.shape[1]:
+        return ns
+    return np.array([orthonormalize(g, rows) for g, rows in zip(GM, ns)])
 
 
 def _complement(G, rows):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import backend_name
+from .expr import Tape, backend_name
 from .geometry import (
     ChartDomainError,
     GeometryError,
@@ -36,7 +36,13 @@ from .report import (
     CheckReport,
     CheckResult,
 )
-from .rmap import FramesRequired, fiber_mean_curvature_at, isometry_residual, umbilical_fit
+from .rmap import (
+    FramesRequired,
+    fiber_mean_curvature_at,
+    isometry_residual,
+    umbilical_fit,
+    vertical_frames,
+)
 from .soliton import (
     ClairautConfig,
     SolitonConfig,
@@ -479,7 +485,6 @@ def check_scalar_relations(ctx):
         if which == "rangeperp_einstein" and case.theta is not None \
                 and case.gfun is not None:
             from .expr import differentiate
-            from .expr.tape import Tape
             gN = ctx.cfg.metrics[ctx.F.target.name]
             dg = Tape([differentiate(case.gfun, c) for c in gN.chart.coords],
                       gN.chart.allvars)
@@ -523,6 +528,22 @@ def check_scalar_relations(ctx):
     return CheckResult("scalar_relations", verdict, worst(gaps)[0], ctx.tol, terms=terms)
 
 
+def clairaut_invariant(mg, f, xs, vs) -> np.ndarray:
+    """e^f sin(theta) at each trajectory point (xs[p], vs[p]), theta being the
+    angle between the velocity and the horizontal space; a Clairaut map
+    keeps it constant along every geodesic.  sin(theta)^2 is the squared
+    vertical part of v over g_M(v, v)."""
+    G = mg.gM.values(xs)
+    fr = mg.frames
+    declared = (np.stack([u.values(xs) for u in fr.vertical], axis=1)
+                if fr.vertical else None)
+    U = vertical_frames(xs, G, mg.F.jac_values(xs), declared)
+    vv = np.einsum("pi,pij,pj->p", vs, G, vs)
+    coef = np.einsum("pai,pij,pj->pa", U, G, vs)
+    vert2 = np.einsum("pa,pa->p", coef, coef)
+    return np.exp(Tape([f], mg.gM.chart.allvars).evaluate(xs)[:, 0]) * np.sqrt(vert2 / vv)
+
+
 def check_geodesic(ctx):
     geo = ctx.cfg.check["geodesic"]
     if geo is None:
@@ -542,22 +563,12 @@ def check_geodesic(ctx):
         f = ctx.source_fun()
         if f is None or ctx.mg is None:
             raise SpecError("clairaut monitor needs a map and 'clairaut source F'")
-        from .expr.tape import Tape
-        ftape = Tape([f], ctx.chart.allvars)
-        inv = []
-        for x, v in zip(traj.xs, traj.vs):
-            sp = ctx.mg.split_at(x)
-            GM = ctx.mg.gM.value_at(x)
-            vv = float(v @ GM @ v)
-            if len(sp.vertical):
-                coef = np.einsum("ai,ij,j->a", sp.vertical, GM, v)
-                vert2 = float(coef @ coef)
-            else:
-                vert2 = 0.0
-            sin_theta = np.sqrt(max(vert2, 0.0) / vv)
-            inv.append(float(np.exp(ftape.evaluate_at(x)[0])) * sin_theta)
-        inv = np.array(inv)
-        drift = float(np.max(inv) - np.min(inv))
+        inv = clairaut_invariant(ctx.mg, f, traj.xs, traj.vs)
+        top, first, n_bad = worst(inv)
+        drift = top - float(np.min(inv))
+        if n_bad:
+            notes.append(f"non-finite Clairaut invariant at {n_bad} of {len(inv)} "
+                         f"trajectory points, first at t={traj.times[first]:.6g}")
         terms["clairaut_invariant_drift"] = drift
         terms["clairaut_invariant_mean"] = float(np.mean(inv))
         if not drift <= clairaut_tol:

@@ -2,13 +2,14 @@
 closed-form constant-curvature values, connection axioms at sample points,
 first-order operators, geodesics."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from riemcheck.expr import Const, parse
+from riemcheck.expr import Const, Tape, parse
 from riemcheck.geometry import (
     Chart,
     ChartDomainError,
@@ -18,6 +19,7 @@ from riemcheck.geometry import (
     covariant_derivative,
     divergence,
     geodesic_integrate,
+    geodesic_tape,
     gradient,
     hessian,
     lie_bracket,
@@ -448,6 +450,58 @@ def test_geodesic_counts_steps_that_never_reach_the_energy_tolerance():
     assert traj.halvings == 24
     assert geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, v0, t_end=0.02,
                               dt=0.01).unconverged == 0
+
+
+@functools.cache
+def _catalog_metric(entry, chart):
+    """(metric, sample box) of a catalog chart, loaded once per session."""
+    from riemcheck.catalog import load
+    cfg = load(entry)
+    return cfg.metrics[chart], cfg.check["box"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(entry=st.sampled_from([("sphere-2", "S"), ("revolution-surface", "S"),
+                              ("paper-3.1", "M")]),
+       seed=st.integers(0, 2**32 - 1))
+def test_geodesic_tape_matches_the_christoffel_contraction(entry, seed):
+    g, (lo, hi) = _catalog_metric(*entry)
+    n = g.chart.dim
+    rng = np.random.default_rng(seed)
+    x, v = rng.uniform(lo, hi, n), rng.uniform(-1.0, 1.0, n)
+    out = geodesic_tape(g).evaluate_at(np.concatenate([x, v]))
+    gam = g.christoffel().value_at(x)
+    want = -np.einsum("kij,i,j->k", gam, v, v)
+    scale = np.einsum("kij,i,j->k", np.abs(gam), np.abs(v), np.abs(v))
+    assert np.array_equal(out[:n], v)
+    assert np.all(np.abs(out[n:] - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("energy_tol", [1e-8, 0.0])
+def test_geodesic_makes_one_rhs_call_per_stage_and_one_metric_call_per_attempt(
+        monkeypatch, energy_tol):
+    """Each RK4 stage is one call of the right-hand-side tape; the metric
+    tape runs once per attempted step (the accepted energy is reused) plus
+    once for the initial energy, and no other tape runs per step."""
+    g = sphere2()
+    calls = {}
+    evaluate_at = Tape.evaluate_at
+
+    def counted(self, x):
+        key = "rhs" if self.var_names[-1] == "_v1" else "metric" if self is g.tape() else "other"
+        calls[key] = calls.get(key, 0) + 1
+        return evaluate_at(self, x)
+
+    monkeypatch.setattr(Tape, "evaluate_at", counted)
+    traj = geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, np.array([0.3, 1.0]),
+                              t_end=0.02, dt=0.01, energy_tol=energy_tol)
+    steps = len(traj) - 1
+    # attempt a of a step runs 2^a sub-steps
+    substeps = sum(2 ** a for a in range(traj.halvings // steps + 1)) * steps
+    assert traj.halvings == (0 if energy_tol else 24)
+    assert calls.get("other", 0) == 0
+    assert calls["metric"] == steps + traj.halvings + 1
+    assert calls["rhs"] <= 4 * substeps
 
 
 # -- the residual reduction -----------------------------------------------------

@@ -18,6 +18,7 @@ from riemcheck.rmap import (
     pushforward,
     pushforward_field,
     umbilical_fit,
+    vertical_frames,
 )
 
 from paper_fixtures import diag_metric, example31, example41, vf
@@ -153,6 +154,28 @@ def test_splittings_computed_vs_declared(ex31):
             P1 = decl.T @ (decl @ G)
             P2 = comp.T @ (comp @ G)
             assert np.allclose(P1, P2, atol=1e-9)
+
+
+def test_split_at_takes_the_kernel_when_only_horizontal_frames_are_declared(ex31):
+    mg, J, f = ex31
+    horizontal_only = MapGeometry(mg.F, mg.gM, mg.gN,
+                                  AdaptedFrames(horizontal=mg.frames.horizontal))
+    for x in pts31(mg, 5, seed=8):
+        a, b = mg.split_at(x), horizontal_only.split_at(x)
+        G = mg.gM.value_at(x)
+        assert b.vertical.shape == a.vertical.shape == (2, 6)
+        assert np.allclose(a.vertical.T @ (a.vertical @ G),
+                           b.vertical.T @ (b.vertical @ G), atol=1e-9)
+        assert np.array_equal(a.horizontal, b.horizontal)
+
+
+def test_vertical_frames_reject_a_kernel_that_changes_dimension():
+    pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    G = np.broadcast_to(np.eye(2), (3, 2, 2))
+    J = np.array([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0]]])
+    assert vertical_frames(pts[:2], G[:2], J[:2]).shape == (2, 1, 2)
+    with pytest.raises(MapError, match=r"from 1 to 2 at point \[0\.5, 0\.6\]"):
+        vertical_frames(pts, G, J)
 
 
 def test_identity_map_has_empty_kernel():

@@ -290,3 +290,73 @@ def test_geodesic_fails_when_a_step_never_converges(monkeypatch):
     assert result.verdict == FAIL
     assert result.notes[0].endswith(" steps still drift above the energy tolerance "
                                     "after 12 halvings")
+
+
+def _revolution(*edits):
+    """revolution-surface with (old, new) text replacements applied."""
+    from riemcheck.catalog import REVOLUTION_SURFACE
+    text = REVOLUTION_SURFACE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return load_spec(text, name="revolution-variant")
+
+
+WRONG_F = ("function f on S = log(2+sin(u))", "function f on S = 3*u")
+NO_VERTICAL = ("  vertical V1 = 0, 1/(2+sin(u))\n", "")
+NO_FRAMES = ("frames P\n  vertical V1 = 0, 1/(2+sin(u))\n  horizontal H1 = 1, 0\n"
+             "  range R1 = 1\nend\n", "")
+
+
+@pytest.mark.parametrize("frames", [(), (NO_VERTICAL,), (NO_FRAMES,)],
+                         ids=["declared", "horizontal-only", "undeclared"])
+def test_clairaut_monitor_fails_on_a_wrong_dilation(frames):
+    """e^{3u} sin(theta) is not constant along a geodesic of the surface of
+    revolution; with the vertical frame undeclared it must come from the
+    kernel of the Jacobian, not read as empty (sin(theta) = 0 everywhere)."""
+    result = run_suite(_revolution(WRONG_F, *frames), suite=["geodesic"]).checks[0]
+    assert result.verdict == FAIL
+    assert result.terms["clairaut_invariant_drift"] > 1.0
+
+
+@pytest.mark.parametrize("frames", [(NO_VERTICAL,), (NO_FRAMES,)],
+                         ids=["horizontal-only", "undeclared"])
+def test_clairaut_invariant_from_the_kernel_equals_the_declared_frames(frames):
+    from riemcheck.geometry import geodesic_integrate
+    from riemcheck.suites import clairaut_invariant
+
+    declared, bare = _revolution(), _revolution(*frames)
+    geo = declared.check["geodesic"]
+    g = declared.metrics["S"]
+    traj = geodesic_integrate(g, dict(zip(g.chart.coords, geo["from"])),
+                              np.array(geo["dir"]), t_end=geo["t"], dt=geo["dt"])
+    inv = [clairaut_invariant(cfg.map_geometry(), cfg.function("S", "f"), traj.xs, traj.vs)
+           for cfg in (declared, bare)]
+    assert np.max(np.abs(inv[0] - inv[1])) <= 1e-12
+    assert np.ptp(inv[0]) <= 1e-6
+
+
+def test_nonfinite_clairaut_invariant_fails_and_names_its_point():
+    """f is NaN wherever u < 0.35, which includes the start point u = 0.3."""
+    cfg = _revolution(("function f on S = log(2+sin(u))",
+                       "function f on S = log(2+sin(u)) + 1e-30*log(u - 0.35)"))
+    result = run_suite(cfg, suite=["geodesic"]).checks[0]
+    assert result.verdict == FAIL
+    assert math.isnan(result.max_residual)
+    assert len(result.notes) == 1
+    assert result.notes[0].startswith("non-finite Clairaut invariant at ")
+    assert result.notes[0].endswith(" of 10001 trajectory points, first at t=0")
+
+
+def test_clairaut_monitor_makes_no_split_at_call(monkeypatch):
+    from riemcheck.rmap import MapGeometry
+
+    calls = []
+    split_at = MapGeometry.split_at
+    monkeypatch.setattr(MapGeometry, "split_at",
+                        lambda self, x, *a, **kw: calls.append(x) or split_at(self, x, *a, **kw))
+    cfg = load("revolution-surface")
+    cfg.check["geodesic"]["t"] = 0.5
+    result = run_suite(cfg, suite=["geodesic"]).checks[0]
+    assert result.verdict == PASS and "clairaut_invariant_drift" in result.terms
+    assert calls == []
