@@ -23,6 +23,7 @@ write-once.  Per-point evaluations are pure functions.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .expr import (
     simplify,
     to_str,
 )
-from .expr.nodes import Add, Div, Mul, Neg, Sub, Var, is_const
+from .expr.nodes import ZERO, Add, Div, Mul, Neg, Sub, Var, is_const
 from .expr.tape import Tape
 
 CURVATURE_CONVENTION = ("R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z "
@@ -72,7 +73,7 @@ def _sub(a, b):
 
 def _mul(a, b):
     if is_const(a, 0.0) or is_const(b, 0.0):
-        return Const(0.0)
+        return ZERO
     if is_const(a, 1.0):
         return b
     if is_const(b, 1.0):
@@ -80,15 +81,57 @@ def _mul(a, b):
     return Mul(a, b)
 
 
+def _prod(*factors):
+    """The product of `factors`, formed left to right; ZERO, with no
+    multiplication built, when one of them is the zero constant."""
+    for f in factors:
+        if isinstance(f, Const) and f.value == 0.0:
+            return ZERO
+    p = factors[0]
+    for f in factors[1:]:
+        p = _mul(p, f)
+    return p
+
+
 def sym_zeros(shape):
-    arr = np.empty(shape, dtype=object)
-    arr.flat = [Const(0.0)] * arr.size
-    return arr
+    return np.full(shape, ZERO, dtype=object)
 
 
-def sym_apply(fn, arr):
-    out = np.empty(arr.shape, dtype=object)
-    out.flat = [fn(e) for e in arr.flat]
+def sym_einsum(spec, *operands, acc=None, sign=1):
+    """Sparse contraction of expression arrays in einsum notation, e.g.
+    "kl,lij->kij": each output entry is acc's entry (ZERO without acc) plus,
+    or with sign -1 minus, one product per assignment of the summed letters,
+    formed left to right from the operands' entries.
+
+    Only assignments whose factors are all nonzero are visited, so no
+    structural zero is multiplied and an empty sum stays ZERO.  The visit
+    order is fixed: per output entry, the summed letters in order of first
+    appearance, the first slowest.  `simplify` keeps a sum's terms in the
+    order it meets them, so this order is part of the result."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    ops = [np.asarray(op, dtype=object) for op in operands]
+    letters = out + "".join(dict.fromkeys(c for c in "".join(ins) if c not in out))
+    nonzero = [np.array([not (isinstance(e, Const) and e.value == 0.0) for e in op.flat],
+                        dtype=bool).reshape(op.shape) for op in ops]
+    hits = np.einsum(",".join(ins) + "->" + letters, *nonzero)
+    res = sym_zeros(hits.shape[:len(out)]) if acc is None else acc.copy()
+    step = _add if sign > 0 else _sub
+    entry = [itemgetter(*[letters.index(c) for c in s]) for s in ins]
+    for h in np.argwhere(hits).tolist():
+        o = tuple(h[:len(out)])
+        res[o] = step(res[o], _prod(*[op[get(h)] for op, get in zip(ops, entry)]))
+    return res
+
+
+def _symmetrized(acc, simp):
+    """simp of every entry of an array symmetric in its last two slots: the
+    entries with i <= j there are simplified and mirrored."""
+    out = np.empty(acc.shape, dtype=object)
+    for idx in np.ndindex(*acc.shape):
+        i, j = idx[-2:]
+        if i <= j:
+            out[idx] = out[idx[:-2] + (j, i)] = simp(acc[idx])
     return out
 
 
@@ -210,11 +253,6 @@ class VectorField:
 
     def value_at(self, x) -> np.ndarray:
         return self.tape().evaluate_at(np.asarray(x, dtype=float))
-
-    def as_array(self):
-        arr = np.empty(self.chart.dim, dtype=object)
-        arr[:] = list(self.comps)
-        return arr
 
 
 class TensorField:
@@ -359,7 +397,7 @@ class MetricField:
                 for j in range(n):
                     minor = _sym_det(np.delete(np.delete(self.mat, i, 0), j, 1))
                     sign = -1.0 if (i + j) % 2 else 1.0
-                    inv[j, i] = self._simp(Div(_mul(Const(sign), minor), d))
+                    inv[j, i] = self._simp(Div(_prod(Const(sign), minor), d))
             self._cache["inv"] = inv
         return self._cache["inv"]
 
@@ -389,14 +427,14 @@ def _sym_det(mat) -> Expr:
     if n == 1:
         return mat[0, 0]
     if n == 2:
-        return _sub(_mul(mat[0, 0], mat[1, 1]), _mul(mat[0, 1], mat[1, 0]))
-    acc = Const(0.0)
+        return _sub(_prod(mat[0, 0], mat[1, 1]), _prod(mat[0, 1], mat[1, 0]))
+    acc = ZERO
     for j in range(n):
         a = mat[0, j]
         if is_const(a, 0.0):
             continue
         minor = _sym_det(np.delete(np.delete(mat, 0, 0), j, 1))
-        term = _mul(a, minor)
+        term = _prod(a, minor)
         acc = _add(acc, term) if j % 2 == 0 else _sub(acc, term)
     return acc
 
@@ -408,7 +446,6 @@ def christoffel(g: MetricField) -> TensorField:
     (i, j)."""
     n = g.chart.dim
     coords = g.chart.coords
-    ginv = g.inverse()
     dg = np.empty((n, n, n), dtype=object)  # dg[k][i][j] = d_k g_ij
     for k in range(n):
         for i in range(n):
@@ -416,20 +453,12 @@ def christoffel(g: MetricField) -> TensorField:
                 d = differentiate(g.mat[i, j], coords[k])
                 dg[k, i, j] = d
                 dg[k, j, i] = d
-    out = sym_zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                acc = Const(0.0)
-                for l in range(n):
-                    if is_const(ginv[k, l], 0.0):
-                        continue
-                    inner = _sub(_add(dg[i, j, l], dg[j, i, l]), dg[l, i, j])
-                    acc = _add(acc, _mul(ginv[k, l], inner))
-                e = g._simp(_mul(Const(0.5), acc))
-                out[k, i, j] = e
-                out[k, j, i] = e
-    return TensorField(g.chart, (1, 2), out)
+    inner = np.empty((n, n, n), dtype=object)  # d_i g_jl + d_j g_il - d_l g_ij
+    for l, i, j in np.ndindex(n, n, n):
+        inner[l, i, j] = _sub(_add(dg[i, j, l], dg[j, i, l]), dg[l, i, j])
+    acc = sym_einsum("kl,lij->kij", g.inverse(), inner)
+    return TensorField(g.chart, (1, 2),
+                       _symmetrized(acc, lambda e: g._simp(_prod(Const(0.5), e))))
 
 
 def riemann(g: MetricField) -> TensorField:
@@ -450,10 +479,11 @@ def riemann(g: MetricField) -> TensorField:
         for i in range(n):
             for j in range(i + 1, n):  # antisymmetric in (i, j)
                 for k in range(n):
+                    # the two Gamma Gamma sums interleave term by term
                     acc = _sub(dgam[i, l, j, k], dgam[j, l, i, k])
                     for m in range(n):
-                        acc = _add(acc, _mul(gam[l, i, m], gam[m, j, k]))
-                        acc = _sub(acc, _mul(gam[l, j, m], gam[m, i, k]))
+                        acc = _add(acc, _prod(gam[l, i, m], gam[m, j, k]))
+                        acc = _sub(acc, _prod(gam[l, j, m], gam[m, i, k]))
                     e = g._simp(acc)
                     out[l, i, j, k] = e
                     out[l, j, i, k] = g._simp(Neg(e))
@@ -462,46 +492,20 @@ def riemann(g: MetricField) -> TensorField:
 
 def ricci(g: MetricField) -> TensorField:
     """Ric[i, j] = sum_k R[k, k, i, j]; symmetric."""
-    n = g.chart.dim
-    R = g.riemann().comps
-    out = sym_zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            acc = Const(0.0)
-            for k in range(n):
-                acc = _add(acc, R[k, k, i, j])
-            e = g._simp(acc)
-            out[i, j] = e
-            out[j, i] = e
-    return TensorField(g.chart, (0, 2), out)
+    acc = sym_einsum("kkij->ij", g.riemann().comps)
+    return TensorField(g.chart, (0, 2), _symmetrized(acc, g._simp))
 
 
 def scalar_curvature(g: MetricField) -> Expr:
-    n = g.chart.dim
-    ginv = g.inverse()
-    ric = g.ricci().comps
-    acc = Const(0.0)
-    for i in range(n):
-        for j in range(n):
-            acc = _add(acc, _mul(ginv[i, j], ric[i, j]))
-    return g._simp(acc)
+    return g._simp(sym_einsum("ij,ij->", g.inverse(), g.ricci().comps)[()])
 
 
 # -- first-order operators ----------------------------------------------------
 
 def gradient(g: MetricField, f: Expr) -> VectorField:
     """(grad f)^j = g^{ij} d_i f."""
-    f = as_expr(f)
-    n = g.chart.dim
-    ginv = g.inverse()
-    df = [differentiate(f, c) for c in g.chart.coords]
-    comps = []
-    for j in range(n):
-        acc = Const(0.0)
-        for i in range(n):
-            acc = _add(acc, _mul(ginv[i, j], df[i]))
-        comps.append(g._simp(acc))
-    return VectorField(g.chart, comps)
+    df = [differentiate(as_expr(f), c) for c in g.chart.coords]
+    return VectorField(g.chart, [g._simp(e) for e in sym_einsum("ij,i->j", g.inverse(), df)])
 
 
 def hessian(g: MetricField, f: Expr) -> TensorField:
@@ -510,18 +514,13 @@ def hessian(g: MetricField, f: Expr) -> TensorField:
     f = as_expr(f)
     n = g.chart.dim
     coords = g.chart.coords
-    gam = g.christoffel().comps
     df = [differentiate(f, c) for c in coords]
-    out = sym_zeros((n, n))
+    ddf = sym_zeros((n, n))  # upper triangle only
     for i in range(n):
         for j in range(i, n):
-            acc = differentiate(df[i], coords[j])
-            for k in range(n):
-                acc = _sub(acc, _mul(gam[k, i, j], df[k]))
-            e = g._simp(acc)
-            out[i, j] = e
-            out[j, i] = e
-    return TensorField(g.chart, (0, 2), out)
+            ddf[i, j] = differentiate(df[i], coords[j])
+    acc = sym_einsum("kij,k->ij", g.christoffel().comps, df, acc=ddf, sign=-1)
+    return TensorField(g.chart, (0, 2), _symmetrized(acc, g._simp))
 
 
 def covariant_derivative(g: MetricField, X, Y) -> VectorField:
@@ -537,11 +536,13 @@ def covariant_derivative(g: MetricField, X, Y) -> VectorField:
     gam = g.christoffel().comps
     comps = []
     for k in range(n):
-        acc = Const(0.0)
+        acc = ZERO
         for i in range(n):
-            acc = _add(acc, _mul(Xc[i], differentiate(Yc[k], coords[i])))
+            if is_const(Xc[i], 0.0):  # nothing to add, and no derivative to take
+                continue
+            acc = _add(acc, _prod(Xc[i], differentiate(Yc[k], coords[i])))
             for j in range(n):
-                acc = _add(acc, _mul(gam[k, i, j], _mul(Xc[i], Yc[j])))
+                acc = _add(acc, _prod(gam[k, i, j], Xc[i], Yc[j]))
         comps.append(g._simp(acc))
     return VectorField(g.chart, comps)
 
@@ -555,26 +556,19 @@ def covariant_derivative_tensor(g: MetricField, T: TensorField) -> TensorField:
     n = g.chart.dim
     coords = g.chart.coords
     gam = g.christoffel().comps
-    out = sym_zeros((n,) * (p + q + 1))
-    for l in range(n):
-        for idx in np.ndindex(*T.comps.shape):
-            acc = differentiate(T.comps[idx], coords[l])
-            if p == 1:
-                a, rest = idx[0], idx[1:]
-                for m in range(n):
-                    acc = _add(acc, _mul(gam[a, l, m], T.comps[(m,) + rest]))
-                for pos in range(q):
-                    for m in range(n):
-                        swapped = (a,) + rest[:pos] + (m,) + rest[pos + 1:]
-                        acc = _sub(acc, _mul(gam[m, l, rest[pos]], T.comps[swapped]))
-                out[(a, l) + rest] = g._simp(acc)
-            else:
-                for pos in range(q):
-                    for m in range(n):
-                        swapped = idx[:pos] + (m,) + idx[pos + 1:]
-                        acc = _sub(acc, _mul(gam[m, l, idx[pos]], T.comps[swapped]))
-                out[(l,) + idx] = g._simp(acc)
-    return TensorField(g.chart, (p, q + 1), out)
+    up, low = "a"[:p], "bcdefg"[:q]  # einsum letters of T's slots
+    out = up + "l" + low
+    acc = sym_zeros((n,) * (p + q + 1))
+    for idx in np.ndindex(*T.comps.shape):
+        for l in range(n):
+            acc[idx[:p] + (l,) + idx[p:]] = differentiate(T.comps[idx], coords[l])
+    if p:
+        acc = sym_einsum(f"alm,m{low}->{out}", gam, T.comps, acc=acc)
+    for r in low:
+        acc = sym_einsum(f"ml{r},{up}{low.replace(r, 'm')}->{out}", gam, T.comps,
+                         acc=acc, sign=-1)
+    acc.flat = [g._simp(e) for e in acc.flat]
+    return TensorField(g.chart, (p, q + 1), acc)
 
 
 def lie_bracket(chart: Chart, X, Y) -> VectorField:
@@ -583,10 +577,10 @@ def lie_bracket(chart: Chart, X, Y) -> VectorField:
     Yc = Y.comps if isinstance(Y, VectorField) else tuple(as_expr(c) for c in Y)
     comps = []
     for k in range(chart.dim):
-        acc = Const(0.0)
+        acc = ZERO
         for i in range(chart.dim):
-            acc = _add(acc, _mul(Xc[i], differentiate(Yc[k], chart.coords[i])))
-            acc = _sub(acc, _mul(Yc[i], differentiate(Xc[k], chart.coords[i])))
+            acc = _add(acc, _prod(Xc[i], differentiate(Yc[k], chart.coords[i])))
+            acc = _sub(acc, _prod(Yc[i], differentiate(Xc[k], chart.coords[i])))
         comps.append(simplify(acc, chart.nonvanishing_keys()))
     return VectorField(chart, comps)
 
@@ -598,11 +592,11 @@ def divergence(g: MetricField, X) -> Expr:
     n = g.chart.dim
     coords = g.chart.coords
     gam = g.christoffel().comps
-    acc = Const(0.0)
+    acc = ZERO
     for i in range(n):
         acc = _add(acc, differentiate(Xc[i], coords[i]))
         for k in range(n):
-            acc = _add(acc, _mul(gam[k, k, i], Xc[i]))
+            acc = _add(acc, _prod(gam[k, k, i], Xc[i]))
     return g._simp(acc)
 
 
@@ -615,11 +609,11 @@ def lie_derivative_metric(g: MetricField, X) -> TensorField:
     dX = [[differentiate(Xc[k], coords[i]) for i in range(n)] for k in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = Const(0.0)
+            acc = ZERO
             for k in range(n):
-                acc = _add(acc, _mul(Xc[k], differentiate(g.mat[i, j], coords[k])))
-                acc = _add(acc, _mul(g.mat[k, j], dX[k][i]))
-                acc = _add(acc, _mul(g.mat[i, k], dX[k][j]))
+                acc = _add(acc, _prod(Xc[k], differentiate(g.mat[i, j], coords[k])))
+                acc = _add(acc, _prod(g.mat[k, j], dX[k][i]))
+                acc = _add(acc, _prod(g.mat[i, k], dX[k][j]))
             e = g._simp(acc)
             out[i, j] = e
             out[j, i] = e
@@ -672,12 +666,6 @@ def orthonormalize(gval: np.ndarray, vectors, tol=1e-10):
     return np.array(out)
 
 
-def orthonormalize_fields(g: MetricField, fields, p) -> np.ndarray:
-    x = g.chart.point_to_array(p) if isinstance(p, dict) else np.asarray(p, float)
-    V = np.array([f.value_at(x) for f in fields])
-    return orthonormalize(g.value_at(x), V)
-
-
 # -- geodesics ------------------------------------------------------------------
 
 class Trajectory:
@@ -706,16 +694,8 @@ def geodesic_tape(g: MetricField) -> Tape:
     collide with a coordinate).  Zero Christoffel symbols are skipped; each
     sum runs over (i, j) in C order, as np.einsum("kij,i,j->k") does."""
     n = g.chart.dim
-    gam = g.christoffel().comps
     v = [Var(f"_v{i}") for i in range(n)]
-    acc = []
-    for k in range(n):
-        a = Const(0.0)
-        for i in range(n):
-            for j in range(n):
-                if not is_const(gam[k, i, j], 0.0):
-                    a = _add(a, _mul(_mul(gam[k, i, j], v[i]), v[j]))
-        acc.append(Neg(a))
+    acc = [Neg(a) for a in sym_einsum("kij,i,j->k", g.christoffel().comps, v, v)]
     return Tape(v + acc, g.chart.coords + tuple(f"_v{i}" for i in range(n)))
 
 

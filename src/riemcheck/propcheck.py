@@ -62,6 +62,7 @@ from .geometry import (
     hessian,
     lie_bracket,
     lie_derivative_metric,
+    sym_einsum,
     worst,
 )
 from .rmap import MapGeometry, pushforward_field
@@ -154,8 +155,9 @@ class RestrictedGeometry:
 # -- symbolic field calculus on the target chart ------------------------------------
 
 class TargetCalculus:
-    """Named symbolic vector-field operations on the target chart, memoized
-    by field name; provides the shape-operator and normal-curvature pieces
+    """Symbolic vector-field operations on the target chart, memoized by the
+    field objects they take (names only label the results, and two fields
+    may share one); provides the shape-operator and normal-curvature pieces
     of the target-side identities."""
 
     def __init__(self, mg: MapGeometry, Jp: AlmostComplexStructure | None):
@@ -169,15 +171,9 @@ class TargetCalculus:
         return VectorField(self.gN.chart, comps, name=name)
 
     def _apply_matrix(self, tag, M, W: VectorField) -> VectorField:
-        key = (tag, W.name)
+        key = (tag, W)
         if key not in self._memo:
-            n = self.gN.chart.dim
-            comps = []
-            for i in range(n):
-                acc = Const(0.0)
-                for j in range(n):
-                    acc = acc + M[i, j] * W.comps[j]
-                comps.append(self.gN._simp(acc))
+            comps = [self.gN._simp(e) for e in sym_einsum("ij,j->i", M, W.comps)]
             self._memo[key] = self.field(f"{tag}({W.name})", comps)
         return self._memo[key]
 
@@ -193,7 +189,7 @@ class TargetCalculus:
         return self._apply_matrix("Pp", self.PP, W)
 
     def cov(self, W, Z) -> VectorField:
-        key = ("cov", W.name, Z.name)
+        key = ("cov", W, Z)
         if key not in self._memo:
             out = covariant_derivative(self.gN, W, Z)
             out.name = f"cov({W.name},{Z.name})"
@@ -206,7 +202,7 @@ class TargetCalculus:
 
     def shape(self, D, V) -> VectorField:
         """S_D V = -P_range(nabla_V D) for normal D and range V."""
-        key = ("S", D.name, V.name)
+        key = ("S", D, V)
         if key not in self._memo:
             pr = self.proj_range(self.cov(V, D))
             comps = [self.gN._simp(Const(-1.0) * c) for c in pr.comps]
@@ -217,7 +213,7 @@ class TargetCalculus:
         """(nabla~_W S)_D V by the product rule with the pullback connection:
         P_range nabla_W (S_D V) - S_{P_perp nabla_W D} V
         - S_D (P_range nabla_W V).  Interpreted term."""
-        key = ("ntS", W.name, D.name, V.name)
+        key = ("ntS", W, D, V)
         if key not in self._memo:
             a = self.proj_range(self.cov(W, self.shape(D, V)))
             b = self.shape(self.nperp(W, D), V)
@@ -229,7 +225,7 @@ class TargetCalculus:
 
     def r_perp(self, W1, W2, D) -> VectorField:
         """Normal-bundle curvature R^{F perp}(W1, W2) D."""
-        key = ("rperp", W1.name, W2.name, D.name)
+        key = ("rperp", W1, W2, D)
         if key not in self._memo:
             a = self.nperp(W1, self.nperp(W2, D))
             b = self.nperp(W2, self.nperp(W1, D))

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .expr import Const, as_expr, differentiate, simplify, substitute
-from .expr.nodes import is_const
+from .expr.nodes import ONE, ZERO, is_const
 from .expr.tape import Tape
 from .geometry import (
     Chart,
@@ -29,11 +29,12 @@ from .geometry import (
     TensorField,
     VectorField,
     _add,
-    _mul,
-    _sub,
+    _prod,
+    _symmetrized,
     covariant_derivative,
     covariant_derivative_tensor,
     orthonormalize,
+    sym_einsum,
     sym_zeros,
     worst,
 )
@@ -127,13 +128,8 @@ def pushforward(F: SmoothMap, X, p) -> np.ndarray:
 def pushforward_along(F: SmoothMap, Y: VectorField) -> "VectorFieldAlongMap":
     """F_* Y as a section along the map: target components over source
     coordinates."""
-    comps = []
-    for a in range(F.target.dim):
-        acc = Const(0.0)
-        for i in range(F.source.dim):
-            acc = _add(acc, _mul(F.jacobian[a, i], Y.comps[i]))
-        comps.append(simplify(acc))
-    return VectorFieldAlongMap(F, comps)
+    return VectorFieldAlongMap(
+        F, [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, Y.comps)])
 
 
 def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None,
@@ -330,22 +326,11 @@ class MapGeometry:
         return ranks[0]
 
     # -- symbolic coordinate tensors ---------------------------------------------
-    def _projector_from_fields(self, g, fields, chart):
-        n = chart.dim
-        P = sym_zeros((n, n))
-        for f in fields:
-            flat = []  # (f^flat)_j = g_jk f^k
-            for j in range(n):
-                acc = Const(0.0)
-                for k in range(n):
-                    acc = _add(acc, _mul(g.mat[j, k], f.comps[k]))
-                flat.append(acc)
-            for i in range(n):
-                for j in range(n):
-                    P[i, j] = _add(P[i, j], _mul(f.comps[i], flat[j]))
-        for i in range(n):
-            for j in range(n):
-                P[i, j] = g._simp(P[i, j])
+    def _projector_from_fields(self, g, fields):
+        """P^i_j = sum_f f^i (f^flat)_j with (f^flat)_j = g_jk f^k."""
+        E = np.array([f.comps for f in fields], dtype=object)
+        P = sym_einsum("fi,fj->ij", E, sym_einsum("jk,fk->fj", g.mat, E))
+        P.flat = [g._simp(e) for e in P.flat]
         return P
 
     def projectors(self):
@@ -354,8 +339,8 @@ class MapGeometry:
             if not self.frames.vertical or not self.frames.horizontal:
                 raise FramesRequired(
                     "source projectors need declared vertical and horizontal frames")
-            PV = self._projector_from_fields(self.gM, self.frames.vertical, self.F.source)
-            PH = self._projector_from_fields(self.gM, self.frames.horizontal, self.F.source)
+            PV = self._projector_from_fields(self.gM, self.frames.vertical)
+            PH = self._projector_from_fields(self.gM, self.frames.horizontal)
             self._cache["projs"] = (PV, PH)
         return self._cache["projs"]
 
@@ -365,8 +350,8 @@ class MapGeometry:
             if not self.frames.range or not self.frames.normal:
                 raise FramesRequired(
                     "target projectors need declared range and normal frames")
-            PR = self._projector_from_fields(self.gN, self.frames.range, self.F.target)
-            PP = self._projector_from_fields(self.gN, self.frames.normal, self.F.target)
+            PR = self._projector_from_fields(self.gN, self.frames.range)
+            PP = self._projector_from_fields(self.gN, self.frames.normal)
             self._cache["tprojs"] = (PR, PP)
         return self._cache["tprojs"]
 
@@ -398,10 +383,10 @@ class MapGeometry:
                 nv = covariant_derivative(g, Di, Vj)
                 nh = covariant_derivative(g, Di, Hj)
                 for k in range(n):
-                    acc = Const(0.0)
+                    acc = ZERO  # the two projections interleave term by term
                     for m in range(n):
-                        acc = _add(acc, _mul(PH[k, m], nv.comps[m]))
-                        acc = _add(acc, _mul(PV[k, m], nh.comps[m]))
+                        acc = _add(acc, _prod(PH[k, m], nv.comps[m]))
+                        acc = _add(acc, _prod(PV[k, m], nh.comps[m]))
                     out[k, i, j] = g._simp(acc)
         return TensorField(g.chart, (1, 2), out)
 
@@ -425,23 +410,16 @@ class MapGeometry:
             gamN = gN.christoffel().comps
             gamN_pulled = np.empty((nt, nt, nt), dtype=object)
             for idx in np.ndindex(nt, nt, nt):
-                gamN_pulled[idx] = (Const(0.0) if is_const(gamN[idx], 0.0)
+                gamN_pulled[idx] = (ZERO if is_const(gamN[idx], 0.0)
                                     else F.pull_expr(gamN[idx]))
-            out = sym_zeros((nt, ns, ns))
+            acc = sym_zeros((nt, ns, ns))  # upper triangle only
             for a in range(nt):
                 for i in range(ns):
                     for j in range(i, ns):
-                        acc = differentiate(F.jacobian[a, i], F.source.coords[j])
-                        for b in range(nt):
-                            for c in range(nt):
-                                acc = _add(acc, _mul(gamN_pulled[a, b, c],
-                                                     _mul(F.jacobian[b, i], F.jacobian[c, j])))
-                        for k in range(ns):
-                            acc = _sub(acc, _mul(gamM[k, i, j], F.jacobian[a, k]))
-                        e = gM._simp(acc)
-                        out[a, i, j] = e
-                        out[a, j, i] = e
-            self._cache["SFF"] = TensorAlongMap(F, out)
+                        acc[a, i, j] = differentiate(F.jacobian[a, i], F.source.coords[j])
+            acc = sym_einsum("abc,bi,cj->aij", gamN_pulled, F.jacobian, F.jacobian, acc=acc)
+            acc = sym_einsum("kij,ak->aij", gamM, F.jacobian, acc=acc, sign=-1)
+            self._cache["SFF"] = TensorAlongMap(F, _symmetrized(acc, gM._simp))
         return self._cache["SFF"]
 
     def shape_tensors(self):
@@ -457,19 +435,13 @@ class MapGeometry:
             n = gN.chart.dim
             shapes = []
             for ek in self.frames.normal:
-                S = sym_zeros((n, n))
-                NF = sym_zeros((n, n))
-                for c in range(n):
-                    dc = [Const(1.0) if i == c else Const(0.0) for i in range(n)]
-                    ncd = covariant_derivative(gN, dc, list(ek.comps))
-                    for a in range(n):
-                        accS = Const(0.0)
-                        accN = Const(0.0)
-                        for m in range(n):
-                            accS = _add(accS, _mul(PR[a, m], ncd.comps[m]))
-                            accN = _add(accN, _mul(PP[a, m], ncd.comps[m]))
-                        S[a, c] = gN._simp(_mul(Const(-1.0), accS))
-                        NF[a, c] = gN._simp(accN)
+                ncd = np.array([covariant_derivative(  # ncd[c, m] = (nabla_{d_c} e_k)^m
+                    gN, [ONE if i == c else ZERO for i in range(n)], ek.comps).comps
+                    for c in range(n)], dtype=object)
+                S = sym_einsum("am,cm->ac", PR, ncd)
+                S.flat = [gN._simp(_prod(Const(-1.0), e)) for e in S.flat]
+                NF = sym_einsum("am,cm->ac", PP, ncd)
+                NF.flat = [gN._simp(e) for e in NF.flat]
                 shapes.append((TensorField(gN.chart, (1, 1), S),
                                TensorField(gN.chart, (1, 1), NF)))
             self._cache["shape"] = shapes

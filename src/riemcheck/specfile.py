@@ -99,9 +99,6 @@ class SpecConfig:
             raise SpecError("multiple maps declared; suites support one")
         return next(iter(self.maps.values()))
 
-    def metric_of(self, chart_name):
-        return self.metrics[chart_name]
-
     def map_geometry(self):
         F = self.the_map()
         if F is None:
@@ -314,6 +311,10 @@ def load_spec(text, name="spec") -> SpecConfig:
                     errors.append(f"line {ln}: frame entry needs NAME = components")
                     continue
                 nm, comps_text = [s.strip() for s in arg.split("=", 1)]
+                if (chart.name, nm) in cfg.fields:
+                    errors.append(f"line {ln}: field {nm!r} is declared twice "
+                                  f"on manifold {chart.name}")
+                    continue
                 try:
                     comps = [chart.parse(c) for c in
                              _split_components(comps_text, ln, errors)]

@@ -1,6 +1,6 @@
 """Almost complex structures: Hermitian compatibility, the Kaehler
-(parallelism) condition, anti-invariance of distributions, and the B/C and
-P/Q splits of J-images.
+(parallelism) condition, anti-invariance of distributions, and the B/C split
+of J-images.
 
 A structure can be declared on the coordinate basis or on a named orthonormal
 frame; both are converted once into a coordinate (1,1) tensor, so every check
@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Const, as_expr
+from .expr import as_expr
 from .geometry import (
     GeometryError,
     MetricField,
     TensorField,
-    _add,
-    _mul,
     covariant_derivative_tensor,
     orthonormal_frames,
-    sym_zeros,
+    sym_einsum,
 )
 
 
@@ -59,25 +57,12 @@ class AlmostComplexStructure:
         action = np.asarray(action, dtype=object)
         if action.shape != (n, n):
             raise StructureError("action matrix must be square over the frame")
-        flats = []
-        for f in fields:
-            flat = []
-            for j in range(n):
-                acc = Const(0.0)
-                for k in range(n):
-                    acc = _add(acc, _mul(g.mat[j, k], f.comps[k]))
-                flat.append(g._simp(acc))
-            flats.append(flat)
-        mat = sym_zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                c = as_expr(action[b, a])
-                for i in range(n):
-                    for j in range(n):
-                        mat[i, j] = _add(mat[i, j],
-                                         _mul(c, _mul(fields[b].comps[i], flats[a][j])))
-        for i, j in np.ndindex(n, n):
-            mat[i, j] = g._simp(mat[i, j])
+        E = np.array([f.comps for f in fields], dtype=object)
+        flats = sym_einsum("jk,ak->aj", g.mat, E)  # flats[a, j] = (g E_a)_j
+        flats.flat = [g._simp(e) for e in flats.flat]
+        coef = np.array([[as_expr(c) for c in row] for row in action.T], dtype=object)
+        mat = sym_einsum("ab,bi,aj->ij", coef, E, flats)
+        mat.flat = [g._simp(e) for e in mat.flat]
         return cls(chart, mat, basis_mode="frame")
 
     def tensor(self) -> TensorField:
@@ -88,9 +73,6 @@ class AlmostComplexStructure:
 
     def value_at(self, x) -> np.ndarray:
         return self._tensor.value_at(x)
-
-    def apply(self, x, vec) -> np.ndarray:
-        return self.value_at(x) @ np.asarray(vec, dtype=float)
 
 
 # -- pointwise checks -----------------------------------------------------------
@@ -137,8 +119,12 @@ def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.nda
 
 
 def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
-    """(nabla J)[k, l, j] = (nabla_{d_l} J)(d_j)^k."""
-    return covariant_derivative_tensor(g, J.tensor())
+    """(nabla J)[k, l, j] = (nabla_{d_l} J)(d_j)^k, built once per metric and
+    structure and kept in the metric's write-once cache."""
+    key = ("nabla_J", J)
+    if key not in g._cache:
+        g._cache[key] = covariant_derivative_tensor(g, J.tensor())
+    return g._cache[key]
 
 
 def _side(mg, sp, side):
@@ -166,7 +152,7 @@ def anti_invariant_residual(mg, J: AlmostComplexStructure, points, side):
     return np.ma.masked_array(out, skipped), bool(skipped.all())
 
 
-# -- sub-split frames and decompositions -------------------------------------------
+# -- sub-split frames and the B/C split ---------------------------------------------
 
 def complement_frame_at(mg, J: AlmostComplexStructure, x, side, tol=1e-9):
     """Orthonormal basis of mu ('source': the complement of J(ker F_*) inside
@@ -203,61 +189,3 @@ def bc_split(Jx, X, vertical, G):
     else:
         B = np.zeros_like(JX)
     return B, JX - B
-
-
-class BCDecomposition:
-    def __init__(self, BX, CX, remainder):
-        self.BX = BX
-        self.CX = CX
-        self.remainder = remainder
-
-
-class PQDecomposition:
-    def __init__(self, PD, QD, remainder):
-        self.PD = PD
-        self.QD = QD
-        self.remainder = remainder
-
-
-def decompose_BC(mg, J: AlmostComplexStructure, X, x, tol=1e-8) -> BCDecomposition:
-    """JX = BX + CX with BX vertical and CX = JX - BX, for horizontal X at x.
-    Raises StructureError when CX leaves mu beyond `tol` (anti-invariance
-    violation)."""
-    x = np.asarray(x, dtype=float)
-    sp = mg.split_at(x)
-    G = mg.gM.value_at(x)
-    BX, CX = bc_split(J.value_at(x), np.asarray(X, dtype=float), sp.vertical, G)
-    rem = CX - _project(CX, complement_frame_at(mg, J, x, "source"), G)
-    rnorm = float(np.sqrt(abs(rem @ G @ rem)))
-    if rnorm > tol:
-        raise StructureError(
-            f"anti-invariance violation: J X leaves ker + mu (residual {rnorm:.3e})")
-    return BCDecomposition(BX, CX, rem)
-
-
-def decompose_PQ(mg, Jp: AlmostComplexStructure, D, x, tol=1e-8) -> PQDecomposition:
-    """J'D = PD + QD with PD in range F_* and QD in nu, for normal D at F(x)."""
-    x = np.asarray(x, dtype=float)
-    sp = mg.split_at(x)
-    G = mg.gN.value_at(sp.y)
-    D = np.asarray(D, dtype=float)
-    dres = D - _project(D, sp.normal, G)
-    if float(np.sqrt(abs(dres @ G @ dres))) > tol:
-        raise StructureError("decompose_PQ: D is not normal at this point")
-    JD = Jp.value_at(sp.y) @ D
-    PD = _project(JD, sp.range, G)
-    nu = complement_frame_at(mg, Jp, x, "target")
-    QD = _project(JD, nu, G)
-    rem = JD - PD - QD
-    rnorm = float(np.sqrt(abs(rem @ G @ rem)))
-    if rnorm > tol:
-        raise StructureError(
-            f"J'D leaves range + nu (residual {rnorm:.3e})")
-    return PQDecomposition(PD, QD, rem)
-
-
-def _project(v, frame_rows, G):
-    if len(frame_rows) == 0:
-        return np.zeros_like(v)
-    coef = np.einsum("ai,ij,j->a", frame_rows, G, v)
-    return coef @ frame_rows

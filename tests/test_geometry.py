@@ -4,12 +4,17 @@ first-order operators, geodesics."""
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riemcheck import geometry
+from riemcheck.catalog import load
 from riemcheck.expr import Const, Tape, parse
+from riemcheck.expr.nodes import ZERO, Var, is_const
+from riemcheck.suites import run_suite
 from riemcheck.geometry import (
     Chart,
     ChartDomainError,
@@ -25,8 +30,8 @@ from riemcheck.geometry import (
     lie_bracket,
     lie_derivative_metric,
     orthonormalize,
-    orthonormalize_fields,
     scalar_curvature,
+    sym_einsum,
     worst,
 )
 
@@ -377,7 +382,8 @@ def test_orthonormalize_paper31_frame():
     fields = [VectorField(chart, [Const(1.0 if i == k else 0.0) for i in range(6)])
               for k in range(6)]
     p = chart.point({f"x{i+1}": v for i, v in enumerate([0.2, 0.4, 0.6, 0.5, 0.3, 0.7])})
-    E = orthonormalize_fields(g, fields, p)
+    x = chart.point_to_array(p)
+    E = orthonormalize(g.value_at(x), np.array([f.value_at(x) for f in fields]))
     w = math.exp(0.5)
     expect = np.diag([w, w, w, 1.0, 1.0, 1.0])
     assert np.max(np.abs(np.abs(E) - expect)) <= 1e-12  # match up to sign
@@ -544,3 +550,42 @@ def test_worst_of_nothing_or_only_skipped_points():
     assert worst([]) == (0.0, None, 0)
     assert worst(np.ma.masked_all(5)) == (0.0, None, 0)
     assert worst(np.ma.masked_array([math.nan, 2.0], mask=[True, False])) == (2.0, 1, 0)
+
+
+# -- sparse symbolic contraction -------------------------------------------------------
+
+def test_no_structural_zero_reaches_mul_in_a_paper41_run(monkeypatch):
+    real_mul = geometry._mul
+    calls = []
+
+    def mul(a, b):
+        calls.append(is_const(a, 0.0) or is_const(b, 0.0))
+        return real_mul(a, b)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("riemcheck")
+                and getattr(mod, "_mul", None) is real_mul):
+            monkeypatch.setattr(mod, "_mul", mul)
+    run_suite(load("paper-4.1"), points=6)
+    assert len(calls) > 100 and not any(calls)
+
+
+def test_sym_einsum_visits_nonzero_terms_in_loop_order(monkeypatch):
+    real_prod = geometry._prod
+    visited = []
+    monkeypatch.setattr(geometry, "_prod", lambda *f: visited.append(f) or real_prod(*f))
+    A = np.array([[Var("a"), Const(0.0)], [Var("b"), Var("c")]], dtype=object)
+    v = np.array([Var("u"), Var("w")], dtype=object)
+    # out[k] = sum_l A[k, l] v[l]: row 0 keeps one term, row 1 both in l order
+    out = sym_einsum("kl,l->k", A, v)
+    assert visited == [(A[0, 0], v[0]), (A[1, 0], v[0]), (A[1, 1], v[1])]
+    assert out[0].key() == ("mul", ("v", "a"), ("v", "u"))
+    assert out[1].key() == ("add", ("mul", ("v", "b"), ("v", "u")),
+                            ("mul", ("v", "c"), ("v", "w")))
+    assert sym_einsum("kl,l->k", A, np.array([ZERO, ZERO], dtype=object))[0] is ZERO
+    # an accumulator and a sign continue an existing sum term by term
+    acc = np.array([Var("s"), ZERO], dtype=object)
+    out = sym_einsum("kl,l->k", A, v, acc=acc, sign=-1)
+    assert out[0].key() == ("sub", ("v", "s"), ("mul", ("v", "a"), ("v", "u")))
+    assert out[1].key() == ("sub", ("neg", ("mul", ("v", "b"), ("v", "u"))),
+                            ("mul", ("v", "c"), ("v", "w")))

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemcheck import propcheck
-
+from riemcheck.catalog import load
 from riemcheck.expr import Const
-from riemcheck.geometry import Chart, MetricField
+from riemcheck.geometry import Chart, MetricField, TensorField, VectorField
+from riemcheck.rmap import AdaptedFrames, MapGeometry
 from riemcheck.specfile import load_spec
 from riemcheck.propcheck import (
     TABLE,
     PropositionCase,
     RestrictedGeometry,
+    TargetCalculus,
     UnsupportedDistribution,
     coordinate_alignment,
     verify_alpha_soliton_on_range,
@@ -437,3 +439,25 @@ def test_identity_contractions_run_once_per_point(ident, ex31, monkeypatch):
             marks = [n for point, n in row_marks if point == i]
             assert len(marks) > 1 and marks[0] == marks[-1]
     assert calls[4] == 2 * calls[2]
+
+
+def test_target_fields_sharing_a_name_keep_their_own_memo_entries():
+    cfg = load("flat-lagrangian")
+    mg = cfg.map_geometry()
+    fr = mg.frames
+    N = mg.gN.chart
+    R1 = fr.range[0]
+    twin = VectorField(N, fr.normal[0].comps, name=R1.name)  # normal E1 named R1
+    nameless = [VectorField(N, fr.range[1].comps), VectorField(N, fr.normal[1].comps)]
+    frames = AdaptedFrames(vertical=fr.vertical, horizontal=fr.horizontal,
+                           range_=[R1, nameless[0]], normal=[twin, nameless[1]])
+    Jp = cfg.structure_on("N")
+    tc = TargetCalculus(MapGeometry(mg.F, mg.gM, mg.gN, frames), Jp)
+    y = mg.F.value_at(mg.gM.chart.sample_points(1, seed=3)[0])
+    PR, PP = (TensorField(N, (1, 1), P).value_at(y) for P in (tc.PR, tc.PP))
+    for W in (R1, twin, *nameless):
+        w = W.value_at(y)
+        assert np.array_equal(tc.J(W).value_at(y), Jp.value_at(y) @ w), W
+        assert np.array_equal(tc.proj_range(W).value_at(y), PR @ w), W
+        assert np.array_equal(tc.proj_perp(W).value_at(y), PP @ w), W
+    assert np.array_equal(tc.J(twin).value_at(y), [-1.0, 0.0, 0.0, 0.0])

@@ -82,6 +82,15 @@ def test_unknown_identifier_carries_line():
     assert any("zz" in p for p in err.value.problems)
 
 
+def test_frames_block_rejects_a_field_name_declared_twice_on_one_chart():
+    bad = CATALOG["flat-lagrangian"].replace("normal E1 =", "normal R1 =")
+    line = bad.splitlines().index("  normal R1 = 0, 0, 1, 0") + 1
+    with pytest.raises(SpecError) as err:
+        load_spec(bad)
+    assert err.value.problems == [
+        f"line {line}: field 'R1' is declared twice on manifold N"]
+
+
 def test_unresolved_map_reference():
     bad = MINI.replace("source M", "source QQ")
     with pytest.raises(SpecError) as err:

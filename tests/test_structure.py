@@ -3,23 +3,26 @@ worked examples (where the declared structures fail the parallelism
 condition and the engine must say so)."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from riemcheck import geometry
+from riemcheck.catalog import load
 from riemcheck.expr import Const, parse
 from riemcheck.geometry import Chart, MetricField, VectorField, worst
 from riemcheck.structure import (
     AlmostComplexStructure,
-    StructureError,
     anti_invariant_residual,
+    bc_split,
     complement_frame_at,
-    decompose_BC,
-    decompose_PQ,
     hermitian_residual,
     kahler_residual,
     square_residual,
 )
+from riemcheck.suites import run_suite
 
 from paper_fixtures import diag_metric, example31, example41, vf
 
@@ -135,7 +138,16 @@ def test_identity_map_anti_invariance_is_degenerate():
     assert degenerate
 
 
-# -- B/C and P/Q decompositions ---------------------------------------------------
+# -- B/C and P/Q splits ------------------------------------------------------------
+
+def _project(v, rows, G):
+    """G-orthogonal projection of v onto the span of orthonormal rows."""
+    return (rows @ G @ v) @ rows if len(rows) else np.zeros_like(v)
+
+
+def _norm(v, G):
+    return float(np.sqrt(abs(v @ G @ v)))
+
 
 def test_decompose_BC_example31(ex31):
     mg, J, f = ex31
@@ -144,19 +156,22 @@ def test_decompose_BC_example31(ex31):
     X1, X2, X3, X4 = sp.horizontal
     U1, U2 = sp.vertical
     G = mg.gM.value_at(x)
+    Jx = J.value_at(x)
+    mu = complement_frame_at(mg, J, x, "source")
 
-    d = decompose_BC(mg, J, X1, x)
-    assert np.allclose(d.BX, -U1, atol=1e-10)  # J X1 = -U1: all vertical
-    assert np.max(np.abs(d.CX)) <= 1e-10
+    BX, CX = bc_split(Jx, X1, sp.vertical, G)
+    assert np.allclose(BX, -U1, atol=1e-10)  # J X1 = -U1: all vertical
+    assert np.max(np.abs(CX)) <= 1e-10
 
-    d = decompose_BC(mg, J, X3, x)
-    assert np.max(np.abs(d.BX)) <= 1e-10
-    assert np.allclose(d.CX, X4, atol=1e-10)   # J X3 = X4 lies in mu
+    BX, CX = bc_split(Jx, X3, sp.vertical, G)
+    assert np.max(np.abs(BX)) <= 1e-10
+    assert np.allclose(CX, X4, atol=1e-10)   # J X3 = X4 lies in mu
+    assert _norm(CX - _project(CX, mu, G), G) <= 1e-8  # CX stays in mu
 
     # orthogonality and idempotence
-    assert abs(d.BX @ G @ d.CX) <= 1e-10
-    d2 = decompose_BC(mg, J, X3, x)
-    assert np.allclose(d.CX, d2.CX, atol=1e-12)
+    assert abs(BX @ G @ CX) <= 1e-10
+    _, CX2 = bc_split(Jx, X3, sp.vertical, G)
+    assert np.allclose(CX, CX2, atol=1e-12)
 
 
 def test_decompose_BC_lagrangian_has_no_C():
@@ -177,8 +192,9 @@ def test_decompose_BC_lagrangian_has_no_C():
     x = np.array([0.3, 0.4, 0.5, 0.6])
     mu = complement_frame_at(mg, J, x, "source")
     assert mu.shape[0] == 0  # Lagrangian: mu = 0
-    d = decompose_BC(mg, J, np.array([0.0, 0.0, 1.0, 0.0]), x)
-    assert np.max(np.abs(d.CX)) <= 1e-12
+    _, CX = bc_split(J.value_at(x), np.array([0.0, 0.0, 1.0, 0.0]),
+                     mg.split_at(x).vertical, gM.value_at(x))
+    assert np.max(np.abs(CX)) <= 1e-12
 
 
 def test_decompose_PQ_example41(ex41):
@@ -188,23 +204,33 @@ def test_decompose_PQ_example41(ex41):
     e1p, e3p, e4p, e6p = sp.normal
     e2p, e5p = sp.range
     G = mg.gN.value_at(sp.y)
+    nu = complement_frame_at(mg, Jp, x, "target")
+
+    def normal_gap(D):
+        return _norm(D - _project(D, sp.normal, G), G)
+
+    def PQ(D):
+        """J'D = PD + QD with PD in range F_* and QD in nu, for normal D."""
+        assert normal_gap(D) <= 1e-8
+        JD = Jp.value_at(sp.y) @ D
+        PD, QD = _project(JD, sp.range, G), _project(JD, nu, G)
+        assert _norm(JD - PD - QD, G) <= 1e-8  # J'D stays in range + nu
+        return PD, QD
 
     # J' e1' = e2' = F_* X1 in range: P e1' = e2', Q e1' = 0
-    d = decompose_PQ(mg, Jp, e1p, x)
-    assert np.allclose(d.PD, e2p, atol=1e-10)
-    assert np.max(np.abs(d.QD)) <= 1e-10
+    PD, QD = PQ(e1p)
+    assert np.allclose(PD, e2p, atol=1e-10)
+    assert np.max(np.abs(QD)) <= 1e-10
 
     # J' e3' = e4' in nu: P = 0, Q = e4'
-    d = decompose_PQ(mg, Jp, e3p, x)
-    assert np.max(np.abs(d.PD)) <= 1e-10
-    assert np.allclose(d.QD, e4p, atol=1e-10)
-    assert abs(d.PD @ G @ d.QD) <= 1e-10
+    PD, QD = PQ(e3p)
+    assert np.max(np.abs(PD)) <= 1e-10
+    assert np.allclose(QD, e4p, atol=1e-10)
+    assert abs(PD @ G @ QD) <= 1e-10
 
-    nu = complement_frame_at(mg, Jp, x, "target")
     assert nu.shape[0] == 2  # nu = span{e3' rotated pair} has dimension 2
 
-    with pytest.raises(StructureError):
-        decompose_PQ(mg, Jp, e2p, x)  # range vector is not normal
+    assert normal_gap(e2p) > 1e-8  # range vector is not normal
 
 
 def test_frame_and_coordinate_J_give_same_residuals():
@@ -222,3 +248,22 @@ def test_frame_and_coordinate_J_give_same_residuals():
     ra = worst(kahler_residual(g, Jcoord, pts))[0]
     rb = worst(kahler_residual(g, Jframe, pts))[0]
     assert abs(ra - rb) <= 1e-12
+
+
+def test_nabla_J_is_built_once_per_metric_and_structure(monkeypatch):
+    cfg = load("paper-3.1")
+    tensors = {id(J.tensor()) for _, J in cfg.structures.values()}
+    real = geometry.covariant_derivative_tensor
+    built = Counter()
+
+    def covariant_derivative_tensor(g, T):
+        if id(T) in tensors:
+            built[id(g), id(T)] += 1
+        return real(g, T)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("riemcheck")
+                and getattr(mod, "covariant_derivative_tensor", None) is real):
+            monkeypatch.setattr(mod, "covariant_derivative_tensor", covariant_derivative_tensor)
+    run_suite(cfg, points=6)
+    assert built and set(built.values()) == {1}
