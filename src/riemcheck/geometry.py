@@ -643,6 +643,36 @@ def worst(values):
     return float(data[i]), int(kept[i]), n_bad
 
 
+def field_values(fields, points) -> np.ndarray:
+    """Values of vector fields on the chart of `points`, stacked
+    (P, len(fields), n)."""
+    pts = np.atleast_2d(points)
+    if not fields:
+        return np.zeros((len(pts), 0, pts.shape[1]))
+    return np.stack([f.values(pts) for f in fields], axis=1)
+
+
+# Products over stacks of vectors and matrices whose leading axes broadcast
+# (points, frame indices).  Each reaches, through np.matmul, the BLAS routine
+# the per-vector expression in its docstring calls, so a whole stack gives the
+# same bits as a loop over its vectors.
+
+def matvec(M, v) -> np.ndarray:
+    """M @ v for every matrix (..., n, m) and vector (..., m)."""
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def vdot(u, v) -> np.ndarray:
+    """u @ v for every pair of vectors (..., n)."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def qform(u, M, v) -> np.ndarray:
+    """u @ M @ v, evaluated as (u @ M) @ v, for every vector (..., n),
+    matrix (..., n, m) and vector (..., m)."""
+    return np.matmul(np.matmul(u[..., None, :], M), v[..., :, None])[..., 0, 0]
+
+
 def orthonormal_frames(G) -> np.ndarray:
     """inv(cholesky(G[p])) for a (P, n, n) stack of metric values: the rows
     of frame p are a G[p]-orthonormal basis.  Raises LinAlgError where some

@@ -10,27 +10,33 @@ The identities are data: one `TABLE` row each, run by `verify_identity`.
 A row gives
 
 - a pair family.  ``uu``, ``ux`` and ``xx`` pair the vertical (u) and
-  horizontal (X) frames of `MapGeometry.split_at` at x, with Ric_M on the
-  left; ``FF``, ``Fe`` and ``ee`` pair the declared range (F) and normal (e)
-  frames at y = F(x), with Ric_N on the left.  ``uu``, ``xx``, ``FF`` and
-  ``ee`` visit only the pairs a <= b;
-- the symbolic ingredients, built in the listed order before the point loop,
-  so the first missing piece (no dilation, no structure, frames that are not
-  coordinate-aligned) is the exception the caller sees;
+  horizontal (X) frames of `MapGeometry.split` at the points x, with Ric_M on
+  the left; ``FF``, ``Fe`` and ``ee`` pair the declared range (F) and normal
+  (e) frames at y = F(x), with Ric_N on the left.  ``uu``, ``xx``, ``FF`` and
+  ``ee`` report only the pairs a <= b;
+- the symbolic ingredients, built in the listed order before any value is
+  computed, so the first missing piece (no dilation, no structure, frames that
+  are not coordinate-aligned) is the exception the caller sees;
 - the signed terms ``(report key, +1 or -1, term function)``.  A term
-  function takes the per-point namespace and the two frame indices of the
-  pair and returns the term's value; a subtracted term is reported with its
-  positive value.  The right side is the first term, then every further term
-  added or subtracted left to right;
+  function takes the batch namespace and returns the term's value at every
+  pair of every point, a (P, na, nb) array; a subtracted term is reported
+  with its positive value.  The right side is the first term, then every
+  further term added or subtracted left to right;
 - the hypothesis gates and whether a term follows an interpreted definition.
 
-Both namespaces are filled lazily: the per-call one (`_CALL`: symbolic
-tensors, restricted geometries, target calculus, derivative tapes) and the
-per-point one (`_POINT`: the split, metric values, tensor values, J U, the
-B/C split, target frame values).  Each row of a result is one pair at one
-point with residual |lhs - rhs|; the worst row is the first non-finite
-residual, else the first largest.  The two theorem-level checks keep their
-own row formulas on the same namespaces and pair iterator.
+Both namespaces are filled lazily.  The per-call one (`_CALL`) holds the
+symbolic tensors, restricted geometries, target calculus and derivative
+tapes.  The batch one (`_BATCH`) holds, for the whole point set, one split
+(`MapGeometry.split`) and one `values` call per metric, tensor, frame and
+target-calculus field, at the points x or at their images y, each an array
+with a leading point axis, plus the per-point contractions built from them
+(divA, NAH, NAT, AA, AMU, SS, ST, the B/C split).  Terms contract these
+with `geometry.qform` and `matvec`, which make the BLAS calls of the
+per-vector products u @ M @ v and M @ v, so a P-point call gives the rows of
+P one-point calls.  `_rows` emits one row per pair per point in (point, a, b)
+order with residual |lhs - rhs|; the worst row is the first non-finite
+residual, else the first largest.  The two theorem-level checks build their
+own row arrays on the same namespaces.
 
 Restricted Ricci tensors exist only for coordinate-aligned involutive
 distributions: the induced metric is the coordinate submatrix with the
@@ -45,6 +51,7 @@ interpretation documented on `TargetCalculus.nabla_tilde_S` and carry
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -56,13 +63,19 @@ from .geometry import (
     GeometryError,
     MetricField,
     VectorField,
+    _prod,
+    _sub,
     covariant_derivative,
     divergence,
+    field_values,
     gradient,
     hessian,
     lie_bracket,
     lie_derivative_metric,
+    matvec,
+    qform,
     sym_einsum,
+    vdot,
     worst,
 )
 from .rmap import MapGeometry, pushforward_field
@@ -77,7 +90,7 @@ from .structure import (
     AlmostComplexStructure,
     anti_invariant_residual,
     bc_split,
-    complement_frame_at,
+    complement_frames,
     kahler_residual,
 )
 
@@ -97,8 +110,7 @@ def coordinate_alignment(frame_rows_per_point, tol=1e-9):
             k = len(rows)
         elif len(rows) != k:
             raise UnsupportedDistribution("distribution dimension changes across points")
-        for v in rows:
-            support.update(int(i) for i in np.flatnonzero(np.abs(v) > tol))
+        support.update(np.flatnonzero(np.any(np.abs(np.asarray(rows)) > tol, axis=0)).tolist())
     if k is None or k == 0:
         return ()
     if len(support) != k:
@@ -142,14 +154,18 @@ class RestrictedGeometry:
         return tape.evaluate(self.reorder(parent_points))[:, 0]
 
     def restrict_vector(self, v, tol=1e-8):
-        """Components of v in the distribution block; errors if v sticks out."""
+        """Components in the distribution block of a vector, or of every
+        vector of a (..., n) stack; errors if one sticks out (NaN outside
+        the block counts as sticking out)."""
         v = np.asarray(v, dtype=float)
-        out_block = [i for i in range(len(v)) if i not in self.indices]
-        leak = float(np.max(np.abs(v[out_block]))) if out_block else 0.0
-        if not leak <= tol * max(1.0, float(np.max(np.abs(v)))):
+        out_block = [i for i in range(v.shape[-1]) if i not in self.indices]
+        leak = (np.max(np.abs(v[..., out_block]), axis=-1) if out_block
+                else np.zeros(v.shape[:-1]))
+        bad = np.flatnonzero(~(leak <= tol * np.fmax(1.0, np.max(np.abs(v), axis=-1))))
+        if len(bad):
             raise UnsupportedDistribution(
-                f"vector leaves the restricted block (leak {leak:.3e})")
-        return v[list(self.indices)]
+                f"vector leaves the restricted block (leak {leak.flat[bad[0]]:.3e})")
+        return v[..., list(self.indices)]
 
 
 # -- symbolic field calculus on the target chart ------------------------------------
@@ -205,7 +221,7 @@ class TargetCalculus:
         key = ("S", D, V)
         if key not in self._memo:
             pr = self.proj_range(self.cov(V, D))
-            comps = [self.gN._simp(Const(-1.0) * c) for c in pr.comps]
+            comps = [self.gN._simp(_prod(Const(-1.0), c)) for c in pr.comps]
             self._memo[key] = self.field(f"S[{D.name}]({V.name})", comps)
         return self._memo[key]
 
@@ -218,8 +234,8 @@ class TargetCalculus:
             a = self.proj_range(self.cov(W, self.shape(D, V)))
             b = self.shape(self.nperp(W, D), V)
             c = self.shape(D, self.proj_range(self.cov(W, V)))
-            comps = [self.gN._simp(a.comps[i] - b.comps[i] - c.comps[i])
-                     for i in range(self.gN.chart.dim)]
+            comps = [self.gN._simp(_sub(_sub(ai, bi), ci))
+                     for ai, bi, ci in zip(a.comps, b.comps, c.comps)]
             self._memo[key] = self.field(f"ntS({W.name};{D.name};{V.name})", comps)
         return self._memo[key]
 
@@ -232,8 +248,8 @@ class TargetCalculus:
             br = lie_bracket(self.gN.chart, W1, W2)
             br.name = f"[{W1.name},{W2.name}]"
             c = self.nperp(br, D)
-            comps = [self.gN._simp(a.comps[i] - b.comps[i] - c.comps[i])
-                     for i in range(self.gN.chart.dim)]
+            comps = [self.gN._simp(_sub(_sub(ai, bi), ci))
+                     for ai, bi, ci in zip(a.comps, b.comps, c.comps)]
             self._memo[key] = self.field(f"Rp({W1.name},{W2.name}){D.name}", comps)
         return self._memo[key]
 
@@ -295,21 +311,27 @@ class PropositionCase:
         kernel, on M), 'range' or 'normal' (on N)."""
         g = self.mg.gM if part == "vertical" else self.mg.gN
         return self._get(part, lambda: RestrictedGeometry(g, coordinate_alignment(
-            [getattr(self.mg.split_at(x), part) for x in np.atleast_2d(points)])))
+            getattr(self.mg.split(points), part))))
 
     def tc(self) -> TargetCalculus:
         return self._get("tc", lambda: TargetCalculus(self.mg, self.Jp))
 
-    def dims(self, x):
-        sp = self.mg.split_at(x)
+    def dims(self, points):
+        """Dimensions of the split at a point set: m, n, r0 (kernel), h
+        (horizontal), rank (range) and n1 (normal)."""
+        sp = self.mg.split(points)
         return {"m": self.mg.gM.chart.dim, "n": self.mg.gN.chart.dim,
-                "r0": len(sp.vertical), "h": len(sp.horizontal),
-                "rank": len(sp.range), "n1": len(sp.normal)}
+                "r0": sp.vertical.shape[1], "h": sp.horizontal.shape[1],
+                "rank": sp.range.shape[1], "n1": sp.normal.shape[1]}
 
     # ---- hypothesis gates ----
     def gates(self, points, which, tol=1e-7):
+        """(holds, value) of each named gate over the points; a gate is
+        evaluated once per case, tolerance and point set."""
         pts = np.atleast_2d(points)
-        return {name: self._gate(name, pts, tol) for name in which}
+        at = (tol, pts.shape, pts.tobytes())
+        return {name: self._get(("gate", name) + at, lambda: self._gate(name, pts, tol))
+                for name in which}
 
     def _gate(self, name, pts, tol):
         mg = self.mg
@@ -325,7 +347,7 @@ class PropositionCase:
                 per_point, degen = anti_invariant_residual(mg, J, pts, side)
                 res = worst(per_point)[0]
                 return (res <= tol and not degen, res)
-            dims = [complement_frame_at(mg, J, x, side).shape[0] for x in pts[:5]]
+            dims = [len(f) for f in complement_frames(mg, J, pts, side)[:5]]
             return (all(d == 0 for d in dims), max(dims))
         if name == "clairaut_source":
             if self.f is None:
@@ -338,27 +360,18 @@ class PropositionCase:
             sides = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
             return _gate_value(np.ma.concatenate(sides), tol)
         if name == "totally_geodesic_map":
-            S = mg.second_fundamental_form()
-            per_point = []
-            for x in pts:
-                sp = mg.split_at(x)
-                E = np.vstack([sp.vertical, sp.horizontal])
-                GN = mg.gN.value_at(sp.y)
-                vals = np.einsum("aij,ki,lj->kla", S.value_at(x), E, E)
-                per_point.append(np.sqrt(np.max(np.abs(
-                    np.einsum("kla,ab,klb->kl", vals, GN, vals)))))
-            return _gate_value(per_point, tol)
+            sp = mg.split(pts)
+            E = np.concatenate([sp.vertical, sp.horizontal], axis=1)
+            vals = np.einsum("paij,pki,plj->pkla",
+                             mg.second_fundamental_form().values(pts), E, E)
+            return _gate_value(np.sqrt(np.max(np.abs(
+                np.einsum("pkla,pab,pklb->pkl", vals, sp.GN, vals)), axis=(1, 2))), tol)
         if name == "tg_horizontal":
-            A = mg.oneill_A()
-            per_point = []
-            for x in pts:
-                sp = mg.split_at(x)
-                H = sp.horizontal
-                GM = mg.gM.value_at(x)
-                vals = np.einsum("kij,ai,bj->abk", A.value_at(x), H, H)
-                per_point.append(np.sqrt(np.max(np.abs(
-                    np.einsum("abk,kl,abl->ab", vals, GM, vals)))))
-            return _gate_value(per_point, tol)
+            sp = mg.split(pts)
+            H = sp.horizontal
+            vals = np.einsum("pkij,pai,pbj->pabk", mg.oneill_A().values(pts), H, H)
+            return _gate_value(np.sqrt(np.max(np.abs(
+                np.einsum("pabk,pkl,pabl->pab", vals, sp.GM, vals)), axis=(1, 2))), tol)
         if name == "tg_normal":
             tc = self.tc()
             ypts = mg.F.values(pts)
@@ -377,23 +390,19 @@ class PropositionCase:
                 return (False, "no potential declared")
             return _gate_value(soliton_residual(cfg, points=pts), tol)
         if name == "kernel_nontrivial":
-            d = self.dims(pts[0])
+            d = self.dims(pts)
             return (d["r0"] > 0, d["r0"])
         raise GeometryError(f"unknown gate {name!r}")
 
     def _potential_gate(self, pts, vertical, tol):
         if self.eta is None:
             return (False, "no potential field declared")
-        per_point, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-        for idx, x in enumerate(pts):
-            sp = self.mg.split_at(x)
-            frame = sp.horizontal if vertical else sp.vertical
-            if len(frame) == 0:
-                skipped[idx] = True
-                continue
-            per_point[idx] = np.max(np.abs(np.einsum(
-                "ai,ij,j->a", frame, self.mg.gM.value_at(x), self.eta.value_at(x))))
-        return _gate_value(np.ma.masked_array(per_point, skipped), tol)
+        sp = self.mg.split(pts)
+        frame = sp.horizontal if vertical else sp.vertical
+        if frame.shape[1] == 0:
+            return _gate_value(np.ma.masked_array(np.zeros(len(pts)), True), tol)
+        return _gate_value(np.max(np.abs(np.einsum(
+            "pai,pij,pj->pa", frame, sp.GM, self.eta.values(pts))), axis=1), tol)
 
 
 def _gate_value(residuals, tol):
@@ -464,65 +473,93 @@ _CALL = {
     "JF": lambda c: [c.tc.J(f) for f in c.mg.frames.range],
     "PE": lambda c: [c.tc.proj_range(c.tc.J(e)) for e in c.mg.frames.normal],
     "QE": lambda c: [c.tc.proj_perp(c.tc.J(e)) for e in c.mg.frames.normal],
-    "mr": lambda c: c.mg.gM.chart.dim - c.case.dims(c.pts[0])["r0"],
+    "mr": lambda c: c.mg.gM.chart.dim - c.case.dims(c.pts)["r0"],
     "LW": _lie_W,
 }
 
-# per point: values at x, and at y = F(x) on the target
-_POINT = {
-    "sp": lambda p: p.c.mg.split_at(p.x),
+
+def _tensordot01(A, B):
+    """np.tensordot(A[p], B[p], axes=([0, 1], [0, 1])) at every point, for
+    A (P, l, k, j) and B (P, l, k, n), by the same BLAS call."""
+    P = len(A)
+    return np.matmul(A.reshape(P, -1, A.shape[-1]).transpose(0, 2, 1),
+                     B.reshape(P, -1, B.shape[-1]))
+
+
+def _gram_form(T, G):
+    """Q[p, j, n] = sum_{a,k,m} T[p, a, k, j] G[p, k, m] T[p, a, m, n]."""
+    return _tensordot01(T, np.matmul(G[:, None], T))
+
+
+def _acc(values, sign=1):
+    """0.0 plus, or with sign -1 minus, each values[..., j] in turn."""
+    acc = np.zeros(values.shape[:-1])
+    for j in range(values.shape[-1]):
+        acc = acc + values[..., j] if sign > 0 else acc - values[..., j]
+    return acc
+
+
+# per point set: values at the P points x, and at y = F(x) on the target, each
+# with a leading point axis; frames are (P, k, n) stacks of row vectors
+_BATCH = {
+    "sp": lambda p: p.c.mg.split(p.c.pts),
+    "x": lambda p: p.sp.x,
+    "y": lambda p: p.sp.y,
     "V": lambda p: p.sp.vertical,
     "H": lambda p: p.sp.horizontal,
-    "r0": lambda p: len(p.sp.vertical),
-    "y": lambda p: p.c.mg.F.value_at(p.x),
-    "GM": lambda p: p.c.mg.gM.value_at(p.x),
-    "GN": lambda p: p.c.mg.gN.value_at(p.y),
-    "Jac": lambda p: p.c.mg.F.jac_at(p.x),
-    "ricM": lambda p: p.c.ric_M.value_at(p.x),
-    "ricN": lambda p: p.c.ric_N.value_at(p.y),
-    "Hf": lambda p: p.c.hess_f.value_at(p.x),
-    "gf": lambda p: p.c.grad_f.value_at(p.x),
-    "norm2_f": lambda p: float(p.gf @ p.GM @ p.gf),
-    "f_aux": lambda p: p.c.f_tape.evaluate_at(p.x),
-    "div_grad_f": lambda p: float(p.f_aux[0]),
-    "df": lambda p: p.f_aux[1:],
-    "gg": lambda p: p.c.grad_g.value_at(p.y),
-    "norm2_g": lambda p: float(p.gg @ p.GN @ p.gg),
-    "Hg": lambda p: p.c.hess_g.value_at(p.y),
-    "hess_trace_g": lambda p: sum(float(e @ p.Hg @ e) for e in p.Ev),
-    "dg": lambda p: p.c.g_tape.evaluate_at(p.y),
-    "Av": lambda p: p.c.A.value_at(p.x),
-    "NAv": lambda p: p.c.NA.value_at(p.x),
-    "Sv": lambda p: p.c.SFF.value_at(p.x),
-    "tau": lambda p: np.einsum("aij,ki,kj->a", p.Sv, p.H, p.H),
+    "r0": lambda p: p.V.shape[1],
+    "GM": lambda p: p.sp.GM,
+    "GN": lambda p: p.sp.GN,
+    "Jac": lambda p: p.sp.Jac,
+    "ricM": lambda p: p.c.ric_M.values(p.x),
+    "ricN": lambda p: p.c.ric_N.values(p.y),
+    "Hf": lambda p: p.c.hess_f.values(p.x),
+    "gf": lambda p: p.c.grad_f.values(p.x),
+    "norm2_f": lambda p: qform(p.gf, p.GM, p.gf),
+    "f_aux": lambda p: p.c.f_tape.evaluate(p.x),
+    "div_grad_f": lambda p: p.f_aux[:, 0],
+    "df": lambda p: p.f_aux[:, 1:],
+    "gg": lambda p: p.c.grad_g.values(p.y),
+    "norm2_g": lambda p: qform(p.gg, p.GN, p.gg),
+    "Hg": lambda p: p.c.hess_g.values(p.y),
+    "hess_trace_g": lambda p: _acc(qform(p.Ev, p.Hg[:, None], p.Ev)),
+    "dg": lambda p: p.c.g_tape.evaluate(p.y),
+    "Av": lambda p: p.c.A.values(p.x),
+    "NAv": lambda p: p.c.NA.values(p.x),
+    "Sv": lambda p: p.c.SFF.values(p.x),
+    "tau": lambda p: np.einsum("paij,pki,pkj->pa", p.Sv, p.H, p.H),
     # contractions that do not depend on the frame pair, as bilinear forms:
     # X @ divA @ Y = sum_a g((nabla_{u_a} A)(X, Y), u_a),
     # C @ NAH @ B = sum_a g((nabla_{X_a} A)(C, X_a), B),
     # U @ NAT @ B = sum_a g((nabla_{X_a} A)(X_a, U), B)
-    "PH": lambda p: p.H.T @ p.H,
-    "divA": lambda p: np.tensordot(p.GM @ (p.V.T @ p.V), p.NAv, axes=([0, 1], [0, 1])),
-    "NAH": lambda p: np.einsum("klij,lj->ik", p.NAv, p.PH) @ p.GM,
-    "NAT": lambda p: np.einsum("klij,li->jk", p.NAv, p.PH) @ p.GM,
-    "AA": lambda p: _gram_form(np.einsum("kij,li->lkj", p.Av, p.H), p.GM),
-    "AMU": lambda p: _gram_form(np.einsum("kij,aj->aki", p.Av, p.V), p.GM),
-    "SS": lambda p: np.tensordot(np.einsum("aij,li->laj", p.Sv, p.H),
-                                 p.GN @ np.einsum("aij,lj->lai", p.Sv, p.H),
-                                 axes=([0, 1], [0, 1])),
-    "ST": lambda p: np.tensordot(p.GN @ p.tau, p.Sv, axes=1),
-    "ric_range": lambda p: p.c.range_rg.ricci_values(p.y[None, :])[0],
-    "ric_ker": lambda p: p.c.ker_rg.ricci_values(p.x[None, :])[0],
-    "ric_perp": lambda p: p.c.perp_rg.ricci_values(p.y[None, :])[0],
-    "Jx": lambda p: p.c.J.value_at(p.x),
-    "JU": lambda p: [p.Jx @ u for u in p.V],
-    "BC": lambda p: [bc_split(p.Jx, X, p.V, p.GM) for X in p.H],
-    "B": lambda p: [b for b, _ in p.BC],
-    "C": lambda p: [c for _, c in p.BC],
-    "Fv": lambda p: [f.value_at(p.y) for f in p.c.mg.frames.range],
-    "Ev": lambda p: [e.value_at(p.y) for e in p.c.mg.frames.normal],
-    "JFv": lambda p: [f.value_at(p.y) for f in p.c.JF],
-    "PEv": lambda p: [f.value_at(p.y) for f in p.c.PE],
-    "QEv": lambda p: [f.value_at(p.y) for f in p.c.QE],
-    "LWv": lambda p: p.c.LW.values(p.y[None, :])[0],
+    "PH": lambda p: np.matmul(p.H.transpose(0, 2, 1), p.H),
+    "divA": lambda p: _tensordot01(
+        np.matmul(p.GM, np.matmul(p.V.transpose(0, 2, 1), p.V))[..., None],
+        p.NAv.reshape(p.NAv.shape[:3] + (-1,))).reshape(p.GM.shape),
+    "NAH": lambda p: np.matmul(np.einsum("pklij,plj->pik", p.NAv, p.PH), p.GM),
+    "NAT": lambda p: np.matmul(np.einsum("pklij,pli->pjk", p.NAv, p.PH), p.GM),
+    "AA": lambda p: _gram_form(np.einsum("pkij,pli->plkj", p.Av, p.H), p.GM),
+    "AMU": lambda p: _gram_form(np.einsum("pkij,paj->paki", p.Av, p.V), p.GM),
+    "SS": lambda p: _tensordot01(np.einsum("paij,pli->plaj", p.Sv, p.H),
+                                 np.matmul(p.GN[:, None], np.einsum("paij,plj->plai", p.Sv, p.H))),
+    "ST": lambda p: _tensordot01(
+        matvec(p.GN, p.tau)[:, None, :, None],
+        p.Sv.reshape(len(p.Sv), 1, p.Sv.shape[1], -1)).reshape(p.Sv.shape[:1] + p.Sv.shape[2:]),
+    "ric_range": lambda p: p.c.range_rg.ricci_values(p.y),
+    "ric_ker": lambda p: p.c.ker_rg.ricci_values(p.x),
+    "ric_perp": lambda p: p.c.perp_rg.ricci_values(p.y),
+    "Jx": lambda p: p.c.J.values(p.x),
+    "JU": lambda p: matvec(p.Jx[:, None], p.V),
+    "BC": lambda p: bc_split(p.Jx[:, None], p.H, p.V[:, None], p.GM[:, None]),
+    "B": lambda p: p.BC[0],
+    "C": lambda p: p.BC[1],
+    "Fv": lambda p: field_values(p.c.mg.frames.range, p.y),
+    "Ev": lambda p: field_values(p.c.mg.frames.normal, p.y),
+    "JFv": lambda p: field_values(p.c.JF, p.y),
+    "PEv": lambda p: field_values(p.c.PE, p.y),
+    "QEv": lambda p: field_values(p.c.QE, p.y),
+    "LWv": lambda p: p.c.LW.values(p.y),
+    "tc_values": lambda p: {},
 }
 
 # family: (first frame, second frame, labels, pairs a <= b only, ambient Ricci)
@@ -543,23 +580,21 @@ def _call(case, points, ingredients):
     return c
 
 
-def _points(c):
-    for i, x in enumerate(c.pts):
-        yield _Lazy(_POINT, c=c, i=i, x=x)
-
-
-def _pairs(p, family):
-    """(a, b, pair labels) over the frame index pairs of a family at a point."""
-    first, second, (la, lb), upper, _ = _FAMILIES[family]
-    nb = len(getattr(p, second))
-    for a in range(len(getattr(p, first))):
-        for b in range(a if upper else 0, nb):
-            yield a, b, (f"{la}{a + 1}", f"{lb}{b + 1}")
-
-
-def _row(p, pair, lhs, rhs, terms):
-    return {"point": p.i, "pair": pair, "lhs": lhs, "rhs": rhs,
-            "residual": abs(lhs - rhs), "terms": terms}
+def _rows(family, lhs, rhs, terms, keep=None):
+    """The result rows, one per pair of the family at each point, in
+    (point, a, b) order, from (P, na, nb) arrays: a <= b only for the
+    symmetric families, and only where `keep` holds when it is given."""
+    _, _, (la, lb), upper, _ = _FAMILIES[family]
+    mask = np.ones(lhs.shape, dtype=bool) if keep is None else keep
+    if upper:
+        mask = mask & np.triu(np.ones(lhs.shape[1:], dtype=bool))
+    at = np.nonzero(mask)
+    columns = [a[at].tolist() for a in (lhs, rhs, np.abs(lhs - rhs))]
+    keys = list(terms)
+    values = list(zip(*[terms[k][at].tolist() for k in keys])) or [()] * len(at[0])
+    return [{"point": i, "pair": (f"{la}{a + 1}", f"{lb}{b + 1}"), "lhs": l, "rhs": r,
+             "residual": d, "terms": dict(zip(keys, v))}
+            for i, a, b, l, r, d, v in zip(*(x.tolist() for x in at), *columns, values)]
 
 
 def _result(ident, rows, gates, interpreted=False):
@@ -574,65 +609,98 @@ def _result(ident, rows, gates, interpreted=False):
 
 
 # -- term helpers -------------------------------------------------------------------------
+# Each returns a (P, na, nb) array over the pairs of two (P, k, n) vector stacks.
+
+def _form(X, M, Y):
+    """X_a @ M @ Y_b at every point."""
+    return qform(X[:, :, None, :], M[:, None, None], Y[:, None, :, :])
+
+
+def _push(p, X):
+    """F_* of a stack of source vectors."""
+    return matvec(p.Jac[:, None], X)
+
 
 def _ric_block(rg, ric, P, Q):
-    """Restricted Ricci of two vectors lying in the block of `rg`."""
-    return float(rg.restrict_vector(P) @ ric @ rg.restrict_vector(Q))
+    """Restricted Ricci `ric` (P, k, k) of two stacks of vectors lying in the
+    block of `rg`, contracted with their block components."""
+    RP = rg.restrict_vector(P)
+    return _form(RP, ric, RP if Q is P else rg.restrict_vector(Q))
 
 
 def _ric_range(p, P, Q):
     """Ric^range(F_*P, F_*Q) for source vectors P, Q."""
-    return _ric_block(p.c.range_rg, p.ric_range, p.Jac @ P, p.Jac @ Q)
-
-
-def _gram_form(T, G):
-    """Q[j, n] = sum_{a,k,m} T[a, k, j] G_km T[a, m, n]."""
-    return np.tensordot(T, G @ T, axes=([0, 1], [0, 1]))
+    FP = _push(p, P)
+    return _ric_block(p.c.range_rg, p.ric_range, FP, FP if Q is P else _push(p, Q))
 
 
 def _div_A(p, X, Y):
     """sum_j g((nabla_{u_j} A)(X, Y), u_j)."""
-    if len(p.V) == 0:
-        return 0.0
-    return float(X @ p.divA @ Y)
+    if p.r0 == 0:
+        return np.zeros((len(X), X.shape[1], Y.shape[1]))
+    return _form(X, p.divA, Y)
 
 
 def _hess_B(p, B, W):
-    return -(p.r0 + 1) * float(B @ p.Hf @ W)
+    return -(p.r0 + 1) * _form(B, p.Hf, W)
 
 
 def _hess_C(p, P, Q):
-    return -p.r0 * float(P @ p.Hf @ Q)
+    return -p.r0 * _form(P, p.Hf, Q)
 
 
 def _nabla_A_H(p, C, B):
     """-sum_a g((nabla_{X_a} A)(C, X_a), B)."""
-    return -float(C @ p.NAH @ B)
+    return -_form(C, p.NAH, B)
 
 
-def _grad_nperp(p, W, D):
+def _df_pair(p):
+    """-r CX(f) CY(f)."""
+    cdf = vdot(p.C, p.df[:, None])
+    return -p.r0 * cdf[:, :, None] * cdf[:, None, :]
+
+
+def _tc_values(p, method, *fields):
+    """Values at y of the target field `tc.method(W1, W2, ...)` for every
+    choice of W1, W2, ... from the given field lists, as a (P, n1, n2, ...,
+    n) array; each field is evaluated once over the points and kept for the
+    point set."""
+    key = (method,) + tuple(map(tuple, fields))
+    if key not in p.tc_values:
+        make = getattr(p.c.tc, method)
+        vals = [make(*ws).values(p.y) for ws in itertools.product(*fields)]
+        shape = (len(p.y),) + tuple(map(len, fields)) + (p.y.shape[1],)
+        p.tc_values[key] = (np.stack(vals, axis=1) if vals else np.zeros(shape)).reshape(shape)
+    return p.tc_values[key]
+
+
+def _grad_nperp(p, Ws, Ds):
     """(m - r) g_N(grad g, nperp_W D)."""
-    return p.c.mr * float(p.gg @ p.GN @ p.c.tc.nperp(W, D).value_at(p.y))
+    return p.c.mr * qform(p.gg[:, None, None], p.GN[:, None, None],
+                          _tc_values(p, "nperp", Ws, Ds))
 
 
-def _nts_trace(p, D, X, reverse=False):
-    """sum_j g((nabla~_X S)_D F_j, F_j), or with `reverse`
+def _nts_trace(p, Ds, Xs, reverse=False):
+    """[D, X]: sum_j g((nabla~_X S)_D F_j, F_j), or with `reverse`
     -sum_j g((nabla~_{F_j} S)_D X, F_j)."""
-    acc = 0.0
-    for Fj, fv in zip(p.c.mg.frames.range, p.Fv):
-        if reverse:
-            acc -= float(p.c.tc.nabla_tilde_S(Fj, D, X).value_at(p.y) @ p.GN @ fv)
-        else:
-            acc += float(p.c.tc.nabla_tilde_S(X, D, Fj).value_at(p.y) @ p.GN @ fv)
-    return acc
+    Fj, GN = p.c.mg.frames.range, p.GN[:, None, None, None]
+    if reverse:  # [j, D, X]
+        vals = qform(_tc_values(p, "nabla_tilde_S", Fj, Ds, Xs), GN, p.Fv[:, :, None, None])
+        return _acc(np.moveaxis(vals, 1, -1), -1)
+    vals = qform(_tc_values(p, "nabla_tilde_S", Xs, Ds, Fj), GN, p.Fv[:, None, None])
+    return _acc(vals).swapaxes(1, 2)  # [X, D, j] summed over j
 
 
-def _rperp_trace(p, W, D):
-    """-sum_k g(R^perp(W, e_k) D, e_k)."""
-    acc = 0.0
-    for Ek, ev in zip(p.c.mg.frames.normal, p.Ev):
-        acc -= float(p.c.tc.r_perp(W, Ek, D).value_at(p.y) @ p.GN @ ev)
-    return acc
+def _rperp_trace(p, Ws, Ds):
+    """[W, D]: -sum_k g(R^perp(W, e_k) D, e_k)."""
+    vals = qform(_tc_values(p, "r_perp", Ws, p.c.mg.frames.normal, Ds),
+                 p.GN[:, None, None, None], p.Ev[:, None, :, None])  # [W, k, D]
+    return _acc(np.moveaxis(vals, 2, -1), -1)
+
+
+def _T(term):
+    """A term over the pairs (b, a), transposed to (a, b)."""
+    return lambda p: term(p).swapaxes(1, 2)
 
 
 # -- the identities -----------------------------------------------------------------------
@@ -646,22 +714,19 @@ class Identity(NamedTuple):
 
 
 # terms shared by several identities
-_UV_RANGE = ("ric_range", +1, lambda p, a, b: _ric_range(p, p.JU[a], p.JU[b]))
-_XY_KER = ("ric_ker", +1,
-           lambda p, i, j: _ric_block(p.c.ker_rg, p.ric_ker, p.B[i], p.B[j]))
-_XY_WARP = ("warp_trace", +1, lambda p, i, j: -(p.r0 * p.norm2_f + p.div_grad_f)
-            * float(p.B[i] @ p.GM @ p.B[j]))
-_XY_HESS = ("r_hess_CC", +1, lambda p, i, j: _hess_C(p, p.C[i], p.C[j]))
-_XY_DF = ("r_CXf_CYf", +1,
-          lambda p, i, j: -p.r0 * float(p.C[i] @ p.df) * float(p.C[j] @ p.df))
-_XY_RANGE = ("ric_range", +1, lambda p, i, j: _ric_range(p, p.C[i], p.C[j]))
-_FF_PERP = ("ric_perp", +1,
-            lambda p, a, b: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv[a], p.JFv[b]))
-_FE_NTS = ("ntS_PE", +1, lambda p, a, k: _nts_trace(p, p.c.JF[a], p.c.PE[k]))
-_FE_NTS_F = ("ntS_Fj", +1, lambda p, a, k: _nts_trace(p, p.c.JF[a], p.c.PE[k], True))
-_FE_RPERP = ("r_perp", +1, lambda p, a, k: _rperp_trace(p, p.c.PE[k], p.c.JF[a]))
+_UV_RANGE = ("ric_range", +1, lambda p: _ric_range(p, p.JU, p.JU))
+_XY_KER = ("ric_ker", +1, lambda p: _ric_block(p.c.ker_rg, p.ric_ker, p.B, p.B))
+_XY_WARP = ("warp_trace", +1, lambda p: -(p.r0 * p.norm2_f + p.div_grad_f)[:, None, None]
+            * _form(p.B, p.GM, p.B))
+_XY_HESS = ("r_hess_CC", +1, lambda p: _hess_C(p, p.C, p.C))
+_XY_DF = ("r_CXf_CYf", +1, _df_pair)
+_XY_RANGE = ("ric_range", +1, lambda p: _ric_range(p, p.C, p.C))
+_FF_PERP = ("ric_perp", +1, lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv, p.JFv))
+_FE_NTS = ("ntS_PE", +1, lambda p: _nts_trace(p, p.c.JF, p.c.PE))
+_FE_NTS_F = ("ntS_Fj", +1, lambda p: _nts_trace(p, p.c.JF, p.c.PE, True))
+_FE_RPERP = ("r_perp", +1, _T(lambda p: _rperp_trace(p, p.c.PE, p.c.JF)))
 _EE_RANGE = ("ric_range_PP", +1,
-             lambda p, k, l: _ric_block(p.c.range_rg, p.ric_range, p.PEv[k], p.PEv[l]))
+             lambda p: _ric_block(p.c.range_rg, p.ric_range, p.PEv, p.PEv))
 
 _SOURCE = ("kahler_source", "anti_invariant_source", "clairaut_source")
 _LSOURCE = ("lagrangian_source", "anti_invariant_source", "clairaut_source",
@@ -674,32 +739,33 @@ TABLE = {
     # Ric(U,V) = Ric^range(F_*JU, F_*JV) + r Hess f(JU, JV) - divA(JU, JV)
     "ric_uv": Identity("uu", ("range_rg", "ric_M", "hess_f", "NA", "J"), (
         _UV_RANGE,
-        ("r_hess_f", +1, lambda p, a, b: p.r0 * float(p.JU[a] @ p.Hf @ p.JU[b])),
-        ("div_A", -1, lambda p, a, b: _div_A(p, p.JU[a], p.JU[b])),
+        ("r_hess_f", +1, lambda p: p.r0 * _form(p.JU, p.Hf, p.JU)),
+        ("div_A", -1, lambda p: _div_A(p, p.JU, p.JU)),
     ), _SOURCE),
     "ric_ux": Identity("ux", ("range_rg", "ric_M", "hess_f", "NA", "J"), (
-        ("hess_BX_JU", +1, lambda p, a, i: _hess_B(p, p.B[i], p.JU[a])),
-        ("div_A_JU_CX", +1, lambda p, a, i: _div_A(p, p.JU[a], p.C[i])),
-        ("r_hess_JU_CX", +1, lambda p, a, i: _hess_C(p, p.JU[a], p.C[i])),
-        ("ric_range", +1, lambda p, a, i: _ric_range(p, p.JU[a], p.C[i])),
-        ("nablaA_frame_trace", +1, lambda p, a, i: float(p.JU[a] @ p.NAT @ p.B[i])),
+        ("hess_BX_JU", +1, _T(lambda p: _hess_B(p, p.B, p.JU))),
+        ("div_A_JU_CX", +1, lambda p: _div_A(p, p.JU, p.C)),
+        ("r_hess_JU_CX", +1, lambda p: _hess_C(p, p.JU, p.C)),
+        ("ric_range", +1, lambda p: _ric_range(p, p.JU, p.C)),
+        ("nablaA_frame_trace", +1, lambda p: _form(p.JU, p.NAT, p.B)),
     ), _SOURCE),
     "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f", "f_tape",
                               "A", "NA", "SFF", "J"), (
         _XY_KER,
         _XY_WARP,
-        ("A_A", +1, lambda p, i, j: float(p.B[i] @ p.AA @ p.B[j])),
+        ("A_A", +1, lambda p: _form(p.B, p.AA, p.B)),
         _XY_HESS,
         _XY_DF,
-        ("A_mu", +1, lambda p, i, j: float(p.C[i] @ p.AMU @ p.C[j]) if len(p.V) else 0.0),
-        ("div_A_CC", +1, lambda p, i, j: _div_A(p, p.C[i], p.C[j])),
+        ("A_mu", +1, lambda p: _form(p.C, p.AMU, p.C) if p.r0 else
+         np.zeros((len(p.C),) + (p.C.shape[1],) * 2)),
+        ("div_A_CC", +1, lambda p: _div_A(p, p.C, p.C)),
         _XY_RANGE,
-        ("sff_sff", +1, lambda p, i, j: -float(p.C[j] @ p.SS @ p.C[i])),
-        ("sff_tension", +1, lambda p, i, j: float(p.C[i] @ p.ST @ p.C[j])),
-        ("hess_BX_CY", +1, lambda p, i, j: _hess_B(p, p.B[i], p.C[j])),
-        ("nablaA_CY", +1, lambda p, i, j: _nabla_A_H(p, p.C[j], p.B[i])),
-        ("hess_BY_CX", +1, lambda p, i, j: _hess_B(p, p.B[j], p.C[i])),
-        ("nablaA_CX", +1, lambda p, i, j: _nabla_A_H(p, p.C[i], p.B[j])),
+        ("sff_sff", +1, _T(lambda p: -_form(p.C, p.SS, p.C))),
+        ("sff_tension", +1, lambda p: _form(p.C, p.ST, p.C)),
+        ("hess_BX_CY", +1, lambda p: _hess_B(p, p.B, p.C)),
+        ("nablaA_CY", +1, _T(lambda p: _nabla_A_H(p, p.C, p.B))),
+        ("hess_BY_CX", +1, _T(lambda p: _hess_B(p, p.B, p.C))),
+        ("nablaA_CX", +1, lambda p: _nabla_A_H(p, p.C, p.B)),
     ), _SOURCE),
     # Lagrangian reductions: Ric(U,V) = Ric^range(F_*JU, F_*JV), Ric(U,X) = 0,
     # Ric(X,Y) = Ric^ker(BX, BY)
@@ -717,32 +783,29 @@ TABLE = {
     # Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y) + (m - r) g_N(grad g, nperp J'F_*X J'F_*Y)
     "ric_fxfy": Identity("FF", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF"), (
         _FF_PERP,
-        ("grad_nperp", +1, lambda p, a, b: _grad_nperp(p, p.c.JF[a], p.c.JF[b])),
+        ("grad_nperp", +1, lambda p: _grad_nperp(p, p.c.JF, p.c.JF)),
     ), _TARGET),
     "ric_fxe": Identity("Fe", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF", "PE", "QE"), (
-        ("ric_perp_Q", +1,
-         lambda p, a, k: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv[a], p.QEv[k])),
+        ("ric_perp_Q", +1, lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv, p.QEv)),
         _FE_NTS,
         _FE_NTS_F,
-        ("grad_nperp", +1, lambda p, a, k: _grad_nperp(p, p.c.QE[k], p.c.JF[a])),
+        ("grad_nperp", +1, _T(lambda p: _grad_nperp(p, p.c.QE, p.c.JF))),
         _FE_RPERP,
     ), _TARGET, True),
     "ric_de": Identity("ee", ("tc", "range_rg", "perp_rg", "ric_N", "grad_g", "hess_g",
                               "g_tape", "mr", "PE", "QE"), (
         _EE_RANGE,
-        ("warp_PP", +1, lambda p, k, l: -float(p.PEv[k] @ p.GN @ p.PEv[l])
-         * (len(p.Ev) * p.norm2_g + p.hess_trace_g)),
-        ("ntS_PD_QE", +1, lambda p, k, l: _nts_trace(p, p.c.QE[l], p.c.PE[k])),
-        ("ntS_Fj_QE", +1, lambda p, k, l: _nts_trace(p, p.c.QE[l], p.c.PE[k], True)),
-        ("rperp_PD_QE", +1, lambda p, k, l: _rperp_trace(p, p.c.PE[k], p.c.QE[l])),
-        ("ntS_PE_QD", +1, lambda p, k, l: _nts_trace(p, p.c.QE[k], p.c.PE[l])),
-        ("ntS_Fj_QD", +1, lambda p, k, l: _nts_trace(p, p.c.QE[k], p.c.PE[l], True)),
-        ("rperp_PE_QD", +1, lambda p, k, l: _rperp_trace(p, p.c.PE[l], p.c.QE[k])),
+        ("warp_PP", +1, lambda p: -_form(p.PEv, p.GN, p.PEv)
+         * (p.Ev.shape[1] * p.norm2_g + p.hess_trace_g)[:, None, None]),
+        ("ntS_PD_QE", +1, _T(lambda p: _nts_trace(p, p.c.QE, p.c.PE))),
+        ("ntS_Fj_QE", +1, _T(lambda p: _nts_trace(p, p.c.QE, p.c.PE, True))),
+        ("rperp_PD_QE", +1, lambda p: _rperp_trace(p, p.c.PE, p.c.QE)),
+        ("ntS_PE_QD", +1, lambda p: _nts_trace(p, p.c.QE, p.c.PE)),
+        ("ntS_Fj_QD", +1, lambda p: _nts_trace(p, p.c.QE, p.c.PE, True)),
+        ("rperp_PE_QD", +1, _T(lambda p: _rperp_trace(p, p.c.PE, p.c.QE))),
         ("ric_perp_QQ", +1,
-         lambda p, k, l: _ric_block(p.c.perp_rg, p.ric_perp, p.QEv[k], p.QEv[l])),
-        ("warp_QQ", +1, lambda p, k, l: -p.c.mr * (float(p.QEv[k] @ p.dg)
-                                                   * float(p.QEv[l] @ p.dg)
-                                                   + float(p.QEv[k] @ p.Hg @ p.QEv[l]))),
+         lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.QEv, p.QEv)),
+        ("warp_QQ", +1, lambda p: _warp_QQ(p)),
     ), _TARGET, True),
     # Lagrangian reductions: Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y); only the
     # interpreted terms of the mixed identity survive; Ric(D, E) = Ric^range(PD, PE)
@@ -755,6 +818,12 @@ TABLE = {
 IDENTITIES = TABLE
 
 
+def _warp_QQ(p):
+    """-(m - r) (QD(g) QE(g) + Hess g(QD, QE))."""
+    qdg = vdot(p.QEv, p.dg[:, None])
+    return -p.c.mr * (qdg[:, :, None] * qdg[:, None, :] + _form(p.QEv, p.Hg, p.QEv))
+
+
 def verify_identity(case: PropositionCase, ident: str, points):
     """Run one TABLE identity at the points; returns the per-pair rows with a
     term breakdown, the worst row and its residual, and the gate names to
@@ -764,17 +833,17 @@ def verify_identity(case: PropositionCase, ident: str, points):
     except KeyError:
         raise GeometryError(f"unknown identity {ident!r}") from None
     c = _call(case, points, row.ingredients)
+    p = _Lazy(_BATCH, c=c)
     first, second, _, _, ric = _FAMILIES[row.family]
-    rows = []
-    for p in _points(c):
-        for a, b, pair in _pairs(p, row.family):
-            lhs = float(getattr(p, first)[a] @ getattr(p, ric) @ getattr(p, second)[b])
-            vals = [fn(p, a, b) for _, _, fn in row.terms]
-            rhs = vals[0] if vals else 0.0
-            for (_, sign, _), v in zip(row.terms[1:], vals[1:]):
-                rhs = rhs + v if sign > 0 else rhs - v
-            rows.append(_row(p, pair, lhs, rhs,
-                             {key: v for (key, _, _), v in zip(row.terms, vals)}))
+    X, Y = getattr(p, first), getattr(p, second)
+    if not (X.shape[1] and Y.shape[1]):
+        return _result(ident, [], row.gates, row.interpreted)
+    lhs = _form(X, getattr(p, ric), Y)
+    vals = [fn(p) for _, _, fn in row.terms]
+    rhs = vals[0] if vals else np.zeros_like(lhs)
+    for (_, sign, _), v in zip(row.terms[1:], vals[1:]):
+        rhs = rhs + v if sign > 0 else rhs - v
+    rows = _rows(row.family, lhs, rhs, {key: v for (key, _, _), v in zip(row.terms, vals)})
     return _result(ident, rows, row.gates, row.interpreted)
 
 
@@ -785,7 +854,7 @@ def verify_alpha_soliton_on_range(case: PropositionCase, points):
     F_*(J ker) frame with W = F_*(grad f), plus the cross-pipeline
     bookkeeping that ties it to the source soliton residual."""
     pts = np.atleast_2d(points)
-    r0 = case.dims(pts[0])["r0"]
+    r0 = case.dims(pts)["r0"]
     if r0 == 0:
         return {"id": "alpha_soliton_range", "vacuous": True, "n_pairs": 0,
                 "max_residual": 0.0, "rows": [], "worst": None,
@@ -794,34 +863,33 @@ def verify_alpha_soliton_on_range(case: PropositionCase, points):
     Leta = lie_derivative_metric(c.mg.gM, case.eta) if case.eta is not None else None
     lam = float(case.lam)
     alpha, beta = 1.0 / r0, lam / r0
-    rows = []
-    for p in _points(c):
-        Letav = Leta.value_at(p.x) if Leta is not None else None
-        for a, b, pair in _pairs(p, "uu"):
-            U, V = p.V[a], p.V[b]
-            JU, JV = p.JU[a], p.JU[b]
-            FJU, FJV = p.Jac @ JU, p.Jac @ JV
-            ric_rng = _ric_block(c.range_rg, p.ric_range, FJU, FJV)
-            lie_term = 0.5 * float(FJU @ p.LWv @ FJV)
-            ric_term = alpha * ric_rng
-            met_term = beta * float(FJU @ p.GN @ FJV)
-            range_residual = lie_term + ric_term + met_term
-            # cross-pipeline bookkeeping
-            lie_eta = 0.5 * float(U @ Letav @ V) if Letav is not None else 0.0
-            ric_uv = float(U @ p.ricM @ V)
-            S = lie_eta + case.alpha * ric_uv + lam * float(U @ p.GM @ V)
-            t_div = _div_A(p, JU, JV)
-            r_hess = r0 * float(JU @ p.Hf @ JV)
-            ident_gap = ric_uv - (ric_rng + r_hess - t_div)
-            push_gap = r_hess - 0.5 * r0 * float(FJU @ p.LWv @ FJV)
-            metric_gap = lam * (float(U @ p.GM @ V) - float(FJU @ p.GN @ FJV))
-            bookkeeping = abs(S - r0 * range_residual
-                              - (lie_eta + ident_gap + push_gap - t_div + metric_gap))
-            rows.append(_row(p, pair, range_residual, 0.0,
-                             {"half_lie_W": lie_term, "alpha_ric_range": ric_term,
-                              "beta_metric": met_term, "source_residual": S,
-                              "identity_gap": ident_gap, "pushforward_gap": push_gap,
-                              "div_A": t_div, "bookkeeping_gap": bookkeeping}))
+    p = _Lazy(_BATCH, c=c)
+    V, JU = p.V, p.JU
+    FJU = _push(p, JU)
+    ric_rng = _ric_block(c.range_rg, p.ric_range, FJU, FJU)
+    lie_W = _form(FJU, p.LWv, FJU)
+    lie_term = 0.5 * lie_W
+    ric_term = alpha * ric_rng
+    met_term = beta * _form(FJU, p.GN, FJU)
+    range_residual = lie_term + ric_term + met_term
+    # cross-pipeline bookkeeping
+    lie_eta = (0.5 * _form(V, Leta.values(p.x), V) if Leta is not None
+               else np.zeros_like(lie_W))
+    ric_uv = _form(V, p.ricM, V)
+    g_uv = _form(V, p.GM, V)
+    S = lie_eta + case.alpha * ric_uv + lam * g_uv
+    t_div = _div_A(p, JU, JU)
+    r_hess = r0 * _form(JU, p.Hf, JU)
+    ident_gap = ric_uv - (ric_rng + r_hess - t_div)
+    push_gap = r_hess - 0.5 * r0 * lie_W
+    metric_gap = lam * (g_uv - _form(FJU, p.GN, FJU))
+    bookkeeping = np.abs(S - r0 * range_residual
+                         - (lie_eta + ident_gap + push_gap - t_div + metric_gap))
+    rows = _rows("uu", range_residual, np.zeros_like(range_residual),
+                 {"half_lie_W": lie_term, "alpha_ric_range": ric_term,
+                  "beta_metric": met_term, "source_residual": S,
+                  "identity_gap": ident_gap, "pushforward_gap": push_gap,
+                  "div_A": t_div, "bookkeeping_gap": bookkeeping})
     out = _result("alpha_soliton_range", rows,
                   ("source_soliton", "tg_horizontal", "kernel_nontrivial") + _SOURCE)
     out["alpha"], out["beta"] = alpha, beta
@@ -833,21 +901,23 @@ def verify_ric_lie_relation(case: PropositionCase, points, vacuous_tol=1e-12):
     over (vertical, horizontal) pairs; vacuous when every CX vanishes
     (Lagrangian case)."""
     pts = np.atleast_2d(points)
-    r0 = case.dims(pts[0])["r0"]
+    r0 = case.dims(pts)["r0"]
     c = _call(case, pts, ("range_rg", "LW", "J"))
+    p = _Lazy(_BATCH, c=c)
     rows = []
-    saw_mu = False
-    for p in _points(c):
-        for a, i, pair in _pairs(p, "ux"):
-            CX = p.C[i]
-            if float(np.max(np.abs(CX))) <= vacuous_tol:
-                continue
-            saw_mu = True
-            FJU, FCX = p.Jac @ p.JU[a], p.Jac @ CX
-            lhs = _ric_block(c.range_rg, p.ric_range, FJU, FCX)
-            rhs = 0.5 * r0 * float(FJU @ p.LWv @ FCX)
-            rows.append(_row(p, pair, lhs, rhs, {"half_r_lie_W": rhs}))
+    if p.V.shape[1] and p.H.shape[1]:
+        keep = ~(np.max(np.abs(p.C), axis=2) <= vacuous_tol)  # (P, h): CX is not 0
+        if keep.any():
+            FJU, FCX = _push(p, p.JU), _push(p, p.C)
+            rg = c.range_rg  # leaks are checked where a pair is kept
+            rg.restrict_vector(FJU[keep.any(axis=1)])
+            rg.restrict_vector(FCX[keep])
+            block = list(rg.indices)
+            lhs = _form(FJU[..., block], p.ric_range, FCX[..., block])
+            rhs = 0.5 * r0 * _form(FJU, p.LWv, FCX)
+            rows = _rows("ux", lhs, rhs, {"half_r_lie_W": rhs},
+                         keep=np.broadcast_to(keep[:, None, :], lhs.shape))
     out = _result("ric_lie", rows,
                   ("horizontal_potential", "tg_horizontal") + _SOURCE)
-    out["vacuous"] = not saw_mu
+    out["vacuous"] = not rows
     return out

@@ -33,6 +33,7 @@ from .geometry import (
     _symmetrized,
     covariant_derivative,
     covariant_derivative_tensor,
+    field_values,
     orthonormalize,
     sym_einsum,
     sym_zeros,
@@ -215,16 +216,26 @@ class AdaptedFrames:
         return tuple(f.name or f"{group}{i}" for i, f in enumerate(getattr(self, group)))
 
 
-class SplitPoint:
-    """Numeric adapted frames at one sample point: rows are frame vectors."""
+class Split:
+    """Numeric adapted frames at P sample points, rows being frame vectors:
+    the points x (P, m) and y = F(x) (P, n), the evaluated g_M (P, m, m),
+    g_N at y (P, n, n) and Jacobian (P, n, m), and the frames vertical
+    (P, r0, m), horizontal (P, h, m), range (P, k, n) and normal (P, n1, n).
+    `MapGeometry.split_at` returns the same fields without the point axis.
+    The arrays are read-only: one split is shared by every check of a run."""
 
-    def __init__(self, x, y, vertical, horizontal, range_, normal):
+    def __init__(self, x, y, GM, GN, Jac, vertical, horizontal, range_, normal):
         self.x = x
         self.y = y
+        self.GM = GM
+        self.GN = GN
+        self.Jac = Jac
         self.vertical = vertical
         self.horizontal = horizontal
         self.range = range_
         self.normal = normal
+        for a in vars(self).values():
+            a.flags.writeable = False
 
 
 class MapGeometry:
@@ -240,6 +251,7 @@ class MapGeometry:
         self.gN = gN
         self.frames = frames or AdaptedFrames()
         self._cache = {}
+        self._splits = {}
 
     # -- declared-frame validation -------------------------------------------
     def validate_frames(self, points, tol=1e-9):
@@ -285,34 +297,53 @@ class MapGeometry:
         if problems:
             raise MapError("declared frame validation failed: " + "; ".join(problems))
 
-    # -- per-point splittings ---------------------------------------------------
-    def split_at(self, x, tol=1e-9) -> SplitPoint:
-        """Numeric adapted frames at x: declared frames are evaluated
-        verbatim when present; the vertical frame otherwise follows
-        `vertical_frames`, and the other frames are computed from it and the
-        Jacobian by Gram-Schmidt."""
-        x = np.asarray(x, dtype=float)
-        y = self.F.value_at(x)
-        GM = self.gM.value_at(x)
-        GN = self.gN.value_at(y)
-        J = self.F.jac_at(x)
+    # -- splittings -------------------------------------------------------------
+    _SPLITS_KEPT = 8
+
+    def split(self, points, tol=1e-9) -> Split:
+        """Numeric adapted frames at every point of a point set, computed
+        once per point set (the last few sets are kept): declared frames are
+        evaluated verbatim when present; the vertical frame otherwise
+        follows `vertical_frames`, and the other frames are computed from it
+        and the Jacobian by Gram-Schmidt at each point.  Raises MapError
+        naming the first point where a computed frame changes dimension."""
+        pts = np.array(np.atleast_2d(points), dtype=float)
+        key = (pts.shape, pts.tobytes(), tol)
+        if key not in self._splits:
+            if len(self._splits) >= self._SPLITS_KEPT:
+                del self._splits[next(iter(self._splits))]
+            self._splits[key] = self._split(pts, tol)
+        return self._splits[key]
+
+    def split_at(self, x, tol=1e-9) -> Split:
+        """The adapted frames at one point: `split` of the one-point set."""
+        s = self.split(np.asarray(x, dtype=float)[None], tol)
+        return Split(s.x[0], s.y[0], s.GM[0], s.GN[0], s.Jac[0], s.vertical[0],
+                     s.horizontal[0], s.range[0], s.normal[0])
+
+    def _split(self, pts, tol):
+        y = self.F.values(pts)
+        GM = self.gM.values(pts)
+        GN = self.gN.values(y)
+        J = self.F.jac_values(pts)
         fr = self.frames
 
-        declared = np.array([[f.value_at(x) for f in fr.vertical]]) if fr.vertical else None
-        vert = vertical_frames(x[None], GM[None], J[None], declared, tol)[0]
-        horiz = np.array([f.value_at(x) for f in fr.horizontal]) if fr.horizontal \
-            else _complement(GM, vert)
+        def declared(fields, at):
+            return field_values(fields, at) if fields else None
 
-        if fr.range:
-            rng = np.array([f.value_at(y) for f in fr.range])
-        else:
-            pushed = (J @ horiz.T).T if len(horiz) else np.zeros((0, self.gN.chart.dim))
-            rng = orthonormalize(GN, pushed) if len(pushed) else pushed
-        if fr.normal:
-            nrm = np.array([f.value_at(y) for f in fr.normal])
-        else:
-            nrm = _complement(GN, rng)
-        return SplitPoint(x, y, vert, horiz, rng, nrm)
+        vert = vertical_frames(pts, GM, J, declared(fr.vertical, pts), tol)
+        horiz = declared(fr.horizontal, pts)
+        if horiz is None:
+            horiz = _stacked("horizontal", pts, map(_complement, GM, vert))
+        rng = declared(fr.range, y)
+        if rng is None:
+            pushed = np.matmul(J, horiz.transpose(0, 2, 1)).transpose(0, 2, 1)
+            rng = (np.array([orthonormalize(G, rows) for G, rows in zip(GN, pushed)])
+                   if pushed.shape[1] else pushed)
+        nrm = declared(fr.normal, y)
+        if nrm is None:
+            nrm = _stacked("normal", pts, map(_complement, GN, rng))
+        return Split(pts, y, GM, GN, J, vert, horiz, rng, nrm)
 
     def rank_report(self, points, tol=1e-9):
         pts = np.atleast_2d(points)
@@ -470,6 +501,18 @@ def vertical_frames(points, GM, J, declared=None, tol=1e-9) -> np.ndarray:
     return np.array([orthonormalize(g, rows) for g, rows in zip(GM, ns)])
 
 
+def _stacked(what, points, frames):
+    """The per-point frames as one (P, k, n) array; raises MapError naming
+    the first point whose frame dimension differs from that at the first."""
+    frames = list(frames)
+    changed = [i for i, f in enumerate(frames) if len(f) != len(frames[0])]
+    if changed:
+        i = changed[0]
+        raise MapError(f"{what} frame dimension changes from {len(frames[0])} to "
+                       f"{len(frames[i])} at point {points[i].tolist()}")
+    return np.array(frames)
+
+
 def _complement(G, rows):
     """G-orthonormal basis of the orthogonal complement of span(rows)."""
     n = G.shape[0]
@@ -495,22 +538,14 @@ def isometry_residual(mg: MapGeometry, points) -> np.ma.MaskedArray:
     """Per point, the max over horizontal pairs of
     |g_N(F_*X_a, F_*X_b) - g_M(X_a, X_b)|; masked where the horizontal space
     is empty."""
-    pts = np.atleast_2d(points)
-    out, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-    for idx, x in enumerate(pts):
-        sp = mg.split_at(x)
-        if len(sp.horizontal) == 0:
-            skipped[idx] = True
-            continue
-        J = mg.F.jac_at(x)
-        GM = mg.gM.value_at(x)
-        GN = mg.gN.value_at(sp.y)
-        H = sp.horizontal
-        push = (J @ H.T).T
-        res = np.abs(np.einsum("ai,ij,bj->ab", push, GN, push)
-                     - np.einsum("ai,ij,bj->ab", H, GM, H))
-        out[idx] = np.max(res)
-    return np.ma.masked_array(out, skipped)
+    s = mg.split(points)
+    H = s.horizontal
+    if H.shape[1] == 0:
+        return np.ma.masked_array(np.zeros(len(H)), True)
+    push = np.matmul(s.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
+    res = np.abs(np.einsum("pai,pij,pbj->pab", push, s.GN, push)
+                 - np.einsum("pai,pij,pbj->pab", H, s.GM, H))
+    return np.ma.masked_array(np.max(res, axis=(1, 2)), False)
 
 
 def umbilical_fit(mg: MapGeometry, points):
@@ -518,32 +553,32 @@ def umbilical_fit(mg: MapGeometry, points):
     sum_{a,b} |(nabla F_*)(X_a, X_b) - g_M(X_a, X_b) H'|^2 over the
     horizontal frame.  Returns (per-point residual, masked where the
     horizontal space is empty; H' per point, zero there)."""
-    pts = np.atleast_2d(points)
-    S = mg.second_fundamental_form().values(pts)
-    res, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-    Hs = np.zeros((len(pts), mg.gN.chart.dim))
-    for idx, x in enumerate(pts):
-        sp = mg.split_at(x)
-        H = sp.horizontal
-        if len(H) == 0:
-            skipped[idx] = True
-            continue
-        GM = mg.gM.value_at(x)
-        GN = mg.gN.value_at(sp.y)
-        vals = np.einsum("aij,ki,lj->kla", S[idx], H, H)  # (k,l,target)
-        gm = np.einsum("ki,ij,lj->kl", H, GM, H)
-        denom = float(np.sum(gm * gm))
-        Hs[idx] = np.einsum("kl,kla->a", gm, vals) / denom
-        diff = vals - gm[:, :, None] * Hs[idx][None, None, :]
-        res[idx] = np.max(np.sqrt(np.abs(np.einsum("kla,ab,klb->kl", diff, GN, diff))))
-    return np.ma.masked_array(res, skipped), Hs
+    s = mg.split(points)
+    H = s.horizontal
+    if H.shape[1] == 0:
+        return (np.ma.masked_array(np.zeros(len(H)), True),
+                np.zeros((len(H), mg.gN.chart.dim)))
+    S = mg.second_fundamental_form().values(s.x)
+    vals = np.einsum("paij,pki,plj->pkla", S, H, H)  # (k,l,target) per point
+    gm = np.einsum("pki,pij,plj->pkl", H, s.GM, H)
+    denom = np.sum(gm * gm, axis=(1, 2))
+    Hs = np.einsum("pkl,pkla->pa", gm, vals) / denom[:, None]
+    diff = vals - gm[..., None] * Hs[:, None, None, :]
+    res = np.max(np.sqrt(np.abs(np.einsum("pkla,pab,pklb->pkl", diff, s.GN, diff))),
+                 axis=(1, 2))
+    return np.ma.masked_array(res, False), Hs
+
+
+def fiber_mean_curvature(mg: MapGeometry, points) -> np.ndarray:
+    """H = (1/r0) sum_j T(u_j, u_j) at each point, (P, m) horizontal vectors."""
+    s = mg.split(points)
+    r0 = s.vertical.shape[1]
+    if r0 == 0:
+        raise MapError("fiber mean curvature needs a nonzero-dimensional kernel")
+    Tv = mg.oneill_T().values(s.x)
+    return np.einsum("pkij,pai,paj->pk", Tv, s.vertical, s.vertical) / r0
 
 
 def fiber_mean_curvature_at(mg: MapGeometry, x) -> np.ndarray:
     """H = (1/r0) sum_j T(u_j, u_j), a horizontal vector at x."""
-    sp = mg.split_at(x)
-    r0 = len(sp.vertical)
-    if r0 == 0:
-        raise MapError("fiber mean curvature needs a nonzero-dimensional kernel")
-    Tv = mg.oneill_T().value_at(x)
-    return np.einsum("kij,ai,aj->k", Tv, sp.vertical, sp.vertical) / r0
+    return fiber_mean_curvature(mg, np.asarray(x, dtype=float)[None])[0]

@@ -18,7 +18,10 @@ from .geometry import (
     gradient,
     hessian,
     lie_derivative_metric,
+    matvec,
     orthonormal_frames,
+    qform,
+    vdot,
 )
 from .rmap import MapGeometry, MapError
 
@@ -164,28 +167,22 @@ def check_clairaut_source(cc: ClairautConfig, points):
         raise SolitonError("check_clairaut_source needs a source-side config")
     mg = cc.mg
     gradf = gradient(mg.gM, cc.dilation)
-    T = mg.oneill_T()
-    pts = np.atleast_2d(points)
-    res, umb, skipped = np.zeros(len(pts)), np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-    for idx, x in enumerate(pts):
-        sp = mg.split_at(x)
-        V = sp.vertical
-        if len(V) == 0:
-            skipped[idx] = True
-            continue
-        GM = mg.gM.value_at(x)
-        Tv = np.einsum("kij,ai,bj->abk", T.value_at(x), V, V)
-        gv = np.einsum("ai,ij,bj->ab", V, GM, V)
-        gf = gradf.value_at(x)
-        diff = Tv + gv[:, :, None] * gf[None, None, :]
-        res[idx] = np.max(np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", diff, GM, diff))))
-        # umbilicity: H = trace(T)/r0, residual of T - g H
-        H = np.einsum("abk,ab->k", Tv, np.eye(len(V))) / len(V)
-        udiff = Tv - gv[:, :, None] * H[None, None, :]
-        umb[idx] = np.max(np.sqrt(np.abs(np.einsum("abk,kl,abl->ab", udiff, GM, udiff))))
-    if skipped.all():
+    s = mg.split(points)
+    V, GM = s.vertical, s.GM
+    if V.shape[1] == 0:
         raise MapError("check_clairaut_source: empty kernel at all sample points")
-    return np.ma.masked_array(res, skipped), np.ma.masked_array(umb, skipped)
+    Tv = np.einsum("pkij,pai,pbj->pabk", mg.oneill_T().values(s.x), V, V)
+    gv = np.einsum("pai,pij,pbj->pab", V, GM, V)
+    gf = gradf.values(s.x)
+    diff = Tv + gv[..., None] * gf[:, None, None, :]
+    res = np.max(np.sqrt(np.abs(np.einsum("pabk,pkl,pabl->pab", diff, GM, diff))),
+                 axis=(1, 2))
+    # umbilicity: H = trace(T)/r0, residual of T - g H
+    H = np.einsum("pabk,ab->pk", Tv, np.eye(V.shape[1])) / V.shape[1]
+    udiff = Tv - gv[..., None] * H[:, None, None, :]
+    umb = np.max(np.sqrt(np.abs(np.einsum("pabk,pkl,pabl->pab", udiff, GM, udiff))),
+                 axis=(1, 2))
+    return np.ma.masked_array(res, False), np.ma.masked_array(umb, False)
 
 
 def check_clairaut_target(cc: ClairautConfig, points):
@@ -201,37 +198,29 @@ def check_clairaut_target(cc: ClairautConfig, points):
     dg = [differentiate(gfun, c) for c in gN.chart.coords]
     shapes = mg.shape_tensors()
     SFF = mg.second_fundamental_form()
-    pts = np.atleast_2d(points)
     if not mg.frames.normal:
         raise MapError("check_clairaut_target: trivial (empty) normal bundle")
     from .expr.tape import Tape
-    dg_tape = Tape(dg, gN.chart.allvars)
-    res, umb, skipped = np.zeros(len(pts)), np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-    for idx, x in enumerate(pts):
-        sp = mg.split_at(x)
-        GN = gN.value_at(sp.y)
-        dgv = dg_tape.evaluate_at(sp.y)
-        norms = []
-        for k, (Sk, _) in enumerate(shapes):
-            D = mg.frames.normal[k].value_at(sp.y)
-            Dg = float(D @ dgv)  # D(g): directional derivative
-            Skv = Sk.value_at(sp.y)
-            for V in sp.range:
-                w = Skv @ V + Dg * V
-                norms.append(np.sqrt(abs(w @ GN @ w)))
-        res[idx] = np.max(norms, initial=0.0)
-        # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
-        H = sp.horizontal
-        skipped[idx] = len(H) == 0
-        if len(H):
-            GM = mg.gM.value_at(x)
-            Sv = SFF.value_at(x)
-            vals = np.einsum("aij,ki,lj->kla", Sv, H, H)
-            gm = np.einsum("ki,ij,lj->kl", H, GM, H)
-            target = -gradg.value_at(sp.y)
-            diff = vals - gm[:, :, None] * target[None, None, :]
-            umb[idx] = np.max(np.sqrt(np.abs(np.einsum("kla,ab,klb->kl", diff, GN, diff))))
-    return res, np.ma.masked_array(umb, skipped)
+    s = mg.split(points)
+    y, GN, R = s.y, s.GN, s.range
+    dgv = Tape(dg, gN.chart.allvars).evaluate(y)
+    norms = []
+    for (Sk, _), D in zip(shapes, mg.frames.normal):
+        Dg = vdot(D.values(y), dgv)  # D(g): directional derivative
+        w = matvec(Sk.values(y)[:, None], R) + Dg[:, None, None] * R
+        norms.append(np.sqrt(np.abs(qform(w, GN[:, None], w))))
+    res = np.max(np.concatenate(norms, axis=1), axis=1, initial=0.0)
+    # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
+    H = s.horizontal
+    if H.shape[1] == 0:
+        return res, np.ma.masked_array(np.zeros(len(H)), True)
+    vals = np.einsum("paij,pki,plj->pkla", SFF.values(s.x), H, H)
+    gm = np.einsum("pki,pij,plj->pkl", H, s.GM, H)
+    target = -gradg.values(y)
+    diff = vals - gm[..., None] * target[:, None, None, :]
+    umb = np.max(np.sqrt(np.abs(np.einsum("pkla,pab,pklb->pkl", diff, GN, diff))),
+                 axis=(1, 2))
+    return res, np.ma.masked_array(umb, False)
 
 
 SCALAR_RELATIONS = {

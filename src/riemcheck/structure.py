@@ -17,6 +17,8 @@ from .geometry import (
     MetricField,
     TensorField,
     covariant_derivative_tensor,
+    field_values,
+    matvec,
     orthonormal_frames,
     sym_einsum,
 )
@@ -127,65 +129,64 @@ def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
     return g._cache[key]
 
 
-def _side(mg, sp, side):
-    """(metric, point, J-image space, its complement) of one side of the
-    split: the kernel on M at x ('source') or the range on N at F(x)
+def _side(mg, s, side):
+    """(metric values, points, J-image space, its complement) of one side of
+    a split: the kernel on M at x ('source') or the range on N at F(x)
     ('target')."""
     if side == "source":
-        return mg.gM, sp.x, sp.vertical, sp.horizontal
-    return mg.gN, sp.y, sp.range, sp.normal
+        return s.GM, s.x, s.vertical, s.horizontal
+    return s.GN, s.y, s.range, s.normal
 
 
 def anti_invariant_residual(mg, J: AlmostComplexStructure, points, side):
     """Per point, max |g(J a, b)| over pairs of kernel ('source') or range
     ('target') frame vectors, masked where that space is zero-dimensional;
     and whether it is zero-dimensional at every point ('degenerate')."""
-    pts = np.atleast_2d(points)
-    out, skipped = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
-    for idx, x in enumerate(pts):
-        g, at, rows, _ = _side(mg, mg.split_at(x), side)
-        if len(rows) == 0:
-            skipped[idx] = True
-            continue
-        JR = (J.value_at(at) @ rows.T).T
-        out[idx] = np.max(np.abs(np.einsum("ai,ij,bj->ab", JR, g.value_at(at), rows)))
-    return np.ma.masked_array(out, skipped), bool(skipped.all())
+    G, at, rows, _ = _side(mg, mg.split(points), side)
+    if rows.shape[1] == 0:
+        return np.ma.masked_array(np.zeros(len(rows)), True), True
+    JR = np.matmul(J.values(at), rows.transpose(0, 2, 1)).transpose(0, 2, 1)
+    out = np.max(np.abs(np.einsum("pai,pij,pbj->pab", JR, G, rows)), axis=(1, 2))
+    return np.ma.masked_array(out, False), False
 
 
 # -- sub-split frames and the B/C split ---------------------------------------------
 
-def complement_frame_at(mg, J: AlmostComplexStructure, x, side, tol=1e-9):
-    """Orthonormal basis of mu ('source': the complement of J(ker F_*) inside
-    (ker F_*)^perp at x) or of nu ('target': the complement of J'(range F_*)
-    inside (range F_*)^perp at F(x)); a declared mu/nu frame is used
-    verbatim."""
-    sp = mg.split_at(x)
-    g, at, inner, outer = _side(mg, sp, side)
+def complement_frames(mg, J: AlmostComplexStructure, points, side, tol=1e-9):
+    """Per point, an orthonormal basis of mu ('source': the complement of
+    J(ker F_*) inside (ker F_*)^perp at x) or of nu ('target': the complement
+    of J'(range F_*) inside (range F_*)^perp at F(x)); a declared mu/nu frame
+    is used verbatim.  A list of (k, n) arrays, k may differ between points."""
+    G, at, inner, outer = _side(mg, mg.split(points), side)
     declared = mg.frames.mu if side == "source" else mg.frames.nu
     if declared is not None:
-        return np.array([f.value_at(at) for f in declared])
-    G = g.value_at(at)
-    Jv = J.value_at(at)
-    jin = (Jv @ inner.T).T if len(inner) else np.zeros((0, len(at)))
-    out = []
-    for e in outer:
-        w = e.copy()
-        for u in jin:
-            w = w - (u @ G @ w) / (u @ G @ u) * u
-        for u in out:
-            w = w - (u @ G @ w) * u
-        n2 = float(w @ G @ w)
-        if n2 > tol:
-            out.append(w / np.sqrt(n2))
-    return np.array(out) if out else np.zeros((0, len(at)))
+        return list(field_values(declared, at))
+    jin = np.matmul(J.values(at), inner.transpose(0, 2, 1)).transpose(0, 2, 1)
+    frames = []
+    for Gp, jp, op in zip(G, jin, outer):
+        out = []
+        for e in op:
+            w = e.copy()
+            for u in jp:
+                w = w - (u @ Gp @ w) / (u @ Gp @ u) * u
+            for u in out:
+                w = w - (u @ Gp @ w) * u
+            n2 = float(w @ Gp @ w)
+            if n2 > tol:
+                out.append(w / np.sqrt(n2))
+        frames.append(np.array(out) if out else np.zeros((0, at.shape[1])))
+    return frames
+
+
+def complement_frame_at(mg, J: AlmostComplexStructure, x, side, tol=1e-9):
+    """`complement_frames` at the single point x."""
+    return complement_frames(mg, J, np.asarray(x, dtype=float)[None], side, tol)[0]
 
 
 def bc_split(Jx, X, vertical, G):
     """JX = BX + CX with BX the G-orthogonal projection of JX onto the
-    orthonormal vertical rows; CX is the remainder."""
-    JX = Jx @ X
-    if len(vertical):
-        B = np.einsum("ai,ij,j,ak->k", vertical, G, JX, vertical)
-    else:
-        B = np.zeros_like(JX)
+    orthonormal vertical rows; CX is the remainder.  Leading axes broadcast:
+    Jx and G (..., m, m), X (..., m), vertical (..., r, m)."""
+    JX = matvec(Jx, X)
+    B = np.einsum("...ai,...ij,...j,...ak->...k", vertical, G, JX, vertical)
     return B, JX - B

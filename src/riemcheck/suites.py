@@ -15,8 +15,11 @@ from .expr import Tape, backend_name
 from .geometry import (
     ChartDomainError,
     GeometryError,
+    covariant_derivative,
     geodesic_integrate,
+    gradient,
     orthonormal_frames,
+    qform,
     worst,
 )
 from .propcheck import (
@@ -38,7 +41,7 @@ from .report import (
 )
 from .rmap import (
     FramesRequired,
-    fiber_mean_curvature_at,
+    fiber_mean_curvature,
     isometry_residual,
     umbilical_fit,
     vertical_frames,
@@ -199,9 +202,7 @@ def check_metric(ctx):
 def check_riemannian_map(ctx):
     ctx.need_map("riemannian_map")
     res = isometry_residual(ctx.mg, ctx.points)
-    degenerate = all(len(ctx.mg.split_at(x).horizontal) == 0
-                     for x in ctx.points[:3])
-    if degenerate:
+    if ctx.mg.split(ctx.points).horizontal.shape[1] == 0:
         return CheckResult("riemannian_map", VACUOUS, 0.0, ctx.tol,
                            notes=["no horizontal directions (degenerate)"])
     return _pointwise(ctx, "riemannian_map", res)
@@ -282,66 +283,44 @@ def check_umbilical(ctx):
 def check_oneill(ctx):
     ctx.need_map("oneill")
     mg = ctx.mg
-    T = mg.oneill_T()
-    A = mg.oneill_A()
-    SFF = mg.second_fundamental_form()
-    rng = np.random.default_rng(ctx.seed + 1)
-    from .geometry import covariant_derivative
+    sp = mg.split(ctx.points)
+    V, H, GM, GN = sp.vertical, sp.horizontal, sp.GM, sp.GN
+    Tv, Av = mg.oneill_T().values(sp.x), mg.oneill_A().values(sp.x)
     fr = mg.frames
-    cov_vv = [[covariant_derivative(mg.gM, V, W) for W in fr.vertical]
-              for V in fr.vertical]
-    cov_hh = [[covariant_derivative(mg.gM, X, Y) for Y in fr.horizontal]
-              for X in fr.horizontal]
-    shapes = mg.shape_tensors() if fr.normal else []
-    per_point = {k: np.zeros(len(ctx.points)) for k in (
-        "T_skew", "A_skew", "T_vertical_sym", "A_horizontal_antisym",
-        "lemma1_vertical", "lemma1_horizontal", "shape_duality")}
-    for idx, x in enumerate(ctx.points):
-        at = {k: [] for k in per_point}  # every value of each term at x
-        sp = mg.split_at(x)
-        GM = mg.gM.value_at(x)
-        GN = mg.gN.value_at(sp.y)
-        Tv, Av = T.value_at(x), A.value_at(x)
-        for _ in range(3):
-            E, G1, G2 = rng.normal(size=(3, mg.gM.chart.dim))
-            for key, Op in (("T_skew", Tv), ("A_skew", Av)):
-                lhs = np.einsum("kij,i,j,kl,l->", Op, E, G1, GM, G2)
-                rhs = np.einsum("kij,i,j,kl,l->", Op, E, G2, GM, G1)
-                at[key].append(abs(lhs + rhs))
-        V, H = sp.vertical, sp.horizontal
-        if len(V):
-            tv = np.einsum("kij,ai,bj->abk", Tv, V, V)
-            at["T_vertical_sym"].append(np.max(np.abs(tv - np.transpose(tv, (1, 0, 2)))))
-        if len(H):
-            av = np.einsum("kij,ai,bj->abk", Av, H, H)
-            at["A_horizontal_antisym"].append(
-                np.max(np.abs(av + np.transpose(av, (1, 0, 2)))))
-        for a in range(len(fr.vertical)):
-            for b in range(len(fr.vertical)):
-                full = cov_vv[a][b].value_at(x)
-                tpart = np.einsum("kij,i,j->k", Tv, V[a], V[b])
-                vpart = (np.einsum("ai,ij,j,ak->k", V, GM, full, V)
-                         if len(V) else 0.0)
-                at["lemma1_vertical"].append(np.max(np.abs(full - tpart - vpart)))
-        for a in range(len(fr.horizontal)):
-            for b in range(len(fr.horizontal)):
-                full = cov_hh[a][b].value_at(x)
-                apart = np.einsum("kij,i,j->k", Av, H[a], H[b])
-                hpart = np.einsum("ai,ij,j,ak->k", H, GM, full, H)
-                at["lemma1_horizontal"].append(np.max(np.abs(full - hpart - apart)))
-        if shapes:
-            Sv = SFF.value_at(x)
-            Jx = mg.F.jac_at(x)
-            push = (Jx @ H.T).T
-            sffH = np.einsum("aij,ki,lj->kla", Sv, H, H)
-            for k, (Sk, _) in enumerate(shapes):
-                D = fr.normal[k].value_at(sp.y)
-                Skv = Sk.value_at(sp.y)
-                lhs = np.einsum("ac,kc,ab,lb->kl", Skv, push, GN, push)
-                rhs = np.einsum("a,ab,klb->kl", D, GN, sffH)
-                at["shape_duality"].append(np.max(np.abs(lhs - rhs)))
-        for key, values in at.items():
-            per_point[key][idx] = np.max(values, initial=0.0)
+    P, n = len(sp.x), mg.gM.chart.dim
+    at = {}  # every value of each term, (P, ...) arrays
+
+    # three random (E, G1, G2) triples per point, drawn point by point
+    E, G1, G2 = np.moveaxis(np.random.default_rng(ctx.seed + 1).normal(size=(P, 3, 3, n)), 2, 0)
+    for key, Op in (("T_skew", Tv), ("A_skew", Av)):
+        lhs = np.einsum("pkij,psi,psj,pkl,psl->ps", Op, E, G1, GM, G2)
+        rhs = np.einsum("pkij,psi,psj,pkl,psl->ps", Op, E, G2, GM, G1)
+        at[key] = np.abs(lhs + rhs)
+    tv = np.einsum("pkij,pai,pbj->pabk", Tv, V, V)
+    at["T_vertical_sym"] = np.abs(tv - tv.transpose(0, 2, 1, 3))
+    av = np.einsum("pkij,pai,pbj->pabk", Av, H, H)
+    at["A_horizontal_antisym"] = np.abs(av + av.transpose(0, 2, 1, 3))
+    for key, fields, F, Op in (("lemma1_vertical", fr.vertical, V, Tv),
+                               ("lemma1_horizontal", fr.horizontal, H, Av)):
+        # nabla_{F_a} F_b = its O'Neill part + its projection on span F
+        gaps = []
+        for a, b in np.ndindex(len(fields), len(fields)):
+            full = covariant_derivative(mg.gM, fields[a], fields[b]).values(sp.x)
+            part = np.einsum("pkij,pi,pj->pk", Op, F[:, a], F[:, b])
+            proj = np.einsum("pai,pij,pj,pak->pk", F, GM, full, F)
+            gaps.append(np.abs(full - part - proj))
+        at[key] = np.stack(gaps, axis=1) if gaps else np.zeros((P, 0))
+    at["shape_duality"] = np.zeros((P, 0))
+    if fr.normal:
+        push = np.matmul(sp.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
+        sffH = np.einsum("paij,pki,plj->pkla", mg.second_fundamental_form().values(sp.x), H, H)
+        gaps = []
+        for (Sk, _), D in zip(mg.shape_tensors(), fr.normal):
+            lhs = np.einsum("pac,pkc,pab,plb->pkl", Sk.values(sp.y), push, GN, push)
+            rhs = np.einsum("pa,pab,pklb->pkl", D.values(sp.y), GN, sffH)
+            gaps.append(np.abs(lhs - rhs))
+        at["shape_duality"] = np.stack(gaps, axis=1)
+    per_point = {k: np.max(v.reshape(P, -1), axis=1, initial=0.0) for k, v in at.items()}
     return _pointwise(ctx, "oneill", per_point, locate=False)
 
 
@@ -387,17 +366,10 @@ def _restricted_einstein(ctx, part):
     """Einstein fit of the restricted Ricci of a 'vertical', 'range' or
     'normal' part of the split."""
     rg = ctx.case().restricted(part, ctx.points)
-    rics, gvs, frames = [], [], []
-    for x in ctx.points:
-        sp = ctx.mg.split_at(x)
-        p = x if part == "vertical" else sp.y
-        rows = getattr(sp, part)
-        sub = np.array([rg.restrict_vector(v) for v in rows])
-        rics.append(rg.ricci_values(p[None, :])[0])
-        gvs.append(rg.metric.values(rg.reorder(p[None, :]))[0])
-        frames.append(sub)
-    lam, res = fit_einstein(np.array(rics), np.array(gvs), frames)
-    return lam, res
+    sp = ctx.mg.split(ctx.points)
+    at = sp.x if part == "vertical" else sp.y
+    frames = rg.restrict_vector(getattr(sp, part))
+    return fit_einstein(rg.ricci_values(at), rg.metric.values(rg.reorder(at)), frames)
 
 
 def check_einstein_ker(ctx):
@@ -425,7 +397,6 @@ def check_conformal_id(ctx):
     if conf["kind"] == "field":
         X = ctx.cfg.field(ctx.chart.name, conf["name"])
     else:
-        from .geometry import gradient
         X = gradient(ctx.g, ctx.cfg.function(ctx.chart.name, conf["name"]))
     phis, res = check_conformal(ctx.g, X, ctx.restriction(), ctx.points)
     return _pointwise(ctx, "conformal", res, {"phi_first": [float(v) for v in phis[:6]]})
@@ -462,7 +433,7 @@ def check_scalar_relations(ctx):
     case = ctx.case()
     sol = ctx.cfg.check["soliton"]
     lam = 0.0 if sol is None or sol["lambda"] == "solve" else float(sol["lambda"])
-    d = case.dims(ctx.points[0])
+    d = case.dims(ctx.points)
     sub = []
     gate_map = {
         "range_soliton": ("lagrangian_source", "clairaut_source", "source_soliton"),
@@ -582,16 +553,12 @@ def check_fiber_curvature(ctx):
     """Consistency of the fiber mean curvature with -grad f (the Clairaut
     source condition restated)."""
     ctx.need_map("fiber_curvature")
-    from .geometry import gradient
     f = ctx.source_fun()
     if f is None:
         raise SpecError("fiber_curvature needs 'clairaut source FUNC'")
-    gradf = gradient(ctx.g, f)
-    res = []
-    for x in ctx.points:
-        diff = fiber_mean_curvature_at(ctx.mg, x) + gradf.value_at(x)
-        res.append(np.sqrt(abs(diff @ ctx.g.value_at(x) @ diff)))
-    return _pointwise(ctx, "fiber_curvature", res)
+    diff = fiber_mean_curvature(ctx.mg, ctx.points) + gradient(ctx.g, f).values(ctx.points)
+    return _pointwise(ctx, "fiber_curvature",
+                      np.sqrt(np.abs(qform(diff, ctx.g.values(ctx.points), diff))))
 
 
 def _identity_check(ident):

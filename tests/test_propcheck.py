@@ -3,17 +3,27 @@ on the flat model (exact), audits of the worked examples (frozen discrepancy
 values from independent hand computation), theorem-level checks, and the
 per-point contractions behind the O'Neill-derivative terms."""
 
+import functools
+import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemcheck import propcheck
+from riemcheck import propcheck, suites
 from riemcheck.catalog import load
-from riemcheck.expr import Const
-from riemcheck.geometry import Chart, MetricField, TensorField, VectorField
-from riemcheck.rmap import AdaptedFrames, MapGeometry
+from riemcheck.expr import Const, nodes
+from riemcheck.geometry import (
+    Chart,
+    GeometryError,
+    MetricField,
+    TensorField,
+    VectorField,
+    worst,
+)
+from riemcheck.rmap import AdaptedFrames, MapGeometry, Split
 from riemcheck.specfile import load_spec
 from riemcheck.propcheck import (
     TABLE,
@@ -385,60 +395,71 @@ def _spd(rng, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_per_point_forms_match_the_per_pair_contractions(m, n, seed, data):
+@given(m=st.integers(2, 6), n=st.integers(2, 6), P=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_per_point_forms_match_the_per_pair_contractions(m, n, P, seed, data):
     r0 = data.draw(st.integers(0, m), label="r0")
     h = data.draw(st.integers(0, m), label="h")
     rng = np.random.default_rng(seed)
     q = SimpleNamespace(
-        NAv=rng.normal(size=(m, m, m, m)), Av=rng.normal(size=(m, m, m)),
-        Sv=rng.normal(size=(n, m, m)), GM=_spd(rng, m), GN=_spd(rng, n),
-        V=rng.normal(size=(r0, m)), H=rng.normal(size=(h, m)),
-        JU=rng.normal(size=(r0, m)), B=rng.normal(size=(h, m)), C=rng.normal(size=(h, m)))
-    p = propcheck._Lazy(propcheck._POINT, r0=r0, **vars(q))
-    q_abs = SimpleNamespace(**{k: np.abs(v) for k, v in vars(q).items()})
+        NAv=rng.normal(size=(P, m, m, m, m)), Av=rng.normal(size=(P, m, m, m)),
+        Sv=rng.normal(size=(P, n, m, m)), GM=np.array([_spd(rng, m) for _ in range(P)]),
+        GN=np.array([_spd(rng, n) for _ in range(P)]),
+        V=rng.normal(size=(P, r0, m)), H=rng.normal(size=(P, h, m)),
+        JU=rng.normal(size=(P, r0, m)), B=rng.normal(size=(P, h, m)),
+        C=rng.normal(size=(P, h, m)))
+    batch = propcheck._Lazy(propcheck._BATCH, r0=r0, **vars(q))
     for (ident, key, first, second), (subs, operands, sign) in _PER_PAIR.items():
         fn = next(fn for k, _, fn in TABLE[ident].terms if k == key)
-        for a in range(len(getattr(q, first))):
-            for b in range(len(getattr(q, second))):
-                want = sign * np.einsum(subs, *operands(q, a, b), optimize=True)
-                scale = np.einsum(subs, *operands(q_abs, a, b), optimize=True)
-                assert abs(fn(p, a, b) - want) <= 1e-12 * scale, (ident, key, a, b)
+        got = fn(batch)
+        assert got.shape == (P, len(getattr(q, first)[0]), len(getattr(q, second)[0]))
+        for i in range(P):
+            at = SimpleNamespace(**{k: v[i] for k, v in vars(q).items()})
+            at_abs = SimpleNamespace(**{k: np.abs(v) for k, v in vars(at).items()})
+            for a, b in np.ndindex(got.shape[1:]):
+                want = sign * np.einsum(subs, *operands(at, a, b), optimize=True)
+                scale = np.einsum(subs, *operands(at_abs, a, b), optimize=True)
+                assert abs(got[i, a, b] - want) <= 1e-12 * scale, (ident, key, i, a, b)
 
 
 @pytest.mark.parametrize("ident", ["ric_uv", "ric_ux", "ric_xy"])
 def test_identity_contractions_run_once_per_point(ident, ex31, monkeypatch):
-    """No contraction of five or more operands, and none inside the pair
-    loop: every einsum of a point runs before its first pair is reported."""
+    """No einsum of five or more operands, no contraction after the rows are
+    emitted, and as many einsum and matmul calls for 4 points as for 2."""
     mg, J, f = ex31
     case = PropositionCase(mg, J=J, f=f)
     pts = mg.gM.chart.sample_points(4, seed=5)
     verify_identity(case, ident, pts)  # the symbolic ingredients, built once
-    real_einsum, real_row = np.einsum, propcheck._row
-    operand_counts, row_marks = [], []
+    real_einsum, real_matmul, real_rows = np.einsum, np.matmul, propcheck._rows
+    operand_counts, matmuls, row_marks = [], [], []
 
     def einsum(subscripts, *operands, **kwargs):
         operand_counts.append(len(operands))
         return real_einsum(subscripts, *operands, **kwargs)
 
-    def row(p, *args):
-        row_marks.append((p.i, len(operand_counts)))
-        return real_row(p, *args)
+    def matmul(*args, **kwargs):
+        matmuls.append(1)
+        return real_matmul(*args, **kwargs)
+
+    def rows(*args, **kwargs):
+        row_marks.append(len(operand_counts) + len(matmuls))
+        return real_rows(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", einsum)
-    monkeypatch.setattr(propcheck, "_row", row)
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(propcheck, "_rows", rows)
     calls = {}
     for npts in (2, 4):
         operand_counts.clear()
+        matmuls.clear()
         row_marks.clear()
-        verify_identity(case, ident, pts[:npts])
-        calls[npts] = len(operand_counts)
+        res = verify_identity(case, ident, pts[:npts])
+        calls[npts] = (len(operand_counts), len(matmuls))
         assert all(k < 5 for k in operand_counts)
-        for i in range(npts):
-            marks = [n for point, n in row_marks if point == i]
-            assert len(marks) > 1 and marks[0] == marks[-1]
-    assert calls[4] == 2 * calls[2]
+        assert row_marks == [sum(calls[npts])] and res["n_pairs"] > 0
+        assert {r["point"] for r in res["rows"]} == set(range(npts))
+    assert calls[4] == calls[2]
+    assert sum(calls[4]) > 0
 
 
 def test_target_fields_sharing_a_name_keep_their_own_memo_entries():
@@ -461,3 +482,126 @@ def test_target_fields_sharing_a_name_keep_their_own_memo_entries():
         assert np.array_equal(tc.proj_range(W).value_at(y), PR @ w), W
         assert np.array_equal(tc.proj_perp(W).value_at(y), PP @ w), W
     assert np.array_equal(tc.J(twin).value_at(y), [-1.0, 0.0, 0.0, 0.0])
+
+
+# -- batching ---------------------------------------------------------------------------
+
+_CHECKED = list(TABLE) + ["alpha_soliton_range", "ric_lie"]
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_case(entry):
+    """The identity case of a catalog entry, as a run builds it; its symbolic
+    ingredients are kept across calls."""
+    cfg = load(entry)
+    return cfg, suites._Ctx(cfg, 7, 1, cfg.check["tol"], cfg.check["box"]).case()
+
+
+def _verify(case, ident, pts):
+    """The result of one identity check, or the (type, message) it raised."""
+    run = {"alpha_soliton_range": verify_alpha_soliton_on_range,
+           "ric_lie": verify_ric_lie_relation}.get(ident)
+    try:
+        return run(case, pts) if run else verify_identity(case, ident, pts)
+    except GeometryError as exc:
+        return (type(exc), str(exc))
+
+
+def _close(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("entry", ["paper-3.1", "paper-4.1", "flat-lagrangian"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), P=st.integers(2, 4))
+def test_batching_is_invisible(entry, seed, P):
+    """One call over P points gives the rows of P one-point calls, in the
+    same order and with the same worst row."""
+    cfg, case = _catalog_case(entry)
+    pts = case.mg.gM.chart.sample_points(P, seed=seed, box=cfg.check["box"])
+    for ident in _CHECKED:
+        batch = _verify(case, ident, pts)
+        singles = [_verify(case, ident, pts[i:i + 1]) for i in range(P)]
+        if isinstance(batch, tuple):
+            assert all(s == batch for s in singles), (ident, batch, singles)
+            continue
+        rows = [(i, r) for i, s in enumerate(singles) for r in s["rows"]]
+        assert [(r["point"], r["pair"]) for r in batch["rows"]] == \
+            [(i, r["pair"]) for i, r in rows], ident
+        for got, (_, want) in zip(batch["rows"], rows):
+            assert list(got["terms"]) == list(want["terms"]), ident
+            for key in ("lhs", "rhs", "residual"):
+                assert _close(got[key], want[key]), (ident, key, got, want)
+            for key, value in got["terms"].items():
+                assert _close(value, want["terms"][key]), (ident, key, got, want)
+        assert batch["vacuous"] == all(s["vacuous"] for s in singles), ident
+        if rows:
+            i, top = rows[worst([r["residual"] for _, r in rows])[1]]
+            assert (batch["worst"]["point"], batch["worst"]["pair"]) == (i, top["pair"])
+
+
+@pytest.mark.parametrize("ident", ["lric_uv", "ric_uv", "alpha_soliton_range"])
+@pytest.mark.parametrize("leak", [0.5, float("nan")])
+def test_a_vector_leaving_its_block_at_one_point_raises(ident, leak, monkeypatch):
+    """flat-lagrangian pushes JU_1 = X_1 onto the range frame R1 = d_y1; with
+    dy3/dx3 set to `leak` at point 2 of 4, F_*(JU_1) leaves the range block
+    (y1, y2) there, and the identity raises instead of contracting it."""
+    cfg, case = _catalog_case("flat-lagrangian")
+    mg = case.mg
+    pts = mg.gM.chart.sample_points(4, seed=7, box=cfg.check["box"])
+    assert not isinstance(_verify(case, ident, pts), tuple)
+    sp = mg.split(pts)
+    Jac = sp.Jac.copy()
+    Jac[2, 2, 2] = leak
+    bad = Split(sp.x, sp.y, sp.GM, sp.GN, Jac, sp.vertical, sp.horizontal, sp.range,
+                sp.normal)
+    monkeypatch.setattr(mg, "split", lambda points, tol=1e-9: bad)
+    assert _verify(case, ident, pts) == (
+        UnsupportedDistribution, f"vector leaves the restricted block (leak {leak:.3e})")
+
+
+def test_each_gate_is_evaluated_once_per_point_set(monkeypatch):
+    calls = Counter()
+    real = PropositionCase._gate
+
+    def gate(self, name, pts, tol):
+        calls[(name, tol, pts.tobytes())] += 1
+        return real(self, name, pts, tol)
+
+    monkeypatch.setattr(PropositionCase, "_gate", gate)
+    suites.run_suite(load("flat-lagrangian"), points=4)
+    assert len(calls) >= 15
+    assert set(calls.values()) == {1}, calls
+
+
+def test_target_calculus_builds_no_structural_zero_product(monkeypatch):
+    """shape, nabla_tilde_S and r_perp build no product or difference with a
+    zero-constant operand; before, flat-lagrangian built 320 of them."""
+    inside, zero_operands, built = [0], [], Counter()
+    real_init = nodes.Binary.__init__
+
+    def init(self, op, a, b):
+        if inside[0] and op in ("mul", "sub") and (
+                nodes.is_const(a, 0.0) or nodes.is_const(b, 0.0)):
+            zero_operands.append(op)
+        real_init(self, op, a, b)
+
+    def counted(name, method):
+        def run(self, *args):
+            built[name] += 1
+            inside[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                inside[0] -= 1
+        return run
+
+    monkeypatch.setattr(nodes.Binary, "__init__", init)
+    for name in ("shape", "nabla_tilde_S", "r_perp"):
+        monkeypatch.setattr(TargetCalculus, name,
+                            counted(name, getattr(TargetCalculus, name)))
+    suites.run_suite(load("flat-lagrangian"), points=4)
+    assert all(built[name] > 0 for name in ("shape", "nabla_tilde_S", "r_perp")), built
+    assert zero_operands == []

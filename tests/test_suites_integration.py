@@ -360,3 +360,57 @@ def test_clairaut_monitor_makes_no_split_at_call(monkeypatch):
     result = run_suite(cfg, suite=["geodesic"]).checks[0]
     assert result.verdict == PASS and "clairaut_invariant_drift" in result.terms
     assert calls == []
+
+
+def test_a_run_splits_each_point_set_once_and_never_point_by_point(monkeypatch):
+    from riemcheck.rmap import MapGeometry
+
+    splits, split_at = [], []
+    real_split, real_split_at = MapGeometry._split, MapGeometry.split_at
+    monkeypatch.setattr(MapGeometry, "_split", lambda self, pts, tol: splits.append(
+        pts.tobytes()) or real_split(self, pts, tol))
+    monkeypatch.setattr(MapGeometry, "split_at", lambda self, x, *a, **kw: split_at.append(
+        x) or real_split_at(self, x, *a, **kw))
+    cfg = load("paper-3.1")
+    report = run_suite(cfg, points=12)
+    assert not report.errors
+    points = cfg.charts["M"].sample_points(12, seed=cfg.check["seed"], box=cfg.check["box"])
+    assert sorted(splits) == sorted([points.tobytes(), points[:10].tobytes()])
+    assert split_at == []
+
+
+# The metric is NaN wherever x1 < 0.5, and no frame is declared: the
+# horizontal frame computed there is empty, and at the other points it is d_x2.
+NAN_SPLIT_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  metric diag 1, 1 + 1e-30*sqrt(x1 - 0.5)
+end
+manifold N
+  coords y1
+  metric diag 1
+end
+map F
+  source M
+  target N
+  components x2
+end
+check
+  seed 7
+  points 12
+  suite riemannian_map umbilical
+end
+"""
+
+
+def test_nonfinite_metric_under_computed_frames_fails_and_names_its_point():
+    cfg = load_spec(NAN_SPLIT_SPEC, name="nan-split")
+    pts = cfg.charts["M"].sample_points(12, seed=7)
+    first = pts[int(np.flatnonzero(pts[:, 0] < 0.5)[0])]
+    assert pts[0, 0] >= 0.5
+    report = run_suite(cfg)
+    for result in report.checks:
+        assert result.verdict == FAIL
+        assert result.notes == ["error: horizontal frame dimension changes from 1 to 0 "
+                                f"at point {first.tolist()}"]
