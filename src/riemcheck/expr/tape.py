@@ -12,6 +12,11 @@ shape and bound twice:
 - to numpy ufuncs for `evaluate`, with `x` the columns of the (npoints,
   nvars) input and `c` the constants broadcast over the points.
 
+Every check evaluates its tapes over the whole point set with `evaluate`.
+`evaluate_at` serves the geodesic RK4 integrator, whose stages depend on each
+other and so come one point at a time, and the one-point `value_at` accessors
+of the field classes.
+
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a
 single point whose `math` evaluation faults is evaluated again through the
@@ -164,7 +169,9 @@ class Tape:
         return out
 
     def evaluate_at(self, x) -> np.ndarray:
-        """Single point (nvars,) -> (nout,); avoids batch overhead in loops."""
+        """Single point (nvars,) -> (nout,) through the `math` functions, for
+        the RK4 integrator and the `value_at` accessors; avoids the batch
+        overhead a one-point `evaluate` pays."""
         x = np.asarray(x, dtype=np.float64)
         try:
             return np.array(self._run_one(x.tolist(), self._const_list),

@@ -353,9 +353,6 @@ class MetricField:
         n = self.chart.dim
         return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(n, n)
 
-    def inverse_value_at(self, x) -> np.ndarray:
-        return np.linalg.inv(self.value_at(x))
-
     def check_spd(self, points, tol=1e-12):
         """Symmetry and positive definiteness at the given points; raises
         GeometryError on the first offending point."""
@@ -383,12 +380,12 @@ class MetricField:
 
     def inverse(self) -> np.ndarray:
         """Symbolic inverse via the adjugate; exact for the chart sizes used
-        here.  Per-point numeric work should use inverse_value_at instead."""
+        here.  Numeric work should invert the metric values instead."""
         if "inv" not in self._cache:
             n = self.chart.dim
             if n > 6:
-                raise GeometryError(
-                    "symbolic inverse limited to dim <= 6; use inverse_value_at")
+                raise GeometryError("symbolic inverse limited to dim <= 6; "
+                                    "invert the metric values instead")
             d = self.det()
             if is_const(d, 0.0):
                 raise GeometryError("metric is symbolically degenerate (det == 0)")

@@ -261,15 +261,13 @@ class PropositionCase:
     and cached write-once."""
 
     def __init__(self, mg: MapGeometry, J=None, Jp=None, f=None, gfun=None,
-                 eta: VectorField | None = None, theta: VectorField | None = None,
-                 alpha=1.0, lam=0.0):
+                 eta: VectorField | None = None, alpha=1.0, lam=0.0):
         self.mg = mg
         self.J = J
         self.Jp = Jp
         self.f = as_expr(f) if f is not None else None
         self.gfun = as_expr(gfun) if gfun is not None else None
         self.eta = eta
-        self.theta = theta
         self.alpha = float(alpha)
         self.lam = lam
         self._cache = {}

@@ -93,10 +93,6 @@ class SmoothMap:
     def values(self, points) -> np.ndarray:
         return self.tape().evaluate(np.atleast_2d(points))
 
-    def jac_at(self, x) -> np.ndarray:
-        return self.jac_tape().evaluate_at(np.asarray(x, dtype=float)).reshape(
-            self.target.dim, self.source.dim)
-
     def jac_values(self, points) -> np.ndarray:
         pts = np.atleast_2d(points)
         return self.jac_tape().evaluate(pts).reshape(
@@ -113,17 +109,6 @@ class SmoothMap:
             raise MapError(f"map {self.name} has no declared section")
         mapping = dict(zip(self.source.coords, self.section))
         return simplify(substitute(as_expr(e), mapping))
-
-    def rank_at(self, x, tol=1e-9) -> int:
-        sv = np.linalg.svd(self.jac_at(x), compute_uv=False)
-        return int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
-
-
-def pushforward(F: SmoothMap, X, p) -> np.ndarray:
-    """(F_* X)^a = (dF^a/dx^i) X^i at the point p."""
-    x = F.source.point_to_array(p) if isinstance(p, dict) else np.asarray(p, float)
-    Xv = X.value_at(x) if isinstance(X, VectorField) else np.asarray(X, dtype=float)
-    return F.jac_at(x) @ Xv
 
 
 def pushforward_along(F: SmoothMap, Y: VectorField) -> "VectorFieldAlongMap":
@@ -345,16 +330,12 @@ class MapGeometry:
             nrm = _stacked("normal", pts, map(_complement, GN, rng))
         return Split(pts, y, GM, GN, J, vert, horiz, rng, nrm)
 
-    def rank_report(self, points, tol=1e-9):
-        pts = np.atleast_2d(points)
-        ranks = sorted({self.F.rank_at(x, tol) for x in pts})
-        return ranks
-
     def require_constant_rank(self, points, tol=1e-9) -> int:
-        ranks = self.rank_report(points, tol)
-        if len(ranks) != 1:
-            raise MapError(f"Jacobian rank changes across sample points: {ranks}")
-        return ranks[0]
+        """The numerical rank of the Jacobian, the same at every point (the
+        rule of `_jacobian_rank`); raises MapError naming the first point
+        whose rank differs from that at the first point."""
+        pts = np.atleast_2d(points)
+        return _jacobian_rank(pts, self.F.jac_values(pts), tol)[0]
 
     # -- symbolic coordinate tensors ---------------------------------------------
     def _projector_from_fields(self, g, fields):
@@ -479,23 +460,33 @@ class MapGeometry:
         return self._cache["shape"]
 
 
-def vertical_frames(points, GM, J, declared=None, tol=1e-9) -> np.ndarray:
-    """The vertical frame at each of P points, as a (P, r, n) array, from the
-    evaluated g_M (P, n, n), Jacobian (P, m, n) and declared vertical fields
-    (P, r, n), or None when none are declared.  Declared fields are used
-    verbatim; otherwise the frame is the SVD null space of the Jacobian,
-    orthonormalised in g_M.  Raises MapError naming the first point whose
-    kernel dimension differs from that at the first point."""
-    if declared is not None:
-        return declared
+def _jacobian_rank(points, J, tol=1e-9):
+    """The numerical rank of the Jacobians J (P, m, n), the count of singular
+    values above tol * max(1, largest), and their right singular vectors
+    (P, n, n).  Raises MapError naming the first point whose rank differs
+    from that at the first point."""
     _, s, vt = np.linalg.svd(J)
     ranks = np.sum(s > tol * np.maximum(1.0, s[:, :1]), axis=1)
     changed = np.flatnonzero(ranks != ranks[0])
     if len(changed):
         i = changed[0]
-        raise MapError(f"Jacobian kernel dimension changes from {J.shape[2] - ranks[0]} "
-                       f"to {J.shape[2] - ranks[i]} at point {points[i].tolist()}")
-    ns = vt[:, ranks[0]:]
+        raise MapError(f"Jacobian rank changes from {ranks[0]} to {ranks[i]} and its "
+                       f"kernel dimension from {J.shape[2] - ranks[0]} to "
+                       f"{J.shape[2] - ranks[i]} at point {points[i].tolist()}")
+    return int(ranks[0]), vt
+
+
+def vertical_frames(points, GM, J, declared=None, tol=1e-9) -> np.ndarray:
+    """The vertical frame at each of P points, as a (P, r, n) array, from the
+    evaluated g_M (P, n, n), Jacobian (P, m, n) and declared vertical fields
+    (P, r, n), or None when none are declared.  Declared fields are used
+    verbatim; otherwise the frame is the SVD null space of the Jacobian,
+    orthonormalised in g_M; `_jacobian_rank` raises where the rank
+    changes."""
+    if declared is not None:
+        return declared
+    rank, vt = _jacobian_rank(points, J, tol)
+    ns = vt[:, rank:]
     if not ns.shape[1]:
         return ns
     return np.array([orthonormalize(g, rows) for g, rows in zip(GM, ns)])
@@ -577,8 +568,3 @@ def fiber_mean_curvature(mg: MapGeometry, points) -> np.ndarray:
         raise MapError("fiber mean curvature needs a nonzero-dimensional kernel")
     Tv = mg.oneill_T().values(s.x)
     return np.einsum("pkij,pai,paj->pk", Tv, s.vertical, s.vertical) / r0
-
-
-def fiber_mean_curvature_at(mg: MapGeometry, x) -> np.ndarray:
-    """H = (1/r0) sum_j T(u_j, u_j), a horizontal vector at x."""
-    return fiber_mean_curvature(mg, np.asarray(x, dtype=float)[None])[0]

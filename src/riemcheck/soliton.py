@@ -3,7 +3,8 @@ checks, and the two Clairaut conditions.
 
 Every check returns plain data (residuals, fitted coefficients, per-sample
 values, worst-point provenance); verdict assembly against tolerances happens
-in the suite layer.
+in the suite layer.  Frames at the sample points are one (P, k, n) array, and
+every frame-pair value is one `_pair_form` contraction over that stack.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .geometry import (
     GeometryError,
     MetricField,
     VectorField,
+    field_values,
     gradient,
     hessian,
     lie_derivative_metric,
@@ -65,42 +67,41 @@ class SolitonConfig:
         return L, R, G
 
 
-def _pair_frames(g: MetricField, points, restriction):
-    """Orthonormal frame rows per point: the restriction frame evaluated, or
-    a Cholesky frame of the full tangent space."""
-    pts = np.atleast_2d(points)
-    if restriction:
-        return pts, [np.array([f.value_at(x) for f in restriction]) for x in pts]
-    return pts, orthonormal_frames([g.value_at(x) for x in pts])
+def _pair_frames(G, points, restriction):
+    """Orthonormal frame rows at every point, one (P, k, n) array: the
+    restriction fields evaluated, or a Cholesky frame of the full tangent
+    space from the metric values G (P, n, n)."""
+    return field_values(restriction, points) if restriction else orthonormal_frames(G)
+
+
+def _pair_form(E, M):
+    """M(E_a, E_b) for every point and frame pair, E @ M @ E^T over frames E
+    (P, k, n) and forms M (P, n, n): a (P, k, k) array."""
+    return E @ M @ E.transpose(0, 2, 1)
 
 
 def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None):
     """Per point, max |1/2 (L_xi g)(X,Y) + alpha Ric(X,Y) + lam g(X,Y)| over
-    frame pairs."""
+    pairs of the (P, k, n) frames."""
     lam = cfg.lam if lam is None else lam
     if lam == "solve":
         raise SolitonError("soliton_residual needs a concrete lambda (use solve_lambda)")
-    pts, frames = _pair_frames(cfg.g, points, restriction)
+    pts = np.atleast_2d(points)
     L, R, G = cfg.term_values(pts)
-    E = L + R + float(lam) * G
-    return np.array([np.max(np.abs(np.einsum("ai,ij,bj->ab", fr, E[p], fr)), initial=0.0)
-                     for p, fr in enumerate(frames)])
+    fr = _pair_frames(G, pts, restriction)
+    return np.max(np.abs(_pair_form(fr, L + R + float(lam) * G)), axis=(1, 2), initial=0.0)
 
 
 def solve_lambda(cfg: SolitonConfig, restriction=None, points=None):
-    """Least-squares lambda over all point/pair samples plus the spread of
-    per-sample lambdas (samples with |g(X,Y)| below 1e-8 are excluded from
-    the spread; an all-degenerate sample set is an error)."""
-    pts, frames = _pair_frames(cfg.g, points, restriction)
+    """Least-squares lambda over all point/pair samples of the (P, k, n)
+    frames plus the spread of per-sample lambdas (samples with |g(X,Y)|
+    below 1e-8 are excluded from the spread; an all-degenerate sample set is
+    an error)."""
+    pts = np.atleast_2d(points)
     L, R, G = cfg.term_values(pts)
-    nums, dens = [], []
-    for p, fr in enumerate(frames):
-        num = np.einsum("ai,ij,bj->ab", fr, L[p] + R[p], fr).ravel()
-        den = np.einsum("ai,ij,bj->ab", fr, G[p], fr).ravel()
-        nums.append(num)
-        dens.append(den)
-    num = np.concatenate(nums)
-    den = np.concatenate(dens)
+    fr = _pair_frames(G, pts, restriction)
+    num = _pair_form(fr, L + R).ravel()
+    den = _pair_form(fr, G).ravel()
     mask = np.abs(den) > 1e-8
     if not np.any(mask):
         raise SolitonError("solve_lambda: all sampled g(X,Y) vanish (underdetermined)")
@@ -111,16 +112,11 @@ def solve_lambda(cfg: SolitonConfig, restriction=None, points=None):
 
 
 def fit_einstein(ric_vals, g_vals, frame_rows):
-    """Fit lambda minimizing |Ric + lam g| on the span of `frame_rows` per
-    point; returns (lam, residual).  ric_vals/g_vals: (P,k,k) already
-    restricted to the frame, or (P,n,n) with frame contraction applied here."""
-    rs, gs = [], []
-    for p in range(len(ric_vals)):
-        fr = frame_rows[p]
-        rs.append(np.einsum("ai,ij,bj->ab", fr, ric_vals[p], fr).ravel())
-        gs.append(np.einsum("ai,ij,bj->ab", fr, g_vals[p], fr).ravel())
-    r = np.concatenate(rs)
-    g = np.concatenate(gs)
+    """Fit lambda minimizing |Ric + lam g| on the span of the (P, k, n)
+    `frame_rows` at every point; returns (lam, residual).  ric_vals and
+    g_vals are (P, n, n), in the coordinates the frame rows are given in."""
+    r = _pair_form(frame_rows, ric_vals).ravel()
+    g = _pair_form(frame_rows, g_vals).ravel()
     denom = float(g @ g)
     if denom < 1e-20:
         raise SolitonError("fit_einstein: degenerate restriction")
@@ -131,20 +127,17 @@ def fit_einstein(ric_vals, g_vals, frame_rows):
 
 def check_conformal(g: MetricField, X: VectorField, restriction=None, points=None):
     """Fit a pointwise conformal factor phi(p) minimizing |(L_X g) - phi g|
-    on the restricted span.  Returns (phi samples, per-point residual)."""
-    LX = lie_derivative_metric(g, X)
-    pts, frames = _pair_frames(g, points, restriction)
-    Lv = LX.values(pts)
-    Gv = g.values(pts)
-    phis, residual = [], []
-    for p, fr in enumerate(frames):
-        lv = np.einsum("ai,ij,bj->ab", fr, Lv[p], fr)
-        gv = np.einsum("ai,ij,bj->ab", fr, Gv[p], fr)
-        denom = float(np.sum(gv * gv))
-        phi = float(np.sum(lv * gv)) / denom if denom > 1e-20 else 0.0
-        phis.append(phi)
-        residual.append(np.max(np.abs(lv - phi * gv)))
-    return np.array(phis), np.array(residual)
+    on the span of the (P, k, n) frames.  Returns (phi samples, per-point
+    residual)."""
+    pts = np.atleast_2d(points)
+    G = g.values(pts)
+    fr = _pair_frames(G, pts, restriction)
+    lv = _pair_form(fr, lie_derivative_metric(g, X).values(pts))
+    gv = _pair_form(fr, G)
+    denom = np.sum(gv * gv, axis=(1, 2))
+    phi = np.divide(np.sum(lv * gv, axis=(1, 2)), denom, out=np.zeros(len(pts)),
+                    where=denom > 1e-20)
+    return phi, np.max(np.abs(lv - phi[:, None, None] * gv), axis=(1, 2))
 
 
 class ClairautConfig:

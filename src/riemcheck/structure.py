@@ -20,6 +20,7 @@ from .geometry import (
     field_values,
     matvec,
     orthonormal_frames,
+    qform,
     sym_einsum,
 )
 
@@ -104,20 +105,13 @@ def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.
 
 def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
     """Per point, the max over orthonormal-frame pairs of |(nabla_X J) Y|_g."""
-    nj = nabla_J(g, J)
     pts = np.atleast_2d(points)
-    NJ = nj.values(pts)  # (p, k, l, j):  (nabla_{d_l} J)^k_j
+    NJ = nabla_J(g, J).values(pts)  # (p, k, l, j):  (nabla_{d_l} J)^k_j
     G = g.values(pts)
-    out = np.empty(len(pts))
-    for p, vecs in enumerate(orthonormal_frames(G)):
-        norms = []
-        for X in vecs:
-            M = np.einsum("klj,l->kj", NJ[p], X)
-            for Y in vecs:
-                W = M @ Y
-                norms.append(np.sqrt(abs(W @ G[p] @ W)))
-        out[p] = np.max(norms)
-    return out
+    E = orthonormal_frames(G)
+    M = np.einsum("pklj,pal->pakj", NJ, E)  # M[p, a] = nabla_{X_a} J
+    W = matvec(M[:, :, None], E[:, None])  # W[p, a, b] = (nabla_{X_a} J) X_b
+    return np.max(np.sqrt(np.abs(qform(W, G[:, None, None], W))), axis=(1, 2))
 
 
 def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
@@ -176,11 +170,6 @@ def complement_frames(mg, J: AlmostComplexStructure, points, side, tol=1e-9):
                 out.append(w / np.sqrt(n2))
         frames.append(np.array(out) if out else np.zeros((0, at.shape[1])))
     return frames
-
-
-def complement_frame_at(mg, J: AlmostComplexStructure, x, side, tol=1e-9):
-    """`complement_frames` at the single point x."""
-    return complement_frames(mg, J, np.asarray(x, dtype=float)[None], side, tol)[0]
 
 
 def bc_split(Jx, X, vertical, G):

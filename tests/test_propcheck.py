@@ -351,7 +351,8 @@ def test_range_ricci_is_evaluated_at_the_image_point():
         x = pts[row["point"]]
         sp = mg.split_at(x)
         a, b = (int(label[1:]) - 1 for label in row["pair"])
-        FJU, FJV = (mg.F.jac_at(x) @ J.value_at(x) @ sp.vertical[k] for k in (a, b))
+        Jac = mg.F.jac_values(x[None])[0]
+        FJU, FJV = (Jac @ J.value_at(x) @ sp.vertical[k] for k in (a, b))
         expect = -float(FJU @ mg.gN.value_at(mg.F.value_at(x)) @ FJV)
         assert row["terms"]["ric_range"] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 

@@ -13,9 +13,8 @@ from riemcheck.rmap import (
     MapError,
     MapGeometry,
     SmoothMap,
-    fiber_mean_curvature_at,
+    fiber_mean_curvature,
     isometry_residual,
-    pushforward,
     pushforward_field,
     umbilical_fit,
     vertical_frames,
@@ -56,6 +55,12 @@ def flat_projection():
 
 
 # -- pushforward ---------------------------------------------------------------
+
+def pushforward(F, X, x):
+    """(F_* X)^a = (dF^a/dx^i) X^i at the point x, from the Jacobian and the
+    field values of the one-point set."""
+    return F.jac_values(x[None])[0] @ X.values(x[None])[0]
+
 
 def test_pushforward_example31(ex31):
     mg, J, f = ex31
@@ -268,7 +273,7 @@ def test_sff_range_orthogonality(ex31, ex41):
             GN = mg.gN.value_at(sp.y)
             H = sp.horizontal
             vals = np.einsum("aij,ki,lj->kla", Sv[p], H, H)
-            J = mg.F.jac_at(x)
+            J = mg.F.jac_values(x[None])[0]
             push = (J @ H.T).T
             inner = np.einsum("kla,ab,mb->klm", vals, GN, push)
             assert np.max(np.abs(inner)) <= 1e-9
@@ -307,7 +312,7 @@ def test_shape_operator_duality(ex31, ex41):
             sp = mg.split_at(x)
             GN = mg.gN.value_at(sp.y)
             H = sp.horizontal
-            Jx = mg.F.jac_at(x)
+            Jx = mg.F.jac_values(x[None])[0]
             push = (Jx @ H.T).T
             sffH = np.einsum("aij,ki,lj->kla", Sv[p], H, H)
             for knorm, (Sk, NFk) in enumerate(shapes):
@@ -493,14 +498,15 @@ def test_fiber_mean_curvature_example31(ex31):
     from riemcheck.geometry import gradient
     gradf = gradient(mg.gM, f)
     for x in pts31(mg, 10, seed=23):
-        H = fiber_mean_curvature_at(mg, x)
+        H = fiber_mean_curvature(mg, x[None])[0]
         assert np.allclose(H, [0, 0, 0, 1, 0, 0], atol=1e-10)  # H = d4
         assert np.allclose(H, -gradf.value_at(x), atol=1e-10)  # H = -grad f
 
 
 def test_fiber_mean_curvature_totally_geodesic_is_zero():
     mg = flat_projection()
-    assert np.max(np.abs(fiber_mean_curvature_at(mg, np.array([0.3, 0.4, 0.5, 0.6])))) == 0.0
+    H = fiber_mean_curvature(mg, np.array([[0.3, 0.4, 0.5, 0.6]]))[0]
+    assert np.max(np.abs(H)) == 0.0
 
 
 def test_fiber_mean_curvature_needs_kernel():
@@ -509,7 +515,7 @@ def test_fiber_mean_curvature_needs_kernel():
     F = SmoothMap(M, M, [M.parse("x1")])
     mg = MapGeometry(F, g, g)
     with pytest.raises(MapError):
-        fiber_mean_curvature_at(mg, np.array([0.5]))
+        fiber_mean_curvature(mg, np.array([[0.5]]))
 
 
 def test_umbilical_fit_examples(ex31, ex41):

@@ -126,7 +126,7 @@ def test_fit_einstein_flat_and_sphere():
     pts = g.chart.sample_points(10, seed=7)
     ric = np.zeros((10, 2, 2))
     gv = g.values(pts)
-    frames = [np.eye(2)] * 10
+    frames = np.array([np.eye(2)] * 10)
     lam, res = fit_einstein(ric, gv, frames)
     assert lam == 0.0 and res == 0.0
 
@@ -134,7 +134,7 @@ def test_fit_einstein_flat_and_sphere():
     pts = gs.chart.sample_points(10, seed=8, box=(0.3, 1.2))
     ric = gs.ricci().values(pts)
     gv = gs.values(pts)
-    frames = [np.linalg.inv(np.linalg.cholesky(gv[p])) for p in range(10)]
+    frames = np.array([np.linalg.inv(np.linalg.cholesky(gv[p])) for p in range(10)])
     lam, res = fit_einstein(ric, gv, frames)
     assert lam == pytest.approx(-1.0, abs=1e-9)  # Ric + lam g = 0 with lam = -1
     assert res <= 1e-9
@@ -152,7 +152,7 @@ def test_fit_einstein_detects_non_einstein():
     pts = chart.sample_points(10, seed=9, box=(0.3, 1.2))
     ric = g.ricci().values(pts)
     gv = g.values(pts)
-    frames = [np.linalg.inv(np.linalg.cholesky(gv[p])) for p in range(10)]
+    frames = np.array([np.linalg.inv(np.linalg.cholesky(gv[p])) for p in range(10)])
     lam, res = fit_einstein(ric, gv, frames)
     assert res >= 0.5
 

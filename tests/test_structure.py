@@ -17,7 +17,7 @@ from riemcheck.structure import (
     AlmostComplexStructure,
     anti_invariant_residual,
     bc_split,
-    complement_frame_at,
+    complement_frames,
     hermitian_residual,
     kahler_residual,
     square_residual,
@@ -157,7 +157,7 @@ def test_decompose_BC_example31(ex31):
     U1, U2 = sp.vertical
     G = mg.gM.value_at(x)
     Jx = J.value_at(x)
-    mu = complement_frame_at(mg, J, x, "source")
+    mu = complement_frames(mg, J, x[None], "source")[0]
 
     BX, CX = bc_split(Jx, X1, sp.vertical, G)
     assert np.allclose(BX, -U1, atol=1e-10)  # J X1 = -U1: all vertical
@@ -190,7 +190,7 @@ def test_decompose_BC_lagrangian_has_no_C():
                    [1, 0, 0, 0], [0, 1, 0, 0]], dtype=object)
     J = AlmostComplexStructure(M, Jm)
     x = np.array([0.3, 0.4, 0.5, 0.6])
-    mu = complement_frame_at(mg, J, x, "source")
+    mu = complement_frames(mg, J, x[None], "source")[0]
     assert mu.shape[0] == 0  # Lagrangian: mu = 0
     _, CX = bc_split(J.value_at(x), np.array([0.0, 0.0, 1.0, 0.0]),
                      mg.split_at(x).vertical, gM.value_at(x))
@@ -204,7 +204,7 @@ def test_decompose_PQ_example41(ex41):
     e1p, e3p, e4p, e6p = sp.normal
     e2p, e5p = sp.range
     G = mg.gN.value_at(sp.y)
-    nu = complement_frame_at(mg, Jp, x, "target")
+    nu = complement_frames(mg, Jp, x[None], "target")[0]
 
     def normal_gap(D):
         return _norm(D - _project(D, sp.normal, G), G)

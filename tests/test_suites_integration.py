@@ -3,6 +3,7 @@ clean (exit 0), with the audit/ledger behavior the two six-dimensional
 configurations are known to produce."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -414,3 +415,73 @@ def test_nonfinite_metric_under_computed_frames_fails_and_names_its_point():
         assert result.verdict == FAIL
         assert result.notes == ["error: horizontal frame dimension changes from 1 to 0 "
                                 f"at point {first.tolist()}"]
+
+
+# F = (x1 - a)^2 x2 has rank 1 except where x1 = a, where its Jacobian is 0;
+# the declared vertical frame spans its kernel everywhere, so the split never
+# computes a kernel, and a sample point is placed on x1 = a after index 10.
+RANK_DROP_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+manifold N
+  coords y1
+  metric diag 1
+end
+map F
+  source M
+  target N
+  components (x1 - {a})^2*x2
+end
+frames F
+  vertical U1 = (x1 - {a})/sqrt((x1 - {a})^2 + 4*x2^2), -2*x2/sqrt((x1 - {a})^2 + 4*x2^2)
+end
+check
+  seed 7
+  points 12
+  suite metric
+end
+"""
+
+
+def test_metric_check_finds_a_rank_drop_at_any_sample_point():
+    pts = load_spec(RANK_DROP_SPEC.format(a=0.5), name="rank").charts["M"].sample_points(
+        12, seed=7)
+    a = pts[11, 0]
+    assert np.min(np.abs(pts[:11, 0] - a)) > 1e-3
+    result = run_suite(load_spec(RANK_DROP_SPEC.format(a=repr(float(a))), name="rank"))
+    check = result.checks[0]
+    assert check.verdict == FAIL
+    assert check.notes == ["error: Jacobian rank changes from 1 to 0 and its kernel "
+                           f"dimension from 1 to 2 at point {pts[11].tolist()}"]
+
+
+def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch):
+    """Every check evaluates its point set in one batch: over every catalog
+    entry, `Tape.evaluate_at` is called only from inside
+    `geometry.geodesic_integrate`, whose RK4 stages come one at a time."""
+    from riemcheck import geometry
+    from riemcheck.expr.tape import Tape
+
+    integrator, inside, outside = geometry.geodesic_integrate.__code__, [], []
+    evaluate_at = Tape.evaluate_at
+
+    def traced(self, x):
+        frame = sys._getframe(1)
+        caller = (frame.f_globals["__name__"], frame.f_code.co_name)
+        while frame is not None and frame.f_code is not integrator:
+            frame = frame.f_back
+        (inside if frame is not None else outside).append(caller)
+        return evaluate_at(self, x)
+
+    monkeypatch.setattr(Tape, "evaluate_at", traced)
+    for name in names():
+        cfg = load(name)
+        if cfg.check["geodesic"] is not None:
+            cfg.check["geodesic"]["t"] = 0.5
+        run_suite(cfg, points=12)
+    assert outside == []
+    assert inside and set(inside) == {("riemcheck.geometry", "rk4"),
+                                                         ("riemcheck.geometry", "energy")}
