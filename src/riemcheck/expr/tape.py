@@ -21,8 +21,8 @@ Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a
 single point whose `math` evaluation faults is evaluated again through the
 numpy path, so single-point and batch results agree on domain faults.  The
-tree evaluator in `nodes.evaluate` is the path that reports the offending
-subtree.
+engine evaluates every expression through a tape; the tree interpreter
+`nodes.evaluate` serves only as the tests' independent reference.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .expr import (
     Expr,
     as_expr,
     differentiate,
-    evaluate,
     parse,
     simplify,
     to_str,
@@ -161,6 +160,8 @@ class Chart:
                 raise GeometryError(f"unknown constraint kind {kind!r}")
             cons.append((as_expr(c), kind))
         self.constraints = tuple(cons)
+        # every constraint in one tape, shared by sampling and domain checks
+        self._cons_tape = Tape([c for c, _ in cons], coords) if cons else None
 
     def __repr__(self):
         return f"<Chart {self.name} dim={self.dim}>"
@@ -181,15 +182,19 @@ class Chart:
         extra = set(values) - set(self.coords)
         if extra:
             raise ChartDomainError(f"point has foreign coordinates {sorted(extra)}")
-        self.check_domain(p)
+        self.check_domain(self.point_to_array(p))
         return p
 
-    def check_domain(self, p):
-        for c, kind in self.constraints:
-            v = evaluate(c, p)
-            if kind == "nonzero" and abs(v) < 1e-12:
+    def check_domain(self, x):
+        """Raises ChartDomainError naming the first constraint violated at
+        the coordinate array x; a constraint that is not finite there is
+        violated."""
+        if self._cons_tape is None:
+            return
+        for (c, kind), v in zip(self.constraints, self._cons_tape.evaluate_at(x)):
+            if kind == "nonzero" and not (abs(v) >= 1e-12 and math.isfinite(v)):
                 raise ChartDomainError(f"constraint {to_str(c)} != 0 violated")
-            if kind == "positive" and v <= 0.0:
+            if kind == "positive" and not (v > 0.0 and math.isfinite(v)):
                 raise ChartDomainError(f"constraint {to_str(c)} > 0 violated")
 
     def array_to_point(self, x) -> dict:
@@ -200,19 +205,17 @@ class Chart:
 
     def sample_points(self, n, seed, box=(0.1, 1.0)) -> np.ndarray:
         """Seeded uniform samples over box^dim, rejection-filtered through the
-        chart constraints.  Returns an (n, dim) array."""
+        chart constraints (a non-finite constraint value rejects the
+        candidate).  Returns an (n, dim) array."""
         rng = np.random.default_rng(seed)
         lo, hi = float(box[0]), float(box[1])
-        cons_tape = None
-        if self.constraints:
-            cons_tape = Tape([c for c, _ in self.constraints], self.coords)
         out = np.empty((n, self.dim))
         got = 0
         for _ in range(200):
             cand = rng.uniform(lo, hi, size=(max(n, 8), self.dim))
-            if cons_tape is not None:
-                vals = cons_tape.evaluate(cand)
-                ok = np.ones(len(cand), dtype=bool)
+            if self._cons_tape is not None:
+                vals = self._cons_tape.evaluate(cand)
+                ok = np.all(np.isfinite(vals), axis=1)
                 for j, (_, kind) in enumerate(self.constraints):
                     col = vals[:, j]
                     ok &= (np.abs(col) > 1e-9) if kind == "nonzero" else (col > 1e-9)
@@ -285,35 +288,14 @@ class TensorField:
         return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(self.comps.shape)
 
 
-class Frame:
-    """Ordered list of vector fields, optionally flagged orthonormal."""
-
-    def __init__(self, chart, fields, orthonormal=False, names=None):
-        self.chart = chart
-        self.fields = tuple(fields)
-        self.orthonormal = orthonormal
-        self.names = tuple(names) if names else tuple(
-            f.name or f"E{i}" for i, f in enumerate(self.fields))
-        for f in self.fields:
-            if f.chart is not chart:
-                raise GeometryError("frame fields must share one chart")
-
-    def __len__(self):
-        return len(self.fields)
-
-    def values(self, points) -> np.ndarray:
-        """(npoints, nfields, dim) frame vectors."""
-        pts = np.atleast_2d(points)
-        return np.stack([f.values(pts) for f in self.fields], axis=1)
-
-    def gram_residual(self, metric, points) -> float:
-        """Max |g(e_i,e_j) - delta_ij| over the sample points."""
-        pts = np.atleast_2d(points)
-        G = metric.values(pts)
-        E = self.values(pts)
-        gram = np.einsum("pai,pij,pbj->pab", E, G, E)
-        eye = np.eye(len(self.fields))
-        return float(np.max(np.abs(gram - eye)))
+def gram_residual(metric, fields, points) -> float:
+    """Max |g(e_i,e_j) - delta_ij| over the sample points for the vector
+    fields e_i (NaN if a value is NaN)."""
+    pts = np.atleast_2d(points)
+    G = metric.values(pts)
+    E = field_values(fields, pts)
+    gram = np.einsum("pai,pij,pbj->pab", E, G, E)
+    return float(np.max(np.abs(gram - np.eye(len(fields)))))
 
 
 class MetricField:
@@ -726,8 +708,7 @@ def geodesic_tape(g: MetricField) -> Tape:
     return Tape(v + acc, g.chart.coords + tuple(f"_v{i}" for i in range(n)))
 
 
-def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
-                       record_every=1, energy_tol=1e-8) -> Trajectory:
+def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Trajectory:
     """Classical fixed-step RK4 on the geodesic equation with per-step halving
     whenever the step's metric-norm drift exceeds `energy_tol` (relative).
     A step is split at most 12 times; a step whose last split still drifts
@@ -767,7 +748,6 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
     rem = t_end - nfull * dt
     if rem > 1e-12 * max(1.0, t_end):
         steps.append(rem)
-    nsteps = len(steps)
     times = [0.0]
     xs = [state[:n].copy()]
     vs = [state[n:].copy()]
@@ -775,7 +755,7 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
     halvings = unconverged = 0
     t = 0.0
     e_state = e0  # energy of the last accepted state
-    for step, dt_step in enumerate(steps):
+    for dt_step in steps:
         sub = 1
         h = dt_step
         prev = state
@@ -800,13 +780,12 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt,
                 f"geodesic step from t={t} is non-finite at every step size")
         t += dt_step
         try:
-            chart.check_domain(chart.array_to_point(state[:n]))
+            chart.check_domain(state[:n])
         except ChartDomainError as exc:
             raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
         drifts.append(abs(e_state - e0) / escale)
-        if (step + 1) % record_every == 0 or step == nsteps - 1:
-            times.append(t)
-            xs.append(state[:n].copy())
-            vs.append(state[n:].copy())
+        times.append(t)
+        xs.append(state[:n].copy())
+        vs.append(state[n:].copy())
     return Trajectory(chart, np.array(times), np.array(xs), np.array(vs),
                       worst(drifts)[0], halvings, unconverged)

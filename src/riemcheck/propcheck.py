@@ -24,19 +24,21 @@ A row gives
   further term added or subtracted left to right;
 - the hypothesis gates and whether a term follows an interpreted definition.
 
-Both namespaces are filled lazily.  The per-call one (`_CALL`) holds the
-symbolic tensors, restricted geometries, target calculus and derivative
-tapes.  The batch one (`_BATCH`) holds, for the whole point set, one split
-(`MapGeometry.split`) and one `values` call per metric, tensor, frame and
-target-calculus field, at the points x or at their images y, each an array
-with a leading point axis, plus the per-point contractions built from them
-(divA, NAH, NAT, AA, AMU, SS, ST, the B/C split).  Terms contract these
-with `geometry.qform` and `matvec`, which make the BLAS calls of the
-per-vector products u @ M @ v and M @ v, so a P-point call gives the rows of
-P one-point calls.  `_rows` emits one row per pair per point in (point, a, b)
-order with residual |lhs - rhs|; the worst row is the first non-finite
-residual, else the first largest.  The two theorem-level checks build their
-own row arrays on the same namespaces.
+Two namespaces are filled lazily.  The case (`PropositionCase`) is bound to
+the run's sample points and holds, once per run, the symbolic tensors,
+restricted geometries, target calculus and derivative tapes, and the
+hypothesis gates, each evaluated at every sample point.  The batch one
+(`_BATCH`), made per check, holds one split (`MapGeometry.split`) and one
+`values` call per metric, tensor, frame and target-calculus field, at the
+points x or at their images y, each an array with a leading point axis,
+plus the per-point contractions built from them (divA, NAH, NAT, AA, AMU,
+SS, ST, the B/C split).  Terms contract these with `geometry.qform` and
+`matvec`, which make the BLAS calls of the per-vector products u @ M @ v and
+M @ v, so a P-point call gives the rows of P one-point calls.  `_rows`
+emits one row per pair per point in (point, a, b) order with residual
+|lhs - rhs|; the worst row is the first non-finite residual, else the first
+largest.  The two theorem-level checks build their own row arrays on the
+same namespaces.
 
 Restricted Ricci tensors exist only for coordinate-aligned involutive
 distributions: the induced metric is the coordinate submatrix with the
@@ -254,162 +256,7 @@ class TargetCalculus:
         return self._memo[key]
 
 
-# -- case ------------------------------------------------------------------------------
-
-class PropositionCase:
-    """Full configuration for identity checks; ingredients are built lazily
-    and cached write-once."""
-
-    def __init__(self, mg: MapGeometry, J=None, Jp=None, f=None, gfun=None,
-                 eta: VectorField | None = None, alpha=1.0, lam=0.0):
-        self.mg = mg
-        self.J = J
-        self.Jp = Jp
-        self.f = as_expr(f) if f is not None else None
-        self.gfun = as_expr(gfun) if gfun is not None else None
-        self.eta = eta
-        self.alpha = float(alpha)
-        self.lam = lam
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def ric_M(self):
-        return self._get("ricM", lambda: self.mg.gM.ricci())
-
-    def ric_N(self):
-        return self._get("ricN", lambda: self.mg.gN.ricci())
-
-    def hess_f(self):
-        if self.f is None:
-            raise UnsupportedDistribution("case has no source dilation f")
-        return self._get("hessf", lambda: hessian(self.mg.gM, self.f))
-
-    def grad_f(self):
-        if self.f is None:
-            raise UnsupportedDistribution("case has no source dilation f")
-        return self._get("gradf", lambda: gradient(self.mg.gM, self.f))
-
-    def div_grad_f(self):
-        return self._get("divgradf", lambda: divergence(self.mg.gM, self.grad_f()))
-
-    def grad_g(self):
-        if self.gfun is None:
-            raise UnsupportedDistribution("case has no target dilation g")
-        return self._get("gradg", lambda: gradient(self.mg.gN, self.gfun))
-
-    def hess_g(self):
-        return self._get("hessg", lambda: hessian(self.mg.gN, self.gfun))
-
-    def restricted(self, part, points) -> RestrictedGeometry:
-        """Restricted geometry of one part of the split: 'vertical' (the
-        kernel, on M), 'range' or 'normal' (on N)."""
-        g = self.mg.gM if part == "vertical" else self.mg.gN
-        return self._get(part, lambda: RestrictedGeometry(g, coordinate_alignment(
-            getattr(self.mg.split(points), part))))
-
-    def tc(self) -> TargetCalculus:
-        return self._get("tc", lambda: TargetCalculus(self.mg, self.Jp))
-
-    def dims(self, points):
-        """Dimensions of the split at a point set: m, n, r0 (kernel), h
-        (horizontal), rank (range) and n1 (normal)."""
-        sp = self.mg.split(points)
-        return {"m": self.mg.gM.chart.dim, "n": self.mg.gN.chart.dim,
-                "r0": sp.vertical.shape[1], "h": sp.horizontal.shape[1],
-                "rank": sp.range.shape[1], "n1": sp.normal.shape[1]}
-
-    # ---- hypothesis gates ----
-    def gates(self, points, which, tol=1e-7):
-        """(holds, value) of each named gate over the points; a gate is
-        evaluated once per case, tolerance and point set."""
-        pts = np.atleast_2d(points)
-        at = (tol, pts.shape, pts.tobytes())
-        return {name: self._get(("gate", name) + at, lambda: self._gate(name, pts, tol))
-                for name in which}
-
-    def _gate(self, name, pts, tol):
-        mg = self.mg
-        kind, _, side = name.rpartition("_")
-        if kind in ("kahler", "anti_invariant", "lagrangian"):
-            J = self.J if side == "source" else self.Jp
-            if J is None:
-                return (False, f"no {side} structure declared")
-            if kind == "kahler":
-                g, at = (mg.gM, pts) if side == "source" else (mg.gN, mg.F.values(pts))
-                return _gate_value(kahler_residual(g, J, at), tol)
-            if kind == "anti_invariant":
-                per_point, degen = anti_invariant_residual(mg, J, pts, side)
-                res = worst(per_point)[0]
-                return (res <= tol and not degen, res)
-            dims = [len(f) for f in complement_frames(mg, J, pts, side)[:5]]
-            return (all(d == 0 for d in dims), max(dims))
-        if name == "clairaut_source":
-            if self.f is None:
-                return (False, "no source dilation declared")
-            res, _ = check_clairaut_source(ClairautConfig(mg, "source", self.f), pts)
-            return _gate_value(res, tol)
-        if name == "clairaut_target":
-            if self.gfun is None:
-                return (False, "no target dilation declared")
-            sides = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
-            return _gate_value(np.ma.concatenate(sides), tol)
-        if name == "totally_geodesic_map":
-            sp = mg.split(pts)
-            E = np.concatenate([sp.vertical, sp.horizontal], axis=1)
-            vals = np.einsum("paij,pki,plj->pkla",
-                             mg.second_fundamental_form().values(pts), E, E)
-            return _gate_value(np.sqrt(np.max(np.abs(
-                np.einsum("pkla,pab,pklb->pkl", vals, sp.GN, vals)), axis=(1, 2))), tol)
-        if name == "tg_horizontal":
-            sp = mg.split(pts)
-            H = sp.horizontal
-            vals = np.einsum("pkij,pai,pbj->pabk", mg.oneill_A().values(pts), H, H)
-            return _gate_value(np.sqrt(np.max(np.abs(
-                np.einsum("pabk,pkl,pabl->pab", vals, sp.GM, vals)), axis=(1, 2))), tol)
-        if name == "tg_normal":
-            tc = self.tc()
-            ypts = mg.F.values(pts)
-            return _gate_value([np.abs(tc.proj_range(tc.cov(ek, el)).values(ypts))
-                                for ek in mg.frames.normal for el in mg.frames.normal], tol)
-        if name == "vertical_potential":
-            return self._potential_gate(pts, vertical=True, tol=tol)
-        if name == "horizontal_potential":
-            return self._potential_gate(pts, vertical=False, tol=tol)
-        if name == "source_soliton":
-            if self.eta is not None:
-                cfg = SolitonConfig(mg.gM, xi=self.eta, alpha=self.alpha, lam=self.lam)
-            elif self.f is not None:
-                cfg = SolitonConfig(mg.gM, f=self.f, alpha=self.alpha, lam=self.lam)
-            else:
-                return (False, "no potential declared")
-            return _gate_value(soliton_residual(cfg, points=pts), tol)
-        if name == "kernel_nontrivial":
-            d = self.dims(pts)
-            return (d["r0"] > 0, d["r0"])
-        raise GeometryError(f"unknown gate {name!r}")
-
-    def _potential_gate(self, pts, vertical, tol):
-        if self.eta is None:
-            return (False, "no potential field declared")
-        sp = self.mg.split(pts)
-        frame = sp.horizontal if vertical else sp.vertical
-        if frame.shape[1] == 0:
-            return _gate_value(np.ma.masked_array(np.zeros(len(pts)), True), tol)
-        return _gate_value(np.max(np.abs(np.einsum(
-            "pai,pij,pj->pa", frame, sp.GM, self.eta.values(pts))), axis=1), tol)
-
-
-def _gate_value(residuals, tol):
-    """(holds, value) of a gate measured by residuals over sample points."""
-    res = worst(residuals)[0]
-    return (res <= tol, res)
-
-
-# -- namespaces -------------------------------------------------------------------------
+# -- the case ---------------------------------------------------------------------------
 
 class _Lazy:
     """Attribute namespace: a missing attribute is built once by
@@ -429,15 +276,139 @@ class _Lazy:
         return value
 
 
-def _source_J(c):
-    if c.case.J is None:
-        raise UnsupportedDistribution("no source almost complex structure declared")
-    return c.case.J
+GATE_TOL = 1e-7
+
+
+class PropositionCase(_Lazy):
+    """The configuration of a run's identity checks, bound to its sample
+    points: the map geometry, the declared structures J (source) and Jp
+    (target), dilations f and gfun, potential field eta and soliton
+    constants.  Each ingredient of `_INGREDIENTS` is an attribute built on
+    first use and kept; each hypothesis gate is evaluated once."""
+
+    def __init__(self, mg: MapGeometry, points, J=None, Jp=None, f=None, gfun=None,
+                 eta: VectorField | None = None, alpha=1.0, lam=0.0):
+        super().__init__(_INGREDIENTS, mg=mg, pts=np.atleast_2d(points), J=J, Jp=Jp,
+                         f=as_expr(f) if f is not None else None,
+                         gfun=as_expr(gfun) if gfun is not None else None,
+                         eta=eta, alpha=float(alpha), lam=lam)
+        self._gates = {}
+
+    # ---- hypothesis gates ----
+    def gates(self, which):
+        """(holds, value) of each named gate over the case's points."""
+        for name in which:
+            if name not in self._gates:
+                self._gates[name] = self._gate(name)
+        return {name: self._gates[name] for name in which}
+
+    def _gate(self, name):
+        mg, pts = self.mg, self.pts
+        kind, _, side = name.rpartition("_")
+        if kind in ("kahler", "anti_invariant", "lagrangian"):
+            J = self.J if side == "source" else self.Jp
+            if J is None:
+                return (False, f"no {side} structure declared")
+            if kind == "kahler":
+                g, at = (mg.gM, pts) if side == "source" else (mg.gN, mg.F.values(pts))
+                return _gate_value(kahler_residual(g, J, at))
+            if kind == "anti_invariant":
+                per_point, degen = anti_invariant_residual(mg, J, pts, side)
+                res = worst(per_point)[0]
+                return (res <= GATE_TOL and not degen, res)
+            frames = complement_frames(mg, J, pts, side)
+            dim = int(np.any(frames != 0, axis=2).sum(axis=1).max(initial=0))
+            return (dim == 0, dim)
+        if name == "clairaut_source":
+            if self.f is None:
+                return (False, "no source dilation declared")
+            res, _ = check_clairaut_source(ClairautConfig(mg, "source", self.f), pts)
+            return _gate_value(res)
+        if name == "clairaut_target":
+            if self.gfun is None:
+                return (False, "no target dilation declared")
+            sides = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
+            return _gate_value(np.ma.concatenate(sides))
+        if name == "totally_geodesic_map":
+            sp = mg.split(pts)
+            E = np.concatenate([sp.vertical, sp.horizontal], axis=1)
+            vals = np.einsum("paij,pki,plj->pkla",
+                             mg.second_fundamental_form().values(pts), E, E)
+            return _gate_value(np.sqrt(np.max(np.abs(
+                np.einsum("pkla,pab,pklb->pkl", vals, sp.GN, vals)), axis=(1, 2))))
+        if name == "tg_horizontal":
+            sp = mg.split(pts)
+            H = sp.horizontal
+            vals = np.einsum("pkij,pai,pbj->pabk", mg.oneill_A().values(pts), H, H)
+            return _gate_value(np.sqrt(np.max(np.abs(
+                np.einsum("pabk,pkl,pabl->pab", vals, sp.GM, vals)), axis=(1, 2))))
+        if name == "tg_normal":
+            tc = self.tc
+            ypts = mg.F.values(pts)
+            return _gate_value([np.abs(tc.proj_range(tc.cov(ek, el)).values(ypts))
+                                for ek in mg.frames.normal for el in mg.frames.normal])
+        if name == "vertical_potential":
+            return self._potential_gate(vertical=True)
+        if name == "horizontal_potential":
+            return self._potential_gate(vertical=False)
+        if name == "source_soliton":
+            if self.eta is not None:
+                cfg = SolitonConfig(mg.gM, xi=self.eta, alpha=self.alpha, lam=self.lam)
+            elif self.f is not None:
+                cfg = SolitonConfig(mg.gM, f=self.f, alpha=self.alpha, lam=self.lam)
+            else:
+                return (False, "no potential declared")
+            return _gate_value(soliton_residual(cfg, points=pts))
+        if name == "kernel_nontrivial":
+            return (self.dims["r0"] > 0, self.dims["r0"])
+        raise GeometryError(f"unknown gate {name!r}")
+
+    def _potential_gate(self, vertical):
+        if self.eta is None:
+            return (False, "no potential field declared")
+        sp = self.mg.split(self.pts)
+        frame = sp.horizontal if vertical else sp.vertical
+        if frame.shape[1] == 0:
+            return _gate_value(np.ma.masked_array(np.zeros(len(self.pts)), True))
+        return _gate_value(np.max(np.abs(np.einsum(
+            "pai,pij,pj->pa", frame, sp.GM, self.eta.values(self.pts))), axis=1))
+
+
+def _gate_value(residuals):
+    """(holds, value) of a gate measured by residuals over sample points."""
+    res = worst(residuals)[0]
+    return (res <= GATE_TOL, res)
+
+
+# -- ingredients ------------------------------------------------------------------------
+
+def _declared(value, missing):
+    """value, which the case declares; UnsupportedDistribution(missing)
+    when it does not."""
+    if value is None:
+        raise UnsupportedDistribution(missing)
+    return value
+
+
+def _restricted(c, part):
+    """Restricted geometry of one part of the split at the case's points:
+    'vertical' (the kernel, on M), 'range' or 'normal' (on N)."""
+    g = c.mg.gM if part == "vertical" else c.mg.gN
+    return RestrictedGeometry(g, coordinate_alignment(getattr(c.mg.split(c.pts), part)))
+
+
+def _dims(c):
+    """Dimensions of the split: m, n, r0 (kernel), h (horizontal), rank
+    (range) and n1 (normal)."""
+    sp = c.mg.split(c.pts)
+    return {"m": c.mg.gM.chart.dim, "n": c.mg.gN.chart.dim,
+            "r0": sp.vertical.shape[1], "h": sp.horizontal.shape[1],
+            "rank": sp.range.shape[1], "n1": sp.normal.shape[1]}
 
 
 def _lie_W(c):
     """L_W g_N for W = F_*(grad f), pushed through the declared section."""
-    W = pushforward_field(c.mg.F, c.case.grad_f(), validate_points=c.pts[:5])
+    W = pushforward_field(c.mg.F, c.grad_f, validate_points=c.pts)
     W.name = "F*(grad f)"
     return lie_derivative_metric(c.mg.gN, W)
 
@@ -445,33 +416,36 @@ def _lie_W(c):
 def _f_tape(c):
     """div grad f, then the partial derivatives of f."""
     chart = c.mg.gM.chart
-    return Tape([c.case.div_grad_f()] + [differentiate(c.case.f, x) for x in chart.coords],
+    return Tape([c.div_grad_f] + [differentiate(c.f, x) for x in chart.coords],
                 chart.allvars)
 
 
-# per call: symbolic ingredients shared by every point
-_CALL = {
-    "ric_M": lambda c: c.case.ric_M(),
-    "ric_N": lambda c: c.case.ric_N(),
-    "hess_f": lambda c: c.case.hess_f(),
-    "grad_f": lambda c: c.case.grad_f(),
-    "grad_g": lambda c: c.case.grad_g(),
-    "hess_g": lambda c: c.case.hess_g(),
-    "ker_rg": lambda c: c.case.restricted("vertical", c.pts),
-    "range_rg": lambda c: c.case.restricted("range", c.pts),
-    "perp_rg": lambda c: c.case.restricted("normal", c.pts),
+# per case: symbolic tensors, restricted geometries, target calculus and
+# derivative tapes, shared by every check of the run
+_INGREDIENTS = {
+    "ric_M": lambda c: c.mg.gM.ricci(),
+    "ric_N": lambda c: c.mg.gN.ricci(),
+    "hess_f": lambda c: hessian(c.mg.gM, _declared(c.f, "case has no source dilation f")),
+    "grad_f": lambda c: gradient(c.mg.gM, _declared(c.f, "case has no source dilation f")),
+    "div_grad_f": lambda c: divergence(c.mg.gM, c.grad_f),
+    "grad_g": lambda c: gradient(c.mg.gN, _declared(c.gfun, "case has no target dilation g")),
+    "hess_g": lambda c: hessian(c.mg.gN, c.gfun),
+    "ker_rg": lambda c: _restricted(c, "vertical"),
+    "range_rg": lambda c: _restricted(c, "range"),
+    "perp_rg": lambda c: _restricted(c, "normal"),
+    "dims": _dims,
     "A": lambda c: c.mg.oneill_A(),
     "NA": lambda c: c.mg.nabla_oneill("A"),
     "SFF": lambda c: c.mg.second_fundamental_form(),
     "f_tape": _f_tape,
-    "g_tape": lambda c: Tape([differentiate(c.case.gfun, y) for y in c.mg.gN.chart.coords],
+    "g_tape": lambda c: Tape([differentiate(c.gfun, y) for y in c.mg.gN.chart.coords],
                              c.mg.gN.chart.allvars),
-    "J": _source_J,
-    "tc": lambda c: c.case.tc(),
+    "source_J": lambda c: _declared(c.J, "no source almost complex structure declared"),
+    "tc": lambda c: TargetCalculus(c.mg, c.Jp),
     "JF": lambda c: [c.tc.J(f) for f in c.mg.frames.range],
     "PE": lambda c: [c.tc.proj_range(c.tc.J(e)) for e in c.mg.frames.normal],
     "QE": lambda c: [c.tc.proj_perp(c.tc.J(e)) for e in c.mg.frames.normal],
-    "mr": lambda c: c.mg.gM.chart.dim - c.case.dims(c.pts)["r0"],
+    "mr": lambda c: c.mg.gM.chart.dim - c.dims["r0"],
     "LW": _lie_W,
 }
 
@@ -546,7 +520,7 @@ _BATCH = {
     "ric_range": lambda p: p.c.range_rg.ricci_values(p.y),
     "ric_ker": lambda p: p.c.ker_rg.ricci_values(p.x),
     "ric_perp": lambda p: p.c.perp_rg.ricci_values(p.y),
-    "Jx": lambda p: p.c.J.values(p.x),
+    "Jx": lambda p: p.c.source_J.values(p.x),
     "JU": lambda p: matvec(p.Jx[:, None], p.V),
     "BC": lambda p: bc_split(p.Jx[:, None], p.H, p.V[:, None], p.GM[:, None]),
     "B": lambda p: p.BC[0],
@@ -569,13 +543,6 @@ _FAMILIES = {
     "Fe": ("Fv", "Ev", "Fe", False, "ricN"),
     "ee": ("Ev", "Ev", "ee", True, "ricN"),
 }
-
-
-def _call(case, points, ingredients):
-    c = _Lazy(_CALL, case=case, mg=case.mg, pts=np.atleast_2d(points))
-    for name in ingredients:
-        getattr(c, name)
-    return c
 
 
 def _rows(family, lhs, rhs, terms, keep=None):
@@ -735,12 +702,12 @@ _LTARGET = ("lagrangian_target", "anti_invariant_target", "clairaut_target",
 
 TABLE = {
     # Ric(U,V) = Ric^range(F_*JU, F_*JV) + r Hess f(JU, JV) - divA(JU, JV)
-    "ric_uv": Identity("uu", ("range_rg", "ric_M", "hess_f", "NA", "J"), (
+    "ric_uv": Identity("uu", ("range_rg", "ric_M", "hess_f", "NA", "source_J"), (
         _UV_RANGE,
         ("r_hess_f", +1, lambda p: p.r0 * _form(p.JU, p.Hf, p.JU)),
         ("div_A", -1, lambda p: _div_A(p, p.JU, p.JU)),
     ), _SOURCE),
-    "ric_ux": Identity("ux", ("range_rg", "ric_M", "hess_f", "NA", "J"), (
+    "ric_ux": Identity("ux", ("range_rg", "ric_M", "hess_f", "NA", "source_J"), (
         ("hess_BX_JU", +1, _T(lambda p: _hess_B(p, p.B, p.JU))),
         ("div_A_JU_CX", +1, lambda p: _div_A(p, p.JU, p.C)),
         ("r_hess_JU_CX", +1, lambda p: _hess_C(p, p.JU, p.C)),
@@ -748,7 +715,7 @@ TABLE = {
         ("nablaA_frame_trace", +1, lambda p: _form(p.JU, p.NAT, p.B)),
     ), _SOURCE),
     "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f", "f_tape",
-                              "A", "NA", "SFF", "J"), (
+                              "A", "NA", "SFF", "source_J"), (
         _XY_KER,
         _XY_WARP,
         ("A_A", +1, lambda p: _form(p.B, p.AA, p.B)),
@@ -767,14 +734,14 @@ TABLE = {
     ), _SOURCE),
     # Lagrangian reductions: Ric(U,V) = Ric^range(F_*JU, F_*JV), Ric(U,X) = 0,
     # Ric(X,Y) = Ric^ker(BX, BY)
-    "lric_uv": Identity("uu", ("range_rg", "ric_M", "J"), (_UV_RANGE,), _LSOURCE),
+    "lric_uv": Identity("uu", ("range_rg", "ric_M", "source_J"), (_UV_RANGE,), _LSOURCE),
     "lric_ux": Identity("ux", ("ric_M",), (), _LSOURCE),
-    "lric_xy": Identity("xx", ("ker_rg", "ric_M", "J"), (_XY_KER,), _LSOURCE),
+    "lric_xy": Identity("xx", ("ker_rg", "ric_M", "source_J"), (_XY_KER,), _LSOURCE),
     # totally geodesic corollary: Ric(X,Y) = Ric^ker(BX,BY)
     # - (r |grad f|^2 + div grad f) g(BX,BY) - r Hess f(CX,CY)
     # + Ric^range(F_*CX, F_*CY) - r CX(f) CY(f)
     "cor_ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f",
-                                  "f_tape", "J"),
+                                  "f_tape", "source_J"),
                            (_XY_KER, _XY_WARP, _XY_HESS, _XY_RANGE, _XY_DF),
                            ("totally_geodesic_map", "tg_horizontal", "anti_invariant_source",
                             "clairaut_source", "kahler_source")),
@@ -822,16 +789,17 @@ def _warp_QQ(p):
     return -p.c.mr * (qdg[:, :, None] * qdg[:, None, :] + _form(p.QEv, p.Hg, p.QEv))
 
 
-def verify_identity(case: PropositionCase, ident: str, points):
-    """Run one TABLE identity at the points; returns the per-pair rows with a
-    term breakdown, the worst row and its residual, and the gate names to
-    evaluate."""
+def verify_identity(case: PropositionCase, ident: str):
+    """Run one TABLE identity at the case's points; returns the per-pair rows
+    with a term breakdown, the worst row and its residual, and the gate names
+    to evaluate."""
     try:
         row = TABLE[ident]
     except KeyError:
         raise GeometryError(f"unknown identity {ident!r}") from None
-    c = _call(case, points, row.ingredients)
-    p = _Lazy(_BATCH, c=c)
+    for name in row.ingredients:
+        getattr(case, name)
+    p = _Lazy(_BATCH, c=case)
     first, second, _, _, ric = _FAMILIES[row.family]
     X, Y = getattr(p, first), getattr(p, second)
     if not (X.shape[1] and Y.shape[1]):
@@ -847,24 +815,24 @@ def verify_identity(case: PropositionCase, ident: str, points):
 
 # -- theorem-level checks -----------------------------------------------------------------
 
-def verify_alpha_soliton_on_range(case: PropositionCase, points):
+def verify_alpha_soliton_on_range(case: PropositionCase):
     """Residual of  1/2 (L_W g_N) + (1/r) Ric^range + (lam/r) g_N  on the
     F_*(J ker) frame with W = F_*(grad f), plus the cross-pipeline
     bookkeeping that ties it to the source soliton residual."""
-    pts = np.atleast_2d(points)
-    r0 = case.dims(pts)["r0"]
+    r0 = case.dims["r0"]
     if r0 == 0:
         return {"id": "alpha_soliton_range", "vacuous": True, "n_pairs": 0,
                 "max_residual": 0.0, "rows": [], "worst": None,
                 "gates": ("kernel_nontrivial",), "alpha": None, "beta": None}
-    c = _call(case, pts, ("range_rg", "LW", "ric_M", "hess_f", "NA", "J"))
-    Leta = lie_derivative_metric(c.mg.gM, case.eta) if case.eta is not None else None
+    for name in ("range_rg", "LW", "ric_M", "hess_f", "NA", "source_J"):
+        getattr(case, name)
+    Leta = lie_derivative_metric(case.mg.gM, case.eta) if case.eta is not None else None
     lam = float(case.lam)
     alpha, beta = 1.0 / r0, lam / r0
-    p = _Lazy(_BATCH, c=c)
+    p = _Lazy(_BATCH, c=case)
     V, JU = p.V, p.JU
     FJU = _push(p, JU)
-    ric_rng = _ric_block(c.range_rg, p.ric_range, FJU, FJU)
+    ric_rng = _ric_block(case.range_rg, p.ric_range, FJU, FJU)
     lie_W = _form(FJU, p.LWv, FJU)
     lie_term = 0.5 * lie_W
     ric_term = alpha * ric_rng
@@ -894,20 +862,20 @@ def verify_alpha_soliton_on_range(case: PropositionCase, points):
     return out
 
 
-def verify_ric_lie_relation(case: PropositionCase, points, vacuous_tol=1e-12):
+def verify_ric_lie_relation(case: PropositionCase):
     """Ric^range(F_*JU, F_*CX) = (r/2)(L_{F_*(grad f)} g_N)(F_*JU, F_*CX)
     over (vertical, horizontal) pairs; vacuous when every CX vanishes
     (Lagrangian case)."""
-    pts = np.atleast_2d(points)
-    r0 = case.dims(pts)["r0"]
-    c = _call(case, pts, ("range_rg", "LW", "J"))
-    p = _Lazy(_BATCH, c=c)
+    r0 = case.dims["r0"]
+    for name in ("range_rg", "LW", "source_J"):
+        getattr(case, name)
+    p = _Lazy(_BATCH, c=case)
     rows = []
     if p.V.shape[1] and p.H.shape[1]:
-        keep = ~(np.max(np.abs(p.C), axis=2) <= vacuous_tol)  # (P, h): CX is not 0
+        keep = ~(np.max(np.abs(p.C), axis=2) <= 1e-12)  # (P, h): CX is not 0
         if keep.any():
             FJU, FCX = _push(p, p.JU), _push(p, p.C)
-            rg = c.range_rg  # leaks are checked where a pair is kept
+            rg = case.range_rg  # leaks are checked where a pair is kept
             rg.restrict_vector(FJU[keep.any(axis=1)])
             rg.restrict_vector(FCX[keep])
             block = list(rg.indices)

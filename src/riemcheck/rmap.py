@@ -23,7 +23,6 @@ from .expr.nodes import ONE, ZERO, is_const
 from .expr.tape import Tape
 from .geometry import (
     Chart,
-    Frame,
     GeometryError,
     MetricField,
     TensorField,
@@ -34,11 +33,17 @@ from .geometry import (
     covariant_derivative,
     covariant_derivative_tensor,
     field_values,
+    gram_residual,
     orthonormalize,
     sym_einsum,
     sym_zeros,
     worst,
 )
+
+
+# Singular values of the Jacobian at most RANK_TOL * max(1, largest) count as
+# zero: they decide its rank and its kernel.
+RANK_TOL = 1e-9
 
 
 class MapError(GeometryError):
@@ -236,7 +241,7 @@ class MapGeometry:
         self.gN = gN
         self.frames = frames or AdaptedFrames()
         self._cache = {}
-        self._splits = {}
+        self._last_split = (None, None)  # (key of the point set, its Split)
 
     # -- declared-frame validation -------------------------------------------
     def validate_frames(self, points, tol=1e-9):
@@ -244,37 +249,31 @@ class MapGeometry:
         vertical frame, horizontality, and range/normal consistency.  A
         residual fails unless it is <= tol, so a NaN frame fails too."""
         pts = np.atleast_2d(points)
+        ypts = self.F.values(pts)
         fr = self.frames
+        V, H = field_values(fr.vertical, pts), field_values(fr.horizontal, pts)
+        R, E = field_values(fr.range, ypts), field_values(fr.normal, ypts)
         found = []  # (what is wrong, residual)
         if fr.vertical:
-            found.append(("vertical frame not orthonormal", Frame(
-                self.gM.chart, fr.vertical).gram_residual(self.gM, pts)))
-            Jv = self.F.jac_values(pts)
-            V = np.stack([f.values(pts) for f in fr.vertical], axis=1)
-            push = np.einsum("pai,pki->pka", Jv, V)
+            found.append(("vertical frame not orthonormal",
+                          gram_residual(self.gM, fr.vertical, pts)))
+            push = np.einsum("pai,pki->pka", self.F.jac_values(pts), V)
             found.append(("vertical frame not in ker F_*", worst(np.abs(push))[0]))
         if fr.horizontal:
-            found.append(("horizontal frame not orthonormal", Frame(
-                self.gM.chart, fr.horizontal).gram_residual(self.gM, pts)))
+            found.append(("horizontal frame not orthonormal",
+                          gram_residual(self.gM, fr.horizontal, pts)))
             if fr.vertical:
-                G = self.gM.values(pts)
-                V = np.stack([f.values(pts) for f in fr.vertical], axis=1)
-                H = np.stack([f.values(pts) for f in fr.horizontal], axis=1)
-                cross = np.einsum("pai,pij,pbj->pab", V, G, H)
+                cross = np.einsum("pai,pij,pbj->pab", V, self.gM.values(pts), H)
                 found.append(("vertical/horizontal frames not orthogonal",
                               worst(np.abs(cross))[0]))
-        ypts = self.F.values(pts)
         if fr.range:
-            found.append(("range frame not orthonormal along F", Frame(
-                self.gN.chart, fr.range).gram_residual(self.gN, ypts)))
+            found.append(("range frame not orthonormal along F",
+                          gram_residual(self.gN, fr.range, ypts)))
         if fr.normal:
-            found.append(("normal frame not orthonormal along F", Frame(
-                self.gN.chart, fr.normal).gram_residual(self.gN, ypts)))
+            found.append(("normal frame not orthonormal along F",
+                          gram_residual(self.gN, fr.normal, ypts)))
             if fr.range:
-                G = self.gN.values(ypts)
-                R = np.stack([f.values(ypts) for f in fr.range], axis=1)
-                Nf = np.stack([f.values(ypts) for f in fr.normal], axis=1)
-                cross = np.einsum("pai,pij,pbj->pab", R, G, Nf)
+                cross = np.einsum("pai,pij,pbj->pab", R, self.gN.values(ypts), E)
                 found.append(("range/normal frames not orthogonal",
                               worst(np.abs(cross))[0]))
         problems = [f"{what} (residual {res:.3e})" for what, res in found
@@ -283,30 +282,28 @@ class MapGeometry:
             raise MapError("declared frame validation failed: " + "; ".join(problems))
 
     # -- splittings -------------------------------------------------------------
-    _SPLITS_KEPT = 8
-
-    def split(self, points, tol=1e-9) -> Split:
-        """Numeric adapted frames at every point of a point set, computed
-        once per point set (the last few sets are kept): declared frames are
-        evaluated verbatim when present; the vertical frame otherwise
-        follows `vertical_frames`, and the other frames are computed from it
-        and the Jacobian by Gram-Schmidt at each point.  Raises MapError
-        naming the first point where a computed frame changes dimension."""
+    def split(self, points) -> Split:
+        """Numeric adapted frames at every point of a point set: declared
+        frames are evaluated verbatim when present; the vertical frame
+        otherwise follows `vertical_frames`, and the other frames are
+        computed from it and the Jacobian by Gram-Schmidt at each point.  A
+        run splits one point set, its sample points, and every check reads
+        that split: the split of the last point set is kept, and asking
+        again for the same set returns it.  Raises MapError naming the
+        first point where a computed frame changes dimension."""
         pts = np.array(np.atleast_2d(points), dtype=float)
-        key = (pts.shape, pts.tobytes(), tol)
-        if key not in self._splits:
-            if len(self._splits) >= self._SPLITS_KEPT:
-                del self._splits[next(iter(self._splits))]
-            self._splits[key] = self._split(pts, tol)
-        return self._splits[key]
+        key = (pts.shape, pts.tobytes())
+        if self._last_split[0] != key:
+            self._last_split = (key, self._split(pts))
+        return self._last_split[1]
 
-    def split_at(self, x, tol=1e-9) -> Split:
+    def split_at(self, x) -> Split:
         """The adapted frames at one point: `split` of the one-point set."""
-        s = self.split(np.asarray(x, dtype=float)[None], tol)
+        s = self.split(np.asarray(x, dtype=float)[None])
         return Split(s.x[0], s.y[0], s.GM[0], s.GN[0], s.Jac[0], s.vertical[0],
                      s.horizontal[0], s.range[0], s.normal[0])
 
-    def _split(self, pts, tol):
+    def _split(self, pts):
         y = self.F.values(pts)
         GM = self.gM.values(pts)
         GN = self.gN.values(y)
@@ -316,7 +313,7 @@ class MapGeometry:
         def declared(fields, at):
             return field_values(fields, at) if fields else None
 
-        vert = vertical_frames(pts, GM, J, declared(fr.vertical, pts), tol)
+        vert = vertical_frames(pts, GM, J, declared(fr.vertical, pts))
         horiz = declared(fr.horizontal, pts)
         if horiz is None:
             horiz = _stacked("horizontal", pts, map(_complement, GM, vert))
@@ -330,12 +327,12 @@ class MapGeometry:
             nrm = _stacked("normal", pts, map(_complement, GN, rng))
         return Split(pts, y, GM, GN, J, vert, horiz, rng, nrm)
 
-    def require_constant_rank(self, points, tol=1e-9) -> int:
+    def require_constant_rank(self, points) -> int:
         """The numerical rank of the Jacobian, the same at every point (the
         rule of `_jacobian_rank`); raises MapError naming the first point
         whose rank differs from that at the first point."""
         pts = np.atleast_2d(points)
-        return _jacobian_rank(pts, self.F.jac_values(pts), tol)[0]
+        return _jacobian_rank(pts, self.F.jac_values(pts))[0]
 
     # -- symbolic coordinate tensors ---------------------------------------------
     def _projector_from_fields(self, g, fields):
@@ -435,14 +432,12 @@ class MapGeometry:
         return self._cache["SFF"]
 
     def shape_tensors(self):
-        """Per normal-frame field e_k: the pair (S_k, NF_k) of (1,1) target
-        tensors with S_k[a,c] = -(P_range nabla^N_{d_c} e_k)^a (shape
-        operator) and NF_k[b,c] = (P_perp nabla^N_{d_c} e_k)^b (normal
-        connection coefficients)."""
+        """Per normal-frame field e_k, the shape operator: the (1,1) target
+        tensor S_k[a,c] = -(P_range nabla^N_{d_c} e_k)^a."""
         if "shape" not in self._cache:
             if not self.frames.normal:
                 raise FramesRequired("shape operators need a declared normal frame")
-            PR, PP = self.target_projectors()
+            PR, _ = self.target_projectors()
             gN = self.gN
             n = gN.chart.dim
             shapes = []
@@ -452,21 +447,18 @@ class MapGeometry:
                     for c in range(n)], dtype=object)
                 S = sym_einsum("am,cm->ac", PR, ncd)
                 S.flat = [gN._simp(_prod(Const(-1.0), e)) for e in S.flat]
-                NF = sym_einsum("am,cm->ac", PP, ncd)
-                NF.flat = [gN._simp(e) for e in NF.flat]
-                shapes.append((TensorField(gN.chart, (1, 1), S),
-                               TensorField(gN.chart, (1, 1), NF)))
+                shapes.append(TensorField(gN.chart, (1, 1), S))
             self._cache["shape"] = shapes
         return self._cache["shape"]
 
 
-def _jacobian_rank(points, J, tol=1e-9):
+def _jacobian_rank(points, J):
     """The numerical rank of the Jacobians J (P, m, n), the count of singular
-    values above tol * max(1, largest), and their right singular vectors
-    (P, n, n).  Raises MapError naming the first point whose rank differs
-    from that at the first point."""
+    values above RANK_TOL * max(1, largest), and their right singular
+    vectors (P, n, n).  Raises MapError naming the first point whose rank
+    differs from that at the first point."""
     _, s, vt = np.linalg.svd(J)
-    ranks = np.sum(s > tol * np.maximum(1.0, s[:, :1]), axis=1)
+    ranks = np.sum(s > RANK_TOL * np.maximum(1.0, s[:, :1]), axis=1)
     changed = np.flatnonzero(ranks != ranks[0])
     if len(changed):
         i = changed[0]
@@ -476,7 +468,7 @@ def _jacobian_rank(points, J, tol=1e-9):
     return int(ranks[0]), vt
 
 
-def vertical_frames(points, GM, J, declared=None, tol=1e-9) -> np.ndarray:
+def vertical_frames(points, GM, J, declared=None) -> np.ndarray:
     """The vertical frame at each of P points, as a (P, r, n) array, from the
     evaluated g_M (P, n, n), Jacobian (P, m, n) and declared vertical fields
     (P, r, n), or None when none are declared.  Declared fields are used
@@ -485,7 +477,7 @@ def vertical_frames(points, GM, J, declared=None, tol=1e-9) -> np.ndarray:
     changes."""
     if declared is not None:
         return declared
-    rank, vt = _jacobian_rank(points, J, tol)
+    rank, vt = _jacobian_rank(points, J)
     ns = vt[:, rank:]
     if not ns.shape[1]:
         return ns

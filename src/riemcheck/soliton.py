@@ -198,7 +198,7 @@ def check_clairaut_target(cc: ClairautConfig, points):
     y, GN, R = s.y, s.GN, s.range
     dgv = Tape(dg, gN.chart.allvars).evaluate(y)
     norms = []
-    for (Sk, _), D in zip(shapes, mg.frames.normal):
+    for Sk, D in zip(shapes, mg.frames.normal):
         Dg = vdot(D.values(y), dgv)  # D(g): directional derivative
         w = matvec(Sk.values(y)[:, None], R) + Dg[:, None, None] * R
         norms.append(np.sqrt(np.abs(qform(w, GN[:, None], w))))

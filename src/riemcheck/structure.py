@@ -146,30 +146,45 @@ def anti_invariant_residual(mg, J: AlmostComplexStructure, points, side):
 
 # -- sub-split frames and the B/C split ---------------------------------------------
 
-def complement_frames(mg, J: AlmostComplexStructure, points, side, tol=1e-9):
-    """Per point, an orthonormal basis of mu ('source': the complement of
-    J(ker F_*) inside (ker F_*)^perp at x) or of nu ('target': the complement
-    of J'(range F_*) inside (range F_*)^perp at F(x)); a declared mu/nu frame
-    is used verbatim.  A list of (k, n) arrays, k may differ between points."""
+def complement_frames(mg, J: AlmostComplexStructure, points, side):
+    """An orthonormal basis of mu ('source': the complement of J(ker F_*)
+    inside (ker F_*)^perp at x) or of nu ('target': the complement of
+    J'(range F_*) inside (range F_*)^perp at F(x)) at every point, as one
+    (P, k, n) array; a declared mu/nu frame is used verbatim.  k is the
+    largest dimension over the points, and the rows of a point past its own
+    dimension are zero."""
     G, at, inner, outer = _side(mg, mg.split(points), side)
     declared = mg.frames.mu if side == "source" else mg.frames.nu
     if declared is not None:
-        return list(field_values(declared, at))
+        return field_values(declared, at)
     jin = np.matmul(J.values(at), inner.transpose(0, 2, 1)).transpose(0, 2, 1)
-    frames = []
-    for Gp, jp, op in zip(G, jin, outer):
-        out = []
-        for e in op:
-            w = e.copy()
-            for u in jp:
-                w = w - (u @ Gp @ w) / (u @ Gp @ u) * u
-            for u in out:
-                w = w - (u @ Gp @ w) * u
-            n2 = float(w @ Gp @ w)
-            if n2 > tol:
-                out.append(w / np.sqrt(n2))
-        frames.append(np.array(out) if out else np.zeros((0, at.shape[1])))
-    return frames
+    return _complement_rows(G, jin, outer)
+
+
+def _complement_rows(G, jin, outer):
+    """Gram-Schmidt, in the inner products G (P, n, n), of the rows e of
+    `outer` (P, h, n) against the rows u of `jin` (P, r, n), w = e - sum_u
+    (u.G.w)/(u.G.u) u, then against the rows kept before it; w is kept,
+    normalised, where |w|^2 > 1e-9.  All points at once: a row not kept at a
+    point is zero there, so it leaves every later w unchanged, and each
+    point's kept rows are then moved to the front in order."""
+    P, h, n = outer.shape
+    rows = np.zeros((P, h, n))
+    kept = np.zeros((P, h), dtype=bool)
+    for a in range(h):
+        w = outer[:, a].copy()
+        for b in range(jin.shape[1]):
+            u = jin[:, b]
+            w = w - (qform(u, G, w) / qform(u, G, u))[:, None] * u
+        for b in range(a):
+            u = rows[:, b]
+            w = w - qform(u, G, w)[:, None] * u
+        n2 = qform(w, G, w)
+        ok = kept[:, a] = n2 > 1e-9
+        rows[ok, a] = w[ok] / np.sqrt(n2[ok])[:, None]
+    k = int(kept.sum(axis=1).max(initial=0))
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(rows, order[..., None], axis=1)
 
 
 def bc_split(Jx, X, vertical, G):

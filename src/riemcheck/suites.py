@@ -140,7 +140,7 @@ class _Ctx:
                 if sol["kind"] == "field":
                     eta = self.cfg.field(self.chart.name, sol["name"])
             self._case = PropositionCase(
-                self.mg, J=self.J, Jp=self.Jp, f=self.source_fun(),
+                self.mg, self.points, J=self.J, Jp=self.Jp, f=self.source_fun(),
                 gfun=self.target_fun(), eta=eta, alpha=alpha, lam=lam)
         return self._case
 
@@ -316,7 +316,7 @@ def check_oneill(ctx):
         push = np.matmul(sp.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
         sffH = np.einsum("paij,pki,plj->pkla", mg.second_fundamental_form().values(sp.x), H, H)
         gaps = []
-        for (Sk, _), D in zip(mg.shape_tensors(), fr.normal):
+        for Sk, D in zip(mg.shape_tensors(), fr.normal):
             lhs = np.einsum("pac,pkc,pab,plb->pkl", Sk.values(sp.y), push, GN, push)
             rhs = np.einsum("pa,pab,pklb->pkl", D.values(sp.y), GN, sffH)
             gaps.append(np.abs(lhs - rhs))
@@ -363,11 +363,12 @@ def check_einstein_full(ctx):
                        terms={"lambda": lam})
 
 
-def _einstein_check(ident, part):
-    """The check `ident`: Einstein fit of the restricted Ricci of the
-    'vertical', 'range' or 'normal' part of the split."""
+def _einstein_check(ident, part, restricted):
+    """The check `ident`: Einstein fit of the restricted Ricci (the case's
+    ingredient `restricted`) of the 'vertical', 'range' or 'normal' part of
+    the split."""
     def run(ctx):
-        rg = ctx.case().restricted(part, ctx.points)
+        rg = getattr(ctx.case(), restricted)
         sp = ctx.mg.split(ctx.points)
         at = sp.x if part == "vertical" else sp.y
         frames = rg.restrict_vector(getattr(sp, part))
@@ -394,7 +395,7 @@ def check_ricci_values(ctx):
     expects = ctx.cfg.check["expect_ricci"]
     if not expects:
         raise SpecError("ricci_values needs 'expect ricci A B VALUE' lines")
-    pts = ctx.points[:10]
+    pts = ctx.points
     ric = ctx.g.ricci().values(pts)
     rows, gaps = [], []
     for (na, nb, stated) in expects:
@@ -419,7 +420,7 @@ def check_scalar_relations(ctx):
     case = ctx.case()
     sol = ctx.cfg.check["soliton"]
     lam = 0.0 if sol is None or sol["lambda"] == "solve" else float(sol["lambda"])
-    d = case.dims(ctx.points)
+    d = case.dims
     sub = []
     gate_map = {
         "range_soliton": ("lagrangian_source", "clairaut_source", "source_soliton"),
@@ -433,7 +434,7 @@ def check_scalar_relations(ctx):
     overall = []
     for which, gates_needed in gate_map.items():
         try:
-            gates = case.gates(ctx.points[:10], gates_needed)
+            gates = case.gates(gates_needed)
         except (UnsupportedDistribution, GeometryError, SolitonError) as exc:
             sub.append((which, NOT_APPLICABLE, {"note": str(exc)}))
             continue
@@ -441,14 +442,11 @@ def check_scalar_relations(ctx):
         inputs = {"lam": lam, "r0": d["r0"], "n1": d["n1"], "m": d["m"], "Dg": 0.0}
         try:
             if which in ("range_soliton", "range_lagrangian"):
-                rg = case.restricted("range", ctx.points)
-                svals = rg.scalar_values(ctx.F.values(ctx.points))
+                svals = case.range_rg.scalar_values(ctx.F.values(ctx.points))
             elif which == "ker_einstein":
-                rg = case.restricted("vertical", ctx.points)
-                svals = rg.scalar_values(ctx.points)
+                svals = case.ker_rg.scalar_values(ctx.points)
             else:
-                rg = case.restricted("normal", ctx.points)
-                svals = rg.scalar_values(ctx.F.values(ctx.points))
+                svals = case.perp_rg.scalar_values(ctx.F.values(ctx.points))
         except (UnsupportedDistribution, GeometryError) as exc:
             sub.append((which, PARTIAL, {"note": f"restricted scalar unavailable: {exc}"}))
             continue
@@ -542,12 +540,12 @@ def _identity_check(ident):
     def run(ctx):
         case = ctx.case()
         if ident == "alpha_soliton_range":
-            res = verify_alpha_soliton_on_range(case, ctx.points)
+            res = verify_alpha_soliton_on_range(case)
         elif ident == "ric_lie":
-            res = verify_ric_lie_relation(case, ctx.points)
+            res = verify_ric_lie_relation(case)
         else:
-            res = verify_identity(case, ident, ctx.points)
-        gates = case.gates(ctx.points[:10], res["gates"])
+            res = verify_identity(case, ident)
+        gates = case.gates(res["gates"])
         gates_ok = all(ok for ok, _ in gates.values())
         gate_terms = {k: [bool(ok), v if isinstance(v, str) else float(v)]
                       for k, (ok, v) in gates.items()}
@@ -586,9 +584,9 @@ CHECKS = {
     "soliton": check_soliton,
     "soliton_solve": check_soliton_solve,
     "einstein": check_einstein_full,
-    "einstein_ker": _einstein_check("einstein_ker", "vertical"),
-    "einstein_range": _einstein_check("einstein_range", "range"),
-    "einstein_perp": _einstein_check("einstein_perp", "normal"),
+    "einstein_ker": _einstein_check("einstein_ker", "vertical", "ker_rg"),
+    "einstein_range": _einstein_check("einstein_range", "range", "range_rg"),
+    "einstein_perp": _einstein_check("einstein_perp", "normal", "perp_rg"),
     "conformal": check_conformal_id,
     "ricci_values": check_ricci_values,
     "scalar_relations": check_scalar_relations,

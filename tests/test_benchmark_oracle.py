@@ -5,10 +5,12 @@ gates, ledger ids, exit code and `max_residual` (to 1e-12 relative)."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from riemcheck import suites
 from riemcheck.catalog import load
 from riemcheck.suites import run_suite
 
@@ -34,3 +36,25 @@ def test_entry_matches_frozen_benchmark_result(workload, entry):
     got = expect.reference(json.loads(report.to_machine()), report.exit_code())
     want = expect.load_expected()["workloads"][workload][entry]
     assert expect.compare(want, got, full=True) == []
+
+
+def test_a_traced_run_writes_the_same_report_bytes(monkeypatch):
+    """`--trace 1` wraps the engine's entry points with `worker.instrument`:
+    every name it wraps must exist, and a traced run must write the bytes of
+    an untraced one."""
+    monkeypatch.setitem(sys.modules, "expect", expect)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    worker, spans = _module("worker"), _module("spans")
+
+    def report():
+        return suites.run_suite(load("flat-lagrangian"), points=4, seed=7).to_machine()
+
+    untraced = report()
+    tracer = spans.Tracer()
+    try:
+        worker.instrument(tracer)
+        traced = report()
+    finally:
+        tracer.restore()
+    assert tracer.totals()["suites.run_suite"][0] == 1
+    assert traced == untraced

@@ -589,3 +589,14 @@ def test_sym_einsum_visits_nonzero_terms_in_loop_order(monkeypatch):
     assert out[0].key() == ("sub", ("v", "s"), ("mul", ("v", "a"), ("v", "u")))
     assert out[1].key() == ("sub", ("neg", ("mul", ("v", "b"), ("v", "u"))),
                             ("mul", ("v", "c"), ("v", "w")))
+
+
+def test_check_domain_counts_a_nonfinite_constraint_as_violated():
+    chart = Chart("D", ["x1", "x2"], constraints=[(parse("sqrt(x1)"), "positive"),
+                                                  (parse("1/x2"), "nonzero")])
+    chart.check_domain(np.array([0.25, 0.5]))
+    with pytest.raises(ChartDomainError, match=r"constraint sqrt\(x1\) > 0 violated"):
+        chart.check_domain(np.array([-0.25, 0.5]))
+    with pytest.raises(ChartDomainError, match=r"constraint 1/x2 != 0 violated"):
+        chart.check_domain(np.array([0.25, 0.0]))
+    assert chart.point({"x1": 0.25, "x2": 0.5}) == {"x1": 0.25, "x2": 0.5}

@@ -214,10 +214,11 @@ def test_catalog_contractions_match_the_per_point_loops(entry):
                            (g, X, restriction, pts)),
                           (soliton.check_conformal, loop_check_conformal,
                            (g, X, None, pts))]
-    for ident, part in (("einstein_ker", "vertical"), ("einstein_range", "range"),
-                        ("einstein_perp", "normal")):
+    for ident, part, restricted in (("einstein_ker", "vertical", "ker_rg"),
+                                    ("einstein_range", "range", "range_rg"),
+                                    ("einstein_perp", "normal", "perp_rg")):
         if ident in cfg.check["suite"] + cfg.check["audit"]:
-            rg = ctx.case().restricted(part, ctx.points)
+            rg = getattr(ctx.case(), restricted)
             sp = ctx.mg.split(ctx.points)
             at = sp.x if part == "vertical" else sp.y
             pairs.append((soliton.fit_einstein, loop_fit_einstein,

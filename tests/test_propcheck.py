@@ -141,23 +141,23 @@ LAGRANGIAN_IDS = ("lric_uv", "lric_ux", "lric_xy", "lric_fxfy", "lric_de")
 @pytest.mark.parametrize("ident", LAGRANGIAN_IDS)
 def test_flat_lagrangian_identities_hold_exactly(ident, flatlag):
     mg, J, Jp, f, gfun = flatlag
-    case = PropositionCase(mg, J=J, Jp=Jp, f=f, gfun=gfun, lam=0.0)
     pts = mg.gM.chart.sample_points(10, seed=5)
-    res = verify_identity(case, ident, pts)
+    case = PropositionCase(mg, pts, J=J, Jp=Jp, f=f, gfun=gfun, lam=0.0)
+    res = verify_identity(case, ident)
     assert res["n_pairs"] > 0
     assert res["max_residual"] <= 1e-10
-    gates = case.gates(pts, res["gates"])
+    gates = case.gates(res["gates"])
     assert all(ok for ok, _ in gates.values()), gates
 
 
 def test_flat_lagrangian_full_identities_also_collapse(flatlag):
     # with f and g constant the un-reduced identities hold as well
     mg, J, Jp, f, gfun = flatlag
-    case = PropositionCase(mg, J=J, Jp=Jp, f=f, gfun=gfun, lam=0.0)
     pts = mg.gM.chart.sample_points(6, seed=6)
+    case = PropositionCase(mg, pts, J=J, Jp=Jp, f=f, gfun=gfun, lam=0.0)
     for ident in ("ric_uv", "ric_ux", "ric_xy", "ric_fxfy", "ric_fxe", "ric_de",
                   "lric_fxe"):
-        res = verify_identity(case, ident, pts)
+        res = verify_identity(case, ident)
         assert res["max_residual"] <= 1e-10, (ident, res["worst"])
 
 
@@ -169,16 +169,16 @@ def test_example31_ric_uv_discrepancy_frozen(ex31):
     + 2 Hess f(X1,X1) - divA = -1 + 2 - 0 = 1.  The identity misses by 4,
     consistent with the structure not being parallel."""
     mg, J, f = ex31
-    case = PropositionCase(mg, J=J, f=f)
     pts = mg.gM.chart.sample_points(5, seed=7)
-    res = verify_identity(case, "ric_uv", pts)
+    case = PropositionCase(mg, pts, J=J, f=f)
+    res = verify_identity(case, "ric_uv")
     first = [r for r in res["rows"] if r["pair"] == ("u1", "u1")][0]
     assert first["lhs"] == pytest.approx(-3.0, abs=1e-9)
     assert first["terms"]["ric_range"] == pytest.approx(-1.0, abs=1e-9)
     assert first["terms"]["r_hess_f"] == pytest.approx(2.0, abs=1e-9)
     assert first["terms"]["div_A"] == pytest.approx(0.0, abs=1e-9)
     assert first["residual"] == pytest.approx(4.0, abs=1e-8)
-    gates = case.gates(pts, res["gates"])
+    gates = case.gates(res["gates"])
     assert not gates["kahler_source"][0]      # structure is not parallel
     assert gates["anti_invariant_source"][0]
     assert gates["clairaut_source"][0]
@@ -188,15 +188,15 @@ def test_example41_ric_fxfy_partial_agreement(ex41):
     """(F1,F1): Ric_N(e2',e2') = 0 = Ric^perp(-e1',-e1'), residual 0;
     (F2,F2): Ric_N(e5',e5') = -2 vs Ric^perp(e6',e6') = 0, residual 2."""
     mg, Jp, gfun = ex41
-    case = PropositionCase(mg, Jp=Jp, gfun=gfun)
     pts = mg.gM.chart.sample_points(5, seed=8)
-    res = verify_identity(case, "ric_fxfy", pts)
+    case = PropositionCase(mg, pts, Jp=Jp, gfun=gfun)
+    res = verify_identity(case, "ric_fxfy")
     r11 = [r for r in res["rows"] if r["pair"] == ("F1", "F1")][0]
     r22 = [r for r in res["rows"] if r["pair"] == ("F2", "F2")][0]
     assert r11["residual"] <= 1e-9
     assert r22["lhs"] == pytest.approx(-2.0, abs=1e-9)
     assert r22["rhs"] == pytest.approx(0.0, abs=1e-9)
-    gates = case.gates(pts, res["gates"])
+    gates = case.gates(res["gates"])
     assert not gates["kahler_target"][0]
     assert not gates["tg_normal"][0]   # nabla_{e3'} e3' = -e5' is tangent
     assert gates["anti_invariant_target"][0]
@@ -205,9 +205,8 @@ def test_example41_ric_fxfy_partial_agreement(ex41):
 
 def test_example31_lagrangian_gate_fails(ex31):
     mg, J, f = ex31
-    case = PropositionCase(mg, J=J, f=f)
-    pts = mg.gM.chart.sample_points(4, seed=9)
-    gates = case.gates(pts, ("lagrangian_source",))
+    case = PropositionCase(mg, mg.gM.chart.sample_points(4, seed=9), J=J, f=f)
+    gates = case.gates(("lagrangian_source",))
     ok, mu_dim = gates["lagrangian_source"]
     assert not ok and mu_dim == 2
 
@@ -217,12 +216,12 @@ def test_example31_lagrangian_gate_fails(ex31):
 def test_alpha_soliton_range_flat_case(flatlag):
     mg, J, Jp, f, gfun = flatlag
     zero_eta = vf(mg.gM.chart, ["0", "0", "0", "0"], "eta0")
-    case = PropositionCase(mg, J=J, Jp=Jp, f=f, gfun=gfun, eta=zero_eta, lam=0.0)
     pts = mg.gM.chart.sample_points(8, seed=10)
-    res = verify_alpha_soliton_on_range(case, pts)
+    case = PropositionCase(mg, pts, J=J, Jp=Jp, f=f, gfun=gfun, eta=zero_eta, lam=0.0)
+    res = verify_alpha_soliton_on_range(case)
     assert res["max_residual"] <= 1e-12
     assert res["alpha"] == 0.5 and res["beta"] == 0.0
-    gates = case.gates(pts, res["gates"])
+    gates = case.gates(res["gates"])
     assert all(ok for ok, _ in gates.values())
 
 
@@ -232,13 +231,13 @@ def test_alpha_soliton_range_warped_bookkeeping():
     source residual through the Ricci identity must close to float noise."""
     mg, J, h = warped_clairaut()
     eta = vf(mg.gM.chart, ["0.2", "0", "0", "0"], "eta")
-    case = PropositionCase(mg, J=J, f=h, eta=eta, lam=0.3)
     pts = mg.gM.chart.sample_points(8, seed=11)
-    res = verify_alpha_soliton_on_range(case, pts)
+    case = PropositionCase(mg, pts, J=J, f=h, eta=eta, lam=0.3)
+    res = verify_alpha_soliton_on_range(case)
     assert res["n_pairs"] > 0
     for row in res["rows"]:
         assert row["terms"]["bookkeeping_gap"] <= 1e-9
-    gates = case.gates(pts, res["gates"])
+    gates = case.gates(res["gates"])
     assert not gates["source_soliton"][0]
     assert gates["tg_horizontal"][0]
     assert gates["clairaut_source"][0]
@@ -250,10 +249,9 @@ def test_warped_clairaut_identity_ric_uv_holds():
     independent pipelines, so this is the strongest positive test of the
     identity machinery."""
     mg, J, h = warped_clairaut()
-    case = PropositionCase(mg, J=J, f=h)
-    pts = mg.gM.chart.sample_points(10, seed=12)
-    res = verify_identity(case, "ric_uv", pts)
-    gates = case.gates(pts, res["gates"])
+    case = PropositionCase(mg, mg.gM.chart.sample_points(10, seed=12), J=J, f=h)
+    res = verify_identity(case, "ric_uv")
+    gates = case.gates(res["gates"])
     assert gates["anti_invariant_source"][0]
     assert gates["clairaut_source"][0]
     if gates["kahler_source"][0]:
@@ -271,13 +269,12 @@ def test_polar_kahler_identities():
     mg, J, f = polar_kahler()
     pts = mg.gM.chart.sample_points(8, seed=3)
     mg.validate_frames(pts)
-    case = PropositionCase(mg, J=J, f=f)
-    gates = case.gates(pts, ("kahler_source", "anti_invariant_source",
-                             "clairaut_source"))
+    case = PropositionCase(mg, pts, J=J, f=f)
+    gates = case.gates(("kahler_source", "anti_invariant_source", "clairaut_source"))
     assert all(ok for ok, _ in gates.values()), gates
-    assert verify_identity(case, "ric_uv", pts)["max_residual"] <= 1e-10
-    assert verify_identity(case, "ric_ux", pts)["max_residual"] <= 1e-10
-    res = verify_identity(case, "ric_xy", pts)
+    assert verify_identity(case, "ric_uv")["max_residual"] <= 1e-10
+    assert verify_identity(case, "ric_ux")["max_residual"] <= 1e-10
+    res = verify_identity(case, "ric_xy")
     gaps = {}
     for row in res["rows"]:
         x = pts[row["point"]]
@@ -290,27 +287,25 @@ def test_polar_kahler_identities():
 
 def test_ric_lie_vacuous_on_lagrangian(flatlag):
     mg, J, Jp, f, gfun = flatlag
-    case = PropositionCase(mg, J=J, f=f)
-    pts = mg.gM.chart.sample_points(5, seed=13)
-    res = verify_ric_lie_relation(case, pts)
+    case = PropositionCase(mg, mg.gM.chart.sample_points(5, seed=13), J=J, f=f)
+    res = verify_ric_lie_relation(case)
     assert res["vacuous"]
     assert res["n_pairs"] == 0
 
 
 def test_ric_lie_example31_computed_both_sides(ex31):
     mg, J, f = ex31
-    case = PropositionCase(mg, J=J, f=f)
-    pts = mg.gM.chart.sample_points(5, seed=14)
-    res = verify_ric_lie_relation(case, pts)
+    case = PropositionCase(mg, mg.gM.chart.sample_points(5, seed=14), J=J, f=f)
+    res = verify_ric_lie_relation(case)
     assert not res["vacuous"]
     assert res["n_pairs"] > 0  # both sides reported for the audit
 
 
 def test_unknown_identity_rejected(flatlag):
     mg, J, Jp, f, gfun = flatlag
-    case = PropositionCase(mg, J=J, f=f)
+    case = PropositionCase(mg, mg.gM.chart.sample_points(2, seed=15), J=J, f=f)
     with pytest.raises(Exception):
-        verify_identity(case, "nope", mg.gM.chart.sample_points(2, seed=15))
+        verify_identity(case, "nope")
 
 
 # M = R x (e^{x1+1}-warped line) x R^2 onto the hyperbolic plane
@@ -345,7 +340,7 @@ def test_range_ricci_is_evaluated_at_the_image_point():
     cfg = load_spec(IMAGE_POINT_SPEC, name="image-point")
     mg, J = cfg.map_geometry(), cfg.structure_on("M")
     pts = mg.gM.chart.sample_points(4, seed=7)
-    res = verify_identity(PropositionCase(mg, J=J), "lric_uv", pts)
+    res = verify_identity(PropositionCase(mg, pts, J=J), "lric_uv")
     assert res["n_pairs"] == 12
     for row in res["rows"]:
         x = pts[row["point"]]
@@ -428,9 +423,7 @@ def test_identity_contractions_run_once_per_point(ident, ex31, monkeypatch):
     """No einsum of five or more operands, no contraction after the rows are
     emitted, and as many einsum and matmul calls for 4 points as for 2."""
     mg, J, f = ex31
-    case = PropositionCase(mg, J=J, f=f)
     pts = mg.gM.chart.sample_points(4, seed=5)
-    verify_identity(case, ident, pts)  # the symbolic ingredients, built once
     real_einsum, real_matmul, real_rows = np.einsum, np.matmul, propcheck._rows
     operand_counts, matmuls, row_marks = [], [], []
 
@@ -451,10 +444,12 @@ def test_identity_contractions_run_once_per_point(ident, ex31, monkeypatch):
     monkeypatch.setattr(propcheck, "_rows", rows)
     calls = {}
     for npts in (2, 4):
+        case = PropositionCase(mg, pts[:npts], J=J, f=f)
+        verify_identity(case, ident)  # the symbolic ingredients, built once
         operand_counts.clear()
         matmuls.clear()
         row_marks.clear()
-        res = verify_identity(case, ident, pts[:npts])
+        res = verify_identity(case, ident)
         calls[npts] = (len(operand_counts), len(matmuls))
         assert all(k < 5 for k in operand_counts)
         assert row_marks == [sum(calls[npts])] and res["n_pairs"] > 0
@@ -492,18 +487,23 @@ _CHECKED = list(TABLE) + ["alpha_soliton_range", "ric_lie"]
 
 @functools.lru_cache(maxsize=None)
 def _catalog_case(entry):
-    """The identity case of a catalog entry, as a run builds it; its symbolic
-    ingredients are kept across calls."""
+    """The identity case of a catalog entry, as a run builds it."""
     cfg = load(entry)
     return cfg, suites._Ctx(cfg, 7, 1, cfg.check["tol"], cfg.check["box"]).case()
 
 
-def _verify(case, ident, pts):
+def _at(case, pts):
+    """A case with the configuration of `case`, bound to the points `pts`."""
+    return PropositionCase(case.mg, pts, J=case.J, Jp=case.Jp, f=case.f, gfun=case.gfun,
+                           eta=case.eta, alpha=case.alpha, lam=case.lam)
+
+
+def _verify(case, ident):
     """The result of one identity check, or the (type, message) it raised."""
     run = {"alpha_soliton_range": verify_alpha_soliton_on_range,
            "ric_lie": verify_ric_lie_relation}.get(ident)
     try:
-        return run(case, pts) if run else verify_identity(case, ident, pts)
+        return run(case) if run else verify_identity(case, ident)
     except GeometryError as exc:
         return (type(exc), str(exc))
 
@@ -522,9 +522,10 @@ def test_batching_is_invisible(entry, seed, P):
     same order and with the same worst row."""
     cfg, case = _catalog_case(entry)
     pts = case.mg.gM.chart.sample_points(P, seed=seed, box=cfg.check["box"])
+    whole, ones = _at(case, pts), [_at(case, pts[i:i + 1]) for i in range(P)]
     for ident in _CHECKED:
-        batch = _verify(case, ident, pts)
-        singles = [_verify(case, ident, pts[i:i + 1]) for i in range(P)]
+        batch = _verify(whole, ident)
+        singles = [_verify(one, ident) for one in ones]
         if isinstance(batch, tuple):
             assert all(s == batch for s in singles), (ident, batch, singles)
             continue
@@ -552,14 +553,15 @@ def test_a_vector_leaving_its_block_at_one_point_raises(ident, leak, monkeypatch
     cfg, case = _catalog_case("flat-lagrangian")
     mg = case.mg
     pts = mg.gM.chart.sample_points(4, seed=7, box=cfg.check["box"])
-    assert not isinstance(_verify(case, ident, pts), tuple)
+    case = _at(case, pts)
+    assert not isinstance(_verify(case, ident), tuple)
     sp = mg.split(pts)
     Jac = sp.Jac.copy()
     Jac[2, 2, 2] = leak
     bad = Split(sp.x, sp.y, sp.GM, sp.GN, Jac, sp.vertical, sp.horizontal, sp.range,
                 sp.normal)
-    monkeypatch.setattr(mg, "split", lambda points, tol=1e-9: bad)
-    assert _verify(case, ident, pts) == (
+    monkeypatch.setattr(mg, "split", lambda points: bad)
+    assert _verify(case, ident) == (
         UnsupportedDistribution, f"vector leaves the restricted block (leak {leak:.3e})")
 
 
@@ -567,9 +569,9 @@ def test_each_gate_is_evaluated_once_per_point_set(monkeypatch):
     calls = Counter()
     real = PropositionCase._gate
 
-    def gate(self, name, pts, tol):
-        calls[(name, tol, pts.tobytes())] += 1
-        return real(self, name, pts, tol)
+    def gate(self, name):
+        calls[(name, self.pts.tobytes())] += 1
+        return real(self, name)
 
     monkeypatch.setattr(PropositionCase, "_gate", gate)
     suites.run_suite(load("flat-lagrangian"), points=4)

@@ -315,7 +315,7 @@ def test_shape_operator_duality(ex31, ex41):
             Jx = mg.F.jac_values(x[None])[0]
             push = (Jx @ H.T).T
             sffH = np.einsum("aij,ki,lj->kla", Sv[p], H, H)
-            for knorm, (Sk, NFk) in enumerate(shapes):
+            for knorm, Sk in enumerate(shapes):
                 D = mg.frames.normal[knorm].value_at(sp.y)
                 Skv = Sk.value_at(sp.y)
                 lhs = np.einsum("ac,kc,ab,lb->kl", Skv, push, GN, push)
@@ -326,7 +326,7 @@ def test_shape_operator_duality(ex31, ex41):
 def test_shape_operator_example41_e3_vanishes(ex41):
     mg, Jp, g = ex41
     shapes = mg.shape_tensors()
-    Sk, NFk = shapes[1]  # e3'
+    Sk = shapes[1]  # e3'
     pts = mg.gM.chart.sample_points(10, seed=13)
     for x in pts:
         sp = mg.split_at(x)

@@ -8,8 +8,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riemcheck import geometry
+from riemcheck import geometry, structure
 from riemcheck.catalog import load
 from riemcheck.expr import Const, parse
 from riemcheck.geometry import Chart, MetricField, VectorField, worst
@@ -267,3 +268,80 @@ def test_nabla_J_is_built_once_per_metric_and_structure(monkeypatch):
             monkeypatch.setattr(mod, "covariant_derivative_tensor", covariant_derivative_tensor)
     run_suite(cfg, points=6)
     assert built and set(built.values()) == {1}
+
+
+# -- batched complement frames ---------------------------------------------------------
+
+def _complement_frames_per_point(G, jin, outer):
+    """The oracle: complement_frames' Gram-Schmidt as a loop over points and
+    vectors, the form it had before it was batched over the points."""
+    frames = []
+    for Gp, jp, op in zip(G, jin, outer):
+        out = []
+        for e in op:
+            w = e.copy()
+            for u in jp:
+                w = w - (u @ Gp @ w) / (u @ Gp @ u) * u
+            for u in out:
+                w = w - (u @ Gp @ w) * u
+            n2 = float(w @ Gp @ w)
+            if n2 > 1e-9:
+                out.append(w / np.sqrt(n2))
+        frames.append(np.array(out) if out else np.zeros((0, G.shape[-1])))
+    return frames
+
+
+def _assert_same_frames(got, want):
+    """The batched frames are the per-point ones bit for bit, followed by
+    zero rows up to the largest dimension."""
+    assert got.shape == (len(want), max((len(f) for f in want), default=0),
+                         want[0].shape[1])
+    for rows, frame in zip(got, want):
+        assert rows[:len(frame)].tobytes() == frame.tobytes()
+        assert not rows[len(frame):].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), P=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_batched_complement_frames_match_the_per_point_loop(n, P, seed, data):
+    r = data.draw(st.integers(0, n - 1), label="r")
+    h = data.draw(st.integers(0, n), label="h")
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(P, n, n))
+    G = L @ L.transpose(0, 2, 1) + n * np.eye(n)
+    jin, outer = rng.normal(size=(P, r, n)), rng.normal(size=(P, h, n))
+    # rows that the Gram-Schmidt drops at some points only: a multiple of a
+    # J-image row, or a repeated earlier row
+    for p, a in np.ndindex(P, h):
+        pick = data.draw(st.sampled_from(["keep", "jin", "repeat"]), label="row")
+        if pick == "jin" and r:
+            outer[p, a] = 2.0 * jin[p, 0]
+        elif pick == "repeat" and a:
+            outer[p, a] = outer[p, a - 1]
+    _assert_same_frames(structure._complement_rows(G, jin, outer),
+                        _complement_frames_per_point(G, jin, outer))
+
+
+@pytest.mark.parametrize("entry", ["paper-3.1", "paper-4.1", "flat-lagrangian",
+                                   "polar-kahler", "warped-clairaut"])
+def test_complement_frames_of_catalog_entries_match_the_per_point_loop(entry):
+    from riemcheck.rmap import AdaptedFrames, MapGeometry
+
+    cfg = load(entry)
+    declared = cfg.map_geometry()
+    fr = declared.frames  # without a declared mu or nu, which would be used verbatim
+    mg = MapGeometry(declared.F, declared.gM, declared.gN,
+                     AdaptedFrames(fr.vertical, fr.horizontal, fr.range, fr.normal))
+    pts = mg.gM.chart.sample_points(20, seed=7, box=cfg.check["box"])
+    compared = 0
+    for side, chart in (("source", mg.F.source), ("target", mg.F.target)):
+        J = cfg.structure_on(chart.name)
+        if J is None:
+            continue
+        G, at, inner, outer = structure._side(mg, mg.split(pts), side)
+        jin = np.matmul(J.values(at), inner.transpose(0, 2, 1)).transpose(0, 2, 1)
+        _assert_same_frames(complement_frames(mg, J, pts, side),
+                            _complement_frames_per_point(G, jin, outer))
+        compared += 1
+    assert compared

@@ -364,20 +364,74 @@ def test_clairaut_monitor_makes_no_split_at_call(monkeypatch):
 
 
 def test_a_run_splits_each_point_set_once_and_never_point_by_point(monkeypatch):
+    """Every catalog run with a map splits one point set, its 12 sample
+    points, once."""
     from riemcheck.rmap import MapGeometry
 
     splits, split_at = [], []
     real_split, real_split_at = MapGeometry._split, MapGeometry.split_at
-    monkeypatch.setattr(MapGeometry, "_split", lambda self, pts, tol: splits.append(
-        pts.tobytes()) or real_split(self, pts, tol))
+    monkeypatch.setattr(MapGeometry, "_split", lambda self, pts: splits.append(
+        pts.tobytes()) or real_split(self, pts))
     monkeypatch.setattr(MapGeometry, "split_at", lambda self, x, *a, **kw: split_at.append(
         x) or real_split_at(self, x, *a, **kw))
-    cfg = load("paper-3.1")
-    report = run_suite(cfg, points=12)
-    assert not report.errors
-    points = cfg.charts["M"].sample_points(12, seed=cfg.check["seed"], box=cfg.check["box"])
-    assert sorted(splits) == sorted([points.tobytes(), points[:10].tobytes()])
+    for entry in names():
+        splits.clear()
+        cfg = load(entry)
+        report = run_suite(cfg, points=12)
+        assert not report.errors, entry
+        F = cfg.the_map()
+        points = [] if F is None else [F.source.sample_points(
+            12, seed=cfg.check["seed"], box=cfg.check["box"]).tobytes()]
+        assert splits == points, entry
     assert split_at == []
+
+
+def test_a_gate_that_fails_only_at_the_last_sample_point_is_not_met(monkeypatch):
+    """polar-kahler at 12 points with its source Kaehler residual set to 1 at
+    point 11 only: every identity check gated on it is NOT-APPLICABLE."""
+    from riemcheck import propcheck
+
+    real = propcheck.kahler_residual
+
+    def kahler_residual(g, J, points):
+        res = real(g, J, points)
+        res[11:] = 1.0
+        return res
+
+    monkeypatch.setattr(propcheck, "kahler_residual", kahler_residual)
+    report = run_suite(load("polar-kahler"), points=12)
+    results = {c.id: c for c in report.checks + report.audits}
+    for ident in ("ric_uv", "ric_ux", "ric_xy", "ric_lie"):
+        assert results[ident].verdict == NOT_APPLICABLE, ident
+        assert results[ident].terms["gates"]["kahler_source"] == [False, 1.0], ident
+    assert results["kahler"].verdict == PASS
+
+
+# A flat plane whose domain x1 > 0 is stated through sqrt(x1): the geodesic
+# along -d_x1 from x1 = 0.5 leaves it at t = 0.5, where sqrt(x1) is NaN.
+DOMAIN_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  constraint positive sqrt(x1)
+  metric diag 1, 1
+end
+check
+  seed 7
+  points 8
+  suite geodesic
+  geodesic from 0.5,0.5 dir -1,0 t 2 dt 0.01
+end
+"""
+
+
+def test_a_geodesic_leaving_the_domain_of_a_nonfinite_constraint_fails():
+    report = run_suite(load_spec(DOMAIN_SPEC, name="sqrt-domain"))
+    result = report.checks[0]
+    assert result.verdict == FAIL
+    assert result.notes[0].startswith("error: geodesic left chart domain at t=0.5")
+    assert result.notes[0].endswith("constraint sqrt(x1) > 0 violated")
+    assert report.exit_code() == 1
 
 
 # The metric is NaN wherever x1 < 0.5, and no frame is declared: the
