@@ -8,14 +8,14 @@ returning the output registers.  The source depends only on the program's
 shape (the constants are an argument), so it is compiled once per distinct
 shape and bound twice:
 
-- to `math` functions for `evaluate_at`, with `x` and `c` lists of floats;
+- to `math` functions for `evaluate_list`, with `x` and `c` lists of floats;
 - to numpy ufuncs for `evaluate`, with `x` the columns of the (npoints,
   nvars) input and `c` the constants broadcast over the points.
 
 Every check evaluates its tapes over the whole point set with `evaluate`.
-`evaluate_at` serves the geodesic RK4 integrator, whose stages depend on each
-other and so come one point at a time, and the one-point `value_at` accessors
-of the field classes.
+`evaluate_list` (one point, a list of floats in, a sequence out) serves the
+geodesic RK4 integrator, whose stages come one point at a time on a state of
+Python floats; `evaluate_at` wraps it in arrays for the `value_at` accessors.
 
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a
@@ -168,13 +168,17 @@ class Tape:
             out[:, j] = col
         return out
 
-    def evaluate_at(self, x) -> np.ndarray:
-        """Single point (nvars,) -> (nout,) through the `math` functions, for
-        the RK4 integrator and the `value_at` accessors; avoids the batch
-        overhead a one-point `evaluate` pays."""
-        x = np.asarray(x, dtype=np.float64)
+    def evaluate_list(self, x):
+        """Single point as a list of `nvars` floats -> sequence of `nout`
+        floats, through the `math` functions.  A point whose `math`
+        evaluation faults is evaluated again through the numpy path, which
+        gives non-finite values instead of an exception."""
         try:
-            return np.array(self._run_one(x.tolist(), self._const_list),
-                            dtype=np.float64)
+            return self._run_one(x, self._const_list)
         except (ArithmeticError, ValueError):
-            return self.evaluate(x[None])[0]
+            return self.evaluate([x])[0].tolist()
+
+    def evaluate_at(self, x) -> np.ndarray:
+        """Single point (nvars,) -> (nout,): `evaluate_list` in arrays."""
+        return np.array(self.evaluate_list(np.asarray(x, dtype=np.float64).tolist()),
+                        dtype=np.float64)

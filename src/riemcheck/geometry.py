@@ -42,6 +42,7 @@ from .expr.tape import Tape
 CURVATURE_CONVENTION = ("R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z "
                         "- nabla_[X,Y] Z; Ric(X,Y) = trace(Z -> R(Z,X)Y); "
                         "unit sphere has Ric = +(n-1) g")
+ORTHO_TOL = 1e-10  # orthonormalize's rank threshold on a squared norm
 
 
 class GeometryError(Exception):
@@ -659,7 +660,7 @@ def orthonormal_frames(G) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(np.asarray(G, dtype=float)))
 
 
-def orthonormalize(gval: np.ndarray, vectors, tol=1e-10):
+def orthonormalize(gval: np.ndarray, vectors):
     """Gram-Schmidt with inner product gval; `vectors` is (k, n).  Raises on
     rank deficiency.  Returns (k, n) with span preserved."""
     V = np.asarray(vectors, dtype=float)
@@ -669,7 +670,7 @@ def orthonormalize(gval: np.ndarray, vectors, tol=1e-10):
         for u in out:
             w = w - (u @ gval @ w) * u
         norm2 = float(w @ gval @ w)
-        if norm2 <= tol:
+        if norm2 <= ORTHO_TOL:
             raise GeometryError("orthonormalize: rank deficiency at point")
         out.append(w / math.sqrt(norm2))
     return np.array(out)
@@ -712,10 +713,12 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     """Classical fixed-step RK4 on the geodesic equation with per-step halving
     whenever the step's metric-norm drift exceeds `energy_tol` (relative).
     A step is split at most 12 times; a step whose last split still drifts
-    too far is accepted and counted in `Trajectory.unconverged`.
+    too far is accepted and counted in `Trajectory.unconverged`.  The state
+    is a list of floats; g(v, v) stays a BLAS `v @ G @ v`.
 
-    Raises ChartDomainError if the trajectory leaves the chart domain and
-    GeometryError when every split of a step gives a non-finite state.
+    At most 8 * (nominal steps) + 2**14 RK4 sub-steps are run: GeometryError
+    names the time reached when that budget runs out, or when every split of
+    a step is non-finite.  ChartDomainError if the trajectory leaves the chart.
     """
     if dt <= 0.0:
         raise GeometryError("geodesic_integrate: dt must be positive")
@@ -726,21 +729,25 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     if v.shape != (n,) or not np.any(v):
         raise GeometryError("geodesic_integrate: v0 must be a nonzero tangent vector")
 
-    rhs = geodesic_tape(g).evaluate_at
-    g_tape = g.tape()
+    rhs = geodesic_tape(g).evaluate_list
+    metric = g.tape().evaluate_list
 
-    def rk4(state, h):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rk4(s, h):
+        # per component, the float order of the array form `s + 0.5 * h * k`
+        half = 0.5 * h
+        k1 = rhs(s)
+        k2 = rhs([a + half * k for a, k in zip(s, k1)])
+        k3 = rhs([a + half * k for a, k in zip(s, k2)])
+        k4 = rhs([a + h * k for a, k in zip(s, k3)])
+        sixth = h / 6.0
+        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
 
-    def energy(state):
-        gv = g_tape.evaluate_at(state[:n]).reshape(n, n)
-        return float(state[n:] @ gv @ state[n:])
+    def energy(s):
+        vel = np.array(s[n:])
+        return float(vel @ np.array(metric(s[:n])).reshape(n, n) @ vel)
 
-    state = np.concatenate([x, v])
+    state = x.tolist() + v.tolist()
     e0 = energy(state)
     escale = max(abs(e0), 1e-30)
     nfull = int(math.floor(t_end / dt + 1e-12))
@@ -748,22 +755,25 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     rem = t_end - nfull * dt
     if rem > 1e-12 * max(1.0, t_end):
         steps.append(rem)
+    budget = 8 * len(steps) + 2**14
     times = [0.0]
-    xs = [state[:n].copy()]
-    vs = [state[n:].copy()]
+    states = [state]
     drifts = []
-    halvings = unconverged = 0
+    halvings = unconverged = used = 0
     t = 0.0
     e_state = e0  # energy of the last accepted state
     for dt_step in steps:
         sub = 1
         h = dt_step
-        prev = state
         for attempt in range(13):
-            cand = prev
+            cand = state
             for _ in range(sub):
+                if used == budget:
+                    raise GeometryError(f"geodesic used up its budget of {budget} "
+                                        f"RK4 sub-steps at t={t}")
+                used += 1
                 cand = rk4(cand, h)
-                if not np.all(np.isfinite(cand)):
+                if not all(map(math.isfinite, cand)):
                     break
             else:
                 e_cand = energy(cand)
@@ -785,7 +795,7 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
             raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
         drifts.append(abs(e_state - e0) / escale)
         times.append(t)
-        xs.append(state[:n].copy())
-        vs.append(state[n:].copy())
-    return Trajectory(chart, np.array(times), np.array(xs), np.array(vs),
+        states.append(state)
+    states = np.array(states)
+    return Trajectory(chart, np.array(times), states[:, :n], states[:, n:],
                       worst(drifts)[0], halvings, unconverged)

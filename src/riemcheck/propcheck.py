@@ -101,7 +101,13 @@ class UnsupportedDistribution(GeometryError):
     pass
 
 
-def coordinate_alignment(frame_rows_per_point, tol=1e-9):
+# A frame component above ALIGN_TOL puts its coordinate in the block; a
+# vector may leak out of its block by at most LEAK_TOL * max(1, |v|).
+ALIGN_TOL = 1e-9
+LEAK_TOL = 1e-8
+
+
+def coordinate_alignment(frame_rows_per_point):
     """Indices of the coordinate block spanned by the given frame vectors;
     raises UnsupportedDistribution if the span is not a coordinate block of
     matching dimension at every point."""
@@ -112,7 +118,7 @@ def coordinate_alignment(frame_rows_per_point, tol=1e-9):
             k = len(rows)
         elif len(rows) != k:
             raise UnsupportedDistribution("distribution dimension changes across points")
-        support.update(np.flatnonzero(np.any(np.abs(np.asarray(rows)) > tol, axis=0)).tolist())
+        support.update(np.flatnonzero(np.any(np.abs(np.asarray(rows)) > ALIGN_TOL, axis=0)).tolist())
     if k is None or k == 0:
         return ()
     if len(support) != k:
@@ -155,7 +161,7 @@ class RestrictedGeometry:
         tape = Tape([s], self.metric.chart.allvars)
         return tape.evaluate(self.reorder(parent_points))[:, 0]
 
-    def restrict_vector(self, v, tol=1e-8):
+    def restrict_vector(self, v):
         """Components in the distribution block of a vector, or of every
         vector of a (..., n) stack; errors if one sticks out (NaN outside
         the block counts as sticking out)."""
@@ -163,7 +169,7 @@ class RestrictedGeometry:
         out_block = [i for i in range(v.shape[-1]) if i not in self.indices]
         leak = (np.max(np.abs(v[..., out_block]), axis=-1) if out_block
                 else np.zeros(v.shape[:-1]))
-        bad = np.flatnonzero(~(leak <= tol * np.fmax(1.0, np.max(np.abs(v), axis=-1))))
+        bad = np.flatnonzero(~(leak <= LEAK_TOL * np.fmax(1.0, np.max(np.abs(v), axis=-1))))
         if len(bad):
             raise UnsupportedDistribution(
                 f"vector leaves the restricted block (leak {leak.flat[bad[0]]:.3e})")
@@ -779,9 +785,6 @@ TABLE = {
                          (_FE_NTS, _FE_NTS_F, _FE_RPERP), _LTARGET, True),
     "lric_de": Identity("ee", ("tc", "range_rg", "ric_N", "PE"), (_EE_RANGE,), _LTARGET),
 }
-
-IDENTITIES = TABLE
-
 
 def _warp_QQ(p):
     """-(m - r) (QD(g) QE(g) + Hess g(QD, QE))."""

@@ -44,6 +44,8 @@ from .geometry import (
 # Singular values of the Jacobian at most RANK_TOL * max(1, largest) count as
 # zero: they decide its rank and its kernel.
 RANK_TOL = 1e-9
+# Largest residual of a declared frame, or of a pushed field's basic-ness.
+FRAME_TOL = 1e-9
 
 
 class MapError(GeometryError):
@@ -123,8 +125,7 @@ def pushforward_along(F: SmoothMap, Y: VectorField) -> "VectorFieldAlongMap":
         F, [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, Y.comps)])
 
 
-def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None,
-                      tol=1e-9) -> VectorField:
+def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> VectorField:
     """Push a basic field through the map using the declared section, giving
     an honest vector field on the target chart.  When `validate_points`
     (source points) is given, basic-ness is checked by comparing the pushed
@@ -136,7 +137,7 @@ def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None,
         direct = along.values(pts)
         through = pushed.values(F.values(pts))
         gap = float(np.max(np.abs(direct - through))) if len(pts) else 0.0
-        if not gap <= tol * max(1.0, float(np.max(np.abs(direct)))):
+        if not gap <= FRAME_TOL * max(1.0, float(np.max(np.abs(direct)))):
             raise MapError(
                 f"field {X.name or ''} is not basic: pushforward varies along "
                 f"fibers (gap {gap:.3e})")
@@ -244,10 +245,10 @@ class MapGeometry:
         self._last_split = (None, None)  # (key of the point set, its Split)
 
     # -- declared-frame validation -------------------------------------------
-    def validate_frames(self, points, tol=1e-9):
+    def validate_frames(self, points):
         """Orthonormality of each declared frame, kernel membership of the
         vertical frame, horizontality, and range/normal consistency.  A
-        residual fails unless it is <= tol, so a NaN frame fails too."""
+        residual fails unless it is <= FRAME_TOL, so a NaN frame fails too."""
         pts = np.atleast_2d(points)
         ypts = self.F.values(pts)
         fr = self.frames
@@ -277,7 +278,7 @@ class MapGeometry:
                 found.append(("range/normal frames not orthogonal",
                               worst(np.abs(cross))[0]))
         problems = [f"{what} (residual {res:.3e})" for what, res in found
-                    if not res <= tol]
+                    if not res <= FRAME_TOL]
         if problems:
             raise MapError("declared frame validation failed: " + "; ".join(problems))
 

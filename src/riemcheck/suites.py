@@ -23,7 +23,7 @@ from .geometry import (
     worst,
 )
 from .propcheck import (
-    IDENTITIES,
+    TABLE,
     PropositionCase,
     UnsupportedDistribution,
     verify_alpha_soliton_on_range,
@@ -593,7 +593,7 @@ CHECKS = {
     "geodesic": check_geodesic,
     "fiber_curvature": check_fiber_curvature,
 }
-for _ident in list(IDENTITIES) + ["alpha_soliton_range", "ric_lie"]:
+for _ident in list(TABLE) + ["alpha_soliton_range", "ric_lie"]:
     CHECKS[_ident] = _identity_check(_ident)
 
 

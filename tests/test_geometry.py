@@ -35,6 +35,7 @@ from riemcheck.geometry import (
     worst,
 )
 
+import geodesic_oracle
 from fd_oracle import fd_ricci
 
 
@@ -72,6 +73,14 @@ def paper31_metric():
         for j in range(6):
             mat[i, j] = chart.parse(diag[i]) if i == j else Const(0.0)
     return MetricField(chart, mat)
+
+
+def heisenberg():
+    """Left-invariant metric of the Heisenberg group on (x, y, z)."""
+    chart = Chart("Heis", ["x", "y", "z"])
+    rows = [["1", "0", "0"], ["0", "1 + x^2", "-x"], ["0", "-x", "1"]]
+    return MetricField(chart, np.array([[chart.parse(c) for c in r] for r in rows],
+                                       dtype=object))
 
 
 def metric_fn(g):
@@ -458,6 +467,54 @@ def test_geodesic_counts_steps_that_never_reach_the_energy_tolerance():
                               dt=0.01).unconverged == 0
 
 
+def _catalog_geodesic(entry, chart, **edits):
+    """geodesic_integrate's arguments for a catalog entry's geodesic line."""
+    cfg = load(entry)
+    geo = cfg.check["geodesic"] | edits
+    g = cfg.metrics[chart]
+    return (g, dict(zip(g.chart.coords, geo["from"])), np.array(geo["dir"]),
+            geo["t"], geo["dt"])
+
+
+def _heisenberg_geodesic(dt):
+    return heisenberg(), {"x": 0.3, "y": 0.5, "z": 0.7}, np.array([0.6, -0.2, 0.4]), 5.0, dt
+
+
+@pytest.mark.parametrize("args, energy_tol", [
+    (lambda: _catalog_geodesic("revolution-surface", "S"), 1e-8),
+    (lambda: _catalog_geodesic("sphere-2", "S"), 1e-8),
+    # every step halves 12 times and is accepted unconverged
+    (lambda: _catalog_geodesic("sphere-2", "S", t=0.02, dt=0.01), 0.0),
+    (lambda: _heisenberg_geodesic(1e-3), 1e-8),
+    (lambda: _heisenberg_geodesic(0.2), 1e-8),  # halves some steps
+], ids=["revolution-surface", "sphere-2", "sphere-2-tol0", "heisenberg", "heisenberg-coarse"])
+def test_geodesic_integrate_is_bit_identical_to_the_numpy_array_oracle(args, energy_tol):
+    args = args()
+    traj = geodesic_integrate(*args, energy_tol=energy_tol)
+    want = geodesic_oracle.geodesic_integrate(*args, energy_tol=energy_tol)
+    for name in ("times", "xs", "vs"):
+        assert np.array_equal(getattr(traj, name), getattr(want, name)), name
+    assert ((traj.energy_drift, traj.halvings, traj.unconverged)
+            == (want.energy_drift, want.halvings, want.unconverged))
+
+
+@pytest.mark.parametrize("g_yy, constraints, start, t_end, dt", [
+    ("1", [(parse("x"), "positive")], 0.5, 2.0, 1e-2),  # leaves x > 0 at t = 0.5
+    ("1 + sqrt(x - 0.5)", (), 0.62, 0.3, 0.1),  # non-finite at every split
+], ids=["domain-exit", "nonfinite"])
+def test_geodesic_integrate_raises_as_the_numpy_array_oracle_does(
+        g_yy, constraints, start, t_end, dt):
+    chart = Chart("P", ["x", "y"], constraints=constraints)
+    g = MetricField(chart, np.array([[Const(1.0), Const(0.0)], [Const(0.0), parse(g_yy)]],
+                                    dtype=object))
+    raised = []
+    for integrate in (geodesic_integrate, geodesic_oracle.geodesic_integrate):
+        with pytest.raises(GeometryError) as exc:
+            integrate(g, {"x": start, "y": 0.0}, np.array([-1.0, 0.0]), t_end, dt)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
+
+
 @functools.cache
 def _catalog_metric(entry, chart):
     """(metric, sample box) of a catalog chart, loaded once per session."""
@@ -491,14 +548,14 @@ def test_geodesic_makes_one_rhs_call_per_stage_and_one_metric_call_per_attempt(
     once for the initial energy, and no other tape runs per step."""
     g = sphere2()
     calls = {}
-    evaluate_at = Tape.evaluate_at
+    evaluate_list = Tape.evaluate_list
 
     def counted(self, x):
         key = "rhs" if self.var_names[-1] == "_v1" else "metric" if self is g.tape() else "other"
         calls[key] = calls.get(key, 0) + 1
-        return evaluate_at(self, x)
+        return evaluate_list(self, x)
 
-    monkeypatch.setattr(Tape, "evaluate_at", counted)
+    monkeypatch.setattr(Tape, "evaluate_list", counted)
     traj = geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, np.array([0.3, 1.0]),
                               t_end=0.02, dt=0.01, energy_tol=energy_tol)
     steps = len(traj) - 1

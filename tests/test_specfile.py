@@ -162,13 +162,13 @@ def test_paper41_catalog_content():
 
 def test_catalog_exercises_every_identity():
     # meta-test: every identity id is exercised by at least one catalog entry
-    from riemcheck.propcheck import IDENTITIES
+    from riemcheck.propcheck import TABLE
     covered = set()
     for name in names():
         ck = load(name).check
         covered.update(ck["suite"])
         covered.update(ck["audit"])
-    missing = (set(IDENTITIES) | {"alpha_soliton_range", "ric_lie"}) - covered
+    missing = (set(TABLE) | {"alpha_soliton_range", "ric_lie"}) - covered
     assert not missing, f"identities not exercised by any catalog entry: {missing}"
 
 

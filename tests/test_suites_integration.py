@@ -4,6 +4,7 @@ configurations are known to produce."""
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -293,6 +294,26 @@ def test_geodesic_fails_when_a_step_never_converges(monkeypatch):
                                     "after 12 halvings")
 
 
+def test_a_geodesic_that_never_converges_fails_at_its_sub_step_budget(monkeypatch):
+    """With the Christoffel symbols' sign flipped every step drifts, and each
+    would run all 8,191 sub-steps of its 12 halvings: the 10,000-step
+    integration stops at its budget of 8 * 10,000 + 2**14 sub-steps, in the
+    twelfth step, and the check FAILs naming the time it reached."""
+    from riemcheck.geometry import TensorField
+
+    cfg = load("revolution-surface")
+    g = cfg.metrics["S"]
+    gamma = g.christoffel()
+    monkeypatch.setattr(g, "christoffel",
+                        lambda: TensorField(g.chart, gamma.sig, -gamma.comps))
+    start = time.perf_counter()
+    result = run_suite(cfg, suite=["geodesic"]).checks[0]
+    assert time.perf_counter() - start < 10.0
+    assert result.verdict == FAIL
+    assert result.notes == ["error: geodesic used up its budget of 96384 RK4 "
+                            f"sub-steps at t={sum([0.001] * 11)!r}"]
+
+
 def _revolution(*edits):
     """revolution-surface with (old, new) text replacements applied."""
     from riemcheck.catalog import REVOLUTION_SURFACE
@@ -514,13 +535,14 @@ def test_metric_check_finds_a_rank_drop_at_any_sample_point():
 
 def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch):
     """Every check evaluates its point set in one batch: over every catalog
-    entry, `Tape.evaluate_at` is called only from inside
-    `geometry.geodesic_integrate`, whose RK4 stages come one at a time."""
+    entry, `Tape.evaluate_list` (which `evaluate_at` wraps) is called only
+    from inside `geometry.geodesic_integrate`, whose RK4 stages come one at
+    a time."""
     from riemcheck import geometry
     from riemcheck.expr.tape import Tape
 
     integrator, inside, outside = geometry.geodesic_integrate.__code__, [], []
-    evaluate_at = Tape.evaluate_at
+    evaluate_list = Tape.evaluate_list
 
     def traced(self, x):
         frame = sys._getframe(1)
@@ -528,9 +550,9 @@ def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch
         while frame is not None and frame.f_code is not integrator:
             frame = frame.f_back
         (inside if frame is not None else outside).append(caller)
-        return evaluate_at(self, x)
+        return evaluate_list(self, x)
 
-    monkeypatch.setattr(Tape, "evaluate_at", traced)
+    monkeypatch.setattr(Tape, "evaluate_list", traced)
     for name in names():
         cfg = load(name)
         if cfg.check["geodesic"] is not None:
