@@ -143,6 +143,9 @@ class Tape:
         self.nout = len(out_regs)
         self.code = tuple(ops)
         self.consts = np.asarray(consts, dtype=np.float64)
+        fixed = [j for j, r in enumerate(out_regs) if ops[r] == OP_LOADC]
+        self._fixed = fixed, self.consts[[a[out_regs[j]] for j in fixed]]
+        self._live = [j for j, r in enumerate(out_regs) if ops[r] != OP_LOADC]
         self._const_list = self.consts.tolist()
         self.nregs = len(ops)
         shape = (self.code, tuple(a), tuple(b), out_regs)
@@ -164,8 +167,9 @@ class Tape:
         with np.errstate(all="ignore"):
             cols = self._run_batch(X.T, c)
         out = np.empty((P, self.nout), dtype=np.float64)
-        for j, col in enumerate(cols):
-            out[:, j] = col
+        out[:, self._fixed[0]] = self._fixed[1]  # constant outputs in one assignment
+        for j in self._live:
+            out[:, j] = cols[j]
         return out
 
     def evaluate_list(self, x):

@@ -198,9 +198,6 @@ class Chart:
             if kind == "positive" and not (v > 0.0 and math.isfinite(v)):
                 raise ChartDomainError(f"constraint {to_str(c)} > 0 violated")
 
-    def array_to_point(self, x) -> dict:
-        return dict(zip(self.coords, (float(v) for v in x)))
-
     def point_to_array(self, p) -> np.ndarray:
         return np.array([p[c] for c in self.coords], dtype=float)
 
@@ -299,8 +296,8 @@ def gram_residual(metric, fields, points) -> float:
     return float(np.max(np.abs(gram - np.eye(len(fields)))))
 
 
-class MetricField:
-    """Symmetric positive-definite (0,2) expression matrix on a chart.
+class MetricField(TensorField):
+    """Symmetric positive-definite (0,2) expression matrix `mat` on a chart.
 
     Curvature tensors are computed symbolically (adjugate inverse, exact for
     the catalog's dimensions) and cached write-once.  Positive definiteness
@@ -312,29 +309,10 @@ class MetricField:
         if mat.shape != (chart.dim, chart.dim):
             raise GeometryError(
                 f"metric on {chart.name} must be {chart.dim}x{chart.dim}, got {mat.shape}")
-        self.chart = chart
         nv = chart.nonvanishing_keys()
-        self.mat = np.empty(mat.shape, dtype=object)
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                self.mat[i, j] = simplify(as_expr(mat[i, j]), nv)
-        self._tape = None
+        super().__init__(chart, (0, 2), [[simplify(as_expr(e), nv) for e in row] for row in mat])
+        self.mat = self.comps
         self._cache = {}
-
-    # ---- numeric side ----
-    def tape(self):
-        if self._tape is None:
-            self._tape = Tape(list(self.mat.flat), self.chart.allvars)
-        return self._tape
-
-    def values(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        n = self.chart.dim
-        return self.tape().evaluate(pts).reshape(len(pts), n, n)
-
-    def value_at(self, x) -> np.ndarray:
-        n = self.chart.dim
-        return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(n, n)
 
     def check_spd(self, points, tol=1e-12):
         """Symmetry and positive definiteness at the given points; raises
@@ -385,6 +363,17 @@ class MetricField:
         if "gamma" not in self._cache:
             self._cache["gamma"] = christoffel(self)
         return self._cache["gamma"]
+
+    def christoffel_derivative(self) -> np.ndarray:
+        """dgam[a, l, i, j] = d_a Gamma^l_ij, symmetric in (i, j); cached, so
+        `riemann` and the target calculus differentiate Gamma once."""
+        if "dgamma" not in self._cache:
+            gam, coords = self.christoffel().comps, self.chart.coords
+            dgam = np.empty((self.chart.dim,) * 4, dtype=object)
+            for a, l, i, j in np.ndindex(dgam.shape):
+                dgam[a, l, i, j] = differentiate(gam[l, i, j], coords[a]) if i <= j else dgam[a, l, j, i]
+            self._cache["dgamma"] = dgam
+        return self._cache["dgamma"]
 
     def riemann(self):
         if "riemann" not in self._cache:
@@ -444,16 +433,8 @@ def christoffel(g: MetricField) -> TensorField:
 def riemann(g: MetricField) -> TensorField:
     """Curvature tensor R[l, i, j, k] = (R(d_i, d_j) d_k)^l."""
     n = g.chart.dim
-    coords = g.chart.coords
     gam = g.christoffel().comps
-    dgam = np.empty((n, n, n, n), dtype=object)  # dgam[a][l][i][j] = d_a Gamma^l_ij
-    for a in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    d = differentiate(gam[l, i, j], coords[a])
-                    dgam[a, l, i, j] = d
-                    dgam[a, l, j, i] = d
+    dgam = g.christoffel_derivative()  # dgam[a][l][i][j] = d_a Gamma^l_ij
     out = sym_zeros((n, n, n, n))
     for l in range(n):
         for i in range(n):
@@ -551,20 +532,6 @@ def covariant_derivative_tensor(g: MetricField, T: TensorField) -> TensorField:
     return TensorField(g.chart, (p, q + 1), acc)
 
 
-def lie_bracket(chart: Chart, X, Y) -> VectorField:
-    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
-    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
-    Yc = Y.comps if isinstance(Y, VectorField) else tuple(as_expr(c) for c in Y)
-    comps = []
-    for k in range(chart.dim):
-        acc = ZERO
-        for i in range(chart.dim):
-            acc = _add(acc, _prod(Xc[i], differentiate(Yc[k], chart.coords[i])))
-            acc = _sub(acc, _prod(Yc[i], differentiate(Xc[k], chart.coords[i])))
-        comps.append(simplify(acc, chart.nonvanishing_keys()))
-    return VectorField(chart, comps)
-
-
 def divergence(g: MetricField, X) -> Expr:
     """div X = d_i X^i + Gamma^k_{ki} X^i; agrees with the frame-trace and
     the sqrt-det coordinate formulas."""
@@ -640,6 +607,20 @@ def field_values(fields, points) -> np.ndarray:
 def matvec(M, v) -> np.ndarray:
     """M @ v for every matrix (..., n, m) and vector (..., m)."""
     return np.matmul(M, v[..., None])[..., 0]
+
+
+def tvec(T, v, k=1) -> np.ndarray:
+    """sum_j T[..., j] v[..., j] for tensors (..., *out, m) with k output axes
+    and vectors (..., m); where T has no axis before its point axis, one
+    product per point, with every vector of v there as a column."""
+    out, lead = T.shape[-k - 1:-1], T.shape[:-k - 1]
+    T = T.reshape(lead + (-1, T.shape[-1]))
+    if len(lead) > 1:
+        r = matvec(T, v)
+    else:
+        cols = np.moveaxis(v.reshape((-1,) + v.shape[-2:]), 0, -1)
+        r = np.moveaxis(np.matmul(T, cols), -1, 0).reshape(v.shape[:-1] + T.shape[1:2])
+    return r.reshape(r.shape[:-1] + out)
 
 
 def vdot(u, v) -> np.ndarray:

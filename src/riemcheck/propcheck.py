@@ -26,19 +26,20 @@ A row gives
 
 Two namespaces are filled lazily.  The case (`PropositionCase`) is bound to
 the run's sample points and holds, once per run, the symbolic tensors,
-restricted geometries, target calculus and derivative tapes, and the
+restricted geometries and derivative tapes (the target calculus has one per
+target field list, and one for Gamma_N and the projectors), and the
 hypothesis gates, each evaluated at every sample point.  The batch one
 (`_BATCH`), made per check, holds one split (`MapGeometry.split`) and one
-`values` call per metric, tensor, frame and target-calculus field, at the
-points x or at their images y, each an array with a leading point axis,
-plus the per-point contractions built from them (divA, NAH, NAT, AA, AMU,
-SS, ST, the B/C split).  Terms contract these with `geometry.qform` and
-`matvec`, which make the BLAS calls of the per-vector products u @ M @ v and
-M @ v, so a P-point call gives the rows of P one-point calls.  `_rows`
-emits one row per pair per point in (point, a, b) order with residual
-|lhs - rhs|; the worst row is the first non-finite residual, else the first
-largest.  The two theorem-level checks build their own row arrays on the
-same namespaces.
+evaluation per metric, tensor, frame and tape, at the points x or at their
+images y, each an array with a leading point axis, plus the contractions
+built from them (divA, NAH, NAT, AA, AMU, SS, ST, the B/C split, the target
+calculus over every field combination).  Terms contract these with
+`geometry.qform` and `matvec`, which make the BLAS calls of the per-vector
+products u @ M @ v and M @ v, so a P-point call gives the rows of P
+one-point calls.  `_rows` emits one row per pair per point in (point, a, b)
+order with residual |lhs - rhs|; the worst row is the first non-finite
+residual, else the first largest.  The two theorem-level checks build their
+own row arrays on the same namespaces.
 
 Restricted Ricci tensors exist only for coordinate-aligned involutive
 distributions: the induced metric is the coordinate submatrix with the
@@ -53,34 +54,32 @@ interpretation documented on `TargetCalculus.nabla_tilde_S` and carry
 
 from __future__ import annotations
 
-import itertools
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Const, as_expr, differentiate
+from .expr import as_expr, differentiate
+from .expr.nodes import is_const
 from .expr.tape import Tape
 from .geometry import (
     Chart,
     GeometryError,
     MetricField,
     VectorField,
-    _prod,
-    _sub,
-    covariant_derivative,
     divergence,
     field_values,
     gradient,
     hessian,
-    lie_bracket,
     lie_derivative_metric,
     matvec,
     qform,
     sym_einsum,
+    tvec,
     vdot,
     worst,
 )
-from .rmap import MapGeometry, pushforward_field
+from .rmap import Jet, MapGeometry, pushforward_field, shape_operator, unpack
 from .soliton import (
     ClairautConfig,
     SolitonConfig,
@@ -176,29 +175,28 @@ class RestrictedGeometry:
         return v[..., list(self.indices)]
 
 
-# -- symbolic field calculus on the target chart ------------------------------------
+# -- field calculus on the target chart ------------------------------------------------
 
 class TargetCalculus:
-    """Symbolic vector-field operations on the target chart, memoized by the
-    field objects they take (names only label the results, and two fields
-    may share one); provides the shape-operator and normal-curvature pieces
-    of the target-side identities."""
+    """Vector-field calculus on the target chart.  `J`, `proj_range` and
+    `proj_perp` build symbolic fields, memoized by the field objects they
+    take.  The derivative operations contract, by the product rule, arrays
+    of `geometry(y)` and of field `Jet`s (`MapGeometry.target_jets`) from
+    tapes built once per case, for every combination of fields along the
+    jets' list axes.  No formula assumes that a field stays in its bundle:
+    where the gates fail, it need not."""
 
     def __init__(self, mg: MapGeometry, Jp: AlmostComplexStructure | None):
-        self.mg = mg
         self.gN = mg.gN
         self.Jp = Jp
         self.PR, self.PP = mg.target_projectors()
         self._memo = {}
 
-    def field(self, name, comps):
-        return VectorField(self.gN.chart, comps, name=name)
-
     def _apply_matrix(self, tag, M, W: VectorField) -> VectorField:
         key = (tag, W)
         if key not in self._memo:
             comps = [self.gN._simp(e) for e in sym_einsum("ij,j->i", M, W.comps)]
-            self._memo[key] = self.field(f"{tag}({W.name})", comps)
+            self._memo[key] = VectorField(self.gN.chart, comps, name=f"{tag}({W.name})")
         return self._memo[key]
 
     def J(self, W):
@@ -212,54 +210,71 @@ class TargetCalculus:
     def proj_perp(self, W):
         return self._apply_matrix("Pp", self.PP, W)
 
-    def cov(self, W, Z) -> VectorField:
-        key = ("cov", W, Z)
-        if key not in self._memo:
-            out = covariant_derivative(self.gN, W, Z)
-            out.name = f"cov({W.name},{Z.name})"
-            self._memo[key] = out
-        return self._memo[key]
+    def geometry(self, y) -> SimpleNamespace:
+        """At the points y: Gamma_N `gam` [k, i, j]; `PR`, `PP` [m, k] with
+        `dPR`, `dPP` [m, a, k] = d_a P^m_k; the nonzero d_a Gamma^k_ij `dgam`
+        (P, E), their `i`, `j` and the 0/1 `rows` (E, n * n) adding into [k, a]."""
+        chart, n = self.gN.chart, self.gN.chart.dim
+        if "geometry" not in self._memo:
+            dP = [np.array([[[differentiate(P[m, k], a) for k in range(n)] for a in chart.coords]
+                            for m in range(n)], dtype=object) for P in (self.PR, self.PP)]
+            dgam = self.gN.christoffel_derivative()
+            nz = [ix for ix in np.ndindex(dgam.shape) if not is_const(dgam[ix], 0.0)]
+            rows = np.eye(n * n)[[k * n + a for a, k, _, _ in nz]]
+            parts = (self.gN.christoffel().comps, self.PR, dP[0], self.PP, dP[1])
+            tape = Tape([e for p in parts for e in p.flat] + [dgam[x] for x in nz], chart.allvars)
+            self._memo["geometry"] = tape, rows, [ix[2] for ix in nz], [ix[3] for ix in nz]
+        tape, rows, i, j = self._memo["geometry"]
+        at = unpack(tape.evaluate(y), [(n,) * 3, (n, n), (n,) * 3, (n, n), (n,) * 3, (len(i),)])
+        return SimpleNamespace(**dict(zip(("gam", "PR", "dPR", "PP", "dPP", "dgam"), at)),
+                               rows=rows, i=i, j=j)
 
-    def nperp(self, W, D) -> VectorField:
+    def cov(self, at, W, Z) -> Jet:
+        """nabla_W Z = W^i d_i Z^k + Gamma^k_ij W^i Z^j, with derivatives
+        where W has first and Z second derivatives."""
+        A = Z.d + tvec(at.gam, Z.v, 2)  # A[k, i] = (nabla_{d_i} Z)^k
+        if W.d is None or Z.dd is None:
+            return Jet(matvec(A, W.v))
+        d = np.matmul(A, W.d)  # summed in place: these arrays are the largest
+        d += np.matmul(tvec(at.gam, W.v, 2), Z.d) + tvec(Z.dd, W.v, 2)
+        d += np.matmul(at.dgam * W.v[..., at.i] * Z.v[..., at.j], at.rows).reshape(d.shape)
+        return Jet(matvec(A, W.v), d)
+
+    def nperp(self, at, W, D) -> Jet:
         """Normal connection: P_perp(nabla_W D)."""
-        return self.proj_perp(self.cov(W, D))
+        return _project(at.PP, at.dPP, self.cov(at, W, D))
 
-    def shape(self, D, V) -> VectorField:
-        """S_D V = -P_range(nabla_V D) for normal D and range V."""
-        key = ("S", D, V)
-        if key not in self._memo:
-            pr = self.proj_range(self.cov(V, D))
-            comps = [self.gN._simp(_prod(Const(-1.0), c)) for c in pr.comps]
-            self._memo[key] = self.field(f"S[{D.name}]({V.name})", comps)
-        return self._memo[key]
+    def shape(self, at, D, V) -> Jet:
+        """S_D V = -P_range(nabla_V D), by `shape_operator`, with derivatives
+        where V has first and D second derivatives."""
+        value = matvec(shape_operator(at.PR, at.gam, D), V.v)
+        if V.d is None or D.dd is None:
+            return Jet(value)
+        return Jet(value, -_project(at.PR, at.dPR, self.cov(at, V, D)).d)
 
-    def nabla_tilde_S(self, W, D, V) -> VectorField:
+    def nabla_tilde_S(self, at, W, D, V) -> np.ndarray:
         """(nabla~_W S)_D V by the product rule with the pullback connection:
         P_range nabla_W (S_D V) - S_{P_perp nabla_W D} V
         - S_D (P_range nabla_W V).  Interpreted term."""
-        key = ("ntS", W, D, V)
-        if key not in self._memo:
-            a = self.proj_range(self.cov(W, self.shape(D, V)))
-            b = self.shape(self.nperp(W, D), V)
-            c = self.shape(D, self.proj_range(self.cov(W, V)))
-            comps = [self.gN._simp(_sub(_sub(ai, bi), ci))
-                     for ai, bi, ci in zip(a.comps, b.comps, c.comps)]
-            self._memo[key] = self.field(f"ntS({W.name};{D.name};{V.name})", comps)
-        return self._memo[key]
+        a = tvec(at.PR, self.cov(at, W, self.shape(at, D, V)).v)
+        b = self.shape(at, self.nperp(at, W, D), V).v
+        c = self.shape(at, D, Jet(tvec(at.PR, self.cov(at, W, V).v))).v
+        return a - b - c
 
-    def r_perp(self, W1, W2, D) -> VectorField:
-        """Normal-bundle curvature R^{F perp}(W1, W2) D."""
-        key = ("rperp", W1, W2, D)
-        if key not in self._memo:
-            a = self.nperp(W1, self.nperp(W2, D))
-            b = self.nperp(W2, self.nperp(W1, D))
-            br = lie_bracket(self.gN.chart, W1, W2)
-            br.name = f"[{W1.name},{W2.name}]"
-            c = self.nperp(br, D)
-            comps = [self.gN._simp(_sub(_sub(ai, bi), ci))
-                     for ai, bi, ci in zip(a.comps, b.comps, c.comps)]
-            self._memo[key] = self.field(f"Rp({W1.name},{W2.name}){D.name}", comps)
-        return self._memo[key]
+    def r_perp(self, at, W1, W2, D) -> np.ndarray:
+        """Normal-bundle curvature R^{F perp}(W1, W2) D, with the bracket
+        [W1, W2]^k = W1^i d_i W2^k - W2^i d_i W1^k."""
+        a = self.nperp(at, W1, self.nperp(at, W2, D)).v
+        b = self.nperp(at, W2, self.nperp(at, W1, D)).v
+        bracket = Jet(matvec(W2.d, W1.v) - matvec(W1.d, W2.v))
+        return a - b - self.nperp(at, bracket, D).v
+
+
+def _project(P, dP, X: Jet) -> Jet:
+    """P X, with d_a(P X) = (d_a P) X + P d_a X where X has derivatives."""
+    if X.d is None:
+        return Jet(tvec(P, X.v))
+    return Jet(tvec(P, X.v), np.matmul(P, X.d) + tvec(dP, X.v, 2))
 
 
 # -- the case ---------------------------------------------------------------------------
@@ -348,11 +363,8 @@ class PropositionCase(_Lazy):
             vals = np.einsum("pkij,pai,pbj->pabk", mg.oneill_A().values(pts), H, H)
             return _gate_value(np.sqrt(np.max(np.abs(
                 np.einsum("pabk,pkl,pabl->pab", vals, sp.GM, vals)), axis=(1, 2))))
-        if name == "tg_normal":
-            tc = self.tc
-            ypts = mg.F.values(pts)
-            return _gate_value([np.abs(tc.proj_range(tc.cov(ek, el)).values(ypts))
-                                for ek in mg.frames.normal for el in mg.frames.normal])
+        if name == "tg_normal":  # P_range nabla_{e_k} e_l = -S_{e_l} e_k
+            return _gate_value(np.abs(_tc_values(_Lazy(_BATCH, c=self), "shape", "Ej", "Ej")))
         if name == "vertical_potential":
             return self._potential_gate(vertical=True)
         if name == "horizontal_potential":
@@ -537,6 +549,14 @@ _BATCH = {
     "PEv": lambda p: field_values(p.c.PE, p.y),
     "QEv": lambda p: field_values(p.c.QE, p.y),
     "LWv": lambda p: p.c.LW.values(p.y),
+    # target calculus at y; JF and QE, the D slots, with second derivatives
+    "tg": lambda p: p.c.tc.geometry(p.y),
+    "Fj": lambda p: p.c.mg.target_jets(p.c.mg.frames.range, p.y),
+    "Ej": lambda p: p.c.mg.target_jets(p.c.mg.frames.normal, p.y),
+    "JFh": lambda p: p.c.mg.target_jets(p.c.JF, p.y, hessian=True),
+    "JFj": lambda p: p.JFh._replace(dd=None),
+    "PEj": lambda p: p.c.mg.target_jets(p.c.PE, p.y),
+    "QEh": lambda p: p.c.mg.target_jets(p.c.QE, p.y, hessian=True),
     "tc_values": lambda p: {},
 }
 
@@ -631,17 +651,17 @@ def _df_pair(p):
     return -p.r0 * cdf[:, :, None] * cdf[:, None, :]
 
 
-def _tc_values(p, method, *fields):
-    """Values at y of the target field `tc.method(W1, W2, ...)` for every
-    choice of W1, W2, ... from the given field lists, as a (P, n1, n2, ...,
-    n) array; each field is evaluated once over the points and kept for the
-    point set."""
-    key = (method,) + tuple(map(tuple, fields))
+def _tc_values(p, method, *jets):
+    """Values at y of `tc.method(W1, W2, ...)` for every choice of W1, W2,
+    ... from the named jets of `p` (the list axis of the i-th at axis i), as
+    a (P, n1, n2, ..., n) array kept for the point set."""
+    key = (method,) + jets
     if key not in p.tc_values:
-        make = getattr(p.c.tc, method)
-        vals = [make(*ws).values(p.y) for ws in itertools.product(*fields)]
-        shape = (len(p.y),) + tuple(map(len, fields)) + (p.y.shape[1],)
-        p.tc_values[key] = (np.stack(vals, axis=1) if vals else np.zeros(shape)).reshape(shape)
+        m = len(jets)
+        out = getattr(p.c.tc, method)(p.tg, *(
+            Jet(*(a if a is None else np.expand_dims(a, [j for j in range(m) if j != i])
+                  for a in getattr(p, name))) for i, name in enumerate(jets)))
+        p.tc_values[key] = np.moveaxis(getattr(out, "v", out), m, 0)
     return p.tc_values[key]
 
 
@@ -654,17 +674,17 @@ def _grad_nperp(p, Ws, Ds):
 def _nts_trace(p, Ds, Xs, reverse=False):
     """[D, X]: sum_j g((nabla~_X S)_D F_j, F_j), or with `reverse`
     -sum_j g((nabla~_{F_j} S)_D X, F_j)."""
-    Fj, GN = p.c.mg.frames.range, p.GN[:, None, None, None]
+    GN = p.GN[:, None, None, None]
     if reverse:  # [j, D, X]
-        vals = qform(_tc_values(p, "nabla_tilde_S", Fj, Ds, Xs), GN, p.Fv[:, :, None, None])
+        vals = qform(_tc_values(p, "nabla_tilde_S", "Fj", Ds, Xs), GN, p.Fv[:, :, None, None])
         return _acc(np.moveaxis(vals, 1, -1), -1)
-    vals = qform(_tc_values(p, "nabla_tilde_S", Xs, Ds, Fj), GN, p.Fv[:, None, None])
+    vals = qform(_tc_values(p, "nabla_tilde_S", Xs, Ds, "Fj"), GN, p.Fv[:, None, None])
     return _acc(vals).swapaxes(1, 2)  # [X, D, j] summed over j
 
 
 def _rperp_trace(p, Ws, Ds):
     """[W, D]: -sum_k g(R^perp(W, e_k) D, e_k)."""
-    vals = qform(_tc_values(p, "r_perp", Ws, p.c.mg.frames.normal, Ds),
+    vals = qform(_tc_values(p, "r_perp", Ws, "Ej", Ds),
                  p.GN[:, None, None, None], p.Ev[:, None, :, None])  # [W, k, D]
     return _acc(np.moveaxis(vals, 2, -1), -1)
 
@@ -693,9 +713,9 @@ _XY_HESS = ("r_hess_CC", +1, lambda p: _hess_C(p, p.C, p.C))
 _XY_DF = ("r_CXf_CYf", +1, _df_pair)
 _XY_RANGE = ("ric_range", +1, lambda p: _ric_range(p, p.C, p.C))
 _FF_PERP = ("ric_perp", +1, lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv, p.JFv))
-_FE_NTS = ("ntS_PE", +1, lambda p: _nts_trace(p, p.c.JF, p.c.PE))
-_FE_NTS_F = ("ntS_Fj", +1, lambda p: _nts_trace(p, p.c.JF, p.c.PE, True))
-_FE_RPERP = ("r_perp", +1, _T(lambda p: _rperp_trace(p, p.c.PE, p.c.JF)))
+_FE_NTS = ("ntS_PE", +1, lambda p: _nts_trace(p, "JFh", "PEj"))
+_FE_NTS_F = ("ntS_Fj", +1, lambda p: _nts_trace(p, "JFh", "PEj", True))
+_FE_RPERP = ("r_perp", +1, _T(lambda p: _rperp_trace(p, "PEj", "JFh")))
 _EE_RANGE = ("ric_range_PP", +1,
              lambda p: _ric_block(p.c.range_rg, p.ric_range, p.PEv, p.PEv))
 
@@ -754,13 +774,13 @@ TABLE = {
     # Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y) + (m - r) g_N(grad g, nperp J'F_*X J'F_*Y)
     "ric_fxfy": Identity("FF", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF"), (
         _FF_PERP,
-        ("grad_nperp", +1, lambda p: _grad_nperp(p, p.c.JF, p.c.JF)),
+        ("grad_nperp", +1, lambda p: _grad_nperp(p, "JFj", "JFj")),
     ), _TARGET),
     "ric_fxe": Identity("Fe", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF", "PE", "QE"), (
         ("ric_perp_Q", +1, lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv, p.QEv)),
         _FE_NTS,
         _FE_NTS_F,
-        ("grad_nperp", +1, _T(lambda p: _grad_nperp(p, p.c.QE, p.c.JF))),
+        ("grad_nperp", +1, _T(lambda p: _grad_nperp(p, "QEh", "JFj"))),
         _FE_RPERP,
     ), _TARGET, True),
     "ric_de": Identity("ee", ("tc", "range_rg", "perp_rg", "ric_N", "grad_g", "hess_g",
@@ -768,12 +788,12 @@ TABLE = {
         _EE_RANGE,
         ("warp_PP", +1, lambda p: -_form(p.PEv, p.GN, p.PEv)
          * (p.Ev.shape[1] * p.norm2_g + p.hess_trace_g)[:, None, None]),
-        ("ntS_PD_QE", +1, _T(lambda p: _nts_trace(p, p.c.QE, p.c.PE))),
-        ("ntS_Fj_QE", +1, _T(lambda p: _nts_trace(p, p.c.QE, p.c.PE, True))),
-        ("rperp_PD_QE", +1, lambda p: _rperp_trace(p, p.c.PE, p.c.QE)),
-        ("ntS_PE_QD", +1, lambda p: _nts_trace(p, p.c.QE, p.c.PE)),
-        ("ntS_Fj_QD", +1, lambda p: _nts_trace(p, p.c.QE, p.c.PE, True)),
-        ("rperp_PE_QD", +1, _T(lambda p: _rperp_trace(p, p.c.PE, p.c.QE))),
+        ("ntS_PD_QE", +1, _T(lambda p: _nts_trace(p, "QEh", "PEj"))),
+        ("ntS_Fj_QE", +1, _T(lambda p: _nts_trace(p, "QEh", "PEj", True))),
+        ("rperp_PD_QE", +1, lambda p: _rperp_trace(p, "PEj", "QEh")),
+        ("ntS_PE_QD", +1, lambda p: _nts_trace(p, "QEh", "PEj")),
+        ("ntS_Fj_QD", +1, lambda p: _nts_trace(p, "QEh", "PEj", True)),
+        ("rperp_PE_QD", +1, _T(lambda p: _rperp_trace(p, "PEj", "QEh"))),
         ("ric_perp_QQ", +1,
          lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.QEv, p.QEv)),
         ("warp_QQ", +1, lambda p: _warp_QQ(p)),

@@ -15,11 +15,12 @@ only, those operations raise FramesRequired.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Const, as_expr, differentiate, simplify, substitute
-from .expr.nodes import ONE, ZERO, is_const
+from .expr import as_expr, differentiate, simplify, substitute
+from .expr.nodes import ZERO, is_const
 from .expr.tape import Tape
 from .geometry import (
     Chart,
@@ -37,6 +38,7 @@ from .geometry import (
     orthonormalize,
     sym_einsum,
     sym_zeros,
+    tvec,
     worst,
 )
 
@@ -118,11 +120,10 @@ class SmoothMap:
         return simplify(substitute(as_expr(e), mapping))
 
 
-def pushforward_along(F: SmoothMap, Y: VectorField) -> "VectorFieldAlongMap":
+def pushforward_along(F: SmoothMap, Y: VectorField) -> TensorAlongMap:
     """F_* Y as a section along the map: target components over source
     coordinates."""
-    return VectorFieldAlongMap(
-        F, [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, Y.comps)])
+    return TensorAlongMap(F, [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, Y.comps)])
 
 
 def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> VectorField:
@@ -166,29 +167,6 @@ class TensorAlongMap:
         return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(self.comps.shape)
 
 
-class VectorFieldAlongMap:
-    """Target-coordinate components given as expressions over the source."""
-
-    def __init__(self, F: SmoothMap, comps):
-        comps = tuple(as_expr(c) for c in comps)
-        if len(comps) != F.target.dim:
-            raise MapError("vector along map needs one component per target coordinate")
-        self.map = F
-        self.comps = comps
-        self._tape = None
-
-    def tape(self):
-        if self._tape is None:
-            self._tape = Tape(self.comps, self.map.source.coords)
-        return self._tape
-
-    def values(self, points) -> np.ndarray:
-        return self.tape().evaluate(np.atleast_2d(points))
-
-    def value_at(self, x) -> np.ndarray:
-        return self.tape().evaluate_at(np.asarray(x, dtype=float))
-
-
 class AdaptedFrames:
     """Declared expression-valued orthonormal frames for the four canonical
     subbundles, plus optional sub-splits (J ker, mu on the source; J' range,
@@ -202,9 +180,6 @@ class AdaptedFrames:
         self.normal = tuple(normal)
         self.mu = tuple(mu) if mu is not None else None
         self.nu = tuple(nu) if nu is not None else None
-
-    def names(self, group):
-        return tuple(f.name or f"{group}{i}" for i, f in enumerate(getattr(self, group)))
 
 
 class Split:
@@ -432,25 +407,52 @@ class MapGeometry:
             self._cache["SFF"] = TensorAlongMap(F, _symmetrized(acc, gM._simp))
         return self._cache["SFF"]
 
-    def shape_tensors(self):
-        """Per normal-frame field e_k, the shape operator: the (1,1) target
-        tensor S_k[a,c] = -(P_range nabla^N_{d_c} e_k)^a."""
-        if "shape" not in self._cache:
-            if not self.frames.normal:
-                raise FramesRequired("shape operators need a declared normal frame")
-            PR, _ = self.target_projectors()
-            gN = self.gN
-            n = gN.chart.dim
-            shapes = []
-            for ek in self.frames.normal:
-                ncd = np.array([covariant_derivative(  # ncd[c, m] = (nabla_{d_c} e_k)^m
-                    gN, [ONE if i == c else ZERO for i in range(n)], ek.comps).comps
-                    for c in range(n)], dtype=object)
-                S = sym_einsum("am,cm->ac", PR, ncd)
-                S.flat = [gN._simp(_prod(Const(-1.0), e)) for e in S.flat]
-                shapes.append(TensorField(gN.chart, (1, 1), S))
-            self._cache["shape"] = shapes
-        return self._cache["shape"]
+    def shape_tensors(self, points) -> np.ndarray:
+        """`shape_operator` of each normal-frame field e_k at y = F(x) of the
+        points: (P, n1, n, n), [p, k, a, c] = -(P_range nabla^N_{d_c} e_k)^a."""
+        if not self.frames.normal:
+            raise FramesRequired("shape operators need a declared normal frame")
+        s = self.split(points)
+        PR = np.matmul(s.range.transpose(0, 2, 1), np.matmul(s.range, s.GN))  # sum_f f (g f)^T
+        E = self.target_jets(self.frames.normal, s.y)
+        return np.moveaxis(shape_operator(PR, self.gN.christoffel().values(s.y), E), 0, 1)
+
+    def target_jets(self, fields, y, hessian=False) -> Jet:
+        """The Jet of k target fields at the points y (with `hessian`, second
+        derivatives too), from one tape per list built on first use."""
+        chart, n = self.gN.chart, self.gN.chart.dim
+        key = ("jets", tuple(fields), hessian)
+        if key not in self._cache:
+            exprs = []
+            for W in fields:
+                d = [[differentiate(c, a) for a in chart.coords] for c in W.comps]
+                exprs += [*W.comps, *(e for row in d for e in row)]
+                if hessian:  # d_j d_i W^k, taken for i <= j
+                    dd = {(k, i, j): differentiate(d[k][i], chart.coords[j])
+                          for k, i, j in np.ndindex(n, n, n) if i <= j}
+                    exprs += [dd[k, min(i, j), max(i, j)] for k, i, j in np.ndindex(n, n, n)]
+            self._cache[key] = Tape(exprs, chart.allvars)
+        vals = self._cache[key].evaluate(y).reshape(len(y), len(fields), -1)
+        return Jet(*unpack(np.moveaxis(vals, 1, 0), [(n,), (n, n), (n, n, n)][:2 + hessian]))
+
+
+class Jet(NamedTuple):
+    """Lists of target fields at P points, list axes first: values v (..., P,
+    n), d[..., k, i] = d_i W^k and dd[..., k, i, j] = d_i d_j W^k or None."""
+    v: np.ndarray
+    d: np.ndarray | None = None
+    dd: np.ndarray | None = None
+
+
+def unpack(vals, shapes):
+    """The (..., total) outputs of a tape as (..., *shape) arrays, in order."""
+    cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [a.reshape(a.shape[:-1] + s) for a, s in zip(np.split(vals, cuts, axis=-1), shapes)]
+
+
+def shape_operator(PR, gam, D: Jet) -> np.ndarray:
+    """S_D [a, c] = -(P_range nabla_{d_c} D)^a from P_range, Gamma_N and D."""
+    return -np.matmul(PR, D.d + tvec(gam, D.v, 2))
 
 
 def _jacobian_rank(points, J):

@@ -189,20 +189,15 @@ def check_clairaut_target(cc: ClairautConfig, points):
     gN = mg.gN
     gradg = gradient(gN, gfun)
     dg = [differentiate(gfun, c) for c in gN.chart.coords]
-    shapes = mg.shape_tensors()
+    shapes = mg.shape_tensors(points)
     SFF = mg.second_fundamental_form()
-    if not mg.frames.normal:
-        raise MapError("check_clairaut_target: trivial (empty) normal bundle")
     from .expr.tape import Tape
     s = mg.split(points)
     y, GN, R = s.y, s.GN, s.range
     dgv = Tape(dg, gN.chart.allvars).evaluate(y)
-    norms = []
-    for Sk, D in zip(shapes, mg.frames.normal):
-        Dg = vdot(D.values(y), dgv)  # D(g): directional derivative
-        w = matvec(Sk.values(y)[:, None], R) + Dg[:, None, None] * R
-        norms.append(np.sqrt(np.abs(qform(w, GN[:, None], w))))
-    res = np.max(np.concatenate(norms, axis=1), axis=1, initial=0.0)
+    Dg = vdot(s.normal, dgv[:, None])  # D(g) for each normal-frame field D
+    w = matvec(shapes[:, :, None], R[:, None]) + Dg[:, :, None, None] * R[:, None]
+    res = np.max(np.sqrt(np.abs(qform(w, GN[:, None, None], w))), axis=(1, 2), initial=0.0)
     # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
     H = s.horizontal
     if H.shape[1] == 0:

@@ -315,12 +315,10 @@ def check_oneill(ctx):
     if fr.normal:
         push = np.matmul(sp.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
         sffH = np.einsum("paij,pki,plj->pkla", mg.second_fundamental_form().values(sp.x), H, H)
-        gaps = []
-        for Sk, D in zip(mg.shape_tensors(), fr.normal):
-            lhs = np.einsum("pac,pkc,pab,plb->pkl", Sk.values(sp.y), push, GN, push)
-            rhs = np.einsum("pa,pab,pklb->pkl", D.values(sp.y), GN, sffH)
-            gaps.append(np.abs(lhs - rhs))
-        at["shape_duality"] = np.stack(gaps, axis=1)
+        SX = np.matmul(push[:, None], mg.shape_tensors(sp.x).swapaxes(-1, -2))  # S_D F_*X_k
+        lhs = qform(SX[:, :, :, None], GN[:, None, None, None], push[:, None, None])
+        rhs = qform(sp.normal[:, :, None, None], GN[:, None, None, None], sffH[:, None])
+        at["shape_duality"] = np.abs(lhs - rhs)
     per_point = {k: np.max(v.reshape(P, -1), axis=1, initial=0.0) for k, v in at.items()}
     return _pointwise(ctx, "oneill", per_point, locate=False)
 
