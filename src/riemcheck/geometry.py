@@ -3,8 +3,11 @@
 Symbolic side: Christoffel symbols, Riemann/Ricci/scalar curvature, gradient,
 Hessian, divergence and metric Lie derivatives as expression-valued tensors.
 Numeric side: seeded sample-point generation, per-point metric values,
-Gram-Schmidt orthonormalization and a 4th-order geodesic integrator with
-energy monitoring.
+Gram-Schmidt orthonormalization, a 4th-order geodesic integrator with
+energy monitoring, and the contractions every check evaluates frames with:
+`matvec`, `tvec`, `vdot` and `qform` on stacked vectors, `pair_form`,
+`tform` and `on_pairs` on pairs of frame vectors, the metric norm `gnorm`
+and the `umbilic_gap` reduction.
 
 Index conventions (documented once, used everywhere):
   * tensor components store contravariant indices first, e.g. a (1,2) tensor
@@ -284,16 +287,6 @@ class TensorField:
 
     def value_at(self, x) -> np.ndarray:
         return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(self.comps.shape)
-
-
-def gram_residual(metric, fields, points) -> float:
-    """Max |g(e_i,e_j) - delta_ij| over the sample points for the vector
-    fields e_i (NaN if a value is NaN)."""
-    pts = np.atleast_2d(points)
-    G = metric.values(pts)
-    E = field_values(fields, pts)
-    gram = np.einsum("pai,pij,pbj->pab", E, G, E)
-    return float(np.max(np.abs(gram - np.eye(len(fields)))))
 
 
 class MetricField(TensorField):
@@ -632,6 +625,43 @@ def qform(u, M, v) -> np.ndarray:
     """u @ M @ v, evaluated as (u @ M) @ v, for every vector (..., n),
     matrix (..., n, m) and vector (..., m)."""
     return np.matmul(np.matmul(u[..., None, :], M), v[..., :, None])[..., 0, 0]
+
+
+# Frame-pair contractions: a frame is a stack (..., k, n) of row vectors; a
+# tensor on two frames has one value per pair (a, b), F = E when F is None.
+
+def pair_form(E, M, F=None) -> np.ndarray:
+    """M(E_a, F_b) = E_a @ M @ F_b by qform: (..., a, b) from E (..., a, n),
+    forms M (..., n, m) and F (..., b, m)."""
+    F = E if F is None else F
+    return qform(E[..., :, None, :], M[..., None, None, :, :], F[..., None, :, :])
+
+
+def tform(T, X, Y) -> np.ndarray:
+    """T(X, Y)^k = sum_ij T[..., k, i, j] X^i Y^j for (1,2) tensors (..., k, n, m)
+    and vectors X (..., n) and Y (..., m) whose leading axes broadcast."""
+    return matvec(matvec(T, Y[..., None, :]), X)
+
+
+def on_pairs(T, E, F=None) -> np.ndarray:
+    """T(E_a, F_b): (..., a, b, k) from (1,2) tensors T (..., k, n, m) and
+    frames E (..., a, n) and F (..., b, m)."""
+    F = E if F is None else F
+    return tform(T[..., None, None, :, :, :], E[..., :, None, :], F[..., None, :, :])
+
+
+def gnorm(w, G) -> np.ndarray:
+    """|w|_G = sqrt|w @ G @ w| for vectors (..., n) and metrics (..., n, n); the
+    absolute value keeps a square that rounds below zero finite."""
+    return np.sqrt(np.abs(qform(w, G, w)))
+
+
+def umbilic_gap(vals, gram, H, G) -> np.ndarray:
+    """max over pairs (a, b) of |vals[a, b] - gram[a, b] H|_G at each point, from a
+    vector-valued form on frame pairs (P, a, b, n), their Gram form (P, a, b),
+    vectors H (P, n) and metrics G (P, n, n): how far the form is from g H."""
+    diff = vals - gram[..., None] * H[:, None, None, :]
+    return np.max(gnorm(diff, G[:, None, None]), axis=(1, 2))
 
 
 def orthonormal_frames(G) -> np.ndarray:

@@ -33,8 +33,9 @@ hypothesis gates, each evaluated at every sample point.  The batch one
 evaluation per metric, tensor, frame and tape, at the points x or at their
 images y, each an array with a leading point axis, plus the contractions
 built from them (divA, NAH, NAT, AA, AMU, SS, ST, the B/C split, the target
-calculus over every field combination).  Terms contract these with
-`geometry.qform` and `matvec`, which make the BLAS calls of the per-vector
+calculus over every field combination).  Terms contract these with the
+frame contractions of `geometry` (`pair_form` for a form on two frames,
+`qform`, `matvec` and `vdot`), which make the BLAS calls of the per-vector
 products u @ M @ v and M @ v, so a P-point call gives the rows of P
 one-point calls.  `_rows` emits one row per pair per point in (point, a, b)
 order with residual |lhs - rhs|; the worst row is the first non-finite
@@ -69,12 +70,16 @@ from .geometry import (
     VectorField,
     divergence,
     field_values,
+    gnorm,
     gradient,
     hessian,
     lie_derivative_metric,
     matvec,
+    on_pairs,
+    pair_form,
     qform,
     sym_einsum,
+    tform,
     tvec,
     vdot,
     worst,
@@ -353,16 +358,12 @@ class PropositionCase(_Lazy):
         if name == "totally_geodesic_map":
             sp = mg.split(pts)
             E = np.concatenate([sp.vertical, sp.horizontal], axis=1)
-            vals = np.einsum("paij,pki,plj->pkla",
-                             mg.second_fundamental_form().values(pts), E, E)
-            return _gate_value(np.sqrt(np.max(np.abs(
-                np.einsum("pkla,pab,pklb->pkl", vals, sp.GN, vals)), axis=(1, 2))))
+            vals = on_pairs(mg.second_fundamental_form().values(pts), E)
+            return _gate_value(np.max(gnorm(vals, sp.GN[:, None, None]), axis=(1, 2)))
         if name == "tg_horizontal":
             sp = mg.split(pts)
-            H = sp.horizontal
-            vals = np.einsum("pkij,pai,pbj->pabk", mg.oneill_A().values(pts), H, H)
-            return _gate_value(np.sqrt(np.max(np.abs(
-                np.einsum("pabk,pkl,pabl->pab", vals, sp.GM, vals)), axis=(1, 2))))
+            vals = on_pairs(mg.oneill_A().values(pts), sp.horizontal)
+            return _gate_value(np.max(gnorm(vals, sp.GM[:, None, None]), axis=(1, 2)))
         if name == "tg_normal":  # P_range nabla_{e_k} e_l = -S_{e_l} e_k
             return _gate_value(np.abs(_tc_values(_Lazy(_BATCH, c=self), "shape", "Ej", "Ej")))
         if name == "vertical_potential":
@@ -388,8 +389,8 @@ class PropositionCase(_Lazy):
         frame = sp.horizontal if vertical else sp.vertical
         if frame.shape[1] == 0:
             return _gate_value(np.ma.masked_array(np.zeros(len(self.pts)), True))
-        return _gate_value(np.max(np.abs(np.einsum(
-            "pai,pij,pj->pa", frame, sp.GM, self.eta.values(self.pts))), axis=1))
+        eta = self.eta.values(self.pts)
+        return _gate_value(np.max(np.abs(qform(frame, sp.GM[:, None], eta[:, None])), axis=1))
 
 
 def _gate_value(residuals):
@@ -517,7 +518,7 @@ _BATCH = {
     "Av": lambda p: p.c.A.values(p.x),
     "NAv": lambda p: p.c.NA.values(p.x),
     "Sv": lambda p: p.c.SFF.values(p.x),
-    "tau": lambda p: np.einsum("paij,pki,pkj->pa", p.Sv, p.H, p.H),
+    "tau": lambda p: np.sum(tform(p.Sv[:, None], p.H, p.H), axis=1),
     # contractions that do not depend on the frame pair, as bilinear forms:
     # X @ divA @ Y = sum_a g((nabla_{u_a} A)(X, Y), u_a),
     # C @ NAH @ B = sum_a g((nabla_{X_a} A)(C, X_a), B),
@@ -602,11 +603,6 @@ def _result(ident, rows, gates, interpreted=False):
 # -- term helpers -------------------------------------------------------------------------
 # Each returns a (P, na, nb) array over the pairs of two (P, k, n) vector stacks.
 
-def _form(X, M, Y):
-    """X_a @ M @ Y_b at every point."""
-    return qform(X[:, :, None, :], M[:, None, None], Y[:, None, :, :])
-
-
 def _push(p, X):
     """F_* of a stack of source vectors."""
     return matvec(p.Jac[:, None], X)
@@ -616,7 +612,7 @@ def _ric_block(rg, ric, P, Q):
     """Restricted Ricci `ric` (P, k, k) of two stacks of vectors lying in the
     block of `rg`, contracted with their block components."""
     RP = rg.restrict_vector(P)
-    return _form(RP, ric, RP if Q is P else rg.restrict_vector(Q))
+    return pair_form(RP, ric, RP if Q is P else rg.restrict_vector(Q))
 
 
 def _ric_range(p, P, Q):
@@ -629,20 +625,20 @@ def _div_A(p, X, Y):
     """sum_j g((nabla_{u_j} A)(X, Y), u_j)."""
     if p.r0 == 0:
         return np.zeros((len(X), X.shape[1], Y.shape[1]))
-    return _form(X, p.divA, Y)
+    return pair_form(X, p.divA, Y)
 
 
 def _hess_B(p, B, W):
-    return -(p.r0 + 1) * _form(B, p.Hf, W)
+    return -(p.r0 + 1) * pair_form(B, p.Hf, W)
 
 
 def _hess_C(p, P, Q):
-    return -p.r0 * _form(P, p.Hf, Q)
+    return -p.r0 * pair_form(P, p.Hf, Q)
 
 
 def _nabla_A_H(p, C, B):
     """-sum_a g((nabla_{X_a} A)(C, X_a), B)."""
-    return -_form(C, p.NAH, B)
+    return -pair_form(C, p.NAH, B)
 
 
 def _df_pair(p):
@@ -708,7 +704,7 @@ class Identity(NamedTuple):
 _UV_RANGE = ("ric_range", +1, lambda p: _ric_range(p, p.JU, p.JU))
 _XY_KER = ("ric_ker", +1, lambda p: _ric_block(p.c.ker_rg, p.ric_ker, p.B, p.B))
 _XY_WARP = ("warp_trace", +1, lambda p: -(p.r0 * p.norm2_f + p.div_grad_f)[:, None, None]
-            * _form(p.B, p.GM, p.B))
+            * pair_form(p.B, p.GM))
 _XY_HESS = ("r_hess_CC", +1, lambda p: _hess_C(p, p.C, p.C))
 _XY_DF = ("r_CXf_CYf", +1, _df_pair)
 _XY_RANGE = ("ric_range", +1, lambda p: _ric_range(p, p.C, p.C))
@@ -730,7 +726,7 @@ TABLE = {
     # Ric(U,V) = Ric^range(F_*JU, F_*JV) + r Hess f(JU, JV) - divA(JU, JV)
     "ric_uv": Identity("uu", ("range_rg", "ric_M", "hess_f", "NA", "source_J"), (
         _UV_RANGE,
-        ("r_hess_f", +1, lambda p: p.r0 * _form(p.JU, p.Hf, p.JU)),
+        ("r_hess_f", +1, lambda p: p.r0 * pair_form(p.JU, p.Hf)),
         ("div_A", -1, lambda p: _div_A(p, p.JU, p.JU)),
     ), _SOURCE),
     "ric_ux": Identity("ux", ("range_rg", "ric_M", "hess_f", "NA", "source_J"), (
@@ -738,21 +734,21 @@ TABLE = {
         ("div_A_JU_CX", +1, lambda p: _div_A(p, p.JU, p.C)),
         ("r_hess_JU_CX", +1, lambda p: _hess_C(p, p.JU, p.C)),
         ("ric_range", +1, lambda p: _ric_range(p, p.JU, p.C)),
-        ("nablaA_frame_trace", +1, lambda p: _form(p.JU, p.NAT, p.B)),
+        ("nablaA_frame_trace", +1, lambda p: pair_form(p.JU, p.NAT, p.B)),
     ), _SOURCE),
     "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f", "f_tape",
                               "A", "NA", "SFF", "source_J"), (
         _XY_KER,
         _XY_WARP,
-        ("A_A", +1, lambda p: _form(p.B, p.AA, p.B)),
+        ("A_A", +1, lambda p: pair_form(p.B, p.AA)),
         _XY_HESS,
         _XY_DF,
-        ("A_mu", +1, lambda p: _form(p.C, p.AMU, p.C) if p.r0 else
+        ("A_mu", +1, lambda p: pair_form(p.C, p.AMU) if p.r0 else
          np.zeros((len(p.C),) + (p.C.shape[1],) * 2)),
         ("div_A_CC", +1, lambda p: _div_A(p, p.C, p.C)),
         _XY_RANGE,
-        ("sff_sff", +1, _T(lambda p: -_form(p.C, p.SS, p.C))),
-        ("sff_tension", +1, lambda p: _form(p.C, p.ST, p.C)),
+        ("sff_sff", +1, _T(lambda p: -pair_form(p.C, p.SS))),
+        ("sff_tension", +1, lambda p: pair_form(p.C, p.ST)),
         ("hess_BX_CY", +1, lambda p: _hess_B(p, p.B, p.C)),
         ("nablaA_CY", +1, _T(lambda p: _nabla_A_H(p, p.C, p.B))),
         ("hess_BY_CX", +1, _T(lambda p: _hess_B(p, p.B, p.C))),
@@ -786,7 +782,7 @@ TABLE = {
     "ric_de": Identity("ee", ("tc", "range_rg", "perp_rg", "ric_N", "grad_g", "hess_g",
                               "g_tape", "mr", "PE", "QE"), (
         _EE_RANGE,
-        ("warp_PP", +1, lambda p: -_form(p.PEv, p.GN, p.PEv)
+        ("warp_PP", +1, lambda p: -pair_form(p.PEv, p.GN)
          * (p.Ev.shape[1] * p.norm2_g + p.hess_trace_g)[:, None, None]),
         ("ntS_PD_QE", +1, _T(lambda p: _nts_trace(p, "QEh", "PEj"))),
         ("ntS_Fj_QE", +1, _T(lambda p: _nts_trace(p, "QEh", "PEj", True))),
@@ -809,7 +805,7 @@ TABLE = {
 def _warp_QQ(p):
     """-(m - r) (QD(g) QE(g) + Hess g(QD, QE))."""
     qdg = vdot(p.QEv, p.dg[:, None])
-    return -p.c.mr * (qdg[:, :, None] * qdg[:, None, :] + _form(p.QEv, p.Hg, p.QEv))
+    return -p.c.mr * (qdg[:, :, None] * qdg[:, None, :] + pair_form(p.QEv, p.Hg))
 
 
 def verify_identity(case: PropositionCase, ident: str):
@@ -827,7 +823,7 @@ def verify_identity(case: PropositionCase, ident: str):
     X, Y = getattr(p, first), getattr(p, second)
     if not (X.shape[1] and Y.shape[1]):
         return _result(ident, [], row.gates, row.interpreted)
-    lhs = _form(X, getattr(p, ric), Y)
+    lhs = pair_form(X, getattr(p, ric), Y)
     vals = [fn(p) for _, _, fn in row.terms]
     rhs = vals[0] if vals else np.zeros_like(lhs)
     for (_, sign, _), v in zip(row.terms[1:], vals[1:]):
@@ -856,22 +852,22 @@ def verify_alpha_soliton_on_range(case: PropositionCase):
     V, JU = p.V, p.JU
     FJU = _push(p, JU)
     ric_rng = _ric_block(case.range_rg, p.ric_range, FJU, FJU)
-    lie_W = _form(FJU, p.LWv, FJU)
+    lie_W = pair_form(FJU, p.LWv)
     lie_term = 0.5 * lie_W
     ric_term = alpha * ric_rng
-    met_term = beta * _form(FJU, p.GN, FJU)
+    met_term = beta * pair_form(FJU, p.GN)
     range_residual = lie_term + ric_term + met_term
     # cross-pipeline bookkeeping
-    lie_eta = (0.5 * _form(V, Leta.values(p.x), V) if Leta is not None
+    lie_eta = (0.5 * pair_form(V, Leta.values(p.x)) if Leta is not None
                else np.zeros_like(lie_W))
-    ric_uv = _form(V, p.ricM, V)
-    g_uv = _form(V, p.GM, V)
+    ric_uv = pair_form(V, p.ricM)
+    g_uv = pair_form(V, p.GM)
     S = lie_eta + case.alpha * ric_uv + lam * g_uv
     t_div = _div_A(p, JU, JU)
-    r_hess = r0 * _form(JU, p.Hf, JU)
+    r_hess = r0 * pair_form(JU, p.Hf)
     ident_gap = ric_uv - (ric_rng + r_hess - t_div)
     push_gap = r_hess - 0.5 * r0 * lie_W
-    metric_gap = lam * (g_uv - _form(FJU, p.GN, FJU))
+    metric_gap = lam * (g_uv - pair_form(FJU, p.GN))
     bookkeeping = np.abs(S - r0 * range_residual
                          - (lie_eta + ident_gap + push_gap - t_div + metric_gap))
     rows = _rows("uu", range_residual, np.zeros_like(range_residual),
@@ -902,8 +898,8 @@ def verify_ric_lie_relation(case: PropositionCase):
             rg.restrict_vector(FJU[keep.any(axis=1)])
             rg.restrict_vector(FCX[keep])
             block = list(rg.indices)
-            lhs = _form(FJU[..., block], p.ric_range, FCX[..., block])
-            rhs = 0.5 * r0 * _form(FJU, p.LWv, FCX)
+            lhs = pair_form(FJU[..., block], p.ric_range, FCX[..., block])
+            rhs = 0.5 * r0 * pair_form(FJU, p.LWv, FCX)
             rows = _rows("ux", lhs, rhs, {"half_r_lie_W": rhs},
                          keep=np.broadcast_to(keep[:, None, :], lhs.shape))
     out = _result("ric_lie", rows,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .geometry import CURVATURE_CONVENTION
 
 SCHEMA = "riemcheck-report/1"
@@ -26,7 +28,6 @@ GLYPHS = {PASS: "ok", FAIL: "XX", NOT_APPLICABLE: "--", PARTIAL: "~~",
 
 
 def _jsonable(v):
-    import numpy as np
     if isinstance(v, (np.floating,)):
         return float(v)
     if isinstance(v, (np.integer,)):

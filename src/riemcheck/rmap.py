@@ -34,11 +34,15 @@ from .geometry import (
     covariant_derivative,
     covariant_derivative_tensor,
     field_values,
-    gram_residual,
+    matvec,
+    on_pairs,
     orthonormalize,
+    pair_form,
     sym_einsum,
     sym_zeros,
+    tform,
     tvec,
+    umbilic_gap,
     worst,
 )
 
@@ -226,32 +230,31 @@ class MapGeometry:
         residual fails unless it is <= FRAME_TOL, so a NaN frame fails too."""
         pts = np.atleast_2d(points)
         ypts = self.F.values(pts)
+        GM, GN = self.gM.values(pts), self.gN.values(ypts)
         fr = self.frames
         V, H = field_values(fr.vertical, pts), field_values(fr.horizontal, pts)
         R, E = field_values(fr.range, ypts), field_values(fr.normal, ypts)
+
+        def gram_gap(rows, G):  # max |g(e_a, e_b) - delta_ab|, NaN if a value is
+            return float(np.max(np.abs(pair_form(rows, G) - np.eye(rows.shape[1]))))
+
         found = []  # (what is wrong, residual)
         if fr.vertical:
-            found.append(("vertical frame not orthonormal",
-                          gram_residual(self.gM, fr.vertical, pts)))
-            push = np.einsum("pai,pki->pka", self.F.jac_values(pts), V)
+            found.append(("vertical frame not orthonormal", gram_gap(V, GM)))
+            push = matvec(self.F.jac_values(pts)[:, None], V)
             found.append(("vertical frame not in ker F_*", worst(np.abs(push))[0]))
         if fr.horizontal:
-            found.append(("horizontal frame not orthonormal",
-                          gram_residual(self.gM, fr.horizontal, pts)))
+            found.append(("horizontal frame not orthonormal", gram_gap(H, GM)))
             if fr.vertical:
-                cross = np.einsum("pai,pij,pbj->pab", V, self.gM.values(pts), H)
                 found.append(("vertical/horizontal frames not orthogonal",
-                              worst(np.abs(cross))[0]))
+                              worst(np.abs(pair_form(V, GM, H)))[0]))
         if fr.range:
-            found.append(("range frame not orthonormal along F",
-                          gram_residual(self.gN, fr.range, ypts)))
+            found.append(("range frame not orthonormal along F", gram_gap(R, GN)))
         if fr.normal:
-            found.append(("normal frame not orthonormal along F",
-                          gram_residual(self.gN, fr.normal, ypts)))
+            found.append(("normal frame not orthonormal along F", gram_gap(E, GN)))
             if fr.range:
-                cross = np.einsum("pai,pij,pbj->pab", R, self.gN.values(ypts), E)
                 found.append(("range/normal frames not orthogonal",
-                              worst(np.abs(cross))[0]))
+                              worst(np.abs(pair_form(R, GN, E)))[0]))
         problems = [f"{what} (residual {res:.3e})" for what, res in found
                     if not res <= FRAME_TOL]
         if problems:
@@ -528,9 +531,8 @@ def isometry_residual(mg: MapGeometry, points) -> np.ma.MaskedArray:
     H = s.horizontal
     if H.shape[1] == 0:
         return np.ma.masked_array(np.zeros(len(H)), True)
-    push = np.matmul(s.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
-    res = np.abs(np.einsum("pai,pij,pbj->pab", push, s.GN, push)
-                 - np.einsum("pai,pij,pbj->pab", H, s.GM, H))
+    push = matvec(s.Jac[:, None], H)
+    res = np.abs(pair_form(push, s.GN) - pair_form(H, s.GM))
     return np.ma.masked_array(np.max(res, axis=(1, 2)), False)
 
 
@@ -544,15 +546,10 @@ def umbilical_fit(mg: MapGeometry, points):
     if H.shape[1] == 0:
         return (np.ma.masked_array(np.zeros(len(H)), True),
                 np.zeros((len(H), mg.gN.chart.dim)))
-    S = mg.second_fundamental_form().values(s.x)
-    vals = np.einsum("paij,pki,plj->pkla", S, H, H)  # (k,l,target) per point
-    gm = np.einsum("pki,pij,plj->pkl", H, s.GM, H)
-    denom = np.sum(gm * gm, axis=(1, 2))
-    Hs = np.einsum("pkl,pkla->pa", gm, vals) / denom[:, None]
-    diff = vals - gm[..., None] * Hs[:, None, None, :]
-    res = np.max(np.sqrt(np.abs(np.einsum("pkla,pab,pklb->pkl", diff, s.GN, diff))),
-                 axis=(1, 2))
-    return np.ma.masked_array(res, False), Hs
+    vals = on_pairs(mg.second_fundamental_form().values(s.x), H)  # (P, k, l, target)
+    gm = pair_form(H, s.GM)
+    Hs = np.sum(gm[..., None] * vals, axis=(1, 2)) / np.sum(gm * gm, axis=(1, 2))[:, None]
+    return np.ma.masked_array(umbilic_gap(vals, gm, Hs, s.GN), False), Hs
 
 
 def fiber_mean_curvature(mg: MapGeometry, points) -> np.ndarray:
@@ -561,5 +558,4 @@ def fiber_mean_curvature(mg: MapGeometry, points) -> np.ndarray:
     r0 = s.vertical.shape[1]
     if r0 == 0:
         raise MapError("fiber mean curvature needs a nonzero-dimensional kernel")
-    Tv = mg.oneill_T().values(s.x)
-    return np.einsum("pkij,pai,paj->pk", Tv, s.vertical, s.vertical) / r0
+    return np.sum(tform(mg.oneill_T().values(s.x)[:, None], s.vertical, s.vertical), axis=1) / r0

@@ -4,7 +4,8 @@ checks, and the two Clairaut conditions.
 Every check returns plain data (residuals, fitted coefficients, per-sample
 values, worst-point provenance); verdict assembly against tolerances happens
 in the suite layer.  Frames at the sample points are one (P, k, n) array, and
-every frame-pair value is one `_pair_form` contraction over that stack.
+every frame-pair value is one `geometry.pair_form` (a scalar form) or
+`geometry.on_pairs` (a vector-valued one) contraction over that stack.
 """
 
 from __future__ import annotations
@@ -12,17 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Expr, as_expr, differentiate
+from .expr.tape import Tape
 from .geometry import (
     GeometryError,
     MetricField,
     VectorField,
     field_values,
+    gnorm,
     gradient,
     hessian,
     lie_derivative_metric,
     matvec,
+    on_pairs,
     orthonormal_frames,
-    qform,
+    pair_form,
+    umbilic_gap,
     vdot,
 )
 from .rmap import MapGeometry, MapError
@@ -74,12 +79,6 @@ def _pair_frames(G, points, restriction):
     return field_values(restriction, points) if restriction else orthonormal_frames(G)
 
 
-def _pair_form(E, M):
-    """M(E_a, E_b) for every point and frame pair, E @ M @ E^T over frames E
-    (P, k, n) and forms M (P, n, n): a (P, k, k) array."""
-    return E @ M @ E.transpose(0, 2, 1)
-
-
 def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None):
     """Per point, max |1/2 (L_xi g)(X,Y) + alpha Ric(X,Y) + lam g(X,Y)| over
     pairs of the (P, k, n) frames."""
@@ -89,7 +88,7 @@ def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None
     pts = np.atleast_2d(points)
     L, R, G = cfg.term_values(pts)
     fr = _pair_frames(G, pts, restriction)
-    return np.max(np.abs(_pair_form(fr, L + R + float(lam) * G)), axis=(1, 2), initial=0.0)
+    return np.max(np.abs(pair_form(fr, L + R + float(lam) * G)), axis=(1, 2), initial=0.0)
 
 
 def solve_lambda(cfg: SolitonConfig, restriction=None, points=None):
@@ -100,8 +99,8 @@ def solve_lambda(cfg: SolitonConfig, restriction=None, points=None):
     pts = np.atleast_2d(points)
     L, R, G = cfg.term_values(pts)
     fr = _pair_frames(G, pts, restriction)
-    num = _pair_form(fr, L + R).ravel()
-    den = _pair_form(fr, G).ravel()
+    num = pair_form(fr, L + R).ravel()
+    den = pair_form(fr, G).ravel()
     mask = np.abs(den) > 1e-8
     if not np.any(mask):
         raise SolitonError("solve_lambda: all sampled g(X,Y) vanish (underdetermined)")
@@ -115,8 +114,8 @@ def fit_einstein(ric_vals, g_vals, frame_rows):
     """Fit lambda minimizing |Ric + lam g| on the span of the (P, k, n)
     `frame_rows` at every point; returns (lam, residual).  ric_vals and
     g_vals are (P, n, n), in the coordinates the frame rows are given in."""
-    r = _pair_form(frame_rows, ric_vals).ravel()
-    g = _pair_form(frame_rows, g_vals).ravel()
+    r = pair_form(frame_rows, ric_vals).ravel()
+    g = pair_form(frame_rows, g_vals).ravel()
     denom = float(g @ g)
     if denom < 1e-20:
         raise SolitonError("fit_einstein: degenerate restriction")
@@ -132,8 +131,8 @@ def check_conformal(g: MetricField, X: VectorField, restriction=None, points=Non
     pts = np.atleast_2d(points)
     G = g.values(pts)
     fr = _pair_frames(G, pts, restriction)
-    lv = _pair_form(fr, lie_derivative_metric(g, X).values(pts))
-    gv = _pair_form(fr, G)
+    lv = pair_form(fr, lie_derivative_metric(g, X).values(pts))
+    gv = pair_form(fr, G)
     denom = np.sum(gv * gv, axis=(1, 2))
     phi = np.divide(np.sum(lv * gv, axis=(1, 2)), denom, out=np.zeros(len(pts)),
                     where=denom > 1e-20)
@@ -164,17 +163,12 @@ def check_clairaut_source(cc: ClairautConfig, points):
     V, GM = s.vertical, s.GM
     if V.shape[1] == 0:
         raise MapError("check_clairaut_source: empty kernel at all sample points")
-    Tv = np.einsum("pkij,pai,pbj->pabk", mg.oneill_T().values(s.x), V, V)
-    gv = np.einsum("pai,pij,pbj->pab", V, GM, V)
-    gf = gradf.values(s.x)
-    diff = Tv + gv[..., None] * gf[:, None, None, :]
-    res = np.max(np.sqrt(np.abs(np.einsum("pabk,pkl,pabl->pab", diff, GM, diff))),
-                 axis=(1, 2))
+    Tv = on_pairs(mg.oneill_T().values(s.x), V)
+    gv = pair_form(V, GM)
+    res = umbilic_gap(Tv, gv, -gradf.values(s.x), GM)
     # umbilicity: H = trace(T)/r0, residual of T - g H
-    H = np.einsum("pabk,ab->pk", Tv, np.eye(V.shape[1])) / V.shape[1]
-    udiff = Tv - gv[..., None] * H[:, None, None, :]
-    umb = np.max(np.sqrt(np.abs(np.einsum("pabk,pkl,pabl->pab", udiff, GM, udiff))),
-                 axis=(1, 2))
+    H = np.sum(Tv.diagonal(axis1=1, axis2=2), axis=-1) / V.shape[1]
+    umb = umbilic_gap(Tv, gv, H, GM)
     return np.ma.masked_array(res, False), np.ma.masked_array(umb, False)
 
 
@@ -184,30 +178,21 @@ def check_clairaut_target(cc: ClairautConfig, points):
     horizontal pairs (masked where the horizontal space is empty)."""
     if cc.side != "target":
         raise SolitonError("check_clairaut_target needs a target-side config")
-    mg = cc.mg
-    gfun = cc.dilation
-    gN = mg.gN
+    mg, gN, gfun = cc.mg, cc.mg.gN, cc.dilation
     gradg = gradient(gN, gfun)
-    dg = [differentiate(gfun, c) for c in gN.chart.coords]
+    dg = Tape([differentiate(gfun, c) for c in gN.chart.coords], gN.chart.allvars)
     shapes = mg.shape_tensors(points)
-    SFF = mg.second_fundamental_form()
-    from .expr.tape import Tape
     s = mg.split(points)
-    y, GN, R = s.y, s.GN, s.range
-    dgv = Tape(dg, gN.chart.allvars).evaluate(y)
-    Dg = vdot(s.normal, dgv[:, None])  # D(g) for each normal-frame field D
+    GN, R = s.GN, s.range
+    Dg = vdot(s.normal, dg.evaluate(s.y)[:, None])  # D(g) for each normal-frame field D
     w = matvec(shapes[:, :, None], R[:, None]) + Dg[:, :, None, None] * R[:, None]
-    res = np.max(np.sqrt(np.abs(qform(w, GN[:, None, None], w))), axis=(1, 2), initial=0.0)
+    res = np.max(gnorm(w, GN[:, None, None]), axis=(1, 2), initial=0.0)
     # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
     H = s.horizontal
     if H.shape[1] == 0:
         return res, np.ma.masked_array(np.zeros(len(H)), True)
-    vals = np.einsum("paij,pki,plj->pkla", SFF.values(s.x), H, H)
-    gm = np.einsum("pki,pij,plj->pkl", H, s.GM, H)
-    target = -gradg.values(y)
-    diff = vals - gm[..., None] * target[:, None, None, :]
-    umb = np.max(np.sqrt(np.abs(np.einsum("pkla,pab,pklb->pkl", diff, GN, diff))),
-                 axis=(1, 2))
+    sff = on_pairs(mg.second_fundamental_form().values(s.x), H)
+    umb = umbilic_gap(sff, pair_form(H, s.GM), -gradg.values(s.y), GN)
     return res, np.ma.masked_array(umb, False)
 
 
@@ -220,11 +205,13 @@ SCALAR_RELATIONS = {
 }
 
 
-def scalar_relation(which: str, s_value: float, inputs: dict):
-    """|LHS - RHS| with both sides; `inputs` supplies lam, r0 (dim ker),
-    n1 (dim normal), m (dim source), Dg (D(g)) as the relation needs."""
+def scalar_relation(which: str, s_values, inputs: dict):
+    """(LHS, RHS, |LHS - RHS|) for the left side s_values, a float or one
+    value per point; `inputs` supplies lam, r0 (dim ker), n1 (dim normal),
+    m (dim source), Dg (D(g)) as the relation needs, and the right side is
+    one float."""
     if which not in SCALAR_RELATIONS:
         raise SolitonError(f"unknown scalar relation {which!r}")
     _, rhs_fn = SCALAR_RELATIONS[which]
     rhs = float(rhs_fn(inputs))
-    return s_value, rhs, abs(s_value - rhs)
+    return s_values, rhs, np.abs(s_values - rhs)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import ParseError, differentiate, parse, simplify
+from .expr import ParseError, differentiate, parse, simplify, substitute, variables
 from .expr.nodes import Const, is_const
 from .geometry import Chart, GeometryError, MetricField, VectorField
 from .rmap import AdaptedFrames, MapGeometry, SmoothMap
@@ -172,7 +172,6 @@ def _parse_linear_combo(rhs, basis_names, chart, errors, where):
         coeffs.append(simplify(differentiate(e, nm)))
     # linearity check: residual of rhs - sum(c_i * name_i) must be the zero
     # expression once the names are substituted out
-    from .expr import substitute
     zero_env = {nm: Const(0.0) for nm in basis_names}
     const_part = simplify(substitute(e, zero_env))
     if not is_const(const_part, 0.0):
@@ -180,15 +179,10 @@ def _parse_linear_combo(rhs, basis_names, chart, errors, where):
                       f"({const_part})")
     for c in coeffs:
         for nm in basis_names:
-            if nm in _expr_vars(c):
+            if nm in variables(c):
                 errors.append(f"line {where}: combination is not linear in {nm}")
                 return None
     return coeffs
-
-
-def _expr_vars(e):
-    from .expr import variables
-    return variables(e)
 
 
 def load_spec(text, name="spec") -> SpecConfig:

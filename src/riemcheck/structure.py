@@ -18,8 +18,10 @@ from .geometry import (
     TensorField,
     covariant_derivative_tensor,
     field_values,
+    gnorm,
     matvec,
     orthonormal_frames,
+    pair_form,
     qform,
     sym_einsum,
 )
@@ -83,8 +85,7 @@ class AlmostComplexStructure:
 def square_residual(J: AlmostComplexStructure, points) -> np.ndarray:
     """Per point, max |J^2 + I|."""
     Jv = J.values(points)
-    n = J.chart.dim
-    return np.max(np.abs(np.einsum("pij,pjk->pik", Jv, Jv) + np.eye(n)), axis=(1, 2))
+    return np.max(np.abs(np.matmul(Jv, Jv) + np.eye(J.chart.dim)), axis=(1, 2))
 
 
 def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
@@ -98,9 +99,8 @@ def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.
     pts = np.atleast_2d(points)
     Jv = J.values(pts)
     G = g.values(pts)
-    JgJ = np.einsum("pia,pij,pjb->pab", Jv, G, Jv)
-    Li = orthonormal_frames(G)
-    return np.max(np.abs(Li @ (JgJ - G) @ Li.transpose(0, 2, 1)), axis=(1, 2))
+    Jt = Jv.transpose(0, 2, 1)  # rows J d_a
+    return np.max(np.abs(pair_form(orthonormal_frames(G), pair_form(Jt, G) - G)), axis=(1, 2))
 
 
 def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
@@ -111,7 +111,7 @@ def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.nda
     E = orthonormal_frames(G)
     M = np.einsum("pklj,pal->pakj", NJ, E)  # M[p, a] = nabla_{X_a} J
     W = matvec(M[:, :, None], E[:, None])  # W[p, a, b] = (nabla_{X_a} J) X_b
-    return np.max(np.sqrt(np.abs(qform(W, G[:, None, None], W))), axis=(1, 2))
+    return np.max(gnorm(W, G[:, None, None]), axis=(1, 2))
 
 
 def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
@@ -139,8 +139,8 @@ def anti_invariant_residual(mg, J: AlmostComplexStructure, points, side):
     G, at, rows, _ = _side(mg, mg.split(points), side)
     if rows.shape[1] == 0:
         return np.ma.masked_array(np.zeros(len(rows)), True), True
-    JR = np.matmul(J.values(at), rows.transpose(0, 2, 1)).transpose(0, 2, 1)
-    out = np.max(np.abs(np.einsum("pai,pij,pbj->pab", JR, G, rows)), axis=(1, 2))
+    JR = matvec(J.values(at)[:, None], rows)
+    out = np.max(np.abs(pair_form(JR, G, rows)), axis=(1, 2))
     return np.ma.masked_array(out, False), False
 
 

@@ -16,10 +16,16 @@ from .geometry import (
     ChartDomainError,
     GeometryError,
     covariant_derivative,
+    field_values,
     geodesic_integrate,
+    gnorm,
     gradient,
+    matvec,
+    on_pairs,
     orthonormal_frames,
     qform,
+    tform,
+    vdot,
     worst,
 )
 from .propcheck import (
@@ -294,12 +300,12 @@ def check_oneill(ctx):
     # three random (E, G1, G2) triples per point, drawn point by point
     E, G1, G2 = np.moveaxis(np.random.default_rng(ctx.seed + 1).normal(size=(P, 3, 3, n)), 2, 0)
     for key, Op in (("T_skew", Tv), ("A_skew", Av)):
-        lhs = np.einsum("pkij,psi,psj,pkl,psl->ps", Op, E, G1, GM, G2)
-        rhs = np.einsum("pkij,psi,psj,pkl,psl->ps", Op, E, G2, GM, G1)
+        lhs = qform(tform(Op[:, None], E, G1), GM[:, None], G2)
+        rhs = qform(tform(Op[:, None], E, G2), GM[:, None], G1)
         at[key] = np.abs(lhs + rhs)
-    tv = np.einsum("pkij,pai,pbj->pabk", Tv, V, V)
+    tv = on_pairs(Tv, V)
     at["T_vertical_sym"] = np.abs(tv - tv.transpose(0, 2, 1, 3))
-    av = np.einsum("pkij,pai,pbj->pabk", Av, H, H)
+    av = on_pairs(Av, H)
     at["A_horizontal_antisym"] = np.abs(av + av.transpose(0, 2, 1, 3))
     for key, fields, F, Op in (("lemma1_vertical", fr.vertical, V, Tv),
                                ("lemma1_horizontal", fr.horizontal, H, Av)):
@@ -307,14 +313,14 @@ def check_oneill(ctx):
         gaps = []
         for a, b in np.ndindex(len(fields), len(fields)):
             full = covariant_derivative(mg.gM, fields[a], fields[b]).values(sp.x)
-            part = np.einsum("pkij,pi,pj->pk", Op, F[:, a], F[:, b])
-            proj = np.einsum("pai,pij,pj,pak->pk", F, GM, full, F)
+            part = tform(Op, F[:, a], F[:, b])
+            proj = matvec(F.swapaxes(1, 2), qform(F, GM[:, None], full[:, None]))
             gaps.append(np.abs(full - part - proj))
         at[key] = np.stack(gaps, axis=1) if gaps else np.zeros((P, 0))
     at["shape_duality"] = np.zeros((P, 0))
     if fr.normal:
         push = np.matmul(sp.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
-        sffH = np.einsum("paij,pki,plj->pkla", mg.second_fundamental_form().values(sp.x), H, H)
+        sffH = on_pairs(mg.second_fundamental_form().values(sp.x), H)
         SX = np.matmul(push[:, None], mg.shape_tensors(sp.x).swapaxes(-1, -2))  # S_D F_*X_k
         lhs = qform(SX[:, :, :, None], GN[:, None, None, None], push[:, None, None])
         rhs = qform(sp.normal[:, :, None, None], GN[:, None, None, None], sffH[:, None])
@@ -414,53 +420,45 @@ def check_ricci_values(ctx):
                        terms={"entries": rows}, notes=notes)
 
 
+# per scalar relation: the restricted geometry whose scalar curvature is its
+# left side, and the gates it needs
+_SCALAR_RELATION_INPUTS = {
+    "range_soliton": ("range_rg", ("lagrangian_source", "clairaut_source", "source_soliton")),
+    "ker_einstein": ("ker_rg", ("lagrangian_source", "vertical_potential", "clairaut_source",
+                                "source_soliton")),
+    "rangeperp_einstein": ("perp_rg", ("lagrangian_target", "clairaut_target")),
+    "range_lagrangian": ("range_rg", ("lagrangian_target", "clairaut_target")),
+}
+
+
 def check_scalar_relations(ctx):
     case = ctx.case()
     sol = ctx.cfg.check["soliton"]
     lam = 0.0 if sol is None or sol["lambda"] == "solve" else float(sol["lambda"])
     d = case.dims
-    sub = []
-    gate_map = {
-        "range_soliton": ("lagrangian_source", "clairaut_source", "source_soliton"),
-        "ker_einstein": ("lagrangian_source", "vertical_potential",
-                         "clairaut_source", "source_soliton"),
-        "rangeperp_einstein": ("lagrangian_target", "clairaut_target"),
-        "range_lagrangian": ("lagrangian_target", "clairaut_target"),
-    }
-    gaps = []
-    terms = {}
-    overall = []
-    for which, gates_needed in gate_map.items():
+    inputs = {"lam": lam, "r0": d["r0"], "n1": d["n1"], "m": d["m"], "Dg": 0.0}
+    terms, gaps = {}, []
+    for which, (part, gates_needed) in _SCALAR_RELATION_INPUTS.items():
         try:
             gates = case.gates(gates_needed)
         except (UnsupportedDistribution, GeometryError, SolitonError) as exc:
-            sub.append((which, NOT_APPLICABLE, {"note": str(exc)}))
+            terms[which] = {"verdict": NOT_APPLICABLE, "note": str(exc)}
             continue
-        gates_ok = all(ok for ok, _ in gates.values())
-        inputs = {"lam": lam, "r0": d["r0"], "n1": d["n1"], "m": d["m"], "Dg": 0.0}
         try:
-            if which in ("range_soliton", "range_lagrangian"):
-                svals = case.range_rg.scalar_values(ctx.F.values(ctx.points))
-            elif which == "ker_einstein":
-                svals = case.ker_rg.scalar_values(ctx.points)
-            else:
-                svals = case.perp_rg.scalar_values(ctx.F.values(ctx.points))
+            svals = getattr(case, part).scalar_values(
+                ctx.points if part == "ker_rg" else ctx.F.values(ctx.points))
         except (UnsupportedDistribution, GeometryError) as exc:
-            sub.append((which, PARTIAL, {"note": f"restricted scalar unavailable: {exc}"}))
+            terms[which] = {"verdict": PARTIAL, "note": f"restricted scalar unavailable: {exc}"}
             continue
-        diffs = [scalar_relation(which, float(s), inputs) for s in svals]
-        dmax = worst([dd for _, _, dd in diffs])[0]
-        detail = {"lhs_first": float(diffs[0][0]), "rhs": float(diffs[0][1]),
-                  "max_gap": dmax, "gates": {k: [bool(ok), v] for k, (ok, v)
-                                             in gates.items()}}
-        if not gates_ok:
-            sub.append((which, NOT_APPLICABLE, detail))
-        else:
-            sub.append((which, _verdict(dmax, ctx.tol), detail))
+        lhs, rhs, gap = scalar_relation(which, svals, inputs)
+        dmax = worst(gap)[0]
+        gates_ok = all(ok for ok, _ in gates.values())
+        terms[which] = {"verdict": _verdict(dmax, ctx.tol) if gates_ok else NOT_APPLICABLE,
+                        "lhs_first": float(lhs[0]), "rhs": rhs, "max_gap": dmax,
+                        "gates": {k: [bool(ok), v] for k, (ok, v) in gates.items()}}
+        if gates_ok:
             gaps.append(dmax)
-    for which, verdict, detail in sub:
-        terms[which] = {"verdict": verdict, **detail}
-        overall.append(verdict)
+    overall = [t["verdict"] for t in terms.values()]
     if any(v == FAIL for v in overall):
         verdict = FAIL
     elif all(v == NOT_APPLICABLE for v in overall):
@@ -478,14 +476,11 @@ def clairaut_invariant(mg, f, xs, vs) -> np.ndarray:
     keeps it constant along every geodesic.  sin(theta)^2 is the squared
     vertical part of v over g_M(v, v)."""
     G = mg.gM.values(xs)
-    fr = mg.frames
-    declared = (np.stack([u.values(xs) for u in fr.vertical], axis=1)
-                if fr.vertical else None)
+    declared = field_values(mg.frames.vertical, xs) if mg.frames.vertical else None
     U = vertical_frames(xs, G, mg.F.jac_values(xs), declared)
-    vv = np.einsum("pi,pij,pj->p", vs, G, vs)
-    coef = np.einsum("pai,pij,pj->pa", U, G, vs)
-    vert2 = np.einsum("pa,pa->p", coef, coef)
-    return np.exp(Tape([f], mg.gM.chart.allvars).evaluate(xs)[:, 0]) * np.sqrt(vert2 / vv)
+    coef = qform(U, G[:, None], vs[:, None])  # g_M(u_a, v)
+    return (np.exp(Tape([f], mg.gM.chart.allvars).evaluate(xs)[:, 0])
+            * np.sqrt(vdot(coef, coef) / qform(vs, G, vs)))
 
 
 def check_geodesic(ctx):
@@ -530,8 +525,7 @@ def check_fiber_curvature(ctx):
     if f is None:
         raise SpecError("fiber_curvature needs 'clairaut source FUNC'")
     diff = fiber_mean_curvature(ctx.mg, ctx.points) + gradient(ctx.g, f).values(ctx.points)
-    return _pointwise(ctx, "fiber_curvature",
-                      np.sqrt(np.abs(qform(diff, ctx.g.values(ctx.points), diff))))
+    return _pointwise(ctx, "fiber_curvature", gnorm(diff, ctx.g.values(ctx.points)))
 
 
 def _identity_check(ident):

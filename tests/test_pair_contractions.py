@@ -3,7 +3,10 @@ Kaehler checks against the per-point loops they replaced, which are kept
 here as the reference.  On random stacks drawn by hypothesis and on every
 catalog entry with a NaN sample point, each function agrees with its loop:
 NaN at the same places, raised errors of the same type and message, and
-every other value within 1e-12 of the largest value of its result."""
+every other value within 1e-12 of the largest value of its result.  The
+frame contractions of `geometry` they are written with are checked the same
+way against per-point einsums, and the O'Neill check makes no einsum of
+four or more operands."""
 
 from types import SimpleNamespace
 from unittest import mock
@@ -12,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemcheck import soliton, structure
+from riemcheck import geometry, soliton, structure
 from riemcheck.catalog import load, names
 from riemcheck.geometry import GeometryError, orthonormal_frames
-from riemcheck.suites import _Ctx
+from riemcheck.report import PASS
+from riemcheck.suites import _Ctx, run_suite
 
 
 # -- the per-point loops -------------------------------------------------------------
@@ -228,3 +232,65 @@ def test_catalog_contractions_match_the_per_point_loops(entry):
         want = outcome(old, *args)
         assert not isinstance(want, tuple), (new.__name__, want)
         assert_agree(outcome(new, *args), want)
+
+
+# -- the frame contractions of geometry against per-point einsums -------------------
+
+def per_point(subscripts, *operands):
+    """np.einsum(subscripts) at each point of stacks with a leading point axis."""
+    return np.array([np.einsum(subscripts, *ops) for ops in zip(*operands)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(P=st.integers(1, 5), a=st.integers(0, 4), b=st.integers(0, 4), n=st.integers(1, 5),
+       k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_frame_contractions_match_per_point_einsums(P, a, b, n, k, seed, data):
+    """Each helper agrees with its einsum at every point to 1e-12 of the
+    einsum over absolute values, with NaN at the same places; one entry of
+    one operand is NaN.  M, T and G are not symmetric, so a swapped slot
+    shows, and w.G.w takes both signs."""
+    rng = np.random.default_rng(seed)
+    shapes = {"E": (a, n), "F": (b, n), "M": (n, n), "T": (k, n, n), "X": (n,), "Y": (n,),
+              "w": (a, b, k), "G": (k, k), "gram": (a, b), "H": (k,)}
+    ops = {key: rng.normal(size=(P,) + shape) for key, shape in shapes.items()}
+    key = data.draw(st.sampled_from(sorted(c for c, v in ops.items() if v.size)), label="nan")
+    ops[key].flat[data.draw(st.integers(0, ops[key].size - 1), label="at")] = np.nan
+    o = SimpleNamespace(**ops)
+    mag = SimpleNamespace(**{c: np.abs(v) for c, v in ops.items()})
+
+    def check(got, subscripts, *names, post=lambda v: v):
+        want = post(per_point(subscripts, *(getattr(o, c) for c in names)))
+        scale = post(per_point(subscripts, *(getattr(mag, c) for c in names)))
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want)), (got, want)
+        ok = ~np.isnan(want)
+        assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * scale[ok]), (got, want)
+
+    check(geometry.pair_form(o.E, o.M, o.F), "ai,ij,bj->ab", "E", "M", "F")
+    check(geometry.pair_form(o.E, o.M), "ai,ij,bj->ab", "E", "M", "E")
+    check(geometry.tform(o.T, o.X, o.Y), "kij,i,j->k", "T", "X", "Y")
+    check(geometry.on_pairs(o.T, o.E, o.F), "kij,ai,bj->abk", "T", "E", "F")
+    check(geometry.on_pairs(o.T, o.E), "kij,ai,bj->abk", "T", "E", "E")
+    # squared norms against |w.G.w|
+    check(geometry.gnorm(o.w, o.G[:, None, None]) ** 2, "abk,kl,abl->ab", "w", "G", "w",
+          post=np.abs)
+    # the umbilic gap, squared: max over pairs of |d.G.d| for d = w - gram H
+    o.d = o.w - per_point("ab,k->abk", o.gram, o.H)
+    mag.d = mag.w + per_point("ab,k->abk", mag.gram, mag.H)
+    if a and b:
+        check(geometry.umbilic_gap(o.w, o.gram, o.H, o.G) ** 2, "abk,kl,abl->ab", "d", "G", "d",
+              post=lambda q: np.max(np.abs(q), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("entry", ["paper-3.1", "paper-4.1"])
+def test_oneill_check_calls_no_einsum_of_four_or_more_operands(entry, monkeypatch):
+    real_einsum, operand_counts = np.einsum, []
+
+    def einsum(subscripts, *operands, **kwargs):
+        operand_counts.append(len(operands))
+        return real_einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    report = run_suite(load(entry), suite=["oneill"], points=10)
+    assert [(c.id, c.verdict) for c in report.checks] == [("oneill", PASS)]
+    assert max(operand_counts, default=0) < 4, operand_counts

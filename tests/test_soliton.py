@@ -250,3 +250,10 @@ def test_scalar_relation_arithmetic():
     assert diff == 0.0
     with pytest.raises(SolitonError):
         scalar_relation("nope", 0.0, {})
+
+
+def test_scalar_relation_takes_one_value_per_point():
+    lhs, rhs, diff = scalar_relation("ker_einstein", np.array([-4.0, -3.0, np.nan]),
+                                     {"lam": 2.0, "r0": 2})
+    assert rhs == -4.0 and lhs.shape == (3,)
+    assert np.array_equal(diff, [0.0, 1.0, np.nan], equal_nan=True)
