@@ -4,7 +4,8 @@ Symbolic side: Christoffel symbols, Riemann/Ricci/scalar curvature, gradient,
 Hessian, divergence and metric Lie derivatives as expression-valued tensors.
 Numeric side: seeded sample-point generation, per-point metric values,
 Gram-Schmidt orthonormalization, a 4th-order geodesic integrator with
-energy monitoring, and the contractions every check evaluates frames with:
+energy monitoring (first attempts run ahead in chains, whose energies are one
+stacked `qform`), and the contractions every check evaluates frames with:
 `matvec`, `tvec`, `vdot` and `qform` on stacked vectors, `pair_form`,
 `tform` and `on_pairs` on pairs of frame vectors, the metric norm `gnorm`
 and the `umbilic_gap` reduction.
@@ -46,6 +47,7 @@ CURVATURE_CONVENTION = ("R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z "
                         "- nabla_[X,Y] Z; Ric(X,Y) = trace(Z -> R(Z,X)Y); "
                         "unit sphere has Ric = +(n-1) g")
 ORTHO_TOL = 1e-10  # orthonormalize's rank threshold on a squared norm
+CHAIN_CAP = 256  # geodesic_integrate's longest chain of speculative steps
 
 
 class GeometryError(Exception):
@@ -725,14 +727,28 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     whenever the step's metric-norm drift exceeds `energy_tol` (relative).
     A step is split at most 12 times; a step whose last split still drifts
     too far is accepted and counted in `Trajectory.unconverged`.  The state
-    is a list of floats; g(v, v) stays a BLAS `v @ G @ v`.
+    is a list of floats.
 
-    At most 8 * (nominal steps) + 2**14 RK4 sub-steps are run: GeometryError
-    names the time reached when that budget runs out, or when every split of
-    a step is non-finite.  ChartDomainError if the trajectory leaves the chart.
+    First attempts run speculatively, in chains: from the last accepted
+    state, each following nominal step once at full size, each from the
+    previous candidate, up to the first non-finite one.  The chain's energies
+    g(v, v) are one stacked `qform`, which gives every state the bits of its
+    BLAS `v @ G @ v`.  The chain's steps are then taken in order by the rule
+    above; the first that drifts too far, or is non-finite, drops the rest of
+    the chain and goes on to its halvings.  A chain is twice as long after a
+    fully accepted one, up to CHAIN_CAP steps, and one step long after a
+    rejection.  The result is bit for bit that of taking the steps one by one.
+
+    t_end and dt must be finite and positive.  At most 8 * (nominal steps) +
+    2**14 RK4 sub-steps are counted, only those a step-by-step run makes:
+    GeometryError names the time reached when that budget runs out, or when
+    every split of a step is non-finite.  ChartDomainError names the time at
+    which the trajectory leaves the chart.
     """
-    if dt <= 0.0:
-        raise GeometryError("geodesic_integrate: dt must be positive")
+    for name, val in (("dt", dt), ("t_end", t_end)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise GeometryError(
+                f"geodesic_integrate: {name} must be finite and positive, got {val}")
     chart = g.chart
     n = chart.dim
     x = chart.point_to_array(p0) if isinstance(p0, dict) else np.asarray(p0, dtype=float)
@@ -754,12 +770,14 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
         return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
 
-    def energy(s):
-        vel = np.array(s[n:])
-        return float(vel @ np.array(metric(s[:n])).reshape(n, n) @ vel)
+    def energy(states):
+        # g(v, v) of each state, all in one stacked qform
+        G = np.array(list(map(metric, [s[:n] for s in states])))
+        V = np.array([s[n:] for s in states])
+        return qform(V, G.reshape(len(states), n, n), V).tolist()
 
     state = x.tolist() + v.tolist()
-    e0 = energy(state)
+    e0, = energy([state])
     escale = max(abs(e0), 1e-30)
     nfull = int(math.floor(t_end / dt + 1e-12))
     steps = [dt] * nfull
@@ -773,40 +791,71 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     halvings = unconverged = used = 0
     t = 0.0
     e_state = e0  # energy of the last accepted state
-    for dt_step in steps:
-        sub = 1
-        h = dt_step
-        for attempt in range(13):
+
+    def accept(s, e, dt_step):
+        nonlocal state, e_state, t
+        state, e_state = s, e
+        t += dt_step
+        try:
+            chart.check_domain(s[:n])
+        except ChartDomainError as exc:
+            raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
+        drifts.append(abs(e - e0) / escale)
+        times.append(t)
+        states.append(s)
+
+    def over_budget():
+        return GeometryError(f"geodesic used up its budget of {budget} "
+                             f"RK4 sub-steps at t={t}")
+
+    i, chain = 0, 1
+    while i < len(steps):
+        if used == budget:
+            raise over_budget()
+        stop = min(i + chain, i + budget - used, len(steps))
+        cands = []
+        cand = state
+        for h in steps[i:stop]:
+            cand = rk4(cand, h)
+            if not all(map(math.isfinite, cand)):
+                break
+            cands.append(cand)
+        for cand, e_cand in zip(cands, energy(cands) if cands else ()):
+            if not abs(e_cand - e_state) / escale <= energy_tol:
+                break
+            used += 1
+            accept(cand, e_cand, steps[i])
+            i += 1
+        if i == stop:  # the whole chain was accepted
+            chain = min(2 * chain, CHAIN_CAP)
+            continue
+        # step i's first attempt drifts too far or is non-finite: split it
+        used += 1
+        chain = 1
+        sub, h = 1, steps[i]
+        for attempt in range(1, 13):
+            sub *= 2
+            h *= 0.5
+            halvings += 1
             cand = state
             for _ in range(sub):
                 if used == budget:
-                    raise GeometryError(f"geodesic used up its budget of {budget} "
-                                        f"RK4 sub-steps at t={t}")
+                    raise over_budget()
                 used += 1
                 cand = rk4(cand, h)
                 if not all(map(math.isfinite, cand)):
                     break
             else:
-                e_cand = energy(cand)
+                e_cand, = energy([cand])
                 de = abs(e_cand - e_state) / escale
                 if de <= energy_tol or attempt == 12:
                     unconverged += not de <= energy_tol
-                    state, e_state = cand, e_cand
                     break
-            sub *= 2
-            h *= 0.5
-            halvings += 1
         else:
             raise GeometryError(
                 f"geodesic step from t={t} is non-finite at every step size")
-        t += dt_step
-        try:
-            chart.check_domain(state[:n])
-        except ChartDomainError as exc:
-            raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
-        drifts.append(abs(e_state - e0) / escale)
-        times.append(t)
-        states.append(state)
+        accept(cand, e_cand, steps[i])
+        i += 1
     states = np.array(states)
     return Trajectory(chart, np.array(times), states[:, :n], states[:, n:],
                       worst(drifts)[0], halvings, unconverged)

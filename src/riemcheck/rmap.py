@@ -423,8 +423,16 @@ class MapGeometry:
     def target_jets(self, fields, y, hessian=False) -> Jet:
         """The Jet of k target fields at the points y (with `hessian`, second
         derivatives too), from one tape per list built on first use."""
-        chart, n = self.gN.chart, self.gN.chart.dim
-        key = ("jets", tuple(fields), hessian)
+        return self._jets(self.gN.chart, fields, y, hessian)
+
+    def source_jets(self, fields, x) -> Jet:
+        """The Jet (values and first derivatives) of k source fields at the
+        points x, from one tape per list built on first use."""
+        return self._jets(self.gM.chart, fields, x, False)
+
+    def _jets(self, chart, fields, pts, hessian) -> Jet:
+        n = chart.dim
+        key = ("jets", chart, tuple(fields), hessian)
         if key not in self._cache:
             exprs = []
             for W in fields:
@@ -435,7 +443,7 @@ class MapGeometry:
                           for k, i, j in np.ndindex(n, n, n) if i <= j}
                     exprs += [dd[k, min(i, j), max(i, j)] for k, i, j in np.ndindex(n, n, n)]
             self._cache[key] = Tape(exprs, chart.allvars)
-        vals = self._cache[key].evaluate(y).reshape(len(y), len(fields), -1)
+        vals = self._cache[key].evaluate(pts).reshape(len(pts), len(fields), -1)
         return Jet(*unpack(np.moveaxis(vals, 1, 0), [(n,), (n, n), (n, n, n)][:2 + hessian]))
 
 
@@ -451,6 +459,14 @@ def unpack(vals, shapes):
     """The (..., total) outputs of a tape as (..., *shape) arrays, in order."""
     cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
     return [a.reshape(a.shape[:-1] + s) for a, s in zip(np.split(vals, cuts, axis=-1), shapes)]
+
+
+def connection_on_pairs(gam, F: Jet) -> np.ndarray:
+    """nabla_{F_a} F_b = dF_b F_a + Gamma(F_a, F_b) for every pair of the k
+    fields F (values and first derivatives), (P, a, b, n), from the
+    Christoffel symbols Gamma (P, n, n, n) at the same points."""
+    v, d = np.moveaxis(F.v, 0, 1), np.moveaxis(F.d, 0, 1)  # (P, k, n), (P, k, n, n)
+    return matvec(d[:, None], v[:, :, None]) + on_pairs(gam, v)
 
 
 def shape_operator(PR, gam, D: Jet) -> np.ndarray:

@@ -5,6 +5,7 @@ first-order operators, geodesics."""
 import functools
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,6 +482,51 @@ def _heisenberg_geodesic(dt):
     return heisenberg(), {"x": 0.3, "y": 0.5, "z": 0.7}, np.array([0.6, -0.2, 0.4]), 5.0, dt
 
 
+def _bump_geodesic(width, t_end):
+    """The line from (0.0013, 0) along (1, 0.5) in steps of 2^-8, through a
+    plane whose g_yy = 1 + 10^4 (u + |u|)^2 (w + |w|)^2, u = x - 1.7 and
+    w = 1.7 + width - x, differs from 1 only on the strip 1.7 < x < 1.7 +
+    width.  Off the strip every RK4 step is exact and keeps g(v, v); the
+    line enters it in step 435, deep inside the first chain of CHAIN_CAP
+    steps (steps 255 to 510)."""
+    chart = Chart("B", ["x", "y"])
+    u, w = "(x - 1.7)", f"({1.7 + width} - x)"
+    g_yy = chart.parse(f"1 + 1e4*({u} + sqrt({u}^2))^2*({w} + sqrt({w}^2))^2")
+    g = MetricField(chart, np.array([[Const(1.0), Const(0.0)], [Const(0.0), g_yy]],
+                                    dtype=object))
+    return g, {"x": 0.0013, "y": 0.0}, np.array([1.0, 0.5]), t_end, 2.0**-8
+
+
+def _oracle_substeps(args, energy_tol):
+    """The RK4 sub-steps a step-by-step run makes: the oracle's calls of the
+    right-hand-side tape over 4."""
+    calls = []
+    evaluate_list = Tape.evaluate_list
+
+    def counted(self, x):
+        calls.append(self.var_names[-1].startswith("_v"))
+        return evaluate_list(self, x)
+
+    with mock.patch.object(Tape, "evaluate_list", counted):
+        geodesic_oracle.geodesic_integrate(*args, energy_tol=energy_tol)
+    return sum(calls) // 4
+
+
+def _budget_edge_geodesic():
+    """The bump geodesic at energy tolerance 0 across a strip 0.012 wide:
+    the steps that touch the strip never converge and run all 8,191
+    sub-steps of their 12 halvings.  Each clean step after the strip adds 1
+    sub-step and 8 to the budget, so the run is cut where a step-by-step
+    integration leaves fewer than 7 sub-steps of its budget unused.  The
+    integrator must finish it: the 75 speculative steps that the chain ran
+    past the strip count for nothing."""
+    g, p0, v0, t_end, dt = _bump_geodesic(0.012, 6.0)
+    steps = round(t_end / dt)
+    slack = 8 * steps + 2**14 - _oracle_substeps((g, p0, v0, t_end, dt), 0.0)
+    assert slack >= 0
+    return g, p0, v0, (steps - slack // 7) * dt, dt
+
+
 @pytest.mark.parametrize("args, energy_tol", [
     (lambda: _catalog_geodesic("revolution-surface", "S"), 1e-8),
     (lambda: _catalog_geodesic("sphere-2", "S"), 1e-8),
@@ -488,7 +534,10 @@ def _heisenberg_geodesic(dt):
     (lambda: _catalog_geodesic("sphere-2", "S", t=0.02, dt=0.01), 0.0),
     (lambda: _heisenberg_geodesic(1e-3), 1e-8),
     (lambda: _heisenberg_geodesic(0.2), 1e-8),  # halves some steps
-], ids=["revolution-surface", "sphere-2", "sphere-2-tol0", "heisenberg", "heisenberg-coarse"])
+    (lambda: _bump_geodesic(0.05, 3.0), 1e-8),  # first rejection after 434 clean steps
+    (_budget_edge_geodesic, 0.0),
+], ids=["revolution-surface", "sphere-2", "sphere-2-tol0", "heisenberg", "heisenberg-coarse",
+        "rejection-in-a-capped-chain", "budget-edge"])
 def test_geodesic_integrate_is_bit_identical_to_the_numpy_array_oracle(args, energy_tol):
     args = args()
     traj = geodesic_integrate(*args, energy_tol=energy_tol)
@@ -501,8 +550,10 @@ def test_geodesic_integrate_is_bit_identical_to_the_numpy_array_oracle(args, ene
 
 @pytest.mark.parametrize("g_yy, constraints, start, t_end, dt", [
     ("1", [(parse("x"), "positive")], 0.5, 2.0, 1e-2),  # leaves x > 0 at t = 0.5
+    # leaves x > 0 in step 400, inside the first chain of CHAIN_CAP steps
+    ("1", [(parse("x"), "positive")], 0.4, 2.0, 1e-3),
     ("1 + sqrt(x - 0.5)", (), 0.62, 0.3, 0.1),  # non-finite at every split
-], ids=["domain-exit", "nonfinite"])
+], ids=["domain-exit", "domain-exit-in-a-capped-chain", "nonfinite"])
 def test_geodesic_integrate_raises_as_the_numpy_array_oracle_does(
         g_yy, constraints, start, t_end, dt):
     chart = Chart("P", ["x", "y"], constraints=constraints)
@@ -541,31 +592,64 @@ def test_geodesic_tape_matches_the_christoffel_contraction(entry, seed):
     assert np.all(np.abs(out[n:] - want) <= 1e-12 * scale)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 300), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_energy_has_the_bits_of_each_states_v_G_v(k, n, seed):
+    """The integrator's energies of a chain of k states, one qform over the
+    (k, n) velocities and (k, n, n) metric values, equal each state's own
+    BLAS `vel @ G @ vel` bit for bit, for any G, symmetric or not."""
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+    G = rng.normal(size=(k, n, n))
+    want = [float(np.array(V[i].tolist()) @ np.array(G[i].tolist()) @ np.array(V[i].tolist()))
+            for i in range(k)]
+    assert np.array_equal(geometry.qform(V, G, V), want)
+
+
 @pytest.mark.parametrize("energy_tol", [1e-8, 0.0])
 def test_geodesic_makes_one_rhs_call_per_stage_and_one_metric_call_per_attempt(
         monkeypatch, energy_tol):
     """Each RK4 stage is one call of the right-hand-side tape; the metric
-    tape runs once per attempted step (the accepted energy is reused) plus
-    once for the initial energy, and no other tape runs per step."""
-    g = sphere2()
+    tape runs once per attempted step, speculative or not, plus once for the
+    initial energy, and no other tape runs.  A run with no rejections runs
+    nothing speculatively: 4 right-hand sides per step and steps + 1
+    metrics.  In any run a rejection drops at most a chain, which is never
+    longer than the steps accepted before it, so the right-hand sides stay
+    within 4 x (the oracle's sub-steps + the accepted steps)."""
     calls = {}
     evaluate_list = Tape.evaluate_list
 
-    def counted(self, x):
-        key = "rhs" if self.var_names[-1] == "_v1" else "metric" if self is g.tape() else "other"
-        calls[key] = calls.get(key, 0) + 1
-        return evaluate_list(self, x)
+    def count(args):
+        metric = args[0].tape()
 
-    monkeypatch.setattr(Tape, "evaluate_list", counted)
-    traj = geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, np.array([0.3, 1.0]),
-                              t_end=0.02, dt=0.01, energy_tol=energy_tol)
-    steps = len(traj) - 1
-    # attempt a of a step runs 2^a sub-steps
-    substeps = sum(2 ** a for a in range(traj.halvings // steps + 1)) * steps
+        def counted(self, x):
+            key = "rhs" if self.var_names[-1].startswith("_v") else (
+                "metric" if self is metric else "other")
+            calls[key] = calls.get(key, 0) + 1
+            return evaluate_list(self, x)
+
+        calls.clear()
+        monkeypatch.setattr(Tape, "evaluate_list", counted)
+        traj = geodesic_integrate(*args, energy_tol=energy_tol)
+        monkeypatch.setattr(Tape, "evaluate_list", evaluate_list)
+        return traj, dict(calls)
+
+    sphere = (sphere2(), {"theta": 1.2, "phi": 0.0}, np.array([0.3, 1.0]))
+    if energy_tol:  # no rejection, 1,000 steps: chains up to CHAIN_CAP long
+        traj, got = count(sphere + (1.0, 1e-3))
+        steps = len(traj) - 1
+        assert (traj.halvings, steps, got.get("other", 0)) == (0, 1000, 0)
+        assert (got["rhs"], got["metric"]) == (4 * steps, steps + 1)
+    rejecting = ([_heisenberg_geodesic(0.2), _bump_geodesic(0.05, 3.0)] if energy_tol
+                 else [sphere + (0.02, 0.01)])
+    for args in rejecting:
+        traj, got = count(args)
+        assert traj.halvings > 0 and got.get("other", 0) == 0
+        assert got["rhs"] <= 4 * (_oracle_substeps(args, energy_tol) + len(traj) - 1)
+    # the 2-step sphere run at tolerance 0 halves every step 12 times
+    traj, got = count(sphere + (0.02, 0.01))
     assert traj.halvings == (0 if energy_tol else 24)
-    assert calls.get("other", 0) == 0
-    assert calls["metric"] == steps + traj.halvings + 1
-    assert calls["rhs"] <= 4 * substeps
+    assert got["metric"] == len(traj) + traj.halvings
 
 
 # -- the residual reduction -----------------------------------------------------

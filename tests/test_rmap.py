@@ -13,6 +13,7 @@ from riemcheck.rmap import (
     MapError,
     MapGeometry,
     SmoothMap,
+    connection_on_pairs,
     fiber_mean_curvature,
     isometry_residual,
     pushforward_field,
@@ -563,3 +564,40 @@ def test_declared_frame_validation_names_every_fault_once_in_order(monkeypatch):
         "normal frame not orthonormal along F (residual 1.000e+00); "
         "range/normal frames not orthogonal (residual 2.000e+00)")
     assert len(calls) == len(set(map(id, calls))) == 6
+
+
+def heisenberg_submersion():
+    """The Heisenberg group onto flat R^2, (x, y, z) -> (x, y), with the
+    vertical frame d_z and the horizontal frame d_x, d_y + x d_z."""
+    M, N = Chart("Heis", ["x", "y", "z"]), Chart("R2", ["u", "v"])
+    gM = MetricField(M, [[1.0, 0.0, 0.0], [0.0, M.parse("1 + x^2"), M.parse("-x")],
+                         [0.0, M.parse("-x"), 1.0]])
+    F = SmoothMap(M, N, [M.parse("x"), M.parse("y")],
+                  section=[N.parse(c) for c in ("u", "v", "0")])
+    frames = AdaptedFrames(vertical=[vf(M, ["0", "0", "1"])],
+                           horizontal=[vf(M, ["1", "0", "0"]), vf(M, ["0", "1", "x"])])
+    return MapGeometry(F, gM, diag_metric(N, ["1", "1"]), frames)
+
+
+@pytest.mark.parametrize("case", ["paper-3.1", "paper-4.1", "heisenberg"])
+def test_connection_on_pairs_matches_the_symbolic_covariant_derivative(case):
+    """nabla_{F_a} F_b from the fields' derivative tape and Gamma_M values,
+    for every pair of a declared source frame and of a frame with
+    non-constant fields added, equals the symbolic covariant_derivative
+    within 1e-12 of the largest value."""
+    from riemcheck.catalog import load
+
+    mg = heisenberg_submersion() if case == "heisenberg" else load(case).map_geometry()
+    M = mg.gM.chart
+    x = M.sample_points(6, seed=5)
+    gam = mg.gM.christoffel().values(x)
+    c = M.coords
+    extra = (vf(M, [f"{c[0]}*{c[-1]}"] + ["1"] * (M.dim - 1)),
+             vf(M, ["0"] * (M.dim - 1) + [f"{c[1]}^2 - {c[0]}"]))
+    for fields in (mg.frames.vertical, mg.frames.horizontal, extra):
+        assert fields
+        got = connection_on_pairs(gam, mg.source_jets(fields, x))
+        want = np.stack([np.stack([covariant_derivative(mg.gM, a, b).values(x) for b in fields],
+                                  axis=1) for a in fields], axis=1)
+        assert got.shape == want.shape == (len(x), len(fields), len(fields), M.dim)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

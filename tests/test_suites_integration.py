@@ -455,6 +455,38 @@ def test_a_geodesic_leaving_the_domain_of_a_nonfinite_constraint_fails():
     assert report.exit_code() == 1
 
 
+# A flat plane with a geodesic line whose time or step is filled in per case.
+TIMES_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+check
+  seed 7
+  points 8
+  suite geodesic metric
+  geodesic from 0.5,0.5 dir 1,0 {times}
+end
+"""
+
+
+@pytest.mark.parametrize("times, named", [
+    ("t -1 dt 0.01", "t_end must be finite and positive, got -1.0"),
+    ("t nan dt 0.01", "t_end must be finite and positive, got nan"),
+    ("t 1 dt nan", "dt must be finite and positive, got nan"),
+], ids=["t-negative", "t-nan", "dt-nan"])
+def test_a_geodesic_time_or_step_that_is_not_finite_and_positive_fails_its_check(times, named):
+    """A negative t used to give a one-point trajectory that PASSed with
+    drift 0.0, and a NaN t or dt aborted the run from int(floor(...))."""
+    report = run_suite(load_spec(TIMES_SPEC.format(times=times), name="geodesic-times"))
+    geodesic, metric = report.checks
+    assert geodesic.verdict == FAIL
+    assert geodesic.notes == [f"error: geodesic_integrate: {named}"]
+    assert metric.verdict == PASS
+    assert report.exit_code() == 1
+
+
 # The metric is NaN wherever x1 < 0.5, and no frame is declared: the
 # horizontal frame computed there is empty, and at the other points it is d_x2.
 NAN_SPLIT_SPEC = """
