@@ -1,32 +1,40 @@
 """Chart-level Riemannian geometry.
 
-Symbolic side: Christoffel symbols, Riemann/Ricci/scalar curvature, gradient,
-Hessian, divergence and metric Lie derivatives as expression-valued tensors.
-Numeric side: seeded sample-point generation, per-point metric values,
-Gram-Schmidt orthonormalization, a 4th-order geodesic integrator with
-energy monitoring (first attempts run ahead in chains, whose energies are one
-stacked `qform`), and the contractions every check evaluates frames with:
-`matvec`, `tvec`, `vdot` and `qform` on stacked vectors, `pair_form`,
-`tform` and `on_pairs` on pairs of frame vectors, the metric norm `gnorm`
-and the `umbilic_gap` reduction.
+Symbolic side: Christoffel symbols and their derivatives, gradient, Hessian,
+divergence, covariant derivatives of vector fields and metric Lie
+derivatives as expression-valued tensors.  Numeric side: the curvature of a
+metric at a point set (`MetricField.at`: one tape of the metric's first and
+second derivatives, then Gamma, its derivatives, Riemann, Ricci and the
+scalar curvature as arrays by the product rule), seeded sample-point
+generation, per-point metric values, Gram-Schmidt orthonormalization, a
+4th-order geodesic integrator with energy monitoring (first attempts run
+ahead in chains, whose energies are one stacked `qform`), and the
+contractions every check evaluates frames with: `matvec`, `tvec`, `vdot` and
+`qform` on stacked vectors, `pair_form`, `tform` and `on_pairs` on pairs of
+frame vectors, the metric norm `gnorm` and the `umbilic_gap` reduction.
 
 Index conventions (documented once, used everywhere):
   * tensor components store contravariant indices first, e.g. a (1,2) tensor
-    T has T[a, i, j] = (T(d_i, d_j))^a;
-  * riemann(g)[l, i, j, k] = (R(d_i, d_j) d_k)^l with
+    T has T[a, i, j] = (T(d_i, d_j))^a; arrays at P points put the point axis
+    first and, for derivatives, the derivative index next: d[p, a, ...] is
+    d_a of the value [p, ...];
+  * riemann(g, x)[p, l, i, j, k] = (R(d_i, d_j) d_k)^l with
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z;
-  * ricci(g)[i, j] = sum_k riemann[k, k, i, j], i.e. Ric(X, Y) is the trace
-    of Z -> R(Z, X) Y.  The unit sphere then has Ric = +(n-1) g.
+  * ricci(g, x)[p, i, j] = sum_k riemann[p, k, k, i, j], i.e. Ric(X, Y) is the
+    trace of Z -> R(Z, X) Y.  The unit sphere then has Ric = +(n-1) g.
   * the derivative slot of a covariant derivative is the first covariant
     index: (nabla T)[a, l, i, j] = (nabla_{d_l} T)(d_i, d_j)^a.
 
 All field objects are immutable after construction; cached tensors are
-write-once.  Per-point evaluations are pure functions.
+write-once, and arrays kept for a point set are read-only.  Per-point
+evaluations are pure functions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -39,6 +47,7 @@ from .expr import (
     parse,
     simplify,
     to_str,
+    variables,
 )
 from .expr.nodes import ZERO, Add, Div, Mul, Neg, Sub, Var, is_const
 from .expr.tape import Tape
@@ -47,6 +56,7 @@ CURVATURE_CONVENTION = ("R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z "
                         "- nabla_[X,Y] Z; Ric(X,Y) = trace(Z -> R(Z,X)Y); "
                         "unit sphere has Ric = +(n-1) g")
 ORTHO_TOL = 1e-10  # orthonormalize's rank threshold on a squared norm
+BLOCK = 20  # points per block of the n**4-sized curvature intermediates
 CHAIN_CAP = 256  # geodesic_integrate's longest chain of speculative steps
 
 
@@ -294,9 +304,10 @@ class TensorField:
 class MetricField(TensorField):
     """Symmetric positive-definite (0,2) expression matrix `mat` on a chart.
 
-    Curvature tensors are computed symbolically (adjugate inverse, exact for
-    the catalog's dimensions) and cached write-once.  Positive definiteness
-    is checked at sample points only, never proven globally.
+    The symbolic inverse (adjugate, exact for the catalog's dimensions) and
+    Christoffel symbols are cached write-once; curvature is numeric, from the
+    metric's jets at a point set (`at`).  Positive definiteness is checked at
+    sample points only, never proven globally.
     """
 
     def __init__(self, chart, mat):
@@ -308,12 +319,20 @@ class MetricField(TensorField):
         super().__init__(chart, (0, 2), [[simplify(as_expr(e), nv) for e in row] for row in mat])
         self.mat = self.comps
         self._cache = {}
+        self._last_at = LastPointSet()
 
     def check_spd(self, points, tol=1e-12):
         """Symmetry and positive definiteness at the given points; raises
-        GeometryError on the first offending point."""
+        GeometryError on the first offending point, which the loop over the
+        points finds only where the test of the whole stack fails."""
         pts = np.atleast_2d(points)
         G = self.values(pts)
+        with contextlib.suppress(np.linalg.LinAlgError):
+            if np.all(np.isfinite(G)) and np.all(
+                    np.max(np.abs(G - G.swapaxes(1, 2)), axis=(1, 2))
+                    <= tol * np.maximum(1.0, np.max(np.abs(G), axis=(1, 2)))):
+                np.linalg.cholesky(G)
+                return
         for i, g in enumerate(G):
             if not np.all(np.isfinite(g)):
                 raise GeometryError(f"metric not finite at sample point {pts[i]}")
@@ -360,8 +379,8 @@ class MetricField(TensorField):
         return self._cache["gamma"]
 
     def christoffel_derivative(self) -> np.ndarray:
-        """dgam[a, l, i, j] = d_a Gamma^l_ij, symmetric in (i, j); cached, so
-        `riemann` and the target calculus differentiate Gamma once."""
+        """dgam[a, l, i, j] = d_a Gamma^l_ij, symmetric in (i, j), for the
+        target calculus; cached, so Gamma is differentiated once."""
         if "dgamma" not in self._cache:
             gam, coords = self.christoffel().comps, self.chart.coords
             dgam = np.empty((self.chart.dim,) * 4, dtype=object)
@@ -370,20 +389,30 @@ class MetricField(TensorField):
             self._cache["dgamma"] = dgam
         return self._cache["dgamma"]
 
-    def riemann(self):
-        if "riemann" not in self._cache:
-            self._cache["riemann"] = riemann(self)
-        return self._cache["riemann"]
+    def jet_tape(self) -> Tape:
+        """`jet_tape` of the entries i <= j, with second derivatives."""
+        if "jets" not in self._cache:
+            self._cache["jets"] = jet_tape(list(self.mat[np.triu_indices(self.chart.dim)]),
+                                           self.chart, second=True)
+        return self._cache["jets"]
 
-    def ricci(self):
-        if "ricci" not in self._cache:
-            self._cache["ricci"] = ricci(self)
-        return self._cache["ricci"]
+    def at(self, points) -> MetricAt:
+        """The metric's jets and curvature at a point set.  A run evaluates
+        a metric at one point set, its sample points x or their images
+        y = F(x), so those of the last point set are kept."""
+        return self._last_at.get(points, lambda pts: MetricAt(self, pts))
 
-    def scalar_curvature(self):
-        if "scalar" not in self._cache:
-            self._cache["scalar"] = scalar_curvature(self)
-        return self._cache["scalar"]
+
+class LastPointSet:
+    """The value built for the last point set: asking again for the same
+    set returns it, and a new set replaces it."""
+    key = value = None
+
+    def get(self, points, build):
+        pts = np.array(np.atleast_2d(points), dtype=float)
+        if (pts.shape, pts.tobytes()) != self.key:
+            self.key, self.value = (pts.shape, pts.tobytes()), build(pts)
+        return self.value
 
 
 def _sym_det(mat) -> Expr:
@@ -425,35 +454,126 @@ def christoffel(g: MetricField) -> TensorField:
                        _symmetrized(acc, lambda e: g._simp(_prod(Const(0.5), e))))
 
 
-def riemann(g: MetricField) -> TensorField:
-    """Curvature tensor R[l, i, j, k] = (R(d_i, d_j) d_k)^l."""
-    n = g.chart.dim
-    gam = g.christoffel().comps
-    dgam = g.christoffel_derivative()  # dgam[a][l][i][j] = d_a Gamma^l_ij
-    out = sym_zeros((n, n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):  # antisymmetric in (i, j)
-                for k in range(n):
-                    # the two Gamma Gamma sums interleave term by term
-                    acc = _sub(dgam[i, l, j, k], dgam[j, l, i, k])
-                    for m in range(n):
-                        acc = _add(acc, _prod(gam[l, i, m], gam[m, j, k]))
-                        acc = _sub(acc, _prod(gam[l, j, m], gam[m, i, k]))
-                    e = g._simp(acc)
-                    out[l, i, j, k] = e
-                    out[l, j, i, k] = g._simp(Neg(e))
-    return TensorField(g.chart, (1, 3), out)
+def _partials(exprs, coords):
+    """[a][e] = d_a of each expression for each coordinate a; ZERO, with
+    nothing differentiated, where the expression does not contain a."""
+    names = [variables(e) for e in exprs]
+    return [[differentiate(e, a) if a in v else ZERO for e, v in zip(exprs, names)]
+            for a in coords]
 
 
-def ricci(g: MetricField) -> TensorField:
-    """Ric[i, j] = sum_k R[k, k, i, j]; symmetric."""
-    acc = sym_einsum("kkij->ij", g.riemann().comps)
-    return TensorField(g.chart, (0, 2), _symmetrized(acc, g._simp))
+def jet_tape(exprs, chart, second=False) -> Tape:
+    """One tape of the expressions, then d_a of each for every chart
+    coordinate a (never along the frozen params of an induced chart), then,
+    with `second`, d_b d_a of each for every pair a <= b."""
+    d = _partials(exprs, chart.coords)
+    dd = [_partials(row, chart.coords[a:]) for a, row in enumerate(d)] if second else []
+    return Tape([*exprs, *(e for row in d for e in row),
+                 *(e for rows in dd for row in rows for e in row)], chart.allvars)
 
 
-def scalar_curvature(g: MetricField) -> Expr:
-    return g._simp(sym_einsum("ij,ij->", g.inverse(), g.ricci().comps)[()])
+def jet_values(tape, points, n, second=False):
+    """The arrays of a `jet_tape` over n coordinates at P points: values v
+    (P, E), d (P, n, E) with d[:, a] = d_a v and, with `second`, dd (P, n,
+    n, E) with dd[:, a, b] = d_a d_b v (else None)."""
+    vals = tape.evaluate(np.atleast_2d(points))
+    P, E = len(vals), tape.nout // (1 + n + (n * (n + 1) // 2 if second else 0))
+    v, d = vals[:, :E], vals[:, E:E * (n + 1)].reshape(P, n, E)
+    return v, d, vals[:, E * (n + 1):].reshape(P, -1, E)[:, _mirror(n)] if second else None
+
+
+def _mirror(n):
+    """m[i, j] = m[j, i] = the index of (i, j), i <= j, in C order."""
+    m = np.zeros((n, n), dtype=int)
+    m[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return m + np.triu(m, 1).T
+
+
+def _sym(a):
+    """a, exactly symmetric in its last two axes, from their upper triangle."""
+    return np.triu(a) + np.swapaxes(np.triu(a, 1), -1, -2)
+
+
+def frozen(a):
+    """a, read-only: arrays kept for a point set are shared by every check."""
+    a.flags.writeable = False
+    return a
+
+
+def by_blocks(fn, P):
+    """fn(s) for consecutive slices s of at most BLOCK of P points, joined
+    along the point axis: the n**4-sized intermediates of the curvature and
+    of the O'Neill derivatives are made a block at a time."""
+    return np.concatenate([fn(slice(i, i + BLOCK)) for i in range(0, max(P, 1), BLOCK)])
+
+
+class MetricAt:
+    """A metric at P points, from one evaluation of its `jet_tape`: G [i, j],
+    dG [a, i, j] = d_a g_ij and ddG(s) [a, b, i, j] = d_a d_b g_ij; by the
+    product rule with the inverse Ginv of the values, gam [k, i, j] =
+    Gamma^k_ij, dgam(s) [a, k, i, j] = d_a Gamma^k_ij, riemann(s) [l, i, j,
+    k], ricci [i, j] (its trace) and scalar; each with a leading point axis,
+    or at the points of the slice s.  The n**4-sized ones are made on each
+    use, the others on first use and kept, read-only."""
+
+    def __init__(self, g: MetricField, pts):
+        v, d, self._dd = jet_values(g.jet_tape(), pts, g.chart.dim, second=True)
+        self._m = m = _mirror(g.chart.dim)
+        self.G, self.dG = frozen(v[:, m]), frozen(d[:, :, m])
+
+    def ddG(self, s):
+        return self._dd[s][..., self._m]
+
+    @cached_property
+    def Ginv(self):
+        return frozen(np.linalg.inv(self.G))
+
+    @cached_property
+    def gam(self):
+        # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2
+        dG = self.dG
+        return frozen(_sym(0.5 * pdot(self.Ginv, dG.transpose(0, 3, 1, 2)
+                                      + dG.transpose(0, 3, 2, 1) - dG)))
+
+    def dgam(self, s):
+        # g^kl (d_a Gamma_lij - d_a g_lm Gamma^m_ij), Gamma_lij = g_lk Gamma^k_ij
+        ddG = self.ddG(s)
+        low = ddG.transpose(0, 1, 4, 2, 3) + ddG.transpose(0, 1, 4, 3, 2)
+        low -= ddG
+        low *= 0.5
+        low -= pdot(self.dG[s], self.gam[s])
+        return pdot(self.Ginv[s], low.swapaxes(1, 2)).swapaxes(1, 2)
+
+    def riemann(self, s):
+        # X[l, i, j, k] - X[l, j, i, k], X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
+        X = pdot(self.gam[s], self.gam[s])
+        X += self.dgam(s).swapaxes(1, 2)
+        return X - X.swapaxes(2, 3)
+
+    @cached_property
+    def ricci(self):
+        return frozen(by_blocks(lambda s: _sym(np.trace(self.riemann(s), axis1=1, axis2=2)),
+                                len(self.G)))
+
+    @cached_property
+    def scalar(self):
+        return frozen(np.trace(np.matmul(self.Ginv, self.ricci), axis1=1, axis2=2))
+
+
+def riemann(g: MetricField, points) -> np.ndarray:
+    """R[p, l, i, j, k] = (R(d_i, d_j) d_k)^l at the points."""
+    m = g.at(points)
+    return by_blocks(m.riemann, len(m.G))
+
+
+def ricci(g: MetricField, points) -> np.ndarray:
+    """Ric[p, i, j] = sum_k R[p, k, k, i, j] at the points; symmetric."""
+    return g.at(points).ricci
+
+
+def scalar_curvature(g: MetricField, points) -> np.ndarray:
+    """g^ij Ric_ij at each of the points, (P,)."""
+    return g.at(points).scalar
 
 
 # -- first-order operators ----------------------------------------------------
@@ -501,30 +621,6 @@ def covariant_derivative(g: MetricField, X, Y) -> VectorField:
                 acc = _add(acc, _prod(gam[k, i, j], Xc[i], Yc[j]))
         comps.append(g._simp(acc))
     return VectorField(g.chart, comps)
-
-
-def covariant_derivative_tensor(g: MetricField, T: TensorField) -> TensorField:
-    """nabla T for signatures (0,q) and (1,q); the derivative index becomes
-    the first covariant slot."""
-    p, q = T.sig
-    if p not in (0, 1):
-        raise GeometryError("covariant_derivative_tensor supports (0,q) and (1,q)")
-    n = g.chart.dim
-    coords = g.chart.coords
-    gam = g.christoffel().comps
-    up, low = "a"[:p], "bcdefg"[:q]  # einsum letters of T's slots
-    out = up + "l" + low
-    acc = sym_zeros((n,) * (p + q + 1))
-    for idx in np.ndindex(*T.comps.shape):
-        for l in range(n):
-            acc[idx[:p] + (l,) + idx[p:]] = differentiate(T.comps[idx], coords[l])
-    if p:
-        acc = sym_einsum(f"alm,m{low}->{out}", gam, T.comps, acc=acc)
-    for r in low:
-        acc = sym_einsum(f"ml{r},{up}{low.replace(r, 'm')}->{out}", gam, T.comps,
-                         acc=acc, sign=-1)
-    acc.flat = [g._simp(e) for e in acc.flat]
-    return TensorField(g.chart, (p, q + 1), acc)
 
 
 def divergence(g: MetricField, X) -> Expr:
@@ -621,6 +717,14 @@ def tvec(T, v, k=1) -> np.ndarray:
 def vdot(u, v) -> np.ndarray:
     """u @ v for every pair of vectors (..., n)."""
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def pdot(A, B) -> np.ndarray:
+    """sum_m A[p, ..., m] B[p, m, ...] for every point p: one matmul per
+    point, the remaining axes of A then those of B."""
+    P, m = len(A), A.shape[-1]
+    return np.matmul(A.reshape(P, math.prod(A.shape[1:-1]), m),
+                     B.reshape(P, m, math.prod(B.shape[2:]))).reshape(A.shape[:-1] + B.shape[2:])
 
 
 def qform(u, M, v) -> np.ndarray:

@@ -25,10 +25,12 @@ A row gives
 - the hypothesis gates and whether a term follows an interpreted definition.
 
 Two namespaces are filled lazily.  The case (`PropositionCase`) is bound to
-the run's sample points and holds, once per run, the symbolic tensors,
-restricted geometries and derivative tapes (the target calculus has one per
-target field list, and one for Gamma_N and the projectors), and the
-hypothesis gates, each evaluated at every sample point.  The batch one
+the run's sample points and holds, once per run, the source tensors as
+arrays there (Ric_M, Ric_N, A, nabla A and the second fundamental form, from
+derivative arrays by `geometry` and `rmap`), the symbolic fields, restricted
+geometries and derivative tapes (the target calculus has one per target
+field list, and one for Gamma_N and the projectors), and the hypothesis
+gates, each evaluated at every sample point.  The batch one
 (`_BATCH`), made per check, holds one split (`MapGeometry.split`) and one
 evaluation per metric, tensor, frame and tape, at the points x or at their
 images y, each an array with a leading point axis, plus the contractions
@@ -37,10 +39,11 @@ calculus over every field combination).  Terms contract these with the
 frame contractions of `geometry` (`pair_form` for a form on two frames,
 `qform`, `matvec` and `vdot`), which make the BLAS calls of the per-vector
 products u @ M @ v and M @ v, so a P-point call gives the rows of P
-one-point calls.  `_rows` emits one row per pair per point in (point, a, b)
-order with residual |lhs - rhs|; the worst row is the first non-finite
-residual, else the first largest.  The two theorem-level checks build their
-own row arrays on the same namespaces.
+one-point calls.  `_rows` keeps the rows, one per pair per point in
+(point, a, b) order with residual |lhs - rhs|, as arrays (`Rows`); the worst
+row, the first non-finite residual, else the first largest, is the only one
+made a dict.  The two theorem-level checks build their own row arrays on the
+same namespaces.
 
 Restricted Ricci tensors exist only for coordinate-aligned involutive
 distributions: the induced metric is the coordinate submatrix with the
@@ -78,6 +81,8 @@ from .geometry import (
     on_pairs,
     pair_form,
     qform,
+    ricci,
+    scalar_curvature,
     sym_einsum,
     tform,
     tvec,
@@ -135,7 +140,9 @@ def coordinate_alignment(frame_rows_per_point):
 class RestrictedGeometry:
     """Intrinsic geometry of the integral submanifolds of a coordinate-
     aligned distribution: the induced metric is the coordinate submatrix
-    with the transverse coordinates frozen as parameters."""
+    with the transverse coordinates frozen as parameters, so its curvature
+    (`geometry.ricci`, `scalar_curvature`) differentiates along the block
+    coordinates only, at the reordered parent points."""
 
     def __init__(self, parent: MetricField, indices, name=None):
         self.parent = parent
@@ -158,12 +165,10 @@ class RestrictedGeometry:
         return np.atleast_2d(parent_points)[:, self._perm]
 
     def ricci_values(self, parent_points) -> np.ndarray:
-        return self.metric.ricci().values(self.reorder(parent_points))
+        return ricci(self.metric, self.reorder(parent_points))
 
     def scalar_values(self, parent_points) -> np.ndarray:
-        s = self.metric.scalar_curvature()
-        tape = Tape([s], self.metric.chart.allvars)
-        return tape.evaluate(self.reorder(parent_points))[:, 0]
+        return scalar_curvature(self.metric, self.reorder(parent_points))
 
     def restrict_vector(self, v):
         """Components in the distribution block of a vector, or of every
@@ -358,11 +363,11 @@ class PropositionCase(_Lazy):
         if name == "totally_geodesic_map":
             sp = mg.split(pts)
             E = np.concatenate([sp.vertical, sp.horizontal], axis=1)
-            vals = on_pairs(mg.second_fundamental_form().values(pts), E)
+            vals = on_pairs(mg.second_fundamental_form(pts), E)
             return _gate_value(np.max(gnorm(vals, sp.GN[:, None, None]), axis=(1, 2)))
         if name == "tg_horizontal":
             sp = mg.split(pts)
-            vals = on_pairs(mg.oneill_A().values(pts), sp.horizontal)
+            vals = on_pairs(mg.oneill_A(pts), sp.horizontal)
             return _gate_value(np.max(gnorm(vals, sp.GM[:, None, None]), axis=(1, 2)))
         if name == "tg_normal":  # P_range nabla_{e_k} e_l = -S_{e_l} e_k
             return _gate_value(np.abs(_tc_values(_Lazy(_BATCH, c=self), "shape", "Ej", "Ej")))
@@ -439,11 +444,11 @@ def _f_tape(c):
                 chart.allvars)
 
 
-# per case: symbolic tensors, restricted geometries, target calculus and
-# derivative tapes, shared by every check of the run
+# per case: source tensors at the case's points, symbolic fields, restricted
+# geometries, target calculus and derivative tapes, shared by every check
 _INGREDIENTS = {
-    "ric_M": lambda c: c.mg.gM.ricci(),
-    "ric_N": lambda c: c.mg.gN.ricci(),
+    "ric_M": lambda c: ricci(c.mg.gM, c.pts),
+    "ric_N": lambda c: ricci(c.mg.gN, c.mg.split(c.pts).y),
     "hess_f": lambda c: hessian(c.mg.gM, _declared(c.f, "case has no source dilation f")),
     "grad_f": lambda c: gradient(c.mg.gM, _declared(c.f, "case has no source dilation f")),
     "div_grad_f": lambda c: divergence(c.mg.gM, c.grad_f),
@@ -453,9 +458,9 @@ _INGREDIENTS = {
     "range_rg": lambda c: _restricted(c, "range"),
     "perp_rg": lambda c: _restricted(c, "normal"),
     "dims": _dims,
-    "A": lambda c: c.mg.oneill_A(),
-    "NA": lambda c: c.mg.nabla_oneill("A"),
-    "SFF": lambda c: c.mg.second_fundamental_form(),
+    "A": lambda c: c.mg.oneill_A(c.pts),
+    "NA": lambda c: c.mg.nabla_oneill("A", c.pts),
+    "SFF": lambda c: c.mg.second_fundamental_form(c.pts),
     "f_tape": _f_tape,
     "g_tape": lambda c: Tape([differentiate(c.gfun, y) for y in c.mg.gN.chart.coords],
                              c.mg.gN.chart.allvars),
@@ -502,8 +507,8 @@ _BATCH = {
     "GM": lambda p: p.sp.GM,
     "GN": lambda p: p.sp.GN,
     "Jac": lambda p: p.sp.Jac,
-    "ricM": lambda p: p.c.ric_M.values(p.x),
-    "ricN": lambda p: p.c.ric_N.values(p.y),
+    "ricM": lambda p: p.c.ric_M,
+    "ricN": lambda p: p.c.ric_N,
     "Hf": lambda p: p.c.hess_f.values(p.x),
     "gf": lambda p: p.c.grad_f.values(p.x),
     "norm2_f": lambda p: qform(p.gf, p.GM, p.gf),
@@ -515,9 +520,9 @@ _BATCH = {
     "Hg": lambda p: p.c.hess_g.values(p.y),
     "hess_trace_g": lambda p: _acc(qform(p.Ev, p.Hg[:, None], p.Ev)),
     "dg": lambda p: p.c.g_tape.evaluate(p.y),
-    "Av": lambda p: p.c.A.values(p.x),
-    "NAv": lambda p: p.c.NA.values(p.x),
-    "Sv": lambda p: p.c.SFF.values(p.x),
+    "Av": lambda p: p.c.A,
+    "NAv": lambda p: p.c.NA,
+    "Sv": lambda p: p.c.SFF,
     "tau": lambda p: np.sum(tform(p.Sv[:, None], p.H, p.H), axis=1),
     # contractions that do not depend on the frame pair, as bilinear forms:
     # X @ divA @ Y = sum_a g((nabla_{u_a} A)(X, Y), u_a),
@@ -572,29 +577,49 @@ _FAMILIES = {
 }
 
 
-def _rows(family, lhs, rhs, terms, keep=None):
-    """The result rows, one per pair of the family at each point, in
-    (point, a, b) order, from (P, na, nb) arrays: a <= b only for the
-    symmetric families, and only where `keep` holds when it is given."""
-    _, _, (la, lb), upper, _ = _FAMILIES[family]
+class Rows:
+    """The result rows of a check, one per kept pair at each point, in
+    (point, a, b) order, as arrays: point and pair indices, lhs, rhs, the
+    residual |lhs - rhs| and each term's value.  `row(i)` is row i as the
+    dict a report reads; a run builds only the worst row's."""
+
+    def __init__(self, labels, at, lhs, rhs, terms):
+        self.labels, (self.point, self.a, self.b) = labels, at
+        self.lhs, self.rhs, self.residual = lhs, rhs, np.abs(lhs - rhs)
+        self.terms = terms
+
+    def __len__(self):
+        return len(self.residual)
+
+    def row(self, i) -> dict:
+        la, lb = self.labels
+        return {"point": int(self.point[i]),
+                "pair": (f"{la}{self.a[i] + 1}", f"{lb}{self.b[i] + 1}"),
+                "lhs": float(self.lhs[i]), "rhs": float(self.rhs[i]),
+                "residual": float(self.residual[i]),
+                "terms": {k: float(v[i]) for k, v in self.terms.items()}}
+
+
+def _rows(family, lhs, rhs, terms, keep=None) -> Rows:
+    """The rows of the family's pairs at each point from (P, na, nb) arrays:
+    a <= b only for the symmetric families, and only where `keep` holds
+    when it is given."""
+    _, _, labels, upper, _ = _FAMILIES[family]
     mask = np.ones(lhs.shape, dtype=bool) if keep is None else keep
     if upper:
         mask = mask & np.triu(np.ones(lhs.shape[1:], dtype=bool))
     at = np.nonzero(mask)
-    columns = [a[at].tolist() for a in (lhs, rhs, np.abs(lhs - rhs))]
-    keys = list(terms)
-    values = list(zip(*[terms[k][at].tolist() for k in keys])) or [()] * len(at[0])
-    return [{"point": i, "pair": (f"{la}{a + 1}", f"{lb}{b + 1}"), "lhs": l, "rhs": r,
-             "residual": d, "terms": dict(zip(keys, v))}
-            for i, a, b, l, r, d, v in zip(*(x.tolist() for x in at), *columns, values)]
+    return Rows(labels, at, lhs[at], rhs[at], {k: v[at] for k, v in terms.items()})
 
 
 def _result(ident, rows, gates, interpreted=False):
-    if not rows:
+    """The result of a check from its rows; the worst row is the first
+    non-finite residual, else the first largest (`geometry.worst`)."""
+    if not len(rows):
         return {"id": ident, "gates": tuple(gates), "n_pairs": 0,
-                "max_residual": 0.0, "worst": None, "rows": [],
+                "max_residual": 0.0, "worst": None, "rows": rows,
                 "vacuous": True, "interpreted": interpreted}
-    top = rows[worst([r["residual"] for r in rows])[1]]
+    top = rows.row(worst(rows.residual)[1])
     return {"id": ident, "gates": tuple(gates), "n_pairs": len(rows),
             "max_residual": top["residual"], "worst": top, "rows": rows,
             "vacuous": False, "interpreted": interpreted}

@@ -2,14 +2,18 @@
 
 Everything pointwise (pushforward, splittings, isometry residuals, the
 second fundamental form, shape operators, the O'Neill tensors T and A and
-their covariant derivatives) is built once as expression-valued *coordinate*
-tensors and then contracted numerically with frame vectors at sample points;
+their covariant derivatives) is computed as arrays of *coordinate* tensor
+components at a point set, and then contracted with frame vectors there;
 all of these objects are tensorial in each slot, so coordinate components
-determine them completely.
+determine them completely.  The source-side tensors (the O'Neill tensors,
+their covariant derivatives and the second fundamental form) come by the
+product rule from derivative arrays (metric, frame and map jets), once per
+point set, and only they are kept.
 
 Declared expression-valued adapted frames enable the derivative-level
-operations (nabla T, nabla A, trace terms); with per-point numeric frames
-only, those operations raise FramesRequired.
+operations (the projectors and O'Neill tensors, nabla T, nabla A, trace
+terms); with per-point numeric frames only, those operations raise
+FramesRequired.
 """
 
 from __future__ import annotations
@@ -20,26 +24,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import as_expr, differentiate, simplify, substitute
-from .expr.nodes import ZERO, is_const
 from .expr.tape import Tape
 from .geometry import (
     Chart,
     GeometryError,
+    LastPointSet,
     MetricField,
-    TensorField,
     VectorField,
-    _add,
-    _prod,
-    _symmetrized,
-    covariant_derivative,
-    covariant_derivative_tensor,
+    _sym,
+    by_blocks,
     field_values,
+    frozen,
+    jet_tape,
+    jet_values,
     matvec,
     on_pairs,
     orthonormalize,
     pair_form,
+    pdot,
     sym_einsum,
-    sym_zeros,
     tform,
     tvec,
     umbilic_gap,
@@ -89,11 +92,18 @@ class SmoothMap:
         self.jacobian = jac
         self._tape = None
         self._jtape = None
+        self._jets = None
 
     def tape(self):
         if self._tape is None:
             self._tape = Tape(self.comps, self.source.coords)
         return self._tape
+
+    def jets(self, points):
+        """`geometry.jet_values` of the components, with second derivatives."""
+        if self._jets is None:
+            self._jets = jet_tape(self.comps, self.source, second=True)
+        return jet_values(self._jets, points, self.source.dim, second=True)
 
     def jac_tape(self):
         if self._jtape is None:
@@ -150,25 +160,16 @@ def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> Vec
 
 
 class TensorAlongMap:
-    """Expression array of arbitrary shape over the source chart coordinates
-    (used for target-valued tensors like the second fundamental form)."""
+    """Expression array of any shape over the source chart coordinates, such
+    as the target components of F_* Y (`pushforward_along`)."""
 
     def __init__(self, F: SmoothMap, comps):
-        self.map = F
         self.comps = np.asarray(comps, dtype=object)
-        self._tape = None
-
-    def tape(self):
-        if self._tape is None:
-            self._tape = Tape(list(self.comps.flat), self.map.source.coords)
-        return self._tape
+        self._tape = Tape(list(self.comps.flat), F.source.coords)
 
     def values(self, points) -> np.ndarray:
         pts = np.atleast_2d(points)
-        return self.tape().evaluate(pts).reshape((len(pts),) + self.comps.shape)
-
-    def value_at(self, x) -> np.ndarray:
-        return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(self.comps.shape)
+        return self._tape.evaluate(pts).reshape((len(pts),) + self.comps.shape)
 
 
 class AdaptedFrames:
@@ -209,8 +210,9 @@ class Split:
 
 
 class MapGeometry:
-    """Bundle of (F, g_M, g_N, declared frames) with write-once caches for
-    every derived symbolic tensor the verification suites contract against."""
+    """Bundle of (F, g_M, g_N, declared frames): the split and the source
+    tensors of the last point set, and write-once caches of the symbolic
+    target projectors and of the jet tapes."""
 
     def __init__(self, F: SmoothMap, gM: MetricField, gN: MetricField,
                  frames: AdaptedFrames | None = None):
@@ -221,7 +223,8 @@ class MapGeometry:
         self.gN = gN
         self.frames = frames or AdaptedFrames()
         self._cache = {}
-        self._last_split = (None, None)  # (key of the point set, its Split)
+        self._last_split = LastPointSet()
+        self._last_source = LastPointSet()
 
     # -- declared-frame validation -------------------------------------------
     def validate_frames(self, points):
@@ -270,11 +273,7 @@ class MapGeometry:
         that split: the split of the last point set is kept, and asking
         again for the same set returns it.  Raises MapError naming the
         first point where a computed frame changes dimension."""
-        pts = np.array(np.atleast_2d(points), dtype=float)
-        key = (pts.shape, pts.tobytes())
-        if self._last_split[0] != key:
-            self._last_split = (key, self._split(pts))
-        return self._last_split[1]
+        return self._last_split.get(points, self._split)
 
     def split_at(self, x) -> Split:
         """The adapted frames at one point: `split` of the one-point set."""
@@ -313,24 +312,63 @@ class MapGeometry:
         pts = np.atleast_2d(points)
         return _jacobian_rank(pts, self.F.jac_values(pts))[0]
 
-    # -- symbolic coordinate tensors ---------------------------------------------
+    # -- source tensors at a point set -------------------------------------------
+    def oneill_T(self, points) -> np.ndarray:
+        """T[p, k, i, j] = (T(d_i, d_j))^k at the points."""
+        return self._source(points, ("T", False))
+
+    def oneill_A(self, points) -> np.ndarray:
+        """A[p, k, i, j] = (A(d_i, d_j))^k at the points."""
+        return self._source(points, ("A", False))
+
+    def nabla_oneill(self, which: str, points) -> np.ndarray:
+        """(nabla T)[p, k, l, i, j] = (nabla_{d_l} T)(d_i, d_j)^k (resp. A)."""
+        return self._source(points, (which, True))
+
+    def second_fundamental_form(self, points) -> np.ndarray:
+        """SFF[p, a, i, j] = (nabla F_*)(d_i, d_j)^a at the points."""
+        return self._source(points, "SFF")
+
+    def _source(self, points, key):
+        """The source tensor `key` at a point set, built on first use; those
+        of the last point set are kept, as `split` keeps its frames."""
+        memo = self._last_source.get(points, lambda pts: {"x": pts})
+        if key not in memo:
+            x = memo["x"]
+            memo[key] = frozen(self._sff(x) if key == "SFF" else self._oneill(x, *key))
+        return memo[key]
+
+    def _oneill(self, x, which, nabla):
+        """T or A, or with `nabla` its covariant derivative, at the points x
+        from the metric jets and Gamma_M there (`MetricField.at`) and the
+        declared vertical and horizontal frames' jets."""
+        fr = self.frames
+        if not fr.vertical or not fr.horizontal:
+            raise FramesRequired(
+                "source projectors need declared vertical and horizontal frames")
+        m = self.gM.at(x)
+        jets = [self.source_jets(f, x) for f in (fr.vertical, fr.horizontal)]
+
+        def block(s):
+            proj = [_projector(m, s, Jet(*(a[:, s] for a in f)), nabla) for f in jets]
+            O, dO = _oneill_tensor(m.gam[s], m.dgam(s) if nabla else None, proj, which == "A")
+            return _nabla(m.gam[s], O, dO) if nabla else O
+        return by_blocks(block, len(x)) if nabla else block(slice(None))
+
+    def _sff(self, x):
+        # d_i d_j F^a + Gamma_N^a_bc(F) d_i F^b d_j F^c - Gamma_M^k_ij d_k F^a
+        _, dF, ddF = self.F.jets(x)  # dF[:, i, a] = d_i F^a, ddF[:, i, j, a]
+        J, gamN = dF.swapaxes(1, 2), self.gN.at(self.F.values(x)).gam
+        return _sym(np.moveaxis(ddF, 3, 1) - pdot(J, self.gM.at(x).gam)
+                    + pdot(dF, pdot(gamN, J).swapaxes(1, 2)).swapaxes(1, 2))
+
+    # -- target projectors -------------------------------------------------------
     def _projector_from_fields(self, g, fields):
         """P^i_j = sum_f f^i (f^flat)_j with (f^flat)_j = g_jk f^k."""
         E = np.array([f.comps for f in fields], dtype=object)
         P = sym_einsum("fi,fj->ij", E, sym_einsum("jk,fk->fj", g.mat, E))
         P.flat = [g._simp(e) for e in P.flat]
         return P
-
-    def projectors(self):
-        """(P_V, P_H) on the source chart as (1,1) expression matrices."""
-        if "projs" not in self._cache:
-            if not self.frames.vertical or not self.frames.horizontal:
-                raise FramesRequired(
-                    "source projectors need declared vertical and horizontal frames")
-            PV = self._projector_from_fields(self.gM, self.frames.vertical)
-            PH = self._projector_from_fields(self.gM, self.frames.horizontal)
-            self._cache["projs"] = (PV, PH)
-        return self._cache["projs"]
 
     def target_projectors(self):
         """(P_range, P_perp) on the target chart."""
@@ -343,73 +381,6 @@ class MapGeometry:
             self._cache["tprojs"] = (PR, PP)
         return self._cache["tprojs"]
 
-    def oneill_T(self) -> TensorField:
-        """T[k,i,j] = (T(d_i, d_j))^k."""
-        if "T" not in self._cache:
-            self._cache["T"] = self._oneill(vertical_direction=True)
-        return self._cache["T"]
-
-    def oneill_A(self) -> TensorField:
-        """A[k,i,j] = (A(d_i, d_j))^k."""
-        if "A" not in self._cache:
-            self._cache["A"] = self._oneill(vertical_direction=False)
-        return self._cache["A"]
-
-    def _oneill(self, vertical_direction: bool) -> TensorField:
-        PV, PH = self.projectors()
-        g = self.gM
-        n = g.chart.dim
-        out = sym_zeros((n, n, n))
-        Pdir = PV if vertical_direction else PH
-        for i in range(n):
-            Di = [Pdir[k, i] for k in range(n)]
-            if all(is_const(c, 0.0) for c in Di):
-                continue
-            for j in range(n):
-                Vj = [PV[k, j] for k in range(n)]
-                Hj = [PH[k, j] for k in range(n)]
-                nv = covariant_derivative(g, Di, Vj)
-                nh = covariant_derivative(g, Di, Hj)
-                for k in range(n):
-                    acc = ZERO  # the two projections interleave term by term
-                    for m in range(n):
-                        acc = _add(acc, _prod(PH[k, m], nv.comps[m]))
-                        acc = _add(acc, _prod(PV[k, m], nh.comps[m]))
-                    out[k, i, j] = g._simp(acc)
-        return TensorField(g.chart, (1, 2), out)
-
-    def nabla_oneill(self, which: str) -> TensorField:
-        """(nabla T)[k, l, i, j] (resp. A): derivative index first among the
-        covariant slots, as in geometry.covariant_derivative_tensor."""
-        key = f"nabla_{which}"
-        if key not in self._cache:
-            T = self.oneill_T() if which == "T" else self.oneill_A()
-            self._cache[key] = covariant_derivative_tensor(self.gM, T)
-        return self._cache[key]
-
-    def second_fundamental_form(self) -> TensorAlongMap:
-        """SFF[a, i, j]: target-valued (0,2) tensor over source coordinates,
-        (nabla F_*)(d_i, d_j)^a = d_i d_j F^a
-        + Gamma'^a_{bc}(F) d_i F^b d_j F^c - Gamma^k_{ij} d_k F^a."""
-        if "SFF" not in self._cache:
-            F, gM, gN = self.F, self.gM, self.gN
-            ns, nt = F.source.dim, F.target.dim
-            gamM = gM.christoffel().comps
-            gamN = gN.christoffel().comps
-            gamN_pulled = np.empty((nt, nt, nt), dtype=object)
-            for idx in np.ndindex(nt, nt, nt):
-                gamN_pulled[idx] = (ZERO if is_const(gamN[idx], 0.0)
-                                    else F.pull_expr(gamN[idx]))
-            acc = sym_zeros((nt, ns, ns))  # upper triangle only
-            for a in range(nt):
-                for i in range(ns):
-                    for j in range(i, ns):
-                        acc[a, i, j] = differentiate(F.jacobian[a, i], F.source.coords[j])
-            acc = sym_einsum("abc,bi,cj->aij", gamN_pulled, F.jacobian, F.jacobian, acc=acc)
-            acc = sym_einsum("kij,ak->aij", gamM, F.jacobian, acc=acc, sign=-1)
-            self._cache["SFF"] = TensorAlongMap(F, _symmetrized(acc, gM._simp))
-        return self._cache["SFF"]
-
     def shape_tensors(self, points) -> np.ndarray:
         """`shape_operator` of each normal-frame field e_k at y = F(x) of the
         points: (P, n1, n, n), [p, k, a, c] = -(P_range nabla^N_{d_c} e_k)^a."""
@@ -418,7 +389,7 @@ class MapGeometry:
         s = self.split(points)
         PR = np.matmul(s.range.transpose(0, 2, 1), np.matmul(s.range, s.GN))  # sum_f f (g f)^T
         E = self.target_jets(self.frames.normal, s.y)
-        return np.moveaxis(shape_operator(PR, self.gN.christoffel().values(s.y), E), 0, 1)
+        return np.moveaxis(shape_operator(PR, self.gN.at(s.y).gam, E), 0, 1)
 
     def target_jets(self, fields, y, hessian=False) -> Jet:
         """The Jet of k target fields at the points y (with `hessian`, second
@@ -426,25 +397,19 @@ class MapGeometry:
         return self._jets(self.gN.chart, fields, y, hessian)
 
     def source_jets(self, fields, x) -> Jet:
-        """The Jet (values and first derivatives) of k source fields at the
-        points x, from one tape per list built on first use."""
-        return self._jets(self.gM.chart, fields, x, False)
+        """The Jet (values, first and second derivatives) of k source fields
+        at the points x, from one tape per list built on first use."""
+        return self._jets(self.gM.chart, fields, x, True)
 
     def _jets(self, chart, fields, pts, hessian) -> Jet:
-        n = chart.dim
-        key = ("jets", chart, tuple(fields), hessian)
+        key, k, n = ("jets", chart, tuple(fields), hessian), len(fields), chart.dim
         if key not in self._cache:
-            exprs = []
-            for W in fields:
-                d = [[differentiate(c, a) for a in chart.coords] for c in W.comps]
-                exprs += [*W.comps, *(e for row in d for e in row)]
-                if hessian:  # d_j d_i W^k, taken for i <= j
-                    dd = {(k, i, j): differentiate(d[k][i], chart.coords[j])
-                          for k, i, j in np.ndindex(n, n, n) if i <= j}
-                    exprs += [dd[k, min(i, j), max(i, j)] for k, i, j in np.ndindex(n, n, n)]
-            self._cache[key] = Tape(exprs, chart.allvars)
-        vals = self._cache[key].evaluate(pts).reshape(len(pts), len(fields), -1)
-        return Jet(*unpack(np.moveaxis(vals, 1, 0), [(n,), (n, n), (n, n, n)][:2 + hessian]))
+            self._cache[key] = jet_tape([c for W in fields for c in W.comps], chart, hessian)
+        v, d, dd = jet_values(self._cache[key], pts, n, hessian)
+        P = len(v)  # each field's blocks contiguous, as the contractions read them
+        return Jet(*(None if a is None else np.ascontiguousarray(a) for a in (
+            v.reshape(P, k, n).swapaxes(0, 1), d.reshape(P, n, k, n).transpose(2, 0, 3, 1),
+            None if dd is None else dd.reshape(P, n, n, k, n).transpose(3, 0, 4, 1, 2))))
 
 
 class Jet(NamedTuple):
@@ -472,6 +437,63 @@ def connection_on_pairs(gam, F: Jet) -> np.ndarray:
 def shape_operator(PR, gam, D: Jet) -> np.ndarray:
     """S_D [a, c] = -(P_range nabla_{d_c} D)^a from P_range, Gamma_N and D."""
     return -np.matmul(PR, D.d + tvec(gam, D.v, 2))
+
+
+def _projector(m, s, f: Jet, second=False):
+    """(P, dP, ddP) for P = S G, S = sum_f f f^T over the frame fields f,
+    with dP[:, a] = d_a P and, with `second`, ddP[:, a, b] = d_a d_b P (else
+    None), at the points of the slice s, by the product rule from the metric
+    jets m (`MetricAt`) and f's jets with second derivatives there."""
+    F = np.moveaxis(f.v, 0, 2)  # [i, f]: the columns f
+    dF, Ft = f.d.transpose(1, 3, 2, 0), F.swapaxes(1, 2)  # dF[a, i, f] = d_a f^i
+    G, dG, S, Y = m.G[s], m.dG[s], pdot(F, Ft), pdot(dF, Ft)
+    dS = Y + Y.swapaxes(2, 3)
+    P, dP = pdot(S, G), pdot(dS, G) + pdot(S, dG.swapaxes(1, 2)).swapaxes(1, 2)
+    if not second:
+        return P, dP, None
+    # summed in place, as each term is n**4-sized: d_a d_b S = W + W^T with
+    # W = d_a d_b F . F^T + d_a F . d_b F^T, and d_a d_b P = d_a d_b S . G
+    # + d_a S . d_b G + d_b S . d_a G + S . d_a d_b G
+    W = pdot(f.dd.transpose(1, 3, 4, 2, 0), Ft)
+    W += pdot(dF, dF.transpose(0, 3, 1, 2)).transpose(0, 1, 3, 2, 4)
+    W += W.swapaxes(3, 4)
+    ddP, V = pdot(W, G), pdot(dS, dG.swapaxes(1, 2)).transpose(0, 1, 3, 2, 4)
+    ddP += V
+    ddP += V.swapaxes(1, 2)
+    ddP += np.moveaxis(pdot(S, m.ddG(s).transpose(0, 3, 1, 2, 4)), 1, 3)
+    return P, dP, ddP
+
+
+def _oneill_tensor(gam, dgam, projectors, horizontal):
+    """O = P_H X(P_V) + P_V X(P_H) [k, i, j] with X(Q)[m, i, j] =
+    (nabla_{D d_i} (Q d_j))^m along D = P_V (T) or, if `horizontal`, P_H
+    (A); and, where dgam = d Gamma is given, d_l O [l, k, i, j]."""
+    (PV, dPV, ddPV), (PH, dPH, ddPH) = projectors
+    D, dD, _ = projectors[horizontal]
+    O, dO = 0.0, 0.0
+    for Q, dQ, ddQ, R, dR in ((PV, dPV, ddPV, PH, dPH), (PH, dPH, ddPH, PV, dPV)):
+        N = dQ.swapaxes(1, 2) + pdot(gam, Q)  # [m, a, j] = (nabla_{d_a} Q d_j)^m
+        X = pdot(D.swapaxes(1, 2), N.swapaxes(1, 2)).swapaxes(1, 2)
+        O = O + pdot(R, X)
+        if dgam is not None:  # the n**4-sized terms summed in place
+            dN = pdot(dgam, Q)
+            dN += ddQ.swapaxes(2, 3)
+            dN += pdot(gam, dQ.swapaxes(1, 2)).transpose(0, 3, 1, 2, 4)
+            dX = pdot(D.swapaxes(1, 2), dN.transpose(0, 3, 1, 2, 4)).transpose(0, 2, 3, 1, 4)
+            dX += pdot(dD.swapaxes(2, 3), N.swapaxes(1, 2)).transpose(0, 1, 3, 2, 4)
+            dO = dO + pdot(R, dX.swapaxes(1, 2)).swapaxes(1, 2)
+            dO += pdot(dR, X)
+    return O, None if dgam is None else dO
+
+
+def _nabla(gam, O, dO):
+    """(nabla O)[k, l, i, j] = d_l O^k_ij + Gamma^k_lm O^m_ij - Gamma^m_li O^k_mj
+    - Gamma^m_lj O^k_im for (1,2) tensors O [k, i, j] with d_l O [l, k, i, j]."""
+    out = pdot(gam, O)
+    out += dO.swapaxes(1, 2)
+    out -= pdot(O.swapaxes(2, 3), gam).transpose(0, 1, 3, 4, 2)
+    out -= pdot(O, gam).transpose(0, 1, 3, 2, 4)
+    return out
 
 
 def _jacobian_rank(points, J):
@@ -562,7 +584,7 @@ def umbilical_fit(mg: MapGeometry, points):
     if H.shape[1] == 0:
         return (np.ma.masked_array(np.zeros(len(H)), True),
                 np.zeros((len(H), mg.gN.chart.dim)))
-    vals = on_pairs(mg.second_fundamental_form().values(s.x), H)  # (P, k, l, target)
+    vals = on_pairs(mg.second_fundamental_form(s.x), H)  # (P, k, l, target)
     gm = pair_form(H, s.GM)
     Hs = np.sum(gm[..., None] * vals, axis=(1, 2)) / np.sum(gm * gm, axis=(1, 2))[:, None]
     return np.ma.masked_array(umbilic_gap(vals, gm, Hs, s.GN), False), Hs
@@ -574,4 +596,4 @@ def fiber_mean_curvature(mg: MapGeometry, points) -> np.ndarray:
     r0 = s.vertical.shape[1]
     if r0 == 0:
         raise MapError("fiber mean curvature needs a nonzero-dimensional kernel")
-    return np.sum(tform(mg.oneill_T().values(s.x)[:, None], s.vertical, s.vertical), axis=1) / r0
+    return np.sum(tform(mg.oneill_T(s.x)[:, None], s.vertical, s.vertical), axis=1) / r0

@@ -27,6 +27,7 @@ from .geometry import (
     on_pairs,
     orthonormal_frames,
     pair_form,
+    ricci,
     umbilic_gap,
     vdot,
 )
@@ -61,13 +62,12 @@ class SolitonConfig:
         else:
             self._half_lie = lie_derivative_metric(g, xi)
             self._half_lie_scale = 0.5
-        self._ric = g.ricci()
 
     def term_values(self, points):
         """(half_lie, alpha*ric, g) values at points, each (P, n, n)."""
         pts = np.atleast_2d(points)
         L = self._half_lie.values(pts) * self._half_lie_scale
-        R = self._ric.values(pts) * self.alpha
+        R = ricci(self.g, pts) * self.alpha
         G = self.g.values(pts)
         return L, R, G
 
@@ -163,7 +163,7 @@ def check_clairaut_source(cc: ClairautConfig, points):
     V, GM = s.vertical, s.GM
     if V.shape[1] == 0:
         raise MapError("check_clairaut_source: empty kernel at all sample points")
-    Tv = on_pairs(mg.oneill_T().values(s.x), V)
+    Tv = on_pairs(mg.oneill_T(s.x), V)
     gv = pair_form(V, GM)
     res = umbilic_gap(Tv, gv, -gradf.values(s.x), GM)
     # umbilicity: H = trace(T)/r0, residual of T - g H
@@ -191,7 +191,7 @@ def check_clairaut_target(cc: ClairautConfig, points):
     H = s.horizontal
     if H.shape[1] == 0:
         return res, np.ma.masked_array(np.zeros(len(H)), True)
-    sff = on_pairs(mg.second_fundamental_form().values(s.x), H)
+    sff = on_pairs(mg.second_fundamental_form(s.x), H)
     umb = umbilic_gap(sff, pair_form(H, s.GM), -gradg.values(s.y), GN)
     return res, np.ma.masked_array(umb, False)
 

@@ -16,12 +16,14 @@ from .geometry import (
     GeometryError,
     MetricField,
     TensorField,
-    covariant_derivative_tensor,
     field_values,
     gnorm,
+    jet_tape,
+    jet_values,
     matvec,
     orthonormal_frames,
     pair_form,
+    pdot,
     qform,
     sym_einsum,
 )
@@ -49,6 +51,7 @@ class AlmostComplexStructure:
         for i, j in np.ndindex(mat.shape):
             self.mat[i, j] = as_expr(mat[i, j])
         self._tensor = TensorField(chart, (1, 1), self.mat)
+        self._jets = None
 
     @classmethod
     def from_frame(cls, g: MetricField, frame_fields, action):
@@ -106,7 +109,7 @@ def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.
 def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
     """Per point, the max over orthonormal-frame pairs of |(nabla_X J) Y|_g."""
     pts = np.atleast_2d(points)
-    NJ = nabla_J(g, J).values(pts)  # (p, k, l, j):  (nabla_{d_l} J)^k_j
+    NJ = nabla_J(g, J, pts)  # (p, k, l, j):  (nabla_{d_l} J)^k_j
     G = g.values(pts)
     E = orthonormal_frames(G)
     M = np.einsum("pklj,pal->pakj", NJ, E)  # M[p, a] = nabla_{X_a} J
@@ -114,13 +117,16 @@ def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.nda
     return np.max(gnorm(W, G[:, None, None]), axis=(1, 2))
 
 
-def nabla_J(g: MetricField, J: AlmostComplexStructure) -> TensorField:
-    """(nabla J)[k, l, j] = (nabla_{d_l} J)(d_j)^k, built once per metric and
-    structure and kept in the metric's write-once cache."""
-    key = ("nabla_J", J)
-    if key not in g._cache:
-        g._cache[key] = covariant_derivative_tensor(g, J.tensor())
-    return g._cache[key]
+def nabla_J(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
+    """(nabla J)[p, k, l, j] = (nabla_{d_l} J)(d_j)^k = d_l J^k_j
+    + Gamma^k_lm J^m_j - Gamma^m_lj J^k_m at the points, from one jet tape
+    of J, built once per structure, and Gamma of g there (`MetricField.at`)."""
+    if J._jets is None:
+        J._jets = jet_tape(list(J.mat.flat), J.chart)
+    n, gam = J.chart.dim, g.at(points).gam
+    v, d, _ = jet_values(J._jets, points, n)
+    Jv = v.reshape(-1, n, n)
+    return d.reshape(-1, n, n, n).swapaxes(1, 2) + pdot(gam, Jv) - pdot(Jv, gam)
 
 
 def _side(mg, s, side):

@@ -23,6 +23,7 @@ from .geometry import (
     on_pairs,
     orthonormal_frames,
     qform,
+    ricci,
     tform,
     vdot,
     worst,
@@ -292,7 +293,7 @@ def check_oneill(ctx):
     mg = ctx.mg
     sp = mg.split(ctx.points)
     V, H, GM, GN = sp.vertical, sp.horizontal, sp.GM, sp.GN
-    Tv, Av = mg.oneill_T().values(sp.x), mg.oneill_A().values(sp.x)
+    Tv, Av = mg.oneill_T(sp.x), mg.oneill_A(sp.x)
     fr = mg.frames
     P, n = len(sp.x), mg.gM.chart.dim
     at = {}  # every value of each term, (P, ...) arrays
@@ -307,7 +308,7 @@ def check_oneill(ctx):
     at["T_vertical_sym"] = np.abs(tv - tv.transpose(0, 2, 1, 3))
     av = on_pairs(Av, H)
     at["A_horizontal_antisym"] = np.abs(av + av.transpose(0, 2, 1, 3))
-    gam = mg.gM.christoffel().values(sp.x)
+    gam = mg.gM.at(sp.x).gam
     for key, fields, F, Op in (("lemma1_vertical", fr.vertical, V, Tv),
                                ("lemma1_horizontal", fr.horizontal, H, Av)):
         # nabla_{F_a} F_b = its O'Neill part + its projection on span F
@@ -321,7 +322,7 @@ def check_oneill(ctx):
     at["shape_duality"] = np.zeros((P, 0))
     if fr.normal:
         push = np.matmul(sp.Jac, H.transpose(0, 2, 1)).transpose(0, 2, 1)
-        sffH = on_pairs(mg.second_fundamental_form().values(sp.x), H)
+        sffH = on_pairs(mg.second_fundamental_form(sp.x), H)
         SX = np.matmul(push[:, None], mg.shape_tensors(sp.x).swapaxes(-1, -2))  # S_D F_*X_k
         lhs = qform(SX[:, :, :, None], GN[:, None, None, None], push[:, None, None])
         rhs = qform(sp.normal[:, :, None, None], GN[:, None, None, None], sffH[:, None])
@@ -361,7 +362,7 @@ def check_soliton_solve(ctx):
 
 
 def check_einstein_full(ctx):
-    ric = ctx.g.ricci().values(ctx.points)
+    ric = ricci(ctx.g, ctx.points)
     gv = ctx.g.values(ctx.points)
     lam, res = fit_einstein(ric, gv, orthonormal_frames(gv))
     return CheckResult("einstein", _verdict(res, ctx.tol), res, ctx.tol,
@@ -401,7 +402,7 @@ def check_ricci_values(ctx):
     if not expects:
         raise SpecError("ricci_values needs 'expect ricci A B VALUE' lines")
     pts = ctx.points
-    ric = ctx.g.ricci().values(pts)
+    ric = ricci(ctx.g, pts)
     rows, gaps = [], []
     for (na, nb, stated) in expects:
         A = ctx.cfg.field(ctx.chart.name, na).values(pts)
@@ -488,6 +489,10 @@ def check_geodesic(ctx):
     geo = ctx.cfg.check["geodesic"]
     if geo is None:
         raise SpecError("geodesic check needs a 'geodesic ...' line")
+    for key in ("from", "dir"):
+        if len(geo.get(key, ())) != ctx.chart.dim:
+            raise SpecError(f"geodesic {key} needs {ctx.chart.dim} values, the dimension of chart "
+                            f"{ctx.chart.name}; got {len(geo[key]) if key in geo else 'none'}")
     p0 = dict(zip(ctx.chart.coords, geo["from"]))
     traj = geodesic_integrate(ctx.g, p0, np.array(geo["dir"]),
                               t_end=geo.get("t", 10.0), dt=geo.get("dt", 1e-3))

@@ -197,3 +197,9 @@ def warped_clairaut(h="0.3*x3*x4"):
     act[1, 3] = -1.0  # J X2 = -U2
     J = AlmostComplexStructure.from_frame(gM, [U1, U2, X1, X2], act.astype(object))
     return mg, J, M.parse(h)
+
+
+def all_rows(res):
+    """Every row of an identity check's result as the dict a report reads for
+    its worst row, in (point, a, b) order."""
+    return [res["rows"].row(i) for i in range(len(res["rows"]))]

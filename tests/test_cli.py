@@ -170,3 +170,34 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     main(["catalog", "run", "gaussian-soliton", "--machine", "--report", str(path1)])
     parsed = json.loads(path1.read_text())
     assert parsed["config"]["seed"] == 11
+
+
+FLAT_GEODESIC = """
+manifold P
+  coords x y
+  metric diag 1, 1
+end
+check
+  suite geodesic metric
+  geodesic {line} t 0.5 dt 0.01
+end
+"""
+
+
+@pytest.mark.parametrize("line,got", [
+    ("from 0.5,0.5,0.9 dir 1,0", ("from", "3")),
+    ("from 0.5 dir 1,0", ("from", "1")),
+    ("from 0.5,0.5 dir 1,0,0", ("dir", "3")),
+    ("dir 1,0", ("from", "none")),
+    ("from 0.5,0.5", ("dir", "none")),
+], ids=["from-3-values", "from-1-value", "dir-3-values", "no-from", "no-dir"])
+def test_cli_geodesic_values_must_match_the_chart_dimension(tmp_path, capsys, line, got):
+    """A geodesic start or direction with too few, too many or no values is a
+    spec error naming the key, the chart dimension and the count given."""
+    spec = tmp_path / "flat.spec"
+    spec.write_text(FLAT_GEODESIC.format(line=line))
+    assert main(["check", str(spec)]) == 2
+    key, count = got
+    assert capsys.readouterr().err == (
+        f"riemcheck: configuration error: geodesic {key} needs 2 values, the dimension "
+        f"of chart P; got {count}\n")

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from riemcheck import geometry, soliton, structure
 from riemcheck.catalog import load, names
-from riemcheck.geometry import GeometryError, orthonormal_frames
+from riemcheck.geometry import GeometryError, orthonormal_frames, ricci
 from riemcheck.report import PASS
 from riemcheck.suites import _Ctx, run_suite
 
@@ -90,7 +90,7 @@ def loop_check_conformal(g, X, restriction, points):
 
 def loop_kahler_residual(g, J, points):
     pts = np.atleast_2d(points)
-    NJ = structure.nabla_J(g, J).values(pts)
+    NJ = structure.nabla_J(g, J, pts)
     G = g.values(pts)
     out = np.empty(len(pts))
     for p, vecs in enumerate(orthonormal_frames(G)):
@@ -184,7 +184,7 @@ def test_stacked_contractions_match_the_per_point_loops(P, n, seed, data):
     with mock.patch.object(soliton, "lie_derivative_metric", lambda g, X: Stack(LX)):
         assert_agree(outcome(soliton.check_conformal, Stack(G), None, restriction, pts),
                      outcome(loop_check_conformal, Stack(G), None, restriction, pts))
-    with mock.patch.object(structure, "nabla_J", lambda g, J: Stack(NJ)):
+    with mock.patch.object(structure, "nabla_J", lambda g, J, points: NJ):
         assert_agree(outcome(structure.kahler_residual, Stack(G), None, pts),
                      outcome(loop_kahler_residual, Stack(G), None, pts))
 
@@ -200,7 +200,7 @@ def test_catalog_contractions_match_the_per_point_loops(entry):
     g = ctx.g
     gv = g.values(pts)
     pairs.append((soliton.fit_einstein, loop_fit_einstein,
-                   (g.ricci().values(pts), gv, orthonormal_frames(gv))))
+                   (ricci(g, pts), gv, orthonormal_frames(gv))))
     if ctx.J is not None:
         pairs.append((structure.kahler_residual, loop_kahler_residual, (g, ctx.J, pts)))
     if ctx.Jp is not None:

@@ -38,6 +38,7 @@ from riemcheck.propcheck import (
 )
 
 from paper_fixtures import (
+    all_rows,
     diag_metric,
     example31,
     example41,
@@ -172,7 +173,7 @@ def test_example31_ric_uv_discrepancy_frozen(ex31):
     pts = mg.gM.chart.sample_points(5, seed=7)
     case = PropositionCase(mg, pts, J=J, f=f)
     res = verify_identity(case, "ric_uv")
-    first = [r for r in res["rows"] if r["pair"] == ("u1", "u1")][0]
+    first = [r for r in all_rows(res) if r["pair"] == ("u1", "u1")][0]
     assert first["lhs"] == pytest.approx(-3.0, abs=1e-9)
     assert first["terms"]["ric_range"] == pytest.approx(-1.0, abs=1e-9)
     assert first["terms"]["r_hess_f"] == pytest.approx(2.0, abs=1e-9)
@@ -191,8 +192,8 @@ def test_example41_ric_fxfy_partial_agreement(ex41):
     pts = mg.gM.chart.sample_points(5, seed=8)
     case = PropositionCase(mg, pts, Jp=Jp, gfun=gfun)
     res = verify_identity(case, "ric_fxfy")
-    r11 = [r for r in res["rows"] if r["pair"] == ("F1", "F1")][0]
-    r22 = [r for r in res["rows"] if r["pair"] == ("F2", "F2")][0]
+    r11 = [r for r in all_rows(res) if r["pair"] == ("F1", "F1")][0]
+    r22 = [r for r in all_rows(res) if r["pair"] == ("F2", "F2")][0]
     assert r11["residual"] <= 1e-9
     assert r22["lhs"] == pytest.approx(-2.0, abs=1e-9)
     assert r22["rhs"] == pytest.approx(0.0, abs=1e-9)
@@ -235,7 +236,7 @@ def test_alpha_soliton_range_warped_bookkeeping():
     case = PropositionCase(mg, pts, J=J, f=h, eta=eta, lam=0.3)
     res = verify_alpha_soliton_on_range(case)
     assert res["n_pairs"] > 0
-    for row in res["rows"]:
+    for row in all_rows(res):
         assert row["terms"]["bookkeeping_gap"] <= 1e-9
     gates = case.gates(res["gates"])
     assert not gates["source_soliton"][0]
@@ -276,7 +277,7 @@ def test_polar_kahler_identities():
     assert verify_identity(case, "ric_ux")["max_residual"] <= 1e-10
     res = verify_identity(case, "ric_xy")
     gaps = {}
-    for row in res["rows"]:
+    for row in all_rows(res):
         x = pts[row["point"]]
         expect = (np.sin(x[1]) ** 2) / x[0] ** 2 if row["pair"] == ("X2", "X2") \
             else (np.cos(x[1]) ** 2) / x[0] ** 2 if row["pair"] == ("X3", "X3") \
@@ -342,7 +343,7 @@ def test_range_ricci_is_evaluated_at_the_image_point():
     pts = mg.gM.chart.sample_points(4, seed=7)
     res = verify_identity(PropositionCase(mg, pts, J=J), "lric_uv")
     assert res["n_pairs"] == 12
-    for row in res["rows"]:
+    for row in all_rows(res):
         x = pts[row["point"]]
         sp = mg.split_at(x)
         a, b = (int(label[1:]) - 1 for label in row["pair"])
@@ -453,7 +454,7 @@ def test_identity_contractions_run_once_per_point(ident, ex31, monkeypatch):
         calls[npts] = (len(operand_counts), len(matmuls))
         assert all(k < 5 for k in operand_counts)
         assert row_marks == [sum(calls[npts])] and res["n_pairs"] > 0
-        assert {r["point"] for r in res["rows"]} == set(range(npts))
+        assert {r["point"] for r in all_rows(res)} == set(range(npts))
     assert calls[4] == calls[2]
     assert sum(calls[4]) > 0
 
@@ -529,10 +530,10 @@ def test_batching_is_invisible(entry, seed, P):
         if isinstance(batch, tuple):
             assert all(s == batch for s in singles), (ident, batch, singles)
             continue
-        rows = [(i, r) for i, s in enumerate(singles) for r in s["rows"]]
-        assert [(r["point"], r["pair"]) for r in batch["rows"]] == \
+        rows = [(i, r) for i, s in enumerate(singles) for r in all_rows(s)]
+        assert [(r["point"], r["pair"]) for r in all_rows(batch)] == \
             [(i, r["pair"]) for i, r in rows], ident
-        for got, (_, want) in zip(batch["rows"], rows):
+        for got, (_, want) in zip(all_rows(batch), rows):
             assert list(got["terms"]) == list(want["terms"]), ident
             for key in ("lhs", "rhs", "residual"):
                 assert _close(got[key], want[key]), (ident, key, got, want)

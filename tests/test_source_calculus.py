@@ -1,0 +1,207 @@
+"""The numeric source-side tensors against their oracles: Ricci and scalar
+curvature of `MetricField.at` against the finite-difference pipeline and the
+symbolic bodies of `source_calculus_oracle`, on every catalog metric, on the
+restricted leaves the identity checks use, on H^2 x H^2 and on the Heisenberg
+metric; the O'Neill tensors, their covariant derivatives and the second
+fundamental form of `MapGeometry` against the symbolic oracle; and the rule
+that each metric's jets are evaluated once per point set."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import source_calculus_oracle as oracle
+from fd_oracle import fd_ricci, fd_scalar
+from paper_fixtures import diag_metric, vf
+from riemcheck import catalog, suites
+from riemcheck.expr import Tape
+from riemcheck.geometry import Chart, MetricField, ricci, scalar_curvature
+from riemcheck.propcheck import UnsupportedDistribution
+from riemcheck.rmap import AdaptedFrames, MapGeometry, SmoothMap
+from test_geometry import heisenberg
+from test_rmap import heisenberg_submersion
+
+REL = 1e-12
+
+
+def close(got, want, rel=REL):
+    return float(np.max(np.abs(got - want))) <= rel * max(1.0, float(np.max(np.abs(want))))
+
+
+def h2xh2():
+    """The product of two hyperbolic planes, Ric = -g."""
+    chart = Chart("H2xH2", ["x", "s", "y", "t"])
+    return diag_metric(chart, ["exp(-2*s)", "1", "exp(-2*t)", "1"])
+
+
+def _leaves():
+    """The restricted geometries of the catalog's identity cases, by name."""
+    out = {}
+    for name in ("paper-3.1", "paper-4.1", "flat-lagrangian", "polar-kahler", "warped-clairaut"):
+        cfg = catalog.load(name)
+        case = suites._Ctx(cfg, 7, 4, cfg.check["tol"], cfg.check["box"]).case()
+        for part in ("ker_rg", "range_rg", "perp_rg"):
+            try:
+                out[f"{name}:{part}"] = (case, getattr(case, part), part)
+            except UnsupportedDistribution:
+                continue
+    return out
+
+
+LEAVES = _leaves()
+METRICS = (["heisenberg", "h2xh2"]
+           + [f"{name}:{chart}" for name in catalog.names() for chart in catalog.load(name).metrics])
+
+
+def _metric_case(case):
+    """(metric, points over its chart's variables, metric function of its
+    coordinates at the first point's params)."""
+    if case in LEAVES:
+        c, rg, part = LEAVES[case]
+        at = c.pts if part == "ker_rg" else c.mg.F.values(c.pts)
+        g, pts = rg.metric, rg.reorder(at)
+    else:
+        g = heisenberg() if case == "heisenberg" else h2xh2() if case == "h2xh2" else \
+            catalog.load(case.split(":")[0]).metrics[case.split(":")[1]]
+        pts = g.chart.sample_points(4, seed=19)
+    n = g.chart.dim
+    return g, pts, lambda x: g.value_at(np.concatenate([x, pts[0, n:]]))
+
+
+@pytest.mark.parametrize("case", METRICS + sorted(LEAVES))
+def test_ricci_and_scalar_match_the_symbolic_and_fd_oracles(case):
+    g, pts, fn = _metric_case(case)
+    ric, s = ricci(g, pts), scalar_curvature(g, pts)
+    assert close(ric, oracle.ricci(g).values(pts)), "ricci"
+    want_s = Tape([oracle.scalar_curvature(g)], g.chart.allvars).evaluate(pts)[:, 0]
+    assert close(s, want_s), "scalar"
+    n = g.chart.dim
+    x = pts[0, :n]
+    scale = max(1.0, float(np.max(np.abs(ric[0]))))
+    assert np.max(np.abs(ric[0] - fd_ricci(fn, x))) / scale <= 1e-5, "fd ricci"
+    assert abs(s[0] - fd_scalar(fn, x)) / max(1.0, abs(s[0])) <= 1e-5, "fd scalar"
+    if case == "h2xh2":
+        assert np.max(np.abs(ric + g.values(pts))) <= 1e-12
+        assert np.max(np.abs(s + 4.0)) <= 1e-12
+
+
+def test_the_curvature_cases_are_not_all_flat():
+    curved = {case for case in METRICS + sorted(LEAVES)
+              if np.max(np.abs(ricci(*_metric_case(case)[:2]))) > 0.1}
+    assert {"heisenberg", "h2xh2", "paper-3.1:M", "paper-4.1:N"} <= curved
+    assert any(case in curved for case in LEAVES), sorted(curved)
+
+
+def warped_heisenberg():
+    """(x, y, z) -> (x, y) for g = dx^2 + dy^2 + e^{2x} (dz - x dy)^2: the
+    fibers are warped (T is not 0) and the horizontal space d_x, d_y + x d_z
+    is not integrable (A is not 0)."""
+    M, N = Chart("WHeis", ["x", "y", "z"]), Chart("R2w", ["u", "v"])
+    e = M.parse
+    gM = MetricField(M, [[1.0, 0.0, 0.0], [0.0, e("1 + x^2*exp(2*x)"), e("-x*exp(2*x)")],
+                         [0.0, e("-x*exp(2*x)"), e("exp(2*x)")]])
+    F = SmoothMap(M, N, [e("x"), e("y")], section=[N.parse(c) for c in ("u", "v", "0")])
+    frames = AdaptedFrames(vertical=[vf(M, ["0", "0", "exp(-x)"])],
+                           horizontal=[vf(M, ["1", "0", "0"]), vf(M, ["0", "1", "x"])])
+    return MapGeometry(F, gM, diag_metric(N, ["1", "1"]), frames)
+
+
+def sheared():
+    """(x, y, z) -> (x, z - x y^2 / 2) with a vertical frame that turns
+    with x y: the projectors have nonzero second derivatives, which the
+    other maps' projectors (linear in the coordinates, or constant) lack."""
+    M, N = Chart("Sh", ["x", "y", "z"]), Chart("Sh2", ["u", "v"])
+    r = "sqrt(1 + x^2*y^2)"
+    frames = AdaptedFrames(vertical=[vf(M, ["0", f"1/{r}", f"x*y/{r}"])],
+                           horizontal=[vf(M, ["exp(-0.5*x)", "0", "0"]),
+                                       vf(M, ["0", f"-x*y/{r}", f"1/{r}"])])
+    return MapGeometry(SmoothMap(M, N, [M.parse("x"), M.parse("z - 0.5*x*y^2")]),
+                       diag_metric(M, ["exp(x)", "1", "1"]), diag_metric(N, ["1", "1"]), frames)
+
+
+MAPS = {"heisenberg": heisenberg_submersion, "warped-heisenberg": warped_heisenberg,
+        "sheared": sheared}
+
+
+def _map(case):
+    return MAPS[case]() if case in MAPS else catalog.load(case).map_geometry()
+
+
+def _source_tensors(mg, x):
+    """(name, numeric values, symbolic oracle values) of each source tensor."""
+    return [("T", mg.oneill_T(x), oracle.oneill(mg, "T").values(x)),
+            ("A", mg.oneill_A(x), oracle.oneill(mg, "A").values(x)),
+            ("nabla T", mg.nabla_oneill("T", x), oracle.nabla_oneill(mg, "T").values(x)),
+            ("nabla A", mg.nabla_oneill("A", x), oracle.nabla_oneill(mg, "A").values(x)),
+            ("SFF", mg.second_fundamental_form(x),
+             oracle.second_fundamental_form(mg).values(x))]
+
+
+def test_oneill_tensors_and_sff_match_the_symbolic_oracle():
+    """Every tensor agrees with the oracle on each map, and each is far from
+    zero on the warped Heisenberg and the sheared maps."""
+    largest = Counter()
+    for case in ("paper-3.1", "paper-4.1", "heisenberg", "warped-heisenberg", "sheared"):
+        mg = _map(case)
+        x = mg.gM.chart.sample_points(5, seed=23)
+        for name, got, want in _source_tensors(mg, x):
+            assert got.shape == want.shape, (case, name)
+            assert close(got, want), (case, name, np.max(np.abs(got - want)))
+            largest[name, case] = float(np.max(np.abs(want)))
+    for name in ("T", "A", "nabla T", "nabla A", "SFF"):
+        assert min(largest[name, "warped-heisenberg"], largest[name, "sheared"]) > 0.1, name
+
+
+def _rotated(mg, angle):
+    """The map geometry with each declared source frame turned, pair by pair,
+    by the angle expression `angle`: the same subbundles and projectors from
+    frames whose derivatives differ."""
+    M = mg.gM.chart
+    c, s = f"cos({angle})", f"sin({angle})"
+
+    def turn(fields):
+        out = list(fields)
+        for a in range(0, len(out) - 1, 2):
+            u, w = out[a].comps, out[a + 1].comps
+            out[a] = vf(M, [f"{c}*({p}) + {s}*({q})" for p, q in zip(u, w)])
+            out[a + 1] = vf(M, [f"-{s}*({p}) + {c}*({q})" for p, q in zip(u, w)])
+        return out
+
+    fr = mg.frames
+    return MapGeometry(mg.F, mg.gM, mg.gN,
+                       AdaptedFrames(turn(fr.vertical), turn(fr.horizontal), fr.range, fr.normal))
+
+
+@pytest.mark.parametrize("case", ["paper-3.1", "warped-heisenberg", "sheared"])
+def test_turning_the_declared_frames_leaves_the_oneill_tensors(case):
+    mg = _map(case)
+    M = mg.gM.chart
+    turned = _rotated(mg, f"{M.coords[0]}*{M.coords[1]} + {M.coords[-1]}")
+    x = M.sample_points(5, seed=29)
+    turned.validate_frames(x)
+    for which in ("T", "A"):
+        assert close(turned.oneill_T(x) if which == "T" else turned.oneill_A(x),
+                     mg.oneill_T(x) if which == "T" else mg.oneill_A(x)), which
+        assert close(turned.nabla_oneill(which, x), mg.nabla_oneill(which, x)), which
+
+
+def test_each_metric_jet_tape_is_evaluated_once_per_point_set(monkeypatch):
+    tapes, evaluated = set(), Counter()
+    real_jet_tape, real_evaluate = MetricField.jet_tape, Tape.evaluate
+
+    def jet_tape(self):
+        tape = real_jet_tape(self)
+        tapes.add(id(tape))
+        return tape
+
+    def evaluate(self, points):
+        if id(self) in tapes:
+            evaluated[id(self), np.asarray(points).tobytes()] += 1
+        return real_evaluate(self, points)
+
+    monkeypatch.setattr(MetricField, "jet_tape", jet_tape)
+    monkeypatch.setattr(Tape, "evaluate", evaluate)
+    suites.run_suite(catalog.load("paper-4.1"))
+    assert len(tapes) >= 4  # g_M, g_N and restricted leaves
+    assert evaluated and set(evaluated.values()) == {1}, evaluated

@@ -3,14 +3,13 @@ worked examples (where the declared structures fail the parallelism
 condition and the engine must say so)."""
 
 import math
-import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemcheck import geometry, structure
+from riemcheck import structure
 from riemcheck.catalog import load
 from riemcheck.expr import Const, parse
 from riemcheck.geometry import Chart, MetricField, VectorField, worst
@@ -96,11 +95,11 @@ def test_example31_J_is_hermitian_not_kahler(ex31):
 def test_example31_nabla_J_value(ex31):
     from riemcheck.structure import nabla_J
     mg, J, f = ex31
-    NJ = nabla_J(mg.gM, J)
     x = mg.gM.chart.sample_points(1, seed=5)[0]
+    NJ = nabla_J(mg.gM, J, x[None])[0]
     sp = mg.split_at(x)
     U1, U2 = sp.vertical
-    v = np.einsum("klj,l,j->k", NJ.value_at(x), U1, U1)
+    v = np.einsum("klj,l,j->k", NJ, U1, U1)
     assert np.allclose(v, U2, atol=1e-10)  # (nabla_{U1} J) U1 = U2
 
 
@@ -252,22 +251,22 @@ def test_frame_and_coordinate_J_give_same_residuals():
 
 
 def test_nabla_J_is_built_once_per_metric_and_structure(monkeypatch):
+    """nabla J comes from one jet tape per structure, built once in a run,
+    and from Gamma of the metric's arrays at the point set."""
     cfg = load("paper-3.1")
-    tensors = {id(J.tensor()) for _, J in cfg.structures.values()}
-    real = geometry.covariant_derivative_tensor
+    structures = [J for _, J in cfg.structures.values()]
+    real = structure.jet_tape
     built = Counter()
 
-    def covariant_derivative_tensor(g, T):
-        if id(T) in tensors:
-            built[id(g), id(T)] += 1
-        return real(g, T)
+    def jet_tape(exprs, chart, second=False):
+        for J in structures:
+            if len(exprs) == J.mat.size and all(a is b for a, b in zip(exprs, J.mat.flat)):
+                built[id(J)] += 1
+        return real(exprs, chart, second)
 
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("riemcheck")
-                and getattr(mod, "covariant_derivative_tensor", None) is real):
-            monkeypatch.setattr(mod, "covariant_derivative_tensor", covariant_derivative_tensor)
+    monkeypatch.setattr(structure, "jet_tape", jet_tape)
     run_suite(cfg, points=6)
-    assert built and set(built.values()) == {1}
+    assert len(built) == len(structures) and set(built.values()) == {1}
 
 
 # -- batched complement frames ---------------------------------------------------------

@@ -25,6 +25,7 @@ from riemcheck.propcheck import TargetCalculus, verify_identity
 from riemcheck.rmap import AdaptedFrames, MapGeometry, SmoothMap
 from riemcheck.specfile import load_spec
 
+from paper_fixtures import all_rows
 from target_calculus_oracle import SymbolicTargetCalculus, oracle_tc_values
 
 # H^2 x H^2 in upper-half-plane coordinates, with a product of geodesics as
@@ -175,10 +176,10 @@ def _rows_close(got, want):
     value, or raised the same error."""
     if isinstance(got, tuple) or isinstance(want, tuple):
         return got == want
-    if [(r["point"], r["pair"]) for r in got["rows"]] != \
-            [(r["point"], r["pair"]) for r in want["rows"]]:
+    if [(r["point"], r["pair"]) for r in all_rows(got)] != \
+            [(r["point"], r["pair"]) for r in all_rows(want)]:
         return False
-    for a, b in zip(got["rows"], want["rows"]):
+    for a, b in zip(all_rows(got), all_rows(want)):
         values = [(a["lhs"], b["lhs"]), (a["rhs"], b["rhs"])] + [
             (a["terms"][k], b["terms"][k]) for k in b["terms"]]
         if any(math.isnan(u) != math.isnan(v) for u, v in values):
