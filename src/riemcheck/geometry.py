@@ -1,11 +1,13 @@
 """Chart-level Riemannian geometry.
 
-Symbolic side: Christoffel symbols and their derivatives, gradient, Hessian,
-divergence, covariant derivatives of vector fields and metric Lie
-derivatives as expression-valued tensors.  Numeric side: the curvature of a
-metric at a point set (`MetricField.at`: one tape of the metric's first and
-second derivatives, then Gamma, its derivatives, Riemann, Ricci and the
-scalar curvature as arrays by the product rule), seeded sample-point
+Symbolic side: the Christoffel symbols (for the geodesic equation) and the
+gradient (for a field a map pushes forward) as expression-valued tensors.
+Numeric side: the curvature of a metric at a point set (`MetricField.at`: one
+tape of the metric's first and second derivatives, then Gamma, its
+derivatives, Riemann, Ricci and the scalar curvature as arrays by the product
+rule), the gradient, Hessian and Laplacian of a function (`function_at`) and
+the Lie derivative of the metric along a field (`lie_derivative`) from their
+jets and the metric's at a point set, seeded sample-point
 generation, per-point metric values, Gram-Schmidt orthonormalization, a
 4th-order geodesic integrator with energy monitoring (first attempts run
 ahead in chains, whose energies are one stacked `qform`), and the
@@ -36,6 +38,7 @@ import contextlib
 import math
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,6 +257,7 @@ class VectorField:
         self.comps = comps
         self.name = name
         self._tape = None
+        self._jets = None
 
     def __repr__(self):
         parts = ", ".join(to_str(c) for c in self.comps)
@@ -263,6 +267,12 @@ class VectorField:
         if self._tape is None:
             self._tape = Tape(self.comps, self.chart.allvars)
         return self._tape
+
+    def jet_tape(self):
+        """`jet_tape` of the components, first derivatives only."""
+        if self._jets is None:
+            self._jets = jet_tape(self.comps, self.chart)
+        return self._jets
 
     def values(self, points) -> np.ndarray:
         return self.tape().evaluate(np.atleast_2d(points))
@@ -304,10 +314,12 @@ class TensorField:
 class MetricField(TensorField):
     """Symmetric positive-definite (0,2) expression matrix `mat` on a chart.
 
-    The symbolic inverse (adjugate, exact for the catalog's dimensions) and
-    Christoffel symbols are cached write-once; curvature is numeric, from the
-    metric's jets at a point set (`at`).  Positive definiteness is checked at
-    sample points only, never proven globally.
+    The symbolic inverse (adjugate, exact for the catalog's dimensions, for
+    `gradient`), the symbolic Christoffel symbols (for `geodesic_tape`) and
+    the jet tapes of the metric and of the functions `function_at` reads are
+    cached write-once; curvature is numeric, from the metric's jets at a
+    point set (`at`).  Positive definiteness is checked at sample points
+    only, never proven globally.
     """
 
     def __init__(self, chart, mat):
@@ -348,11 +360,6 @@ class MetricField(TensorField):
     def _simp(self, e):
         return simplify(e, self.chart.nonvanishing_keys())
 
-    def det(self) -> Expr:
-        if "det" not in self._cache:
-            self._cache["det"] = self._simp(_sym_det(self.mat))
-        return self._cache["det"]
-
     def inverse(self) -> np.ndarray:
         """Symbolic inverse via the adjugate; exact for the chart sizes used
         here.  Numeric work should invert the metric values instead."""
@@ -361,7 +368,7 @@ class MetricField(TensorField):
             if n > 6:
                 raise GeometryError("symbolic inverse limited to dim <= 6; "
                                     "invert the metric values instead")
-            d = self.det()
+            d = self._simp(_sym_det(self.mat))
             if is_const(d, 0.0):
                 raise GeometryError("metric is symbolically degenerate (det == 0)")
             inv = np.empty((n, n), dtype=object)
@@ -377,17 +384,6 @@ class MetricField(TensorField):
         if "gamma" not in self._cache:
             self._cache["gamma"] = christoffel(self)
         return self._cache["gamma"]
-
-    def christoffel_derivative(self) -> np.ndarray:
-        """dgam[a, l, i, j] = d_a Gamma^l_ij, symmetric in (i, j), for the
-        target calculus; cached, so Gamma is differentiated once."""
-        if "dgamma" not in self._cache:
-            gam, coords = self.christoffel().comps, self.chart.coords
-            dgam = np.empty((self.chart.dim,) * 4, dtype=object)
-            for a, l, i, j in np.ndindex(dgam.shape):
-                dgam[a, l, i, j] = differentiate(gam[l, i, j], coords[a]) if i <= j else dgam[a, l, j, i]
-            self._cache["dgamma"] = dgam
-        return self._cache["dgamma"]
 
     def jet_tape(self) -> Tape:
         """`jet_tape` of the entries i <= j, with second derivatives."""
@@ -417,6 +413,8 @@ class LastPointSet:
 
 def _sym_det(mat) -> Expr:
     n = mat.shape[0]
+    if n == 0:  # the minor of a 1x1 matrix
+        return Const(1.0)
     if n == 1:
         return mat[0, 0]
     if n == 2:
@@ -474,12 +472,13 @@ def jet_tape(exprs, chart, second=False) -> Tape:
 
 def jet_values(tape, points, n, second=False):
     """The arrays of a `jet_tape` over n coordinates at P points: values v
-    (P, E), d (P, n, E) with d[:, a] = d_a v and, with `second`, dd (P, n,
-    n, E) with dd[:, a, b] = d_a d_b v (else None)."""
+    (P, E), d (P, n, E) with d[:, a] = d_a v and, with `second`, dd (P,
+    n(n+1)/2, E), the d_a d_b v for the pairs a <= b in C order, which
+    `_mirror(n)` indexes by (a, b) (else None)."""
     vals = tape.evaluate(np.atleast_2d(points))
     P, E = len(vals), tape.nout // (1 + n + (n * (n + 1) // 2 if second else 0))
     v, d = vals[:, :E], vals[:, E:E * (n + 1)].reshape(P, n, E)
-    return v, d, vals[:, E * (n + 1):].reshape(P, -1, E)[:, _mirror(n)] if second else None
+    return v, d, vals[:, E * (n + 1):].reshape(P, -1, E) if second else None
 
 
 def _mirror(n):
@@ -500,11 +499,17 @@ def frozen(a):
     return a
 
 
+def blocks(P, size=BLOCK):
+    """Consecutive slices of at most `size` of P points (one, empty, for
+    none): the n**4-sized intermediates of the curvature, of the O'Neill
+    derivatives and of the target images are made a block at a time."""
+    return [slice(i, i + size) for i in range(0, max(P, 1), size)]
+
+
 def by_blocks(fn, P):
-    """fn(s) for consecutive slices s of at most BLOCK of P points, joined
-    along the point axis: the n**4-sized intermediates of the curvature and
-    of the O'Neill derivatives are made a block at a time."""
-    return np.concatenate([fn(slice(i, i + BLOCK)) for i in range(0, max(P, 1), BLOCK)])
+    """fn(s) for each of the `blocks` s of P points, joined along the point
+    axis."""
+    return np.concatenate([fn(s) for s in blocks(P)])
 
 
 class MetricAt:
@@ -521,8 +526,9 @@ class MetricAt:
         self._m = m = _mirror(g.chart.dim)
         self.G, self.dG = frozen(v[:, m]), frozen(d[:, :, m])
 
-    def ddG(self, s):
-        return self._dd[s][..., self._m]
+    def ddG(self, s, along=slice(None)):
+        """d_a d_b g_ij at the points of s, for the a of `along` only."""
+        return self._dd[s][:, self._m[along][..., None, None], self._m]
 
     @cached_property
     def Ginv(self):
@@ -535,13 +541,14 @@ class MetricAt:
         return frozen(_sym(0.5 * pdot(self.Ginv, dG.transpose(0, 3, 1, 2)
                                       + dG.transpose(0, 3, 2, 1) - dG)))
 
-    def dgam(self, s):
-        # g^kl (d_a Gamma_lij - d_a g_lm Gamma^m_ij), Gamma_lij = g_lk Gamma^k_ij
-        ddG = self.ddG(s)
+    def dgam(self, s, along=slice(None)):
+        # g^kl (d_a Gamma_lij - d_a g_lm Gamma^m_ij), Gamma_lij = g_lk Gamma^k_ij,
+        # for the a of `along` only
+        ddG = self.ddG(s, along)
         low = ddG.transpose(0, 1, 4, 2, 3) + ddG.transpose(0, 1, 4, 3, 2)
         low -= ddG
         low *= 0.5
-        low -= pdot(self.dG[s], self.gam[s])
+        low -= pdot(self.dG[s][:, along], self.gam[s])
         return pdot(self.Ginv[s], low.swapaxes(1, 2)).swapaxes(1, 2)
 
     def riemann(self, s):
@@ -579,83 +586,46 @@ def scalar_curvature(g: MetricField, points) -> np.ndarray:
 # -- first-order operators ----------------------------------------------------
 
 def gradient(g: MetricField, f: Expr) -> VectorField:
-    """(grad f)^j = g^{ij} d_i f."""
+    """(grad f)^j = g^{ij} d_i f, as a symbolic field: the one a map pushes
+    forward through its section (`rmap.pushforward_field`).  Checks read
+    grad f at their points from `function_at`."""
     df = [differentiate(as_expr(f), c) for c in g.chart.coords]
     return VectorField(g.chart, [g._simp(e) for e in sym_einsum("ij,i->j", g.inverse(), df)])
 
 
-def hessian(g: MetricField, f: Expr) -> TensorField:
-    """Hess f(X, Y) = g(nabla_X grad f, Y); components
-    d_i d_j f - Gamma^k_ij d_k f."""
+class FunctionAt(NamedTuple):
+    """A function f at P points: its differential d (P, n) with d[:, a] =
+    d_a f, gradient grad (P, n), Hessian hess (P, n, n) and Laplacian lap
+    (P,)."""
+    d: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    lap: np.ndarray
+
+
+def function_at(g: MetricField, f, points) -> FunctionAt:
+    """f's first- and second-order operators at the points, from one
+    second-order `jet_tape` of f per metric, built on first use, and
+    `g.at(points)`: grad f = g^-1 df, Hess f = dd f - Gamma^k df_k and
+    Laplacian tr(g^-1 Hess f)."""
     f = as_expr(f)
-    n = g.chart.dim
-    coords = g.chart.coords
-    df = [differentiate(f, c) for c in coords]
-    ddf = sym_zeros((n, n))  # upper triangle only
-    for i in range(n):
-        for j in range(i, n):
-            ddf[i, j] = differentiate(df[i], coords[j])
-    acc = sym_einsum("kij,k->ij", g.christoffel().comps, df, acc=ddf, sign=-1)
-    return TensorField(g.chart, (0, 2), _symmetrized(acc, g._simp))
+    key = ("jets", f.key())
+    if key not in g._cache:
+        g._cache[key] = jet_tape([f], g.chart, second=True)
+    m = g.at(points)
+    _, d, dd = jet_values(g._cache[key], points, g.chart.dim, second=True)
+    df = d[..., 0]
+    hess = _sym(dd[:, _mirror(g.chart.dim), 0] - pdot(df, m.gam))
+    return FunctionAt(df, matvec(m.Ginv, df), hess, np.sum(m.Ginv * hess, axis=(1, 2)))
 
 
-def covariant_derivative(g: MetricField, X, Y) -> VectorField:
-    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j."""
-    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
-    Yc = Y.comps if isinstance(Y, VectorField) else tuple(as_expr(c) for c in Y)
-    if isinstance(X, VectorField) and X.chart is not g.chart:
-        raise GeometryError("covariant_derivative: X lives on a different chart")
-    if isinstance(Y, VectorField) and Y.chart is not g.chart:
-        raise GeometryError("covariant_derivative: Y lives on a different chart")
-    n = g.chart.dim
-    coords = g.chart.coords
-    gam = g.christoffel().comps
-    comps = []
-    for k in range(n):
-        acc = ZERO
-        for i in range(n):
-            if is_const(Xc[i], 0.0):  # nothing to add, and no derivative to take
-                continue
-            acc = _add(acc, _prod(Xc[i], differentiate(Yc[k], coords[i])))
-            for j in range(n):
-                acc = _add(acc, _prod(gam[k, i, j], Xc[i], Yc[j]))
-        comps.append(g._simp(acc))
-    return VectorField(g.chart, comps)
-
-
-def divergence(g: MetricField, X) -> Expr:
-    """div X = d_i X^i + Gamma^k_{ki} X^i; agrees with the frame-trace and
-    the sqrt-det coordinate formulas."""
-    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
-    n = g.chart.dim
-    coords = g.chart.coords
-    gam = g.christoffel().comps
-    acc = ZERO
-    for i in range(n):
-        acc = _add(acc, differentiate(Xc[i], coords[i]))
-        for k in range(n):
-            acc = _add(acc, _prod(gam[k, k, i], Xc[i]))
-    return g._simp(acc)
-
-
-def lie_derivative_metric(g: MetricField, X) -> TensorField:
-    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k; symmetric."""
-    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
-    n = g.chart.dim
-    coords = g.chart.coords
-    out = sym_zeros((n, n))
-    dX = [[differentiate(Xc[k], coords[i]) for i in range(n)] for k in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = ZERO
-            for k in range(n):
-                acc = _add(acc, _prod(Xc[k], differentiate(g.mat[i, j], coords[k])))
-                acc = _add(acc, _prod(g.mat[k, j], dX[k][i]))
-                acc = _add(acc, _prod(g.mat[i, k], dX[k][j]))
-            e = g._simp(acc)
-            out[i, j] = e
-            out[j, i] = e
-    return TensorField(g.chart, (0, 2), out)
+def lie_derivative(g: MetricField, X: VectorField, points) -> np.ndarray:
+    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k at the points,
+    (P, n, n), from `g.at(points)` and X's first-order `jet_tape`."""
+    m = g.at(points)
+    v, d, _ = jet_values(X.jet_tape(), points, g.chart.dim)
+    GdX = np.matmul(d, m.G)  # [i, j] = g_kj d_i X^k
+    return _sym(pdot(v, m.dG) + GdX + GdX.swapaxes(1, 2))
 
 
 # -- numeric utilities ---------------------------------------------------------

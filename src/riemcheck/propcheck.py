@@ -14,7 +14,7 @@ A row gives
   the left; ``FF``, ``Fe`` and ``ee`` pair the declared range (F) and normal
   (e) frames at y = F(x), with Ric_N on the left.  ``uu``, ``xx``, ``FF`` and
   ``ee`` report only the pairs a <= b;
-- the symbolic ingredients, built in the listed order before any value is
+- the case ingredients, built in the listed order before any term is
   computed, so the first missing piece (no dilation, no structure, frames that
   are not coordinate-aligned) is the exception the caller sees;
 - the signed terms ``(report key, +1 or -1, term function)``.  A term
@@ -25,21 +25,22 @@ A row gives
 - the hypothesis gates and whether a term follows an interpreted definition.
 
 Two namespaces are filled lazily.  The case (`PropositionCase`) is bound to
-the run's sample points and holds, once per run, the source tensors as
-arrays there (Ric_M, Ric_N, A, nabla A and the second fundamental form, from
-derivative arrays by `geometry` and `rmap`), the symbolic fields, restricted
-geometries and derivative tapes (the target calculus has one per target
-field list, and one for Gamma_N and the projectors), and the hypothesis
-gates, each evaluated at every sample point.  The batch one
-(`_BATCH`), made per check, holds one split (`MapGeometry.split`) and one
-evaluation per metric, tensor, frame and tape, at the points x or at their
-images y, each an array with a leading point axis, plus the contractions
-built from them (divA, NAH, NAT, AA, AMU, SS, ST, the B/C split, the target
-calculus over every field combination).  Terms contract these with the
-frame contractions of `geometry` (`pair_form` for a form on two frames,
-`qform`, `matvec` and `vdot`), which make the BLAS calls of the per-vector
-products u @ M @ v and M @ v, so a P-point call gives the rows of P
-one-point calls.  `_rows` keeps the rows, one per pair per point in
+the run's sample points and holds, once per run, arrays there and at y =
+F(x), each from derivative arrays by `geometry` and `rmap`: the source
+tensors (Ric_M, Ric_N, A, nabla A and the second fundamental form), the
+dilations' gradients, Hessians and Laplacians (`geometry.function_at`),
+L_W g_N (`geometry.lie_derivative`), the target geometry and the J'-images
+of the target frames (`TargetCalculus.geometry` and `images`); and the
+restricted geometries and the hypothesis gates, each evaluated at every
+sample point.  The batch one (`_BATCH`), made per check, holds one split
+(`MapGeometry.split`) and one evaluation per metric, tensor, frame and tape,
+at the points x or at their images y, each an array with a leading point
+axis, plus the contractions built from them (divA, NAH, NAT, AA, AMU, SS,
+ST, the B/C split, the target calculus over every field combination).
+Terms contract these with the frame contractions of `geometry`
+(`pair_form` for a form on two frames, `qform`, `matvec` and `vdot`), which
+make the BLAS calls of the per-vector products u @ M @ v and M @ v, so a
+P-point call gives the rows of P one-point calls.  `_rows` keeps the rows, one per pair per point in
 (point, a, b) order with residual |lhs - rhs|, as arrays (`Rows`); the worst
 row, the first non-finite residual, else the first largest, is the only one
 made a dict.  The two theorem-level checks build their own row arrays on the
@@ -63,33 +64,38 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import as_expr, differentiate
-from .expr.nodes import is_const
-from .expr.tape import Tape
+from .expr import as_expr, variables
 from .geometry import (
+    BLOCK,
     Chart,
     GeometryError,
     MetricField,
     VectorField,
-    divergence,
+    blocks,
     field_values,
+    function_at,
     gnorm,
     gradient,
-    hessian,
-    lie_derivative_metric,
+    lie_derivative,
     matvec,
     on_pairs,
     pair_form,
     qform,
     ricci,
     scalar_curvature,
-    sym_einsum,
     tform,
     tvec,
     vdot,
     worst,
 )
-from .rmap import Jet, MapGeometry, pushforward_field, shape_operator, unpack
+from .rmap import (
+    FramesRequired,
+    Jet,
+    MapGeometry,
+    _projector,
+    pushforward_field,
+    shape_operator,
+)
 from .soliton import (
     ClairautConfig,
     SolitonConfig,
@@ -188,56 +194,93 @@ class RestrictedGeometry:
 # -- field calculus on the target chart ------------------------------------------------
 
 class TargetCalculus:
-    """Vector-field calculus on the target chart.  `J`, `proj_range` and
-    `proj_perp` build symbolic fields, memoized by the field objects they
-    take.  The derivative operations contract, by the product rule, arrays
-    of `geometry(y)` and of field `Jet`s (`MapGeometry.target_jets`) from
-    tapes built once per case, for every combination of fields along the
-    jets' list axes.  No formula assumes that a field stays in its bundle:
-    where the gates fail, it need not."""
+    """Vector-field calculus on the target chart, on arrays at a point set
+    y: `geometry(y)` holds Gamma_N, its derivatives and the jets of P_range
+    and P_perp there, from `MetricField.at` and the declared range and
+    normal frames' jets; `images` the J'-images of those frames.  `J`,
+    `proj_range` and `proj_perp` apply J', P_range and P_perp to field
+    `Jet`s by the product rule, and the derivative operations contract field
+    `Jet`s (`MapGeometry.target_jets`) for every combination of fields along
+    the jets' list axes.  No formula assumes that a field stays in its
+    bundle: where the gates fail, it need not."""
 
     def __init__(self, mg: MapGeometry, Jp: AlmostComplexStructure | None):
-        self.gN = mg.gN
+        if not mg.frames.range or not mg.frames.normal:
+            raise FramesRequired("target projectors need declared range and normal frames")
+        self.mg = mg
         self.Jp = Jp
-        self.PR, self.PP = mg.target_projectors()
-        self._memo = {}
 
-    def _apply_matrix(self, tag, M, W: VectorField) -> VectorField:
-        key = (tag, W)
-        if key not in self._memo:
-            comps = [self.gN._simp(e) for e in sym_einsum("ij,j->i", M, W.comps)]
-            self._memo[key] = VectorField(self.gN.chart, comps, name=f"{tag}({W.name})")
-        return self._memo[key]
-
-    def J(self, W):
+    def J(self, at, W: Jet) -> Jet:
         if self.Jp is None:
             raise UnsupportedDistribution("no target almost complex structure declared")
-        return self._apply_matrix("J'", self.Jp.mat, W)
+        return _apply(at.Jp, W)
 
-    def proj_range(self, W):
-        return self._apply_matrix("Pr", self.PR, W)
+    def proj_range(self, at, W: Jet) -> Jet:
+        return _apply(at.PR, W)
 
-    def proj_perp(self, W):
-        return self._apply_matrix("Pp", self.PP, W)
+    def proj_perp(self, at, W: Jet) -> Jet:
+        return _apply(at.PP, W)
 
     def geometry(self, y) -> SimpleNamespace:
-        """At the points y: Gamma_N `gam` [k, i, j]; `PR`, `PP` [m, k] with
-        `dPR`, `dPP` [m, a, k] = d_a P^m_k; the nonzero d_a Gamma^k_ij `dgam`
-        (P, E), their `i`, `j` and the 0/1 `rows` (E, n * n) adding into [k, a]."""
-        chart, n = self.gN.chart, self.gN.chart.dim
-        if "geometry" not in self._memo:
-            dP = [np.array([[[differentiate(P[m, k], a) for k in range(n)] for a in chart.coords]
-                            for m in range(n)], dtype=object) for P in (self.PR, self.PP)]
-            dgam = self.gN.christoffel_derivative()
-            nz = [ix for ix in np.ndindex(dgam.shape) if not is_const(dgam[ix], 0.0)]
-            rows = np.eye(n * n)[[k * n + a for a, k, _, _ in nz]]
-            parts = (self.gN.christoffel().comps, self.PR, dP[0], self.PP, dP[1])
-            tape = Tape([e for p in parts for e in p.flat] + [dgam[x] for x in nz], chart.allvars)
-            self._memo["geometry"] = tape, rows, [ix[2] for ix in nz], [ix[3] for ix in nz]
-        tape, rows, i, j = self._memo["geometry"]
-        at = unpack(tape.evaluate(y), [(n,) * 3, (n, n), (n,) * 3, (n, n), (n,) * 3, (len(i),)])
-        return SimpleNamespace(**dict(zip(("gam", "PR", "dPR", "PP", "dPP", "dgam"), at)),
-                               rows=rows, i=i, j=j)
+        """At the points y: Gamma_N `gam` [k, i, j]; the d_a Gamma^k_ij that
+        are nonzero at some point, `dgam` (P, E), their `i`, `j` and the 0/1
+        `rows` (E, n * n) adding into [k, a]; the range and normal frames'
+        Jets `F` and `E`; the matrix jets (see `_apply`), with first
+        derivatives, of `PR` = P_range and `PP` = P_perp, by
+        `rmap._projector` from those frames; and the points `y` and g_N's
+        arrays `m` there (`MetricField.at`)."""
+        mg, n = self.mg, self.mg.gN.chart.dim
+        m = mg.gN.at(y)
+        F, E = (mg.target_jets(fields, y) for fields in (mg.frames.range, mg.frames.normal))
+        PR, PP = (_moved(_projector(m, slice(None), f)) for f in (F, E))
+        A = _used(mg.gN.chart, mg.gN.mat.flat)  # Gamma_N varies along these only
+        dgams = [m.dgam(s, A).reshape(len(m.G[s]), -1)
+                 for s in blocks(len(m.G), BLOCK * n // max(len(A), 1))]
+        nz = np.flatnonzero(np.any([np.any(b != 0.0, axis=0) for b in dgams], axis=0))
+        a, k, i, j = np.unravel_index(nz, (len(A), n, n, n))
+        dgam = np.concatenate([b[:, nz] for b in dgams])
+        return SimpleNamespace(gam=m.gam, dgam=dgam, rows=np.eye(n * n)[k * n + A[a]],
+                               i=i, j=j, F=F, E=E, PR=PR, PP=PP, y=y, m=m)
+
+    def images(self, at):
+        """(J'F, P_range J'E, P_perp J'E) for the range frame F and the normal
+        frame E at the points of `geometry` `at`, the first and the last with
+        second derivatives: from the frames' and J''s jets and the second
+        derivatives of P_perp, a block of BLOCK (n / |D|)**2 points at a time
+        and along the coordinates D that g_N, the frames or J' depend on only
+        (along the others every derivative vanishes), so that no array is
+        larger than BLOCK points' n**4 and none is kept."""
+        mg, n = self.mg, self.mg.gN.chart.dim
+        fields = (mg.frames.range, mg.frames.normal)
+        D = _used(mg.gN.chart, [*mg.gN.mat.flat, *(c for W in fields[0] + fields[1]
+                                                    for c in W.comps),
+                                *(() if self.Jp is None else self.Jp.mat.flat)])
+        DD = (D[:, None], D)  # the pairs of D, as the last two indices
+        # g_N's arrays as `_projector` reads them, with derivatives along D only
+        m = SimpleNamespace(G=at.m.G, dG=at.m.dG[:, D], ddG=lambda s: at.m.ddG(s, D)[:, :, D])
+
+        def block(s):
+            Fs, Es = (Jet(f.v, f.d[..., D], f.dd[..., DD[0], DD[1]]) for f in (
+                mg.target_jets(fs, at.y[s], hessian=True) for fs in fields))
+            b = SimpleNamespace(PR=(at.PR[0][s], at.PR[1][s][:, :, D], None),
+                                PP=_moved(_projector(m, s, Es, second=True)), Jp=None)
+            if self.Jp is not None:
+                J, dJ, ddJ = self.Jp.jets(at.y[s], True)
+                b.Jp = J, dJ[:, :, D], ddJ[:, :, DD[0], DD[1]]
+            JE = self.J(b, Es)
+            return (self.J(b, Fs), self.proj_range(b, JE._replace(dd=None)),
+                    self.proj_perp(b, JE))
+
+        def embedded(X):  # derivatives along D back among all n coordinates
+            d, dd = np.zeros(X.d.shape[:-1] + (n,)), None
+            d[..., D] = X.d
+            if X.dd is not None:
+                dd = np.zeros(X.dd.shape[:-2] + (n, n))
+                dd[..., DD[0], DD[1]] = X.dd
+            return Jet(X.v, d, dd)
+
+        size = BLOCK * n * n // max(len(D), 1) ** 2
+        return tuple(embedded(_joined(X)) for X in zip(*map(block, blocks(len(at.y), size))))
 
     def cov(self, at, W, Z) -> Jet:
         """nabla_W Z = W^i d_i Z^k + Gamma^k_ij W^i Z^j, with derivatives
@@ -252,23 +295,24 @@ class TargetCalculus:
 
     def nperp(self, at, W, D) -> Jet:
         """Normal connection: P_perp(nabla_W D)."""
-        return _project(at.PP, at.dPP, self.cov(at, W, D))
+        return self.proj_perp(at, self.cov(at, W, D))
 
     def shape(self, at, D, V) -> Jet:
         """S_D V = -P_range(nabla_V D), by `shape_operator`, with derivatives
         where V has first and D second derivatives."""
-        value = matvec(shape_operator(at.PR, at.gam, D), V.v)
+        value = matvec(shape_operator(at.PR[0], at.gam, D), V.v)
         if V.d is None or D.dd is None:
             return Jet(value)
-        return Jet(value, -_project(at.PR, at.dPR, self.cov(at, V, D)).d)
+        return Jet(value, -self.proj_range(at, self.cov(at, V, D)).d)
 
     def nabla_tilde_S(self, at, W, D, V) -> np.ndarray:
         """(nabla~_W S)_D V by the product rule with the pullback connection:
         P_range nabla_W (S_D V) - S_{P_perp nabla_W D} V
         - S_D (P_range nabla_W V).  Interpreted term."""
-        a = tvec(at.PR, self.cov(at, W, self.shape(at, D, V)).v)
+        PR = at.PR[0]
+        a = tvec(PR, self.cov(at, W, self.shape(at, D, V)).v)
         b = self.shape(at, self.nperp(at, W, D), V).v
-        c = self.shape(at, D, Jet(tvec(at.PR, self.cov(at, W, V).v))).v
+        c = self.shape(at, D, Jet(tvec(PR, self.cov(at, W, V).v))).v
         return a - b - c
 
     def r_perp(self, at, W1, W2, D) -> np.ndarray:
@@ -280,11 +324,44 @@ class TargetCalculus:
         return a - b - self.nperp(at, bracket, D).v
 
 
-def _project(P, dP, X: Jet) -> Jet:
-    """P X, with d_a(P X) = (d_a P) X + P d_a X where X has derivatives."""
+def _used(chart, exprs):
+    """The indices of the chart's coordinates that some expression uses:
+    derivatives along the others vanish."""
+    used = set().union(*map(variables, exprs))
+    return np.array([a for a, c in enumerate(chart.coords) if c in used], dtype=int)
+
+
+def _joined(jets):
+    """Jets of consecutive blocks of points joined along the point axis."""
+    return Jet(*(None if a[0] is None else np.concatenate(a, axis=1) for a in zip(*jets)))
+
+
+def _moved(jets):
+    """`rmap._projector`'s (P, dP [a, i, j], ddP [a, b, i, j] or None) as a
+    matrix jet (P, dP [i, a, j], ddP [i, a, b, j] or None)."""
+    P, dP, ddP = jets
+    return P, dP.swapaxes(1, 2), None if ddP is None else np.moveaxis(ddP, 3, 1)
+
+
+def _apply(M, X: Jet) -> Jet:
+    """M X by the product rule, for the matrix jet M = (M [k, m], d_a M
+    [k, a, m], d_a d_b M [k, a, b, m]) at P points and field Jets X at the
+    same points: first and second derivatives where X has them."""
+    v, dM, ddM = M
+    out = tvec(v, X.v)
     if X.d is None:
-        return Jet(tvec(P, X.v))
-    return Jet(tvec(P, X.v), np.matmul(P, X.d) + tvec(dP, X.v, 2))
+        return Jet(out)
+    d = np.matmul(v, X.d)
+    d += tvec(dM, X.v, 2)
+    if X.dd is None:
+        return Jet(out, d)
+    # summed in place, as each term is n**4-sized
+    dd = np.matmul(v, X.dd.reshape(X.dd.shape[:-2] + (-1,))).reshape(d.shape + d.shape[-1:])
+    dd += tvec(ddM, X.v, 3)
+    cross = np.matmul(dM, X.d[..., None, :, :])  # [k, a, b] = d_a M^k_m d_b X^m
+    dd += cross
+    dd += cross.swapaxes(-1, -2)
+    return Jet(out, d, dd)
 
 
 # -- the case ---------------------------------------------------------------------------
@@ -431,29 +508,21 @@ def _dims(c):
 
 
 def _lie_W(c):
-    """L_W g_N for W = F_*(grad f), pushed through the declared section."""
-    W = pushforward_field(c.mg.F, c.grad_f, validate_points=c.pts)
-    W.name = "F*(grad f)"
-    return lie_derivative_metric(c.mg.gN, W)
+    """L_W g_N at y for W = F_*(grad f), pushed through the declared section."""
+    gradf = gradient(c.mg.gM, _declared(c.f, "case has no source dilation f"))
+    W = pushforward_field(c.mg.F, gradf, validate_points=c.pts)
+    return lie_derivative(c.mg.gN, W, c.mg.split(c.pts).y)
 
 
-def _f_tape(c):
-    """div grad f, then the partial derivatives of f."""
-    chart = c.mg.gM.chart
-    return Tape([c.div_grad_f] + [differentiate(c.f, x) for x in chart.coords],
-                chart.allvars)
-
-
-# per case: source tensors at the case's points, symbolic fields, restricted
-# geometries, target calculus and derivative tapes, shared by every check
+# per case: source tensors at the case's points, the dilations' jets, restricted
+# geometries, the target calculus and its arrays at y, shared by every check
 _INGREDIENTS = {
     "ric_M": lambda c: ricci(c.mg.gM, c.pts),
     "ric_N": lambda c: ricci(c.mg.gN, c.mg.split(c.pts).y),
-    "hess_f": lambda c: hessian(c.mg.gM, _declared(c.f, "case has no source dilation f")),
-    "grad_f": lambda c: gradient(c.mg.gM, _declared(c.f, "case has no source dilation f")),
-    "div_grad_f": lambda c: divergence(c.mg.gM, c.grad_f),
-    "grad_g": lambda c: gradient(c.mg.gN, _declared(c.gfun, "case has no target dilation g")),
-    "hess_g": lambda c: hessian(c.mg.gN, c.gfun),
+    "f_jet": lambda c: function_at(c.mg.gM, _declared(c.f, "case has no source dilation f"),
+                                   c.pts),
+    "g_jet": lambda c: function_at(c.mg.gN, _declared(c.gfun, "case has no target dilation g"),
+                                   c.mg.split(c.pts).y),
     "ker_rg": lambda c: _restricted(c, "vertical"),
     "range_rg": lambda c: _restricted(c, "range"),
     "perp_rg": lambda c: _restricted(c, "normal"),
@@ -461,14 +530,13 @@ _INGREDIENTS = {
     "A": lambda c: c.mg.oneill_A(c.pts),
     "NA": lambda c: c.mg.nabla_oneill("A", c.pts),
     "SFF": lambda c: c.mg.second_fundamental_form(c.pts),
-    "f_tape": _f_tape,
-    "g_tape": lambda c: Tape([differentiate(c.gfun, y) for y in c.mg.gN.chart.coords],
-                             c.mg.gN.chart.allvars),
     "source_J": lambda c: _declared(c.J, "no source almost complex structure declared"),
     "tc": lambda c: TargetCalculus(c.mg, c.Jp),
-    "JF": lambda c: [c.tc.J(f) for f in c.mg.frames.range],
-    "PE": lambda c: [c.tc.proj_range(c.tc.J(e)) for e in c.mg.frames.normal],
-    "QE": lambda c: [c.tc.proj_perp(c.tc.J(e)) for e in c.mg.frames.normal],
+    "tg": lambda c: c.tc.geometry(c.mg.split(c.pts).y),
+    "images": lambda c: c.tc.images(c.tg),
+    "JF": lambda c: c.images[0],
+    "PE": lambda c: c.images[1],
+    "QE": lambda c: c.images[2],
     "mr": lambda c: c.mg.gM.chart.dim - c.dims["r0"],
     "LW": _lie_W,
 }
@@ -509,17 +577,16 @@ _BATCH = {
     "Jac": lambda p: p.sp.Jac,
     "ricM": lambda p: p.c.ric_M,
     "ricN": lambda p: p.c.ric_N,
-    "Hf": lambda p: p.c.hess_f.values(p.x),
-    "gf": lambda p: p.c.grad_f.values(p.x),
+    "Hf": lambda p: p.c.f_jet.hess,
+    "gf": lambda p: p.c.f_jet.grad,
     "norm2_f": lambda p: qform(p.gf, p.GM, p.gf),
-    "f_aux": lambda p: p.c.f_tape.evaluate(p.x),
-    "div_grad_f": lambda p: p.f_aux[:, 0],
-    "df": lambda p: p.f_aux[:, 1:],
-    "gg": lambda p: p.c.grad_g.values(p.y),
+    "div_grad_f": lambda p: p.c.f_jet.lap,
+    "df": lambda p: p.c.f_jet.d,
+    "gg": lambda p: p.c.g_jet.grad,
     "norm2_g": lambda p: qform(p.gg, p.GN, p.gg),
-    "Hg": lambda p: p.c.hess_g.values(p.y),
+    "Hg": lambda p: p.c.g_jet.hess,
     "hess_trace_g": lambda p: _acc(qform(p.Ev, p.Hg[:, None], p.Ev)),
-    "dg": lambda p: p.c.g_tape.evaluate(p.y),
+    "dg": lambda p: p.c.g_jet.d,
     "Av": lambda p: p.c.A,
     "NAv": lambda p: p.c.NA,
     "Sv": lambda p: p.c.SFF,
@@ -551,18 +618,18 @@ _BATCH = {
     "C": lambda p: p.BC[1],
     "Fv": lambda p: field_values(p.c.mg.frames.range, p.y),
     "Ev": lambda p: field_values(p.c.mg.frames.normal, p.y),
-    "JFv": lambda p: field_values(p.c.JF, p.y),
-    "PEv": lambda p: field_values(p.c.PE, p.y),
-    "QEv": lambda p: field_values(p.c.QE, p.y),
-    "LWv": lambda p: p.c.LW.values(p.y),
+    "JFv": lambda p: np.moveaxis(p.c.JF.v, 0, 1),
+    "PEv": lambda p: np.moveaxis(p.c.PE.v, 0, 1),
+    "QEv": lambda p: np.moveaxis(p.c.QE.v, 0, 1),
+    "LWv": lambda p: p.c.LW,
     # target calculus at y; JF and QE, the D slots, with second derivatives
-    "tg": lambda p: p.c.tc.geometry(p.y),
-    "Fj": lambda p: p.c.mg.target_jets(p.c.mg.frames.range, p.y),
-    "Ej": lambda p: p.c.mg.target_jets(p.c.mg.frames.normal, p.y),
-    "JFh": lambda p: p.c.mg.target_jets(p.c.JF, p.y, hessian=True),
+    "tg": lambda p: p.c.tg,
+    "Fj": lambda p: p.tg.F._replace(dd=None),
+    "Ej": lambda p: p.tg.E._replace(dd=None),
+    "JFh": lambda p: p.c.JF,
     "JFj": lambda p: p.JFh._replace(dd=None),
-    "PEj": lambda p: p.c.mg.target_jets(p.c.PE, p.y),
-    "QEh": lambda p: p.c.mg.target_jets(p.c.QE, p.y, hessian=True),
+    "PEj": lambda p: p.c.PE,
+    "QEh": lambda p: p.c.QE,
     "tc_values": lambda p: {},
 }
 
@@ -749,20 +816,20 @@ _LTARGET = ("lagrangian_target", "anti_invariant_target", "clairaut_target",
 
 TABLE = {
     # Ric(U,V) = Ric^range(F_*JU, F_*JV) + r Hess f(JU, JV) - divA(JU, JV)
-    "ric_uv": Identity("uu", ("range_rg", "ric_M", "hess_f", "NA", "source_J"), (
+    "ric_uv": Identity("uu", ("range_rg", "ric_M", "f_jet", "NA", "source_J"), (
         _UV_RANGE,
         ("r_hess_f", +1, lambda p: p.r0 * pair_form(p.JU, p.Hf)),
         ("div_A", -1, lambda p: _div_A(p, p.JU, p.JU)),
     ), _SOURCE),
-    "ric_ux": Identity("ux", ("range_rg", "ric_M", "hess_f", "NA", "source_J"), (
+    "ric_ux": Identity("ux", ("range_rg", "ric_M", "f_jet", "NA", "source_J"), (
         ("hess_BX_JU", +1, _T(lambda p: _hess_B(p, p.B, p.JU))),
         ("div_A_JU_CX", +1, lambda p: _div_A(p, p.JU, p.C)),
         ("r_hess_JU_CX", +1, lambda p: _hess_C(p, p.JU, p.C)),
         ("ric_range", +1, lambda p: _ric_range(p, p.JU, p.C)),
         ("nablaA_frame_trace", +1, lambda p: pair_form(p.JU, p.NAT, p.B)),
     ), _SOURCE),
-    "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f", "f_tape",
-                              "A", "NA", "SFF", "source_J"), (
+    "ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "f_jet", "A", "NA", "SFF",
+                              "source_J"), (
         _XY_KER,
         _XY_WARP,
         ("A_A", +1, lambda p: pair_form(p.B, p.AA)),
@@ -787,25 +854,24 @@ TABLE = {
     # totally geodesic corollary: Ric(X,Y) = Ric^ker(BX,BY)
     # - (r |grad f|^2 + div grad f) g(BX,BY) - r Hess f(CX,CY)
     # + Ric^range(F_*CX, F_*CY) - r CX(f) CY(f)
-    "cor_ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "hess_f", "grad_f",
-                                  "f_tape", "source_J"),
+    "cor_ric_xy": Identity("xx", ("range_rg", "ker_rg", "ric_M", "f_jet", "source_J"),
                            (_XY_KER, _XY_WARP, _XY_HESS, _XY_RANGE, _XY_DF),
                            ("totally_geodesic_map", "tg_horizontal", "anti_invariant_source",
                             "clairaut_source", "kahler_source")),
     # Ric(F_*X, F_*Y) = Ric^perp(J'F_*X, J'F_*Y) + (m - r) g_N(grad g, nperp J'F_*X J'F_*Y)
-    "ric_fxfy": Identity("FF", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF"), (
+    "ric_fxfy": Identity("FF", ("tc", "perp_rg", "ric_N", "g_jet", "mr", "JF"), (
         _FF_PERP,
         ("grad_nperp", +1, lambda p: _grad_nperp(p, "JFj", "JFj")),
     ), _TARGET),
-    "ric_fxe": Identity("Fe", ("tc", "perp_rg", "ric_N", "grad_g", "mr", "JF", "PE", "QE"), (
+    "ric_fxe": Identity("Fe", ("tc", "perp_rg", "ric_N", "g_jet", "mr", "JF", "PE", "QE"), (
         ("ric_perp_Q", +1, lambda p: _ric_block(p.c.perp_rg, p.ric_perp, p.JFv, p.QEv)),
         _FE_NTS,
         _FE_NTS_F,
         ("grad_nperp", +1, _T(lambda p: _grad_nperp(p, "QEh", "JFj"))),
         _FE_RPERP,
     ), _TARGET, True),
-    "ric_de": Identity("ee", ("tc", "range_rg", "perp_rg", "ric_N", "grad_g", "hess_g",
-                              "g_tape", "mr", "PE", "QE"), (
+    "ric_de": Identity("ee", ("tc", "range_rg", "perp_rg", "ric_N", "g_jet", "mr", "PE",
+                              "QE"), (
         _EE_RANGE,
         ("warp_PP", +1, lambda p: -pair_form(p.PEv, p.GN)
          * (p.Ev.shape[1] * p.norm2_g + p.hess_trace_g)[:, None, None]),
@@ -868,9 +934,8 @@ def verify_alpha_soliton_on_range(case: PropositionCase):
         return {"id": "alpha_soliton_range", "vacuous": True, "n_pairs": 0,
                 "max_residual": 0.0, "rows": [], "worst": None,
                 "gates": ("kernel_nontrivial",), "alpha": None, "beta": None}
-    for name in ("range_rg", "LW", "ric_M", "hess_f", "NA", "source_J"):
+    for name in ("range_rg", "LW", "ric_M", "f_jet", "NA", "source_J"):
         getattr(case, name)
-    Leta = lie_derivative_metric(case.mg.gM, case.eta) if case.eta is not None else None
     lam = float(case.lam)
     alpha, beta = 1.0 / r0, lam / r0
     p = _Lazy(_BATCH, c=case)
@@ -883,8 +948,8 @@ def verify_alpha_soliton_on_range(case: PropositionCase):
     met_term = beta * pair_form(FJU, p.GN)
     range_residual = lie_term + ric_term + met_term
     # cross-pipeline bookkeeping
-    lie_eta = (0.5 * pair_form(V, Leta.values(p.x)) if Leta is not None
-               else np.zeros_like(lie_W))
+    lie_eta = (0.5 * pair_form(V, lie_derivative(case.mg.gM, case.eta, p.x))
+               if case.eta is not None else np.zeros_like(lie_W))
     ric_uv = pair_form(V, p.ricM)
     g_uv = pair_form(V, p.GM)
     S = lie_eta + case.alpha * ric_uv + lam * g_uv

@@ -31,6 +31,7 @@ from .geometry import (
     LastPointSet,
     MetricField,
     VectorField,
+    _mirror,
     _sym,
     by_blocks,
     field_values,
@@ -100,10 +101,12 @@ class SmoothMap:
         return self._tape
 
     def jets(self, points):
-        """`geometry.jet_values` of the components, with second derivatives."""
+        """`geometry.jet_values` of the components, with the second
+        derivatives dd[:, a, b] = d_a d_b F."""
         if self._jets is None:
             self._jets = jet_tape(self.comps, self.source, second=True)
-        return jet_values(self._jets, points, self.source.dim, second=True)
+        v, d, dd = jet_values(self._jets, points, self.source.dim, second=True)
+        return v, d, dd[:, _mirror(self.source.dim)]
 
     def jac_tape(self):
         if self._jtape is None:
@@ -121,11 +124,6 @@ class SmoothMap:
         return self.jac_tape().evaluate(pts).reshape(
             len(pts), self.target.dim, self.source.dim)
 
-    def pull_expr(self, e):
-        """Compose a target-coordinate expression with the map."""
-        mapping = dict(zip(self.target.coords, self.comps))
-        return simplify(substitute(as_expr(e), mapping))
-
     def push_expr(self, e):
         """Compose a source-coordinate expression with the section."""
         if self.section is None:
@@ -134,22 +132,16 @@ class SmoothMap:
         return simplify(substitute(as_expr(e), mapping))
 
 
-def pushforward_along(F: SmoothMap, Y: VectorField) -> TensorAlongMap:
-    """F_* Y as a section along the map: target components over source
-    coordinates."""
-    return TensorAlongMap(F, [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, Y.comps)])
-
-
 def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> VectorField:
     """Push a basic field through the map using the declared section, giving
     an honest vector field on the target chart.  When `validate_points`
     (source points) is given, basic-ness is checked by comparing the pushed
     field at F(p) against the pointwise pushforward."""
-    along = pushforward_along(F, X)
-    pushed = VectorField(F.target, [F.push_expr(c) for c in along.comps])
+    along = [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, X.comps)]
+    pushed = VectorField(F.target, [F.push_expr(c) for c in along])
     if validate_points is not None:
         pts = np.atleast_2d(validate_points)
-        direct = along.values(pts)
+        direct = matvec(F.jac_values(pts), X.values(pts))
         through = pushed.values(F.values(pts))
         gap = float(np.max(np.abs(direct - through))) if len(pts) else 0.0
         if not gap <= FRAME_TOL * max(1.0, float(np.max(np.abs(direct)))):
@@ -157,19 +149,6 @@ def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> Vec
                 f"field {X.name or ''} is not basic: pushforward varies along "
                 f"fibers (gap {gap:.3e})")
     return pushed
-
-
-class TensorAlongMap:
-    """Expression array of any shape over the source chart coordinates, such
-    as the target components of F_* Y (`pushforward_along`)."""
-
-    def __init__(self, F: SmoothMap, comps):
-        self.comps = np.asarray(comps, dtype=object)
-        self._tape = Tape(list(self.comps.flat), F.source.coords)
-
-    def values(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return self._tape.evaluate(pts).reshape((len(pts),) + self.comps.shape)
 
 
 class AdaptedFrames:
@@ -211,8 +190,8 @@ class Split:
 
 class MapGeometry:
     """Bundle of (F, g_M, g_N, declared frames): the split and the source
-    tensors of the last point set, and write-once caches of the symbolic
-    target projectors and of the jet tapes."""
+    tensors of the last point set, and a write-once cache of the frame jet
+    tapes."""
 
     def __init__(self, F: SmoothMap, gM: MetricField, gN: MetricField,
                  frames: AdaptedFrames | None = None):
@@ -362,25 +341,7 @@ class MapGeometry:
         return _sym(np.moveaxis(ddF, 3, 1) - pdot(J, self.gM.at(x).gam)
                     + pdot(dF, pdot(gamN, J).swapaxes(1, 2)).swapaxes(1, 2))
 
-    # -- target projectors -------------------------------------------------------
-    def _projector_from_fields(self, g, fields):
-        """P^i_j = sum_f f^i (f^flat)_j with (f^flat)_j = g_jk f^k."""
-        E = np.array([f.comps for f in fields], dtype=object)
-        P = sym_einsum("fi,fj->ij", E, sym_einsum("jk,fk->fj", g.mat, E))
-        P.flat = [g._simp(e) for e in P.flat]
-        return P
-
-    def target_projectors(self):
-        """(P_range, P_perp) on the target chart."""
-        if "tprojs" not in self._cache:
-            if not self.frames.range or not self.frames.normal:
-                raise FramesRequired(
-                    "target projectors need declared range and normal frames")
-            PR = self._projector_from_fields(self.gN, self.frames.range)
-            PP = self._projector_from_fields(self.gN, self.frames.normal)
-            self._cache["tprojs"] = (PR, PP)
-        return self._cache["tprojs"]
-
+    # -- target fields ----------------------------------------------------------
     def shape_tensors(self, points) -> np.ndarray:
         """`shape_operator` of each normal-frame field e_k at y = F(x) of the
         points: (P, n1, n, n), [p, k, a, c] = -(P_range nabla^N_{d_c} e_k)^a."""
@@ -407,9 +368,12 @@ class MapGeometry:
             self._cache[key] = jet_tape([c for W in fields for c in W.comps], chart, hessian)
         v, d, dd = jet_values(self._cache[key], pts, n, hessian)
         P = len(v)  # each field's blocks contiguous, as the contractions read them
-        return Jet(*(None if a is None else np.ascontiguousarray(a) for a in (
-            v.reshape(P, k, n).swapaxes(0, 1), d.reshape(P, n, k, n).transpose(2, 0, 3, 1),
-            None if dd is None else dd.reshape(P, n, n, k, n).transpose(3, 0, 4, 1, 2))))
+        v, d = (np.ascontiguousarray(a) for a in (
+            v.reshape(P, k, n).swapaxes(0, 1), d.reshape(P, n, k, n).transpose(2, 0, 3, 1)))
+        if dd is None:
+            return Jet(v, d)
+        dd = np.ascontiguousarray(dd.reshape(P, -1, k, n).transpose(2, 0, 3, 1))
+        return Jet(v, d, np.take(dd, _mirror(n), axis=-1))
 
 
 class Jet(NamedTuple):
@@ -418,12 +382,6 @@ class Jet(NamedTuple):
     v: np.ndarray
     d: np.ndarray | None = None
     dd: np.ndarray | None = None
-
-
-def unpack(vals, shapes):
-    """The (..., total) outputs of a tape as (..., *shape) arrays, in order."""
-    cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
-    return [a.reshape(a.shape[:-1] + s) for a, s in zip(np.split(vals, cuts, axis=-1), shapes)]
 
 
 def connection_on_pairs(gam, F: Jet) -> np.ndarray:

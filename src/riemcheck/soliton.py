@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, as_expr, differentiate
-from .expr.tape import Tape
+from .expr import Expr, as_expr
 from .geometry import (
     GeometryError,
     MetricField,
     VectorField,
     field_values,
+    function_at,
     gnorm,
-    gradient,
-    hessian,
-    lie_derivative_metric,
+    lie_derivative,
     matvec,
     on_pairs,
     orthonormal_frames,
@@ -54,19 +52,13 @@ class SolitonConfig:
         self.f = as_expr(f) if f is not None else None
         self.alpha = float(alpha)
         self.lam = lam if lam == "solve" else float(lam)
-        # symmetric (0,2) parts: L-term is Hess f in the gradient case,
-        # otherwise (1/2) L_xi g
-        if self.f is not None:
-            self._half_lie = hessian(g, self.f)
-            self._half_lie_scale = 1.0
-        else:
-            self._half_lie = lie_derivative_metric(g, xi)
-            self._half_lie_scale = 0.5
 
     def term_values(self, points):
-        """(half_lie, alpha*ric, g) values at points, each (P, n, n)."""
+        """(half_lie, alpha*ric, g) values at points, each (P, n, n); the
+        L-term is Hess f in the gradient case, otherwise (1/2) L_xi g."""
         pts = np.atleast_2d(points)
-        L = self._half_lie.values(pts) * self._half_lie_scale
+        L = (function_at(self.g, self.f, pts).hess if self.f is not None
+             else lie_derivative(self.g, self.xi, pts) * 0.5)
         R = ricci(self.g, pts) * self.alpha
         G = self.g.values(pts)
         return L, R, G
@@ -124,14 +116,17 @@ def fit_einstein(ric_vals, g_vals, frame_rows):
     return lam, residual
 
 
-def check_conformal(g: MetricField, X: VectorField, restriction=None, points=None):
+def check_conformal(g: MetricField, X, restriction=None, points=None):
     """Fit a pointwise conformal factor phi(p) minimizing |(L_X g) - phi g|
-    on the span of the (P, k, n) frames.  Returns (phi samples, per-point
-    residual)."""
+    on the span of the (P, k, n) frames, for a field X or, given a function
+    (an expression) u, for X = grad u, where L_X g = 2 Hess u.  Returns (phi
+    samples, per-point residual)."""
     pts = np.atleast_2d(points)
     G = g.values(pts)
     fr = _pair_frames(G, pts, restriction)
-    lv = pair_form(fr, lie_derivative_metric(g, X).values(pts))
+    lie = (2.0 * function_at(g, X, pts).hess if isinstance(X, Expr)
+           else lie_derivative(g, X, pts))
+    lv = pair_form(fr, lie)
     gv = pair_form(fr, G)
     denom = np.sum(gv * gv, axis=(1, 2))
     phi = np.divide(np.sum(lv * gv, axis=(1, 2)), denom, out=np.zeros(len(pts)),
@@ -158,14 +153,13 @@ def check_clairaut_source(cc: ClairautConfig, points):
     if cc.side != "source":
         raise SolitonError("check_clairaut_source needs a source-side config")
     mg = cc.mg
-    gradf = gradient(mg.gM, cc.dilation)
     s = mg.split(points)
     V, GM = s.vertical, s.GM
     if V.shape[1] == 0:
         raise MapError("check_clairaut_source: empty kernel at all sample points")
     Tv = on_pairs(mg.oneill_T(s.x), V)
     gv = pair_form(V, GM)
-    res = umbilic_gap(Tv, gv, -gradf.values(s.x), GM)
+    res = umbilic_gap(Tv, gv, -function_at(mg.gM, cc.dilation, s.x).grad, GM)
     # umbilicity: H = trace(T)/r0, residual of T - g H
     H = np.sum(Tv.diagonal(axis1=1, axis2=2), axis=-1) / V.shape[1]
     umb = umbilic_gap(Tv, gv, H, GM)
@@ -178,13 +172,12 @@ def check_clairaut_target(cc: ClairautConfig, points):
     horizontal pairs (masked where the horizontal space is empty)."""
     if cc.side != "target":
         raise SolitonError("check_clairaut_target needs a target-side config")
-    mg, gN, gfun = cc.mg, cc.mg.gN, cc.dilation
-    gradg = gradient(gN, gfun)
-    dg = Tape([differentiate(gfun, c) for c in gN.chart.coords], gN.chart.allvars)
+    mg = cc.mg
     shapes = mg.shape_tensors(points)
     s = mg.split(points)
     GN, R = s.GN, s.range
-    Dg = vdot(s.normal, dg.evaluate(s.y)[:, None])  # D(g) for each normal-frame field D
+    gj = function_at(mg.gN, cc.dilation, s.y)
+    Dg = vdot(s.normal, gj.d[:, None])  # D(g) for each normal-frame field D
     w = matvec(shapes[:, :, None], R[:, None]) + Dg[:, :, None, None] * R[:, None]
     res = np.max(gnorm(w, GN[:, None, None]), axis=(1, 2), initial=0.0)
     # umbilical side: (nabla F_*)(X,Y) = -g_M(X,Y) grad g
@@ -192,7 +185,7 @@ def check_clairaut_target(cc: ClairautConfig, points):
     if H.shape[1] == 0:
         return res, np.ma.masked_array(np.zeros(len(H)), True)
     sff = on_pairs(mg.second_fundamental_form(s.x), H)
-    umb = umbilic_gap(sff, pair_form(H, s.GM), -gradg.values(s.y), GN)
+    umb = umbilic_gap(sff, pair_form(H, s.GM), -gj.grad, GN)
     return res, np.ma.masked_array(umb, False)
 
 

@@ -16,6 +16,7 @@ from .geometry import (
     GeometryError,
     MetricField,
     TensorField,
+    _mirror,
     field_values,
     gnorm,
     jet_tape,
@@ -51,7 +52,7 @@ class AlmostComplexStructure:
         for i, j in np.ndindex(mat.shape):
             self.mat[i, j] = as_expr(mat[i, j])
         self._tensor = TensorField(chart, (1, 1), self.mat)
-        self._jets = None
+        self._jets = {}
 
     @classmethod
     def from_frame(cls, g: MetricField, frame_fields, action):
@@ -75,6 +76,18 @@ class AlmostComplexStructure:
 
     def tensor(self) -> TensorField:
         return self._tensor
+
+    def jets(self, points, second=False):
+        """(J [k, m], d_a J [k, a, m] and, with `second`, d_a d_b J [k, a, b,
+        m], else None) at the points, each with a leading point axis, from
+        one jet tape per structure and order, built on first use."""
+        if second not in self._jets:
+            self._jets[second] = jet_tape(list(self.mat.flat), self.chart, second)
+        n = self.chart.dim
+        v, d, dd = jet_values(self._jets[second], points, n, second)
+        if dd is not None:  # [a, b, k, m] to [k, a, b, m]
+            dd = np.moveaxis(dd[:, _mirror(n)].reshape((-1,) + (n,) * 4), 3, 1)
+        return v.reshape(-1, n, n), d.reshape(-1, n, n, n).swapaxes(1, 2), dd
 
     def values(self, points) -> np.ndarray:
         return self._tensor.values(points)
@@ -119,14 +132,11 @@ def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.nda
 
 def nabla_J(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
     """(nabla J)[p, k, l, j] = (nabla_{d_l} J)(d_j)^k = d_l J^k_j
-    + Gamma^k_lm J^m_j - Gamma^m_lj J^k_m at the points, from one jet tape
-    of J, built once per structure, and Gamma of g there (`MetricField.at`)."""
-    if J._jets is None:
-        J._jets = jet_tape(list(J.mat.flat), J.chart)
-    n, gam = J.chart.dim, g.at(points).gam
-    v, d, _ = jet_values(J._jets, points, n)
-    Jv = v.reshape(-1, n, n)
-    return d.reshape(-1, n, n, n).swapaxes(1, 2) + pdot(gam, Jv) - pdot(Jv, gam)
+    + Gamma^k_lm J^m_j - Gamma^m_lj J^k_m at the points, from J's jets
+    (`AlmostComplexStructure.jets`) and Gamma of g there (`MetricField.at`)."""
+    Jv, dJ, _ = J.jets(points)
+    gam = g.at(points).gam
+    return dJ + pdot(gam, Jv) - pdot(Jv, gam)
 
 
 def _side(mg, s, side):

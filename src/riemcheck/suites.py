@@ -16,9 +16,9 @@ from .geometry import (
     ChartDomainError,
     GeometryError,
     field_values,
+    function_at,
     geodesic_integrate,
     gnorm,
-    gradient,
     matvec,
     on_pairs,
     orthonormal_frames,
@@ -391,8 +391,8 @@ def check_conformal_id(ctx):
         raise SpecError("conformal check needs a 'conformal ...' line")
     if conf["kind"] == "field":
         X = ctx.cfg.field(ctx.chart.name, conf["name"])
-    else:
-        X = gradient(ctx.g, ctx.cfg.function(ctx.chart.name, conf["name"]))
+    else:  # a potential function: X = grad u
+        X = ctx.cfg.function(ctx.chart.name, conf["name"])
     phis, res = check_conformal(ctx.g, X, ctx.restriction(), ctx.points)
     return _pointwise(ctx, "conformal", res, {"phi_first": [float(v) for v in phis[:6]]})
 
@@ -530,7 +530,7 @@ def check_fiber_curvature(ctx):
     f = ctx.source_fun()
     if f is None:
         raise SpecError("fiber_curvature needs 'clairaut source FUNC'")
-    diff = fiber_mean_curvature(ctx.mg, ctx.points) + gradient(ctx.g, f).values(ctx.points)
+    diff = fiber_mean_curvature(ctx.mg, ctx.points) + function_at(ctx.g, f, ctx.points).grad
     return _pointwise(ctx, "fiber_curvature", gnorm(diff, ctx.g.values(ctx.points)))
 
 

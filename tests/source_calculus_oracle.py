@@ -1,33 +1,155 @@
-"""Symbolic source-side tensors: the oracle for the numeric curvature of
-`geometry.MetricAt` and the numeric O'Neill tensors, their covariant
-derivatives and the second fundamental form of `rmap.MapGeometry`.
+"""Symbolic source-side calculus: the oracle for the numeric curvature of
+`geometry.MetricAt`, the function and Lie-derivative arrays of
+`geometry.function_at` and `geometry.lie_derivative`, and the numeric
+O'Neill tensors, their covariant derivatives and the second fundamental form
+of `rmap.MapGeometry`.
 
-These are the symbolic bodies the engine used before those tensors became
-arrays computed from derivative arrays at a point set: Riemann, Ricci and the
-scalar curvature from the symbolic Christoffel symbols, covariant derivatives
-of expression tensors, the projectors P_V and P_H as expression matrices, the
-O'Neill tensors T and A by nested `covariant_derivative` calls, and the second
-fundamental form with Gamma_N pulled back through the map.  They are slow and
-kept only as the independent reference the numeric values are compared
-against, as `target_calculus_oracle.py` is for the target calculus.
+These are the symbolic bodies the engine used before those quantities became
+arrays computed from derivative arrays at a point set: the derivatives of the
+Christoffel symbols, Riemann, Ricci and the scalar curvature from the
+symbolic Christoffel symbols, the Hessian, divergence and metric Lie
+derivative as expression tensors, covariant derivatives of vector fields and
+of expression tensors, projectors onto declared frames as expression
+matrices, the O'Neill tensors T and A by nested `covariant_derivative` calls,
+and the second fundamental form with Gamma_N pulled back through the map
+(`pull_expr`).  They are slow and kept only as the independent reference the
+numeric values are compared against, as `target_calculus_oracle.py` is for
+the target calculus.
 """
 
 import numpy as np
 
-from riemcheck.expr import Neg, differentiate
+from riemcheck.expr import Neg, Tape, as_expr, differentiate, simplify, substitute
 from riemcheck.expr.nodes import ZERO, is_const
 from riemcheck.geometry import (
     GeometryError,
     TensorField,
+    VectorField,
     _add,
     _prod,
     _sub,
     _symmetrized,
-    covariant_derivative,
     sym_einsum,
     sym_zeros,
 )
-from riemcheck.rmap import FramesRequired, TensorAlongMap
+from riemcheck.rmap import FramesRequired
+
+
+class TensorAlongMap:
+    """Expression array of any shape over the source chart coordinates, such
+    as the target components of F_* Y (`pushforward_along`)."""
+
+    def __init__(self, F, comps):
+        self.comps = np.asarray(comps, dtype=object)
+        self._tape = Tape(list(self.comps.flat), F.source.coords)
+
+    def values(self, points) -> np.ndarray:
+        pts = np.atleast_2d(points)
+        return self._tape.evaluate(pts).reshape((len(pts),) + self.comps.shape)
+
+
+def pushforward_along(F, Y) -> TensorAlongMap:
+    """F_* Y as a section along the map: target components over source
+    coordinates."""
+    return TensorAlongMap(F, [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, Y.comps)])
+
+
+# -- first-order operators ------------------------------------------------------
+
+def christoffel_derivative(g) -> np.ndarray:
+    """dgam[a, l, i, j] = d_a Gamma^l_ij, symmetric in (i, j)."""
+    gam, coords = g.christoffel().comps, g.chart.coords
+    dgam = np.empty((g.chart.dim,) * 4, dtype=object)
+    for a, l, i, j in np.ndindex(dgam.shape):
+        dgam[a, l, i, j] = differentiate(gam[l, i, j], coords[a]) if i <= j else dgam[a, l, j, i]
+    return dgam
+
+
+def covariant_derivative(g, X, Y) -> VectorField:
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j."""
+    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
+    Yc = Y.comps if isinstance(Y, VectorField) else tuple(as_expr(c) for c in Y)
+    if isinstance(X, VectorField) and X.chart is not g.chart:
+        raise GeometryError("covariant_derivative: X lives on a different chart")
+    if isinstance(Y, VectorField) and Y.chart is not g.chart:
+        raise GeometryError("covariant_derivative: Y lives on a different chart")
+    n = g.chart.dim
+    coords = g.chart.coords
+    gam = g.christoffel().comps
+    comps = []
+    for k in range(n):
+        acc = ZERO
+        for i in range(n):
+            if is_const(Xc[i], 0.0):  # nothing to add, and no derivative to take
+                continue
+            acc = _add(acc, _prod(Xc[i], differentiate(Yc[k], coords[i])))
+            for j in range(n):
+                acc = _add(acc, _prod(gam[k, i, j], Xc[i], Yc[j]))
+        comps.append(g._simp(acc))
+    return VectorField(g.chart, comps)
+
+
+def hessian(g, f) -> TensorField:
+    """Hess f(X, Y) = g(nabla_X grad f, Y); components
+    d_i d_j f - Gamma^k_ij d_k f."""
+    f = as_expr(f)
+    n = g.chart.dim
+    coords = g.chart.coords
+    df = [differentiate(f, c) for c in coords]
+    ddf = sym_zeros((n, n))  # upper triangle only
+    for i in range(n):
+        for j in range(i, n):
+            ddf[i, j] = differentiate(df[i], coords[j])
+    acc = sym_einsum("kij,k->ij", g.christoffel().comps, df, acc=ddf, sign=-1)
+    return TensorField(g.chart, (0, 2), _symmetrized(acc, g._simp))
+
+
+def divergence(g, X):
+    """div X = d_i X^i + Gamma^k_{ki} X^i; agrees with the frame-trace and
+    the sqrt-det coordinate formulas."""
+    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
+    n = g.chart.dim
+    coords = g.chart.coords
+    gam = g.christoffel().comps
+    acc = ZERO
+    for i in range(n):
+        acc = _add(acc, differentiate(Xc[i], coords[i]))
+        for k in range(n):
+            acc = _add(acc, _prod(gam[k, k, i], Xc[i]))
+    return g._simp(acc)
+
+
+def lie_derivative_metric(g, X) -> TensorField:
+    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k; symmetric."""
+    Xc = X.comps if isinstance(X, VectorField) else tuple(as_expr(c) for c in X)
+    n = g.chart.dim
+    coords = g.chart.coords
+    out = sym_zeros((n, n))
+    dX = [[differentiate(Xc[k], coords[i]) for i in range(n)] for k in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ZERO
+            for k in range(n):
+                acc = _add(acc, _prod(Xc[k], differentiate(g.mat[i, j], coords[k])))
+                acc = _add(acc, _prod(g.mat[k, j], dX[k][i]))
+                acc = _add(acc, _prod(g.mat[i, k], dX[k][j]))
+            e = g._simp(acc)
+            out[i, j] = e
+            out[j, i] = e
+    return TensorField(g.chart, (0, 2), out)
+
+
+def projector_from_fields(g, fields) -> np.ndarray:
+    """P^i_j = sum_f f^i (f^flat)_j with (f^flat)_j = g_jk f^k."""
+    E = np.array([f.comps for f in fields], dtype=object)
+    P = sym_einsum("fi,fj->ij", E, sym_einsum("jk,fk->fj", g.mat, E))
+    P.flat = [g._simp(e) for e in P.flat]
+    return P
+
+
+def pull_expr(F, e):
+    """Compose a target-coordinate expression with the map F."""
+    return simplify(substitute(as_expr(e), dict(zip(F.target.coords, F.comps))))
 
 
 # -- curvature ----------------------------------------------------------------
@@ -36,7 +158,7 @@ def riemann(g) -> TensorField:
     """Curvature tensor R[l, i, j, k] = (R(d_i, d_j) d_k)^l."""
     n = g.chart.dim
     gam = g.christoffel().comps
-    dgam = g.christoffel_derivative()  # dgam[a][l][i][j] = d_a Gamma^l_ij
+    dgam = christoffel_derivative(g)  # dgam[a][l][i][j] = d_a Gamma^l_ij
     out = sym_zeros((n, n, n, n))
     for l in range(n):
         for i in range(n):
@@ -93,8 +215,8 @@ def projectors(mg):
     """(P_V, P_H) on the source chart as (1,1) expression matrices."""
     if not mg.frames.vertical or not mg.frames.horizontal:
         raise FramesRequired("source projectors need declared vertical and horizontal frames")
-    return (mg._projector_from_fields(mg.gM, mg.frames.vertical),
-            mg._projector_from_fields(mg.gM, mg.frames.horizontal))
+    return (projector_from_fields(mg.gM, mg.frames.vertical),
+            projector_from_fields(mg.gM, mg.frames.horizontal))
 
 
 def oneill(mg, which) -> TensorField:
@@ -138,7 +260,7 @@ def second_fundamental_form(mg) -> TensorAlongMap:
     gamN = gN.christoffel().comps
     gamN_pulled = np.empty((nt, nt, nt), dtype=object)
     for idx in np.ndindex(nt, nt, nt):
-        gamN_pulled[idx] = ZERO if is_const(gamN[idx], 0.0) else F.pull_expr(gamN[idx])
+        gamN_pulled[idx] = ZERO if is_const(gamN[idx], 0.0) else pull_expr(F, gamN[idx])
     acc = sym_zeros((nt, ns, ns))  # upper triangle only
     for a in range(nt):
         for i in range(ns):

@@ -1,9 +1,11 @@
 """Symbolic target calculus: the oracle for `propcheck.TargetCalculus`.
 
 These are the symbolic bodies the engine used before its target calculus
-became array contractions: every operation builds a new `VectorField` per
-argument tuple through nested `covariant_derivative` and `simplify` calls,
-and `lie_bracket` forms [X, Y] symbolically.  They are slow and kept only as
+became array contractions: P_range and P_perp are expression matrices built
+from the declared frames, J', P_range and P_perp are applied to a field by
+one symbolic matrix product each, every operation builds a new `VectorField`
+per argument tuple through nested `covariant_derivative` and `simplify`
+calls, and `lie_bracket` forms [X, Y] symbolically.  They are slow and kept only as
 the independent reference the numeric operations are compared against, as
 `fd_oracle.py` and `geodesic_oracle.py` are.
 
@@ -17,8 +19,10 @@ import numpy as np
 
 from riemcheck.expr import Const, simplify
 from riemcheck.expr.nodes import ZERO, differentiate
-from riemcheck.geometry import VectorField, _add, _prod, _sub, covariant_derivative
-from riemcheck.propcheck import TargetCalculus
+from riemcheck.geometry import VectorField, _add, _prod, _sub, sym_einsum
+from riemcheck.propcheck import TargetCalculus, UnsupportedDistribution
+
+from source_calculus_oracle import covariant_derivative, projector_from_fields
 
 
 def lie_bracket(chart, X, Y) -> VectorField:
@@ -34,8 +38,33 @@ def lie_bracket(chart, X, Y) -> VectorField:
 
 
 class SymbolicTargetCalculus(TargetCalculus):
-    """The derivative operations as symbolic fields, memoized by the field
-    objects they take."""
+    """J', the projectors and the derivative operations as symbolic fields,
+    memoized by the field objects they take."""
+
+    def __init__(self, mg, Jp):
+        super().__init__(mg, Jp)
+        self.gN = mg.gN
+        self.PR = projector_from_fields(mg.gN, mg.frames.range)
+        self.PP = projector_from_fields(mg.gN, mg.frames.normal)
+        self._memo = {}
+
+    def _apply_matrix(self, tag, M, W: VectorField) -> VectorField:
+        key = (tag, W)
+        if key not in self._memo:
+            comps = [self.gN._simp(e) for e in sym_einsum("ij,j->i", M, W.comps)]
+            self._memo[key] = VectorField(self.gN.chart, comps, name=f"{tag}({W.name})")
+        return self._memo[key]
+
+    def J(self, W):
+        if self.Jp is None:
+            raise UnsupportedDistribution("no target almost complex structure declared")
+        return self._apply_matrix("J'", self.Jp.mat, W)
+
+    def proj_range(self, W):
+        return self._apply_matrix("Pr", self.PR, W)
+
+    def proj_perp(self, W):
+        return self._apply_matrix("Pp", self.PP, W)
 
     def field(self, name, comps):
         return VectorField(self.gN.chart, comps, name=name)
@@ -89,11 +118,14 @@ class SymbolicTargetCalculus(TargetCalculus):
         return self._memo[key]
 
 
-def field_lists(case):
-    """The field list behind each jet name of the batch namespace."""
+def field_lists(case, tc):
+    """The symbolic field list, through the oracle `tc`, behind each jet name
+    of the batch namespace."""
     fr = case.mg.frames
-    return {"Fj": fr.range, "Ej": fr.normal, "JFj": case.JF, "JFh": case.JF,
-            "PEj": case.PE, "QEh": case.QE}
+    JF = [tc.J(f) for f in fr.range]
+    return {"Fj": fr.range, "Ej": fr.normal, "JFj": JF, "JFh": JF,
+            "PEj": [tc.proj_range(tc.J(e)) for e in fr.normal],
+            "QEh": [tc.proj_perp(tc.J(e)) for e in fr.normal]}
 
 
 def oracle_tc_values(p, method, *jets):
@@ -101,7 +133,7 @@ def oracle_tc_values(p, method, *jets):
     field per combination, evaluated at y, as a (P, n1, n2, ..., n) array."""
     tc = p.c.__dict__.setdefault(
         "oracle_tc", SymbolicTargetCalculus(p.c.mg, p.c.Jp))
-    fields = [field_lists(p.c)[name] for name in jets]
+    fields = [field_lists(p.c, tc)[name] for name in jets]
     make = getattr(tc, method)
     vals = [make(*ws).values(p.y) for ws in itertools.product(*fields)]
     shape = (len(p.y),) + tuple(map(len, fields)) + (p.y.shape[1],)

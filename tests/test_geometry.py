@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemcheck import geometry
-from riemcheck.catalog import load
+from riemcheck.catalog import load, names
 from riemcheck.expr import Const, Tape, parse
 from riemcheck.expr.nodes import ZERO, Var, is_const
 from riemcheck.suites import run_suite
@@ -22,13 +22,11 @@ from riemcheck.geometry import (
     GeometryError,
     MetricField,
     VectorField,
-    covariant_derivative,
-    divergence,
+    function_at,
     geodesic_integrate,
     geodesic_tape,
     gradient,
-    hessian,
-    lie_derivative_metric,
+    lie_derivative,
     orthonormalize,
     ricci,
     riemann,
@@ -39,6 +37,7 @@ from riemcheck.geometry import (
 
 import geodesic_oracle
 from fd_oracle import fd_ricci
+from source_calculus_oracle import covariant_derivative, divergence
 from target_calculus_oracle import lie_bracket
 
 
@@ -310,22 +309,38 @@ def test_gradient_examples():
     assert np.max(np.abs(vals - expect)) <= 1e-12
 
 
+def test_one_dimensional_metric_inverts_its_entry():
+    """The adjugate of a 1x1 metric is 1 (the determinant of the empty
+    minor), so the symbolic inverse, gradient and Christoffel symbol are
+    those of g = exp(2w)."""
+    chart = Chart("L", ["w"])
+    g = MetricField(chart, [[chart.parse("exp(2*w)")]])
+    pts = chart.sample_points(5, seed=11)
+    want = np.exp(-2.0 * pts[:, 0])
+    inverse = Tape([g.inverse()[0, 0]], ["w"]).evaluate(pts)[:, 0]
+    assert np.max(np.abs(inverse - want)) <= 1e-15
+    assert np.max(np.abs(gradient(g, parse("w")).values(pts)[:, 0] - want)) <= 1e-15
+    assert np.max(np.abs(function_at(g, parse("w"), pts).grad[:, 0] - want)) <= 1e-15
+    assert np.max(np.abs(g.christoffel().values(pts) - 1.0)) <= 1e-15
+
+
 def test_hessian_examples():
     g = euclidean(2)
-    h = hessian(g, parse("(x1^2 + x2^2)/2"))
     pts = g.chart.sample_points(5, seed=13)
-    hv = h.values(pts)
+    hv = function_at(g, parse("(x1^2 + x2^2)/2"), pts).hess
     assert np.max(np.abs(hv - np.eye(2))) <= 1e-12
-    h0 = hessian(g, parse("3*x1 - 2*x2"))
-    assert np.max(np.abs(h0.values(pts))) <= 1e-12
+    h0 = function_at(g, parse("3*x1 - 2*x2"), pts)
+    assert np.max(np.abs(h0.hess)) <= 1e-12 and h0.lap.tolist() == [0.0] * 5
+    assert np.max(np.abs(h0.grad - [3.0, -2.0])) <= 1e-15
 
     gs = sphere2()
-    hc = hessian(gs, parse("cos(theta)"))
     pts = gs.chart.sample_points(20, seed=14, box=(0.3, 1.2))
-    hv = hc.values(pts)
+    hc = function_at(gs, parse("cos(theta)"), pts)
     gv = gs.values(pts)
     expect = -np.cos(pts[:, 0])[:, None, None] * gv
-    assert np.max(np.abs(hv - expect)) <= 1e-10
+    assert np.max(np.abs(hc.hess - expect)) <= 1e-10
+    # the Laplacian of the first spherical harmonic is -2 cos(theta)
+    assert np.max(np.abs(hc.lap + 2.0 * np.cos(pts[:, 0]))) <= 1e-10
 
 
 def test_divergence_examples():
@@ -377,13 +392,18 @@ def test_divergence_equals_frame_trace_and_sqrtdet_formula():
 def test_lie_derivative_examples():
     g = euclidean(2)
     rot = VectorField(g.chart, [parse("-x2"), parse("x1")])
-    lv = lie_derivative_metric(g, rot).values(g.chart.sample_points(10, seed=16))
+    lv = lie_derivative(g, rot, g.chart.sample_points(10, seed=16))
     assert np.max(np.abs(lv)) <= 1e-12
 
     g3 = euclidean(3)
     euler = VectorField(g3.chart, [parse("x1"), parse("x2"), parse("x3")])
-    lv = lie_derivative_metric(g3, euler).values(g3.chart.sample_points(10, seed=17))
+    lv = lie_derivative(g3, euler, g3.chart.sample_points(10, seed=17))
     assert np.max(np.abs(lv - 2.0 * np.eye(3))) <= 1e-12
+
+    # the rotation d_phi is a Killing field of the round sphere
+    gs = sphere2()
+    lv = lie_derivative(gs, VectorField(gs.chart, [0, 1]), gs.chart.sample_points(10, seed=18))
+    assert np.max(np.abs(lv)) == 0.0
 
 
 # -- orthonormalize -----------------------------------------------------------------
@@ -581,7 +601,7 @@ def test_geodesic_integrate_raises_as_the_numpy_array_oracle_does(
 @functools.cache
 def _catalog_metric(entry, chart):
     """(metric, sample box) of a catalog chart, loaded once per session."""
-    from riemcheck.catalog import load
+    from riemcheck.catalog import load, names
     cfg = load(entry)
     return cfg.metrics[chart], cfg.check["box"]
 
@@ -719,7 +739,7 @@ def test_no_structural_zero_reaches_mul_in_a_paper41_run(monkeypatch):
         if (getattr(mod, "__name__", "").startswith("riemcheck")
                 and getattr(mod, "_mul", None) is real_mul):
             monkeypatch.setattr(mod, "_mul", mul)
-    for entry in ("paper-3.1", "paper-4.1"):
+    for entry in names():  # paper-3.1 and paper-4.1 alone now build 73 products
         run_suite(load(entry), points=6)
     assert len(calls) > 100 and not any(calls)
 

@@ -73,9 +73,8 @@ def loop_fit_einstein(ric_vals, g_vals, frame_rows):
 
 
 def loop_check_conformal(g, X, restriction, points):
-    LX = soliton.lie_derivative_metric(g, X)
     pts, frames = loop_pair_frames(g, points, restriction)
-    Lv = LX.values(pts)
+    Lv = soliton.lie_derivative(g, X, pts)
     Gv = g.values(pts)
     phis, residual = [], []
     for p, fr in enumerate(frames):
@@ -181,7 +180,7 @@ def test_stacked_contractions_match_the_per_point_loops(P, n, seed, data):
     frames = E if k else orthonormal_frames(G)
     assert_agree(outcome(soliton.fit_einstein, L, G, frames),
                  outcome(loop_fit_einstein, L, G, frames))
-    with mock.patch.object(soliton, "lie_derivative_metric", lambda g, X: Stack(LX)):
+    with mock.patch.object(soliton, "lie_derivative", lambda g, X, pts: LX):
         assert_agree(outcome(soliton.check_conformal, Stack(G), None, restriction, pts),
                      outcome(loop_check_conformal, Stack(G), None, restriction, pts))
     with mock.patch.object(structure, "nabla_J", lambda g, J, points: NJ):

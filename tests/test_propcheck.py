@@ -46,6 +46,7 @@ from paper_fixtures import (
     vf,
     warped_clairaut,
 )
+from target_calculus_oracle import SymbolicTargetCalculus
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,20 @@ def test_coordinate_alignment_detection():
     skew = [np.array([[1.0, 1.0, 0.0]])]
     with pytest.raises(UnsupportedDistribution):
         coordinate_alignment(skew)
+
+
+def test_hess_g_alone_without_a_target_dilation_is_unsupported():
+    """The Hessian of g, asked for before anything else on a case without g,
+    is UnsupportedDistribution naming the missing dilation, as the other
+    dilation ingredients are."""
+    mg, Jp, _ = example41()
+    x = mg.gM.chart.sample_points(3, seed=5)
+    for ask in (lambda c: c.g_jet, lambda c: propcheck._Lazy(propcheck._BATCH, c=c).Hg):
+        with pytest.raises(UnsupportedDistribution, match="case has no target dilation g"):
+            ask(PropositionCase(mg, x, Jp=Jp))
+    case = PropositionCase(mg, x, Jp=Jp, gfun=mg.gN.chart.parse("y5^2"))
+    Hg = propcheck._Lazy(propcheck._BATCH, c=case).Hg
+    assert Hg.shape == (3, 6, 6) and Hg[0, 4, 4] == 2.0
 
 
 # -- Lagrangian reductions on the flat model ------------------------------------------
@@ -470,7 +485,7 @@ def test_target_fields_sharing_a_name_keep_their_own_memo_entries():
     frames = AdaptedFrames(vertical=fr.vertical, horizontal=fr.horizontal,
                            range_=[R1, nameless[0]], normal=[twin, nameless[1]])
     Jp = cfg.structure_on("N")
-    tc = TargetCalculus(MapGeometry(mg.F, mg.gM, mg.gN, frames), Jp)
+    tc = SymbolicTargetCalculus(MapGeometry(mg.F, mg.gM, mg.gN, frames), Jp)
     y = mg.F.value_at(mg.gM.chart.sample_points(1, seed=3)[0])
     PR, PP = (TensorField(N, (1, 1), P).value_at(y) for P in (tc.PR, tc.PP))
     for W in (R1, twin, *nameless):

@@ -1,9 +1,10 @@
 """Independent symbolic oracle for the curvature builders.
 
 sympy differentiates the metric entries (and a fixed test function) exactly;
-Christoffel symbols, Riemann, Ricci, scalar curvature and the Hessian are then
-assembled numerically from those derivatives with numpy, sharing nothing with
-riemcheck's expression simplifier or its symbolic contractions.  Every catalog
+Christoffel symbols, Riemann, Ricci, scalar curvature and the function's
+Hessian, gradient and Laplacian are then assembled numerically from those
+derivatives with numpy, sharing nothing with riemcheck's expression
+simplifier or its symbolic contractions.  Every catalog
 metric (source and target) and the non-diagonal Heisenberg metric are
 compared with riemcheck's values at three seeded points, to 1e-12 relative.
 sympy is not a dependency of the package, so the module skips without it.
@@ -14,7 +15,7 @@ import pytest
 
 from riemcheck import catalog
 from riemcheck.expr.nodes import Binary, Const, Pow, Unary, Var
-from riemcheck.geometry import Chart, MetricField, hessian, ricci, riemann, scalar_curvature
+from riemcheck.geometry import Chart, MetricField, function_at, ricci, riemann, scalar_curvature
 
 sympy = pytest.importorskip("sympy")
 
@@ -49,7 +50,8 @@ def sample_function(chart):
 
 
 def oracle(g, f):
-    """Pointwise oracle: x -> (Gamma, Riemann, Ricci, scalar, Hess f)."""
+    """Pointwise oracle: x -> (Gamma, Riemann, Ricci, scalar, Hess f, grad f,
+    Laplacian of f)."""
     chart = g.chart
     syms = {c: sympy.Symbol(c) for c in chart.coords}
     xs = [syms[c] for c in chart.coords]
@@ -79,7 +81,8 @@ def oracle(g, f):
              + np.einsum("lim,mjk->lijk", gam, gam)
              - np.einsum("ljm,mik->lijk", gam, gam))
         ric = np.einsum("kkij->ij", R)
-        return gam, R, ric, float(np.sum(Gi * ric)), ddf - np.einsum("kij,k->ij", gam, df)
+        H = ddf - np.einsum("kij,k->ij", gam, df)
+        return gam, R, ric, float(np.sum(Gi * ric)), H, Gi @ df, float(np.sum(Gi * H))
 
     return at
 
@@ -112,14 +115,16 @@ def test_curvature_matches_the_sympy_oracle(case):
     g = metric(case)
     f = sample_function(g.chart)
     at = oracle(g, f)
-    hess = hessian(g, f)
     pts = g.chart.sample_points(3, seed=17)
+    fa = function_at(g, f, pts)
     numeric_gam = g.at(pts).gam
     for p, x in enumerate(pts):
-        gam, R, ric, s, H = at(x)
+        gam, R, ric, s, H, grad, lap = at(x)
         assert close(g.christoffel().value_at(x), gam), ("christoffel", x)
         assert close(numeric_gam[p], gam), ("numeric christoffel", x)
         assert close(riemann(g, pts)[p], R), ("riemann", x)
         assert close(ricci(g, pts)[p], ric), ("ricci", x)
         assert close(scalar_curvature(g, pts)[p], s), ("scalar", x)
-        assert close(hess.value_at(x), H), ("hessian", x)
+        assert close(fa.hess[p], H), ("hessian", x)
+        assert close(fa.grad[p], grad), ("gradient", x)
+        assert close(fa.lap[p], lap), ("laplacian", x)
