@@ -15,7 +15,8 @@ shape and bound twice:
 Every check evaluates its tapes over the whole point set with `evaluate`.
 `evaluate_list` (one point, a list of floats in, a sequence out) serves the
 geodesic RK4 integrator, whose stages come one point at a time on a state of
-Python floats; `evaluate_at` wraps it in arrays for the `value_at` accessors.
+Python floats; `evaluate_at` wraps it in arrays for `Chart.check_domain`,
+which tests every accepted geodesic step.
 
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a

@@ -5,15 +5,16 @@ gradient (for a field a map pushes forward) as expression-valued tensors.
 Numeric side: the curvature of a metric at a point set (`MetricField.at`: one
 tape of the metric's first and second derivatives, then Gamma, its
 derivatives, Riemann, Ricci and the scalar curvature as arrays by the product
-rule), the gradient, Hessian and Laplacian of a function (`function_at`) and
-the Lie derivative of the metric along a field (`lie_derivative`) from their
-jets and the metric's at a point set, seeded sample-point
-generation, per-point metric values, Gram-Schmidt orthonormalization, a
-4th-order geodesic integrator with energy monitoring (first attempts run
-ahead in chains, whose energies are one stacked `qform`), and the
-contractions every check evaluates frames with: `matvec`, `tvec`, `vdot` and
-`qform` on stacked vectors, `pair_form`, `tform` and `on_pairs` on pairs of
-frame vectors, the metric norm `gnorm` and the `umbilic_gap` reduction.
+rule, for the metric or for the block of a coordinate subset), the gradient,
+Hessian and Laplacian of a function (`function_at`) and the Lie derivative of
+the metric along a field (`lie_derivative`) from their jets and the metric's
+at a point set, seeded sample-point generation, per-point metric values,
+Gram-Schmidt orthonormalization, a 4th-order geodesic integrator with energy
+monitoring (first attempts run ahead in chains, whose energies are one
+stacked `qform`), and the contractions every check evaluates frames with:
+`matvec`, `tvec`, `vdot` and `qform` on stacked vectors, `pair_form`, `tform`
+and `on_pairs` on pairs of frame vectors, the metric norm `gnorm` and the
+`umbilic_gap` reduction.
 
 Index conventions (documented once, used everywhere):
   * tensor components store contravariant indices first, e.g. a (1,2) tensor
@@ -161,17 +162,14 @@ class Chart:
     simplifier as declared-nonvanishing factors.
     """
 
-    def __init__(self, name, coords, constraints=(), params=()):
+    def __init__(self, name, coords, constraints=()):
         coords = tuple(coords)
-        params = tuple(params)
-        if len(set(coords + params)) != len(coords) + len(params):
+        if len(set(coords)) != len(coords):
             raise GeometryError(f"chart {name!r}: duplicate coordinate names")
         if len(coords) < 1:
             raise GeometryError(f"chart {name!r}: dimension must be >= 1")
         self.name = name
         self.coords = coords
-        self.params = params  # frozen transverse variables of induced geometries
-        self.allvars = coords + params
         self.dim = len(coords)
         cons = []
         for c, kind in constraints:
@@ -189,20 +187,7 @@ class Chart:
         return [c for c, _ in self.constraints]
 
     def parse(self, text, extra=()):
-        return parse(text, allowed=self.allvars + tuple(extra))
-
-    def point(self, values) -> dict:
-        """Validate and return a point as a coordinate->value mapping."""
-        p = {}
-        for c in self.coords:
-            if c not in values:
-                raise ChartDomainError(f"point misses coordinate {c!r} of chart {self.name}")
-            p[c] = float(values[c])
-        extra = set(values) - set(self.coords)
-        if extra:
-            raise ChartDomainError(f"point has foreign coordinates {sorted(extra)}")
-        self.check_domain(self.point_to_array(p))
-        return p
+        return parse(text, allowed=self.coords + tuple(extra))
 
     def check_domain(self, x):
         """Raises ChartDomainError naming the first constraint violated at
@@ -265,7 +250,7 @@ class VectorField:
 
     def tape(self):
         if self._tape is None:
-            self._tape = Tape(self.comps, self.chart.allvars)
+            self._tape = Tape(self.comps, self.chart.coords)
         return self._tape
 
     def jet_tape(self):
@@ -276,9 +261,6 @@ class VectorField:
 
     def values(self, points) -> np.ndarray:
         return self.tape().evaluate(np.atleast_2d(points))
-
-    def value_at(self, x) -> np.ndarray:
-        return self.tape().evaluate_at(np.asarray(x, dtype=float))
 
 
 class TensorField:
@@ -299,16 +281,13 @@ class TensorField:
 
     def tape(self):
         if self._tape is None:
-            self._tape = Tape(list(self.comps.flat), self.chart.allvars)
+            self._tape = Tape(list(self.comps.flat), self.chart.coords)
         return self._tape
 
     def values(self, points) -> np.ndarray:
         pts = np.atleast_2d(points)
         flat = self.tape().evaluate(pts)
         return flat.reshape((len(pts),) + self.comps.shape)
-
-    def value_at(self, x) -> np.ndarray:
-        return self.tape().evaluate_at(np.asarray(x, dtype=float)).reshape(self.comps.shape)
 
 
 class MetricField(TensorField):
@@ -396,7 +375,11 @@ class MetricField(TensorField):
         """The metric's jets and curvature at a point set.  A run evaluates
         a metric at one point set, its sample points x or their images
         y = F(x), so those of the last point set are kept."""
-        return self._last_at.get(points, lambda pts: MetricAt(self, pts))
+        def build(pts):
+            v, d, dd = jet_values(self.jet_tape(), pts, self.chart.dim, second=True)
+            m = _mirror(self.chart.dim)
+            return MetricAt(v[:, m], d[:, :, m], dd, m)
+        return self._last_at.get(points, build)
 
 
 class LastPointSet:
@@ -462,12 +445,11 @@ def _partials(exprs, coords):
 
 def jet_tape(exprs, chart, second=False) -> Tape:
     """One tape of the expressions, then d_a of each for every chart
-    coordinate a (never along the frozen params of an induced chart), then,
-    with `second`, d_b d_a of each for every pair a <= b."""
+    coordinate a, then, with `second`, d_b d_a of each for every pair a <= b."""
     d = _partials(exprs, chart.coords)
     dd = [_partials(row, chart.coords[a:]) for a, row in enumerate(d)] if second else []
     return Tape([*exprs, *(e for row in d for e in row),
-                 *(e for rows in dd for row in rows for e in row)], chart.allvars)
+                 *(e for rows in dd for row in rows for e in row)], chart.coords)
 
 
 def jet_values(tape, points, n, second=False):
@@ -519,12 +501,26 @@ class MetricAt:
     Gamma^k_ij, dgam(s) [a, k, i, j] = d_a Gamma^k_ij, riemann(s) [l, i, j,
     k], ricci [i, j] (its trace) and scalar; each with a leading point axis,
     or at the points of the slice s.  The n**4-sized ones are made on each
-    use, the others on first use and kept, read-only."""
+    use, the others on first use and kept, read-only.
 
-    def __init__(self, g: MetricField, pts):
-        v, d, self._dd = jet_values(g.jet_tape(), pts, g.chart.dim, second=True)
-        self._m = m = _mirror(g.chart.dim)
-        self.G, self.dG = frozen(v[:, m]), frozen(d[:, :, m])
+    The tape's second derivatives dd [pair, entry] are kept packed: m[a, b]
+    is the index of the pair a, b and of the entry a, b (`_mirror`)."""
+
+    def __init__(self, G, dG, dd, m):
+        self.G, self.dG, self._dd, self._m = frozen(G), frozen(dG), dd, m
+        self._blocks = {}
+
+    def block(self, I) -> MetricAt:
+        """The induced metric of the coordinate block I (a tuple of indices),
+        on the submanifolds where the other coordinates are constant, at the
+        same points: the entries i, j in I of G, their derivatives along I,
+        and the packed second derivatives read through m at I x I.  Kept per
+        block."""
+        if I not in self._blocks:
+            i, j = np.ix_(I, I)
+            self._blocks[I] = MetricAt(self.G[:, i, j], self.dG[:, I][:, :, i, j],
+                                       self._dd, self._m[i, j])
+        return self._blocks[I]
 
     def ddG(self, s, along=slice(None)):
         """d_a d_b g_ij at the points of s, for the a of `along` only."""

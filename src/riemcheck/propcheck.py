@@ -47,8 +47,9 @@ made a dict.  The two theorem-level checks build their own row arrays on the
 same namespaces.
 
 Restricted Ricci tensors exist only for coordinate-aligned involutive
-distributions: the induced metric is the coordinate submatrix with the
-transverse coordinates frozen as parameters.  Anything else raises
+distributions: the induced metric is the parent metric's block of
+coordinates, read from its jets at the points (`MetricAt.block`), with
+derivatives along the block only.  Anything else raises
 UnsupportedDistribution.
 
 Terms whose definition the source text leaves open (the pullback-derivative
@@ -67,8 +68,8 @@ import numpy as np
 from .expr import as_expr, variables
 from .geometry import (
     BLOCK,
-    Chart,
     GeometryError,
+    MetricAt,
     MetricField,
     VectorField,
     blocks,
@@ -82,7 +83,6 @@ from .geometry import (
     pair_form,
     qform,
     ricci,
-    scalar_curvature,
     tform,
     tvec,
     vdot,
@@ -97,7 +97,6 @@ from .rmap import (
     shape_operator,
 )
 from .soliton import (
-    ClairautConfig,
     SolitonConfig,
     check_clairaut_source,
     check_clairaut_target,
@@ -122,59 +121,36 @@ ALIGN_TOL = 1e-9
 LEAK_TOL = 1e-8
 
 
-def coordinate_alignment(frame_rows_per_point):
-    """Indices of the coordinate block spanned by the given frame vectors;
+def coordinate_alignment(frames):
+    """Indices of the coordinate block spanned by a (P, k, n) stack of frames;
     raises UnsupportedDistribution if the span is not a coordinate block of
-    matching dimension at every point."""
-    support = set()
-    k = None
-    for rows in frame_rows_per_point:
-        if k is None:
-            k = len(rows)
-        elif len(rows) != k:
-            raise UnsupportedDistribution("distribution dimension changes across points")
-        support.update(np.flatnonzero(np.any(np.abs(np.asarray(rows)) > ALIGN_TOL, axis=0)).tolist())
-    if k is None or k == 0:
-        return ()
+    dimension k at every point."""
+    k = frames.shape[1]
+    support = np.flatnonzero(np.any(np.abs(frames) > ALIGN_TOL, axis=(0, 1))).tolist()
     if len(support) != k:
         raise UnsupportedDistribution(
-            f"distribution spans coordinates {sorted(support)} but has dimension {k}; "
+            f"distribution spans coordinates {support} but has dimension {k}; "
             "not coordinate-aligned")
-    return tuple(sorted(support))
+    return tuple(support)
 
 
 class RestrictedGeometry:
     """Intrinsic geometry of the integral submanifolds of a coordinate-
-    aligned distribution: the induced metric is the coordinate submatrix
-    with the transverse coordinates frozen as parameters, so its curvature
-    (`geometry.ricci`, `scalar_curvature`) differentiates along the block
-    coordinates only, at the reordered parent points."""
+    aligned distribution: the parent metric's jets at the block `indices`
+    (`MetricAt.block`), whose curvature differentiates along the block
+    coordinates only."""
 
-    def __init__(self, parent: MetricField, indices, name=None):
+    def __init__(self, parent: MetricField, indices):
         self.parent = parent
         self.indices = tuple(int(i) for i in indices)
-        n = parent.chart.dim
-        if (any(i < 0 or i >= n for i in self.indices)
+        if (any(i < 0 or i >= parent.chart.dim for i in self.indices)
                 or len(set(self.indices)) != len(self.indices)):
             raise UnsupportedDistribution(f"bad coordinate index subset {indices}")
         if not self.indices:
             raise UnsupportedDistribution("empty distribution has no intrinsic Ricci")
-        others = [i for i in range(n) if i not in self.indices]
-        coords = [parent.chart.coords[i] for i in self.indices]
-        params = [parent.chart.coords[i] for i in others]
-        chart = Chart(name or f"{parent.chart.name}|{'.'.join(coords)}",
-                      coords, params=params)
-        self.metric = MetricField(chart, parent.mat[np.ix_(self.indices, self.indices)])
-        self._perm = list(self.indices) + others
 
-    def reorder(self, parent_points) -> np.ndarray:
-        return np.atleast_2d(parent_points)[:, self._perm]
-
-    def ricci_values(self, parent_points) -> np.ndarray:
-        return ricci(self.metric, self.reorder(parent_points))
-
-    def scalar_values(self, parent_points) -> np.ndarray:
-        return scalar_curvature(self.metric, self.reorder(parent_points))
+    def at(self, parent_points) -> MetricAt:
+        return self.parent.at(parent_points).block(self.indices)
 
     def restrict_vector(self, v):
         """Components in the distribution block of a vector, or of every
@@ -430,12 +406,12 @@ class PropositionCase(_Lazy):
         if name == "clairaut_source":
             if self.f is None:
                 return (False, "no source dilation declared")
-            res, _ = check_clairaut_source(ClairautConfig(mg, "source", self.f), pts)
+            res, _ = check_clairaut_source(mg, self.f, pts)
             return _gate_value(res)
         if name == "clairaut_target":
             if self.gfun is None:
                 return (False, "no target dilation declared")
-            sides = check_clairaut_target(ClairautConfig(mg, "target", self.gfun), pts)
+            sides = check_clairaut_target(mg, self.gfun, pts)
             return _gate_value(np.ma.concatenate(sides))
         if name == "totally_geodesic_map":
             sp = mg.split(pts)
@@ -608,9 +584,9 @@ _BATCH = {
     "ST": lambda p: _tensordot01(
         matvec(p.GN, p.tau)[:, None, :, None],
         p.Sv.reshape(len(p.Sv), 1, p.Sv.shape[1], -1)).reshape(p.Sv.shape[:1] + p.Sv.shape[2:]),
-    "ric_range": lambda p: p.c.range_rg.ricci_values(p.y),
-    "ric_ker": lambda p: p.c.ker_rg.ricci_values(p.x),
-    "ric_perp": lambda p: p.c.perp_rg.ricci_values(p.y),
+    "ric_range": lambda p: p.c.range_rg.at(p.y).ricci,
+    "ric_ker": lambda p: p.c.ker_rg.at(p.x).ricci,
+    "ric_perp": lambda p: p.c.perp_rg.at(p.y).ricci,
     "Jx": lambda p: p.c.source_J.values(p.x),
     "JU": lambda p: matvec(p.Jx[:, None], p.V),
     "BC": lambda p: bc_split(p.Jx[:, None], p.H, p.V[:, None], p.GM[:, None]),

@@ -113,9 +113,6 @@ class SmoothMap:
             self._jtape = Tape(list(self.jacobian.flat), self.source.coords)
         return self._jtape
 
-    def value_at(self, x) -> np.ndarray:
-        return self.tape().evaluate_at(np.asarray(x, dtype=float))
-
     def values(self, points) -> np.ndarray:
         return self.tape().evaluate(np.atleast_2d(points))
 

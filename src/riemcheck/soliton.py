@@ -134,49 +134,32 @@ def check_conformal(g: MetricField, X, restriction=None, points=None):
     return phi, np.max(np.abs(lv - phi[:, None, None] * gv), axis=(1, 2))
 
 
-class ClairautConfig:
-    """Dilation data for a Clairaut check: side 'source' carries f on M
-    (r~ = e^f), side 'target' carries g on N (s~ = e^g)."""
-
-    def __init__(self, mg: MapGeometry, side: str, dilation: Expr):
-        if side not in ("source", "target"):
-            raise SolitonError("side must be 'source' or 'target'")
-        self.mg = mg
-        self.side = side
-        self.dilation = as_expr(dilation)
-
-
-def check_clairaut_source(cc: ClairautConfig, points):
-    """Per-point residuals, masked where the kernel is empty: of
-    T(U, V) + g_M(U, V) grad f over vertical frame pairs, and of the fiber
-    umbilicity fit T(U,V) = g(U,V) H."""
-    if cc.side != "source":
-        raise SolitonError("check_clairaut_source needs a source-side config")
-    mg = cc.mg
+def check_clairaut_source(mg: MapGeometry, f, points):
+    """Per-point residuals, for the source dilation f on M (r~ = e^f), masked
+    where the kernel is empty: of T(U, V) + g_M(U, V) grad f over vertical
+    frame pairs, and of the fiber umbilicity fit T(U,V) = g(U,V) H."""
     s = mg.split(points)
     V, GM = s.vertical, s.GM
     if V.shape[1] == 0:
         raise MapError("check_clairaut_source: empty kernel at all sample points")
     Tv = on_pairs(mg.oneill_T(s.x), V)
     gv = pair_form(V, GM)
-    res = umbilic_gap(Tv, gv, -function_at(mg.gM, cc.dilation, s.x).grad, GM)
+    res = umbilic_gap(Tv, gv, -function_at(mg.gM, f, s.x).grad, GM)
     # umbilicity: H = trace(T)/r0, residual of T - g H
     H = np.sum(Tv.diagonal(axis1=1, axis2=2), axis=-1) / V.shape[1]
     umb = umbilic_gap(Tv, gv, H, GM)
     return np.ma.masked_array(res, False), np.ma.masked_array(umb, False)
 
 
-def check_clairaut_target(cc: ClairautConfig, points):
-    """Per-point residuals of  S_D F_*X + D(g) F_*X  over normal-frame D and
-    range F_*X, and of  (nabla F_*)(X, Y) - g_M(X, Y) (-grad^N g)  over
-    horizontal pairs (masked where the horizontal space is empty)."""
-    if cc.side != "target":
-        raise SolitonError("check_clairaut_target needs a target-side config")
-    mg = cc.mg
+def check_clairaut_target(mg: MapGeometry, g, points):
+    """Per-point residuals, for the target dilation g on N (s~ = e^g), of
+    S_D F_*X + D(g) F_*X  over normal-frame D and range F_*X, and of
+    (nabla F_*)(X, Y) - g_M(X, Y) (-grad^N g)  over horizontal pairs (masked
+    where the horizontal space is empty)."""
     shapes = mg.shape_tensors(points)
     s = mg.split(points)
     GN, R = s.GN, s.range
-    gj = function_at(mg.gN, cc.dilation, s.y)
+    gj = function_at(mg.gN, g, s.y)
     Dg = vdot(s.normal, gj.d[:, None])  # D(g) for each normal-frame field D
     w = matvec(shapes[:, :, None], R[:, None]) + Dg[:, :, None, None] * R[:, None]
     res = np.max(gnorm(w, GN[:, None, None]), axis=(1, 2), initial=0.0)

@@ -163,7 +163,7 @@ def _parse_linear_combo(rhs, basis_names, chart, errors, where):
     coefficients; coefficients are extracted by exact differentiation with
     respect to the name pseudo-variables."""
     try:
-        e = parse(rhs, allowed=tuple(chart.allvars) + tuple(basis_names))
+        e = parse(rhs, allowed=chart.coords + tuple(basis_names))
     except ParseError as exc:
         errors.append(f"line {where}: {exc}")
         return None

@@ -42,12 +42,11 @@ class AlmostComplexStructure:
     dual coframe uses the metric, so a metric is required in frame mode.
     """
 
-    def __init__(self, chart, mat, basis_mode="coords"):
+    def __init__(self, chart, mat):
         mat = np.asarray(mat, dtype=object)
         if mat.shape != (chart.dim, chart.dim):
             raise StructureError(f"J on {chart.name} must be {chart.dim}x{chart.dim}")
         self.chart = chart
-        self.basis_mode = basis_mode
         self.mat = np.empty(mat.shape, dtype=object)
         for i, j in np.ndindex(mat.shape):
             self.mat[i, j] = as_expr(mat[i, j])
@@ -72,10 +71,7 @@ class AlmostComplexStructure:
         coef = np.array([[as_expr(c) for c in row] for row in action.T], dtype=object)
         mat = sym_einsum("ab,bi,aj->ij", coef, E, flats)
         mat.flat = [g._simp(e) for e in mat.flat]
-        return cls(chart, mat, basis_mode="frame")
-
-    def tensor(self) -> TensorField:
-        return self._tensor
+        return cls(chart, mat)
 
     def jets(self, points, second=False):
         """(J [k, m], d_a J [k, a, m] and, with `second`, d_a d_b J [k, a, b,
@@ -91,9 +87,6 @@ class AlmostComplexStructure:
 
     def values(self, points) -> np.ndarray:
         return self._tensor.values(points)
-
-    def value_at(self, x) -> np.ndarray:
-        return self._tensor.value_at(x)
 
 
 # -- pointwise checks -----------------------------------------------------------

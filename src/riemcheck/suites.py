@@ -54,7 +54,6 @@ from .rmap import (
     vertical_frames,
 )
 from .soliton import (
-    ClairautConfig,
     SolitonConfig,
     SolitonError,
     check_clairaut_source,
@@ -267,7 +266,7 @@ def check_clairaut_source_id(ctx):
     f = ctx.source_fun()
     if f is None:
         raise SpecError("clairaut_source needs 'clairaut source FUNC'")
-    res, umb = check_clairaut_source(ClairautConfig(ctx.mg, "source", f), ctx.points)
+    res, umb = check_clairaut_source(ctx.mg, f, ctx.points)
     return _pointwise(ctx, "clairaut_source", res, {"umbilic_fibers": worst(umb)[0]})
 
 
@@ -276,7 +275,7 @@ def check_clairaut_target_id(ctx):
     gfun = ctx.target_fun()
     if gfun is None:
         raise SpecError("clairaut_target needs 'clairaut target FUNC'")
-    shape, umb = check_clairaut_target(ClairautConfig(ctx.mg, "target", gfun), ctx.points)
+    shape, umb = check_clairaut_target(ctx.mg, gfun, ctx.points)
     return _pointwise(ctx, "clairaut_target", {"shape_operator": shape, "umbilical": umb})
 
 
@@ -376,10 +375,8 @@ def _einstein_check(ident, part, restricted):
     def run(ctx):
         rg = getattr(ctx.case(), restricted)
         sp = ctx.mg.split(ctx.points)
-        at = sp.x if part == "vertical" else sp.y
-        frames = rg.restrict_vector(getattr(sp, part))
-        lam, res = fit_einstein(rg.ricci_values(at), rg.metric.values(rg.reorder(at)),
-                                frames)
+        m = rg.at(sp.x if part == "vertical" else sp.y)
+        lam, res = fit_einstein(m.ricci, m.G, rg.restrict_vector(getattr(sp, part)))
         return CheckResult(ident, _verdict(res, ctx.tol), res, ctx.tol,
                            terms={"lambda": lam})
     return run
@@ -437,7 +434,7 @@ def check_scalar_relations(ctx):
     case = ctx.case()
     sol = ctx.cfg.check["soliton"]
     lam = 0.0 if sol is None or sol["lambda"] == "solve" else float(sol["lambda"])
-    d = case.dims
+    d, sp = case.dims, ctx.mg.split(ctx.points)
     inputs = {"lam": lam, "r0": d["r0"], "n1": d["n1"], "m": d["m"], "Dg": 0.0}
     terms, gaps = {}, []
     for which, (part, gates_needed) in _SCALAR_RELATION_INPUTS.items():
@@ -447,8 +444,7 @@ def check_scalar_relations(ctx):
             terms[which] = {"verdict": NOT_APPLICABLE, "note": str(exc)}
             continue
         try:
-            svals = getattr(case, part).scalar_values(
-                ctx.points if part == "ker_rg" else ctx.F.values(ctx.points))
+            svals = getattr(case, part).at(sp.x if part == "ker_rg" else sp.y).scalar
         except (UnsupportedDistribution, GeometryError) as exc:
             terms[which] = {"verdict": PARTIAL, "note": f"restricted scalar unavailable: {exc}"}
             continue
@@ -481,7 +477,7 @@ def clairaut_invariant(mg, f, xs, vs) -> np.ndarray:
     declared = field_values(mg.frames.vertical, xs) if mg.frames.vertical else None
     U = vertical_frames(xs, G, mg.F.jac_values(xs), declared)
     coef = qform(U, G[:, None], vs[:, None])  # g_M(u_a, v)
-    return (np.exp(Tape([f], mg.gM.chart.allvars).evaluate(xs)[:, 0])
+    return (np.exp(Tape([f], mg.gM.chart.coords).evaluate(xs)[:, 0])
             * np.sqrt(vdot(coef, coef) / qform(vs, G, vs)))
 
 
@@ -603,6 +599,8 @@ def run_suite(cfg: SpecConfig, suite=None, points=None, seed=None, tol=None) -> 
     ck = cfg.check
     seed = ck["seed"] if seed is None else seed
     npoints = ck["points"] if points is None else points
+    if npoints < 1:
+        raise SpecError(f"points {npoints}: at least one sample point is needed")
     tol = ck["tol"] if tol is None else tol
     ctx = _Ctx(cfg, seed, npoints, tol, ck["box"])
     report = CheckReport(cfg.name, seed, npoints, tol, ck["box"], backend_name())

@@ -19,7 +19,7 @@ from riemcheck.expr import parse, simplify
 from riemcheck.geometry import geodesic_integrate, ricci, scalar_curvature, worst
 from riemcheck.propcheck import PropositionCase, verify_identity
 from riemcheck.rmap import isometry_residual
-from riemcheck.soliton import ClairautConfig, SolitonConfig, check_clairaut_source, \
+from riemcheck.soliton import SolitonConfig, check_clairaut_source, \
     check_clairaut_target, solve_lambda
 from riemcheck.structure import anti_invariant_residual
 from riemcheck.suites import CHECKS, _Ctx, run_suite
@@ -175,10 +175,10 @@ def test_criterion_4_riemannian_map_and_anti_invariance():
 def test_criterion_5_clairaut_source():
     mg, J, f = example31()
     pts = mg.gM.chart.sample_points(100, seed=7)
-    res = worst(check_clairaut_source(ClairautConfig(mg, "source", f), pts)[0])[0]
+    res = worst(check_clairaut_source(mg, f, pts)[0])[0]
     assert res <= 1e-10
     bad = mg.gM.chart.parse("x5")
-    res_bad = worst(check_clairaut_source(ClairautConfig(mg, "source", bad), pts)[0])[0]
+    res_bad = worst(check_clairaut_source(mg, bad, pts)[0])[0]
     assert res_bad >= 0.9
     _line(5, f"dilation -x4 passes ({res:.1e}); perturbed x5 fails ({res_bad:.2f})")
 
@@ -186,8 +186,7 @@ def test_criterion_5_clairaut_source():
 def test_criterion_6_clairaut_target():
     mg, Jp, gfun = example41()
     pts = mg.gM.chart.sample_points(100, seed=7)
-    res, umb = (worst(r)[0] for r in check_clairaut_target(
-        ClairautConfig(mg, "target", gfun), pts))
+    res, umb = (worst(r)[0] for r in check_clairaut_target(mg, gfun, pts))
     assert max(res, umb) <= 1e-8
     _line(6, "target Clairaut (shape operator + umbilical H' = -grad g) <= 1e-8")
 
@@ -208,7 +207,7 @@ def test_criterion_7_oracle_equivalence():
                 continue  # curvature of a line is identically zero
             pts = g.chart.sample_points(20, seed=13, box=cfg.check["box"])
             sym = ricci(g, pts)
-            fn = lambda x: g.value_at(x)
+            fn = lambda x: g.values(x)[0]
             for i in range(len(pts)):
                 oracle = fd_ricci(fn, pts[i])
                 scale = max(1.0, float(np.max(np.abs(oracle))))

@@ -153,6 +153,31 @@ end
     assert "configuration error" in err and "chart Mfar" in err
 
 
+@pytest.mark.parametrize("spec_points,argv,count", [
+    (0, [], 0),
+    (50, ["--points", "0"], 0),
+    (50, ["--points", "-3"], -3),
+], ids=["spec-line-0", "flag-0", "flag-negative"])
+def test_cli_point_count_below_one_is_config_error(tmp_path, capsys, spec_points, argv, count):
+    spec = tmp_path / "few.spec"
+    spec.write_text(f"""
+manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+check
+  suite metric
+  points {spec_points}
+end
+""")
+    assert main(["check", str(spec), *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"riemcheck: configuration error: points {count}: at least one sample point "
+        "is needed\n")
+    assert main(["catalog", "run", "paper-3.1", *(argv or ["--points", "0"])]) == 2
+    assert "points" in capsys.readouterr().err
+
+
 def test_cli_geodesic_verb(tmp_path, capsys):
     from riemcheck.catalog import CATALOG
     spec = tmp_path / "rev.spec"

@@ -73,8 +73,8 @@ def test_function_and_lie_derivative_arrays_match_the_symbolic_oracle(case):
     f = sample_function(chart)
     got = function_at(g, f, x)
     gradf = gradient(g, f)
-    want_d = Tape([differentiate(f, c) for c in chart.coords], chart.allvars).evaluate(x)
-    want_lap = Tape([oracle.divergence(g, gradf)], chart.allvars).evaluate(x)[:, 0]
+    want_d = Tape([differentiate(f, c) for c in chart.coords], chart.coords).evaluate(x)
+    want_lap = Tape([oracle.divergence(g, gradf)], chart.coords).evaluate(x)[:, 0]
     want_hess = oracle.hessian(g, f).values(x)
     assert close(got.d, want_d)
     assert close(got.grad, gradf.values(x))
@@ -198,7 +198,7 @@ def test_target_geometry_matches_the_symbolic_oracle(case):
     k, a = np.divmod(np.argmax(at.rows, axis=1), n)
     dgam[:, a, k, at.i, at.j] = at.dgam
     want = oracle.christoffel_derivative(mg.gN)
-    assert close(dgam, Tape(list(want.flat), N.allvars).evaluate(y).reshape(dgam.shape))
+    assert close(dgam, Tape(list(want.flat), N.coords).evaluate(y).reshape(dgam.shape))
     for (P, dP, ddP), fields in ((at.PR, mg.frames.range), (at.PP, mg.frames.normal)):
         sym = oracle.projector_from_fields(mg.gN, fields)
         v, d, _ = jet_values(jet_tape(list(sym.flat), N), y, n)

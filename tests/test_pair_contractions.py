@@ -27,8 +27,8 @@ from riemcheck.suites import _Ctx, run_suite
 def loop_pair_frames(g, points, restriction):
     pts = np.atleast_2d(points)
     if restriction:
-        return pts, [np.array([f.value_at(x) for f in restriction]) for x in pts]
-    return pts, orthonormal_frames([g.value_at(x) for x in pts])
+        return pts, [np.array([f.values(x)[0] for f in restriction]) for x in pts]
+    return pts, orthonormal_frames([g.values(x)[0] for x in pts])
 
 
 def loop_soliton_residual(cfg, restriction, points, lam):
@@ -136,10 +136,7 @@ class Stack:
         self.vals = vals
 
     def values(self, points):
-        return self.vals[np.asarray(points)[:, 0].astype(int)]
-
-    def value_at(self, x):
-        return self.vals[int(x[0])]
+        return self.vals[np.atleast_2d(points)[:, 0].astype(int)]
 
 
 def _spd(rng, n):
@@ -223,10 +220,9 @@ def test_catalog_contractions_match_the_per_point_loops(entry):
         if ident in cfg.check["suite"] + cfg.check["audit"]:
             rg = getattr(ctx.case(), restricted)
             sp = ctx.mg.split(ctx.points)
-            at = sp.x if part == "vertical" else sp.y
+            m = rg.at(sp.x if part == "vertical" else sp.y)
             pairs.append((soliton.fit_einstein, loop_fit_einstein,
-                          (rg.ricci_values(at), rg.metric.values(rg.reorder(at)),
-                           rg.restrict_vector(getattr(sp, part)))))
+                          (m.ricci, m.G, rg.restrict_vector(getattr(sp, part)))))
     for new, old, args in pairs:
         want = outcome(old, *args)
         assert not isinstance(want, tuple), (new.__name__, want)

@@ -71,8 +71,8 @@ def test_restricted_ricci_flat_fiber():
     g = diag_metric(M, ["1", "1", "1"])
     rg = RestrictedGeometry(g, (0, 1))
     pts = M.sample_points(5, seed=1)
-    assert np.max(np.abs(rg.ricci_values(pts))) == 0.0
-    assert np.max(np.abs(rg.scalar_values(pts))) == 0.0
+    assert np.max(np.abs(rg.at(pts).ricci)) == 0.0
+    assert np.max(np.abs(rg.at(pts).scalar)) == 0.0
 
 
 def test_restricted_ricci_example31_fibers(ex31):
@@ -80,7 +80,7 @@ def test_restricted_ricci_example31_fibers(ex31):
     mg, J, f = ex31
     rg = RestrictedGeometry(mg.gM, (0, 2))
     pts = mg.gM.chart.sample_points(10, seed=2)
-    assert np.max(np.abs(rg.ricci_values(pts))) <= 1e-12
+    assert np.max(np.abs(rg.at(pts).ricci)) <= 1e-12
 
 
 def test_restricted_ricci_sphere_factor():
@@ -93,10 +93,10 @@ def test_restricted_ricci_sphere_factor():
     g = MetricField(chart, mat)
     rg = RestrictedGeometry(g, (0, 1))
     pts = chart.sample_points(10, seed=3, box=(0.3, 1.2))
-    ric = rg.ricci_values(pts)
+    ric = rg.at(pts).ricci
     gv = g.values(pts)[:, :2, :2]
     assert np.max(np.abs(ric - gv)) <= 1e-10  # unit sphere: Ric = (r-1) K g
-    assert np.max(np.abs(rg.scalar_values(pts) - 2.0)) <= 1e-10
+    assert np.max(np.abs(rg.at(pts).scalar - 2.0)) <= 1e-10
 
 
 def test_restricted_ricci_example31_range(ex31):
@@ -104,7 +104,7 @@ def test_restricted_ricci_example31_range(ex31):
     mg, J, f = ex31
     rg = RestrictedGeometry(mg.gN, (0, 1, 3, 5))
     ypts = mg.F.values(mg.gM.chart.sample_points(5, seed=4))
-    ric = rg.ricci_values(ypts)
+    ric = rg.at(ypts).ricci
     for p, y in enumerate(ypts):
         w = np.exp(y[3])
         e2p = np.array([0.0, w, 0.0, 0.0])   # e2' in block coordinates
@@ -128,11 +128,16 @@ def test_restrict_vector_rejects_leakage():
 
 
 def test_coordinate_alignment_detection():
-    rows = [np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])]
-    assert coordinate_alignment(rows) == (1, 2)
-    skew = [np.array([[1.0, 1.0, 0.0]])]
-    with pytest.raises(UnsupportedDistribution):
+    frames = np.array([[[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+                       [[0.0, 0.5, 0.0], [0.0, 1e-12, 3.0]]])
+    assert coordinate_alignment(frames) == (1, 2)
+    assert coordinate_alignment(np.zeros((2, 0, 3))) == ()
+    skew = np.array([[[1.0, 1.0, 0.0]]])
+    with pytest.raises(UnsupportedDistribution, match=r"spans coordinates \[0, 1\]"):
         coordinate_alignment(skew)
+    moving = np.array([[[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]])  # a line that turns
+    with pytest.raises(UnsupportedDistribution):
+        coordinate_alignment(moving)
 
 
 def test_hess_g_alone_without_a_target_dilation_is_unsupported():
@@ -363,8 +368,8 @@ def test_range_ricci_is_evaluated_at_the_image_point():
         sp = mg.split_at(x)
         a, b = (int(label[1:]) - 1 for label in row["pair"])
         Jac = mg.F.jac_values(x[None])[0]
-        FJU, FJV = (Jac @ J.value_at(x) @ sp.vertical[k] for k in (a, b))
-        expect = -float(FJU @ mg.gN.value_at(mg.F.value_at(x)) @ FJV)
+        FJU, FJV = (Jac @ J.values(x)[0] @ sp.vertical[k] for k in (a, b))
+        expect = -float(FJU @ mg.gN.values(mg.F.values(x)[0])[0] @ FJV)
         assert row["terms"]["ric_range"] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
@@ -486,14 +491,14 @@ def test_target_fields_sharing_a_name_keep_their_own_memo_entries():
                            range_=[R1, nameless[0]], normal=[twin, nameless[1]])
     Jp = cfg.structure_on("N")
     tc = SymbolicTargetCalculus(MapGeometry(mg.F, mg.gM, mg.gN, frames), Jp)
-    y = mg.F.value_at(mg.gM.chart.sample_points(1, seed=3)[0])
-    PR, PP = (TensorField(N, (1, 1), P).value_at(y) for P in (tc.PR, tc.PP))
+    y = mg.F.values(mg.gM.chart.sample_points(1, seed=3)[0])[0]
+    PR, PP = (TensorField(N, (1, 1), P).values(y)[0] for P in (tc.PR, tc.PP))
     for W in (R1, twin, *nameless):
-        w = W.value_at(y)
-        assert np.array_equal(tc.J(W).value_at(y), Jp.value_at(y) @ w), W
-        assert np.array_equal(tc.proj_range(W).value_at(y), PR @ w), W
-        assert np.array_equal(tc.proj_perp(W).value_at(y), PP @ w), W
-    assert np.array_equal(tc.J(twin).value_at(y), [-1.0, 0.0, 0.0, 0.0])
+        w = W.values(y)[0]
+        assert np.array_equal(tc.J(W).values(y)[0], Jp.values(y)[0] @ w), W
+        assert np.array_equal(tc.proj_range(W).values(y)[0], PR @ w), W
+        assert np.array_equal(tc.proj_perp(W).values(y)[0], PP @ w), W
+    assert np.array_equal(tc.J(twin).values(y)[0], [-1.0, 0.0, 0.0, 0.0])
 
 
 # -- batching ---------------------------------------------------------------------------

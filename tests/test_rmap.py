@@ -67,10 +67,10 @@ def pushforward(F, X, x):
 def test_pushforward_example31(ex31):
     mg, J, f = ex31
     for x in pts31(mg, 5):
-        y = mg.F.value_at(x)
+        y = mg.F.values(x)[0]
         # F_* X1 = e2' at matching points
         got = pushforward(mg.F, mg.frames.horizontal[0], x)
-        expect = mg.frames.range[0].value_at(y)
+        expect = mg.frames.range[0].values(y)[0]
         assert np.allclose(got, expect, atol=1e-12)
         # vertical fields push to zero
         for U in mg.frames.vertical:
@@ -80,9 +80,9 @@ def test_pushforward_example31(ex31):
 def test_pushforward_example41(ex41):
     mg, Jp, g = ex41
     for x in mg.gM.chart.sample_points(5, seed=3):
-        y = mg.F.value_at(x)
+        y = mg.F.values(x)[0]
         got = pushforward(mg.F, mg.frames.horizontal[1], x)  # X2
-        expect = mg.frames.range[1].value_at(y)               # e5'
+        expect = mg.frames.range[1].values(y)[0]               # e5'
         assert np.allclose(got, expect, atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_pushforward_field_detects_non_basic(ex31):
     # while a basic field passes validation
     good = vf(mg.gM.chart, ["0", "0", "0", "1", "0", "0"], "good")
     pushed = pushforward_field(mg.F, good, validate_points=pts31(mg, 5, seed=31))
-    assert np.allclose(pushed.value_at(np.array([0.3, 0.4, 0.5, 0.6, 0.7, 0.8])),
+    assert np.allclose(pushed.values(np.array([0.3, 0.4, 0.5, 0.6, 0.7, 0.8]))[0],
                        [0, 0, 0, 1, 0, 0])
 
 
@@ -150,8 +150,8 @@ def test_splittings_computed_vs_declared(ex31):
     for x in pts31(mg, 5, seed=8):
         a = mg.split_at(x)
         b = bare.split_at(x)
-        GM = mg.gM.value_at(x)
-        GN = mg.gN.value_at(a.y)
+        GM = mg.gM.values(x)[0]
+        GN = mg.gN.values(a.y)[0]
         for (decl, comp, G) in ((a.vertical, b.vertical, GM),
                                 (a.horizontal, b.horizontal, GM),
                                 (a.range, b.range, GN),
@@ -169,7 +169,7 @@ def test_split_at_takes_the_kernel_when_only_horizontal_frames_are_declared(ex31
                                   AdaptedFrames(horizontal=mg.frames.horizontal))
     for x in pts31(mg, 5, seed=8):
         a, b = mg.split_at(x), horizontal_only.split_at(x)
-        G = mg.gM.value_at(x)
+        G = mg.gM.values(x)[0]
         assert b.vertical.shape == a.vertical.shape == (2, 6)
         assert np.allclose(a.vertical.T @ (a.vertical @ G),
                            b.vertical.T @ (b.vertical @ G), atol=1e-9)
@@ -250,7 +250,7 @@ def test_sff_example31_values(ex31):
     Sv = mg.second_fundamental_form(pts)
     for p, x in enumerate(pts):
         sp = mg.split_at(x)
-        GN = mg.gN.value_at(sp.y)
+        GN = mg.gN.values(sp.y)[0]
         # horizontal pairs: totally geodesic (all zero)
         H = sp.horizontal
         horiz = np.einsum("aij,ki,lj->kla", Sv[p], H, H)
@@ -270,7 +270,7 @@ def test_sff_range_orthogonality(ex31, ex41):
         Sv = mg.second_fundamental_form(pts)
         for p, x in enumerate(pts):
             sp = mg.split_at(x)
-            GN = mg.gN.value_at(sp.y)
+            GN = mg.gN.values(sp.y)[0]
             H = sp.horizontal
             vals = np.einsum("aij,ki,lj->kla", Sv[p], H, H)
             J = mg.F.jac_values(x[None])[0]
@@ -308,13 +308,13 @@ def test_shape_operator_duality(ex31, ex41):
         Sv = mg.second_fundamental_form(pts)
         for p, x in enumerate(pts):
             sp = mg.split_at(x)
-            GN = mg.gN.value_at(sp.y)
+            GN = mg.gN.values(sp.y)[0]
             H = sp.horizontal
             Jx = mg.F.jac_values(x[None])[0]
             push = (Jx @ H.T).T
             sffH = np.einsum("aij,ki,lj->kla", Sv[p], H, H)
             for knorm, Skv in enumerate(shapes[p]):
-                D = mg.frames.normal[knorm].value_at(sp.y)
+                D = mg.frames.normal[knorm].values(sp.y)[0]
                 lhs = np.einsum("ac,kc,ab,lb->kl", Skv, push, GN, push)
                 rhs = np.einsum("a,ab,klb->kl", D, GN, sffH)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-8
@@ -374,7 +374,7 @@ def test_oneill_skew_symmetry(ex31):
     rng = np.random.default_rng(17)
     pts = pts31(mg, 10, seed=18)
     for x in pts:
-        GM = mg.gM.value_at(x)
+        GM = mg.gM.values(x)[0]
         Tv = mg.oneill_T(x[None])[0]
         Av = mg.oneill_A(x[None])[0]
         for _ in range(4):
@@ -395,20 +395,20 @@ def test_lemma1_reassembly(ex31):
         for W in fr.vertical:
             full = covariant_derivative(mg.gM, V, W)
             for p, x in enumerate(pts):
-                fv = full.value_at(x)
-                Tv = np.einsum("kij,i,j->k", T[p], V.value_at(x), W.value_at(x))
+                fv = full.values(x)[0]
+                Tv = np.einsum("kij,i,j->k", T[p], V.values(x)[0], W.values(x)[0])
                 sp = mg.split_at(x)
-                GM = mg.gM.value_at(x)
+                GM = mg.gM.values(x)[0]
                 vpart = np.einsum("ai,ij,j,ak->k", sp.vertical, GM, fv, sp.vertical)
                 assert np.allclose(fv, Tv + vpart, atol=1e-10)
     for X in fr.horizontal:
         for Y in fr.horizontal:
             full = covariant_derivative(mg.gM, X, Y)
             for p, x in enumerate(pts):
-                fv = full.value_at(x)
-                Avl = np.einsum("kij,i,j->k", A[p], X.value_at(x), Y.value_at(x))
+                fv = full.values(x)[0]
+                Avl = np.einsum("kij,i,j->k", A[p], X.values(x)[0], Y.values(x)[0])
                 sp = mg.split_at(x)
-                GM = mg.gM.value_at(x)
+                GM = mg.gM.values(x)[0]
                 hpart = np.einsum("ai,ij,j,ak->k", sp.horizontal, GM, fv, sp.horizontal)
                 assert np.allclose(fv, hpart + Avl, atol=1e-10)
 
@@ -489,7 +489,7 @@ def test_fiber_mean_curvature_example31(ex31):
     for x in pts31(mg, 10, seed=23):
         H = fiber_mean_curvature(mg, x[None])[0]
         assert np.allclose(H, [0, 0, 0, 1, 0, 0], atol=1e-10)  # H = d4
-        assert np.allclose(H, -gradf.value_at(x), atol=1e-10)  # H = -grad f
+        assert np.allclose(H, -gradf.values(x)[0], atol=1e-10)  # H = -grad f
 
 
 def test_fiber_mean_curvature_totally_geodesic_is_zero():

@@ -8,7 +8,6 @@ import pytest
 from riemcheck.expr import Const, parse
 from riemcheck.geometry import Chart, MetricField, VectorField, ricci, worst
 from riemcheck.soliton import (
-    ClairautConfig,
     SolitonConfig,
     SolitonError,
     check_clairaut_source,
@@ -193,46 +192,33 @@ def test_conformal_negation_negates_phi():
 
 def test_clairaut_source_example31(ex31):
     mg, J, f = ex31
-    cc = ClairautConfig(mg, "source", f)
     pts = mg.gM.chart.sample_points(50, seed=12)
-    res, umb = (worst(r)[0] for r in check_clairaut_source(cc, pts))
+    res, umb = (worst(r)[0] for r in check_clairaut_source(mg, f, pts))
     assert res <= 1e-10
     assert umb <= 1e-10
     # wrong dilation fails decisively
-    cc_bad = ClairautConfig(mg, "source", mg.gM.chart.parse("x5"))
-    res_bad = worst(check_clairaut_source(cc_bad, pts)[0])[0]
+    res_bad = worst(check_clairaut_source(mg, mg.gM.chart.parse("x5"), pts)[0])[0]
     assert res_bad >= 0.9
 
 
 def test_clairaut_source_totally_geodesic_with_constant_f():
     from test_rmap import flat_projection
     mg = flat_projection()
-    cc = ClairautConfig(mg, "source", Const(0.25))
     res, umb = (worst(r)[0] for r in check_clairaut_source(
-        cc, mg.gM.chart.sample_points(10, seed=13)))
+        mg, Const(0.25), mg.gM.chart.sample_points(10, seed=13)))
     assert res <= 1e-14 and umb <= 1e-14
 
 
 def test_clairaut_target_example41(ex41):
     mg, Jp, gfun = ex41
-    cc = ClairautConfig(mg, "target", gfun)
     pts = mg.gM.chart.sample_points(50, seed=14)
-    res, umb = (worst(r)[0] for r in check_clairaut_target(cc, pts))
+    res, umb = (worst(r)[0] for r in check_clairaut_target(mg, gfun, pts))
     assert res <= 1e-8
     assert umb <= 1e-8
     # wrong dilation g = y2 fails
-    cc_bad = ClairautConfig(mg, "target", mg.gN.chart.parse("y2"))
-    res_bad, umb_bad = (worst(r)[0] for r in check_clairaut_target(cc_bad, pts))
+    res_bad, umb_bad = (worst(r)[0] for r in check_clairaut_target(
+        mg, mg.gN.chart.parse("y2"), pts))
     assert max(res_bad, umb_bad) > 0.5
-
-
-def test_clairaut_side_mismatch_raises(ex31):
-    mg, J, f = ex31
-    cc = ClairautConfig(mg, "source", f)
-    with pytest.raises(SolitonError):
-        check_clairaut_target(cc, mg.gM.chart.sample_points(2, seed=15))
-    with pytest.raises(SolitonError):
-        ClairautConfig(mg, "sideways", f)
 
 
 # -- scalar relations ----------------------------------------------------------------

@@ -15,7 +15,7 @@ import source_calculus_oracle as oracle
 from fd_oracle import fd_ricci, fd_scalar
 from paper_fixtures import diag_metric, vf
 from riemcheck import catalog, suites
-from riemcheck.expr import Tape
+from riemcheck.expr import Const, Tape, substitute
 from riemcheck.geometry import Chart, MetricField, ricci, scalar_curvature
 from riemcheck.propcheck import UnsupportedDistribution
 from riemcheck.rmap import AdaptedFrames, MapGeometry, SmoothMap
@@ -54,41 +54,60 @@ METRICS = (["heisenberg", "h2xh2"]
            + [f"{name}:{chart}" for name in catalog.names() for chart in catalog.load(name).metrics])
 
 
-def _metric_case(case):
-    """(metric, points over its chart's variables, metric function of its
-    coordinates at the first point's params)."""
+def _leaf_through(rg, x):
+    """The leaf of rg through the point x as a metric of its own: the parent's
+    entries at the block, with the values of the other coordinates at x
+    substituted."""
+    chart, I = rg.parent.chart, rg.indices
+    fixed = {c: Const(float(v)) for i, (c, v) in enumerate(zip(chart.coords, x)) if i not in I}
+    leaf = Chart(f"{chart.name}|leaf", [chart.coords[i] for i in I])
+    return MetricField(leaf, [[substitute(rg.parent.mat[i, j], fixed) for j in I] for i in I])
+
+
+def _metric_cases(case):
+    """[(metric, points on its chart, the engine's Ricci and scalar curvature
+    there)]: one entry at 4 sample points for a metric; for a leaf, one per
+    point of its case, the leaf through that point (`_leaf_through`) at the
+    point's block coordinates, with the values of `RestrictedGeometry.at`."""
     if case in LEAVES:
         c, rg, part = LEAVES[case]
         at = c.pts if part == "ker_rg" else c.mg.F.values(c.pts)
-        g, pts = rg.metric, rg.reorder(at)
-    else:
-        g = heisenberg() if case == "heisenberg" else h2xh2() if case == "h2xh2" else \
-            catalog.load(case.split(":")[0]).metrics[case.split(":")[1]]
-        pts = g.chart.sample_points(4, seed=19)
-    n = g.chart.dim
-    return g, pts, lambda x: g.value_at(np.concatenate([x, pts[0, n:]]))
+        m = rg.at(at)
+        return [(_leaf_through(rg, x), x[None, list(rg.indices)], m.ricci[p:p + 1],
+                 m.scalar[p:p + 1]) for p, x in enumerate(at)]
+    g = heisenberg() if case == "heisenberg" else h2xh2() if case == "h2xh2" else \
+        catalog.load(case.split(":")[0]).metrics[case.split(":")[1]]
+    pts = g.chart.sample_points(4, seed=19)
+    return [(g, pts, ricci(g, pts), scalar_curvature(g, pts))]
+
+
+def test_the_leaves_are_every_restricted_geometry_of_the_identity_cases():
+    assert sorted(LEAVES) == [
+        "flat-lagrangian:ker_rg", "flat-lagrangian:perp_rg", "flat-lagrangian:range_rg",
+        "paper-3.1:ker_rg", "paper-3.1:perp_rg", "paper-3.1:range_rg",
+        "paper-4.1:ker_rg", "paper-4.1:perp_rg", "paper-4.1:range_rg",
+        "polar-kahler:ker_rg", "polar-kahler:range_rg",
+        "warped-clairaut:ker_rg", "warped-clairaut:range_rg"]
 
 
 @pytest.mark.parametrize("case", METRICS + sorted(LEAVES))
 def test_ricci_and_scalar_match_the_symbolic_and_fd_oracles(case):
-    g, pts, fn = _metric_case(case)
-    ric, s = ricci(g, pts), scalar_curvature(g, pts)
-    assert close(ric, oracle.ricci(g).values(pts)), "ricci"
-    want_s = Tape([oracle.scalar_curvature(g)], g.chart.allvars).evaluate(pts)[:, 0]
-    assert close(s, want_s), "scalar"
-    n = g.chart.dim
-    x = pts[0, :n]
-    scale = max(1.0, float(np.max(np.abs(ric[0]))))
-    assert np.max(np.abs(ric[0] - fd_ricci(fn, x))) / scale <= 1e-5, "fd ricci"
-    assert abs(s[0] - fd_scalar(fn, x)) / max(1.0, abs(s[0])) <= 1e-5, "fd scalar"
-    if case == "h2xh2":
-        assert np.max(np.abs(ric + g.values(pts))) <= 1e-12
-        assert np.max(np.abs(s + 4.0)) <= 1e-12
+    for g, pts, ric, s in _metric_cases(case):
+        assert close(ric, oracle.ricci(g).values(pts)), "ricci"
+        want_s = Tape([oracle.scalar_curvature(g)], g.chart.coords).evaluate(pts)[:, 0]
+        assert close(s, want_s), "scalar"
+        scale = max(1.0, float(np.max(np.abs(ric[0]))))
+        fn = lambda x: g.values(x)[0]
+        assert np.max(np.abs(ric[0] - fd_ricci(fn, pts[0]))) / scale <= 1e-5, "fd ricci"
+        assert abs(s[0] - fd_scalar(fn, pts[0])) / max(1.0, abs(s[0])) <= 1e-5, "fd scalar"
+        if case == "h2xh2":
+            assert np.max(np.abs(ric + g.values(pts))) <= 1e-12
+            assert np.max(np.abs(s + 4.0)) <= 1e-12
 
 
 def test_the_curvature_cases_are_not_all_flat():
     curved = {case for case in METRICS + sorted(LEAVES)
-              if np.max(np.abs(ricci(*_metric_case(case)[:2]))) > 0.1}
+              if max(np.max(np.abs(ric)) for _, _, ric, _ in _metric_cases(case)) > 0.1}
     assert {"heisenberg", "h2xh2", "paper-3.1:M", "paper-4.1:N"} <= curved
     assert any(case in curved for case in LEAVES), sorted(curved)
 
@@ -203,5 +222,5 @@ def test_each_metric_jet_tape_is_evaluated_once_per_point_set(monkeypatch):
     monkeypatch.setattr(MetricField, "jet_tape", jet_tape)
     monkeypatch.setattr(Tape, "evaluate", evaluate)
     suites.run_suite(catalog.load("paper-4.1"))
-    assert len(tapes) >= 4  # g_M, g_N and restricted leaves
+    assert len(tapes) == 2  # g_M and g_N; the restricted leaves read their jets
     assert evaluated and set(evaluated.values()) == {1}, evaluated

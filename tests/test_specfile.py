@@ -56,9 +56,9 @@ def test_mini_spec_resolves():
     from riemcheck.expr import evaluate
     assert evaluate(f, {"x1": 3.0, "x2": 0.0}) == 9.0
     W = cfg.field("M", "W")
-    assert np.allclose(W.value_at(np.array([0.5, 0.25])), [0.25, -0.5])
+    assert np.allclose(W.values(np.array([0.5, 0.25]))[0], [0.25, -0.5])
     C = cfg.field("M", "C")  # 0.5*V - 2*H with V=(0,1), H=(1,0)
-    assert np.allclose(C.value_at(np.array([0.1, 0.2])), [-2.0, 0.5])
+    assert np.allclose(C.values(np.array([0.1, 0.2]))[0], [-2.0, 0.5])
 
 
 def test_mini_spec_runs():
@@ -145,7 +145,7 @@ def test_paper31_catalog_content():
     assert M.dim == 6 and len(M.constraints) == 6
     F = cfg.the_map()
     x = np.array([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-    assert np.allclose(F.value_at(x), [0.6, 0.3, 0.0, 0.5, 0.0, 0.7])
+    assert np.allclose(F.values(x)[0], [0.6, 0.3, 0.0, 0.5, 0.0, 0.7])
     assert cfg.structure_on("M") is not None
     f = cfg.function("M", "f")
     from riemcheck.expr import evaluate
@@ -156,7 +156,7 @@ def test_paper41_catalog_content():
     cfg = load("paper-4.1")
     F = cfg.the_map()
     x = np.array([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-    assert np.allclose(F.value_at(x), [0.0, 0.3, 0.0, 0.0, 0.6, 0.0])
+    assert np.allclose(F.values(x)[0], [0.0, 0.3, 0.0, 0.0, 0.6, 0.0])
     assert cfg.structure_on("N") is not None
 
 
@@ -181,8 +181,8 @@ def test_section_right_inverse_property():
         rng = np.random.default_rng(5)
         for _ in range(3):
             x = rng.uniform(0.2, 0.9, size=F.source.dim)
-            y = F.value_at(x)
+            y = F.values(x)[0]
             from riemcheck.expr import evaluate
             sec = np.array([evaluate(s, dict(zip(F.target.coords, map(float, y))))
                             for s in F.section])
-            assert np.allclose(F.value_at(sec), y, atol=1e-12), name
+            assert np.allclose(F.values(sec)[0], y, atol=1e-12), name

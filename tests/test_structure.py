@@ -155,8 +155,8 @@ def test_decompose_BC_example31(ex31):
     sp = mg.split_at(x)
     X1, X2, X3, X4 = sp.horizontal
     U1, U2 = sp.vertical
-    G = mg.gM.value_at(x)
-    Jx = J.value_at(x)
+    G = mg.gM.values(x)[0]
+    Jx = J.values(x)[0]
     mu = complement_frames(mg, J, x[None], "source")[0]
 
     BX, CX = bc_split(Jx, X1, sp.vertical, G)
@@ -192,8 +192,8 @@ def test_decompose_BC_lagrangian_has_no_C():
     x = np.array([0.3, 0.4, 0.5, 0.6])
     mu = complement_frames(mg, J, x[None], "source")[0]
     assert mu.shape[0] == 0  # Lagrangian: mu = 0
-    _, CX = bc_split(J.value_at(x), np.array([0.0, 0.0, 1.0, 0.0]),
-                     mg.split_at(x).vertical, gM.value_at(x))
+    _, CX = bc_split(J.values(x)[0], np.array([0.0, 0.0, 1.0, 0.0]),
+                     mg.split_at(x).vertical, gM.values(x)[0])
     assert np.max(np.abs(CX)) <= 1e-12
 
 
@@ -203,7 +203,7 @@ def test_decompose_PQ_example41(ex41):
     sp = mg.split_at(x)
     e1p, e3p, e4p, e6p = sp.normal
     e2p, e5p = sp.range
-    G = mg.gN.value_at(sp.y)
+    G = mg.gN.values(sp.y)[0]
     nu = complement_frames(mg, Jp, x[None], "target")[0]
 
     def normal_gap(D):
@@ -212,7 +212,7 @@ def test_decompose_PQ_example41(ex41):
     def PQ(D):
         """J'D = PD + QD with PD in range F_* and QD in nu, for normal D."""
         assert normal_gap(D) <= 1e-8
-        JD = Jp.value_at(sp.y) @ D
+        JD = Jp.values(sp.y)[0] @ D
         PD, QD = _project(JD, sp.range, G), _project(JD, nu, G)
         assert _norm(JD - PD - QD, G) <= 1e-8  # J'D stays in range + nu
         return PD, QD

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from riemcheck.catalog import load, names
-from riemcheck.geometry import ricci
+from riemcheck.geometry import Chart, MetricField, ricci
 from riemcheck.report import FAIL, NOT_APPLICABLE, PARTIAL, PASS
 from riemcheck.specfile import load_spec
 from riemcheck.suites import run_suite
@@ -25,6 +25,21 @@ def test_catalog_entry_runs_clean(name):
     # every executed check appears exactly once
     ids = [(c.id, c.mode) for c in report.checks + report.audits]
     assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("name", names())
+def test_a_run_builds_no_chart_and_no_metric(name, monkeypatch):
+    """Once its spec is loaded, a run builds nothing symbolic of its own:
+    the restricted geometries read the blocks of their parent metric's jets."""
+    cfg = load(name)
+    built = []
+    for cls in (Chart, MetricField):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    run_suite(cfg)
+    assert built == []
 
 
 def test_paper31_audit_expectations():
