@@ -12,11 +12,13 @@ shape and bound twice:
 - to numpy ufuncs for `evaluate`, with `x` the columns of the (npoints,
   nvars) input and `c` the constants broadcast over the points.
 
-Every check evaluates its tapes over the whole point set with `evaluate`.
-`evaluate_list` (one point, a list of floats in, a sequence out) serves the
-geodesic RK4 integrator, whose stages come one point at a time on a state of
-Python floats; `evaluate_at` wraps it in arrays for `Chart.check_domain`,
-which tests every accepted geodesic step.
+The tapes of the engine's declarations are made by `geometry.Jets`, one per
+derivative order of each expression list, and every check evaluates them over
+the whole point set with `evaluate`, values and first derivatives once per
+point set.  `evaluate_list` (one point, a list of floats in, a sequence out)
+serves the geodesic RK4 integrator, whose stages come one point at a time on
+a state of Python floats; `evaluate_at` wraps it in arrays for
+`Chart.check_domain`, which tests every accepted geodesic step.
 
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a

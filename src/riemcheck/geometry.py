@@ -2,19 +2,21 @@
 
 Symbolic side: the Christoffel symbols (for the geodesic equation) and the
 gradient (for a field a map pushes forward) as expression-valued tensors.
-Numeric side: the curvature of a metric at a point set (`MetricField.at`: one
-tape of the metric's first and second derivatives, then Gamma, its
-derivatives, Riemann, Ricci and the scalar curvature as arrays by the product
-rule, for the metric or for the block of a coordinate subset), the gradient,
-Hessian and Laplacian of a function (`function_at`) and the Lie derivative of
-the metric along a field (`lie_derivative`) from their jets and the metric's
-at a point set, seeded sample-point generation, per-point metric values,
-Gram-Schmidt orthonormalization, a 4th-order geodesic integrator with energy
-monitoring (first attempts run ahead in chains, whose energies are one
-stacked `qform`), and the contractions every check evaluates frames with:
-`matvec`, `tvec`, `vdot` and `qform` on stacked vectors, `pair_form`, `tform`
-and `on_pairs` on pairs of frame vectors, the metric norm `gnorm` and the
-`umbilic_gap` reduction.
+Every declared expression list (the components of a field, a tensor, a
+metric, a map or a frame list, or a function) has one `Jets`: one tape per
+derivative order, whose values and first derivatives are evaluated once per
+point set.  Numeric side, from those arrays: the curvature of a metric at a
+point set (`MetricField.at`: the second-order jets of the entries i <= j,
+then Gamma, its derivatives, Riemann, Ricci and the scalar curvature by the
+product rule, for the metric or for the block of a coordinate subset), the
+gradient, Hessian and Laplacian of a function (`function_at`) and the Lie
+derivative of the metric along a field (`lie_derivative`), seeded
+sample-point generation, Gram-Schmidt orthonormalization, a 4th-order
+geodesic integrator with energy monitoring (first attempts run ahead in
+chains, whose energies are one stacked `qform`), and the contractions every
+check evaluates frames with: `matvec`, `tvec`, `vdot` and `qform` on stacked
+vectors, `pair_form`, `tform` and `on_pairs` on pairs of frame vectors, the
+metric norm `gnorm` and the `umbilic_gap` reduction.
 
 Index conventions (documented once, used everywhere):
   * tensor components store contravariant indices first, e.g. a (1,2) tensor
@@ -201,9 +203,6 @@ class Chart:
             if kind == "positive" and not (v > 0.0 and math.isfinite(v)):
                 raise ChartDomainError(f"constraint {to_str(c)} > 0 violated")
 
-    def point_to_array(self, p) -> np.ndarray:
-        return np.array([p[c] for c in self.coords], dtype=float)
-
     def sample_points(self, n, seed, box=(0.1, 1.0)) -> np.ndarray:
         """Seeded uniform samples over box^dim, rejection-filtered through the
         chart constraints (a non-finite constraint value rejects the
@@ -231,7 +230,8 @@ class Chart:
 
 
 class VectorField:
-    """Contravariant components (expressions) in the coordinate basis."""
+    """Contravariant components (expressions) in the coordinate basis, with
+    their `Jets`."""
 
     def __init__(self, chart, comps, name=None):
         comps = tuple(as_expr(c) for c in comps)
@@ -241,31 +241,20 @@ class VectorField:
         self.chart = chart
         self.comps = comps
         self.name = name
-        self._tape = None
-        self._jets = None
+        self.jets = Jets(comps, chart)
 
     def __repr__(self):
         parts = ", ".join(to_str(c) for c in self.comps)
         return f"<VectorField {self.name or ''} ({parts})>"
 
-    def tape(self):
-        if self._tape is None:
-            self._tape = Tape(self.comps, self.chart.coords)
-        return self._tape
-
-    def jet_tape(self):
-        """`jet_tape` of the components, first derivatives only."""
-        if self._jets is None:
-            self._jets = jet_tape(self.comps, self.chart)
-        return self._jets
-
     def values(self, points) -> np.ndarray:
-        return self.tape().evaluate(np.atleast_2d(points))
+        return self.jets.at(points)[0]
 
 
 class TensorField:
     """Dense expression-valued tensor with signature (p contravariant,
-    q covariant); component array shape is (dim,) * (p + q)."""
+    q covariant); component array shape is (dim,) * (p + q).  Its `Jets`
+    list the components in C order."""
 
     def __init__(self, chart, sig, comps):
         p, q = sig
@@ -277,28 +266,24 @@ class TensorField:
         self.chart = chart
         self.sig = (p, q)
         self.comps = comps
-        self._tape = None
-
-    def tape(self):
-        if self._tape is None:
-            self._tape = Tape(list(self.comps.flat), self.chart.coords)
-        return self._tape
+        self.jets = Jets(comps.flat, chart)
 
     def values(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        flat = self.tape().evaluate(pts)
-        return flat.reshape((len(pts),) + self.comps.shape)
+        v = self.jets.at(points)[0]
+        return v.reshape((len(v),) + self.comps.shape)
 
 
 class MetricField(TensorField):
     """Symmetric positive-definite (0,2) expression matrix `mat` on a chart.
 
     The symbolic inverse (adjugate, exact for the catalog's dimensions, for
-    `gradient`), the symbolic Christoffel symbols (for `geodesic_tape`) and
-    the jet tapes of the metric and of the functions `function_at` reads are
-    cached write-once; curvature is numeric, from the metric's jets at a
-    point set (`at`).  Positive definiteness is checked at sample points
-    only, never proven globally.
+    `gradient`) and the symbolic Christoffel symbols (for `geodesic_tape`)
+    are cached write-once.  Curvature is numeric, from the `Jets` of the
+    entries i <= j at a point set (`at`); the values read the full n x n
+    `jets`, so that `check_spd` sees an asymmetric declaration.  The `Jets`
+    of each function on the chart (`function_jets`) are kept, one per
+    function.  Positive definiteness is checked at sample points only, never
+    proven globally.
     """
 
     def __init__(self, chart, mat):
@@ -310,6 +295,8 @@ class MetricField(TensorField):
         super().__init__(chart, (0, 2), [[simplify(as_expr(e), nv) for e in row] for row in mat])
         self.mat = self.comps
         self._cache = {}
+        self._upper = Jets(self.mat[np.triu_indices(chart.dim)], chart)
+        self._functions = {}
         self._last_at = LastPointSet()
 
     def check_spd(self, points, tol=1e-12):
@@ -364,19 +351,20 @@ class MetricField(TensorField):
             self._cache["gamma"] = christoffel(self)
         return self._cache["gamma"]
 
-    def jet_tape(self) -> Tape:
-        """`jet_tape` of the entries i <= j, with second derivatives."""
-        if "jets" not in self._cache:
-            self._cache["jets"] = jet_tape(list(self.mat[np.triu_indices(self.chart.dim)]),
-                                           self.chart, second=True)
-        return self._cache["jets"]
+    def function_jets(self, f) -> Jets:
+        """The `Jets` of the function f on the chart, made on first use and
+        kept: `function_at` and the Clairaut invariant share them."""
+        f = as_expr(f)
+        if f.key() not in self._functions:
+            self._functions[f.key()] = Jets([f], self.chart)
+        return self._functions[f.key()]
 
     def at(self, points) -> MetricAt:
         """The metric's jets and curvature at a point set.  A run evaluates
         a metric at one point set, its sample points x or their images
         y = F(x), so those of the last point set are kept."""
         def build(pts):
-            v, d, dd = jet_values(self.jet_tape(), pts, self.chart.dim, second=True)
+            v, d, dd = self._upper.at(pts, 2)
             m = _mirror(self.chart.dim)
             return MetricAt(v[:, m], d[:, :, m], dd, m)
         return self._last_at.get(points, build)
@@ -392,6 +380,53 @@ class LastPointSet:
         if (pts.shape, pts.tobytes()) != self.key:
             self.key, self.value = (pts.shape, pts.tobytes()), build(pts)
         return self.value
+
+
+class Jets:
+    """The jets of a list of E expressions over a chart: one tape per
+    derivative order, built on first use.  Order 0 lists the expressions;
+    order 1 adds d_a of each for every chart coordinate a; order 2 adds d_a
+    d_b of each for the pairs a <= b in C order, which `_mirror(n)` indexes
+    by (a, b).
+
+    `at(points, order)` gives the arrays at P points: values v (P, E), from
+    order 1 d (P, n, E) with d[:, a] = d_a v, and at order 2 dd (P,
+    n(n+1)/2, E), the d_a d_b v by pair; each None past the order.  Orders 0
+    and 1 keep the arrays of the last point set, read-only, so their tapes
+    run once per point set.  Second-order arrays, the largest, are made on
+    each call and not kept."""
+
+    def __init__(self, exprs, chart):
+        self.exprs = tuple(exprs)
+        self.chart = chart
+        self._tapes = {}
+        self._last = (LastPointSet(), LastPointSet())
+
+    @cached_property
+    def _d(self):  # the first derivatives, which the order-1 and order-2 tapes share
+        return _partials(self.exprs, self.chart.coords)
+
+    def tape(self, order=0) -> Tape:
+        if order not in self._tapes:
+            coords, d = self.chart.coords, self._d if order else []
+            dd = [_partials(row, coords[a:]) for a, row in enumerate(d)] if order == 2 else []
+            self._tapes[order] = Tape([*self.exprs, *(e for row in d for e in row),
+                                       *(e for rows in dd for row in rows for e in row)],
+                                      coords)
+        return self._tapes[order]
+
+    def at(self, points, order=0):
+        if order == 2:
+            return self._arrays(np.atleast_2d(points), 2)
+        return self._last[order].get(points, lambda pts: self._arrays(pts, order))
+
+    def _arrays(self, pts, order):
+        vals = self.tape(order).evaluate(pts)
+        if order < 2:
+            frozen(vals)
+        P, n, E = len(vals), self.chart.dim, len(self.exprs)
+        return (vals[:, :E], vals[:, E:E * (n + 1)].reshape(P, n, E) if order else None,
+                vals[:, E * (n + 1):].reshape(P, -1, E) if order == 2 else None)
 
 
 def _sym_det(mat) -> Expr:
@@ -443,26 +478,6 @@ def _partials(exprs, coords):
             for a in coords]
 
 
-def jet_tape(exprs, chart, second=False) -> Tape:
-    """One tape of the expressions, then d_a of each for every chart
-    coordinate a, then, with `second`, d_b d_a of each for every pair a <= b."""
-    d = _partials(exprs, chart.coords)
-    dd = [_partials(row, chart.coords[a:]) for a, row in enumerate(d)] if second else []
-    return Tape([*exprs, *(e for row in d for e in row),
-                 *(e for rows in dd for row in rows for e in row)], chart.coords)
-
-
-def jet_values(tape, points, n, second=False):
-    """The arrays of a `jet_tape` over n coordinates at P points: values v
-    (P, E), d (P, n, E) with d[:, a] = d_a v and, with `second`, dd (P,
-    n(n+1)/2, E), the d_a d_b v for the pairs a <= b in C order, which
-    `_mirror(n)` indexes by (a, b) (else None)."""
-    vals = tape.evaluate(np.atleast_2d(points))
-    P, E = len(vals), tape.nout // (1 + n + (n * (n + 1) // 2 if second else 0))
-    v, d = vals[:, :E], vals[:, E:E * (n + 1)].reshape(P, n, E)
-    return v, d, vals[:, E * (n + 1):].reshape(P, -1, E) if second else None
-
-
 def _mirror(n):
     """m[i, j] = m[j, i] = the index of (i, j), i <= j, in C order."""
     m = np.zeros((n, n), dtype=int)
@@ -495,16 +510,17 @@ def by_blocks(fn, P):
 
 
 class MetricAt:
-    """A metric at P points, from one evaluation of its `jet_tape`: G [i, j],
-    dG [a, i, j] = d_a g_ij and ddG(s) [a, b, i, j] = d_a d_b g_ij; by the
-    product rule with the inverse Ginv of the values, gam [k, i, j] =
-    Gamma^k_ij, dgam(s) [a, k, i, j] = d_a Gamma^k_ij, riemann(s) [l, i, j,
-    k], ricci [i, j] (its trace) and scalar; each with a leading point axis,
-    or at the points of the slice s.  The n**4-sized ones are made on each
-    use, the others on first use and kept, read-only.
+    """A metric at P points, from one evaluation of its second-order jets
+    (`MetricField.at`): G [i, j], dG [a, i, j] = d_a g_ij and ddG(s) [a, b,
+    i, j] = d_a d_b g_ij; by the product rule with the inverse Ginv of the
+    values, gam [k, i, j] = Gamma^k_ij, dgam(s) [a, k, i, j] = d_a
+    Gamma^k_ij, riemann(s) [l, i, j, k], ricci [i, j] (its trace) and
+    scalar; each with a leading point axis, or at the points of the slice s.
+    The n**4-sized ones are made on each use, the others on first use and
+    kept, read-only.
 
-    The tape's second derivatives dd [pair, entry] are kept packed: m[a, b]
-    is the index of the pair a, b and of the entry a, b (`_mirror`)."""
+    The second derivatives dd [pair, entry] are kept packed: m[a, b] is the
+    index of the pair a, b and of the entry a, b (`_mirror`)."""
 
     def __init__(self, G, dG, dd, m):
         self.G, self.dG, self._dd, self._m = frozen(G), frozen(dG), dd, m
@@ -600,16 +616,12 @@ class FunctionAt(NamedTuple):
 
 
 def function_at(g: MetricField, f, points) -> FunctionAt:
-    """f's first- and second-order operators at the points, from one
-    second-order `jet_tape` of f per metric, built on first use, and
-    `g.at(points)`: grad f = g^-1 df, Hess f = dd f - Gamma^k df_k and
-    Laplacian tr(g^-1 Hess f)."""
-    f = as_expr(f)
-    key = ("jets", f.key())
-    if key not in g._cache:
-        g._cache[key] = jet_tape([f], g.chart, second=True)
+    """f's first- and second-order operators at the points, from the
+    second-order jets of f (`MetricField.function_jets`) and `g.at(points)`:
+    grad f = g^-1 df, Hess f = dd f - Gamma^k df_k and Laplacian
+    tr(g^-1 Hess f)."""
     m = g.at(points)
-    _, d, dd = jet_values(g._cache[key], points, g.chart.dim, second=True)
+    _, d, dd = g.function_jets(f).at(points, 2)
     df = d[..., 0]
     hess = _sym(dd[:, _mirror(g.chart.dim), 0] - pdot(df, m.gam))
     return FunctionAt(df, matvec(m.Ginv, df), hess, np.sum(m.Ginv * hess, axis=(1, 2)))
@@ -617,9 +629,9 @@ def function_at(g: MetricField, f, points) -> FunctionAt:
 
 def lie_derivative(g: MetricField, X: VectorField, points) -> np.ndarray:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k at the points,
-    (P, n, n), from `g.at(points)` and X's first-order `jet_tape`."""
+    (P, n, n), from `g.at(points)` and X's first-order jets."""
     m = g.at(points)
-    v, d, _ = jet_values(X.jet_tape(), points, g.chart.dim)
+    v, d, _ = X.jets.at(points, 1)
     GdX = np.matmul(d, m.G)  # [i, j] = g_kj d_i X^k
     return _sym(pdot(v, m.dG) + GdX + GdX.swapaxes(1, 2))
 
@@ -821,13 +833,13 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
                 f"geodesic_integrate: {name} must be finite and positive, got {val}")
     chart = g.chart
     n = chart.dim
-    x = chart.point_to_array(p0) if isinstance(p0, dict) else np.asarray(p0, dtype=float)
+    x = np.asarray(p0, dtype=float)
     v = np.asarray(v0, dtype=float)
     if v.shape != (n,) or not np.any(v):
         raise GeometryError("geodesic_integrate: v0 must be a nonzero tangent vector")
 
     rhs = geodesic_tape(g).evaluate_list
-    metric = g.tape().evaluate_list
+    metric = g.jets.tape().evaluate_list
 
     def rk4(s, h):
         # per component, the float order of the array form `s + 0.5 * h * k`

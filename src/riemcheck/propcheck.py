@@ -176,7 +176,7 @@ class TargetCalculus:
     normal frames' jets; `images` the J'-images of those frames.  `J`,
     `proj_range` and `proj_perp` apply J', P_range and P_perp to field
     `Jet`s by the product rule, and the derivative operations contract field
-    `Jet`s (`MapGeometry.target_jets`) for every combination of fields along
+    `Jet`s (`MapGeometry.frame_jet`) for every combination of fields along
     the jets' list axes.  No formula assumes that a field stays in its
     bundle: where the gates fail, it need not."""
 
@@ -207,7 +207,7 @@ class TargetCalculus:
         arrays `m` there (`MetricField.at`)."""
         mg, n = self.mg, self.mg.gN.chart.dim
         m = mg.gN.at(y)
-        F, E = (mg.target_jets(fields, y) for fields in (mg.frames.range, mg.frames.normal))
+        F, E = (mg.frame_jet(which, y) for which in ("range", "normal"))
         PR, PP = (_moved(_projector(m, slice(None), f)) for f in (F, E))
         A = _used(mg.gN.chart, mg.gN.mat.flat)  # Gamma_N varies along these only
         dgams = [m.dgam(s, A).reshape(len(m.G[s]), -1)
@@ -227,9 +227,8 @@ class TargetCalculus:
         (along the others every derivative vanishes), so that no array is
         larger than BLOCK points' n**4 and none is kept."""
         mg, n = self.mg, self.mg.gN.chart.dim
-        fields = (mg.frames.range, mg.frames.normal)
-        D = _used(mg.gN.chart, [*mg.gN.mat.flat, *(c for W in fields[0] + fields[1]
-                                                    for c in W.comps),
+        frames = mg.frames.range + mg.frames.normal
+        D = _used(mg.gN.chart, [*mg.gN.mat.flat, *(c for W in frames for c in W.comps),
                                 *(() if self.Jp is None else self.Jp.mat.flat)])
         DD = (D[:, None], D)  # the pairs of D, as the last two indices
         # g_N's arrays as `_projector` reads them, with derivatives along D only
@@ -237,11 +236,11 @@ class TargetCalculus:
 
         def block(s):
             Fs, Es = (Jet(f.v, f.d[..., D], f.dd[..., DD[0], DD[1]]) for f in (
-                mg.target_jets(fs, at.y[s], hessian=True) for fs in fields))
+                mg.frame_jet(which, at.y[s], 2) for which in ("range", "normal")))
             b = SimpleNamespace(PR=(at.PR[0][s], at.PR[1][s][:, :, D], None),
                                 PP=_moved(_projector(m, s, Es, second=True)), Jp=None)
             if self.Jp is not None:
-                J, dJ, ddJ = self.Jp.jets(at.y[s], True)
+                J, dJ, ddJ = self.Jp.at(at.y[s], True)
                 b.Jp = J, dJ[:, :, D], ddJ[:, :, DD[0], DD[1]]
             JE = self.J(b, Es)
             return (self.J(b, Fs), self.proj_range(b, JE._replace(dd=None)),

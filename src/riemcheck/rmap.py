@@ -24,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import as_expr, differentiate, simplify, substitute
-from .expr.tape import Tape
 from .geometry import (
     Chart,
     GeometryError,
+    Jets,
     LastPointSet,
     MetricField,
     VectorField,
@@ -36,8 +36,6 @@ from .geometry import (
     by_blocks,
     field_values,
     frozen,
-    jet_tape,
-    jet_values,
     matvec,
     on_pairs,
     orthonormalize,
@@ -72,7 +70,9 @@ class SmoothMap:
 
     `section`, when given, is a right inverse N -> M (source-coordinate
     expressions over target coordinates); it is what lets basic fields be
-    pushed forward as honest fields on the target.
+    pushed forward as honest fields on the target.  The values, the
+    Jacobian and the second derivatives at a point set come from the
+    components' `Jets`; the symbolic `jacobian` serves `pushforward_field`.
     """
 
     def __init__(self, source: Chart, target: Chart, comps, name=None, section=None):
@@ -91,35 +91,14 @@ class SmoothMap:
             for i in range(source.dim):
                 jac[a, i] = differentiate(comps[a], source.coords[i])
         self.jacobian = jac
-        self._tape = None
-        self._jtape = None
-        self._jets = None
-
-    def tape(self):
-        if self._tape is None:
-            self._tape = Tape(self.comps, self.source.coords)
-        return self._tape
-
-    def jets(self, points):
-        """`geometry.jet_values` of the components, with the second
-        derivatives dd[:, a, b] = d_a d_b F."""
-        if self._jets is None:
-            self._jets = jet_tape(self.comps, self.source, second=True)
-        v, d, dd = jet_values(self._jets, points, self.source.dim, second=True)
-        return v, d, dd[:, _mirror(self.source.dim)]
-
-    def jac_tape(self):
-        if self._jtape is None:
-            self._jtape = Tape(list(self.jacobian.flat), self.source.coords)
-        return self._jtape
+        self.jets = Jets(comps, source)
 
     def values(self, points) -> np.ndarray:
-        return self.tape().evaluate(np.atleast_2d(points))
+        return self.jets.at(points)[0]
 
     def jac_values(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return self.jac_tape().evaluate(pts).reshape(
-            len(pts), self.target.dim, self.source.dim)
+        """Jac[p, a, i] = d_i F^a at the points, from the first-order jets."""
+        return np.ascontiguousarray(self.jets.at(points, 1)[1].swapaxes(1, 2))
 
     def push_expr(self, e):
         """Compose a source-coordinate expression with the section."""
@@ -187,8 +166,8 @@ class Split:
 
 class MapGeometry:
     """Bundle of (F, g_M, g_N, declared frames): the split and the source
-    tensors of the last point set, and a write-once cache of the frame jet
-    tapes."""
+    tensors of the last point set, and the `Jets` of each declared frame
+    list (`frame_jet`)."""
 
     def __init__(self, F: SmoothMap, gM: MetricField, gN: MetricField,
                  frames: AdaptedFrames | None = None):
@@ -198,7 +177,10 @@ class MapGeometry:
         self.gM = gM
         self.gN = gN
         self.frames = frames or AdaptedFrames()
-        self._cache = {}
+        self._jets = {which: Jets([c for W in getattr(self.frames, which) for c in W.comps],
+                                  chart)
+                      for which, chart in (("vertical", gM.chart), ("horizontal", gM.chart),
+                                           ("range", gN.chart), ("normal", gN.chart))}
         self._last_split = LastPointSet()
         self._last_source = LastPointSet()
 
@@ -323,7 +305,7 @@ class MapGeometry:
             raise FramesRequired(
                 "source projectors need declared vertical and horizontal frames")
         m = self.gM.at(x)
-        jets = [self.source_jets(f, x) for f in (fr.vertical, fr.horizontal)]
+        jets = [self.frame_jet(which, x, 2) for which in ("vertical", "horizontal")]
 
         def block(s):
             proj = [_projector(m, s, Jet(*(a[:, s] for a in f)), nabla) for f in jets]
@@ -333,7 +315,8 @@ class MapGeometry:
 
     def _sff(self, x):
         # d_i d_j F^a + Gamma_N^a_bc(F) d_i F^b d_j F^c - Gamma_M^k_ij d_k F^a
-        _, dF, ddF = self.F.jets(x)  # dF[:, i, a] = d_i F^a, ddF[:, i, j, a]
+        _, dF, dd = self.F.jets.at(x, 2)  # dF[:, i, a] = d_i F^a
+        ddF = dd[:, _mirror(self.gM.chart.dim)]  # [:, i, j, a]
         J, gamN = dF.swapaxes(1, 2), self.gN.at(self.F.values(x)).gam
         return _sym(np.moveaxis(ddF, 3, 1) - pdot(J, self.gM.at(x).gam)
                     + pdot(dF, pdot(gamN, J).swapaxes(1, 2)).swapaxes(1, 2))
@@ -346,31 +329,29 @@ class MapGeometry:
             raise FramesRequired("shape operators need a declared normal frame")
         s = self.split(points)
         PR = np.matmul(s.range.transpose(0, 2, 1), np.matmul(s.range, s.GN))  # sum_f f (g f)^T
-        E = self.target_jets(self.frames.normal, s.y)
+        E = self.frame_jet("normal", s.y)
         return np.moveaxis(shape_operator(PR, self.gN.at(s.y).gam, E), 0, 1)
 
-    def target_jets(self, fields, y, hessian=False) -> Jet:
-        """The Jet of k target fields at the points y (with `hessian`, second
-        derivatives too), from one tape per list built on first use."""
-        return self._jets(self.gN.chart, fields, y, hessian)
+    def frame_jet(self, which, points, order=1) -> Jet:
+        """The Jet of the declared frame `which` ('vertical', 'horizontal',
+        'range' or 'normal') at the points, with second derivatives at
+        order 2 (`field_jet`)."""
+        return field_jet(self._jets[which], points, order)
 
-    def source_jets(self, fields, x) -> Jet:
-        """The Jet (values, first and second derivatives) of k source fields
-        at the points x, from one tape per list built on first use."""
-        return self._jets(self.gM.chart, fields, x, True)
 
-    def _jets(self, chart, fields, pts, hessian) -> Jet:
-        key, k, n = ("jets", chart, tuple(fields), hessian), len(fields), chart.dim
-        if key not in self._cache:
-            self._cache[key] = jet_tape([c for W in fields for c in W.comps], chart, hessian)
-        v, d, dd = jet_values(self._cache[key], pts, n, hessian)
-        P = len(v)  # each field's blocks contiguous, as the contractions read them
-        v, d = (np.ascontiguousarray(a) for a in (
-            v.reshape(P, k, n).swapaxes(0, 1), d.reshape(P, n, k, n).transpose(2, 0, 3, 1)))
-        if dd is None:
-            return Jet(v, d)
-        dd = np.ascontiguousarray(dd.reshape(P, -1, k, n).transpose(2, 0, 3, 1))
-        return Jet(v, d, np.take(dd, _mirror(n), axis=-1))
+def field_jet(jets: Jets, points, order=1) -> Jet:
+    """The Jet of k fields at the points from the `Jets` of their components,
+    field after field: first derivatives, and at order 2 second ones too."""
+    v, d, dd = jets.at(points, order)
+    P, n = len(v), jets.chart.dim
+    k = v.shape[1] // n
+    # each field's blocks contiguous, as the contractions read them
+    v, d = (np.ascontiguousarray(a) for a in (
+        v.reshape(P, k, n).swapaxes(0, 1), d.reshape(P, n, k, n).transpose(2, 0, 3, 1)))
+    if dd is None:
+        return Jet(v, d)
+    dd = np.ascontiguousarray(dd.reshape(P, -1, k, n).transpose(2, 0, 3, 1))
+    return Jet(v, d, np.take(dd, _mirror(n), axis=-1))
 
 
 class Jet(NamedTuple):

@@ -19,8 +19,6 @@ from .geometry import (
     _mirror,
     field_values,
     gnorm,
-    jet_tape,
-    jet_values,
     matvec,
     orthonormal_frames,
     pair_form,
@@ -40,6 +38,8 @@ class AlmostComplexStructure:
     `from_frame` builds the coordinate tensor from an action matrix on an
     orthonormal frame: action[b, a] is the coefficient of E_b in J E_a.  The
     dual coframe uses the metric, so a metric is required in frame mode.
+    Values and derivatives at a point set come from the coordinate tensor's
+    `Jets`.
     """
 
     def __init__(self, chart, mat):
@@ -51,7 +51,6 @@ class AlmostComplexStructure:
         for i, j in np.ndindex(mat.shape):
             self.mat[i, j] = as_expr(mat[i, j])
         self._tensor = TensorField(chart, (1, 1), self.mat)
-        self._jets = {}
 
     @classmethod
     def from_frame(cls, g: MetricField, frame_fields, action):
@@ -73,14 +72,12 @@ class AlmostComplexStructure:
         mat.flat = [g._simp(e) for e in mat.flat]
         return cls(chart, mat)
 
-    def jets(self, points, second=False):
+    def at(self, points, second=False):
         """(J [k, m], d_a J [k, a, m] and, with `second`, d_a d_b J [k, a, b,
         m], else None) at the points, each with a leading point axis, from
-        one jet tape per structure and order, built on first use."""
-        if second not in self._jets:
-            self._jets[second] = jet_tape(list(self.mat.flat), self.chart, second)
+        the tensor's jets of the first or the second order."""
         n = self.chart.dim
-        v, d, dd = jet_values(self._jets[second], points, n, second)
+        v, d, dd = self._tensor.jets.at(points, 1 + second)
         if dd is not None:  # [a, b, k, m] to [k, a, b, m]
             dd = np.moveaxis(dd[:, _mirror(n)].reshape((-1,) + (n,) * 4), 3, 1)
         return v.reshape(-1, n, n), d.reshape(-1, n, n, n).swapaxes(1, 2), dd
@@ -126,8 +123,8 @@ def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.nda
 def nabla_J(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
     """(nabla J)[p, k, l, j] = (nabla_{d_l} J)(d_j)^k = d_l J^k_j
     + Gamma^k_lm J^m_j - Gamma^m_lj J^k_m at the points, from J's jets
-    (`AlmostComplexStructure.jets`) and Gamma of g there (`MetricField.at`)."""
-    Jv, dJ, _ = J.jets(points)
+    (`AlmostComplexStructure.at`) and Gamma of g there (`MetricField.at`)."""
+    Jv, dJ, _ = J.at(points)
     gam = g.at(points).gam
     return dJ + pdot(gam, Jv) - pdot(Jv, gam)
 

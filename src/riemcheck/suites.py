@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Tape, backend_name
+from .expr import backend_name
 from .geometry import (
     ChartDomainError,
     GeometryError,
@@ -308,13 +308,13 @@ def check_oneill(ctx):
     av = on_pairs(Av, H)
     at["A_horizontal_antisym"] = np.abs(av + av.transpose(0, 2, 1, 3))
     gam = mg.gM.at(sp.x).gam
-    for key, fields, F, Op in (("lemma1_vertical", fr.vertical, V, Tv),
-                               ("lemma1_horizontal", fr.horizontal, H, Av)):
+    for key, which, F, Op in (("lemma1_vertical", "vertical", V, Tv),
+                              ("lemma1_horizontal", "horizontal", H, Av)):
         # nabla_{F_a} F_b = its O'Neill part + its projection on span F
-        if not fields:
+        if not getattr(fr, which):
             at[key] = np.zeros((P, 0))
             continue
-        full = connection_on_pairs(gam, mg.source_jets(fields, sp.x))  # (P, a, b, n)
+        full = connection_on_pairs(gam, mg.frame_jet(which, sp.x, 2))  # (P, a, b, n)
         coef = qform(F[:, None, None], GM[:, None, None, None], full[..., None, :])
         proj = matvec(F.swapaxes(1, 2)[:, None, None], coef)
         at[key] = np.abs(full - on_pairs(Op, F) - proj)
@@ -477,7 +477,7 @@ def clairaut_invariant(mg, f, xs, vs) -> np.ndarray:
     declared = field_values(mg.frames.vertical, xs) if mg.frames.vertical else None
     U = vertical_frames(xs, G, mg.F.jac_values(xs), declared)
     coef = qform(U, G[:, None], vs[:, None])  # g_M(u_a, v)
-    return (np.exp(Tape([f], mg.gM.chart.coords).evaluate(xs)[:, 0])
+    return (np.exp(mg.gM.function_jets(f).at(xs)[0][:, 0])
             * np.sqrt(vdot(coef, coef) / qform(vs, G, vs)))
 
 
@@ -489,8 +489,7 @@ def check_geodesic(ctx):
         if len(geo.get(key, ())) != ctx.chart.dim:
             raise SpecError(f"geodesic {key} needs {ctx.chart.dim} values, the dimension of chart "
                             f"{ctx.chart.name}; got {len(geo[key]) if key in geo else 'none'}")
-    p0 = dict(zip(ctx.chart.coords, geo["from"]))
-    traj = geodesic_integrate(ctx.g, p0, np.array(geo["dir"]),
+    traj = geodesic_integrate(ctx.g, np.array(geo["from"]), np.array(geo["dir"]),
                               t_end=geo.get("t", 10.0), dt=geo.get("dt", 1e-3))
     terms = {"energy_drift": traj.energy_drift, "halvings": traj.halvings}
     drifts, notes = [traj.energy_drift], []
@@ -602,6 +601,11 @@ def run_suite(cfg: SpecConfig, suite=None, points=None, seed=None, tol=None) -> 
     if npoints < 1:
         raise SpecError(f"points {npoints}: at least one sample point is needed")
     tol = ck["tol"] if tol is None else tol
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise SpecError(f"tol {tol}: the tolerance must be finite and at least 0")
+    lo, hi = ck["box"]
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise SpecError(f"box {lo} {hi}: the bounds must be finite, the first below the second")
     ctx = _Ctx(cfg, seed, npoints, tol, ck["box"])
     report = CheckReport(cfg.name, seed, npoints, tol, ck["box"], backend_name())
 

@@ -27,13 +27,13 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
         raise GeometryError("geodesic_integrate: dt must be positive")
     chart = g.chart
     n = chart.dim
-    x = chart.point_to_array(p0) if isinstance(p0, dict) else np.asarray(p0, dtype=float)
+    x = np.asarray(p0, dtype=float)
     v = np.asarray(v0, dtype=float)
     if v.shape != (n,) or not np.any(v):
         raise GeometryError("geodesic_integrate: v0 must be a nonzero tangent vector")
 
     rhs = geodesic_tape(g).evaluate_at
-    g_tape = g.tape()
+    g_tape = g.jets.tape()
 
     def rk4(state, h):
         k1 = rhs(state)

@@ -178,6 +178,36 @@ end
     assert "points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box,argv,error", [
+    ("nan 1", [], "box nan 1.0: the bounds must be finite, the first below the second"),
+    ("1 0.1", [], "box 1.0 0.1: the bounds must be finite, the first below the second"),
+    ("0.1 1", ["--tol", "inf"], "tol inf: the tolerance must be finite and at least 0"),
+    ("0.1 1", ["--tol", "nan"], "tol nan: the tolerance must be finite and at least 0"),
+], ids=["box-nan", "box-reversed", "tol-inf", "tol-nan"])
+def test_cli_tolerance_and_box_are_checked_once_as_config_errors(tmp_path, capsys, box, argv,
+                                                                   error):
+    """A non-finite box bound or one above the other, and a tolerance that is
+    not finite, are spec errors with exit code 2, before any check runs: a NaN
+    box used to escape as a traceback from the sampler, and an infinite or
+    NaN tolerance to pass an infinite residual or fail every tolerance check
+    while `metric` passed."""
+    spec = tmp_path / "box.spec"
+    spec.write_text(f"""
+manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+check
+  suite metric soliton
+  soliton grad f alpha 1 lambda 0
+  box {box}
+end
+function f on M = 0.5*(x1^2 + x2^2)
+""")
+    assert main(["check", str(spec), *argv]) == 2
+    assert capsys.readouterr().err == f"riemcheck: configuration error: {error}\n"
+
+
 def test_cli_geodesic_verb(tmp_path, capsys):
     from riemcheck.catalog import CATALOG
     spec = tmp_path / "rev.spec"

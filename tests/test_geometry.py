@@ -434,7 +434,7 @@ def test_orthonormalize_paper31_frame():
 
 def test_geodesic_euclidean_straight_line():
     g = euclidean(2)
-    traj = geodesic_integrate(g, {"x1": 0.1, "x2": 0.2}, np.array([0.3, 0.4]),
+    traj = geodesic_integrate(g, np.array([0.1, 0.2]), np.array([0.3, 0.4]),
                               t_end=2.0, dt=1e-2)
     assert traj.energy_drift <= 1e-10
     end = traj.xs[-1]
@@ -444,7 +444,7 @@ def test_geodesic_euclidean_straight_line():
 def test_geodesic_great_circle_closes():
     g = sphere2()
     v0 = np.array([0.0, 1.0])  # equator direction, unit speed at theta = pi/2
-    traj = geodesic_integrate(g, {"theta": math.pi / 2, "phi": 0.0}, v0,
+    traj = geodesic_integrate(g, np.array([math.pi / 2, 0.0]), v0,
                               t_end=2.0 * math.pi, dt=1e-3)
     assert traj.energy_drift <= 1e-8
     assert abs(traj.xs[-1][0] - math.pi / 2) <= 1e-5
@@ -454,7 +454,7 @@ def test_geodesic_great_circle_closes():
     v0 = np.array([0.3, 1.0])
     gv = g.values(np.array([math.pi / 2, 0.0]))[0]
     v0 = v0 / math.sqrt(v0 @ gv @ v0)
-    traj = geodesic_integrate(g, {"theta": math.pi / 2, "phi": 0.0}, v0,
+    traj = geodesic_integrate(g, np.array([math.pi / 2, 0.0]), v0,
                               t_end=2.0 * math.pi, dt=1e-3)
     assert abs(traj.xs[-1][0] - math.pi / 2) <= 1e-5
     assert abs(traj.xs[-1][1] - 2.0 * math.pi) <= 2e-5
@@ -463,9 +463,9 @@ def test_geodesic_great_circle_closes():
 def test_geodesic_rejects_bad_input():
     g = euclidean(2)
     with pytest.raises(GeometryError):
-        geodesic_integrate(g, {"x1": 0.0, "x2": 0.0}, np.zeros(2), 1.0, 1e-2)
+        geodesic_integrate(g, np.array([0.0, 0.0]), np.zeros(2), 1.0, 1e-2)
     with pytest.raises(GeometryError):
-        geodesic_integrate(g, {"x1": 0.0, "x2": 0.0}, np.array([1.0, 0.0]), 1.0, -1e-2)
+        geodesic_integrate(g, np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0, -1e-2)
 
 
 def test_geodesic_domain_exit_detected():
@@ -473,7 +473,7 @@ def test_geodesic_domain_exit_detected():
     mat = np.array([[Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)]], dtype=object)
     g = MetricField(chart, mat)
     with pytest.raises(ChartDomainError):
-        geodesic_integrate(g, {"x": 0.5, "y": 0.0}, np.array([-1.0, 0.0]), 2.0, 1e-2)
+        geodesic_integrate(g, np.array([0.5, 0.0]), np.array([-1.0, 0.0]), 2.0, 1e-2)
 
 
 def test_geodesic_step_that_is_nonfinite_at_every_size_raises():
@@ -485,17 +485,17 @@ def test_geodesic_step_that_is_nonfinite_at_every_size_raises():
                                      [Const(0.0), parse("1 + sqrt(x - 0.5)")]],
                                     dtype=object))
     with pytest.raises(GeometryError, match=r"t=0\.1 "):
-        geodesic_integrate(g, {"x": 0.62, "y": 0.0}, np.array([-1.0, 0.0]), 0.3, 0.1)
+        geodesic_integrate(g, np.array([0.62, 0.0]), np.array([-1.0, 0.0]), 0.3, 0.1)
 
 
 def test_geodesic_counts_steps_that_never_reach_the_energy_tolerance():
     g = sphere2()
     v0 = np.array([0.3, 1.0])
-    traj = geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, v0, t_end=0.02, dt=0.01,
+    traj = geodesic_integrate(g, np.array([1.2, 0.0]), v0, t_end=0.02, dt=0.01,
                               energy_tol=0.0)
     assert traj.unconverged == 2
     assert traj.halvings == 24
-    assert geodesic_integrate(g, {"theta": 1.2, "phi": 0.0}, v0, t_end=0.02,
+    assert geodesic_integrate(g, np.array([1.2, 0.0]), v0, t_end=0.02,
                               dt=0.01).unconverged == 0
 
 
@@ -504,12 +504,12 @@ def _catalog_geodesic(entry, chart, **edits):
     cfg = load(entry)
     geo = cfg.check["geodesic"] | edits
     g = cfg.metrics[chart]
-    return (g, dict(zip(g.chart.coords, geo["from"])), np.array(geo["dir"]),
+    return (g, np.array(geo["from"]), np.array(geo["dir"]),
             geo["t"], geo["dt"])
 
 
 def _heisenberg_geodesic(dt):
-    return heisenberg(), {"x": 0.3, "y": 0.5, "z": 0.7}, np.array([0.6, -0.2, 0.4]), 5.0, dt
+    return heisenberg(), np.array([0.3, 0.5, 0.7]), np.array([0.6, -0.2, 0.4]), 5.0, dt
 
 
 def _bump_geodesic(width, t_end):
@@ -524,7 +524,7 @@ def _bump_geodesic(width, t_end):
     g_yy = chart.parse(f"1 + 1e4*({u} + sqrt({u}^2))^2*({w} + sqrt({w}^2))^2")
     g = MetricField(chart, np.array([[Const(1.0), Const(0.0)], [Const(0.0), g_yy]],
                                     dtype=object))
-    return g, {"x": 0.0013, "y": 0.0}, np.array([1.0, 0.5]), t_end, 2.0**-8
+    return g, np.array([0.0013, 0.0]), np.array([1.0, 0.5]), t_end, 2.0**-8
 
 
 def _oracle_substeps(args, energy_tol):
@@ -592,7 +592,7 @@ def test_geodesic_integrate_raises_as_the_numpy_array_oracle_does(
     raised = []
     for integrate in (geodesic_integrate, geodesic_oracle.geodesic_integrate):
         with pytest.raises(GeometryError) as exc:
-            integrate(g, {"x": start, "y": 0.0}, np.array([-1.0, 0.0]), t_end, dt)
+            integrate(g, np.array([start, 0.0]), np.array([-1.0, 0.0]), t_end, dt)
         raised.append((type(exc.value), str(exc.value)))
     assert raised[0] == raised[1]
 
@@ -650,7 +650,7 @@ def test_geodesic_makes_one_rhs_call_per_stage_and_one_metric_call_per_attempt(
     evaluate_list = Tape.evaluate_list
 
     def count(args):
-        metric = args[0].tape()
+        metric = args[0].jets.tape()
 
         def counted(self, x):
             key = "rhs" if self.var_names[-1].startswith("_v") else (
@@ -664,7 +664,7 @@ def test_geodesic_makes_one_rhs_call_per_stage_and_one_metric_call_per_attempt(
         monkeypatch.setattr(Tape, "evaluate_list", evaluate_list)
         return traj, dict(calls)
 
-    sphere = (sphere2(), {"theta": 1.2, "phi": 0.0}, np.array([0.3, 1.0]))
+    sphere = (sphere2(), np.array([1.2, 0.0]), np.array([0.3, 1.0]))
     if energy_tol:  # no rejection, 1,000 steps: chains up to CHAIN_CAP long
         traj, got = count(sphere + (1.0, 1e-3))
         steps = len(traj) - 1

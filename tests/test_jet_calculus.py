@@ -20,12 +20,11 @@ import source_calculus_oracle as oracle
 from riemcheck import catalog, geometry, suites
 from riemcheck.expr import Tape, differentiate
 from riemcheck.geometry import (
+    Jets,
     VectorField,
     _mirror,
     function_at,
     gradient,
-    jet_tape,
-    jet_values,
     lie_derivative,
 )
 from riemcheck.propcheck import PropositionCase, TargetCalculus, _used
@@ -96,7 +95,7 @@ def test_the_product_rule_terms_are_exercised():
         m, X = g.at(x), field(g.chart)
         df = function_at(g, sample_function(g.chart), x).d
         gamma_df.append(np.max(np.abs(np.einsum("pkij,pk->pij", m.gam, df))))
-        v, d, _ = jet_values(X.jet_tape(), x, g.chart.dim)
+        v, d, _ = X.jets.at(x, 1)
         x_dg.append(np.max(np.abs(np.einsum("pk,pkij->pij", v, m.dG))))
         GdX = np.matmul(d, m.G)
         g_dx.append(np.max(np.abs(GdX - GdX.swapaxes(1, 2))))
@@ -181,8 +180,7 @@ def _jets(fields, chart, y):
     fields, by symbolic differentiation: (k, P, n), (k, P, n, n) and (k, P,
     n, n, n) as in `rmap.Jet`."""
     n = chart.dim
-    v, d, dd = jet_values(jet_tape([c for W in fields for c in W.comps], chart, second=True),
-                          y, n, second=True)
+    v, d, dd = Jets([c for W in fields for c in W.comps], chart).at(y, 2)
     P, k, dd = len(y), len(fields), dd[:, _mirror(n)]
     return (v.reshape(P, k, n).swapaxes(0, 1), d.reshape(P, n, k, n).transpose(2, 0, 3, 1),
             dd.reshape(P, n, n, k, n).transpose(3, 0, 4, 1, 2))
@@ -201,7 +199,7 @@ def test_target_geometry_matches_the_symbolic_oracle(case):
     assert close(dgam, Tape(list(want.flat), N.coords).evaluate(y).reshape(dgam.shape))
     for (P, dP, ddP), fields in ((at.PR, mg.frames.range), (at.PP, mg.frames.normal)):
         sym = oracle.projector_from_fields(mg.gN, fields)
-        v, d, _ = jet_values(jet_tape(list(sym.flat), N), y, n)
+        v, d, _ = Jets(sym.flat, N).at(y, 1)
         assert ddP is None
         assert close(P, v.reshape(P.shape))
         assert close(dP, d.reshape(len(y), n, n, n).transpose(0, 2, 1, 3))  # [m, a, k]
@@ -227,9 +225,9 @@ def test_target_images_match_the_symbolic_oracle(case):
     if case == "heisenberg":  # each term of the product rules is far from 0 here
         at = tc.geometry(y)
         assert np.max(np.abs(at.PR[1])) > 0.1 and np.max(np.abs(at.PP[1])) > 0.1
-        assert min(np.max(np.abs(a)) for a in Jp.jets(y, second=True)) > 0.1
+        assert min(np.max(np.abs(a)) for a in Jp.at(y, second=True)) > 0.1
     if case == "paper-4.1:Jp":  # the images are made along y5 only, and J' varies
-        assert np.max(np.abs(Jp.jets(y, second=True)[2])) > 0.1
+        assert np.max(np.abs(Jp.at(y, second=True)[2])) > 0.1
         assert np.array_equal(_used(mg.gN.chart, [*mg.gN.mat.flat, *Jp.mat.flat, *(
             c for W in fr.range + fr.normal for c in W.comps)]), [4])
 

@@ -1,0 +1,94 @@
+"""`geometry.Jets`: one tape per derivative order of a declared expression
+list, the values and first derivatives kept for the last point set.
+
+Every catalog run evaluates each value and first-order tape at most once per
+point set.  A `Jets` gives the same bits for its values at every order (and
+for its first derivatives at orders 1 and 2), and a map's Jacobian read from
+its first-order jets has the bits of a tape of its symbolic Jacobian.
+"""
+
+import functools
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from riemcheck import catalog, suites
+from riemcheck.expr import Tape
+from riemcheck.geometry import Jets
+
+
+@pytest.mark.parametrize("entry", catalog.names())
+def test_no_value_or_first_order_tape_runs_twice_at_one_point_set(monkeypatch, entry):
+    orders, evaluated = {}, Counter()
+    real_tape, real_evaluate = Jets.tape, Tape.evaluate
+
+    def tape(self, order=0):
+        t = real_tape(self, order)
+        orders[t] = order
+        return t
+
+    def evaluate(self, points):  # keyed by the tape itself, so no id is reused
+        evaluated[self, np.asarray(points).tobytes()] += 1
+        return real_evaluate(self, points)
+
+    monkeypatch.setattr(Jets, "tape", tape)
+    monkeypatch.setattr(Tape, "evaluate", evaluate)
+    suites.run_suite(catalog.load(entry))
+    assert any(orders.get(t) == 1 for t, _ in evaluated)
+    twice = Counter(orders[t] for (t, _), k in evaluated.items() if k > 1 and orders.get(t, 2) < 2)
+    assert not twice, twice
+
+
+def test_values_and_first_derivatives_are_kept_read_only_for_the_last_point_set():
+    g = catalog.load("sphere-2").metrics["S"]
+    x, y = g.chart.sample_points(3, seed=1), g.chart.sample_points(3, seed=2)
+    jets = Jets(g.mat.flat, g.chart)
+    v, d, dd = jets.at(x, 1)
+    assert dd is None and not v.flags.writeable and not d.flags.writeable
+    assert jets.at(x, 1)[1] is d and jets.at(x.copy(), 1)[0] is v
+    assert jets.at(y, 1)[0] is not v and jets.at(x, 1)[0] is not v
+    v2, d2, dd2 = jets.at(x, 2)
+    assert v2.flags.writeable and jets.at(x, 2)[2] is not dd2
+    assert dd2.shape == (3, 3, 4)  # the pairs a <= b of 2 coordinates, 4 entries
+
+
+@functools.cache
+def _declared(entry):
+    """(sample box, [Jets], map geometry or None) of a catalog entry: the
+    Jets of every declared expression list, metrics (all entries and i <=
+    j), fields, functions, structures, the map and its frame lists."""
+    cfg = catalog.load(entry)
+    out = [g.jets for g in cfg.metrics.values()] + [g._upper for g in cfg.metrics.values()]
+    out += [X.jets for X in cfg.fields.values()]
+    out += [cfg.metrics[c].function_jets(f) for (c, _), f in cfg.functions.items()]
+    out += [J._tensor.jets for _, J in cfg.structures.values()]
+    mg = cfg.map_geometry()
+    if mg is not None:
+        out += [mg.F.jets] + [jets for jets in mg._jets.values() if jets.exprs]
+    return cfg.check["box"], out, mg
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(catalog.names()), npoints=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_values_agree_across_orders_and_the_jacobian_with_its_symbolic_tape(entry, npoints,
+                                                                              seed):
+    (lo, hi), lists, mg = _declared(entry)
+    rng = np.random.default_rng(seed)
+    for jets in lists:
+        x = rng.uniform(lo, hi, size=(npoints, jets.chart.dim))
+        (v0, _, _), (v1, d1, _), (v2, d2, _) = (jets.at(x, order) for order in (0, 1, 2))
+        assert _same_bits(v0, v1) and _same_bits(v0, v2), (entry, jets.exprs)
+        assert _same_bits(d1, d2), (entry, jets.exprs)
+    if mg is not None:
+        F = mg.F
+        x = rng.uniform(lo, hi, size=(npoints, F.source.dim))
+        want = Tape(list(F.jacobian.flat), F.source.coords).evaluate(x)
+        assert _same_bits(F.jac_values(x), want.reshape(npoints, F.target.dim, F.source.dim))

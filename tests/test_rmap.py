@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riemcheck.expr import Const, parse
-from riemcheck.geometry import Chart, MetricField, VectorField, worst
+from riemcheck.geometry import Chart, Jets, MetricField, VectorField, worst
 from riemcheck.rmap import (
     AdaptedFrames,
     FramesRequired,
@@ -15,6 +15,7 @@ from riemcheck.rmap import (
     SmoothMap,
     connection_on_pairs,
     fiber_mean_curvature,
+    field_jet,
     isometry_residual,
     pushforward_field,
     umbilical_fit,
@@ -586,7 +587,8 @@ def test_connection_on_pairs_matches_the_symbolic_covariant_derivative(case):
              vf(M, ["0"] * (M.dim - 1) + [f"{c[1]}^2 - {c[0]}"]))
     for fields in (mg.frames.vertical, mg.frames.horizontal, extra):
         assert fields
-        got = connection_on_pairs(gam, mg.source_jets(fields, x))
+        got = connection_on_pairs(gam, field_jet(Jets([c for W in fields for c in W.comps], M),
+                                                 x, 2))
         want = np.stack([np.stack([covariant_derivative(mg.gM, a, b).values(x) for b in fields],
                                   axis=1) for a in fields], axis=1)
         assert got.shape == want.shape == (len(x), len(fields), len(fields), M.dim)

@@ -16,7 +16,7 @@ from fd_oracle import fd_ricci, fd_scalar
 from paper_fixtures import diag_metric, vf
 from riemcheck import catalog, suites
 from riemcheck.expr import Const, Tape, substitute
-from riemcheck.geometry import Chart, MetricField, ricci, scalar_curvature
+from riemcheck.geometry import Chart, Jets, MetricField, ricci, scalar_curvature
 from riemcheck.propcheck import UnsupportedDistribution
 from riemcheck.rmap import AdaptedFrames, MapGeometry, SmoothMap
 from test_geometry import heisenberg
@@ -206,12 +206,19 @@ def test_turning_the_declared_frames_leaves_the_oneill_tensors(case):
 
 
 def test_each_metric_jet_tape_is_evaluated_once_per_point_set(monkeypatch):
-    tapes, evaluated = set(), Counter()
-    real_jet_tape, real_evaluate = MetricField.jet_tape, Tape.evaluate
+    """The second-order tape of each metric's entries i <= j, which
+    `MetricField.at` reads, runs once per point set."""
+    metrics, tapes, evaluated = [], set(), Counter()
+    real_init, real_tape, real_evaluate = MetricField.__init__, Jets.tape, Tape.evaluate
 
-    def jet_tape(self):
-        tape = real_jet_tape(self)
-        tapes.add(id(tape))
+    def init(self, *args):
+        real_init(self, *args)
+        metrics.append(self)
+
+    def jet_tape(self, order=0):
+        tape = real_tape(self, order)
+        if order == 2 and any(self is g._upper for g in metrics):
+            tapes.add(id(tape))
         return tape
 
     def evaluate(self, points):
@@ -219,7 +226,8 @@ def test_each_metric_jet_tape_is_evaluated_once_per_point_set(monkeypatch):
             evaluated[id(self), np.asarray(points).tobytes()] += 1
         return real_evaluate(self, points)
 
-    monkeypatch.setattr(MetricField, "jet_tape", jet_tape)
+    monkeypatch.setattr(MetricField, "__init__", init)
+    monkeypatch.setattr(Jets, "tape", jet_tape)
     monkeypatch.setattr(Tape, "evaluate", evaluate)
     suites.run_suite(catalog.load("paper-4.1"))
     assert len(tapes) == 2  # g_M and g_N; the restricted leaves read their jets

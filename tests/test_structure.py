@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from riemcheck import structure
 from riemcheck.catalog import load
 from riemcheck.expr import Const, parse
-from riemcheck.geometry import Chart, MetricField, VectorField, worst
+from riemcheck.geometry import Chart, Jets, MetricField, VectorField, worst
 from riemcheck.structure import (
     AlmostComplexStructure,
     anti_invariant_residual,
@@ -251,20 +251,21 @@ def test_frame_and_coordinate_J_give_same_residuals():
 
 
 def test_nabla_J_is_built_once_per_metric_and_structure(monkeypatch):
-    """nabla J comes from one jet tape per structure, built once in a run,
-    and from Gamma of the metric's arrays at the point set."""
+    """nabla J comes from one jet tape per structure (the first-order tape of
+    its tensor's `Jets`), built once in a run, and from Gamma of the metric's
+    arrays at the point set."""
     cfg = load("paper-3.1")
     structures = [J for _, J in cfg.structures.values()]
-    real = structure.jet_tape
+    real = Jets.tape
     built = Counter()
 
-    def jet_tape(exprs, chart, second=False):
+    def jet_tape(self, order=0):
         for J in structures:
-            if len(exprs) == J.mat.size and all(a is b for a, b in zip(exprs, J.mat.flat)):
+            if order and order not in self._tapes and self is J._tensor.jets:
                 built[id(J)] += 1
-        return real(exprs, chart, second)
+        return real(self, order)
 
-    monkeypatch.setattr(structure, "jet_tape", jet_tape)
+    monkeypatch.setattr(Jets, "tape", jet_tape)
     run_suite(cfg, points=6)
     assert len(built) == len(structures) and set(built.values()) == {1}
 
