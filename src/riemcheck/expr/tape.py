@@ -15,10 +15,13 @@ shape and bound twice:
 The tapes of the engine's declarations are made by `geometry.Jets`, one per
 derivative order of each expression list, and every check evaluates them over
 the whole point set with `evaluate`, values and first derivatives once per
-point set.  `evaluate_list` (one point, a list of floats in, a sequence out)
-serves the geodesic RK4 integrator, whose stages come one point at a time on
-a state of Python floats; `evaluate_at` wraps it in arrays for
-`Chart.check_domain`, which tests every accepted geodesic step.
+point set.  The geodesic integrator's RK4 steps are `rk4_step`: the
+right-hand side's four stages, written by the same emitter as one
+straight-line `step(s, h)` bound to `math`; a step that faults runs again
+stage by stage through `evaluate_list` (one point, a list of floats in, a
+sequence out), which also serves the integrator's metric values and
+`Chart.check_domain`.  `evaluate_at` wraps it in arrays and has no caller in
+the engine.
 
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a
@@ -55,38 +58,68 @@ _UNARY_OPS = {"neg": OP_NEG, "exp": OP_EXP, "log": OP_LOG,
               "sin": OP_SIN, "cos": OP_COS, "sqrt": OP_SQRT}
 _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
 
-# Right-hand side of each instruction, indexed by opcode; `a` and `b` are the
-# operand fields (register, variable or constant index, as the op dictates).
-_RHS = ("x[{a}]", "c[{a}]", "-r{a}", "exp(r{a})", "log(r{a})", "sin(r{a})",
-        "cos(r{a})", "sqrt(r{a})", "r{a} + r{b}", "r{a} - r{b}",
-        "r{a} * r{b}", "r{a} / r{b}", "pow(r{a}, c[{b}])")
+# Right-hand side of each instruction, indexed by opcode; `x` is the input
+# expression of a variable, `a` and `b` are the operand fields (register or
+# constant index, as the op dictates) and `r` the registers' name prefix.
+_RHS = ("{x}", "c[{a}]", "-{r}{a}", "exp({r}{a})", "log({r}{a})", "sin({r}{a})",
+        "cos({r}{a})", "sqrt({r}{a})", "{r}{a} + {r}{b}", "{r}{a} - {r}{b}",
+        "{r}{a} * {r}{b}", "{r}{a} / {r}{b}", "pow({r}{a}, c[{b}])")
 
 _FUNCS = ("exp", "log", "sin", "cos", "sqrt")
 _MATH = {name: getattr(math, name) for name in _FUNCS} | {"pow": math.pow}
 _NUMPY = {name: getattr(np, name) for name in _FUNCS} | {"pow": np.power}
 
-# (ops, a, b, out_regs) -> (single-point function, batch function).  Shapes
-# repeat across the tapes of one run, and compiling is the expensive step.
+# (ops, a, b, out_regs) -> (single-point function, batch function), and in
+# `_STEPS` -> RK4 step code.  Shapes repeat across the tapes of one run, and
+# compiling is the expensive step.
 _SHAPES: dict[tuple, tuple] = {}
+_STEPS: dict[tuple, object] = {}
 
 
 def backend_name() -> str:
     return "pure"
 
 
-def _compile(shape):
+def _emit(shape, x, r):
+    """The instructions of `shape` as straight-line assignments: register i
+    is the local `{r}{i}`, variable a reads the expression `x(a)` and
+    constant a reads `c[a]`.  Returns the lines and the output registers."""
     ops, a, b, out_regs = shape
-    lines = ["def run(x, c):"]
-    lines += [f"    r{i} = " + _RHS[op].format(a=ia, b=ib)
-              for i, (op, ia, ib) in enumerate(zip(ops, a, b))]
-    lines.append("    return (" + "".join(f"r{r}, " for r in out_regs) + ")")
-    code = compile("\n".join(lines), "<tape>", "exec")
+    lines = [f"{r}{i} = " + _RHS[op].format(x=x(ia) if op == OP_LOADV else "", a=ia, b=ib, r=r)
+             for i, (op, ia, ib) in enumerate(zip(ops, a, b))]
+    return lines, [f"{r}{i}" for i in out_regs]
+
+
+def _compile(shape):
+    lines, outs = _emit(shape, "x[{}]".format, "r")
+    lines.append("return (" + "".join(o + ", " for o in outs) + ")")
+    code = compile("\n    ".join(["def run(x, c):", *lines]), "<tape>", "exec")
     fns = []
     for names in (_MATH, _NUMPY):
         scope = dict(names)
         exec(code, scope)
         fns.append(scope["run"])
     return tuple(fns)
+
+
+def _compile_step(shape):
+    """`step(s, h)`: `Tape._rk4_stages`'s float operations in their order,
+    stage after stage, returning `slow(s, h)` where one faults; `c` and
+    `slow` are globals of the scope it is bound in."""
+    n = len(shape[3])
+    lines = ["".join(f"s{i}, " for i in range(n)) + "= s", "half = 0.5 * h"]
+    x, ks = "s{}".format, []
+    for stage, hk in enumerate(("half", "half", "h", None), 1):
+        body, k = _emit(shape, x, f"r{stage}_")
+        lines += body
+        ks.append(k)
+        x = lambda i, k=k, hk=hk: f"(s{i} + {hk} * {k[i]})"  # the next stage's inputs
+    lines += ["sixth = h / 6.0", "return [" + ", ".join(
+        f"s{i} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+        for i, (k1, k2, k3, k4) in enumerate(zip(*ks))) + "]"]
+    return compile("\n".join(["def step(s, h):", "    try:", *("        " + ln for ln in lines),
+                              "    except (ArithmeticError, ValueError):",
+                              "        return slow(s, h)"]), "<rk4>", "exec")
 
 
 class Tape:
@@ -151,7 +184,7 @@ class Tape:
         self._live = [j for j, r in enumerate(out_regs) if ops[r] != OP_LOADC]
         self._const_list = self.consts.tolist()
         self.nregs = len(ops)
-        shape = (self.code, tuple(a), tuple(b), out_regs)
+        self._shape = shape = (self.code, tuple(a), tuple(b), out_regs)
         fns = _SHAPES.get(shape)
         if fns is None:
             fns = _SHAPES[shape] = _compile(shape)
@@ -189,3 +222,28 @@ class Tape:
         """Single point (nvars,) -> (nout,): `evaluate_list` in arrays."""
         return np.array(self.evaluate_list(np.asarray(x, dtype=np.float64).tolist()),
                         dtype=np.float64)
+
+    def rk4_step(self):
+        """`step(s, h)`: one classical RK4 step of ds/dt = (this tape at s)
+        on a list of floats, as straight-line code bound to `math`.  A step
+        that faults runs again stage by stage, where `evaluate_list` takes
+        the numpy path at the faulting point."""
+        if self.nout != self.nvars:
+            raise ValueError("an RK4 step needs one output per variable")
+        code = _STEPS.get(self._shape)
+        if code is None:
+            code = _STEPS[self._shape] = _compile_step(self._shape)
+        scope = _MATH | {"c": self._const_list, "slow": self._rk4_stages}
+        exec(code, scope)
+        return scope["step"]
+
+    def _rk4_stages(self, s, h):
+        # per component, the float order of the array form `s + 0.5 * h * k`
+        half = 0.5 * h
+        k1 = self.evaluate_list(s)
+        k2 = self.evaluate_list([a + half * k for a, k in zip(s, k1)])
+        k3 = self.evaluate_list([a + half * k for a, k in zip(s, k2)])
+        k4 = self.evaluate_list([a + h * k for a, k in zip(s, k3)])
+        sixth = h / 6.0
+        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]

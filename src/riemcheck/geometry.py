@@ -193,11 +193,11 @@ class Chart:
 
     def check_domain(self, x):
         """Raises ChartDomainError naming the first constraint violated at
-        the coordinate array x; a constraint that is not finite there is
-        violated."""
+        the coordinates x, a list of floats; a constraint that is not finite
+        there is violated."""
         if self._cons_tape is None:
             return
-        for (c, kind), v in zip(self.constraints, self._cons_tape.evaluate_at(x)):
+        for (c, kind), v in zip(self.constraints, self._cons_tape.evaluate_list(x)):
             if kind == "nonzero" and not (abs(v) >= 1e-12 and math.isfinite(v)):
                 raise ChartDomainError(f"constraint {to_str(c)} != 0 violated")
             if kind == "positive" and not (v > 0.0 and math.isfinite(v)):
@@ -394,7 +394,8 @@ class Jets:
     n(n+1)/2, E), the d_a d_b v by pair; each None past the order.  Orders 0
     and 1 keep the arrays of the last point set, read-only, so their tapes
     run once per point set.  Second-order arrays, the largest, are made on
-    each call and not kept."""
+    each call and not kept.  `evaluate(points, order)` gives the same
+    arrays and keeps none, for a point set that no other caller reads."""
 
     def __init__(self, exprs, chart):
         self.exprs = tuple(exprs)
@@ -417,11 +418,11 @@ class Jets:
 
     def at(self, points, order=0):
         if order == 2:
-            return self._arrays(np.atleast_2d(points), 2)
-        return self._last[order].get(points, lambda pts: self._arrays(pts, order))
+            return self.evaluate(points, 2)
+        return self._last[order].get(points, lambda pts: self.evaluate(pts, order))
 
-    def _arrays(self, pts, order):
-        vals = self.tape(order).evaluate(pts)
+    def evaluate(self, points, order=0):
+        vals = self.tape(order).evaluate(np.atleast_2d(points))
         if order < 2:
             frozen(vals)
         P, n, E = len(vals), self.chart.dim, len(self.exprs)
@@ -809,7 +810,9 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     whenever the step's metric-norm drift exceeds `energy_tol` (relative).
     A step is split at most 12 times; a step whose last split still drifts
     too far is accepted and counted in `Trajectory.unconverged`.  The state
-    is a list of floats.
+    is a list of floats, and every RK4 step is one call of the geodesic
+    tape's straight-line `Tape.rk4_step`, which runs a step that faults in
+    `math` again stage by stage.
 
     First attempts run speculatively, in chains: from the last accepted
     state, each following nominal step once at full size, each from the
@@ -821,11 +824,12 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     fully accepted one, up to CHAIN_CAP steps, and one step long after a
     rejection.  The result is bit for bit that of taking the steps one by one.
 
-    t_end and dt must be finite and positive.  At most 8 * (nominal steps) +
-    2**14 RK4 sub-steps are counted, only those a step-by-step run makes:
-    GeometryError names the time reached when that budget runs out, or when
-    every split of a step is non-finite.  ChartDomainError names the time at
-    which the trajectory leaves the chart.
+    t_end and dt must be finite and positive, p0 and v0 finite, and p0 in
+    the chart's domain (ChartDomainError otherwise).  At most 8 * (nominal
+    steps) + 2**14 RK4 sub-steps are counted, only those a step-by-step run
+    makes: GeometryError names the time reached when that budget runs out,
+    or when every split of a step is non-finite.  ChartDomainError names
+    the time at which the trajectory leaves the chart.
     """
     for name, val in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(val) and val > 0.0):
@@ -837,20 +841,16 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     v = np.asarray(v0, dtype=float)
     if v.shape != (n,) or not np.any(v):
         raise GeometryError("geodesic_integrate: v0 must be a nonzero tangent vector")
+    for name, val in (("p0", x), ("v0", v)):
+        if not np.all(np.isfinite(val)):
+            raise GeometryError(f"geodesic_integrate: {name} must be finite, got {val.tolist()}")
+    try:
+        chart.check_domain(x.tolist())
+    except ChartDomainError as exc:
+        raise ChartDomainError(f"geodesic starts outside chart domain: {exc}") from exc
 
-    rhs = geodesic_tape(g).evaluate_list
+    rk4 = geodesic_tape(g).rk4_step()
     metric = g.jets.tape().evaluate_list
-
-    def rk4(s, h):
-        # per component, the float order of the array form `s + 0.5 * h * k`
-        half = 0.5 * h
-        k1 = rhs(s)
-        k2 = rhs([a + half * k for a, k in zip(s, k1)])
-        k3 = rhs([a + half * k for a, k in zip(s, k2)])
-        k4 = rhs([a + h * k for a, k in zip(s, k3)])
-        sixth = h / 6.0
-        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
 
     def energy(states):
         # g(v, v) of each state, all in one stacked qform

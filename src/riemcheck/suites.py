@@ -15,7 +15,6 @@ from .expr import backend_name
 from .geometry import (
     ChartDomainError,
     GeometryError,
-    field_values,
     function_at,
     geodesic_integrate,
     gnorm,
@@ -472,12 +471,17 @@ def clairaut_invariant(mg, f, xs, vs) -> np.ndarray:
     """e^f sin(theta) at each trajectory point (xs[p], vs[p]), theta being the
     angle between the velocity and the horizontal space; a Clairaut map
     keeps it constant along every geodesic.  sin(theta)^2 is the squared
-    vertical part of v over g_M(v, v)."""
-    G = mg.gM.values(xs)
-    declared = field_values(mg.frames.vertical, xs) if mg.frames.vertical else None
-    U = vertical_frames(xs, G, mg.F.jac_values(xs), declared)
+    vertical part of v over g_M(v, v).  The tapes are read through
+    `Jets.evaluate`, which keeps none of the trajectory's arrays."""
+    P, n = xs.shape
+    G = mg.gM.jets.evaluate(xs)[0].reshape(P, n, n)
+    if mg.frames.vertical:
+        U = np.stack([u.jets.evaluate(xs)[0] for u in mg.frames.vertical], axis=1)
+    else:
+        J = mg.F.jets.evaluate(xs, 1)[1].swapaxes(1, 2)  # J[p, a, i] = d_i F^a
+        U = vertical_frames(xs, G, np.ascontiguousarray(J))
     coef = qform(U, G[:, None], vs[:, None])  # g_M(u_a, v)
-    return (np.exp(mg.gM.function_jets(f).at(xs)[0][:, 0])
+    return (np.exp(mg.gM.function_jets(f).evaluate(xs)[0][:, 0])
             * np.sqrt(vdot(coef, coef) / qform(vs, G, vs)))
 
 

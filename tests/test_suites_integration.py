@@ -2,9 +2,11 @@
 clean (exit 0), with the audit/ledger behavior the two six-dimensional
 configurations are known to produce."""
 
+import gc
 import math
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -503,6 +505,49 @@ def test_a_geodesic_time_or_step_that_is_not_finite_and_positive_fails_its_check
     assert report.exit_code() == 1
 
 
+# A flat half-plane x1 > 0 with a geodesic line filled in per case.
+START_SPEC = """
+version 1
+manifold M
+  coords x1 x2
+  constraint positive x1
+  metric diag 1, 1
+end
+check
+  seed 7
+  points 8
+  suite geodesic metric
+  geodesic {line} t 1 dt 0.001
+end
+"""
+
+
+@pytest.mark.parametrize("line, named", [
+    ("from inf,0.2 dir 1,0", "p0 must be finite, got [inf, 0.2]"),
+    ("from 0.5,0.2 dir nan,0", "v0 must be finite, got [nan, 0.0]"),
+], ids=["p0-inf", "v0-nan"])
+def test_a_geodesic_from_a_nonfinite_start_fails_before_its_first_step(line, named):
+    """Such a start used to run 12 halvings of 8,191 sub-steps before it
+    failed as non-finite at every step size."""
+    report = run_suite(load_spec(START_SPEC.format(line=line), name="geodesic-start"))
+    geodesic, metric = report.checks
+    assert geodesic.verdict == FAIL
+    assert geodesic.notes == [f"error: geodesic_integrate: {named}"]
+    assert metric.verdict == PASS
+
+
+def test_a_geodesic_from_outside_its_chart_fails_naming_the_constraint():
+    """It used to fail as leaving the chart at t = dt, although it was never
+    inside."""
+    report = run_suite(load_spec(START_SPEC.format(line="from -0.5,0.2 dir 1,0"),
+                                 name="geodesic-start"))
+    geodesic, metric = report.checks
+    assert geodesic.verdict == FAIL
+    assert geodesic.notes == ["error: geodesic starts outside chart domain: "
+                              "constraint x1 > 0 violated"]
+    assert metric.verdict == PASS
+
+
 # The metric is NaN wherever x1 < 0.5, and no frame is declared: the
 # horizontal frame computed there is empty, and at the other points it is d_x2.
 NAN_SPLIT_SPEC = """
@@ -581,11 +626,42 @@ def test_metric_check_finds_a_rank_drop_at_any_sample_point():
                            f"dimension from 1 to 2 at point {pts[11].tolist()}"]
 
 
+def _reachable(root, kind):
+    """The objects of type `kind` reachable from root through attributes and
+    containers, not through classes, modules or functions."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_the_clairaut_monitor_keeps_no_trajectory_arrays():
+    """The monitor evaluates g_M, the vertical frame and f at the 10,001
+    points of revolution-surface's geodesic without keeping the arrays:
+    after the run, no `LastPointSet` of the config holds that point set."""
+    from riemcheck.geometry import LastPointSet
+
+    cfg = load("revolution-surface")
+    report = run_suite(cfg)
+    assert "clairaut_invariant_drift" in report.checks[
+        [c.id for c in report.checks].index("geodesic")].terms
+    kept = _reachable(cfg, LastPointSet)
+    assert kept
+    assert [c.key[0] for c in kept if c.key is not None and c.key[0][0] == 10_001] == []
+
+
 def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch):
     """Every check evaluates its point set in one batch: over every catalog
-    entry, `Tape.evaluate_list` (which `evaluate_at` wraps) is called only
-    from inside `geometry.geodesic_integrate`, whose RK4 stages come one at
-    a time."""
+    entry and a geodesic that leaves its chart, `Tape.evaluate_list` is
+    called only from inside `geometry.geodesic_integrate`, for its energies
+    and for `Chart.check_domain` on its states.  Its RK4 steps are the
+    compiled `Tape.rk4_step`, and `evaluate_at` has no caller."""
     from riemcheck import geometry
     from riemcheck.expr.tape import Tape
 
@@ -601,11 +677,13 @@ def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch
         return evaluate_list(self, x)
 
     monkeypatch.setattr(Tape, "evaluate_list", traced)
+    monkeypatch.setattr(Tape, "evaluate_at", None)
     for name in names():
         cfg = load(name)
         if cfg.check["geodesic"] is not None:
             cfg.check["geodesic"]["t"] = 0.5
         run_suite(cfg, points=12)
+    run_suite(load_spec(DOMAIN_SPEC, name="sqrt-domain"))
     assert outside == []
-    assert inside and set(inside) == {("riemcheck.geometry", "rk4"),
-                                                         ("riemcheck.geometry", "energy")}
+    assert inside and set(inside) == {("riemcheck.geometry", "energy"),
+                                      ("riemcheck.geometry", "check_domain")}
