@@ -209,10 +209,12 @@ class Tape:
         return out
 
     def evaluate_list(self, x):
-        """Single point as a list of `nvars` floats -> sequence of `nout`
-        floats, through the `math` functions.  A point whose `math`
-        evaluation faults is evaluated again through the numpy path, which
-        gives non-finite values instead of an exception."""
+        """Single point as a list of `nvars` floats (any other sequence is
+        made one) -> sequence of `nout` floats, through the `math` functions.
+        A point whose `math` evaluation faults is evaluated again through the
+        numpy path, which gives non-finite values instead of an exception."""
+        if type(x) is not list:
+            x = np.asarray(x, dtype=np.float64).tolist()
         try:
             return self._run_one(x, self._const_list)
         except (ArithmeticError, ValueError):

@@ -7,8 +7,8 @@ metric, a map or a frame list, or a function) has one `Jets`: one tape per
 derivative order, whose values and first derivatives are evaluated once per
 point set.  Numeric side, from those arrays: the curvature of a metric at a
 point set (`MetricField.at`: the second-order jets of the entries i <= j,
-then Gamma, its derivatives, Riemann, Ricci and the scalar curvature by the
-product rule, for the metric or for the block of a coordinate subset), the
+then Gamma, its derivatives along the coordinates they use, Riemann, Ricci
+and the scalar curvature, for the metric or for a coordinate block), the
 gradient, Hessian and Laplacian of a function (`function_at`) and the Lie
 derivative of the metric along a field (`lie_derivative`), seeded
 sample-point generation, Gram-Schmidt orthonormalization, a 4th-order
@@ -296,7 +296,7 @@ class MetricField(TensorField):
         self.mat = self.comps
         self._cache = {}
         self._upper = Jets(self.mat[np.triu_indices(chart.dim)], chart)
-        self._functions = {}
+        self._functions, self._function_at = {}, {}
         self._last_at = LastPointSet()
 
     def check_spd(self, points, tol=1e-12):
@@ -366,7 +366,7 @@ class MetricField(TensorField):
         def build(pts):
             v, d, dd = self._upper.at(pts, 2)
             m = _mirror(self.chart.dim)
-            return MetricAt(v[:, m], d[:, :, m], dd, m)
+            return MetricAt(v[:, m], d[:, :, m], dd, m, self._upper.used)
         return self._last_at.get(points, build)
 
 
@@ -375,9 +375,11 @@ class LastPointSet:
     set returns it, and a new set replaces it."""
     key = value = None
 
-    def get(self, points, build):
+    def get(self, points, build=None):  # without `build`, None for a new set
         pts = np.array(np.atleast_2d(points), dtype=float)
         if (pts.shape, pts.tobytes()) != self.key:
+            if build is None:
+                return None
             self.key, self.value = (pts.shape, pts.tobytes()), build(pts)
         return self.value
 
@@ -392,9 +394,9 @@ class Jets:
     `at(points, order)` gives the arrays at P points: values v (P, E), from
     order 1 d (P, n, E) with d[:, a] = d_a v, and at order 2 dd (P,
     n(n+1)/2, E), the d_a d_b v by pair; each None past the order.  Orders 0
-    and 1 keep the arrays of the last point set, read-only, so their tapes
-    run once per point set.  Second-order arrays, the largest, are made on
-    each call and not kept.  `evaluate(points, order)` gives the same
+    and 1 keep the arrays of the last point set, read-only (values from
+    either), so their tapes run once per point set.  Second-order arrays are
+    made on each call and not kept.  `evaluate(points, order)` gives the same
     arrays and keeps none, for a point set that no other caller reads."""
 
     def __init__(self, exprs, chart):
@@ -402,6 +404,12 @@ class Jets:
         self.chart = chart
         self._tapes = {}
         self._last = (LastPointSet(), LastPointSet())
+
+    @cached_property
+    def used(self):
+        """The indices of the coordinates used: derivatives along others vanish."""
+        names = set().union(*map(variables, self.exprs))
+        return np.array([a for a, c in enumerate(self.chart.coords) if c in names], dtype=int)
 
     @cached_property
     def _d(self):  # the first derivatives, which the order-1 and order-2 tapes share
@@ -419,6 +427,8 @@ class Jets:
     def at(self, points, order=0):
         if order == 2:
             return self.evaluate(points, 2)
+        if order == 0 and self._last[1].get(points) is not None:
+            return self._last[1].value[0], None, None
         return self._last[order].get(points, lambda pts: self.evaluate(pts, order))
 
     def evaluate(self, points, order=0):
@@ -518,25 +528,26 @@ class MetricAt:
     Gamma^k_ij, riemann(s) [l, i, j, k], ricci [i, j] (its trace) and
     scalar; each with a leading point axis, or at the points of the slice s.
     The n**4-sized ones are made on each use, the others on first use and
-    kept, read-only.
+    kept, read-only.  ricci takes d Gamma along the coordinates D that the
+    entries use only (`Jets.used`).
 
     The second derivatives dd [pair, entry] are kept packed: m[a, b] is the
     index of the pair a, b and of the entry a, b (`_mirror`)."""
 
-    def __init__(self, G, dG, dd, m):
-        self.G, self.dG, self._dd, self._m = frozen(G), frozen(dG), dd, m
+    def __init__(self, G, dG, dd, m, D):
+        self.G, self.dG, self._dd, self._m, self.D = frozen(G), frozen(dG), dd, m, D
         self._blocks = {}
 
     def block(self, I) -> MetricAt:
         """The induced metric of the coordinate block I (a tuple of indices),
         on the submanifolds where the other coordinates are constant, at the
         same points: the entries i, j in I of G, their derivatives along I,
-        and the packed second derivatives read through m at I x I.  Kept per
-        block."""
+        the packed second derivatives read through m at I x I, and D in I.
+        Kept per block."""
         if I not in self._blocks:
             i, j = np.ix_(I, I)
-            self._blocks[I] = MetricAt(self.G[:, i, j], self.dG[:, I][:, :, i, j],
-                                       self._dd, self._m[i, j])
+            self._blocks[I] = MetricAt(self.G[:, i, j], self.dG[:, I][:, :, i, j], self._dd,
+                                       self._m[i, j], np.flatnonzero(np.isin(I, self.D)))
         return self._blocks[I]
 
     def ddG(self, s, along=slice(None)):
@@ -570,10 +581,20 @@ class MetricAt:
         X += self.dgam(s).swapaxes(1, 2)
         return X - X.swapaxes(2, 3)
 
+    def _ricci(self, s):
+        # sum_i X[i, i, j, k] - X[i, j, i, k], X as in `riemann` with d Gamma
+        # along D only, summed over i as np.trace sums Riemann's diagonal
+        gam, ii, D = self.gam[s], np.arange(len(self.G[0])), self.D
+        first = pdot(gam[:, ii, ii], gam)  # [i, j, k] = Gamma^i_im Gamma^m_jk
+        second = np.matmul(gam, gam.transpose(0, 2, 1, 3))  # Gamma^i_jm Gamma^m_ik
+        dgam = self.dgam(s, D)  # [a, l, j, k] = d_{D_a} Gamma^l_jk
+        first[:, D] += dgam[:, np.arange(len(D)), D]
+        second[:, :, D] += dgam[:, :, ii, ii].swapaxes(1, 2)
+        return _sym(np.moveaxis(first - second, 1, -1).sum(-1))
+
     @cached_property
     def ricci(self):
-        return frozen(by_blocks(lambda s: _sym(np.trace(self.riemann(s), axis1=1, axis2=2)),
-                                len(self.G)))
+        return frozen(by_blocks(self._ricci, len(self.G)))
 
     @cached_property
     def scalar(self):
@@ -620,12 +641,15 @@ def function_at(g: MetricField, f, points) -> FunctionAt:
     """f's first- and second-order operators at the points, from the
     second-order jets of f (`MetricField.function_jets`) and `g.at(points)`:
     grad f = g^-1 df, Hess f = dd f - Gamma^k df_k and Laplacian
-    tr(g^-1 Hess f)."""
-    m = g.at(points)
-    _, d, dd = g.function_jets(f).at(points, 2)
-    df = d[..., 0]
-    hess = _sym(dd[:, _mirror(g.chart.dim), 0] - pdot(df, m.gam))
-    return FunctionAt(df, matvec(m.Ginv, df), hess, np.sum(m.Ginv * hess, axis=(1, 2)))
+    tr(g^-1 Hess f), kept read-only for the last point set."""
+    def build(pts):
+        m = g.at(pts)
+        _, d, dd = g.function_jets(f).at(pts, 2)
+        df = d[..., 0]
+        hess = _sym(dd[:, _mirror(g.chart.dim), 0] - pdot(df, m.gam))
+        return FunctionAt(*map(frozen, (df, matvec(m.Ginv, df), hess,
+                                        np.sum(m.Ginv * hess, axis=(1, 2)))))
+    return g._function_at.setdefault(as_expr(f).key(), LastPointSet()).get(points, build)
 
 
 def lie_derivative(g: MetricField, X: VectorField, points) -> np.ndarray:
@@ -658,15 +682,6 @@ def worst(values):
     n_bad = int(np.count_nonzero(bad))
     i = int(np.argmax(bad)) if n_bad else int(np.argmax(data))
     return float(data[i]), int(kept[i]), n_bad
-
-
-def field_values(fields, points) -> np.ndarray:
-    """Values of vector fields on the chart of `points`, stacked
-    (P, len(fields), n)."""
-    pts = np.atleast_2d(points)
-    if not fields:
-        return np.zeros((len(pts), 0, pts.shape[1]))
-    return np.stack([f.values(pts) for f in fields], axis=1)
 
 
 # Products over stacks of vectors and matrices whose leading axes broadcast

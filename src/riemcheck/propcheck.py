@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import as_expr, variables
+from .expr import as_expr
 from .geometry import (
     BLOCK,
     GeometryError,
@@ -73,7 +73,6 @@ from .geometry import (
     MetricField,
     VectorField,
     blocks,
-    field_values,
     function_at,
     gnorm,
     gradient,
@@ -208,14 +207,13 @@ class TargetCalculus:
         mg, n = self.mg, self.mg.gN.chart.dim
         m = mg.gN.at(y)
         F, E = (mg.frame_jet(which, y) for which in ("range", "normal"))
-        PR, PP = (_moved(_projector(m, slice(None), f)) for f in (F, E))
-        A = _used(mg.gN.chart, mg.gN.mat.flat)  # Gamma_N varies along these only
-        dgams = [m.dgam(s, A).reshape(len(m.G[s]), -1)
-                 for s in blocks(len(m.G), BLOCK * n // max(len(A), 1))]
+        PR, PP = (_moved(_projector(m, slice(None), f, np.arange(n))) for f in (F, E))
+        dgams = [m.dgam(s, m.D).reshape(len(m.G[s]), -1)  # Gamma_N varies along D only
+                 for s in blocks(len(m.G), BLOCK * n // max(len(m.D), 1))]
         nz = np.flatnonzero(np.any([np.any(b != 0.0, axis=0) for b in dgams], axis=0))
-        a, k, i, j = np.unravel_index(nz, (len(A), n, n, n))
+        a, k, i, j = np.unravel_index(nz, (len(m.D), n, n, n))
         dgam = np.concatenate([b[:, nz] for b in dgams])
-        return SimpleNamespace(gam=m.gam, dgam=dgam, rows=np.eye(n * n)[k * n + A[a]],
+        return SimpleNamespace(gam=m.gam, dgam=dgam, rows=np.eye(n * n)[k * n + m.D[a]],
                                i=i, j=j, F=F, E=E, PR=PR, PP=PP, y=y, m=m)
 
     def images(self, at):
@@ -227,18 +225,15 @@ class TargetCalculus:
         (along the others every derivative vanishes), so that no array is
         larger than BLOCK points' n**4 and none is kept."""
         mg, n = self.mg, self.mg.gN.chart.dim
-        frames = mg.frames.range + mg.frames.normal
-        D = _used(mg.gN.chart, [*mg.gN.mat.flat, *(c for W in frames for c in W.comps),
-                                *(() if self.Jp is None else self.Jp.mat.flat)])
+        D = np.union1d(at.m.D, mg.used("range", "normal"))
+        if self.Jp is not None:
+            D = np.union1d(D, self.Jp.jets.used)
         DD = (D[:, None], D)  # the pairs of D, as the last two indices
-        # g_N's arrays as `_projector` reads them, with derivatives along D only
-        m = SimpleNamespace(G=at.m.G, dG=at.m.dG[:, D], ddG=lambda s: at.m.ddG(s, D)[:, :, D])
 
         def block(s):
-            Fs, Es = (Jet(f.v, f.d[..., D], f.dd[..., DD[0], DD[1]]) for f in (
-                mg.frame_jet(which, at.y[s], 2) for which in ("range", "normal")))
+            Fs, Es = (mg.frame_jet(which, at.y[s], 2).along(D) for which in ("range", "normal"))
             b = SimpleNamespace(PR=(at.PR[0][s], at.PR[1][s][:, :, D], None),
-                                PP=_moved(_projector(m, s, Es, second=True)), Jp=None)
+                                PP=_moved(_projector(at.m, s, Es, D, second=True)), Jp=None)
             if self.Jp is not None:
                 J, dJ, ddJ = self.Jp.at(at.y[s], True)
                 b.Jp = J, dJ[:, :, D], ddJ[:, :, DD[0], DD[1]]
@@ -297,13 +292,6 @@ class TargetCalculus:
         b = self.nperp(at, W2, self.nperp(at, W1, D)).v
         bracket = Jet(matvec(W2.d, W1.v) - matvec(W1.d, W2.v))
         return a - b - self.nperp(at, bracket, D).v
-
-
-def _used(chart, exprs):
-    """The indices of the chart's coordinates that some expression uses:
-    derivatives along the others vanish."""
-    used = set().union(*map(variables, exprs))
-    return np.array([a for a, c in enumerate(chart.coords) if c in used], dtype=int)
 
 
 def _joined(jets):
@@ -591,8 +579,8 @@ _BATCH = {
     "BC": lambda p: bc_split(p.Jx[:, None], p.H, p.V[:, None], p.GM[:, None]),
     "B": lambda p: p.BC[0],
     "C": lambda p: p.BC[1],
-    "Fv": lambda p: field_values(p.c.mg.frames.range, p.y),
-    "Ev": lambda p: field_values(p.c.mg.frames.normal, p.y),
+    "Fv": lambda p: p.c.mg.field_values(p.c.mg.frames.range, p.y),
+    "Ev": lambda p: p.c.mg.field_values(p.c.mg.frames.normal, p.y),
     "JFv": lambda p: np.moveaxis(p.c.JF.v, 0, 1),
     "PEv": lambda p: np.moveaxis(p.c.PE.v, 0, 1),
     "QEv": lambda p: np.moveaxis(p.c.QE.v, 0, 1),

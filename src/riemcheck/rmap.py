@@ -34,7 +34,6 @@ from .geometry import (
     _mirror,
     _sym,
     by_blocks,
-    field_values,
     frozen,
     matvec,
     on_pairs,
@@ -167,7 +166,7 @@ class Split:
 class MapGeometry:
     """Bundle of (F, g_M, g_N, declared frames): the split and the source
     tensors of the last point set, and the `Jets` of each declared frame
-    list (`frame_jet`)."""
+    list, which every reader of its fields evaluates (`field_values`)."""
 
     def __init__(self, F: SmoothMap, gM: MetricField, gN: MetricField,
                  frames: AdaptedFrames | None = None):
@@ -181,6 +180,8 @@ class MapGeometry:
                                   chart)
                       for which, chart in (("vertical", gM.chart), ("horizontal", gM.chart),
                                            ("range", gN.chart), ("normal", gN.chart))}
+        self._member = {W: (jets, i) for which, jets in self._jets.items()
+                        for i, W in enumerate(getattr(self.frames, which))}
         self._last_split = LastPointSet()
         self._last_source = LastPointSet()
 
@@ -193,8 +194,8 @@ class MapGeometry:
         ypts = self.F.values(pts)
         GM, GN = self.gM.values(pts), self.gN.values(ypts)
         fr = self.frames
-        V, H = field_values(fr.vertical, pts), field_values(fr.horizontal, pts)
-        R, E = field_values(fr.range, ypts), field_values(fr.normal, ypts)
+        V, H = self.field_values(fr.vertical, pts), self.field_values(fr.horizontal, pts)
+        R, E = self.field_values(fr.range, ypts), self.field_values(fr.normal, ypts)
 
         def gram_gap(rows, G):  # max |g(e_a, e_b) - delta_ab|, NaN if a value is
             return float(np.max(np.abs(pair_form(rows, G) - np.eye(rows.shape[1]))))
@@ -247,7 +248,7 @@ class MapGeometry:
         fr = self.frames
 
         def declared(fields, at):
-            return field_values(fields, at) if fields else None
+            return self.field_values(fields, at) if fields else None
 
         vert = vertical_frames(pts, GM, J, declared(fr.vertical, pts))
         horiz = declared(fr.horizontal, pts)
@@ -298,19 +299,22 @@ class MapGeometry:
 
     def _oneill(self, x, which, nabla):
         """T or A, or with `nabla` its covariant derivative, at the points x
-        from the metric jets and Gamma_M there (`MetricField.at`) and the
-        declared vertical and horizontal frames' jets."""
+        from the metric jets, Gamma_M (`MetricField.at`) and the source frames'
+        jets (second-order for `nabla` only) along the coordinates they use."""
         fr = self.frames
         if not fr.vertical or not fr.horizontal:
             raise FramesRequired(
                 "source projectors need declared vertical and horizontal frames")
         m = self.gM.at(x)
-        jets = [self.frame_jet(which, x, 2) for which in ("vertical", "horizontal")]
+        along = np.union1d(m.D, self.used("vertical", "horizontal"))
+        jets = [self.frame_jet(w, x, 1 + nabla).along(along) for w in ("vertical", "horizontal")]
 
         def block(s):
-            proj = [_projector(m, s, Jet(*(a[:, s] for a in f)), nabla) for f in jets]
-            O, dO = _oneill_tensor(m.gam[s], m.dgam(s) if nabla else None, proj, which == "A")
-            return _nabla(m.gam[s], O, dO) if nabla else O
+            proj = [_projector(m, s, Jet(*(a[:, s] for a in f if a is not None)), along, nabla)
+                    for f in jets]
+            O, dO = _oneill_tensor(m.gam[s], m.dgam(s, along) if nabla else None, proj,
+                                   which == "A", along)
+            return _nabla(m.gam[s], O, dO, along) if nabla else O
         return by_blocks(block, len(x)) if nabla else block(slice(None))
 
     def _sff(self, x):
@@ -338,6 +342,18 @@ class MapGeometry:
         order 2 (`field_jet`)."""
         return field_jet(self._jets[which], points, order)
 
+    def field_values(self, fields, points) -> np.ndarray:
+        """Vector fields at the points, stacked (P, k, n): a declared frame
+        field from the values of its list's jets, any other from its own."""
+        pts = np.atleast_2d(points)
+        rows = [jets.at(pts)[0].reshape(len(pts), -1, pts.shape[1])[:, i] for jets, i in
+                (self._member.get(W, (W.jets, 0)) for W in fields)]
+        return np.stack(rows, axis=1) if rows else np.zeros((len(pts), 0, pts.shape[1]))
+
+    def used(self, *which) -> np.ndarray:
+        """The coordinates that the declared frames `which` use (`Jets.used`)."""
+        return np.unique(np.concatenate([self._jets[w].used for w in which]))
+
 
 def field_jet(jets: Jets, points, order=1) -> Jet:
     """The Jet of k fields at the points from the `Jets` of their components,
@@ -361,6 +377,10 @@ class Jet(NamedTuple):
     d: np.ndarray | None = None
     dd: np.ndarray | None = None
 
+    def along(self, D) -> Jet:
+        """The derivatives along the coordinates D (indices) only."""
+        return Jet(self.v, self.d[..., D], None if self.dd is None else self.dd[..., D[:, None], D])
+
 
 def connection_on_pairs(gam, F: Jet) -> np.ndarray:
     """nabla_{F_a} F_b = dF_b F_a + Gamma(F_a, F_b) for every pair of the k
@@ -375,14 +395,14 @@ def shape_operator(PR, gam, D: Jet) -> np.ndarray:
     return -np.matmul(PR, D.d + tvec(gam, D.v, 2))
 
 
-def _projector(m, s, f: Jet, second=False):
+def _projector(m, s, f: Jet, along, second=False):
     """(P, dP, ddP) for P = S G, S = sum_f f f^T over the frame fields f,
     with dP[:, a] = d_a P and, with `second`, ddP[:, a, b] = d_a d_b P (else
-    None), at the points of the slice s, by the product rule from the metric
-    jets m (`MetricAt`) and f's jets with second derivatives there."""
+    None) for a, b in `along`, at the points of the slice s, by the product
+    rule from the metric jets m (`MetricAt`) and f's jets `along` there."""
     F = np.moveaxis(f.v, 0, 2)  # [i, f]: the columns f
     dF, Ft = f.d.transpose(1, 3, 2, 0), F.swapaxes(1, 2)  # dF[a, i, f] = d_a f^i
-    G, dG, S, Y = m.G[s], m.dG[s], pdot(F, Ft), pdot(dF, Ft)
+    G, dG, S, Y = m.G[s], m.dG[s][:, along], pdot(F, Ft), pdot(dF, Ft)
     dS = Y + Y.swapaxes(2, 3)
     P, dP = pdot(S, G), pdot(dS, G) + pdot(S, dG.swapaxes(1, 2)).swapaxes(1, 2)
     if not second:
@@ -396,24 +416,26 @@ def _projector(m, s, f: Jet, second=False):
     ddP, V = pdot(W, G), pdot(dS, dG.swapaxes(1, 2)).transpose(0, 1, 3, 2, 4)
     ddP += V
     ddP += V.swapaxes(1, 2)
-    ddP += np.moveaxis(pdot(S, m.ddG(s).transpose(0, 3, 1, 2, 4)), 1, 3)
+    ddP += np.moveaxis(pdot(S, m.ddG(s, along)[:, :, along].transpose(0, 3, 1, 2, 4)), 1, 3)
     return P, dP, ddP
 
 
-def _oneill_tensor(gam, dgam, projectors, horizontal):
+def _oneill_tensor(gam, dgam, projectors, horizontal, along):
     """O = P_H X(P_V) + P_V X(P_H) [k, i, j] with X(Q)[m, i, j] =
     (nabla_{D d_i} (Q d_j))^m along D = P_V (T) or, if `horizontal`, P_H
-    (A); and, where dgam = d Gamma is given, d_l O [l, k, i, j]."""
+    (A); and, where dgam = d Gamma is given, d_l O [l, k, i, j], for l in
+    `along`, the coordinates of every derivative given (a runs over all)."""
     (PV, dPV, ddPV), (PH, dPH, ddPH) = projectors
     D, dD, _ = projectors[horizontal]
     O, dO = 0.0, 0.0
     for Q, dQ, ddQ, R, dR in ((PV, dPV, ddPV, PH, dPH), (PH, dPH, ddPH, PV, dPV)):
-        N = dQ.swapaxes(1, 2) + pdot(gam, Q)  # [m, a, j] = (nabla_{d_a} Q d_j)^m
+        N = pdot(gam, Q)  # [m, a, j] = (nabla_{d_a} Q d_j)^m
+        N[:, :, along] += dQ.swapaxes(1, 2)
         X = pdot(D.swapaxes(1, 2), N.swapaxes(1, 2)).swapaxes(1, 2)
         O = O + pdot(R, X)
         if dgam is not None:  # the n**4-sized terms summed in place
             dN = pdot(dgam, Q)
-            dN += ddQ.swapaxes(2, 3)
+            dN[:, :, :, along] += ddQ.swapaxes(2, 3)
             dN += pdot(gam, dQ.swapaxes(1, 2)).transpose(0, 3, 1, 2, 4)
             dX = pdot(D.swapaxes(1, 2), dN.transpose(0, 3, 1, 2, 4)).transpose(0, 2, 3, 1, 4)
             dX += pdot(dD.swapaxes(2, 3), N.swapaxes(1, 2)).transpose(0, 1, 3, 2, 4)
@@ -422,11 +444,12 @@ def _oneill_tensor(gam, dgam, projectors, horizontal):
     return O, None if dgam is None else dO
 
 
-def _nabla(gam, O, dO):
+def _nabla(gam, O, dO, along):
     """(nabla O)[k, l, i, j] = d_l O^k_ij + Gamma^k_lm O^m_ij - Gamma^m_li O^k_mj
-    - Gamma^m_lj O^k_im for (1,2) tensors O [k, i, j] with d_l O [l, k, i, j]."""
+    - Gamma^m_lj O^k_im for (1,2) tensors O [k, i, j], d_l O [l, k, i, j]
+    given for the l of `along` only, zero for the others."""
     out = pdot(gam, O)
-    out += dO.swapaxes(1, 2)
+    out[:, :, along] += dO.swapaxes(1, 2)
     out -= pdot(O.swapaxes(2, 3), gam).transpose(0, 1, 3, 4, 2)
     out -= pdot(O, gam).transpose(0, 1, 3, 2, 4)
     return out

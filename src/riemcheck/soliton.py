@@ -17,7 +17,6 @@ from .geometry import (
     GeometryError,
     MetricField,
     VectorField,
-    field_values,
     function_at,
     gnorm,
     lie_derivative,
@@ -68,7 +67,9 @@ def _pair_frames(G, points, restriction):
     """Orthonormal frame rows at every point, one (P, k, n) array: the
     restriction fields evaluated, or a Cholesky frame of the full tangent
     space from the metric values G (P, n, n)."""
-    return field_values(restriction, points) if restriction else orthonormal_frames(G)
+    if restriction:
+        return np.stack([X.values(points) for X in restriction], axis=1)
+    return orthonormal_frames(G)
 
 
 def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None):

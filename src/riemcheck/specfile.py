@@ -369,11 +369,10 @@ def load_spec(text, name="spec") -> SpecConfig:
             coeffs = _parse_linear_combo(combo, basis, chart, errors, ln)
             if coeffs is None:
                 continue
-            comps = [Const(0.0)] * chart.dim
-            for c, nm2 in zip(coeffs, basis):
-                fld = cfg.field(chart_name, nm2)
-                comps = [simplify(comps[i] + c * fld.comps[i])
-                         for i in range(chart.dim)]
+            fields = [cfg.field(chart_name, nm2) for nm2 in basis]
+            comps = [simplify(sum((c * fld.comps[i] for c, fld in zip(coeffs, fields)),
+                                  Const(0.0)))
+                     for i in range(chart.dim)]
             cfg.fields[(chart_name, nm)] = VectorField(chart, comps, name=nm)
         else:
             try:

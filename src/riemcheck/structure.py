@@ -17,7 +17,6 @@ from .geometry import (
     MetricField,
     TensorField,
     _mirror,
-    field_values,
     gnorm,
     matvec,
     orthonormal_frames,
@@ -39,7 +38,7 @@ class AlmostComplexStructure:
     orthonormal frame: action[b, a] is the coefficient of E_b in J E_a.  The
     dual coframe uses the metric, so a metric is required in frame mode.
     Values and derivatives at a point set come from the coordinate tensor's
-    `Jets`.
+    `jets`.
     """
 
     def __init__(self, chart, mat):
@@ -51,6 +50,7 @@ class AlmostComplexStructure:
         for i, j in np.ndindex(mat.shape):
             self.mat[i, j] = as_expr(mat[i, j])
         self._tensor = TensorField(chart, (1, 1), self.mat)
+        self.jets = self._tensor.jets
 
     @classmethod
     def from_frame(cls, g: MetricField, frame_fields, action):
@@ -77,7 +77,7 @@ class AlmostComplexStructure:
         m], else None) at the points, each with a leading point axis, from
         the tensor's jets of the first or the second order."""
         n = self.chart.dim
-        v, d, dd = self._tensor.jets.at(points, 1 + second)
+        v, d, dd = self.jets.at(points, 1 + second)
         if dd is not None:  # [a, b, k, m] to [k, a, b, m]
             dd = np.moveaxis(dd[:, _mirror(n)].reshape((-1,) + (n,) * 4), 3, 1)
         return v.reshape(-1, n, n), d.reshape(-1, n, n, n).swapaxes(1, 2), dd
@@ -162,7 +162,7 @@ def complement_frames(mg, J: AlmostComplexStructure, points, side):
     G, at, inner, outer = _side(mg, mg.split(points), side)
     declared = mg.frames.mu if side == "source" else mg.frames.nu
     if declared is not None:
-        return field_values(declared, at)
+        return mg.field_values(declared, at)
     jin = np.matmul(J.values(at), inner.transpose(0, 2, 1)).transpose(0, 2, 1)
     return _complement_rows(G, jin, outer)
 

@@ -313,7 +313,7 @@ def check_oneill(ctx):
         if not getattr(fr, which):
             at[key] = np.zeros((P, 0))
             continue
-        full = connection_on_pairs(gam, mg.frame_jet(which, sp.x, 2))  # (P, a, b, n)
+        full = connection_on_pairs(gam, mg.frame_jet(which, sp.x))  # (P, a, b, n)
         coef = qform(F[:, None, None], GM[:, None, None, None], full[..., None, :])
         proj = matvec(F.swapaxes(1, 2)[:, None, None], coef)
         at[key] = np.abs(full - on_pairs(Op, F) - proj)
@@ -399,11 +399,13 @@ def check_ricci_values(ctx):
         raise SpecError("ricci_values needs 'expect ricci A B VALUE' lines")
     pts = ctx.points
     ric = ricci(ctx.g, pts)
+
+    def values(name):  # a declared frame field reads its frame list's jets
+        X = ctx.cfg.field(ctx.chart.name, name)
+        return X.values(pts) if ctx.mg is None else ctx.mg.field_values([X], pts)[:, 0]
     rows, gaps = [], []
     for (na, nb, stated) in expects:
-        A = ctx.cfg.field(ctx.chart.name, na).values(pts)
-        B = ctx.cfg.field(ctx.chart.name, nb).values(pts)
-        vals = qform(A, ric, B)
+        vals = qform(values(na), ric, values(nb))
         engine = float(np.mean(vals))
         spread = float(np.max(np.abs(vals - engine)))
         match = ("as-is" if abs(engine - stated) <= ctx.tol else

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from riemcheck import catalog, suites
 from riemcheck.expr import Tape
-from riemcheck.geometry import Jets
+from riemcheck.geometry import Jets, function_at
 
 
 @pytest.mark.parametrize("entry", catalog.names())
@@ -92,3 +92,57 @@ def test_values_agree_across_orders_and_the_jacobian_with_its_symbolic_tape(entr
         x = rng.uniform(lo, hi, size=(npoints, F.source.dim))
         want = Tape(list(F.jacobian.flat), F.source.coords).evaluate(x)
         assert _same_bits(F.jac_values(x), want.reshape(npoints, F.target.dim, F.source.dim))
+
+
+def test_a_functions_operators_are_kept_for_the_last_point_set(monkeypatch):
+    """One paper-3.1 run evaluates the second-order jets of f once:
+    `function_at` keeps the gradient, Hessian and Laplacian of the last
+    point set, read-only, as `MetricField.at` keeps its `MetricAt`."""
+    cfg = catalog.load("paper-3.1")
+    g, f = cfg.metrics["M"], cfg.function("M", "f")
+    jets, orders = g.function_jets(f), Counter()
+    real_evaluate = Jets.evaluate
+
+    def evaluate(self, points, order=0):
+        if self is jets:
+            orders[order] += 1
+        return real_evaluate(self, points, order)
+
+    monkeypatch.setattr(Jets, "evaluate", evaluate)
+    suites.run_suite(cfg)
+    assert orders == {2: 1}, orders
+    x = g.chart.sample_points(3, seed=1)
+    fa = function_at(g, f, x)
+    assert function_at(g, f, x.copy()) is fa and orders == {2: 2}
+    assert not any(a.flags.writeable for a in fa)
+    assert function_at(g, f, g.chart.sample_points(3, seed=2)) is not fa
+
+
+@pytest.mark.parametrize("entry, most, source_second", [("paper-3.1", 30, 2),
+                                                         ("paper-4.1", 26, 0)])
+def test_a_paper_run_evaluates_each_frame_list_through_its_jets(monkeypatch, entry, most,
+                                                                source_second):
+    """A run of a paper example evaluates at most `most` tapes: every
+    declared frame field is read through its frame list's jets, and the
+    source frames' second-order jets run only for nabla T and nabla A, which
+    paper-3.1 asks for once and paper-4.1 never."""
+    cfg = catalog.load(entry)
+    fr = cfg.frames[cfg.the_map().name]
+    source = [tuple(c for W in getattr(fr, w) for c in W.comps) for w in ("vertical", "horizontal")]
+    calls, second = Counter(), Counter()
+    real_jets, real_tape = Jets.evaluate, Tape.evaluate
+
+    def jets_evaluate(self, points, order=0):
+        if order == 2 and self.exprs in source:
+            second[self.exprs] += 1
+        return real_jets(self, points, order)
+
+    def tape_evaluate(self, points):
+        calls["evaluate"] += 1
+        return real_tape(self, points)
+
+    monkeypatch.setattr(Jets, "evaluate", jets_evaluate)
+    monkeypatch.setattr(Tape, "evaluate", tape_evaluate)
+    suites.run_suite(cfg)
+    assert calls["evaluate"] <= most, calls
+    assert sum(second.values()) == source_second and set(second.values()) <= {1}, second

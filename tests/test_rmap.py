@@ -532,19 +532,23 @@ def test_umbilical_fit_detects_non_umbilical():
 
 def test_declared_frame_validation_names_every_fault_once_in_order(monkeypatch):
     """Each fault of the declared frames is named in a fixed order, and g_M,
-    g_N and every declared field are evaluated once."""
+    g_N and every declared frame list are evaluated once, the lists through
+    their own jets."""
     M, N = Chart("VF2", ["x1", "x2"]), Chart("VFT2", ["y1", "y2"])
     gM, gN = diag_metric(M, ["1", "1"]), diag_metric(N, ["1", "1"])
     F = SmoothMap(M, N, [M.parse("x1"), M.parse("0")])  # kernel: d/dx2
     frames = AdaptedFrames(vertical=[vf(M, ["2", "0"])], horizontal=[vf(M, ["1", "1"])],
                            range_=[vf(N, ["2", "0"])], normal=[vf(N, ["1", "1"])])
     calls = []
-    for obj in (gM, gN, *frames.vertical, *frames.horizontal, *frames.range,
-                *frames.normal):
+    for obj in (gM, gN):
         monkeypatch.setattr(obj, "values", lambda pts, f=obj.values, o=obj: (
             calls.append(o), f(pts))[1])
+    mg = MapGeometry(F, gM, gN, frames)
+    lists = list(mg._jets.values())
+    monkeypatch.setattr(Jets, "evaluate", lambda self, pts, order=0, f=Jets.evaluate: (
+        self in lists and calls.append(self), f(self, pts, order))[1])
     with pytest.raises(MapError) as err:
-        MapGeometry(F, gM, gN, frames).validate_frames(M.sample_points(3, seed=1))
+        mg.validate_frames(M.sample_points(3, seed=1))
     assert str(err.value) == (
         "declared frame validation failed: "
         "vertical frame not orthonormal (residual 3.000e+00); "

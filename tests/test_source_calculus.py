@@ -17,8 +17,9 @@ from paper_fixtures import diag_metric, vf
 from riemcheck import catalog, suites
 from riemcheck.expr import Const, Tape, substitute
 from riemcheck.geometry import Chart, Jets, MetricField, ricci, scalar_curvature
-from riemcheck.propcheck import UnsupportedDistribution
+from riemcheck.propcheck import PropositionCase, UnsupportedDistribution
 from riemcheck.rmap import AdaptedFrames, MapGeometry, SmoothMap
+from riemcheck.specfile import load_spec
 from test_geometry import heisenberg
 from test_rmap import heisenberg_submersion
 
@@ -232,3 +233,59 @@ def test_each_metric_jet_tape_is_evaluated_once_per_point_set(monkeypatch):
     suites.run_suite(catalog.load("paper-4.1"))
     assert len(tapes) == 2  # g_M and g_N; the restricted leaves read their jets
     assert evaluated and set(evaluated.values()) == {1}, evaluated
+
+
+def _restricted_arrays(case):
+    """(the coordinates some derivative is taken along, n) and the source
+    arrays of a case: T, A, nabla T, nabla A, the SFF and Ric_M, Ric_N at 23
+    points, over two blocks, with the Ricci tensors of the restricted leaves
+    of a catalog case; Ricci alone for H^2 x H^2."""
+    if case == "h2xh2":
+        g = h2xh2()
+        x = g.chart.sample_points(23, seed=31)
+        return (g.at(x).D, g.chart.dim), [ricci(g, x)]
+    mg = _map(case)
+    x = mg.gM.chart.sample_points(23, seed=31)
+    out = [mg.oneill_T(x), mg.oneill_A(x), mg.nabla_oneill("T", x), mg.nabla_oneill("A", x),
+           mg.second_fundamental_form(x), ricci(mg.gM, x), ricci(mg.gN, mg.F.values(x))]
+    if case in catalog.names():
+        c = PropositionCase(mg, x)
+        out += [rg.at(x if part == "ker_rg" else mg.F.values(x)).ricci
+                for part in ("ker_rg", "range_rg", "perp_rg") for rg in [getattr(c, part)]]
+    return (np.union1d(mg.gM.at(x).D, mg.used("vertical", "horizontal")), mg.gM.chart.dim), out
+
+
+@pytest.mark.parametrize("case", ["warped-heisenberg", "sheared", "h2xh2", "paper-3.1",
+                                  "paper-4.1"])
+def test_derivatives_along_the_used_coordinates_only_give_the_same_tensors(case, monkeypatch):
+    """Taking every derivative along the coordinates that the metric and
+    the frames use (`Jets.used`), and none along the others, gives the
+    tensors of the same code run along every coordinate, bit for bit."""
+    (along, n), restricted = _restricted_arrays(case)
+    assert 0 < len(along) < n, along
+    monkeypatch.setattr(Jets, "used", property(lambda self: np.arange(self.chart.dim)))
+    (every, _), full = _restricted_arrays(case)
+    assert len(every) == n and len(full) == len(restricted)
+    for i, (got, want) in enumerate(zip(restricted, full)):
+        assert got.shape == want.shape and np.array_equal(got, want), (case, i)
+
+
+def test_a_metric_entry_that_carries_nan_still_fails_einstein_and_oneill():
+    """paper-3.1 with 1e-30 sqrt(x1 - 0.5) added to g_11, NaN where x1 <
+    0.5: `einstein` and `oneill` FAIL with a NaN residual, and oneill names
+    the same first non-finite point, index 1 of 51 such points, for every
+    term, as it did when every derivative was taken along every
+    coordinate."""
+    text = catalog.CATALOG["paper-3.1"].replace(
+        "metric diag exp(-2*x4), exp(-2*x4)",
+        "metric diag exp(-2*x4) + 1e-30*sqrt(x1 - 0.5), exp(-2*x4)")
+    cfg = load_spec(text, name="nan-carrier")
+    assert cfg.metrics["M"].at(cfg.metrics["M"].chart.sample_points(2, seed=1)).D.tolist() == [0, 3]
+    checks = suites.run_suite(cfg, suite=["einstein", "oneill"]).to_dict()["checks"]
+    einstein, oneill = checks
+    for result in checks:
+        assert result["verdict"] == "FAIL" and result["max_residual"] == "nan", result
+    assert einstein["worst_point"] is None and oneill["worst_point"] is None
+    assert len(oneill["notes"]) == 7 and all(
+        note.endswith(": non-finite residual at 51 of 100 points, first at index 1")
+        for note in oneill["notes"]), oneill["notes"]

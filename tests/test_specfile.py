@@ -186,3 +186,19 @@ def test_section_right_inverse_property():
             sec = np.array([evaluate(s, dict(zip(F.target.coords, map(float, y))))
                             for s in F.section])
             assert np.allclose(F.values(sec)[0], y, atol=1e-12), name
+
+
+def test_a_frame_combination_of_fields_that_share_components():
+    """A combination over basis fields that are not coordinate-aligned, each
+    term adding to every component, is the sum of its terms: its values are
+    those of the combination written out by hand, at every sample point."""
+    text = MINI.replace("  vertical V = 0, 1\n  horizontal H = 1, 0\n",
+                        "  vertical V = -sin(x1), cos(x1)\n  horizontal H = cos(x1), sin(x1)\n")
+    text = text.replace("vectorfield C on M = frame 0.5*V - 2*H",
+                        "vectorfield C on M = frame x2*V - 2*H + 0.5*V\n"
+                        "vectorfield D on M = -(x2 + 0.5)*sin(x1) - 2*cos(x1), "
+                        "(x2 + 0.5)*cos(x1) - 2*sin(x1)")
+    cfg = load_spec(text, name="turned")
+    pts = cfg.charts["M"].sample_points(20, seed=5)
+    got, want = cfg.field("M", "C").values(pts), cfg.field("M", "D").values(pts)
+    assert np.max(np.abs(got - want)) <= 1e-14 and np.min(np.abs(got)) > 1e-3

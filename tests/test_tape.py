@@ -3,6 +3,7 @@ path and the batch path."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -85,3 +86,17 @@ def test_out_of_domain_becomes_nonfinite_not_exception():
 def test_tape_rejects_unknown_variable():
     with pytest.raises(Exception):
         Tape([parse("x + q")], ("x",))
+
+
+def test_the_single_point_path_takes_an_array_as_its_list_of_floats():
+    """An array given to `evaluate_list` is evaluated as the list of its
+    floats: a division by zero takes the numpy path, without a warning,
+    instead of computing in numpy scalars."""
+    tape = Tape([parse("1/x"), parse("x/y"), parse("x + y")], ("x", "y"))
+    for x in ([0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [1.5, 3.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tape.evaluate_list(np.array(x))
+        assert all(type(v) is float for v in got), got
+        assert np.array_equal(got, tape.evaluate_list(x), equal_nan=True), x
+        assert np.array_equal(got, tape.evaluate(np.array([x]))[0], equal_nan=True), x
