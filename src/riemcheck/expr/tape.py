@@ -15,13 +15,13 @@ shape and bound twice:
 The tapes of the engine's declarations are made by `geometry.Jets`, one per
 derivative order of each expression list, and every check evaluates them over
 the whole point set with `evaluate`, values and first derivatives once per
-point set.  The geodesic integrator's RK4 steps are `rk4_step`: the
-right-hand side's four stages, written by the same emitter as one
-straight-line `step(s, h)` bound to `math`; a step that faults runs again
-stage by stage through `evaluate_list` (one point, a list of floats in, a
-sequence out), which also serves the integrator's metric values and
-`Chart.check_domain`.  `evaluate_at` wraps it in arrays and has no caller in
-the engine.
+point set.  The geodesic integrator's RK4 steps are `rk4_chain`: a loop
+over step sizes, each pass the right-hand side's four stages and the metric
+tape at the new state, written by the same emitter and bound to `math`.  A
+step or metric that faults runs again through `evaluate_list` (one point, a
+list of floats in, a sequence out), which also serves `Chart.check_domain`
+and the integrator's other metric values.  `evaluate_at` wraps it in arrays
+and has no caller in the engine.
 
 Batch evaluation takes an (npoints, nvars) array and returns (npoints, nexprs).
 Out-of-domain inputs produce non-finite outputs instead of exceptions: a
@@ -61,31 +61,32 @@ _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
 # Right-hand side of each instruction, indexed by opcode; `x` is the input
 # expression of a variable, `a` and `b` are the operand fields (register or
 # constant index, as the op dictates) and `r` the registers' name prefix.
-_RHS = ("{x}", "c[{a}]", "-{r}{a}", "exp({r}{a})", "log({r}{a})", "sin({r}{a})",
+_RHS = ("{x}", "{c}[{a}]", "-{r}{a}", "exp({r}{a})", "log({r}{a})", "sin({r}{a})",
         "cos({r}{a})", "sqrt({r}{a})", "{r}{a} + {r}{b}", "{r}{a} - {r}{b}",
-        "{r}{a} * {r}{b}", "{r}{a} / {r}{b}", "pow({r}{a}, c[{b}])")
+        "{r}{a} * {r}{b}", "{r}{a} / {r}{b}", "pow({r}{a}, {c}[{b}])")
 
 _FUNCS = ("exp", "log", "sin", "cos", "sqrt")
 _MATH = {name: getattr(math, name) for name in _FUNCS} | {"pow": math.pow}
 _NUMPY = {name: getattr(np, name) for name in _FUNCS} | {"pow": np.power}
 
 # (ops, a, b, out_regs) -> (single-point function, batch function), and in
-# `_STEPS` -> RK4 step code.  Shapes repeat across the tapes of one run, and
-# compiling is the expensive step.
+# `_CHAINS` (step shape, metric shape, positions) -> RK4 chain code.  Shapes
+# repeat across the tapes of one run, and compiling is the expensive step.
 _SHAPES: dict[tuple, tuple] = {}
-_STEPS: dict[tuple, object] = {}
+_CHAINS: dict[tuple, object] = {}
 
 
 def backend_name() -> str:
     return "pure"
 
 
-def _emit(shape, x, r):
+def _emit(shape, x, r, c="c"):
     """The instructions of `shape` as straight-line assignments: register i
     is the local `{r}{i}`, variable a reads the expression `x(a)` and
-    constant a reads `c[a]`.  Returns the lines and the output registers."""
+    constant a reads `{c}[a]`.  Returns the lines and the output registers."""
     ops, a, b, out_regs = shape
-    lines = [f"{r}{i} = " + _RHS[op].format(x=x(ia) if op == OP_LOADV else "", a=ia, b=ib, r=r)
+    lines = [f"{r}{i} = " + _RHS[op].format(x=x(ia) if op == OP_LOADV else "", a=ia, b=ib,
+                                            r=r, c=c)
              for i, (op, ia, ib) in enumerate(zip(ops, a, b))]
     return lines, [f"{r}{i}" for i in out_regs]
 
@@ -102,24 +103,37 @@ def _compile(shape):
     return tuple(fns)
 
 
-def _compile_step(shape):
-    """`step(s, h)`: `Tape._rk4_stages`'s float operations in their order,
-    stage after stage, returning `slow(s, h)` where one faults; `c` and
-    `slow` are globals of the scope it is bound in."""
+def _compile_chain(shape, metric_shape, npos):
+    """`Tape.rk4_chain`'s code, each step `Tape._rk4_stages`'s float
+    operations in their order; `slow` (the step that faults), `gslow` (the
+    metric that faults) and the constants `c` and `cg` are globals of the
+    scope it is bound in."""
     n = len(shape[3])
-    lines = ["".join(f"s{i}, " for i in range(n)) + "= s", "half = 0.5 * h"]
-    x, ks = "s{}".format, []
+    s, pos = "".join(f"s{i}, " for i in range(n)), "".join(f"s{i}, " for i in range(npos))
+    step, x, ks = ["half = 0.5 * h"], "s{}".format, []
     for stage, hk in enumerate(("half", "half", "h", None), 1):
         body, k = _emit(shape, x, f"r{stage}_")
-        lines += body
+        step += body
         ks.append(k)
         x = lambda i, k=k, hk=hk: f"(s{i} + {hk} * {k[i]})"  # the next stage's inputs
-    lines += ["sixth = h / 6.0", "return [" + ", ".join(
+    step += ["sixth = h / 6.0", s + "= " + ", ".join(
         f"s{i} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
-        for i, (k1, k2, k3, k4) in enumerate(zip(*ks))) + "]"]
-    return compile("\n".join(["def step(s, h):", "    try:", *("        " + ln for ln in lines),
-                              "    except (ArithmeticError, ValueError):",
-                              "        return slow(s, h)"]), "<rk4>", "exec")
+        for i, (k1, k2, k3, k4) in enumerate(zip(*ks)))]
+    metric, gs = _emit(metric_shape, "s{}".format, "g", "cg")
+    lines = [s + "= s", "xs, gs = [], []", "for h in hs:",
+             "    try:", *("        " + ln for ln in step),
+             "    except (ArithmeticError, ValueError):",
+             f"        {s}= slow([{s}], h)",
+             "    if not (" + " and ".join(f"isfinite(s{i})" for i in range(n)) + "):",
+             "        break",
+             f"    xs += ({s})",
+             "    if every:",
+             "        try:", *("            " + ln for ln in metric),
+             "            gs += (" + "".join(g + ", " for g in gs) + ")",
+             "        except (ArithmeticError, ValueError):",
+             f"            gs += gslow([{pos}])",
+             "return xs, gs"]
+    return compile("\n    ".join(["def chain(s, hs, every):", *lines]), "<rk4>", "exec")
 
 
 class Tape:
@@ -225,19 +239,25 @@ class Tape:
         return np.array(self.evaluate_list(np.asarray(x, dtype=np.float64).tolist()),
                         dtype=np.float64)
 
-    def rk4_step(self):
-        """`step(s, h)`: one classical RK4 step of ds/dt = (this tape at s)
-        on a list of floats, as straight-line code bound to `math`.  A step
-        that faults runs again stage by stage, where `evaluate_list` takes
-        the numpy path at the faulting point."""
-        if self.nout != self.nvars:
-            raise ValueError("an RK4 step needs one output per variable")
-        code = _STEPS.get(self._shape)
+    def rk4_chain(self, metric):
+        """`chain(s, hs, every)`: from the list of floats `s`, one classical
+        RK4 step of ds/dt = (this tape at s) per size in `hs`, up to the first
+        non-finite state, as straight-line code bound to `math`.  Returns the
+        states and, if `every`, the `metric` tape's values at each one's
+        first `metric.nvars` components, as flat lists.  A step or metric
+        evaluation that faults runs again through `evaluate_list`."""
+        if self.nout != self.nvars or metric.var_names != self.var_names[:metric.nvars]:
+            raise ValueError("an RK4 chain needs one output per variable and a metric "
+                             "of the leading variables")
+        key = self._shape, metric._shape, metric.nvars
+        code = _CHAINS.get(key)
         if code is None:
-            code = _STEPS[self._shape] = _compile_step(self._shape)
-        scope = _MATH | {"c": self._const_list, "slow": self._rk4_stages}
+            code = _CHAINS[key] = _compile_chain(*key)
+        scope = _MATH | {"isfinite": math.isfinite, "c": self._const_list,
+                         "slow": self._rk4_stages, "cg": metric._const_list,
+                         "gslow": metric.evaluate_list}
         exec(code, scope)
-        return scope["step"]
+        return scope["chain"]
 
     def _rk4_stages(self, s, h):
         # per component, the float order of the array form `s + 0.5 * h * k`

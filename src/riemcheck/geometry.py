@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import math
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -764,11 +765,22 @@ def umbilic_gap(vals, gram, H, G) -> np.ndarray:
     return np.max(gnorm(diff, G[:, None, None]), axis=(1, 2))
 
 
-def orthonormal_frames(G) -> np.ndarray:
-    """inv(cholesky(G[p])) for a (P, n, n) stack of metric values: the rows
-    of frame p are a G[p]-orthonormal basis.  Raises LinAlgError where some
-    G[p] is not positive definite."""
-    return np.linalg.inv(np.linalg.cholesky(np.asarray(G, dtype=float)))
+def orthonormal_frames(G, points) -> np.ndarray:
+    """inv(cholesky(G[p])) for a (P, n, n) stack of metric values at the
+    points (P, dim): the rows of frame p are a G[p]-orthonormal basis.
+    Raises GeometryError naming the first point where G is not positive
+    definite."""
+    G = np.asarray(G, dtype=float)
+    try:
+        return np.linalg.inv(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError:
+        for p, g in enumerate(G):
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                raise GeometryError(f"orthonormal frame of the metric: not positive definite "
+                                    f"at point {p} {np.asarray(points)[p].tolist()}") from None
+        raise
 
 
 def orthonormalize(gval: np.ndarray, vectors):
@@ -825,19 +837,20 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     whenever the step's metric-norm drift exceeds `energy_tol` (relative).
     A step is split at most 12 times; a step whose last split still drifts
     too far is accepted and counted in `Trajectory.unconverged`.  The state
-    is a list of floats, and every RK4 step is one call of the geodesic
-    tape's straight-line `Tape.rk4_step`, which runs a step that faults in
-    `math` again stage by stage.
+    is a list of floats; the RK4 steps, a halving's sub-steps among them,
+    are calls of the geodesic tape's straight-line `Tape.rk4_chain`.
 
     First attempts run speculatively, in chains: from the last accepted
     state, each following nominal step once at full size, each from the
-    previous candidate, up to the first non-finite one.  The chain's energies
-    g(v, v) are one stacked `qform`, which gives every state the bits of its
-    BLAS `v @ G @ v`.  The chain's steps are then taken in order by the rule
-    above; the first that drifts too far, or is non-finite, drops the rest of
-    the chain and goes on to its halvings.  A chain is twice as long after a
-    fully accepted one, up to CHAIN_CAP steps, and one step long after a
-    rejection.  The result is bit for bit that of taking the steps one by one.
+    previous candidate, up to the first non-finite one, with the metric
+    values at every state.  The chain's energies g(v, v) are one stacked
+    `qform`, which gives every state the bits of its BLAS `v @ G @ v`.  The
+    longest prefix of steps that each keep to the rule above is accepted,
+    by numpy comparisons of the same float operations; the step after it
+    drops the rest of the chain and goes on to its halvings.  A chain is
+    twice as long after a fully accepted one, up to CHAIN_CAP steps, and one
+    step long after a rejection.  The result is bit for bit that of taking
+    the steps one by one.
 
     t_end and dt must be finite and positive, p0 and v0 finite, and p0 in
     the chart's domain (ChartDomainError otherwise).  At most 8 * (nominal
@@ -864,17 +877,18 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     except ChartDomainError as exc:
         raise ChartDomainError(f"geodesic starts outside chart domain: {exc}") from exc
 
-    rk4 = geodesic_tape(g).rk4_step()
+    rk4 = geodesic_tape(g).rk4_chain(g.jets.tape())
     metric = g.jets.tape().evaluate_list
+    m = 2 * n
 
-    def energy(states):
-        # g(v, v) of each state, all in one stacked qform
-        G = np.array(list(map(metric, [s[:n] for s in states])))
-        V = np.array([s[n:] for s in states])
-        return qform(V, G.reshape(len(states), n, n), V).tolist()
+    def energy(xs, gs):
+        # the flat lists' states as rows, and g(v, v) of each by one stacked qform
+        X = np.fromiter(xs, float, len(xs)).reshape(-1, m)
+        V = X[:, n:].copy()
+        return X, qform(V, np.fromiter(gs, float, len(gs)).reshape(-1, n, n), V)
 
     state = x.tolist() + v.tolist()
-    e0, = energy([state])
+    X, (e0,) = energy(state, metric(state[:n]))
     escale = max(abs(e0), 1e-30)
     nfull = int(math.floor(t_end / dt + 1e-12))
     steps = [dt] * nfull
@@ -882,48 +896,41 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
     if rem > 1e-12 * max(1.0, t_end):
         steps.append(rem)
     budget = 8 * len(steps) + 2**14
-    times = [0.0]
-    states = [state]
-    drifts = []
+    times, rows, drifts = [0.0], [X], []
     halvings = unconverged = used = 0
-    t = 0.0
     e_state = e0  # energy of the last accepted state
 
-    def accept(s, e, dt_step):
-        nonlocal state, e_state, t
-        state, e_state = s, e
-        t += dt_step
-        try:
-            chart.check_domain(s[:n])
-        except ChartDomainError as exc:
-            raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
-        drifts.append(abs(e - e0) / escale)
-        times.append(t)
-        states.append(s)
+    def accept(X, es, hs):
+        # the states X (rows), their energies es and step sizes hs, in order
+        nonlocal state, e_state
+        ts = list(accumulate(hs, initial=times[-1]))[1:]
+        for t, p in zip(ts, X[:, :n].tolist() if chart.constraints else ()):
+            try:
+                chart.check_domain(p)
+            except ChartDomainError as exc:
+                raise ChartDomainError(f"geodesic left chart domain at t={t}: {exc}") from exc
+        times.extend(ts)
+        state, e_state = X[-1].tolist(), float(es[-1])
+        drifts.extend((np.abs(es - e0) / escale).tolist())
+        rows.append(X)
 
     def over_budget():
         return GeometryError(f"geodesic used up its budget of {budget} "
-                             f"RK4 sub-steps at t={t}")
+                             f"RK4 sub-steps at t={times[-1]}")
 
     i, chain = 0, 1
     while i < len(steps):
         if used == budget:
             raise over_budget()
-        stop = min(i + chain, i + budget - used, len(steps))
-        cands = []
-        cand = state
-        for h in steps[i:stop]:
-            cand = rk4(cand, h)
-            if not all(map(math.isfinite, cand)):
-                break
-            cands.append(cand)
-        for cand, e_cand in zip(cands, energy(cands) if cands else ()):
-            if not abs(e_cand - e_state) / escale <= energy_tol:
-                break
-            used += 1
-            accept(cand, e_cand, steps[i])
-            i += 1
-        if i == stop:  # the whole chain was accepted
+        hs = steps[i:min(i + chain, i + budget - used, len(steps))]
+        X, es = energy(*rk4(state, hs, True))
+        ok = np.abs(np.diff(es, prepend=e_state)) / escale <= energy_tol
+        k = len(es) if ok.all() else int(ok.argmin())  # the accepted prefix
+        if k:
+            used += k
+            accept(X[:k], es[:k], hs[:k])
+            i += k
+        if k == len(hs):  # the whole chain was accepted
             chain = min(2 * chain, CHAIN_CAP)
             continue
         # step i's first attempt drifts too far or is non-finite: split it
@@ -934,25 +941,23 @@ def geodesic_integrate(g: MetricField, p0, v0, t_end, dt, energy_tol=1e-8) -> Tr
             sub *= 2
             h *= 0.5
             halvings += 1
-            cand = state
-            for _ in range(sub):
-                if used == budget:
-                    raise over_budget()
-                used += 1
-                cand = rk4(cand, h)
-                if not all(map(math.isfinite, cand)):
-                    break
-            else:
-                e_cand, = energy([cand])
-                de = abs(e_cand - e_state) / escale
-                if de <= energy_tol or attempt == 12:
-                    unconverged += not de <= energy_tol
-                    break
+            hs = [h] * min(sub, budget - used)
+            xs, _ = rk4(state, hs, False)
+            used += min(len(xs) // m + 1, len(hs))
+            if len(xs) < m * len(hs):  # a non-finite sub-step
+                continue
+            if len(hs) < sub:
+                raise over_budget()
+            X, es = energy(xs[-m:], metric(xs[-m:-n]))
+            de = abs(float(es[0]) - e_state) / escale
+            if de <= energy_tol or attempt == 12:
+                unconverged += not de <= energy_tol
+                break
         else:
             raise GeometryError(
-                f"geodesic step from t={t} is non-finite at every step size")
-        accept(cand, e_cand, steps[i])
+                f"geodesic step from t={times[-1]} is non-finite at every step size")
+        accept(X, es, steps[i:i + 1])
         i += 1
-    states = np.array(states)
+    states = np.concatenate(rows)
     return Trajectory(chart, np.array(times), states[:, :n], states[:, n:],
                       worst(drifts)[0], halvings, unconverged)

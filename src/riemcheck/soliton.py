@@ -69,7 +69,7 @@ def _pair_frames(G, points, restriction):
     space from the metric values G (P, n, n)."""
     if restriction:
         return np.stack([X.values(points) for X in restriction], axis=1)
-    return orthonormal_frames(G)
+    return orthonormal_frames(G, points)
 
 
 def soliton_residual(cfg: SolitonConfig, restriction=None, points=None, lam=None):

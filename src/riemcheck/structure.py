@@ -106,7 +106,7 @@ def hermitian_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.
     Jv = J.values(pts)
     G = g.values(pts)
     Jt = Jv.transpose(0, 2, 1)  # rows J d_a
-    return np.max(np.abs(pair_form(orthonormal_frames(G), pair_form(Jt, G) - G)), axis=(1, 2))
+    return np.max(np.abs(pair_form(orthonormal_frames(G, pts), pair_form(Jt, G) - G)), axis=(1, 2))
 
 
 def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.ndarray:
@@ -114,7 +114,7 @@ def kahler_residual(g: MetricField, J: AlmostComplexStructure, points) -> np.nda
     pts = np.atleast_2d(points)
     NJ = nabla_J(g, J, pts)  # (p, k, l, j):  (nabla_{d_l} J)^k_j
     G = g.values(pts)
-    E = orthonormal_frames(G)
+    E = orthonormal_frames(G, pts)
     M = np.einsum("pklj,pal->pakj", NJ, E)  # M[p, a] = nabla_{X_a} J
     W = matvec(M[:, :, None], E[:, None])  # W[p, a, b] = (nabla_{X_a} J) X_b
     return np.max(gnorm(W, G[:, None, None]), axis=(1, 2))

@@ -362,7 +362,7 @@ def check_soliton_solve(ctx):
 def check_einstein_full(ctx):
     ric = ricci(ctx.g, ctx.points)
     gv = ctx.g.values(ctx.points)
-    lam, res = fit_einstein(ric, gv, orthonormal_frames(gv))
+    lam, res = fit_einstein(ric, gv, orthonormal_frames(gv, ctx.points))
     return CheckResult("einstein", _verdict(res, ctx.tol), res, ctx.tol,
                        terms={"lambda": lam})
 

@@ -631,43 +631,77 @@ def _sqrt_plane():
 
 
 @functools.cache
-def _step_tape(name):
-    """(geodesic tape, coordinate box) of a catalog chart or a test metric."""
+def _step_tapes(name):
+    """(geodesic tape, metric tape, coordinate box) of a catalog chart or a
+    test metric."""
     if name == "heisenberg":
-        return geodesic_tape(heisenberg()), (0.1, 1.0)
-    if name == "sqrt-plane":  # x below 0.5 faults at some draws and at some stages
-        return geodesic_tape(_sqrt_plane()), (0.4, 0.9)
-    g, box = _catalog_metric(name, "M" if name == "paper-3.1" else "S")
-    return geodesic_tape(g), box
+        g, box = heisenberg(), (0.1, 1.0)
+    elif name == "sqrt-plane":  # x below 0.5 faults at some draws and at some stages
+        g, box = _sqrt_plane(), (0.4, 0.9)
+    else:
+        g, box = _catalog_metric(name, "M" if name == "paper-3.1" else "S")
+    return geodesic_tape(g), g.jets.tape(), box
+
+
+def _stage_by_stage_chain(tape, metric, s, hs):
+    """A chain's states and metric values, step by step through
+    `Tape._rk4_stages` and `Tape.evaluate_list`."""
+    xs, gs = [], []
+    for h in hs:
+        s = tape._rk4_stages(s, h)
+        if not all(map(math.isfinite, s)):
+            break
+        xs += s
+        gs += metric.evaluate_list(s[:metric.nvars])
+    return xs, gs
 
 
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(["sphere-2", "revolution-surface", "paper-3.1", "heisenberg",
                              "sqrt-plane"]),
-       seed=st.integers(0, 2**32 - 1), h=st.floats(1e-6, 1.0))
-def test_compiled_rk4_step_has_the_bits_of_the_stage_by_stage_step(name, seed, h):
-    tape, (lo, hi) = _step_tape(name)
+       seed=st.integers(0, 2**32 - 1), hs=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4))
+def test_an_rk4_chain_has_the_bits_of_stage_by_stage_steps(name, seed, hs):
+    tape, metric, (lo, hi) = _step_tapes(name)
     n = tape.nvars // 2
     rng = np.random.default_rng(seed)
     s = rng.uniform(lo, hi, n).tolist() + rng.uniform(-1.0, 1.0, n).tolist()
-    got = tape.rk4_step()(s, h)
-    assert type(got) is list and all(type(a) is float for a in got)
-    assert np.array(got).tobytes() == np.array(tape._rk4_stages(s, h)).tobytes()
+    xs, gs = tape.rk4_chain(metric)(s, hs, True)
+    assert all(type(a) is float for a in xs + gs)
+    want_xs, want_gs = _stage_by_stage_chain(tape, metric, s, hs)
+    assert np.array(xs).tobytes() == np.array(want_xs).tobytes()
+    assert np.array(gs).tobytes() == np.array(want_gs).tobytes()
+    assert tape.rk4_chain(metric)(s, hs, False) == (xs, [])
 
 
-def test_a_compiled_rk4_step_that_faults_runs_again_stage_by_stage(monkeypatch):
-    """From x = 0.52 along -d_x, stage 2 of a step of 0.1 reads x = 0.47,
-    where `math.sqrt` faults: the step is the stage-by-stage one, whose
-    numpy path gives NaN there, and not an exception."""
-    tape = _step_tape("sqrt-plane")[0]
-    step, stages = tape.rk4_step(), []
+def test_an_rk4_chain_runs_what_faults_again_and_stops_at_a_nonfinite_state(monkeypatch):
+    """On the sqrt plane, from x = 0.515 along -d_x, the third step (of 0.1)
+    reads x < 0.5 at its second stage, where `math.sqrt` faults: that step
+    runs again stage by stage, whose numpy path gives NaN there, and the
+    chain ends with the two states before it.  With the flat plane's
+    geodesic tape and the sqrt plane's metric tape the states go on past
+    x = 0.5, where the metric's `math` evaluation faults: those values are
+    `evaluate_list`'s, numpy's NaN."""
+    tape, metric, _ = _step_tapes("sqrt-plane")
+    flat = geodesic_tape(MetricField(Chart("P", ["x", "y"]), np.array(
+        [[Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)]], dtype=object)))
+    s, calls = [0.515, 0.3, -1.0, 0.5], []
+    evaluate_list = Tape.evaluate_list
     monkeypatch.setattr(Tape, "evaluate_list",
-                        lambda self, x, f=Tape.evaluate_list: stages.append(x) or f(self, x))
-    got = step([0.52, 0.3, -1.0, 0.5], 0.1)
-    assert len(stages) == 4 and stages[1][0] == 0.52 + 0.05 * -1.0
-    assert np.isnan(got).any()
-    assert np.array(got).tobytes() == np.array(
-        tape._rk4_stages([0.52, 0.3, -1.0, 0.5], 0.1)).tobytes()
+                        lambda self, x: calls.append((self, x)) or evaluate_list(self, x))
+    for step, hs, states in ((tape, [0.005, 0.005, 0.1, 0.005], 2), (flat, [0.01] * 4, 4)):
+        calls.clear()
+        xs, gs = step.rk4_chain(metric)(s, hs, True)
+        got = list(calls)
+        assert len(xs) == 4 * states
+        want_xs, want_gs = _stage_by_stage_chain(step, metric, s, hs)
+        assert np.array(xs).tobytes() == np.array(want_xs).tobytes()
+        assert np.array(gs).tobytes() == np.array(want_gs).tobytes()
+        if step is tape:
+            assert [t for t, _ in got] == [tape] * 4
+            assert got[1][1][0] == xs[4] + 0.05 * xs[6] < 0.5
+        else:
+            assert got == [(metric, xs[j:j + 2]) for j in (4, 8, 12)]
+            assert np.isnan(gs[3::4]).tolist() == [False, True, True, True]
 
 
 @settings(max_examples=60, deadline=None)
@@ -684,44 +718,57 @@ def test_stacked_energy_has_the_bits_of_each_states_v_G_v(k, n, seed):
     assert np.array_equal(geometry.qform(V, G, V), want)
 
 
+def _tally(calls, key, k):
+    calls[key] = calls.get(key, 0) + k
+
+
+def _count_chains(monkeypatch, calls):
+    """Hook `Tape.rk4_chain` to tally in `calls` the RK4 steps its chains
+    run (the states they return and the non-finite one they stop at, also
+    tallied as "nonfinite") and the metric values they return."""
+    rk4_chain = Tape.rk4_chain
+
+    def counted_chain(self, metric):
+        chain = rk4_chain(self, metric)
+
+        def counted_call(s, hs, every):
+            xs, gs = chain(s, hs, every)
+            k = len(xs) // len(s)
+            _tally(calls, "step", k + (k < len(hs)))
+            _tally(calls, "nonfinite", k < len(hs))
+            _tally(calls, "metric", len(gs) // metric.nout)
+            return xs, gs
+        return counted_call
+    monkeypatch.setattr(Tape, "rk4_chain", counted_chain)
+
+
 @pytest.mark.parametrize("energy_tol", [1e-8, 0.0])
 def test_geodesic_makes_one_step_call_per_rk4_step_and_one_metric_call_per_attempt(
         monkeypatch, energy_tol):
-    """Each RK4 step is one call of the right-hand-side tape's compiled
-    step, which never falls back to the stage-by-stage `evaluate_list`
+    """The RK4 steps are those of the right-hand-side tape's compiled
+    chains, which never fall back to the stage-by-stage `evaluate_list`
     calls on these runs; the metric tape runs once per attempted step,
     speculative or not, plus once for the initial energy, and no other tape
-    runs.  A run with no rejections runs nothing speculatively: one step
-    call per step and steps + 1 metrics.  In any run a rejection drops at
-    most a chain, which is never longer than the steps accepted before it,
-    so the step calls stay within the oracle's sub-steps + the accepted
-    steps."""
+    runs.  A run with no rejections runs nothing speculatively: one step per
+    step and steps + 1 metrics.  In any run a rejection drops at most a
+    chain, which is never longer than the steps accepted before it, so the
+    steps stay within the oracle's sub-steps + the accepted steps."""
     calls = {}
-    evaluate_list, rk4_step = Tape.evaluate_list, Tape.rk4_step
+    evaluate_list = Tape.evaluate_list
 
     def count(args):
         metric = args[0].jets.tape()
 
         def counted(self, x):
-            key = "stages" if self.var_names[-1].startswith("_v") else (
-                "metric" if self is metric else "other")
-            calls[key] = calls.get(key, 0) + 1
+            _tally(calls, "stages" if self.var_names[-1].startswith("_v") else (
+                "metric" if self is metric else "other"), 1)
             return evaluate_list(self, x)
-
-        def counted_step(self):
-            step = rk4_step(self)
-
-            def counted_call(s, h):
-                calls["step"] = calls.get("step", 0) + 1
-                return step(s, h)
-            return counted_call
 
         calls.clear()
         monkeypatch.setattr(Tape, "evaluate_list", counted)
-        monkeypatch.setattr(Tape, "rk4_step", counted_step)
+        _count_chains(monkeypatch, calls)
         traj = geodesic_integrate(*args, energy_tol=energy_tol)
-        monkeypatch.setattr(Tape, "evaluate_list", evaluate_list)
-        monkeypatch.setattr(Tape, "rk4_step", rk4_step)
+        monkeypatch.undo()
         assert calls.get("stages", 0) == 0
         return traj, dict(calls)
 
@@ -742,6 +789,19 @@ def test_geodesic_makes_one_step_call_per_rk4_step_and_one_metric_call_per_attem
     assert traj.halvings == (0 if energy_tol else 24)
     assert got["metric"] == len(traj) + traj.halvings
 
+
+def test_the_budget_counts_the_nonfinite_sub_steps_it_runs(monkeypatch):
+    """The sqrt plane repels geodesics from x = 0.5.  At tolerance 0 each
+    step of a geodesic from x = 0.6 along (-0.2, 1) runs its 12 halvings,
+    and coarse sub-steps of its steps of 2 reach past x = 0.5, where they
+    are non-finite.  The integration stops when the RK4 steps it has run,
+    those among them, reach its budget of 8 * 3 + 2**14."""
+    calls = {}
+    _count_chains(monkeypatch, calls)
+    with pytest.raises(GeometryError, match="budget of 16408 RK4 sub-steps at t=4.0$"):
+        geodesic_integrate(_sqrt_plane(), np.array([0.6, 0.0]), np.array([-0.2, 1.0]), 6.0, 2.0,
+                           energy_tol=0.0)
+    assert (calls["step"], calls["nonfinite"]) == (8 * 3 + 2**14, 2)
 
 # -- the residual reduction -----------------------------------------------------
 

@@ -28,7 +28,7 @@ def loop_pair_frames(g, points, restriction):
     pts = np.atleast_2d(points)
     if restriction:
         return pts, [np.array([f.values(x)[0] for f in restriction]) for x in pts]
-    return pts, orthonormal_frames([g.values(x)[0] for x in pts])
+    return pts, orthonormal_frames([g.values(x)[0] for x in pts], pts)
 
 
 def loop_soliton_residual(cfg, restriction, points, lam):
@@ -92,7 +92,7 @@ def loop_kahler_residual(g, J, points):
     NJ = structure.nabla_J(g, J, pts)
     G = g.values(pts)
     out = np.empty(len(pts))
-    for p, vecs in enumerate(orthonormal_frames(G)):
+    for p, vecs in enumerate(orthonormal_frames(G, pts)):
         norms = []
         for X in vecs:
             M = np.einsum("klj,l->kj", NJ[p], X)
@@ -174,7 +174,7 @@ def test_stacked_contractions_match_the_per_point_loops(P, n, seed, data):
             (soliton.soliton_residual, loop_soliton_residual, (restriction, pts, lam)),
             (soliton.solve_lambda, loop_solve_lambda, (restriction, pts))):
         assert_agree(outcome(new, cfg, *args), outcome(old, cfg, *args))
-    frames = E if k else orthonormal_frames(G)
+    frames = E if k else orthonormal_frames(G, pts)
     assert_agree(outcome(soliton.fit_einstein, L, G, frames),
                  outcome(loop_fit_einstein, L, G, frames))
     with mock.patch.object(soliton, "lie_derivative", lambda g, X, pts: LX):
@@ -196,7 +196,7 @@ def test_catalog_contractions_match_the_per_point_loops(entry):
     g = ctx.g
     gv = g.values(pts)
     pairs.append((soliton.fit_einstein, loop_fit_einstein,
-                   (ricci(g, pts), gv, orthonormal_frames(gv))))
+                   (ricci(g, pts), gv, orthonormal_frames(gv, pts))))
     if ctx.J is not None:
         pairs.append((structure.kahler_residual, loop_kahler_residual, (g, ctx.J, pts)))
     if ctx.Jp is not None:

@@ -285,15 +285,20 @@ def test_nonfinite_declared_frame_fails_every_check_that_uses_it():
 
 
 def test_numeric_failure_in_a_check_is_that_checks_fail():
-    """Cholesky of a metric that is not positive definite raises LinAlgError
-    inside einstein, kahler and hermitian: each check FAILs with the error,
-    the run goes on, and the CLI exits 1, not 2."""
+    """The orthonormal frame of a metric that is not positive definite
+    raises inside einstein, kahler and hermitian, naming the first point
+    where it is not: each check FAILs with the error, the run goes on, and
+    the CLI exits 1, not 2."""
     spec = NAN_METRIC_SPEC.replace("1 + 1e-30*sqrt(x1 - 0.5)", "x1 - 0.5").replace(
         "suite kahler hermitian einstein", "suite einstein kahler hermitian")
-    report = run_suite(load_spec(spec, name="indefinite"))
+    cfg = load_spec(spec, name="indefinite")
+    pts = cfg.charts["M"].sample_points(40, seed=7)
+    first = int(np.flatnonzero(pts[:, 0] < 0.5)[0])
+    report = run_suite(cfg)
     assert [c.verdict for c in report.checks] == [FAIL, FAIL, FAIL]
     for c in report.checks:
-        assert c.notes[0].startswith("error: ")
+        assert c.notes == [f"error: orthonormal frame of the metric: not positive definite "
+                           f"at point {first} {pts[first].tolist()}"]
     assert [e.split(":")[0] for e in report.errors] == ["einstein", "kahler", "hermitian"]
     assert report.exit_code() == 1
 
@@ -659,9 +664,11 @@ def test_the_clairaut_monitor_keeps_no_trajectory_arrays():
 def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch):
     """Every check evaluates its point set in one batch: over every catalog
     entry and a geodesic that leaves its chart, `Tape.evaluate_list` is
-    called only from inside `geometry.geodesic_integrate`, for its energies
-    and for `Chart.check_domain` on its states.  Its RK4 steps are the
-    compiled `Tape.rk4_step`, and `evaluate_at` has no caller."""
+    called only from inside `geometry.geodesic_integrate`, for the energies
+    of its first state and of its halved steps' last sub-steps, and for
+    `Chart.check_domain` on its states.  Its RK4 steps and the other
+    energies' metric values come from the compiled `Tape.rk4_chain`, and
+    `evaluate_at` has no caller."""
     from riemcheck import geometry
     from riemcheck.expr.tape import Tape
 
@@ -685,5 +692,5 @@ def test_single_point_evaluation_serves_only_the_geodesic_integrator(monkeypatch
         run_suite(cfg, points=12)
     run_suite(load_spec(DOMAIN_SPEC, name="sqrt-domain"))
     assert outside == []
-    assert inside and set(inside) == {("riemcheck.geometry", "energy"),
+    assert inside and set(inside) == {("riemcheck.geometry", "geodesic_integrate"),
                                       ("riemcheck.geometry", "check_domain")}
