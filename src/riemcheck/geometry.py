@@ -698,13 +698,14 @@ def matvec(M, v) -> np.ndarray:
 def tvec(T, v, k=1) -> np.ndarray:
     """sum_j T[..., j] v[..., j] for tensors (..., *out, m) with k output axes
     and vectors (..., m); where T has no axis before its point axis, one
-    product per point, with every vector of v there as a column."""
+    product per point, with every vector of v there as a column.  Every
+    size is explicit, so an empty axis (m = 0, or one in out) contracts."""
     out, lead = T.shape[-k - 1:-1], T.shape[:-k - 1]
-    T = T.reshape(lead + (-1, T.shape[-1]))
+    T = T.reshape(lead + (math.prod(out), T.shape[-1]))
     if len(lead) > 1:
         r = matvec(T, v)
     else:
-        cols = np.moveaxis(v.reshape((-1,) + v.shape[-2:]), 0, -1)
+        cols = np.moveaxis(v.reshape((math.prod(v.shape[:-2]),) + v.shape[-2:]), 0, -1)
         r = np.moveaxis(np.matmul(T, cols), -1, 0).reshape(v.shape[:-1] + T.shape[1:2])
     return r.reshape(r.shape[:-1] + out)
 

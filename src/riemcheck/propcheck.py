@@ -176,8 +176,11 @@ class TargetCalculus:
     `proj_range` and `proj_perp` apply J', P_range and P_perp to field
     `Jet`s by the product rule, and the derivative operations contract field
     `Jet`s (`MapGeometry.frame_jet`) for every combination of fields along
-    the jets' list axes.  No formula assumes that a field stays in its
-    bundle: where the gates fail, it need not."""
+    the jets' list axes.  Every derivative is taken along the coordinates
+    `D` of `geometry` only, as every field `Jet` it takes carries them (along
+    the others each vanishes); the covariant direction of nabla_{d_i} runs
+    over all n.  No formula assumes that a field stays in its bundle: where
+    the gates fail, it need not."""
 
     def __init__(self, mg: MapGeometry, Jp: AlmostComplexStructure | None):
         if not mg.frames.range or not mg.frames.normal:
@@ -197,70 +200,57 @@ class TargetCalculus:
         return _apply(at.PP, W)
 
     def geometry(self, y) -> SimpleNamespace:
-        """At the points y: Gamma_N `gam` [k, i, j]; the d_a Gamma^k_ij that
-        are nonzero at some point, `dgam` (P, E), their `i`, `j` and the 0/1
-        `rows` (E, n * n) adding into [k, a]; the range and normal frames'
-        Jets `F` and `E`; the matrix jets (see `_apply`), with first
-        derivatives, of `PR` = P_range and `PP` = P_perp, by
-        `rmap._projector` from those frames; and the points `y` and g_N's
-        arrays `m` there (`MetricField.at`)."""
-        mg, n = self.mg, self.mg.gN.chart.dim
+        """At the points y: the coordinates `D` that g_N, the range and
+        normal frames or J' use (`Jets.used`); Gamma_N `gam` [k, i, j] and
+        `dgam` [a, k, i, j] = d_a Gamma^k_ij for a in D; the range and normal
+        frames' Jets `F` and `E` along D; the matrix jets (see `_apply`),
+        with first derivatives along D, of `PR` = P_range and `PP` =
+        P_perp, by `rmap._projector` from those frames; and the points `y`
+        and g_N's arrays `m` there (`MetricField.at`)."""
+        mg = self.mg
         m = mg.gN.at(y)
-        F, E = (mg.frame_jet(which, y) for which in ("range", "normal"))
-        PR, PP = (_moved(_projector(m, slice(None), f, np.arange(n))) for f in (F, E))
-        dgams = [m.dgam(s, m.D).reshape(len(m.G[s]), -1)  # Gamma_N varies along D only
-                 for s in blocks(len(m.G), BLOCK * n // max(len(m.D), 1))]
-        nz = np.flatnonzero(np.any([np.any(b != 0.0, axis=0) for b in dgams], axis=0))
-        a, k, i, j = np.unravel_index(nz, (len(m.D), n, n, n))
-        dgam = np.concatenate([b[:, nz] for b in dgams])
-        return SimpleNamespace(gam=m.gam, dgam=dgam, rows=np.eye(n * n)[k * n + m.D[a]],
-                               i=i, j=j, F=F, E=E, PR=PR, PP=PP, y=y, m=m)
+        D = np.union1d(m.D, mg.used("range", "normal"))
+        if self.Jp is not None:
+            D = np.union1d(D, self.Jp.jets.used)
+        F, E = (mg.frame_jet(which, y).along(D) for which in ("range", "normal"))
+        PR, PP = (_moved(_projector(m, slice(None), f, D)) for f in (F, E))
+        return SimpleNamespace(D=D, gam=m.gam, dgam=m.dgam(slice(None), D), F=F, E=E,
+                               PR=PR, PP=PP, y=y, m=m)
 
     def images(self, at):
         """(J'F, P_range J'E, P_perp J'E) for the range frame F and the normal
-        frame E at the points of `geometry` `at`, the first and the last with
-        second derivatives: from the frames' and J''s jets and the second
-        derivatives of P_perp, a block of BLOCK (n / |D|)**2 points at a time
-        and along the coordinates D that g_N, the frames or J' depend on only
-        (along the others every derivative vanishes), so that no array is
-        larger than BLOCK points' n**4 and none is kept."""
-        mg, n = self.mg, self.mg.gN.chart.dim
-        D = np.union1d(at.m.D, mg.used("range", "normal"))
-        if self.Jp is not None:
-            D = np.union1d(D, self.Jp.jets.used)
-        DD = (D[:, None], D)  # the pairs of D, as the last two indices
+        frame E at the points of `geometry` `at`, along its D, the first and
+        the last with second derivatives: from the frames' and J''s jets and
+        the second derivatives of P_perp, a block of BLOCK (n / |D|)**2
+        points at a time, so that no array is larger than BLOCK points' n**4
+        and none is kept."""
+        mg, D = self.mg, at.D
 
         def block(s):
             Fs, Es = (mg.frame_jet(which, at.y[s], 2).along(D) for which in ("range", "normal"))
-            b = SimpleNamespace(PR=(at.PR[0][s], at.PR[1][s][:, :, D], None),
+            b = SimpleNamespace(PR=(at.PR[0][s], at.PR[1][s], None),
                                 PP=_moved(_projector(at.m, s, Es, D, second=True)), Jp=None)
             if self.Jp is not None:
                 J, dJ, ddJ = self.Jp.at(at.y[s], True)
-                b.Jp = J, dJ[:, :, D], ddJ[:, :, DD[0], DD[1]]
+                b.Jp = J, dJ[:, :, D], ddJ[:, :, D[:, None], D]
             JE = self.J(b, Es)
             return (self.J(b, Fs), self.proj_range(b, JE._replace(dd=None)),
                     self.proj_perp(b, JE))
 
-        def embedded(X):  # derivatives along D back among all n coordinates
-            d, dd = np.zeros(X.d.shape[:-1] + (n,)), None
-            d[..., D] = X.d
-            if X.dd is not None:
-                dd = np.zeros(X.dd.shape[:-2] + (n, n))
-                dd[..., DD[0], DD[1]] = X.dd
-            return Jet(X.v, d, dd)
-
-        size = BLOCK * n * n // max(len(D), 1) ** 2
-        return tuple(embedded(_joined(X)) for X in zip(*map(block, blocks(len(at.y), size))))
+        size = BLOCK * mg.gN.chart.dim ** 2 // max(len(D), 1) ** 2
+        return tuple(map(_joined, zip(*map(block, blocks(len(at.y), size)))))
 
     def cov(self, at, W, Z) -> Jet:
         """nabla_W Z = W^i d_i Z^k + Gamma^k_ij W^i Z^j, with derivatives
-        where W has first and Z second derivatives."""
-        A = Z.d + tvec(at.gam, Z.v, 2)  # A[k, i] = (nabla_{d_i} Z)^k
+        where W has first and Z second derivatives; d_i Z is given for the i
+        in D only, and i runs over all n."""
+        A = tvec(at.gam, Z.v, 2)  # A[k, i] = (nabla_{d_i} Z)^k
+        A[..., at.D] += Z.d
         if W.d is None or Z.dd is None:
             return Jet(matvec(A, W.v))
         d = np.matmul(A, W.d)  # summed in place: these arrays are the largest
-        d += np.matmul(tvec(at.gam, W.v, 2), Z.d) + tvec(Z.dd, W.v, 2)
-        d += np.matmul(at.dgam * W.v[..., at.i] * Z.v[..., at.j], at.rows).reshape(d.shape)
+        d += np.matmul(tvec(at.gam, W.v, 2), Z.d) + tvec(Z.dd, W.v[..., at.D], 2)
+        d += matvec(tvec(at.dgam, Z.v, 3), W.v[..., None, :]).swapaxes(-1, -2)
         return Jet(matvec(A, W.v), d)
 
     def nperp(self, at, W, D) -> Jet:
@@ -270,7 +260,7 @@ class TargetCalculus:
     def shape(self, at, D, V) -> Jet:
         """S_D V = -P_range(nabla_V D), by `shape_operator`, with derivatives
         where V has first and D second derivatives."""
-        value = matvec(shape_operator(at.PR[0], at.gam, D), V.v)
+        value = matvec(shape_operator(at.PR[0], at.gam, D, at.D), V.v)
         if V.d is None or D.dd is None:
             return Jet(value)
         return Jet(value, -self.proj_range(at, self.cov(at, V, D)).d)
@@ -290,7 +280,7 @@ class TargetCalculus:
         [W1, W2]^k = W1^i d_i W2^k - W2^i d_i W1^k."""
         a = self.nperp(at, W1, self.nperp(at, W2, D)).v
         b = self.nperp(at, W2, self.nperp(at, W1, D)).v
-        bracket = Jet(matvec(W2.d, W1.v) - matvec(W1.d, W2.v))
+        bracket = Jet(matvec(W2.d, W1.v[..., at.D]) - matvec(W1.d, W2.v[..., at.D]))
         return a - b - self.nperp(at, bracket, D).v
 
 
@@ -894,9 +884,8 @@ def verify_alpha_soliton_on_range(case: PropositionCase):
     bookkeeping that ties it to the source soliton residual."""
     r0 = case.dims["r0"]
     if r0 == 0:
-        return {"id": "alpha_soliton_range", "vacuous": True, "n_pairs": 0,
-                "max_residual": 0.0, "rows": [], "worst": None,
-                "gates": ("kernel_nontrivial",), "alpha": None, "beta": None}
+        return {**_result("alpha_soliton_range", [], ("kernel_nontrivial",)),
+                "alpha": None, "beta": None}
     for name in ("range_rg", "LW", "ric_M", "f_jet", "NA", "source_J"):
         getattr(case, name)
     lam = float(case.lam)
@@ -955,7 +944,4 @@ def verify_ric_lie_relation(case: PropositionCase):
             rhs = 0.5 * r0 * pair_form(FJU, p.LWv, FCX)
             rows = _rows("ux", lhs, rhs, {"half_r_lie_W": rhs},
                          keep=np.broadcast_to(keep[:, None, :], lhs.shape))
-    out = _result("ric_lie", rows,
-                  ("horizontal_potential", "tg_horizontal") + _SOURCE)
-    out["vacuous"] = not rows
-    return out
+    return _result("ric_lie", rows, ("horizontal_potential", "tg_horizontal") + _SOURCE)

@@ -390,9 +390,13 @@ def connection_on_pairs(gam, F: Jet) -> np.ndarray:
     return matvec(d[:, None], v[:, :, None]) + on_pairs(gam, v)
 
 
-def shape_operator(PR, gam, D: Jet) -> np.ndarray:
-    """S_D [a, c] = -(P_range nabla_{d_c} D)^a from P_range, Gamma_N and D."""
-    return -np.matmul(PR, D.d + tvec(gam, D.v, 2))
+def shape_operator(PR, gam, D: Jet, along=slice(None)) -> np.ndarray:
+    """S_D [a, c] = -(P_range nabla_{d_c} D)^a from P_range, Gamma_N and D,
+    whose derivatives are along the coordinates `along` (the direction c
+    runs over all n)."""
+    A = tvec(gam, D.v, 2)
+    A[..., along] += D.d
+    return -np.matmul(PR, A)
 
 
 def _projector(m, s, f: Jet, along, second=False):

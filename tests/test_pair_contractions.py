@@ -246,7 +246,8 @@ def test_frame_contractions_match_per_point_einsums(P, a, b, n, k, seed, data):
     shows, and w.G.w takes both signs."""
     rng = np.random.default_rng(seed)
     shapes = {"E": (a, n), "F": (b, n), "M": (n, n), "T": (k, n, n), "X": (n,), "Y": (n,),
-              "w": (a, b, k), "G": (k, k), "gram": (a, b), "H": (k,)}
+              "w": (a, b, k), "G": (k, k), "gram": (a, b), "H": (k,),
+              "dd": (n, a, a), "u": (a,)}
     ops = {key: rng.normal(size=(P,) + shape) for key, shape in shapes.items()}
     key = data.draw(st.sampled_from(sorted(c for c, v in ops.items() if v.size)), label="nan")
     ops[key].flat[data.draw(st.integers(0, ops[key].size - 1), label="at")] = np.nan
@@ -266,6 +267,8 @@ def test_frame_contractions_match_per_point_einsums(P, a, b, n, k, seed, data):
     check(geometry.tform(o.T, o.X, o.Y), "kij,i,j->k", "T", "X", "Y")
     check(geometry.on_pairs(o.T, o.E, o.F), "kij,ai,bj->abk", "T", "E", "F")
     check(geometry.on_pairs(o.T, o.E), "kij,ai,bj->abk", "T", "E", "E")
+    # a derivative tensor along a coordinates, none when a is 0
+    check(geometry.tvec(o.dd, o.u, 2), "kij,j->ki", "dd", "u")
     # squared norms against |w.G.w|
     check(geometry.gnorm(o.w, o.G[:, None, None]) ** 2, "abk,kl,abl->ab", "w", "G", "w",
           post=np.abs)

@@ -149,10 +149,12 @@ OPERATIONS = {  # method: field lists, by name
 
 @pytest.mark.parametrize("target", [h2h2, heisenberg])
 @pytest.mark.parametrize("method", list(OPERATIONS))
-def test_numeric_operation_matches_the_symbolic_oracle(target, method):
+def test_numeric_operation_matches_the_symbolic_oracle(target, method, monkeypatch):
     """Every combination of fields from the lists agrees with the symbolic
     field to 1e-12 relative to the largest oracle value, and that value is
-    far from 0."""
+    far from 0.  The fields vary along every coordinate, so the target
+    calculus takes its derivatives along every coordinate here."""
+    monkeypatch.setattr(Jets, "used", property(lambda self: np.arange(self.chart.dim)))
     mg, Jp, y = target()
     tc, oracle = TargetCalculus(mg, Jp), SymbolicTargetCalculus(mg, Jp)
     lists = dict(zip("WD", _fields(mg.gN.chart)))
@@ -215,6 +217,43 @@ def test_target_rows_match_the_symbolic_oracle(entry, monkeypatch):
     monkeypatch.setattr(propcheck, "_tc_values", oracle_tc_values)
     for ident in TARGET_ROWS:
         assert _rows_close(got[ident], _verify(case, ident)), (entry, ident)
+
+
+def _target_arrays(entry):
+    """(the coordinates D of the target calculus, n) and, at 23 points (two
+    blocks of the images where D is every coordinate), every TABLE
+    identity's rows (lhs, rhs and each term) or the error it raised, and the
+    tg_normal gate."""
+    case = _case(load_spec(H2H2, name="h2xh2") if entry == "h2xh2" else load(entry), 23)
+    out = {}
+    for ident in propcheck.TABLE:
+        res = _verify(case, ident)
+        if isinstance(res, tuple):
+            out[ident] = res
+        else:
+            rows = res["rows"]
+            out[ident] = [rows.lhs, rows.rhs, *rows.terms.values()] if len(rows) else []
+    out["tg_normal"] = list(map(np.array, case.gates(["tg_normal"])["tg_normal"]))
+    return (case.tg.D, case.mg.gN.chart.dim), out
+
+
+@pytest.mark.parametrize("entry", ["paper-3.1", "paper-4.1", "h2xh2", "flat-lagrangian"])
+def test_derivatives_along_the_used_coordinates_only_give_the_same_rows(entry, monkeypatch):
+    """Taking every target-side derivative along the coordinates that g_N,
+    the range and normal frames and J' use (`Jets.used`), and none along the
+    others, gives the rows and the tg_normal gate of the same code run along
+    every coordinate, bit for bit (NaN where NaN)."""
+    (D, n), restricted = _target_arrays(entry)
+    assert len(D) == 0 if entry == "flat-lagrangian" else 0 < len(D) < n, D
+    assert any(len(v) for k, v in restricted.items() if k != "tg_normal")
+    monkeypatch.setattr(Jets, "used", property(lambda self: np.arange(self.chart.dim)))
+    (every, _), full = _target_arrays(entry)
+    assert len(every) == n and full.keys() == restricted.keys()
+    for key, got in restricted.items():
+        want = full[key]
+        assert len(got) == len(want), (entry, key)
+        assert got == want if isinstance(got, tuple) else all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want)), (entry, key)
 
 
 def test_target_calculus_builds_nothing_per_field_combination(monkeypatch):
