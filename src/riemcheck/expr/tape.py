@@ -17,7 +17,10 @@ derivative order of each expression list, and every check evaluates them over
 the whole point set with `evaluate`, values and first derivatives once per
 point set.  The geodesic integrator's RK4 steps are `rk4_chain`: a loop
 over step sizes, each pass the right-hand side's four stages and the metric
-tape at the new state, written by the same emitter and bound to `math`.  A
+tape at the new state, written by the same emitter and bound to `math`.
+There an instruction that loads a state component or a constant is not an
+assignment: its uses read the state's local or the constant's global name,
+and only a later stage's input `(s + half * k)` is assigned.  A
 step or metric that faults runs again through `evaluate_list` (one point, a
 list of floats in, a sequence out), which also serves `Chart.check_domain`
 and the integrator's other metric values.  `evaluate_at` wraps it in arrays
@@ -58,12 +61,11 @@ _UNARY_OPS = {"neg": OP_NEG, "exp": OP_EXP, "log": OP_LOG,
               "sin": OP_SIN, "cos": OP_COS, "sqrt": OP_SQRT}
 _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
 
-# Right-hand side of each instruction, indexed by opcode; `x` is the input
-# expression of a variable, `a` and `b` are the operand fields (register or
-# constant index, as the op dictates) and `r` the registers' name prefix.
-_RHS = ("{x}", "{c}[{a}]", "-{r}{a}", "exp({r}{a})", "log({r}{a})", "sin({r}{a})",
-        "cos({r}{a})", "sqrt({r}{a})", "{r}{a} + {r}{b}", "{r}{a} - {r}{b}",
-        "{r}{a} * {r}{b}", "{r}{a} / {r}{b}", "pow({r}{a}, {c}[{b}])")
+# Right-hand side of each instruction on registers, by opcode; `a` and `b`
+# are the expressions of the operand registers.
+_RHS = {OP_NEG: "-{a}", OP_EXP: "exp({a})", OP_LOG: "log({a})", OP_SIN: "sin({a})",
+        OP_COS: "cos({a})", OP_SQRT: "sqrt({a})", OP_ADD: "{a} + {b}", OP_SUB: "{a} - {b}",
+        OP_MUL: "{a} * {b}", OP_DIV: "{a} / {b}"}
 
 _FUNCS = ("exp", "log", "sin", "cos", "sqrt")
 _MATH = {name: getattr(math, name) for name in _FUNCS} | {"pow": math.pow}
@@ -80,15 +82,29 @@ def backend_name() -> str:
     return "pure"
 
 
-def _emit(shape, x, r, c="c"):
+def _emit(shape, x, r, c="c[{}]".format):
     """The instructions of `shape` as straight-line assignments: register i
     is the local `{r}{i}`, variable a reads the expression `x(a)` and
-    constant a reads `{c}[a]`.  Returns the lines and the output registers."""
+    constant a the expression `c(a)`.  A constant or variable whose
+    expression is a name is not assigned: its uses read that name.  Returns
+    the lines and the output expressions."""
     ops, a, b, out_regs = shape
-    lines = [f"{r}{i} = " + _RHS[op].format(x=x(ia) if op == OP_LOADV else "", a=ia, b=ib,
-                                            r=r, c=c)
-             for i, (op, ia, ib) in enumerate(zip(ops, a, b))]
-    return lines, [f"{r}{i}" for i in out_regs]
+    lines, names = [], []
+    for i, (op, ia, ib) in enumerate(zip(ops, a, b)):
+        if op == OP_LOADV:
+            rhs = x(ia)
+        elif op == OP_LOADC:
+            rhs = c(ia)
+        elif op == OP_POWC:
+            rhs = f"pow({names[ia]}, {c(ib)})"
+        else:
+            rhs = _RHS[op].format(a=names[ia], b=names[ib])
+        if op in (OP_LOADV, OP_LOADC) and rhs.isidentifier():
+            names.append(rhs)
+        else:
+            lines.append(f"{r}{i} = {rhs}")
+            names.append(f"{r}{i}")
+    return lines, [names[i] for i in out_regs]
 
 
 def _compile(shape):
@@ -105,21 +121,24 @@ def _compile(shape):
 
 def _compile_chain(shape, metric_shape, npos):
     """`Tape.rk4_chain`'s code, each step `Tape._rk4_stages`'s float
-    operations in their order; `slow` (the step that faults), `gslow` (the
-    metric that faults) and the constants `c` and `cg` are globals of the
+    operations in their order.  Variables and constants are read by name
+    where they are used, not loaded into registers: the state `s{i}`, the
+    step's constants `c{j}` and the metric's `cg{j}`; a later stage's input
+    `(s{i} + half * k)` is assigned once.  `slow` (the step that faults),
+    `gslow` (the metric that faults) and the constants are globals of the
     scope it is bound in."""
     n = len(shape[3])
     s, pos = "".join(f"s{i}, " for i in range(n)), "".join(f"s{i}, " for i in range(npos))
     step, x, ks = ["half = 0.5 * h"], "s{}".format, []
     for stage, hk in enumerate(("half", "half", "h", None), 1):
-        body, k = _emit(shape, x, f"r{stage}_")
+        body, k = _emit(shape, x, f"r{stage}_", "c{}".format)
         step += body
         ks.append(k)
         x = lambda i, k=k, hk=hk: f"(s{i} + {hk} * {k[i]})"  # the next stage's inputs
     step += ["sixth = h / 6.0", s + "= " + ", ".join(
         f"s{i} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
         for i, (k1, k2, k3, k4) in enumerate(zip(*ks)))]
-    metric, gs = _emit(metric_shape, "s{}".format, "g", "cg")
+    metric, gs = _emit(metric_shape, "s{}".format, "g", "cg{}".format)
     lines = [s + "= s", "xs, gs = [], []", "for h in hs:",
              "    try:", *("        " + ln for ln in step),
              "    except (ArithmeticError, ValueError):",
@@ -253,9 +272,10 @@ class Tape:
         code = _CHAINS.get(key)
         if code is None:
             code = _CHAINS[key] = _compile_chain(*key)
-        scope = _MATH | {"isfinite": math.isfinite, "c": self._const_list,
-                         "slow": self._rk4_stages, "cg": metric._const_list,
+        scope = _MATH | {"isfinite": math.isfinite, "slow": self._rk4_stages,
                          "gslow": metric.evaluate_list}
+        scope |= {f"c{j}": v for j, v in enumerate(self._const_list)}
+        scope |= {f"cg{j}": v for j, v in enumerate(metric._const_list)}
         exec(code, scope)
         return scope["chain"]
 

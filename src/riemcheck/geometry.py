@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
@@ -388,17 +388,19 @@ class LastPointSet:
 class Jets:
     """The jets of a list of E expressions over a chart: one tape per
     derivative order, built on first use.  Order 0 lists the expressions;
-    order 1 adds d_a of each for every chart coordinate a; order 2 adds d_a
-    d_b of each for the pairs a <= b in C order, which `_mirror(n)` indexes
-    by (a, b).
+    order 1 adds d_a of each for every coordinate a in `used`; order 2 adds
+    d_a d_b of each for the pairs a <= b in `used`, in C order.  Every
+    derivative along another coordinate vanishes and is not on a tape.
 
     `at(points, order)` gives the arrays at P points: values v (P, E), from
     order 1 d (P, n, E) with d[:, a] = d_a v, and at order 2 dd (P,
-    n(n+1)/2, E), the d_a d_b v by pair; each None past the order.  Orders 0
-    and 1 keep the arrays of the last point set, read-only (values from
-    either), so their tapes run once per point set.  Second-order arrays are
-    made on each call and not kept.  `evaluate(points, order)` gives the same
-    arrays and keeps none, for a point set that no other caller reads."""
+    n(n+1)/2, E), the d_a d_b v at the pair index `_mirror(n)[a, b]`; each
+    None past the order, and +0.0 along the coordinates outside `used`.
+    Orders 0 and 1 keep the arrays of the last point set, read-only (values
+    from either), so their tapes run once per point set.  Second-order
+    arrays are made on each call and not kept.  `evaluate(points, order)`
+    gives the same arrays and keeps none, for a point set that no other
+    caller reads."""
 
     def __init__(self, exprs, chart):
         self.exprs = tuple(exprs)
@@ -413,13 +415,14 @@ class Jets:
         return np.array([a for a, c in enumerate(self.chart.coords) if c in names], dtype=int)
 
     @cached_property
-    def _d(self):  # the first derivatives, which the order-1 and order-2 tapes share
-        return _partials(self.exprs, self.chart.coords)
+    def _first(self):  # the first derivatives along `used`, which orders 1 and 2 share
+        return _partials(self.exprs, [self.chart.coords[a] for a in self.used])
 
     def tape(self, order=0) -> Tape:
         if order not in self._tapes:
-            coords, d = self.chart.coords, self._d if order else []
-            dd = [_partials(row, coords[a:]) for a, row in enumerate(d)] if order == 2 else []
+            coords, d = self.chart.coords, self._first if order else []
+            along = [coords[a] for a in self.used]
+            dd = [_partials(row, along[i:]) for i, row in enumerate(d)] if order == 2 else []
             self._tapes[order] = Tape([*self.exprs, *(e for row in d for e in row),
                                        *(e for rows in dd for row in rows for e in row)],
                                       coords)
@@ -436,9 +439,18 @@ class Jets:
         vals = self.tape(order).evaluate(np.atleast_2d(points))
         if order < 2:
             frozen(vals)
-        P, n, E = len(vals), self.chart.dim, len(self.exprs)
-        return (vals[:, :E], vals[:, E:E * (n + 1)].reshape(P, n, E) if order else None,
-                vals[:, E * (n + 1):].reshape(P, -1, E) if order == 2 else None)
+        P, n, E, U = len(vals), self.chart.dim, len(self.exprs), self.used
+        d = dd = None
+        if order:  # the tape's derivatives, put at their coordinates
+            k = E * (len(U) + 1)
+            d = np.zeros((P, n, E))
+            d[:, U] = vals[:, E:k].reshape(P, len(U), E)
+        if order == 2:
+            m = _mirror(n)
+            pairs = [m[a, b] for i, a in enumerate(U) for b in U[i:]]  # a <= b, C order
+            dd = np.zeros((P, n * (n + 1) // 2, E))
+            dd[:, pairs] = vals[:, k:].reshape(P, len(pairs), E)
+        return vals[:, :E], frozen(d) if order == 1 else d, dd
 
 
 def _sym_det(mat) -> Expr:
@@ -490,11 +502,13 @@ def _partials(exprs, coords):
             for a in coords]
 
 
+@cache
 def _mirror(n):
-    """m[i, j] = m[j, i] = the index of (i, j), i <= j, in C order."""
+    """m[i, j] = m[j, i] = the index of (i, j), i <= j, in C order; read-only,
+    made once per n."""
     m = np.zeros((n, n), dtype=int)
     m[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
-    return m + np.triu(m, 1).T
+    return frozen(m + np.triu(m, 1).T)
 
 
 def _sym(a):

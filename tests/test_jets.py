@@ -4,7 +4,9 @@ list, the values and first derivatives kept for the last point set.
 Every catalog run evaluates each value and first-order tape at most once per
 point set.  A `Jets` gives the same bits for its values at every order (and
 for its first derivatives at orders 1 and 2), and a map's Jacobian read from
-its first-order jets has the bits of a tape of its symbolic Jacobian.
+its first-order jets has the bits of a tape of its symbolic Jacobian.  Its
+tapes differentiate along the coordinates it uses only, and the arrays it
+gives have the bits of tapes that differentiate along every coordinate.
 """
 
 import functools
@@ -146,3 +148,68 @@ def test_a_paper_run_evaluates_each_frame_list_through_its_jets(monkeypatch, ent
     suites.run_suite(cfg)
     assert calls["evaluate"] <= most, calls
     assert sum(second.values()) == source_second and set(second.values()) <= {1}, second
+
+
+def _bits(arrays):
+    return [None if a is None else np.ascontiguousarray(a).view(np.uint64).copy()
+            for a in arrays]
+
+
+@pytest.mark.parametrize("entry", catalog.names())
+def test_jets_along_the_used_coordinates_have_the_bits_of_jets_along_all(monkeypatch, entry):
+    """Every array that the `Jets` of a run give, and those of the other
+    orders up to 2 at the same points, has the bits (NaN and the sign of
+    zero included) of a new `Jets` of the same expressions with `Jets.used`
+    every coordinate, whose tapes differentiate along all of them."""
+    got, seen = {}, {}
+    real = Jets.evaluate
+
+    def evaluate(self, points, order=0):
+        out = real(self, points, order)
+        pts = np.array(np.atleast_2d(points), dtype=float)
+        seen[id(self), pts.tobytes()] = self, pts
+        got[id(self), pts.tobytes(), order] = _bits(out)  # as the run reads them
+        return out
+
+    monkeypatch.setattr(Jets, "evaluate", evaluate)
+    suites.run_suite(catalog.load(entry))
+    assert any(order == 2 for *_, order in got)
+    for key, (jets, pts) in seen.items():
+        for order in range(3):
+            got.setdefault(key + (order,), _bits(real(jets, pts, order)))
+    monkeypatch.setattr(Jets, "used", property(lambda self: np.arange(self.chart.dim)))
+    for (*key, order), arrays in got.items():
+        jets, pts = seen[tuple(key)]
+        for a, b in zip(arrays, _bits(real(Jets(jets.exprs, jets.chart), pts, order))):
+            assert (a is None) == (b is None), (jets.exprs, order)
+            assert a is None or (a.shape == b.shape and np.array_equal(a, b)), \
+                (jets.exprs, order)
+
+
+@pytest.mark.parametrize("entry, most", [("paper-3.1", 800), ("paper-4.1", 800)])
+def test_a_paper_run_tapes_derivatives_along_the_used_coordinates_only(monkeypatch, entry,
+                                                                        most):
+    """A run of a paper example compiles at most `most` tape outputs (3,310
+    and 4,378 with derivatives along every coordinate): each `Jets` tape has
+    its E values, E first derivatives per coordinate in `Jets.used` and, at
+    order 2, E second derivatives per pair a <= b of them."""
+    outputs, tapes = Counter(), {}
+    real_init, real_tape = Tape.__init__, Jets.tape
+
+    def init(self, exprs, var_names):
+        real_init(self, exprs, var_names)
+        outputs["all"] += self.nout
+
+    def tape(self, order=0):
+        t = real_tape(self, order)
+        tapes[t] = self, order
+        return t
+
+    monkeypatch.setattr(Tape, "__init__", init)
+    monkeypatch.setattr(Jets, "tape", tape)
+    suites.run_suite(catalog.load(entry))
+    assert outputs["all"] <= most, outputs
+    for t, (jets, order) in tapes.items():
+        E, k = len(jets.exprs), len(jets.used)
+        assert len(t) == E * (1 + k * (order > 0) + k * (k + 1) // 2 * (order == 2)), jets.exprs
+    assert any(order and len(jets.used) < jets.chart.dim for jets, order in tapes.values())
