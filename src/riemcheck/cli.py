@@ -5,7 +5,8 @@
     riemcheck catalog list
     riemcheck catalog run NAME [same options as check]
     riemcheck geodesic SPECFILE --from V,V --dir V,V --t T [--dt DT]
-                             [--monitor clairaut|none] [--manifold NAME]
+                             [--monitor clairaut|none] [--points N] [--seed S]
+                             [--tol T] [--report PATH] [--machine]
 
 Exit codes: 0 clean, 1 any FAIL verdict in the suite, 2 spec or file error
 (a numeric failure inside a check is that check's FAIL).
@@ -30,9 +31,6 @@ def _env_seed():
 
 
 def _add_run_options(p):
-    p.add_argument("--suite", nargs="+", metavar="ID",
-                   help="run exactly these checks (pass/fail) instead of the "
-                        "spec's suite+audit lists")
     p.add_argument("--points", type=int, help="sample-point count override")
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--tol", type=float, help="tolerance override")
@@ -68,14 +66,17 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="run a spec file's check suite")
     p_check.add_argument("spec", help="path to the spec file")
-    _add_run_options(p_check)
 
     p_cat = sub.add_parser("catalog", help="built-in example configurations")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)
     cat_sub.add_parser("list", help="list catalog entries")
     p_cat_run = cat_sub.add_parser("run", help="run a catalog entry's suite")
     p_cat_run.add_argument("name")
-    _add_run_options(p_cat_run)
+    for p in (p_check, p_cat_run):
+        p.add_argument("--suite", nargs="+", metavar="ID",
+                       help="run exactly these checks (pass/fail) instead of "
+                            "the spec's suite+audit lists")
+        _add_run_options(p)
 
     p_geo = sub.add_parser("geodesic", help="integrate a geodesic with "
                                             "invariant monitoring")

@@ -129,10 +129,6 @@ class CheckReport:
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":")) + "\n"
 
-    @staticmethod
-    def parse_machine(text: str) -> dict:
-        return json.loads(text)
-
     def to_human(self) -> str:
         lines = []
         lines.append(f"riemcheck report for {self.spec_name}")

@@ -51,14 +51,17 @@ package expression grammar; components separated by commas):
       expect lambda VALUE
       geodesic from V,V dir V,V t X dt X monitor clairaut|none
     end
+
+`load_spec` raises one SpecError naming every malformed line as 'line N: ...';
+a fault in the block structure itself stops reading at its line.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import ParseError, differentiate, parse, simplify, substitute, variables
-from .expr.nodes import Const, is_const
+from .expr import ExprError, ParseError, differentiate, parse, simplify, substitute, variables
+from .expr.nodes import ZERO, Const, is_const
 from .geometry import Chart, GeometryError, MetricField, VectorField
 from .rmap import AdaptedFrames, MapGeometry, SmoothMap
 from .structure import AlmostComplexStructure
@@ -66,9 +69,7 @@ from .structure import AlmostComplexStructure
 
 class SpecError(Exception):
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
+        self.problems = [problems] if isinstance(problems, str) else list(problems)
         super().__init__("; ".join(self.problems))
 
 
@@ -108,10 +109,7 @@ class SpecConfig:
                            self.metrics[F.target.name], frames)
 
     def structure_on(self, chart_name):
-        for _, (cn, J) in self.structures.items():
-            if cn == chart_name:
-                return J
-        return None
+        return next((J for cn, J in self.structures.values() if cn == chart_name), None)
 
     def field(self, chart_name, name):
         return self.fields[(chart_name, name)]
@@ -120,414 +118,339 @@ class SpecConfig:
         return self.functions[(chart_name, name)]
 
 
-def _split_components(text, where, errors):
-    parts = [p.strip() for p in text.split(",")]
-    if any(not p for p in parts):
-        errors.append(f"line {where}: empty component")
-    return parts
-
-
 class _Blocks:
-    """First pass: group the physical lines into blocks."""
+    """The physical lines grouped into blocks, each body line split once on
+    whitespace into (line number, head word, rest of the line), and the
+    problems found while reading them."""
 
     def __init__(self, text):
-        self.blocks = []
+        self.blocks = []  # (kind, name, line number, body lines)
+        self.errors = []
+        self._reading = []  # line numbers of the open `line` contexts
         current = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            head = line.split()
-            if current is None:
-                if head[0] in ("manifold", "map", "frames", "structure", "check"):
-                    current = (head[0], head[1] if len(head) > 1 else None,
-                               lineno, [])
-                    if head[0] == "check" and len(head) > 1:
-                        raise SpecError([f"line {lineno}: check block takes no name"])
-                elif head[0] in ("version", "function", "vectorfield"):
-                    self.blocks.append((head[0], None, lineno, [(lineno, line)]))
-                else:
-                    raise SpecError([f"line {lineno}: unexpected {head[0]!r}"])
-            else:
+            head, rest = _head(line)
+            if current is not None:
                 if line == "end":
                     self.blocks.append(current)
                     current = None
                 else:
-                    current[3].append((lineno, line))
+                    current[3].append((ln, head, rest))
+            elif head in ("manifold", "map", "frames", "structure", "check"):
+                if head == "check" and rest:
+                    raise SpecError(f"line {ln}: check block takes no name")
+                if head != "check" and not rest:
+                    raise SpecError(f"line {ln}: {head} block needs a name")
+                current = (head, (rest.split() or [None])[0], ln, [])
+            elif head in ("version", "function", "vectorfield"):
+                self.blocks.append((head, None, ln, [(ln, head, rest)]))
+            else:
+                raise SpecError(f"line {ln}: unexpected {head!r}")
         if current is not None:
-            raise SpecError([f"line {current[2]}: unterminated {current[0]} block"])
+            raise SpecError(f"line {current[2]}: unterminated {current[0]} block")
+
+    def of(self, *kinds):
+        """The blocks of these kinds, in text order."""
+        return [b for b in self.blocks if b[0] in kinds]
+
+    def line(self, ln):
+        """Context for reading line `ln`, nestable: a content error raised
+        inside it becomes the problem 'line N: ...' and the rest of the
+        `with` body is skipped."""
+        self._reading.append(ln)
+        return self
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        ln = self._reading.pop()
+        if isinstance(exc, (ParseError, ExprError, GeometryError, ValueError, KeyError)):
+            # str() of a KeyError is the repr of its message
+            self.errors.append(f"line {ln}: {exc.args[0] if isinstance(exc, KeyError) else exc}")
+            return True
 
 
-def _parse_linear_combo(rhs, basis_names, chart, errors, where):
+def _head(text):
+    """The first word of `text` and the rest of it, each '' when missing."""
+    return (text.split(None, 1) + ["", ""])[:2]
+
+
+def _words(key, text, usage):
+    """The words of `text`, one per word of `usage`, where a lower-case word
+    ('alpha', 'field|grad') is literal; else ValueError('<key> wants <usage>')."""
+    words, want = text.split(), usage.split()
+    if len(words) != len(want) or any(w not in u.split("|")
+                                      for w, u in zip(words, want) if u.islower()):
+        raise ValueError(f"{key} wants {usage}")
+    return words
+
+
+def _parts(text):
+    """The comma-separated components of `text`."""
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise ValueError("empty component")
+    return parts
+
+
+def _get(table, key, what):
+    """table[key]; KeyError('unknown <what>') when it is missing."""
+    if key not in table:
+        raise KeyError(f"unknown {what}")
+    return table[key]
+
+
+def _matrix(chart, rows, what):
+    """The n x n matrix of `rows`, lists of entry texts or expressions."""
+    n = chart.dim
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError(f"{what} must be {n}x{n}")
+    mat = np.empty((n, n), dtype=object)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            mat[i, j] = chart.parse(e) if isinstance(e, str) else e
+    return mat
+
+
+def _linear_combo(rhs, basis_names, chart):
     """Parse a linear combination of named fields with expression
     coefficients; coefficients are extracted by exact differentiation with
     respect to the name pseudo-variables."""
-    try:
-        e = parse(rhs, allowed=chart.coords + tuple(basis_names))
-    except ParseError as exc:
-        errors.append(f"line {where}: {exc}")
-        return None
-    coeffs = []
-    for nm in basis_names:
-        coeffs.append(simplify(differentiate(e, nm)))
+    e = parse(rhs, allowed=chart.coords + tuple(basis_names))
+    coeffs = [simplify(differentiate(e, nm)) for nm in basis_names]
     # linearity check: residual of rhs - sum(c_i * name_i) must be the zero
     # expression once the names are substituted out
-    zero_env = {nm: Const(0.0) for nm in basis_names}
-    const_part = simplify(substitute(e, zero_env))
+    const_part = simplify(substitute(e, {nm: Const(0.0) for nm in basis_names}))
     if not is_const(const_part, 0.0):
-        errors.append(f"line {where}: combination has a non-field term "
-                      f"({const_part})")
-    for c in coeffs:
-        for nm in basis_names:
-            if nm in variables(c):
-                errors.append(f"line {where}: combination is not linear in {nm}")
-                return None
+        raise ValueError(f"combination has a non-field term ({const_part})")
+    nonlinear = [nm for c in coeffs for nm in basis_names if nm in variables(c)]
+    if nonlinear:
+        raise ValueError(f"combination is not linear in {nonlinear[0]}")
     return coeffs
+
+
+def _manifolds(cfg, blocks):
+    for _, bname, where, lines in blocks.of("manifold"):
+        coords, constraints, diag, rows = None, [], None, []
+        for ln, head, rest in lines:
+            with blocks.line(ln):
+                if head == "coords":
+                    coords = tuple(rest.split())
+                elif head == "constraint":
+                    kind, text = _head(rest)
+                    if kind not in ("nonzero", "positive") or not text:
+                        raise ValueError("constraint wants nonzero|positive EXPR")
+                    constraints.append((ln, kind, text))
+                elif head == "metric":
+                    sub, text = _head(rest)
+                    if sub not in ("diag", "row") or not text:
+                        raise ValueError("metric wants diag|row E1, E2, ...")
+                    parts = _parts(text)
+                    if sub == "row":
+                        rows.append(parts)
+                    else:
+                        diag = [[ZERO] * i + [p] + [ZERO] * (len(parts) - i - 1)
+                                for i, p in enumerate(parts)]
+                else:
+                    raise ValueError(f"unknown manifold key {head!r}")
+        with blocks.line(where):
+            if coords is None:
+                raise ValueError(f"manifold {bname} missing coords")
+            cons = []
+            for ln, kind, text in constraints:
+                with blocks.line(ln):
+                    cons.append((parse(text, allowed=coords), kind))
+            chart = cfg.charts[bname] = Chart(bname, coords, cons)
+            if diag is None and not rows:
+                raise ValueError(f"manifold {bname} missing metric")
+            cfg.metrics[bname] = MetricField(
+                chart, _matrix(chart, rows if diag is None else diag,
+                               f"metric of manifold {bname}"))
+
+
+def _maps(cfg, blocks):
+    for _, bname, where, lines in blocks.of("map"):
+        keys = {}
+        for ln, head, rest in lines:
+            with blocks.line(ln):
+                if head in ("source", "target"):
+                    keys[head] = rest
+                elif head in ("components", "section"):
+                    keys[head] = _parts(rest)
+                else:
+                    raise ValueError(f"unknown map key {head!r}")
+        with blocks.line(where):
+            if keys.get("source") not in cfg.charts or keys.get("target") not in cfg.charts:
+                raise KeyError(f"map {bname}: unresolved source/target")
+            if "components" not in keys:
+                raise ValueError(f"map {bname} missing components")
+            schart, tchart = cfg.charts[keys["source"]], cfg.charts[keys["target"]]
+            section = keys.get("section")
+            cfg.maps[bname] = SmoothMap(
+                schart, tchart, [schart.parse(c) for c in keys["components"]],
+                name=bname, section=section and [tchart.parse(c) for c in section])
+
+
+def _frames(cfg, blocks):
+    for _, bname, where, lines in blocks.of("frames"):
+        with blocks.line(where):
+            F = _get(cfg.maps, bname, f"map {bname!r} for a frames block")
+            groups = {"vertical": [], "horizontal": [], "range": [], "normal": []}
+            subsets = {}
+            for ln, head, rest in lines:
+                with blocks.line(ln):
+                    chart = F.target if head in ("range", "normal", "nu") else F.source
+                    if head in groups:
+                        nm, eq, text = (s.strip() for s in rest.partition("="))
+                        if not eq:
+                            raise ValueError("frame entry needs NAME = components")
+                        if (chart.name, nm) in cfg.fields:
+                            raise ValueError(f"field {nm!r} is declared twice "
+                                             f"on manifold {chart.name}")
+                        fld = VectorField(chart, [chart.parse(c) for c in _parts(text)], name=nm)
+                        groups[head].append(fld)
+                        cfg.fields[(chart.name, nm)] = fld
+                    elif head in ("mu", "nu"):
+                        subsets[head] = (ln, chart.name, rest.split())
+                    else:
+                        raise ValueError(f"unknown frames key {head!r}")
+            picked = {}
+            for head, (ln, chart_name, names) in subsets.items():
+                with blocks.line(ln):
+                    picked[head] = [_get(cfg.fields, (chart_name, nm),
+                                         f"{head} field {nm!r}") for nm in names]
+            cfg.frames[bname] = AdaptedFrames(
+                vertical=groups["vertical"], horizontal=groups["horizontal"],
+                range_=groups["range"], normal=groups["normal"],
+                mu=picked.get("mu"), nu=picked.get("nu"))
+
+
+def _declarations(cfg, blocks):
+    """Standalone functions and fields, before structures, which may
+    reference declared fields."""
+    for kind, _, ln, [(_, _, rest)] in blocks.of("function", "vectorfield"):
+        with blocks.line(ln):
+            words = rest.split(None, 4)
+            if len(words) != 5 or words[1] != "on" or words[3] != "=":
+                raise ValueError(f"malformed {kind} declaration")
+            nm, _, chart_name, _, rhs = words
+            chart = _get(cfg.charts, chart_name, f"manifold {chart_name!r}")
+            if kind == "function":
+                cfg.functions[(chart_name, nm)] = chart.parse(rhs)
+                continue
+            if rhs.startswith("frame "):
+                fields = [f for (cn, _), f in cfg.fields.items() if cn == chart_name]
+                coeffs = _linear_combo(rhs[len("frame "):], [f.name for f in fields], chart)
+                comps = [simplify(sum((c * fld.comps[i] for c, fld in zip(coeffs, fields)),
+                                      Const(0.0)))
+                         for i in range(chart.dim)]
+            else:
+                comps = [chart.parse(c) for c in _parts(rhs)]
+            cfg.fields[(chart_name, nm)] = VectorField(chart, comps, name=nm)
+
+
+def _structures(cfg, blocks):
+    for _, bname, where, lines in blocks.of("structure"):
+        chart_name, frame_names, actions, rows = None, None, [], []
+        for ln, head, rest in lines:
+            with blocks.line(ln):
+                if head == "manifold":
+                    chart_name = rest
+                elif head == "frame":
+                    frame_names = rest.split()
+                elif head == "action":
+                    nm, eq, rhs = (s.strip() for s in rest.partition("="))
+                    if not eq:
+                        raise ValueError("action needs NAME = combination")
+                    actions.append((ln, nm, rhs))
+                elif head == "row":
+                    rows.append(_parts(rest))
+                else:
+                    raise ValueError(f"unknown structure key {head!r}")
+        with blocks.line(where):
+            chart = _get(cfg.charts, chart_name, f"manifold {chart_name!r}")
+            if not frame_names:
+                J = AlmostComplexStructure(chart, _matrix(chart, rows, f"structure {bname}"))
+            else:
+                g = _get(cfg.metrics, chart_name, f"metric of manifold {chart_name!r}")
+                fields = [_get(cfg.fields, (chart_name, nm), f"frame field {nm!r}")
+                          for nm in frame_names]
+                act = np.full((chart.dim, chart.dim), Const(0.0), dtype=object)
+                index = {nm: i for i, nm in enumerate(frame_names)}
+                for ln, nm, rhs in actions:
+                    with blocks.line(ln):
+                        a = _get(index, nm, f"frame field {nm!r} in an action")
+                        act[:, a] = _linear_combo(rhs, frame_names, chart)
+                J = AlmostComplexStructure.from_frame(g, fields, act)
+            cfg.structures[bname] = (chart_name, J)
+
+
+def _check_key(ck, head, rest):
+    if head in ("seed", "points"):
+        ck[head] = int(rest)
+    elif head == "tol":
+        ck["tol"] = float(rest)
+    elif head == "box":
+        ck["box"] = tuple(float(v) for v in _words("box", rest, "LO HI"))
+    elif head in ("suite", "audit"):
+        ck[head].extend(rest.split())
+    elif head == "clairaut":
+        side, fname = _words("clairaut", rest, "source|target FUNCNAME")
+        ck["clairaut"][side] = fname
+    elif head == "soliton":
+        kind, nm, _, alpha, _, lam = _words(
+            "soliton", rest, "field|grad NAME alpha X lambda X|solve")
+        ck["soliton"] = {"kind": kind, "name": nm, "alpha": float(alpha),
+                         "lambda": lam if lam == "solve" else float(lam)}
+    elif head == "restrict":
+        ck["restrict"] = rest.split()
+    elif head == "conformal":
+        kind, nm = _words("conformal", rest, "field|grad NAME")
+        ck["conformal"] = {"kind": kind, "name": nm}
+    elif head == "expect":
+        kind, tail = _head(rest)
+        if kind == "ricci":
+            a, b, value = _words("expect ricci", tail, "NAME NAME VALUE")
+            ck["expect_ricci"].append((a, b, float(value)))
+        elif kind == "lambda":
+            ck["expect_lambda"] = float(*_words("expect lambda", tail, "VALUE"))
+        else:
+            raise ValueError("expect wants ricci NAME NAME VALUE or lambda VALUE")
+    elif head == "geodesic":
+        words = rest.split()
+        if len(words) % 2:
+            raise ValueError("geodesic wants KEY VALUE pairs: from V,V dir V,V "
+                             "t X dt X monitor clairaut|none")
+        geo = {}
+        for key, val in zip(words[::2], words[1::2]):
+            if key in ("from", "dir"):
+                geo[key] = [float(v) for v in val.split(",")]
+            elif key in ("t", "dt"):
+                geo[key] = float(val)
+            elif key == "monitor":
+                geo[key] = val
+            else:
+                raise ValueError(f"unknown geodesic key {key!r}")
+        ck["geodesic"] = geo
+    else:
+        raise ValueError(f"unknown check key {head!r}")
 
 
 def load_spec(text, name="spec") -> SpecConfig:
     """Parse and resolve a spec file; raises SpecError carrying every
     problem found, each with its line number."""
     cfg = SpecConfig(name)
-    errors = []
-    blocks = _Blocks(text).blocks
-
-    # pass 1: manifolds
-    for kind, bname, where, lines in blocks:
-        if kind != "manifold":
-            continue
-        coords, constraints, diag, rows = None, [], None, []
-        for ln, line in lines:
-            head, *rest = line.split(None, 1)
-            arg = rest[0] if rest else ""
-            if head == "coords":
-                coords = tuple(arg.split())
-            elif head == "constraint":
-                k, expr_text = arg.split(None, 1)
-                try:
-                    constraints.append((parse(expr_text, allowed=coords), k))
-                except (ParseError, GeometryError) as exc:
-                    errors.append(f"line {ln}: {exc}")
-            elif head == "metric":
-                sub, *rest2 = arg.split(None, 1)
-                if sub == "diag":
-                    diag = _split_components(rest2[0], ln, errors)
-                elif sub == "row":
-                    rows.append((ln, _split_components(rest2[0], ln, errors)))
-                else:
-                    errors.append(f"line {ln}: metric wants 'diag' or 'row'")
-            else:
-                errors.append(f"line {ln}: unknown manifold key {head!r}")
-        if coords is None:
-            errors.append(f"line {where}: manifold {bname} missing coords")
-            continue
-        try:
-            chart = Chart(bname, coords, constraints)
-        except GeometryError as exc:
-            errors.append(f"line {where}: {exc}")
-            continue
-        cfg.charts[bname] = chart
-        n = chart.dim
-        mat = np.empty((n, n), dtype=object)
-        try:
-            if diag is not None:
-                if len(diag) != n:
-                    raise SpecError([f"line {where}: metric of manifold {bname} "
-                                     f"needs {n} diagonal entries, got {len(diag)}"])
-                for i in range(n):
-                    for j in range(n):
-                        mat[i, j] = chart.parse(diag[i]) if i == j else Const(0.0)
-            elif rows:
-                if len(rows) != n or any(len(r) != n for _, r in rows):
-                    raise SpecError(
-                        [f"line {where}: metric of {bname} must be {n}x{n}"])
-                for i, (ln, r) in enumerate(rows):
-                    for j in range(n):
-                        mat[i, j] = chart.parse(r[j])
-            else:
-                raise SpecError([f"line {where}: manifold {bname} missing metric"])
-            cfg.metrics[bname] = MetricField(chart, mat)
-        except SpecError as exc:
-            errors.extend(exc.problems)
-        except (ParseError, GeometryError) as exc:
-            errors.append(f"line {where}: {exc}")
-
-    # pass 2: maps
-    for kind, bname, where, lines in blocks:
-        if kind != "map":
-            continue
-        src = tgt = comps = section = None
-        for ln, line in lines:
-            head, *rest = line.split(None, 1)
-            arg = rest[0] if rest else ""
-            if head == "source":
-                src = arg.strip()
-            elif head == "target":
-                tgt = arg.strip()
-            elif head == "components":
-                comps = (ln, _split_components(arg, ln, errors))
-            elif head == "section":
-                section = (ln, _split_components(arg, ln, errors))
-            else:
-                errors.append(f"line {ln}: unknown map key {head!r}")
-        if src not in cfg.charts or tgt not in cfg.charts:
-            errors.append(f"line {where}: map {bname}: unresolved source/target")
-            continue
-        if comps is None:
-            errors.append(f"line {where}: map {bname} missing components")
-            continue
-        schart, tchart = cfg.charts[src], cfg.charts[tgt]
-        try:
-            comp_exprs = [schart.parse(c) for c in comps[1]]
-            sec_exprs = ([tchart.parse(c) for c in section[1]]
-                         if section is not None else None)
-            cfg.maps[bname] = SmoothMap(schart, tchart, comp_exprs, name=bname,
-                                        section=sec_exprs)
-        except (ParseError, GeometryError) as exc:
-            errors.append(f"line {where}: map {bname}: {exc}")
-
-    # pass 3: frames
-    for kind, bname, where, lines in blocks:
-        if kind != "frames":
-            continue
-        if bname not in cfg.maps:
-            errors.append(f"line {where}: frames block for unknown map {bname!r}")
-            continue
-        F = cfg.maps[bname]
-        groups = {"vertical": [], "horizontal": [], "range": [], "normal": []}
-        subsets = {"mu": None, "nu": None}
-        for ln, line in lines:
-            head, *rest = line.split(None, 1)
-            arg = rest[0] if rest else ""
-            if head in groups:
-                chart = F.target if head in ("range", "normal") else F.source
-                if "=" not in arg:
-                    errors.append(f"line {ln}: frame entry needs NAME = components")
-                    continue
-                nm, comps_text = [s.strip() for s in arg.split("=", 1)]
-                if (chart.name, nm) in cfg.fields:
-                    errors.append(f"line {ln}: field {nm!r} is declared twice "
-                                  f"on manifold {chart.name}")
-                    continue
-                try:
-                    comps = [chart.parse(c) for c in
-                             _split_components(comps_text, ln, errors)]
-                    fld = VectorField(chart, comps, name=nm)
-                except (ParseError, GeometryError) as exc:
-                    errors.append(f"line {ln}: {exc}")
-                    continue
-                groups[head].append(fld)
-                cfg.fields[(chart.name, nm)] = fld
-            elif head in subsets:
-                names = arg.split()
-                subsets[head] = names
-            else:
-                errors.append(f"line {ln}: unknown frames key {head!r}")
-        mu = nu = None
-        if subsets["mu"] is not None:
-            try:
-                mu = [cfg.field(F.source.name, nm) for nm in subsets["mu"]]
-            except KeyError as exc:
-                errors.append(f"frames {bname}: unknown mu field {exc}")
-        if subsets["nu"] is not None:
-            try:
-                nu = [cfg.field(F.target.name, nm) for nm in subsets["nu"]]
-            except KeyError as exc:
-                errors.append(f"frames {bname}: unknown nu field {exc}")
-        cfg.frames[bname] = AdaptedFrames(
-            vertical=groups["vertical"], horizontal=groups["horizontal"],
-            range_=groups["range"], normal=groups["normal"], mu=mu, nu=nu)
-
-    # pass 4: standalone functions / fields (before structures, which may
-    # reference declared fields)
-    for kind, bname, where, lines in blocks:
-        if kind not in ("function", "vectorfield", "version"):
-            continue
-        ln, line = lines[0]
-        if kind == "version":
-            continue
-        try:
-            _, nm, onkw, chart_name, eq, rhs = line.split(None, 5)
-            if onkw != "on" or eq != "=":
-                raise ValueError
-        except ValueError:
-            errors.append(f"line {ln}: malformed {kind} declaration")
-            continue
-        if chart_name not in cfg.charts:
-            errors.append(f"line {ln}: unknown manifold {chart_name!r}")
-            continue
-        chart = cfg.charts[chart_name]
-        if kind == "function":
-            try:
-                cfg.functions[(chart_name, nm)] = chart.parse(rhs)
-            except ParseError as exc:
-                errors.append(f"line {ln}: {exc}")
-            continue
-        if rhs.startswith("frame "):
-            combo = rhs[len("frame "):]
-            basis = [k[1] for k in cfg.fields if k[0] == chart_name]
-            coeffs = _parse_linear_combo(combo, basis, chart, errors, ln)
-            if coeffs is None:
-                continue
-            fields = [cfg.field(chart_name, nm2) for nm2 in basis]
-            comps = [simplify(sum((c * fld.comps[i] for c, fld in zip(coeffs, fields)),
-                                  Const(0.0)))
-                     for i in range(chart.dim)]
-            cfg.fields[(chart_name, nm)] = VectorField(chart, comps, name=nm)
-        else:
-            try:
-                comps = [chart.parse(c) for c in _split_components(rhs, ln, errors)]
-                cfg.fields[(chart_name, nm)] = VectorField(chart, comps, name=nm)
-            except (ParseError, GeometryError) as exc:
-                errors.append(f"line {ln}: {exc}")
-
-    # pass 5: structures
-    for kind, bname, where, lines in blocks:
-        if kind != "structure":
-            continue
-        chart_name = None
-        frame_names = None
-        actions = []
-        rows = []
-        for ln, line in lines:
-            head, *rest = line.split(None, 1)
-            arg = rest[0] if rest else ""
-            if head == "manifold":
-                chart_name = arg.strip()
-            elif head == "frame":
-                frame_names = arg.split()
-            elif head == "action":
-                if "=" not in arg:
-                    errors.append(f"line {ln}: action needs NAME = combination")
-                    continue
-                nm, rhs = [s.strip() for s in arg.split("=", 1)]
-                actions.append((ln, nm, rhs))
-            elif head == "row":
-                rows.append((ln, _split_components(arg, ln, errors)))
-            else:
-                errors.append(f"line {ln}: unknown structure key {head!r}")
-        if chart_name not in cfg.charts:
-            errors.append(f"line {where}: structure {bname}: unknown manifold")
-            continue
-        chart = cfg.charts[chart_name]
-        g = cfg.metrics[chart_name]
-        n = chart.dim
-        if frame_names:
-            try:
-                fields = [cfg.field(chart_name, nm) for nm in frame_names]
-            except KeyError as exc:
-                errors.append(f"line {where}: structure {bname}: unknown frame "
-                              f"field {exc}")
-                continue
-            if len(fields) != n:
-                errors.append(f"line {where}: structure {bname}: frame must have "
-                              f"{n} fields")
-                continue
-            act = np.empty((n, n), dtype=object)
-            act[:] = Const(0.0)
-            index = {nm: i for i, nm in enumerate(frame_names)}
-            ok = True
-            for ln, nm, rhs in actions:
-                if nm not in index:
-                    errors.append(f"line {ln}: action for unknown frame field {nm!r}")
-                    ok = False
-                    continue
-                coeffs = _parse_linear_combo(rhs, frame_names, chart, errors, ln)
-                if coeffs is None:
-                    ok = False
-                    continue
-                for b, c in enumerate(coeffs):
-                    act[b, index[nm]] = c
-            if not ok:
-                continue
-            try:
-                J = AlmostComplexStructure.from_frame(g, fields, act)
-            except GeometryError as exc:
-                errors.append(f"line {where}: {exc}")
-                continue
-        else:
-            if len(rows) != n or any(len(r) != n for _, r in rows):
-                errors.append(f"line {where}: structure {bname} needs {n} rows")
-                continue
-            mat = np.empty((n, n), dtype=object)
-            try:
-                for i, (ln, r) in enumerate(rows):
-                    for j in range(n):
-                        mat[i, j] = chart.parse(r[j])
-                J = AlmostComplexStructure(chart, mat)
-            except (ParseError, GeometryError) as exc:
-                errors.append(f"line {where}: {exc}")
-                continue
-        cfg.structures[bname] = (chart_name, J)
-
-    # pass 6: check block
-    for kind, bname, where, lines in blocks:
-        if kind != "check":
-            continue
-        ck = cfg.check
-        for ln, line in lines:
-            head, *rest = line.split(None, 1)
-            arg = rest[0] if rest else ""
-            try:
-                if head == "seed":
-                    ck["seed"] = int(arg)
-                elif head == "points":
-                    ck["points"] = int(arg)
-                elif head == "tol":
-                    ck["tol"] = float(arg)
-                elif head == "box":
-                    lo, hi = arg.split()
-                    ck["box"] = (float(lo), float(hi))
-                elif head == "suite":
-                    ck["suite"].extend(arg.split())
-                elif head == "audit":
-                    ck["audit"].extend(arg.split())
-                elif head == "clairaut":
-                    side, fname = arg.split()
-                    ck["clairaut"][side] = fname
-                elif head == "soliton":
-                    words = arg.split()
-                    if words[0] not in ("field", "grad") or len(words) != 6 \
-                            or words[2] != "alpha" or words[4] != "lambda":
-                        raise ValueError("soliton wants: field|grad NAME alpha X"
-                                         " lambda X|solve")
-                    lam = words[5] if words[5] == "solve" else float(words[5])
-                    ck["soliton"] = {"kind": words[0], "name": words[1],
-                                     "alpha": float(words[3]), "lambda": lam}
-                elif head == "restrict":
-                    ck["restrict"] = arg.split()
-                elif head == "conformal":
-                    words = arg.split()
-                    ck["conformal"] = {"kind": words[0], "name": words[1]}
-                elif head == "expect":
-                    words = arg.split()
-                    if words[0] == "ricci":
-                        ck["expect_ricci"].append((words[1], words[2],
-                                                   float(words[3])))
-                    elif words[0] == "lambda":
-                        ck["expect_lambda"] = float(words[1])
-                    else:
-                        raise ValueError(f"unknown expect kind {words[0]!r}")
-                elif head == "geodesic":
-                    words = arg.split()
-                    geo = {}
-                    it = iter(words)
-                    for key in it:
-                        val = next(it)
-                        if key in ("from", "dir"):
-                            geo[key] = [float(v) for v in val.split(",")]
-                        elif key in ("t", "dt"):
-                            geo[key] = float(val)
-                        elif key == "monitor":
-                            geo[key] = val
-                        else:
-                            raise ValueError(f"unknown geodesic key {key!r}")
-                    ck["geodesic"] = geo
-                else:
-                    raise ValueError(f"unknown check key {head!r}")
-            except (ValueError, StopIteration) as exc:
-                errors.append(f"line {ln}: {exc}")
-
-    if errors:
-        raise SpecError(errors)
+    blocks = _Blocks(text)
+    for read in (_manifolds, _maps, _frames, _declarations, _structures):
+        read(cfg, blocks)
+    for _, _, _, lines in blocks.of("check"):
+        for ln, head, rest in lines:
+            with blocks.line(ln):
+                _check_key(cfg.check, head, rest)
+    if blocks.errors:
+        raise SpecError(blocks.errors)
     return cfg

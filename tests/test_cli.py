@@ -10,7 +10,6 @@ import pytest
 
 from riemcheck.catalog import load
 from riemcheck.cli import main
-from riemcheck.report import CheckReport
 from riemcheck.suites import run_suite
 
 
@@ -55,7 +54,7 @@ def test_full_paper31_run_exits_zero_with_ledger():
 def test_machine_report_round_trip():
     report = run_suite(load("gaussian-soliton"))
     text = report.to_machine()
-    parsed = CheckReport.parse_machine(text)
+    parsed = json.loads(text)
     assert parsed == json.loads(json.dumps(report.to_dict()))
     assert parsed["schema"] == "riemcheck-report/1"
     assert parsed["config"]["spec"] == "gaussian-soliton"
@@ -66,7 +65,7 @@ def test_empty_suite_gives_header_only_report():
     assert report.checks == [] and report.audits == []
     human = report.to_human()
     assert "seed=" in human and "convention" in human
-    machine = CheckReport.parse_machine(report.to_machine())
+    machine = json.loads(report.to_machine())
     assert machine["checks"] == []
 
 
@@ -217,6 +216,28 @@ def test_cli_geodesic_verb(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "geodesic" in out and "PASS" in out
+
+
+def test_cli_geodesic_verb_takes_no_suite(tmp_path, capsys):
+    """The geodesic verb runs the geodesic check only, so argparse rejects
+    --suite rather than accept and overwrite it."""
+    spec = tmp_path / "flat.spec"
+    spec.write_text(FLAT_GEODESIC.format(line="from 0.5,0.5 dir 1,0"))
+    with pytest.raises(SystemExit) as exc:
+        main(["geodesic", str(spec), "--from", "0.5,0.5", "--dir", "1,0", "--suite", "metric"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --suite metric" in capsys.readouterr().err
+
+
+def test_cli_malformed_check_line_is_a_config_error(tmp_path, capsys):
+    """A check line missing words exits 2 with the line's number, not with a
+    traceback and the exit code of a FAIL verdict."""
+    spec = tmp_path / "short.spec"
+    spec.write_text(FLAT_GEODESIC.format(line="from 0.5,0.5 dir 1,0").replace(
+        "  suite geodesic metric", "  suite metric\n  expect ricci A B"))
+    assert main(["check", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "riemcheck: configuration error: line 8: expect ricci wants NAME NAME VALUE\n")
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):

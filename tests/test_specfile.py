@@ -202,3 +202,46 @@ def test_a_frame_combination_of_fields_that_share_components():
     pts = cfg.charts["M"].sample_points(20, seed=5)
     got, want = cfg.field("M", "C").values(pts), cfg.field("M", "D").values(pts)
     assert np.max(np.abs(got - want)) <= 1e-14 and np.min(np.abs(got)) > 1e-3
+
+
+# -- malformed lines ---------------------------------------------------------------
+
+def _insert(text, anchor, line, before=False):
+    """`text` with `line` put after (or before) the line `anchor`, and the
+    number of the inserted line."""
+    lines = text.splitlines()
+    at = lines.index(anchor) + (0 if before else 1)
+    lines.insert(at, line)
+    return "\n".join(lines), at + 1
+
+
+MALFORMED = [
+    *[("  tol 1e-9", probe, False) for probe in (
+        "conformal", "conformal field", "expect", "expect lambda", "expect ricci A B",
+        "soliton", "geodesic from")],
+    *[("  coords x1 x2", probe, False) for probe in (
+        "constraint nonzero", "metric", "metric diag", "metric row")],
+    ("  coords x1 x2", "constraint nonzero zz", True),
+]
+
+
+@pytest.mark.parametrize("anchor,line,before", MALFORMED,
+                         ids=[line + " before coords" * before for _, line, before in MALFORMED])
+def test_a_malformed_line_is_a_spec_error_naming_its_line(anchor, line, before):
+    """A line with words missing, or naming an unknown coordinate before the
+    coords line, is one SpecError problem that starts with its own line
+    number and says what is wrong, not a bare IndexError or ValueError."""
+    text, n = _insert(MINI, anchor, "  " + line, before)
+    with pytest.raises(SpecError) as err:
+        load_spec(text)
+    [problem] = err.value.problems
+    assert problem.startswith(f"line {n}: ") and len(problem) > len(f"line {n}: ")
+
+
+@pytest.mark.parametrize("header", ["manifold N", "map F", "frames F", "structure J"])
+def test_a_block_header_without_a_name_is_a_spec_error(header):
+    text = CATALOG["paper-3.1"].replace(f"\n{header}\n", f"\n{header.split()[0]}\n")
+    n = text.splitlines().index(header.split()[0]) + 1
+    with pytest.raises(SpecError) as err:
+        load_spec(text)
+    assert err.value.problems == [f"line {n}: {header.split()[0]} block needs a name"]
