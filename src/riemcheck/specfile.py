@@ -52,8 +52,12 @@ package expression grammar; components separated by commas):
       geodesic from V,V dir V,V t X dt X monitor clairaut|none
     end
 
-`load_spec` raises one SpecError naming every malformed line as 'line N: ...';
-a fault in the block structure itself stops reading at its line.
+The names a check block gives are resolved at load, on the check chart (the
+map's source, or the single manifold; `clairaut target` on the map's
+target), so `SpecConfig.check` holds the fields, functions and
+SolitonConfig they name.  `load_spec` raises one SpecError naming every
+malformed line or unknown name as 'line N: ...'; a fault in the block
+structure itself stops reading at its line.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .expr import ExprError, ParseError, differentiate, parse, simplify, substit
 from .expr.nodes import ZERO, Const, is_const
 from .geometry import Chart, GeometryError, MetricField, VectorField
 from .rmap import AdaptedFrames, MapGeometry, SmoothMap
+from .soliton import SolitonConfig
 from .structure import AlmostComplexStructure
 
 
@@ -111,11 +116,15 @@ class SpecConfig:
     def structure_on(self, chart_name):
         return next((J for cn, J in self.structures.values() if cn == chart_name), None)
 
-    def field(self, chart_name, name):
-        return self.fields[(chart_name, name)]
-
-    def function(self, chart_name, name):
-        return self.functions[(chart_name, name)]
+    def check_chart(self):
+        """The chart of the check block's names and sample points: the map's
+        source, or the single manifold."""
+        F = self.the_map()
+        if F is not None:
+            return F.source
+        if len(self.charts) != 1:
+            raise SpecError("check block needs a map or a single manifold")
+        return next(iter(self.charts.values()))
 
 
 class _Blocks:
@@ -168,7 +177,8 @@ class _Blocks:
 
     def __exit__(self, kind, exc, tb):
         ln = self._reading.pop()
-        if isinstance(exc, (ParseError, ExprError, GeometryError, ValueError, KeyError)):
+        if isinstance(exc, (ParseError, ExprError, GeometryError, ValueError, KeyError,
+                            SpecError)):
             # str() of a KeyError is the repr of its message
             self.errors.append(f"line {ln}: {exc.args[0] if isinstance(exc, KeyError) else exc}")
             return True
@@ -202,6 +212,20 @@ def _get(table, key, what):
     if key not in table:
         raise KeyError(f"unknown {what}")
     return table[key]
+
+
+def _declare(table, chart_name, nm, value, what):
+    """table[(chart_name, nm)] = value; ValueError when the name is taken."""
+    if (chart_name, nm) in table:
+        raise ValueError(f"{what} {nm!r} is declared twice on manifold {chart_name}")
+    table[(chart_name, nm)] = value
+
+
+def _named(cfg, kind, chart, nm):
+    """The declared field (kind 'field') or function (any other kind) `nm`
+    on `chart`."""
+    table, what = (cfg.fields, "field") if kind == "field" else (cfg.functions, "function")
+    return _get(table, (chart.name, nm), f"{what} {nm!r} on {chart.name}")
 
 
 def _matrix(chart, rows, what):
@@ -308,12 +332,9 @@ def _frames(cfg, blocks):
                         nm, eq, text = (s.strip() for s in rest.partition("="))
                         if not eq:
                             raise ValueError("frame entry needs NAME = components")
-                        if (chart.name, nm) in cfg.fields:
-                            raise ValueError(f"field {nm!r} is declared twice "
-                                             f"on manifold {chart.name}")
                         fld = VectorField(chart, [chart.parse(c) for c in _parts(text)], name=nm)
+                        _declare(cfg.fields, chart.name, nm, fld, "field")
                         groups[head].append(fld)
-                        cfg.fields[(chart.name, nm)] = fld
                     elif head in ("mu", "nu"):
                         subsets[head] = (ln, chart.name, rest.split())
                     else:
@@ -340,7 +361,7 @@ def _declarations(cfg, blocks):
             nm, _, chart_name, _, rhs = words
             chart = _get(cfg.charts, chart_name, f"manifold {chart_name!r}")
             if kind == "function":
-                cfg.functions[(chart_name, nm)] = chart.parse(rhs)
+                _declare(cfg.functions, chart_name, nm, chart.parse(rhs), "function")
                 continue
             if rhs.startswith("frame "):
                 fields = [f for (cn, _), f in cfg.fields.items() if cn == chart_name]
@@ -350,7 +371,7 @@ def _declarations(cfg, blocks):
                          for i in range(chart.dim)]
             else:
                 comps = [chart.parse(c) for c in _parts(rhs)]
-            cfg.fields[(chart_name, nm)] = VectorField(chart, comps, name=nm)
+            _declare(cfg.fields, chart_name, nm, VectorField(chart, comps, name=nm), "field")
 
 
 def _structures(cfg, blocks):
@@ -389,7 +410,8 @@ def _structures(cfg, blocks):
             cfg.structures[bname] = (chart_name, J)
 
 
-def _check_key(ck, head, rest):
+def _check_key(cfg, head, rest):
+    ck = cfg.check
     if head in ("seed", "points"):
         ck[head] = int(rest)
     elif head == "tol":
@@ -400,22 +422,31 @@ def _check_key(ck, head, rest):
         ck[head].extend(rest.split())
     elif head == "clairaut":
         side, fname = _words("clairaut", rest, "source|target FUNCNAME")
-        ck["clairaut"][side] = fname
+        F = cfg.the_map()
+        if side == "target" and F is None:
+            raise ValueError("clairaut target needs a map")
+        chart = F.target if side == "target" else cfg.check_chart()
+        ck["clairaut"][side] = _named(cfg, "function", chart, fname)
     elif head == "soliton":
         kind, nm, _, alpha, _, lam = _words(
             "soliton", rest, "field|grad NAME alpha X lambda X|solve")
-        ck["soliton"] = {"kind": kind, "name": nm, "alpha": float(alpha),
-                         "lambda": lam if lam == "solve" else float(lam)}
+        chart = cfg.check_chart()
+        potential = _named(cfg, kind, chart, nm)
+        g = _get(cfg.metrics, chart.name, f"metric of manifold {chart.name!r}")
+        ck["soliton"] = SolitonConfig(g, alpha=float(alpha), lam=lam,
+                                      **{"xi" if kind == "field" else "f": potential})
     elif head == "restrict":
-        ck["restrict"] = rest.split()
+        ck["restrict"] = [_named(cfg, "field", cfg.check_chart(), nm) for nm in rest.split()]
     elif head == "conformal":
         kind, nm = _words("conformal", rest, "field|grad NAME")
-        ck["conformal"] = {"kind": kind, "name": nm}
+        ck["conformal"] = _named(cfg, kind, cfg.check_chart(), nm)
     elif head == "expect":
         kind, tail = _head(rest)
         if kind == "ricci":
             a, b, value = _words("expect ricci", tail, "NAME NAME VALUE")
-            ck["expect_ricci"].append((a, b, float(value)))
+            chart = cfg.check_chart()
+            ck["expect_ricci"].append((_named(cfg, "field", chart, a),
+                                       _named(cfg, "field", chart, b), float(value)))
         elif kind == "lambda":
             ck["expect_lambda"] = float(*_words("expect lambda", tail, "VALUE"))
         else:
@@ -450,7 +481,7 @@ def load_spec(text, name="spec") -> SpecConfig:
     for _, _, _, lines in blocks.of("check"):
         for ln, head, rest in lines:
             with blocks.line(ln):
-                _check_key(cfg.check, head, rest)
+                _check_key(cfg, head, rest)
     if blocks.errors:
         raise SpecError(blocks.errors)
     return cfg

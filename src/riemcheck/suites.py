@@ -53,7 +53,6 @@ from .rmap import (
     vertical_frames,
 )
 from .soliton import (
-    SolitonConfig,
     SolitonError,
     check_clairaut_source,
     check_clairaut_target,
@@ -82,12 +81,7 @@ class _Ctx:
         self.tol = tol
         self.box = box
         self.F = cfg.the_map()
-        if self.F is not None:
-            self.chart = self.F.source
-        elif len(cfg.charts) == 1:
-            self.chart = next(iter(cfg.charts.values()))
-        else:
-            raise SpecError("check block needs a map or a single manifold")
+        self.chart = cfg.check_chart()
         self.g = cfg.metrics[self.chart.name]
         try:
             self.points = self.chart.sample_points(npoints, seed=seed, box=box)
@@ -98,55 +92,23 @@ class _Ctx:
         self.Jp = (cfg.structure_on(self.F.target.name)
                    if self.F is not None else None)
         self._case = None
-        self._soliton_cfg = None
-
-    def source_fun(self):
-        name = self.cfg.check["clairaut"].get("source")
-        return self.cfg.function(self.chart.name, name) if name else None
-
-    def target_fun(self):
-        name = self.cfg.check["clairaut"].get("target")
-        return (self.cfg.function(self.F.target.name, name)
-                if name and self.F is not None else None)
 
     def soliton_config(self):
-        if self._soliton_cfg is None:
-            sol = self.cfg.check["soliton"]
-            if sol is None:
-                raise SpecError("check needs a 'soliton ...' line")
-            if sol["kind"] == "field":
-                xi = self.cfg.field(self.chart.name, sol["name"])
-                self._soliton_cfg = SolitonConfig(self.g, xi=xi,
-                                                  alpha=sol["alpha"],
-                                                  lam=sol["lambda"])
-            else:
-                f = self.cfg.function(self.chart.name, sol["name"])
-                self._soliton_cfg = SolitonConfig(self.g, f=f,
-                                                  alpha=sol["alpha"],
-                                                  lam=sol["lambda"])
-        return self._soliton_cfg
-
-    def restriction(self):
-        names = self.cfg.check["restrict"]
-        if not names:
-            return None
-        return [self.cfg.field(self.chart.name, nm) for nm in names]
+        sol = self.cfg.check["soliton"]
+        if sol is None:
+            raise SpecError("check needs a 'soliton ...' line")
+        return sol
 
     def case(self) -> PropositionCase:
         if self._case is None:
             if self.mg is None:
                 raise SpecError("identity checks need a map")
-            sol = self.cfg.check["soliton"]
-            eta = None
-            alpha, lam = 1.0, 0.0
-            if sol is not None:
-                alpha = sol["alpha"]
-                lam = 0.0 if sol["lambda"] == "solve" else sol["lambda"]
-                if sol["kind"] == "field":
-                    eta = self.cfg.field(self.chart.name, sol["name"])
+            sol, clairaut = self.cfg.check["soliton"], self.cfg.check["clairaut"]
             self._case = PropositionCase(
-                self.mg, self.points, J=self.J, Jp=self.Jp, f=self.source_fun(),
-                gfun=self.target_fun(), eta=eta, alpha=alpha, lam=lam)
+                self.mg, self.points, J=self.J, Jp=self.Jp, f=clairaut.get("source"),
+                gfun=clairaut.get("target"), eta=sol.xi if sol else None,
+                alpha=sol.alpha if sol else 1.0,
+                lam=sol.lam if sol and sol.lam != "solve" else 0.0)
         return self._case
 
     def worst_point(self, index):
@@ -262,7 +224,7 @@ def check_kahler(ctx):
 
 def check_clairaut_source_id(ctx):
     ctx.need_map("clairaut_source")
-    f = ctx.source_fun()
+    f = ctx.cfg.check["clairaut"].get("source")
     if f is None:
         raise SpecError("clairaut_source needs 'clairaut source FUNC'")
     res, umb = check_clairaut_source(ctx.mg, f, ctx.points)
@@ -271,7 +233,7 @@ def check_clairaut_source_id(ctx):
 
 def check_clairaut_target_id(ctx):
     ctx.need_map("clairaut_target")
-    gfun = ctx.target_fun()
+    gfun = ctx.cfg.check["clairaut"].get("target")
     if gfun is None:
         raise SpecError("clairaut_target needs 'clairaut target FUNC'")
     shape, umb = check_clairaut_target(ctx.mg, gfun, ctx.points)
@@ -330,8 +292,7 @@ def check_oneill(ctx):
 
 
 def check_soliton(ctx):
-    cfg = ctx.soliton_config()
-    restriction = ctx.restriction()
+    cfg, restriction = ctx.soliton_config(), ctx.cfg.check["restrict"]
     terms = {"lambda": cfg.lam}
     if cfg.lam == "solve":
         lam, spread, _ = solve_lambda(cfg, restriction, ctx.points)
@@ -341,8 +302,7 @@ def check_soliton(ctx):
 
 
 def check_soliton_solve(ctx):
-    cfg = ctx.soliton_config()
-    restriction = ctx.restriction()
+    cfg, restriction = ctx.soliton_config(), ctx.cfg.check["restrict"]
     lam, spread, per_sample = solve_lambda(cfg, restriction, ctx.points)
     terms = {"lambda": lam, "spread": spread,
              "per_sample_first": [float(v) for v in per_sample[:6]]}
@@ -382,14 +342,10 @@ def _einstein_check(ident, part, restricted):
 
 
 def check_conformal_id(ctx):
-    conf = ctx.cfg.check["conformal"]
-    if conf is None:
+    X = ctx.cfg.check["conformal"]  # a field, or a potential function u: X = grad u
+    if X is None:
         raise SpecError("conformal check needs a 'conformal ...' line")
-    if conf["kind"] == "field":
-        X = ctx.cfg.field(ctx.chart.name, conf["name"])
-    else:  # a potential function: X = grad u
-        X = ctx.cfg.function(ctx.chart.name, conf["name"])
-    phis, res = check_conformal(ctx.g, X, ctx.restriction(), ctx.points)
+    phis, res = check_conformal(ctx.g, X, ctx.cfg.check["restrict"], ctx.points)
     return _pointwise(ctx, "conformal", res, {"phi_first": [float(v) for v in phis[:6]]})
 
 
@@ -400,18 +356,17 @@ def check_ricci_values(ctx):
     pts = ctx.points
     ric = ricci(ctx.g, pts)
 
-    def values(name):  # a declared frame field reads its frame list's jets
-        X = ctx.cfg.field(ctx.chart.name, name)
+    def values(X):  # a declared frame field reads its frame list's jets
         return X.values(pts) if ctx.mg is None else ctx.mg.field_values([X], pts)[:, 0]
     rows, gaps = [], []
-    for (na, nb, stated) in expects:
-        vals = qform(values(na), ric, values(nb))
+    for (Xa, Xb, stated) in expects:
+        vals = qform(values(Xa), ric, values(Xb))
         engine = float(np.mean(vals))
         spread = float(np.max(np.abs(vals - engine)))
         match = ("as-is" if abs(engine - stated) <= ctx.tol else
                  "sign-flipped" if abs(-engine - stated) <= ctx.tol else "none")
         gaps.append(min(abs(engine - stated), abs(engine + stated)))
-        rows.append({"pair": [na, nb], "stated": stated, "engine": engine,
+        rows.append({"pair": [Xa.name, Xb.name], "stated": stated, "engine": engine,
                      "engine_spread": spread, "matches": match})
     verdict = PASS if all(r["matches"] == "as-is" for r in rows) else FAIL
     notes = [f"{r['pair'][0]},{r['pair'][1]}: stated {r['stated']:g} vs "
@@ -433,10 +388,8 @@ _SCALAR_RELATION_INPUTS = {
 
 def check_scalar_relations(ctx):
     case = ctx.case()
-    sol = ctx.cfg.check["soliton"]
-    lam = 0.0 if sol is None or sol["lambda"] == "solve" else float(sol["lambda"])
     d, sp = case.dims, ctx.mg.split(ctx.points)
-    inputs = {"lam": lam, "r0": d["r0"], "n1": d["n1"], "m": d["m"], "Dg": 0.0}
+    inputs = {"lam": case.lam, "r0": d["r0"], "n1": d["n1"], "m": d["m"], "Dg": 0.0}
     terms, gaps = {}, []
     for which, (part, gates_needed) in _SCALAR_RELATION_INPUTS.items():
         try:
@@ -506,7 +459,7 @@ def check_geodesic(ctx):
         notes.append(f"{traj.unconverged} steps still drift above the energy "
                      "tolerance after 12 halvings")
     if geo.get("monitor") == "clairaut":
-        f = ctx.source_fun()
+        f = ctx.cfg.check["clairaut"].get("source")
         if f is None or ctx.mg is None:
             raise SpecError("clairaut monitor needs a map and 'clairaut source F'")
         inv = clairaut_invariant(ctx.mg, f, traj.xs, traj.vs)
@@ -528,7 +481,7 @@ def check_fiber_curvature(ctx):
     """Consistency of the fiber mean curvature with -grad f (the Clairaut
     source condition restated)."""
     ctx.need_map("fiber_curvature")
-    f = ctx.source_fun()
+    f = ctx.cfg.check["clairaut"].get("source")
     if f is None:
         raise SpecError("fiber_curvature needs 'clairaut source FUNC'")
     diff = fiber_mean_curvature(ctx.mg, ctx.points) + function_at(ctx.g, f, ctx.points).grad

@@ -2,6 +2,7 @@
 
 These mirror the built-in catalog entries but are constructed independently
 here so catalog/spec-file parsing failures cannot mask engine regressions.
+`CURVED_KAHLER` is a spec with no catalog entry, run through `run_suite`.
 """
 
 import numpy as np
@@ -197,6 +198,59 @@ def warped_clairaut(h="0.3*x3*x4"):
     act[1, 3] = -1.0  # J X2 = -U2
     J = AlmostComplexStructure.from_frame(gM, [U1, U2, X1, X2], act.astype(object))
     return mg, J, M.parse(h)
+
+
+# The warped-product projection H^2 x H^2 -> R x H^2 in log coordinates (each
+# factor dt^2 + e^{-2t} dx^2 is H^2), forgetting the fiber coordinate x1: a
+# Riemannian submersion with totally umbilic fibers and warping h = e^{-x2},
+# so a Clairaut map with f = log h = -x2, and a curved Kaehler source on
+# which the gates of ric_uv, ric_ux and ric_xy hold.  J rotates each factor.
+CURVED_KAHLER = """
+manifold M
+  coords x1 x2 x3 x4
+  metric diag exp(-2*x2), 1, exp(-2*x4), 1
+end
+
+manifold N
+  coords y1 y2 y3
+  metric diag 1, exp(-2*y3), 1
+end
+
+map F
+  source M
+  target N
+  components x2, x3, x4
+  section 0, y1, y2, y3
+end
+
+frames F
+  vertical U1 = exp(x2), 0, 0, 0
+  horizontal X1 = 0, 1, 0, 0
+  horizontal X2 = 0, 0, exp(x4), 0
+  horizontal X3 = 0, 0, 0, 1
+  range R1 = 1, 0, 0
+  range R2 = 0, exp(y3), 0
+  range R3 = 0, 0, 1
+end
+
+structure J
+  manifold M
+  row 0, -exp(x2), 0, 0
+  row exp(-x2), 0, 0, 0
+  row 0, 0, 0, -exp(x4)
+  row 0, 0, exp(-x4), 0
+end
+
+function f on M = -x2
+
+check
+  seed 7
+  points 40
+  suite metric riemannian_map anti_invariant hermitian kahler clairaut_source umbilical oneill fiber_curvature
+  audit ric_uv ric_ux ric_xy
+  clairaut source f
+end
+"""
 
 
 def all_rows(res):

@@ -240,6 +240,37 @@ def test_cli_malformed_check_line_is_a_config_error(tmp_path, capsys):
         "riemcheck: configuration error: line 8: expect ricci wants NAME NAME VALUE\n")
 
 
+@pytest.mark.parametrize("line,what", [
+    ("soliton field nosuch alpha 1 lambda 0", "field"),
+    ("soliton grad nosuch alpha 1 lambda 0", "function"),
+    ("restrict W nosuch", "field"),
+    ("conformal field nosuch", "field"),
+    ("conformal grad nosuch", "function"),
+    ("clairaut source nosuch", "function"),
+    ("expect ricci nosuch W 1", "field"),
+    ("expect ricci W nosuch 1", "field"),
+], ids=["soliton-field", "soliton-grad", "restrict", "conformal-field", "conformal-grad",
+        "clairaut", "expect-ricci-first", "expect-ricci-second"])
+def test_cli_unknown_check_block_name_is_a_config_error_naming_its_line(tmp_path, capsys,
+                                                                        line, what):
+    """A name in the check block that no declaration gives exits 2 with its
+    line number and what is unknown, even when no listed check reads it."""
+    spec = tmp_path / "names.spec"
+    spec.write_text(f"""manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+vectorfield W on M = 1, 0
+check
+  suite metric
+  {line}
+end
+""")
+    assert main(["check", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        f"riemcheck: configuration error: line 8: unknown {what} 'nosuch' on M\n")
+
+
 def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RIEMCHECK_SEED", "11")
     path1 = tmp_path / "a.json"

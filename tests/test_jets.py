@@ -101,7 +101,7 @@ def test_a_functions_operators_are_kept_for_the_last_point_set(monkeypatch):
     `function_at` keeps the gradient, Hessian and Laplacian of the last
     point set, read-only, as `MetricField.at` keeps its `MetricAt`."""
     cfg = catalog.load("paper-3.1")
-    g, f = cfg.metrics["M"], cfg.function("M", "f")
+    g, f = cfg.metrics["M"], cfg.functions[("M", "f")]
     jets, orders = g.function_jets(f), Counter()
     real_evaluate = Jets.evaluate
 

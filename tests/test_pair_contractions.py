@@ -204,7 +204,7 @@ def test_catalog_contractions_match_the_per_point_loops(entry):
         pairs.append((structure.kahler_residual, loop_kahler_residual,
                       (gN, ctx.Jp, ctx.F.values(pts))))
     if cfg.check["soliton"] is not None:
-        sol, restriction = ctx.soliton_config(), ctx.restriction()
+        sol, restriction = ctx.soliton_config(), cfg.check["restrict"]
         pairs += [(soliton.soliton_residual, loop_soliton_residual,
                    (sol, restriction, pts, 0.7)),
                   (soliton.solve_lambda, loop_solve_lambda, (sol, restriction, pts))]

@@ -37,7 +37,9 @@ from riemcheck.propcheck import (
     verify_ric_lie_relation,
 )
 
+from fd_oracle import fd_ricci
 from paper_fixtures import (
+    CURVED_KAHLER,
     all_rows,
     diag_metric,
     example31,
@@ -277,6 +279,34 @@ def test_warped_clairaut_identity_ric_uv_holds():
     assert gates["clairaut_source"][0]
     if gates["kahler_source"][0]:
         assert res["max_residual"] <= 1e-8
+
+
+def test_curved_kahler_source_fails_ric_uv_and_ric_xy_where_every_gate_holds():
+    """On the warped product H^2 x H^2 -> R x H^2 every structural check
+    passes and every gate of the three source-side Ricci rows holds, yet
+    ric_uv and ric_xy miss by 1: the rows as written lack a term of size 1
+    here.  The left side Ric(U1, U1) = -1 is the finite-difference Ricci of
+    the metric, so the gap is on the right side."""
+    report = suites.run_suite(load_spec(CURVED_KAHLER, name="curved-kahler"))
+    assert (report.seed, report.npoints) == (7, 40)
+    got = {c.id: c for c in report.checks + report.audits}
+    for ident in ("metric", "riemannian_map", "anti_invariant", "hermitian", "kahler",
+                  "clairaut_source", "umbilical", "oneill", "fiber_curvature"):
+        assert got[ident].verdict == "PASS", ident
+    for ident in ("ric_uv", "ric_ux", "ric_xy"):
+        gates = got[ident].terms["gates"]
+        assert set(gates) == {"kahler_source", "anti_invariant_source", "clairaut_source"}
+        assert all(ok for ok, _ in gates.values()), (ident, gates)
+    for ident in ("ric_uv", "ric_xy"):
+        assert got[ident].verdict == "FAIL"
+        assert abs(got[ident].max_residual - 1.0) <= 1e-12, ident
+    uv = got["ric_uv"]
+    x = np.array(uv.worst_point["coords"])
+    u1 = np.array([math.exp(x[1]), 0.0, 0.0, 0.0])
+    metric = lambda p: np.diag([math.exp(-2 * p[1]), 1.0, math.exp(-2 * p[3]), 1.0])
+    assert uv.terms["worst_pair"] == ["u1", "u1"]  # the one unit vertical direction, U1
+    assert abs(uv.terms["lhs"] + 1.0) <= 1e-10
+    assert abs(u1 @ fd_ricci(metric, x) @ u1 - uv.terms["lhs"]) <= 1e-5
 
 
 def test_polar_kahler_identities():

@@ -51,13 +51,13 @@ def test_mini_spec_resolves():
     assert set(cfg.charts) == {"M", "N"}
     assert cfg.the_map().name == "F"
     assert cfg.check["seed"] == 3 and cfg.check["points"] == 20
-    assert cfg.check["clairaut"] == {"source": "f"}
-    f = cfg.function("M", "f")
+    f = cfg.functions[("M", "f")]
+    assert list(cfg.check["clairaut"]) == ["source"] and cfg.check["clairaut"]["source"] is f
     from riemcheck.expr import evaluate
     assert evaluate(f, {"x1": 3.0, "x2": 0.0}) == 9.0
-    W = cfg.field("M", "W")
+    W = cfg.fields[("M", "W")]
     assert np.allclose(W.values(np.array([0.5, 0.25]))[0], [0.25, -0.5])
-    C = cfg.field("M", "C")  # 0.5*V - 2*H with V=(0,1), H=(1,0)
+    C = cfg.fields[("M", "C")]  # 0.5*V - 2*H with V=(0,1), H=(1,0)
     assert np.allclose(C.values(np.array([0.1, 0.2]))[0], [-2.0, 0.5])
 
 
@@ -147,7 +147,7 @@ def test_paper31_catalog_content():
     x = np.array([0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     assert np.allclose(F.values(x)[0], [0.6, 0.3, 0.0, 0.5, 0.0, 0.7])
     assert cfg.structure_on("M") is not None
-    f = cfg.function("M", "f")
+    f = cfg.functions[("M", "f")]
     from riemcheck.expr import evaluate
     assert evaluate(f, dict(zip(M.coords, map(float, x)))) == -0.5
 
@@ -200,7 +200,7 @@ def test_a_frame_combination_of_fields_that_share_components():
                         "(x2 + 0.5)*cos(x1) - 2*sin(x1)")
     cfg = load_spec(text, name="turned")
     pts = cfg.charts["M"].sample_points(20, seed=5)
-    got, want = cfg.field("M", "C").values(pts), cfg.field("M", "D").values(pts)
+    got, want = cfg.fields[("M", "C")].values(pts), cfg.fields[("M", "D")].values(pts)
     assert np.max(np.abs(got - want)) <= 1e-14 and np.min(np.abs(got)) > 1e-3
 
 
@@ -245,3 +245,95 @@ def test_a_block_header_without_a_name_is_a_spec_error(header):
     with pytest.raises(SpecError) as err:
         load_spec(text)
     assert err.value.problems == [f"line {n}: {header.split()[0]} block needs a name"]
+
+
+# -- names in the check block --------------------------------------------------------
+
+def test_check_block_names_resolve_to_the_declared_objects():
+    """Every name a check block gives is looked up once, at load: the
+    clairaut dilations (the target one on the map's target), the soliton
+    potential and constants, the restricting frame, the conformal field and
+    the stated Ricci pairs, whose fields keep their names."""
+    text = MINI.replace("  clairaut source f\n", "  clairaut source f\n"
+                        "  clairaut target g\n"
+                        "  soliton field W alpha 2 lambda solve\n"
+                        "  restrict V H\n"
+                        "  conformal grad f\n"
+                        "  expect ricci V C 0.5\n")
+    text = text.replace("function f on M = x1^2", "function f on M = x1^2\nfunction g on N = y1")
+    cfg = load_spec(text)
+    ck, fields, functions = cfg.check, cfg.fields, cfg.functions
+    assert ck["clairaut"]["source"] is functions[("M", "f")]
+    assert ck["clairaut"]["target"] is functions[("N", "g")]
+    sol = ck["soliton"]
+    assert sol.xi is fields[("M", "W")] and sol.f is None
+    assert (sol.alpha, sol.lam, sol.g) == (2.0, "solve", cfg.metrics["M"])
+    assert [X.name for X in ck["restrict"]] == ["V", "H"]
+    assert all(X is fields[("M", X.name)] for X in ck["restrict"])
+    assert ck["conformal"] is functions[("M", "f")]
+    [(Xa, Xb, value)] = ck["expect_ricci"]
+    assert (Xa, Xb, value) == (fields[("M", "V")], fields[("M", "C")], 0.5)
+    assert (Xa.name, Xb.name) == ("V", "C")
+
+
+FLAT = """
+manifold M
+  coords x1 x2
+  metric diag 1, 1
+end
+vectorfield W on M = 1, 0
+function u on M = x1
+check
+  suite metric
+end
+"""
+
+
+def test_two_unknown_check_block_names_are_two_problems():
+    """A failed lookup does not stop the loader: each line with an unknown
+    name is its own problem, and a field name is not a function name."""
+    text, n = _insert(FLAT, "  suite metric", "  restrict nosuch")
+    text, m = _insert(text, "  restrict nosuch", "  soliton grad W alpha 1 lambda 0")
+    with pytest.raises(SpecError) as err:
+        load_spec(text)
+    assert err.value.problems == [f"line {n}: unknown field 'nosuch' on M",
+                                  f"line {m}: unknown function 'W' on M"]
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("clairaut target u", "clairaut target needs a map"),
+    ("soliton field W alpha 0 lambda 0", "alpha must be nonzero"),
+], ids=["clairaut-target-without-map", "soliton-alpha-0"])
+def test_a_check_line_that_cannot_be_resolved_is_a_load_error(line, problem):
+    text, n = _insert(FLAT, "  suite metric", "  " + line)
+    with pytest.raises(SpecError) as err:
+        load_spec(text)
+    assert err.value.problems == [f"line {n}: {problem}"]
+
+
+def test_check_block_names_need_a_check_chart():
+    """With two manifolds and no map there is no chart to look a name up on:
+    each naming line says so, and a spec without such lines still loads."""
+    two = FLAT.replace("vectorfield W", "manifold N\n  coords y1\n  metric diag 1\nend\n"
+                       "vectorfield W")
+    load_spec(two)
+    text, n = _insert(two, "  suite metric", "  restrict W")
+    with pytest.raises(SpecError) as err:
+        load_spec(text)
+    assert err.value.problems == [f"line {n}: check block needs a map or a single manifold"]
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("vectorfield V on M = 1, 0", "field 'V' is declared twice on manifold M"),
+    ("vectorfield W on M = 1, 0", "field 'W' is declared twice on manifold M"),
+    ("function f on M = x2", "function 'f' is declared twice on manifold M"),
+], ids=["frame-field", "vectorfield", "function"])
+def test_a_name_declared_twice_on_a_manifold_is_a_spec_error(line, problem):
+    """A vectorfield may not take the name of a frame field or of an earlier
+    vectorfield, nor a function that of an earlier function, on the same
+    manifold: the later declaration used to replace the entry that check
+    lines and frame combinations read."""
+    text, n = _insert(MINI, "vectorfield C on M = frame 0.5*V - 2*H", line)
+    with pytest.raises(SpecError) as err:
+        load_spec(text)
+    assert err.value.problems == [f"line {n}: {problem}"]

@@ -375,7 +375,7 @@ def test_clairaut_invariant_from_the_kernel_equals_the_declared_frames(frames):
     g = declared.metrics["S"]
     traj = geodesic_integrate(g, np.array(geo["from"]), np.array(geo["dir"]),
                               t_end=geo["t"], dt=geo["dt"])
-    inv = [clairaut_invariant(cfg.map_geometry(), cfg.function("S", "f"), traj.xs, traj.vs)
+    inv = [clairaut_invariant(cfg.map_geometry(), cfg.functions[("S", "f")], traj.xs, traj.vs)
            for cfg in (declared, bare)]
     assert np.max(np.abs(inv[0] - inv[1])) <= 1e-12
     assert np.ptp(inv[0]) <= 1e-6
