@@ -6,7 +6,7 @@ constant real exponent.  Trees are never mutated after construction, so they
 can be shared freely between threads and cached aggressively.
 
 Equality of expressions is always decided numerically at sample points;
-`structural_key` exists for hashing/deduplication, not for deciding
+`Expr.key()` exists for hashing/deduplication, not for deciding
 mathematical equality.
 """
 
@@ -89,7 +89,7 @@ class Const(Expr):
         self.value = float(value)
 
     def _make_key(self):
-        return ("c", self.value)
+        return _tagged(("c", self.value), _negative_zero(self.value))
 
 
 class Var(Expr):
@@ -115,7 +115,8 @@ class Unary(Expr):
         self.arg = arg
 
     def _make_key(self):
-        return (self.op, self.arg.key())
+        ka = self.arg.key()
+        return _tagged((self.op, ka), type(ka) is SignedZeroKey)
 
 
 class Binary(Expr):
@@ -131,7 +132,8 @@ class Binary(Expr):
         self.b = b
 
     def _make_key(self):
-        return (self.op, self.a.key(), self.b.key())
+        ka, kb = self.a.key(), self.b.key()
+        return _tagged((self.op, ka, kb), SignedZeroKey in (type(ka), type(kb)))
 
 
 class Pow(Expr):
@@ -145,7 +147,26 @@ class Pow(Expr):
         self.exponent = float(exponent)
 
     def _make_key(self):
-        return ("pow", self.base.key(), self.exponent)
+        kb = self.base.key()
+        return _tagged(("pow", kb, self.exponent),
+                       type(kb) is SignedZeroKey or _negative_zero(self.exponent))
+
+
+class SignedZeroKey(tuple):
+    """The key of a tree holding a -0.0 (constant or exponent): equal and
+    hash-equal to the plain tuple, as keys do not tell the zeros apart, but
+    marked, because such a tree may simplify to a result with the other zero
+    (`Neg(Const(0.0))` gives -0.0, `Neg(Const(-0.0))` 0.0)."""
+
+    __slots__ = ()
+
+
+def _negative_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) < 0.0
+
+
+def _tagged(key, signed):
+    return SignedZeroKey(key) if signed else key
 
 
 ZERO = Const(0.0)
@@ -274,13 +295,31 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     raise ExprError(f"unknown node {e!r}")
 
 
-def differentiate(e: Expr, v: str) -> Expr:
+class SymbolicTables:
+    """The results `simplify` and `differentiate` keep from call to call for
+    one chart (`Chart.tables`): a simplification table per nonvanishing set
+    and a derivative table keyed by (expression key, variable).  Trees with
+    a `SignedZeroKey` and `Const`/`Var` leaves never enter them."""
+
+    def __init__(self):
+        self.simplified = {}  # frozenset of nonvanishing keys -> {key: result}
+        self.derivatives = {}  # (key, variable) -> derivative
+
+
+def differentiate(e: Expr, v: str, tables: SymbolicTables | None = None) -> Expr:
     """Exact partial derivative with respect to variable name `v`.
 
     The result is passed through `simplify` so derivatives of the catalog
     metrics come out in the compact form the verification reports print.
+    With `tables`, each (expression, variable) pair is differentiated once.
     """
-    return simplify(_diff(e, v))
+    if tables is None or type(e.key()) is SignedZeroKey:
+        return simplify(_diff(e, v))
+    k = (e.key(), v)
+    d = tables.derivatives.get(k)
+    if d is None:
+        d = tables.derivatives[k] = simplify(_diff(e, v), (), tables)
+    return d
 
 
 def _diff(e, v):
@@ -359,29 +398,34 @@ def _is_nonvanishing(e, declared):
     return e.key() in declared
 
 
-def simplify(e: Expr, nonvanishing=()) -> Expr:
+def simplify(e: Expr, nonvanishing=(), tables: SymbolicTables | None = None) -> Expr:
     """Value-preserving simplification.
 
     `nonvanishing` is a collection of structural keys (from `Expr.key()`)
     declared by the caller to never vanish on its domain; only such factors
-    may cancel against their own reciprocals.
+    may cancel against their own reciprocals.  Subtrees met twice in one
+    call are simplified once, and with `tables` once in all the calls that
+    share them.
     """
     declared = frozenset(k.key() if isinstance(k, Expr) else k for k in nonvanishing)
-    memo = {}
+    shared = tables is not None and type(e.key()) is not SignedZeroKey
+    memo = tables.simplified.setdefault(declared, {}) if shared else {}
 
     def simp(n):
+        if shared and isinstance(n, (Const, Var)):
+            return n
         k = n.key()
         hit = memo.get(k)
         if hit is not None:
             return hit
-        out = _simp_node(n, simp, declared)
+        out = _simp_node(n, simp, declared, tables)
         memo[k] = out
         return out
 
     return simp(e)
 
 
-def _simp_node(n, simp, declared):
+def _simp_node(n, simp, declared, tables):
     if isinstance(n, (Const, Var)):
         return n
     if isinstance(n, Unary):
@@ -393,7 +437,7 @@ def _simp_node(n, simp, declared):
     if isinstance(n, Binary):
         if n.op in ("add", "sub"):
             return _simp_sum(n, simp)
-        return _simp_product(n, simp, declared)
+        return _simp_product(n, simp, declared, tables)
     raise ExprError(f"unknown node {n!r}")
 
 
@@ -557,7 +601,7 @@ def _product_factors(n, simp, num, den, side):
             (num if side > 0 else den).append(s)
 
 
-def _simp_product(n, simp, declared):
+def _simp_product(n, simp, declared, tables=None):
     num, den = [], []
     _product_factors(n, simp, num, den, +1)
 
@@ -597,7 +641,7 @@ def _simp_product(n, simp, declared):
         for side, a in exp_arg_terms:
             piece = a if side > 0 else Neg(a)
             acc = piece if acc is None else Add(acc, piece)
-        earg = _simp_sum(acc, lambda x: x) if isinstance(acc, Binary) else simplify(acc)
+        earg = _simp_sum(acc, lambda x: x) if isinstance(acc, Binary) else simplify(acc, (), tables)
         ef = _simp_unary("exp", earg)
         if isinstance(ef, Const):
             coeff *= ef.value

@@ -56,7 +56,7 @@ from .expr import (
     to_str,
     variables,
 )
-from .expr.nodes import ZERO, Add, Div, Mul, Neg, Sub, Var, is_const
+from .expr.nodes import ZERO, Add, Div, Mul, Neg, Sub, SymbolicTables, Var, is_const
 from .expr.tape import Tape
 
 CURVATURE_CONVENTION = ("R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z "
@@ -162,7 +162,9 @@ class Chart:
 
     Constraints are (expression, kind) pairs with kind 'nonzero' or
     'positive'; they gate sample-point generation and are offered to the
-    simplifier as declared-nonvanishing factors.
+    simplifier as declared-nonvanishing factors.  Every expression on the
+    chart is simplified and differentiated through its `tables`, so a run
+    does each distinct one once.
     """
 
     def __init__(self, name, coords, constraints=()):
@@ -182,12 +184,22 @@ class Chart:
         self.constraints = tuple(cons)
         # every constraint in one tape, shared by sampling and domain checks
         self._cons_tape = Tape([c for c, _ in cons], coords) if cons else None
+        self.tables = SymbolicTables()
 
     def __repr__(self):
         return f"<Chart {self.name} dim={self.dim}>"
 
     def nonvanishing_keys(self):
         return [c for c, _ in self.constraints]
+
+    def simplify(self, e, nonvanishing=None):
+        """`simplify` through the chart's tables, with the declared
+        nonvanishing factors or, given, with `nonvanishing` (() for none)."""
+        return simplify(e, self.nonvanishing_keys() if nonvanishing is None else nonvanishing,
+                        self.tables)
+
+    def differentiate(self, e, v):
+        return differentiate(e, v, self.tables)
 
     def parse(self, text, extra=()):
         return parse(text, allowed=self.coords + tuple(extra))
@@ -292,8 +304,7 @@ class MetricField(TensorField):
         if mat.shape != (chart.dim, chart.dim):
             raise GeometryError(
                 f"metric on {chart.name} must be {chart.dim}x{chart.dim}, got {mat.shape}")
-        nv = chart.nonvanishing_keys()
-        super().__init__(chart, (0, 2), [[simplify(as_expr(e), nv) for e in row] for row in mat])
+        super().__init__(chart, (0, 2), [[chart.simplify(as_expr(e)) for e in row] for row in mat])
         self.mat = self.comps
         self._cache = {}
         self._upper = Jets(self.mat[np.triu_indices(chart.dim)], chart)
@@ -325,7 +336,7 @@ class MetricField(TensorField):
 
     # ---- symbolic side ----
     def _simp(self, e):
-        return simplify(e, self.chart.nonvanishing_keys())
+        return self.chart.simplify(e)
 
     def inverse(self) -> np.ndarray:
         """Symbolic inverse via the adjugate; exact for the chart sizes used
@@ -416,13 +427,14 @@ class Jets:
 
     @cached_property
     def _first(self):  # the first derivatives along `used`, which orders 1 and 2 share
-        return _partials(self.exprs, [self.chart.coords[a] for a in self.used])
+        return _partials(self.chart, self.exprs, [self.chart.coords[a] for a in self.used])
 
     def tape(self, order=0) -> Tape:
         if order not in self._tapes:
             coords, d = self.chart.coords, self._first if order else []
             along = [coords[a] for a in self.used]
-            dd = [_partials(row, along[i:]) for i, row in enumerate(d)] if order == 2 else []
+            dd = ([_partials(self.chart, row, along[i:]) for i, row in enumerate(d)]
+                  if order == 2 else [])
             self._tapes[order] = Tape([*self.exprs, *(e for row in d for e in row),
                                        *(e for rows in dd for row in rows for e in row)],
                                       coords)
@@ -483,7 +495,7 @@ def christoffel(g: MetricField) -> TensorField:
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                d = differentiate(g.mat[i, j], coords[k])
+                d = g.chart.differentiate(g.mat[i, j], coords[k])
                 dg[k, i, j] = d
                 dg[k, j, i] = d
     inner = np.empty((n, n, n), dtype=object)  # d_i g_jl + d_j g_il - d_l g_ij
@@ -494,11 +506,12 @@ def christoffel(g: MetricField) -> TensorField:
                        _symmetrized(acc, lambda e: g._simp(_prod(Const(0.5), e))))
 
 
-def _partials(exprs, coords):
-    """[a][e] = d_a of each expression for each coordinate a; ZERO, with
-    nothing differentiated, where the expression does not contain a."""
+def _partials(chart, exprs, coords):
+    """[a][e] = d_a of each expression on the chart for each coordinate a;
+    ZERO, with nothing differentiated, where the expression does not contain
+    a."""
     names = [variables(e) for e in exprs]
-    return [[differentiate(e, a) if a in v else ZERO for e, v in zip(exprs, names)]
+    return [[chart.differentiate(e, a) if a in v else ZERO for e, v in zip(exprs, names)]
             for a in coords]
 
 
@@ -638,7 +651,7 @@ def gradient(g: MetricField, f: Expr) -> VectorField:
     """(grad f)^j = g^{ij} d_i f, as a symbolic field: the one a map pushes
     forward through its section (`rmap.pushforward_field`).  Checks read
     grad f at their points from `function_at`."""
-    df = [differentiate(as_expr(f), c) for c in g.chart.coords]
+    df = [g.chart.differentiate(as_expr(f), c) for c in g.chart.coords]
     return VectorField(g.chart, [g._simp(e) for e in sym_einsum("ij,i->j", g.inverse(), df)])
 
 

@@ -343,16 +343,18 @@ GATE_TOL = 1e-7
 class PropositionCase(_Lazy):
     """The configuration of a run's identity checks, bound to its sample
     points: the map geometry, the declared structures J (source) and Jp
-    (target), dilations f and gfun, potential field eta and soliton
-    constants.  Each ingredient of `_INGREDIENTS` is an attribute built on
-    first use and kept; each hypothesis gate is evaluated once."""
+    (target), dilations f and gfun, the soliton potential (a field eta or,
+    in the gradient case, a function u) and soliton constants.  Each
+    ingredient of `_INGREDIENTS` is an attribute built on first use and
+    kept; each hypothesis gate is evaluated once."""
 
     def __init__(self, mg: MapGeometry, points, J=None, Jp=None, f=None, gfun=None,
-                 eta: VectorField | None = None, alpha=1.0, lam=0.0):
+                 eta: VectorField | None = None, alpha=1.0, lam=0.0, u=None):
         super().__init__(_INGREDIENTS, mg=mg, pts=np.atleast_2d(points), J=J, Jp=Jp,
                          f=as_expr(f) if f is not None else None,
                          gfun=as_expr(gfun) if gfun is not None else None,
-                         eta=eta, alpha=float(alpha), lam=lam)
+                         eta=eta, u=as_expr(u) if u is not None else None,
+                         alpha=float(alpha), lam=lam)
         self._gates = {}
 
     # ---- hypothesis gates ----
@@ -406,10 +408,11 @@ class PropositionCase(_Lazy):
         if name == "horizontal_potential":
             return self._potential_gate(vertical=False)
         if name == "source_soliton":
+            potential = self.u if self.u is not None else self.f
             if self.eta is not None:
                 cfg = SolitonConfig(mg.gM, xi=self.eta, alpha=self.alpha, lam=self.lam)
-            elif self.f is not None:
-                cfg = SolitonConfig(mg.gM, f=self.f, alpha=self.alpha, lam=self.lam)
+            elif potential is not None:
+                cfg = SolitonConfig(mg.gM, f=potential, alpha=self.alpha, lam=self.lam)
             else:
                 return (False, "no potential declared")
             return _gate_value(soliton_residual(cfg, points=pts))
@@ -900,8 +903,12 @@ def verify_alpha_soliton_on_range(case: PropositionCase):
     met_term = beta * pair_form(FJU, p.GN)
     range_residual = lie_term + ric_term + met_term
     # cross-pipeline bookkeeping
-    lie_eta = (0.5 * pair_form(V, lie_derivative(case.mg.gM, case.eta, p.x))
-               if case.eta is not None else np.zeros_like(lie_W))
+    if case.eta is not None:
+        lie_eta = 0.5 * pair_form(V, lie_derivative(case.mg.gM, case.eta, p.x))
+    elif case.u is not None:  # (1/2) L_{grad u} g = Hess u
+        lie_eta = pair_form(V, function_at(case.mg.gM, case.u, p.x).hess)
+    else:
+        lie_eta = np.zeros_like(lie_W)
     ric_uv = pair_form(V, p.ricM)
     g_uv = pair_form(V, p.GM)
     S = lie_eta + case.alpha * ric_uv + lam * g_uv

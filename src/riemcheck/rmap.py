@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import as_expr, differentiate, simplify, substitute
+from .expr import as_expr, substitute
 from .geometry import (
     Chart,
     GeometryError,
@@ -88,7 +88,7 @@ class SmoothMap:
         jac = np.empty((target.dim, source.dim), dtype=object)
         for a in range(target.dim):
             for i in range(source.dim):
-                jac[a, i] = differentiate(comps[a], source.coords[i])
+                jac[a, i] = source.differentiate(comps[a], source.coords[i])
         self.jacobian = jac
         self.jets = Jets(comps, source)
 
@@ -104,7 +104,7 @@ class SmoothMap:
         if self.section is None:
             raise MapError(f"map {self.name} has no declared section")
         mapping = dict(zip(self.source.coords, self.section))
-        return simplify(substitute(as_expr(e), mapping))
+        return self.target.simplify(substitute(as_expr(e), mapping), ())
 
 
 def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> VectorField:
@@ -112,7 +112,7 @@ def pushforward_field(F: SmoothMap, X: VectorField, validate_points=None) -> Vec
     an honest vector field on the target chart.  When `validate_points`
     (source points) is given, basic-ness is checked by comparing the pushed
     field at F(p) against the pointwise pushforward."""
-    along = [simplify(e) for e in sym_einsum("ai,i->a", F.jacobian, X.comps)]
+    along = [F.source.simplify(e, ()) for e in sym_einsum("ai,i->a", F.jacobian, X.comps)]
     pushed = VectorField(F.target, [F.push_expr(c) for c in along])
     if validate_points is not None:
         pts = np.atleast_2d(validate_points)

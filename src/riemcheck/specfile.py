@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import ExprError, ParseError, differentiate, parse, simplify, substitute, variables
+from .expr import ExprError, ParseError, parse, substitute, variables
 from .expr.nodes import ZERO, Const, is_const
 from .geometry import Chart, GeometryError, MetricField, VectorField
 from .rmap import AdaptedFrames, MapGeometry, SmoothMap
@@ -245,10 +245,10 @@ def _linear_combo(rhs, basis_names, chart):
     coefficients; coefficients are extracted by exact differentiation with
     respect to the name pseudo-variables."""
     e = parse(rhs, allowed=chart.coords + tuple(basis_names))
-    coeffs = [simplify(differentiate(e, nm)) for nm in basis_names]
+    coeffs = [chart.simplify(chart.differentiate(e, nm), ()) for nm in basis_names]
     # linearity check: residual of rhs - sum(c_i * name_i) must be the zero
     # expression once the names are substituted out
-    const_part = simplify(substitute(e, {nm: Const(0.0) for nm in basis_names}))
+    const_part = chart.simplify(substitute(e, {nm: Const(0.0) for nm in basis_names}), ())
     if not is_const(const_part, 0.0):
         raise ValueError(f"combination has a non-field term ({const_part})")
     nonlinear = [nm for c in coeffs for nm in basis_names if nm in variables(c)]
@@ -366,8 +366,8 @@ def _declarations(cfg, blocks):
             if rhs.startswith("frame "):
                 fields = [f for (cn, _), f in cfg.fields.items() if cn == chart_name]
                 coeffs = _linear_combo(rhs[len("frame "):], [f.name for f in fields], chart)
-                comps = [simplify(sum((c * fld.comps[i] for c, fld in zip(coeffs, fields)),
-                                      Const(0.0)))
+                comps = [chart.simplify(sum((c * fld.comps[i] for c, fld in zip(coeffs, fields)),
+                                            Const(0.0)), ())
                          for i in range(chart.dim)]
             else:
                 comps = [chart.parse(c) for c in _parts(rhs)]

@@ -107,7 +107,7 @@ class _Ctx:
             self._case = PropositionCase(
                 self.mg, self.points, J=self.J, Jp=self.Jp, f=clairaut.get("source"),
                 gfun=clairaut.get("target"), eta=sol.xi if sol else None,
-                alpha=sol.alpha if sol else 1.0,
+                u=sol.f if sol else None, alpha=sol.alpha if sol else 1.0,
                 lam=sol.lam if sol and sol.lam != "solve" else 0.0)
         return self._case
 

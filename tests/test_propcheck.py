@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemcheck import propcheck, suites
-from riemcheck.catalog import load
+from riemcheck.catalog import CATALOG, load
 from riemcheck.expr import Const, nodes
 from riemcheck.geometry import (
     Chart,
@@ -659,3 +659,22 @@ def test_target_calculus_builds_no_structural_zero_product(monkeypatch):
     suites.run_suite(load("flat-lagrangian"), points=4)
     assert all(built[name] > 0 for name in ("shape", "nabla_tilde_S", "r_perp")), built
     assert zero_operands == []
+
+
+def test_the_source_soliton_gate_reads_a_gradient_potential():
+    """flat-lagrangian with `soliton grad u alpha 1 lambda -1`: Hess u = g and
+    Ric = 0, so the source is a soliton with potential grad u.  The gate
+    tests u, not the Clairaut dilation f = 0 (which gave [false, 1.0]), and
+    the source residual of `alpha_soliton_range` has Hess u in its Lie
+    term."""
+    text = CATALOG["flat-lagrangian"].replace(
+        "soliton field zero alpha 1 lambda 0", "soliton grad u alpha 1 lambda -1").replace(
+        "function f on M = 0\n",
+        "function f on M = 0\nfunction u on M = 0.5*(x1^2 + x2^2 + x3^2 + x4^2)\n")
+    cfg = load_spec(text, name="gradient-soliton")
+    report = suites.run_suite(cfg, suite=["soliton", "alpha_soliton_range"], points=4)
+    soliton, on_range = report.checks
+    assert soliton.verdict == "PASS"
+    holds, residual = on_range.terms["gates"]["source_soliton"]
+    assert holds and residual <= cfg.check["tol"]
+    assert on_range.terms["term_breakdown"]["source_residual"] == 0.0
